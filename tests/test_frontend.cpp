@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "obs/spans.hpp"
 #include "service/service.hpp"
 
 namespace da::service {
@@ -47,36 +48,43 @@ TEST(Frontend, DigestAndSketchesInvariantAcrossJobsValues) {
   // identical whether the cross-shard drain runs inline or on a pool.
   for (RoutePolicy route :
        {RoutePolicy::kHashJobId, RoutePolicy::kLeastLoaded}) {
-    FrontendConfig config;
-    config.service = congested_config();
-    config.shards = 3;
-    config.route = route;
+    // One shard runs the same pooled tick as three: its instance chunks
+    // still fan out over the workers.
+    for (int shards : {1, 3}) {
+      FrontendConfig config;
+      config.service = congested_config();
+      config.shards = shards;
+      config.route = route;
 
-    config.service.jobs = 1;
-    const FrontendResult lone = run_frontend(config);
-    config.service.jobs = 4;
-    const FrontendResult fleet = run_frontend(config);
+      config.service.jobs = 1;
+      const FrontendResult lone = run_frontend(config);
+      config.service.jobs = 4;
+      const FrontendResult fleet = run_frontend(config);
 
-    EXPECT_EQ(lone.digest(), fleet.digest()) << to_string(route);
-    EXPECT_EQ(lone.artifact(), fleet.artifact()) << to_string(route);
-    EXPECT_EQ(lone.shard_of, fleet.shard_of) << to_string(route);
-    EXPECT_EQ(lone.completed, fleet.completed) << to_string(route);
-    EXPECT_EQ(lone.shed, fleet.shed) << to_string(route);
-    EXPECT_EQ(lone.ticks, fleet.ticks) << to_string(route);
-    EXPECT_EQ(lone.latency_sketch.serialize(), fleet.latency_sketch.serialize())
-        << to_string(route);
-    EXPECT_EQ(lone.queue_sketch.serialize(), fleet.queue_sketch.serialize())
-        << to_string(route);
-    for (int c = 0; c < kAdmissionClassCount; ++c) {
-      EXPECT_EQ(lone.class_latency[static_cast<std::size_t>(c)].serialize(),
-                fleet.class_latency[static_cast<std::size_t>(c)].serialize())
-          << to_string(route) << " class " << c;
-    }
-    ASSERT_EQ(lone.shards.size(), fleet.shards.size());
-    for (std::size_t s = 0; s < lone.shards.size(); ++s) {
-      EXPECT_EQ(lone.shards[s].completed, fleet.shards[s].completed);
-      EXPECT_EQ(lone.shards[s].shed, fleet.shards[s].shed);
-      EXPECT_EQ(lone.shards[s].peak_active, fleet.shards[s].peak_active);
+      const std::string where =
+          std::string(to_string(route)) + " shards=" + std::to_string(shards);
+      EXPECT_EQ(lone.digest(), fleet.digest()) << where;
+      EXPECT_EQ(lone.artifact(), fleet.artifact()) << where;
+      EXPECT_EQ(lone.shard_of, fleet.shard_of) << where;
+      EXPECT_EQ(lone.completed, fleet.completed) << where;
+      EXPECT_EQ(lone.shed, fleet.shed) << where;
+      EXPECT_EQ(lone.ticks, fleet.ticks) << where;
+      EXPECT_EQ(lone.latency_sketch.serialize(),
+                fleet.latency_sketch.serialize())
+          << where;
+      EXPECT_EQ(lone.queue_sketch.serialize(), fleet.queue_sketch.serialize())
+          << where;
+      for (int c = 0; c < kAdmissionClassCount; ++c) {
+        EXPECT_EQ(lone.class_latency[static_cast<std::size_t>(c)].serialize(),
+                  fleet.class_latency[static_cast<std::size_t>(c)].serialize())
+            << where << " class " << c;
+      }
+      ASSERT_EQ(lone.shards.size(), fleet.shards.size());
+      for (std::size_t s = 0; s < lone.shards.size(); ++s) {
+        EXPECT_EQ(lone.shards[s].completed, fleet.shards[s].completed);
+        EXPECT_EQ(lone.shards[s].shed, fleet.shards[s].shed);
+        EXPECT_EQ(lone.shards[s].peak_active, fleet.shards[s].peak_active);
+      }
     }
   }
 }
@@ -118,8 +126,11 @@ TEST(Frontend, UncongestedStreamMatchesSingleServiceBaseline) {
 
 TEST(Frontend, OneShardIsTheSingleServiceEvenUnderOverload) {
   // With one shard the router is a no-op and the global event loop is
-  // the service's own: congestion, shedding and all, the streams match.
-  const ServiceConfig service = congested_config();
+  // the service's own: congestion, shedding and all, the streams match —
+  // records, sketches, the periodic series and the span trees.
+  ServiceConfig service = congested_config();
+  service.record_spans = true;
+  service.sample_every = 0.75;
   const ServiceResult base = run_service(service);
   EXPECT_GT(base.shed, 0u);  // the comparison covers overload handling
 
@@ -131,6 +142,23 @@ TEST(Frontend, OneShardIsTheSingleServiceEvenUnderOverload) {
   EXPECT_EQ(front.completed, base.completed);
   EXPECT_EQ(front.shed, base.shed);
   EXPECT_EQ(front.queue_sketch.serialize(), base.queue_sketch.serialize());
+  EXPECT_EQ(obs::spans_to_jsonl(front.spans), obs::spans_to_jsonl(base.spans));
+  ASSERT_FALSE(base.samples.empty());
+  ASSERT_EQ(front.samples.size(), base.samples.size());
+  for (std::size_t i = 0; i < base.samples.size(); ++i) {
+    const ServiceSample& a = front.samples[i];
+    const ServiceSample& b = base.samples[i];
+    EXPECT_EQ(a.time, b.time) << "sample " << i;
+    EXPECT_EQ(a.active, b.active) << "sample " << i;
+    EXPECT_EQ(a.queued, b.queued) << "sample " << i;
+    EXPECT_EQ(a.completed, b.completed) << "sample " << i;
+    EXPECT_EQ(a.shed, b.shed) << "sample " << i;
+    EXPECT_EQ(a.deadline_missed, b.deadline_missed) << "sample " << i;
+    EXPECT_EQ(a.completed_by_class, b.completed_by_class) << "sample " << i;
+    EXPECT_EQ(a.queued_by_class, b.queued_by_class) << "sample " << i;
+    EXPECT_EQ(a.latency_p50, b.latency_p50) << "sample " << i;
+    EXPECT_EQ(a.latency_p99, b.latency_p99) << "sample " << i;
+  }
 }
 
 TEST(Frontend, RoutingIsConsistentAndCoversShards) {
