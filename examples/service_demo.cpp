@@ -31,10 +31,14 @@
 // tools/docs_check.sh --service-demo executes that walkthrough.
 
 #include <array>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -62,6 +66,22 @@ double parse_positive(const char* flag, const char* arg) {
   if (end == arg || *end != '\0' || v <= 0.0) usage(flag);
   return v;
 }
+
+/// Counts take positive integers only: a fraction, zero, a sign, trailing
+/// text or a value above `max` is a usage error, never a silent
+/// truncation.
+std::uint64_t parse_count(const char* flag, const char* arg,
+                          std::uint64_t max) {
+  const char* last = arg + std::strlen(arg);
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(arg, last, v);
+  if (ec != std::errc{} || end != last || v == 0 || v > max) usage(flag);
+  return v;
+}
+
+constexpr auto kIntMax =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
@@ -91,14 +111,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(flag, "--rate") == 0) {
       rate = parse_positive("--rate expects a positive number", next());
     } else if (std::strcmp(flag, "--offered") == 0) {
-      config.offered = static_cast<std::uint64_t>(
-          parse_positive("--offered expects a positive count", next()));
+      config.offered =
+          parse_count("--offered expects a positive count", next(), kU64Max);
     } else if (std::strcmp(flag, "--cap") == 0) {
       config.cap = static_cast<int>(
-          parse_positive("--cap expects a positive count", next()));
+          parse_count("--cap expects a positive count", next(), kIntMax));
     } else if (std::strcmp(flag, "--queue") == 0) {
       config.queue_cap = static_cast<std::size_t>(
-          parse_positive("--queue expects a positive count", next()));
+          parse_count("--queue expects a positive count", next(), kU64Max));
     } else if (std::strcmp(flag, "--policy") == 0) {
       const char* p = next();
       if (std::strcmp(p, "shed") == 0) {
@@ -118,7 +138,7 @@ int main(int argc, char** argv) {
       config.jobs = std::atoi(next());
     } else if (std::strcmp(flag, "--shards") == 0) {
       shards = static_cast<int>(
-          parse_positive("--shards expects a positive count", next()));
+          parse_count("--shards expects a positive count", next(), kIntMax));
     } else if (std::strcmp(flag, "--route") == 0) {
       const auto parsed = parse_route_policy(next());
       if (!parsed.has_value()) usage("--route expects hash|least-loaded");
@@ -151,8 +171,8 @@ int main(int argc, char** argv) {
       }
       config.fault_plan = *plan;
     } else if (std::strcmp(flag, "--inject-every") == 0) {
-      config.inject_every = static_cast<std::uint64_t>(
-          parse_positive("--inject-every expects a positive count", next()));
+      config.inject_every = parse_count(
+          "--inject-every expects a positive count", next(), kU64Max);
     } else {
       usage(flag);
     }

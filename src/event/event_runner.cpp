@@ -75,7 +75,7 @@ EventRunResult EventRunner::run() {
   static const obs::Counter false_timeouts("event.false_timeouts");
   static const obs::Counter fabrications_dropped(
       "event.fabrications_dropped");
-  static const obs::Histogram run_ms("event.run_ms");
+  static const obs::Quantile run_ms("event.run_ms");
   const obs::MetricsScope metrics_scope;
   const obs::ScopedTimer run_timer(run_ms);
   executions.add();

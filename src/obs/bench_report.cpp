@@ -40,19 +40,6 @@ Json metrics_to_json() {
   for (const auto& [name, value] : snap.counters) counters.set(name, value);
   Json gauges = Json::object();
   for (const auto& [name, value] : snap.gauges) gauges.set(name, value);
-  Json histograms = Json::object();
-  for (const auto& [name, hist] : snap.histograms) {
-    Json buckets = Json::array();
-    for (const std::uint64_t b : hist.buckets) buckets.push_back(b);
-    Json h = Json::object();
-    h.set("count", hist.count)
-        .set("sum", hist.sum)
-        .set("min", hist.min)
-        .set("max", hist.max)
-        .set("mean", hist.mean())
-        .set("buckets", std::move(buckets));
-    histograms.set(name, std::move(h));
-  }
   Json quantiles = Json::object();
   for (const auto& [name, sketch] : snap.quantiles) {
     Json q = Json::object();
@@ -69,7 +56,6 @@ Json metrics_to_json() {
   Json metrics = Json::object();
   metrics.set("counters", std::move(counters))
       .set("gauges", std::move(gauges))
-      .set("histograms", std::move(histograms))
       .set("quantiles", std::move(quantiles));
   return metrics;
 }
@@ -216,27 +202,10 @@ bool validate_bench_schema(const Json& report, std::string* error) {
   if (metrics == nullptr || !metrics->is_object()) {
     return fail("missing object field 'metrics'");
   }
-  for (const char* section : {"counters", "gauges", "histograms", "quantiles"}) {
+  for (const char* section : {"counters", "gauges", "quantiles"}) {
     const Json* s = metrics->find(section);
     if (s == nullptr || !s->is_object()) {
       return fail(std::string("metrics missing object '") + section + "'");
-    }
-  }
-  const Json* histograms = metrics->find("histograms");
-  for (const auto& [name, hist] : histograms->as_object()) {
-    if (!hist.is_object()) {
-      return fail("histogram '" + name + "' is not an object");
-    }
-    for (const char* field : {"count", "sum", "min", "max", "mean"}) {
-      const Json* f = hist.find(field);
-      if (f == nullptr || !f->is_number()) {
-        return fail("histogram '" + name + "' missing number '" + field +
-                    "'");
-      }
-    }
-    const Json* buckets = hist.find("buckets");
-    if (buckets == nullptr || !buckets->is_array()) {
-      return fail("histogram '" + name + "' missing array 'buckets'");
     }
   }
   const Json* quantiles = metrics->find("quantiles");

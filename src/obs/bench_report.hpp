@@ -16,7 +16,7 @@ namespace da::obs {
 ///   { "bench": ..., "seed": ..., "jobs": ..., "git_describe": ...,
 ///     "tables": [ {"name", "header", "rows"} ... ],
 ///     "metrics": { "counters": {...}, "gauges": {...},
-///                  "histograms": {...} } }
+///                  "quantiles": {...} } }
 ///
 /// (documented with an example in docs/OBSERVABILITY.md). Usage:
 ///

@@ -69,29 +69,6 @@ std::string to_exposition(const MetricsSnapshot& snapshot) {
     append_type(out, metric, "gauge");
     append_sample(out, metric, "", value);
   }
-  for (const auto& [name, hist] : snapshot.histograms) {
-    const std::string metric = sanitize(name);
-    append_type(out, metric, "histogram");
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < hist.buckets.size(); ++i) {
-      cumulative += hist.buckets[i];
-      std::string labels = "{le=\"";
-      if (i + 1 == hist.buckets.size()) {
-        labels += "+Inf";
-      } else {
-        // Bucket i covers [2^(i-7), 2^(i-6)): the upper bound is 2^(i-6).
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g",
-                      std::ldexp(1.0, static_cast<int>(i) - 6));
-        labels += buf;
-      }
-      labels += "\"}";
-      append_sample(out, metric + "_bucket", labels,
-                    static_cast<double>(cumulative));
-    }
-    append_sample(out, metric + "_sum", "", hist.sum);
-    out += metric + "_count " + std::to_string(hist.count) + '\n';
-  }
   for (const auto& [name, sketch] : snapshot.quantiles) {
     const std::string metric = sanitize(name);
     append_type(out, metric, "summary");

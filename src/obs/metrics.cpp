@@ -1,50 +1,18 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
 namespace da::obs {
 
-std::size_t HistogramSnapshot::bucket_of(double value) {
-  // Bucket i holds [2^(i-7), 2^(i-6)); everything below 2^-7 lands in
-  // bucket 0 and everything at or above 2^8 in the last bucket.
-  if (!(value > 0.0)) return 0;
-  const int exp = static_cast<int>(std::floor(std::log2(value)));
-  const int idx = exp + 7;
-  if (idx < 0) return 0;
-  if (idx >= static_cast<int>(kBuckets)) return kBuckets - 1;
-  return static_cast<std::size_t>(idx);
-}
-
 namespace {
-
-/// Per-thread staged histogram state, merged on flush.
-struct HistAccum {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  std::array<std::uint64_t, HistogramSnapshot::kBuckets> buckets{};
-
-  void record(double value) {
-    ++count;
-    sum += value;
-    if (value < min) min = value;
-    if (value > max) max = value;
-    ++buckets[HistogramSnapshot::bucket_of(value)];
-  }
-
-  void clear() { *this = HistAccum{}; }
-};
 
 struct TlsSink {
   std::vector<std::uint64_t> counters;
-  std::vector<HistAccum> histograms;
   std::vector<QuantileSketch> quantiles;
 };
 
@@ -54,7 +22,7 @@ TlsSink& tls_sink() {
 }
 
 /// Shared store behind MetricsRegistry. Counter cells are atomics in a
-/// deque (stable addresses as new metrics are interned); histogram cells
+/// deque (stable addresses as new metrics are interned); sketch cells
 /// and the name tables live under one mutex — they are touched at intern
 /// time and at flush time only, never per event.
 struct Store {
@@ -62,9 +30,6 @@ struct Store {
   std::unordered_map<std::string, std::uint32_t> counter_ids;
   std::vector<std::string> counter_names;
   std::deque<std::atomic<std::uint64_t>> counter_cells;
-  std::unordered_map<std::string, std::uint32_t> histogram_ids;
-  std::vector<std::string> histogram_names;
-  std::vector<HistAccum> histogram_cells;
   std::unordered_map<std::string, std::uint32_t> quantile_ids;
   std::vector<std::string> quantile_names;
   std::vector<QuantileSketch> quantile_cells;
@@ -92,18 +57,6 @@ std::uint32_t MetricsRegistry::intern_counter(std::string_view name) {
   s.counter_names.emplace_back(name);
   s.counter_cells.emplace_back(0);
   s.counter_ids.emplace(std::string(name), id);
-  return id;
-}
-
-std::uint32_t MetricsRegistry::intern_histogram(std::string_view name) {
-  Store& s = store();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.histogram_ids.find(std::string(name));
-  if (it != s.histogram_ids.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(s.histogram_names.size());
-  s.histogram_names.emplace_back(name);
-  s.histogram_cells.emplace_back();
-  s.histogram_ids.emplace(std::string(name), id);
   return id;
 }
 
@@ -139,34 +92,11 @@ void MetricsRegistry::flush_this_thread() {
                                  std::memory_order_relaxed);
     sink.counters[i] = 0;
   }
-  bool any_hist = false;
-  for (const HistAccum& h : sink.histograms) {
-    if (h.count != 0) {
-      any_hist = true;
-      break;
-    }
+  if (std::all_of(sink.quantiles.begin(), sink.quantiles.end(),
+                  [](const QuantileSketch& q) { return q.empty(); })) {
+    return;
   }
-  for (const QuantileSketch& q : sink.quantiles) {
-    if (!q.empty()) {
-      any_hist = true;
-      break;
-    }
-  }
-  if (!any_hist) return;
   const std::lock_guard<std::mutex> lock(s.mu);
-  for (std::size_t i = 0; i < sink.histograms.size(); ++i) {
-    HistAccum& local = sink.histograms[i];
-    if (local.count == 0) continue;
-    HistAccum& cell = s.histogram_cells[i];
-    cell.count += local.count;
-    cell.sum += local.sum;
-    if (local.min < cell.min) cell.min = local.min;
-    if (local.max > cell.max) cell.max = local.max;
-    for (std::size_t b = 0; b < local.buckets.size(); ++b) {
-      cell.buckets[b] += local.buckets[b];
-    }
-    local.clear();
-  }
   // Sketch merging is exact (integer buckets, bit-exact min/max), so the
   // shared cell's canonical state is independent of which thread flushes
   // first — the property the cross-jobs byte-identity tests rely on.
@@ -189,16 +119,6 @@ MetricsSnapshot MetricsRegistry::snapshot() {
         s.counter_cells[i].load(std::memory_order_relaxed);
   }
   out.gauges = s.gauges;
-  for (std::size_t i = 0; i < s.histogram_names.size(); ++i) {
-    const HistAccum& cell = s.histogram_cells[i];
-    HistogramSnapshot hs;
-    hs.count = cell.count;
-    hs.sum = cell.sum;
-    hs.min = cell.count == 0 ? 0.0 : cell.min;
-    hs.max = cell.count == 0 ? 0.0 : cell.max;
-    hs.buckets = cell.buckets;
-    out.histograms[s.histogram_names[i]] = hs;
-  }
   for (std::size_t i = 0; i < s.quantile_names.size(); ++i) {
     out.quantiles[s.quantile_names[i]] = s.quantile_cells[i];
   }
@@ -228,7 +148,6 @@ void MetricsRegistry::reset() {
   for (auto& cell : s.counter_cells) {
     cell.store(0, std::memory_order_relaxed);
   }
-  for (HistAccum& cell : s.histogram_cells) cell.clear();
   for (QuantileSketch& cell : s.quantile_cells) cell.clear();
   s.gauges.clear();
 #endif
@@ -240,12 +159,6 @@ void tls_counter_add(std::uint32_t id, std::uint64_t delta) {
   TlsSink& sink = tls_sink();
   if (sink.counters.size() <= id) sink.counters.resize(id + 1, 0);
   sink.counters[id] += delta;
-}
-
-void tls_histogram_record(std::uint32_t id, double value) {
-  TlsSink& sink = tls_sink();
-  if (sink.histograms.size() <= id) sink.histograms.resize(id + 1);
-  sink.histograms[id].record(value);
 }
 
 void tls_quantile_record(std::uint32_t id, double value) {

@@ -31,16 +31,21 @@ double QuantileSketch::bucket_mid(std::size_t bucket) {
 }
 
 void QuantileSketch::record(double value) {
+  const std::size_t bucket = bucket_of(value);
   if (count_ == 0) {
     min_ = value;
     max_ = value;
+    lo_ = bucket;
+    hi_ = bucket;
   } else {
     if (value < min_) min_ = value;
     if (value > max_) max_ = value;
+    lo_ = std::min(lo_, bucket);
+    hi_ = std::max(hi_, bucket);
   }
   ++count_;
   sum_ += value;
-  ++buckets_[bucket_of(value)];
+  ++buckets_[bucket];
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -48,13 +53,30 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   if (count_ == 0) {
     min_ = other.min_;
     max_ = other.max_;
+    lo_ = other.lo_;
+    hi_ = other.hi_;
   } else {
     if (other.min_ < min_) min_ = other.min_;
     if (other.max_ > max_) max_ = other.max_;
+    lo_ = std::min(lo_, other.lo_);
+    hi_ = std::max(hi_, other.hi_);
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+  for (std::size_t i = other.lo_; i <= other.hi_; ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
+}
+
+void QuantileSketch::clear() {
+  if (count_ != 0) {
+    std::fill(buckets_.begin() + static_cast<std::ptrdiff_t>(lo_),
+              buckets_.begin() + static_cast<std::ptrdiff_t>(hi_) + 1, 0);
+  }
+  count_ = 0;
+  min_ = 0.0;
+  max_ = 0.0;
+  sum_ = 0.0;
 }
 
 double QuantileSketch::quantile(double q) const {

@@ -16,6 +16,9 @@ namespace da::obs {
 ///     **associative and commutative**, so merging any number of
 ///     thread-local sketches in any order yields byte-identical canonical
 ///     state (`test_spans.cpp` pins associativity with a property test).
+///     It and `clear()` touch only the range of buckets ever recorded
+///     into, so a flush of a few samples costs a few buckets, not all
+///     1,026.
 ///   - `serialize()` covers only the canonical state (count, min/max bit
 ///     patterns, non-zero buckets). The running `sum()` is deliberately
 ///     excluded: double addition is not associative, so a sum folded in
@@ -54,7 +57,7 @@ class QuantileSketch {
   /// min/max, so merge order can never change the canonical state.
   void merge(const QuantileSketch& other);
 
-  void clear() { *this = QuantileSketch{}; }
+  void clear();
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -81,6 +84,10 @@ class QuantileSketch {
   double min_ = 0.0;  // valid iff count_ > 0
   double max_ = 0.0;
   double sum_ = 0.0;  // non-canonical (display only)
+  // Occupied bucket range [lo_, hi_] (valid iff count_ > 0): the only
+  // buckets merge() and clear() need to visit.
+  std::size_t lo_ = 0;
+  std::size_t hi_ = 0;
   std::array<std::uint64_t, kBuckets> buckets_{};
 };
 

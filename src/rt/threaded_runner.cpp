@@ -29,7 +29,7 @@ sim::RunResult ThreadedRunner::run() {
   static const obs::Counter delivered_count("rt.messages_delivered");
   static const obs::Counter wire_bytes("rt.wire_bytes");
   static const obs::Counter fabrications_dropped("rt.fabrications_dropped");
-  static const obs::Histogram run_ms("rt.run_ms");
+  static const obs::Quantile run_ms("rt.run_ms");
   const obs::MetricsScope metrics_scope;
   const obs::ScopedTimer run_timer(run_ms);
   executions.add();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -22,8 +21,6 @@ const obs::Counter& frontend_ticks_counter() {
   static const obs::Counter c("frontend.ticks");
   return c;
 }
-
-constexpr double kNever = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -49,18 +46,13 @@ ServiceFrontend::ServiceFrontend(FrontendConfig config)
   mix_ = config_.service.mix.empty() ? default_mix() : config_.service.mix;
   const int jobs = sweep::resolve_jobs(config_.service.jobs);
   config_.service.jobs = jobs;
-  // The cross-shard pool lives here; each shard runs single-threaded
-  // inside its tick task (disjoint state, one task per active shard).
-  if (jobs > 1 && config_.shards > 1) {
-    pool_ = std::make_unique<sweep::ThreadPool>(jobs);
-  }
+  // The one pool: each tick fans (shard, instance-chunk) tasks over it.
+  if (jobs > 1) pool_ = std::make_unique<sweep::ThreadPool>(jobs);
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s) {
     ServiceConfig shard = config_.service;
     shard.mix = mix_;  // resolved once, so all shards share one mix view
     shard.seed = shard_seed(s);
-    shard.jobs = 1;          // parallelism is across shards, not within
-    shard.sample_every = 0;  // the front-end owns the aggregated series
     shards_.push_back(std::make_unique<AgreementService>(std::move(shard)));
   }
 }
@@ -92,132 +84,33 @@ int ServiceFrontend::route(std::uint64_t id) const {
   return best;
 }
 
-void ServiceFrontend::push_sample(double at,
-                                  std::vector<ServiceSample>& samples) const {
-  ServiceSample sample;
-  sample.time = at;
-  obs::QuantileSketch merged;
-  for (const auto& shard : shards_) {
-    sample.active += shard->active_width();
-    sample.queued += shard->queue_depth();
-    sample.completed += shard->completed_so_far();
-    sample.shed += shard->shed_so_far();
-    sample.deadline_missed += shard->deadline_missed_so_far();
-    for (int c = 0; c < kAdmissionClassCount; ++c) {
-      const auto cls = static_cast<AdmissionClass>(c);
-      sample.completed_by_class[static_cast<std::size_t>(c)] +=
-          shard->completed_of(cls);
-      sample.queued_by_class[static_cast<std::size_t>(c)] +=
-          shard->queued_of(cls);
-    }
-    merged.merge(shard->running_latency_sketch());
-  }
-  sample.latency_p50 = merged.quantile(0.5);
-  sample.latency_p99 = merged.quantile(0.99);
-  samples.push_back(sample);
-}
-
 FrontendResult ServiceFrontend::run() {
   const obs::MetricsScope metrics_scope;
   const auto wall_start = std::chrono::steady_clock::now();
   const std::uint64_t offered = config_.service.offered;
-  DA_EXPECTS(offered >= 1);
-  const double period = config_.service.round_period;
-  const double sample_every = config_.service.sample_every;
   const std::size_t nshards = shards_.size();
-  for (auto& shard : shards_) {
-    shard->begin_run(offered / nshards + 1);
-  }
+  std::vector<AgreementService*> shards;
+  shards.reserve(nshards);
+  for (const auto& shard : shards_) shards.push_back(shard.get());
 
   FrontendResult result;
   result.shard_of.assign(offered, 0);
-
-  ArrivalGenerator gen(config_.service.arrivals, config_.service.seed);
-  const std::size_t adversary_count = shards_.front()->adversary_count();
-  std::uint64_t arrived = 0;
-  std::uint64_t finished = 0;
-  double next_arrival = gen.next();
-  double next_tick = kNever;
-  double next_sample = sample_every > 0.0 ? sample_every : kNever;
-  double now = 0.0;
-
-  const auto any_active = [this] {
-    for (const auto& shard : shards_) {
-      if (!shard->idle()) return true;
-    }
-    return false;
-  };
-  const auto total_finished = [this] {
-    std::uint64_t n = 0;
-    for (const auto& shard : shards_) n += shard->finished();
-    return n;
-  };
-
-  // One global event loop over all shards: the same arrival-first
-  // tie-break and the same persistent tick grid as the single service,
-  // so an uncongested stream sees identical event instants either way.
-  while (finished < offered) {
-    const double next_event = std::min(next_arrival, next_tick);
-    while (next_sample < next_event) {
-      push_sample(next_sample, result.samples);
-      next_sample += sample_every;
-    }
-    if (arrived < offered && next_arrival <= next_tick) {
-      now = next_arrival;
-      const std::uint64_t id = arrived++;
-      next_arrival = arrived < offered ? gen.next() : kNever;
-      JobOffer offer;
-      offer.id = id;
-      offer.template_index =
-          draw_template_index(config_.service.seed, id, mix_.size());
-      offer.adversary_index =
-          draw_adversary_index(config_.service.seed, id, adversary_count);
-      const int s = route(id);
-      result.shard_of[id] = s;
-      routed_counter().add();
-      shards_[static_cast<std::size_t>(s)]->offer_job(offer, now);
-      finished = total_finished();  // overload sheds settle immediately
-      if (next_tick == kNever &&
-          !shards_[static_cast<std::size_t>(s)]->idle()) {
-        next_tick = now + period;
-      }
-      continue;
-    }
-    DA_EXPECTS(next_tick != kNever);  // else nothing active and no arrivals
-    now = next_tick;
-    frontend_ticks_counter().add();
-    ++result.ticks;
-    // Lockstep tick: every non-idle shard advances one round batch at
-    // the same instant. Idle shards have empty queues (queue non-empty
-    // implies active inside a shard), so skipping them loses nothing.
-    if (pool_ != nullptr) {
-      for (auto& shard : shards_) {
-        if (shard->idle()) continue;
-        AgreementService* raw = shard.get();
-        pool_->submit([raw, now] {
-          const obs::MetricsScope worker_scope;
-          raw->step(now);
-        });
-      }
-      pool_->wait_idle();
-    } else {
-      for (auto& shard : shards_) {
-        if (!shard->idle()) shard->step(now);
-      }
-    }
-    finished = total_finished();
-    next_tick = any_active() ? now + period : kNever;
-  }
-
-  // Close the aggregated series at the makespan.
-  if (sample_every > 0.0) push_sample(now, result.samples);
-
-  result.makespan = now;
+  detail::DriveResult drive = detail::drive(
+      shards, config_.service, pool_.get(), [&](std::uint64_t id) {
+        const int s = route(id);
+        result.shard_of[id] = s;
+        return s;
+      });
+  routed_counter().add(offered);
+  frontend_ticks_counter().add(drive.ticks);
+  result.ticks = drive.ticks;
+  result.samples = std::move(drive.samples);
+  result.makespan = drive.makespan;
   // Fold the shards back into one stream: exact sketch merges, record
   // concat + sort by global id, span concat + re-canonicalization.
   result.records.reserve(offered);
   for (std::size_t s = 0; s < nshards; ++s) {
-    ServiceResult part = shards_[s]->end_run(now);
+    ServiceResult part = shards_[s]->end_run(result.makespan);
     FrontendShardSummary summary;
     summary.seed = shards_[s]->config().seed;
     summary.offered = part.records.size();

@@ -21,17 +21,19 @@ namespace da::service {
 /// stream and the per-job draws (template, adversary — the same pure
 /// functions of (seed, global id) the single service uses), routes each
 /// arrival to a shard, and drives every shard's round ticks in lockstep
-/// on one global tick grid. Cross-shard draining is batched on the sweep
-/// `ThreadPool` (`FrontendConfig::service.jobs > 1`): shards touch
-/// disjoint state, so a tick fans one task per active shard.
+/// on one global tick grid — the same event loop (`detail::drive`) that
+/// `AgreementService::run()` runs over one shard. Draining is batched on
+/// one sweep `ThreadPool` (`FrontendConfig::service.jobs > 1`): shards
+/// touch disjoint state, so a tick fans (shard, instance-chunk) tasks
+/// across all of them.
 ///
 /// Determinism contract, extended: for a fixed (config, shard count,
 /// route policy), every field of `FrontendResult` except `wall_ms` —
 /// merged records, per-shard placement, merged and per-class quantile
 /// sketches — is identical for every `jobs` value (`digest()` pins it).
-/// And because shards are driven through the exact primitives
-/// `AgreementService::run()` is built on (one global tick grid, arrival
-/// -first tie-break, class-aware admission inside each shard), an
+/// And because shards are driven by the very loop `AgreementService::run()`
+/// uses (one global tick grid, arrival-first tie-break, class-aware
+/// admission inside each shard), an
 /// *uncongested* front-end stream is record-identical to the
 /// single-service baseline: sharding only redistributes queueing, never
 /// outcomes.
@@ -53,10 +55,9 @@ enum class RoutePolicy {
 
 struct FrontendConfig {
   /// Per-shard service configuration. `offered` and `seed` are global
-  /// (the front-end owns the arrival stream); `jobs` sizes the
-  /// *front-end's* cross-shard pool (each shard runs single-threaded
-  /// inside its tick task); `sample_every` drives the *aggregated*
-  /// time series.
+  /// (the front-end owns the arrival stream); `jobs` sizes the one pool
+  /// that drains every shard's instance chunks; `sample_every` drives the
+  /// *aggregated* time series.
   ServiceConfig service{};
   int shards = 2;
   RoutePolicy route = RoutePolicy::kHashJobId;
@@ -133,7 +134,6 @@ class ServiceFrontend {
 
  private:
   [[nodiscard]] int route(std::uint64_t id) const;
-  void push_sample(double at, std::vector<ServiceSample>& samples) const;
 
   FrontendConfig config_;
   std::vector<JobTemplate> mix_;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/byz.hpp"
@@ -14,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "protocols/lamport/om.hpp"
 #include "sweep/sweep.hpp"
+#include "sweep/thread_pool.hpp"
 #include "util/contracts.hpp"
 
 namespace da::service {
@@ -109,9 +111,9 @@ const obs::Quantile& class_queue_wait_quantile(AdmissionClass cls) {
       obs::Quantile("service.low.queue_wait")};
   return q[static_cast<std::size_t>(index_of(cls))];
 }
-const obs::Histogram& tick_ms_histogram() {
-  static const obs::Histogram h("service.tick_ms");
-  return h;
+const obs::Quantile& tick_ms_quantile() {
+  static const obs::Quantile q("service.tick_ms");
+  return q;
 }
 
 #ifndef DA_METRICS_DISABLED
@@ -312,9 +314,7 @@ AgreementService::AgreementService(ServiceConfig config)
       faults::pivot_equivocator(Value::of(17), Value::of(5), 3));
   adversaries_.push_back(faults::crash_after(0));
   build_shapes();
-  const int jobs = sweep::resolve_jobs(config_.jobs);
-  config_.jobs = jobs;
-  if (jobs > 1) pool_ = std::make_unique<sweep::ThreadPool>(jobs);
+  config_.jobs = sweep::resolve_jobs(config_.jobs);
 }
 
 AgreementService::~AgreementService() = default;
@@ -572,35 +572,61 @@ void AgreementService::complete_sub_instance(InstanceSlot& slot, double now) {
   }
 }
 
-void AgreementService::tick(double now) {
-  const obs::ScopedTimer timer(tick_ms_histogram());
-  ticks_counter().add();
-  ++ticks_this_run_;
-  rounds_driven_counter().add(active_.size());
+void AgreementService::tick(std::span<AgreementService* const> shards,
+                            double now, sweep::ThreadPool* pool) {
+  const obs::ScopedTimer timer(tick_ms_quantile());
+  std::size_t total = 0;
+  for (AgreementService* shard : shards) {
+    ticks_counter().add();
+    ++shard->ticks_this_run_;
+    rounds_driven_counter().add(shard->active_.size());
+    total += shard->active_.size();
+  }
+  if (pool == nullptr || total <= 1) {
+    for (AgreementService* shard : shards) {
+      shard->advance(0, shard->active_.size());
+      shard->settle(now);
+    }
+    return;
+  }
   // Batched round dispatch: every co-scheduled instance advances exactly
   // one synchronous round. Instances are disjoint process sets, so the
-  // batch parallelizes freely; the records stay identical for any worker
-  // count because each slot's outcome is a pure function of its own state.
-  const auto advance = [](InstanceSlot* slot) {
-    slot->engine.dispatch_pending();
-    slot->engine.process_round();
-  };
-  if (pool_ != nullptr && active_.size() > 1) {
-    const std::size_t chunks =
-        std::min<std::size_t>(active_.size(),
-                              static_cast<std::size_t>(pool_->threads()) * 4);
-    const std::size_t per = (active_.size() + chunks - 1) / chunks;
-    for (std::size_t begin = 0; begin < active_.size(); begin += per) {
-      const std::size_t end = std::min(begin + per, active_.size());
-      pool_->submit([this, begin, end, &advance] {
+  // batch parallelizes freely as (shard, chunk) tasks sized over all
+  // shards; the records stay identical for any worker count because each
+  // slot's outcome is a pure function of its own state, and each shard
+  // settles only after all of its chunks (on whichever worker finishes
+  // last), so one wait_idle covers the whole tick.
+  const std::size_t slots = static_cast<std::size_t>(pool->threads()) * 4;
+  const std::size_t per = (total + slots - 1) / slots;
+  for (AgreementService* shard : shards) {
+    // An idle shard gets no chunks and needs no settle: its queue is
+    // empty too.
+    const std::size_t size = shard->active_.size();
+    shard->chunks_left_.store((size + per - 1) / per,
+                              std::memory_order_relaxed);
+    for (std::size_t begin = 0; begin < size; begin += per) {
+      const std::size_t end = std::min(begin + per, size);
+      pool->submit([shard, begin, end, now] {
         const obs::MetricsScope worker_scope;
-        for (std::size_t i = begin; i < end; ++i) advance(active_[i]);
+        shard->advance(begin, end);
+        if (shard->chunks_left_.fetch_sub(1, std::memory_order_acq_rel) ==
+            1) {
+          shard->settle(now);
+        }
       });
     }
-    pool_->wait_idle();
-  } else {
-    for (InstanceSlot* slot : active_) advance(slot);
   }
+  pool->wait_idle();
+}
+
+void AgreementService::advance(std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    active_[i]->engine.dispatch_pending();
+    active_[i]->engine.process_round();
+  }
+}
+
+void AgreementService::settle(double now) {
   // Sequential completion scan in active order (deterministic): fold
   // finished sub-instances into their job records and recycle the slots.
   std::size_t kept = 0;
@@ -643,6 +669,10 @@ void AgreementService::tick(double now) {
     }
   }
   active_.resize(kept);
+  // Completions freed capacity; expire stale deadlines, then admit the
+  // queue head(s) at tick time.
+  expire_deadlines(now);
+  drain_queue(now);
 }
 
 void AgreementService::begin_run(std::uint64_t expected) {
@@ -653,7 +683,6 @@ void AgreementService::begin_run(std::uint64_t expected) {
   jobs_.reserve(expected);
   admission_.clear();
   spans_.clear();
-  samples_.clear();
   latency_sketch_.clear();
   queue_sketch_.clear();
   for (auto& sketch : class_latency_) sketch.clear();
@@ -664,7 +693,6 @@ void AgreementService::begin_run(std::uint64_t expected) {
   finished_this_run_ = 0;  // completed + shed
   ticks_this_run_ = 0;
   peak_active_ = 0;
-  next_sample_ = config_.sample_every > 0.0 ? config_.sample_every : kNever;
 }
 
 void AgreementService::offer_job(const JobOffer& offer, double now) {
@@ -703,11 +731,8 @@ void AgreementService::offer_job(const JobOffer& offer, double now) {
 }
 
 void AgreementService::step(double now) {
-  tick(now);  // bumps finished_this_run_ as jobs settle
-  // Completions freed capacity; expire stale deadlines, then admit the
-  // queue head(s) at tick time.
-  expire_deadlines(now);
-  drain_queue(now);
+  AgreementService* self = this;
+  tick({&self, 1}, now, nullptr);
 }
 
 ServiceResult AgreementService::end_run(double makespan) {
@@ -727,7 +752,6 @@ ServiceResult AgreementService::end_run(double makespan) {
     obs::canonicalize(spans_);
     result.spans = spans_;
   }
-  result.samples = samples_;
   result.latency_sketch = latency_sketch_;
   result.queue_sketch = queue_sketch_;
   result.class_latency = class_latency_;
@@ -739,51 +763,14 @@ ServiceResult AgreementService::end_run(double makespan) {
 
 ServiceResult AgreementService::run() {
   const obs::MetricsScope metrics_scope;
+  std::optional<sweep::ThreadPool> pool;
+  if (config_.jobs > 1) pool.emplace(config_.jobs);
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint64_t offered = config_.offered;
-  DA_EXPECTS(offered >= 1);
-  begin_run(offered);
-
-  ArrivalGenerator gen(config_.arrivals, config_.seed);
-  std::uint64_t arrived = 0;
-  double next_arrival = gen.next();
-  double next_tick = kNever;
-  double now = 0.0;
-
-  while (finished_this_run_ < offered) {
-    // Emit time-series points for grid instants strictly before the next
-    // event: between events the state is constant, so each point reflects
-    // the state as of its own instant.
-    flush_samples(std::min(next_arrival, next_tick));
-    if (arrived < offered && next_arrival <= next_tick) {
-      // Arrival event (ties with a tick resolve arrival-first, so a job
-      // arriving exactly at a tick boundary can join that tick's batch).
-      now = next_arrival;
-      const std::uint64_t id = arrived++;
-      next_arrival = arrived < offered ? gen.next() : kNever;
-      JobOffer offer;
-      offer.id = id;
-      offer.template_index = draw_template_index(config_.seed, id,
-                                                 mix_.size());
-      offer.adversary_index =
-          draw_adversary_index(config_.seed, id, adversaries_.size());
-      offer_job(offer, now);
-      if (!active_.empty() && next_tick == kNever) {
-        next_tick = now + config_.round_period;
-      }
-      continue;
-    }
-    DA_EXPECTS(next_tick != kNever);  // else nothing active and no arrivals
-    now = next_tick;
-    step(now);
-    next_tick = active_.empty() ? kNever : now + config_.round_period;
-  }
-
-  // Close the time series at the makespan (the grid never reaches it:
-  // flushes stop strictly before the final event).
-  if (config_.sample_every > 0.0) push_sample(now);
-
-  ServiceResult result = end_run(now);
+  AgreementService* self = this;
+  detail::DriveResult drive = detail::drive(
+      {&self, 1}, config_, pool.has_value() ? &*pool : nullptr, {});
+  ServiceResult result = end_run(drive.makespan);
+  result.samples = std::move(drive.samples);
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - wall_start)
                        .count();
@@ -794,31 +781,107 @@ bool AgreementService::job_injected(std::uint64_t job_id) const {
   return job_id % config_.inject_every == 0;
 }
 
-void AgreementService::flush_samples(double next_event) {
-  if (next_sample_ == kNever || next_event == kNever) return;
-  while (next_sample_ < next_event) {
-    push_sample(next_sample_);
-    next_sample_ += config_.sample_every;
+namespace detail {
+
+DriveResult drive(std::span<AgreementService* const> shards,
+                  const ServiceConfig& config, sweep::ThreadPool* pool,
+                  const std::function<int(std::uint64_t)>& route) {
+  const std::uint64_t offered = config.offered;
+  DA_EXPECTS(offered >= 1);
+  DA_EXPECTS(!shards.empty());
+  for (AgreementService* shard : shards) {
+    shard->begin_run(offered / shards.size() + 1);
   }
+  const std::size_t mix_size = shards.front()->mix_.size();
+  const std::size_t adversary_count = shards.front()->adversaries_.size();
+  const auto finished = [shards] {
+    std::uint64_t n = 0;
+    for (const AgreementService* shard : shards) n += shard->finished_this_run_;
+    return n;
+  };
+  const auto sample = [shards](double at) {
+    ServiceSample point;
+    point.time = at;
+    obs::QuantileSketch latency;
+    for (const AgreementService* shard : shards) {
+      point.active += shard->active_width_;
+      point.queued += shard->admission_.size();
+      point.completed += shard->completed_so_far_;
+      point.shed += shard->shed_so_far_;
+      point.deadline_missed += shard->deadline_missed_so_far_;
+      for (std::size_t c = 0; c < kAdmissionClassCount; ++c) {
+        point.completed_by_class[c] += shard->completed_by_class_[c];
+        point.queued_by_class[c] +=
+            shard->admission_.size_of(static_cast<AdmissionClass>(c));
+      }
+      latency.merge(shard->latency_sketch_);
+    }
+    point.latency_p50 = latency.quantile(0.5);
+    point.latency_p99 = latency.quantile(0.99);
+    return point;
+  };
+
+  DriveResult out;
+  std::vector<AgreementService*> busy;
+  busy.reserve(shards.size());
+  ArrivalGenerator gen(config.arrivals, config.seed);
+  std::uint64_t arrived = 0;
+  double next_arrival = gen.next();
+  double next_tick = kNever;
+  double next_sample = config.sample_every > 0.0 ? config.sample_every : kNever;
+  double now = 0.0;
+  while (finished() < offered) {
+    // Unfinished jobs are queued or active, so an event is pending.
+    const double next_event = std::min(next_arrival, next_tick);
+    DA_EXPECTS(next_event != kNever);
+    // Emit time-series points for grid instants strictly before the next
+    // event: between events the state is constant, so each point reflects
+    // the state as of its own instant.
+    for (; next_sample < next_event; next_sample += config.sample_every) {
+      out.samples.push_back(sample(next_sample));
+    }
+    if (arrived < offered && next_arrival <= next_tick) {
+      // Arrival event (ties with a tick resolve arrival-first, so a job
+      // arriving exactly at a tick boundary can join that tick's batch).
+      now = next_arrival;
+      const std::uint64_t id = arrived++;
+      next_arrival = arrived < offered ? gen.next() : kNever;
+      JobOffer offer;
+      offer.id = id;
+      offer.template_index = draw_template_index(config.seed, id, mix_size);
+      offer.adversary_index =
+          draw_adversary_index(config.seed, id, adversary_count);
+      AgreementService& shard =
+          *shards[route ? static_cast<std::size_t>(route(id)) : 0];
+      shard.offer_job(offer, now);
+      if (next_tick == kNever && !shard.idle()) {
+        next_tick = now + config.round_period;
+      }
+      continue;
+    }
+    // Lockstep tick on the one global grid. Idle shards have empty queues
+    // (a queued job implies an active one), so skipping them loses
+    // nothing.
+    now = next_tick;
+    ++out.ticks;
+    busy.clear();
+    for (AgreementService* shard : shards) {
+      if (!shard->idle()) busy.push_back(shard);
+    }
+    AgreementService::tick(busy, now, pool);
+    next_tick = kNever;
+    for (const AgreementService* shard : shards) {
+      if (!shard->idle()) next_tick = now + config.round_period;
+    }
+  }
+  // Close the time series at the makespan (the grid never reaches it:
+  // points stop strictly before the final event).
+  if (config.sample_every > 0.0) out.samples.push_back(sample(now));
+  out.makespan = now;
+  return out;
 }
 
-void AgreementService::push_sample(double at) {
-  ServiceSample sample;
-  sample.time = at;
-  sample.active = active_width_;
-  sample.queued = admission_.size();
-  sample.completed = completed_so_far_;
-  sample.shed = shed_so_far_;
-  sample.deadline_missed = deadline_missed_so_far_;
-  sample.completed_by_class = completed_by_class_;
-  for (int c = 0; c < kAdmissionClassCount; ++c) {
-    sample.queued_by_class[static_cast<std::size_t>(c)] =
-        admission_.size_of(static_cast<AdmissionClass>(c));
-  }
-  sample.latency_p50 = latency_sketch_.quantile(0.5);
-  sample.latency_p99 = latency_sketch_.quantile(0.99);
-  samples_.push_back(sample);
-}
+}  // namespace detail
 
 double ServiceResult::latency_quantile(double q) const {
   std::vector<double> latencies;

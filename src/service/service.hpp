@@ -1,8 +1,11 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,7 +18,10 @@
 #include "service/arrivals.hpp"
 #include "sim/adversary.hpp"
 #include "sim/round_engine.hpp"
-#include "sweep/thread_pool.hpp"
+
+namespace da::sweep {
+class ThreadPool;
+}  // namespace da::sweep
 
 namespace da::service {
 
@@ -30,8 +36,8 @@ namespace da::service {
 /// priority classes, optional admission deadlines, shed-lowest-class-first
 /// overload handling), and is executed in *batched round ticks*: every
 /// `round_period` of virtual time, all co-scheduled instances advance one
-/// synchronous round together, drained by the sweep engine's
-/// work-stealing pool when `jobs > 1`.
+/// synchronous round together, drained in instance chunks by the sweep
+/// engine's work-stealing pool when `jobs > 1`.
 ///
 /// Steady-state admission is allocation-free: per distinct scenario
 /// *shape* (protocol, config, sender, value, faulty set) the service
@@ -51,10 +57,10 @@ namespace da::service {
 /// folds every record so tests can pin the contract in one comparison.
 ///
 /// Besides the self-driving `run()`, the service exposes a *driven mode*
-/// (`begin_run` / `offer_job` / `step` / `end_run`): the sharded
-/// front-end (`service/frontend.hpp`) drives many services in lockstep
-/// off one global event sequence through exactly the primitives `run()`
-/// itself is built on, which is what makes an uncongested front-end
+/// (`begin_run` / `offer_job` / `step` / `end_run`). `run()` itself is
+/// the shared event loop `detail::drive` with this service as its only
+/// shard; the sharded front-end (`service/frontend.hpp`) runs the same
+/// loop over N shards, which is what makes an uncongested front-end
 /// stream record-identical to the single-service baseline.
 
 /// What kind of agreement one arriving job asks for.
@@ -125,7 +131,8 @@ struct ServiceConfig {
   /// one synchronous round per tick).
   double round_period = 1.0;
   std::uint64_t seed = 1;
-  /// Worker threads draining each round batch; <= 1 drains inline.
+  /// Worker threads draining each round batch (instance chunks, across
+  /// every shard of a front-end); <= 1 drains inline.
   int jobs = 1;
   /// Scenario mix; `default_mix()` when empty.
   std::vector<JobTemplate> mix{};
@@ -190,6 +197,8 @@ void append_record_line(std::string& out, const JobRecord& rec);
 /// One periodic time-series point, taken on the `sample_every` grid of
 /// virtual time by the event loop — every field derives from deterministic
 /// event-loop state, so the series is identical for every `jobs` value.
+/// Under a front-end the fields are sums over shards and the latency
+/// quantiles come from the exact merge of the shards' running sketches.
 struct ServiceSample {
   double time = 0.0;
   int active = 0;          // occupied slots at this instant
@@ -252,21 +261,51 @@ struct ServiceResult {
 };
 
 /// Template / adversary draws for job `id`: pure functions of (seed, id),
-/// shared verbatim by `AgreementService::run()` and the sharded front-end
-/// so both see the same job stream for the same seed.
+/// made by the shared event loop so a plain service and the sharded
+/// front-end see the same job stream for the same seed.
 [[nodiscard]] int draw_template_index(std::uint64_t seed, std::uint64_t id,
                                       std::size_t mix_size);
 [[nodiscard]] int draw_adversary_index(std::uint64_t seed, std::uint64_t id,
                                        std::size_t adversary_count);
 
 /// One pre-drawn arriving job handed to a driven service: the caller
-/// (the `run()` loop or the front-end router) owns the arrival stream
-/// and the draws; the service owns admission, execution and records.
+/// (the shared event loop or a test) owns the arrival stream and the
+/// draws; the service owns admission, execution and records.
 struct JobOffer {
   std::uint64_t id = 0;  // global job id (record identity, span ids)
   int template_index = 0;
   int adversary_index = 0;
 };
+
+class AgreementService;
+
+namespace detail {
+
+/// What one pass of the shared event loop yields besides the shards' own
+/// per-run state (which the caller folds with `end_run`).
+struct DriveResult {
+  double makespan = 0.0;
+  /// Global tick-grid instants driven (each may tick several shards).
+  std::uint64_t ticks = 0;
+  /// The series on the `sample_every` grid (see `ServiceSample`).
+  std::vector<ServiceSample> samples;
+};
+
+/// The one arrival -> route -> tick -> sample loop (docs/SERVICE.md §"The
+/// event loop") over N >= 1 shards, behind both `AgreementService::run()`
+/// (one shard) and `ServiceFrontend::run()`. `config` supplies the global
+/// arrival stream, seed, offered count, tick period and sample grid.
+/// `route(id)` picks the shard for job `id` (empty = shard 0); it runs on
+/// the calling thread between ticks, so it may read shard loads. Each
+/// tick advances every non-idle shard's instances on `pool` as (shard,
+/// instance-chunk) tasks, inline when `pool` is null. Calls `begin_run`
+/// on every shard; the caller calls `end_run`.
+[[nodiscard]] DriveResult drive(std::span<AgreementService* const> shards,
+                                const ServiceConfig& config,
+                                sweep::ThreadPool* pool,
+                                const std::function<int(std::uint64_t)>& route);
+
+}  // namespace detail
 
 /// The long-lived service. Construct once; `run()` may be called
 /// repeatedly — slots, engines and queues persist across runs, so every
@@ -283,19 +322,21 @@ class AgreementService {
   AgreementService& operator=(const AgreementService&) = delete;
 
   /// Offers `config().offered` jobs through the arrival model and drives
-  /// the event loop until every job is completed or shed. Virtual time
-  /// restarts at 0 each run; the arrival stream is re-seeded identically,
-  /// so repeated runs of an unchanged service are identical.
+  /// the event loop (`detail::drive`, this service as its only shard,
+  /// on a pool of `config().jobs` workers) until every job is completed
+  /// or shed. Virtual time restarts at 0 each run; the arrival stream is
+  /// re-seeded identically, so repeated runs of an unchanged service are
+  /// identical.
   [[nodiscard]] ServiceResult run();
 
   // --- Driven mode -------------------------------------------------
-  // The front-end (or a test) drives the service through the exact
-  // primitives `run()` is built on: `begin_run` resets per-run state,
-  // `offer_job` performs full arrival semantics (deadline sweep,
+  // A caller (a benchmark or a test) drives the service through the
+  // primitives the event loop is built on: `begin_run` resets per-run
+  // state, `offer_job` performs full arrival semantics (deadline sweep,
   // class-aware admit-or-queue, overload shedding), `step` is one
-  // batched round tick plus deadline sweep plus queue drain, and
-  // `end_run` folds the aggregates. All four must be called from one
-  // thread (the caller's event loop).
+  // batched round tick plus deadline sweep plus queue drain on the
+  // calling thread, and `end_run` folds the aggregates. All four must be
+  // called from one thread (the caller's event loop).
 
   /// `expected` pre-sizes the record store (0 is fine).
   void begin_run(std::uint64_t expected);
@@ -315,24 +356,8 @@ class AgreementService {
     return active_width_ + admission_.queued_width();
   }
   [[nodiscard]] int active_width() const { return active_width_; }
-  [[nodiscard]] std::size_t queue_depth() const { return admission_.size(); }
-  [[nodiscard]] std::size_t queued_of(AdmissionClass cls) const {
-    return admission_.size_of(cls);
-  }
   [[nodiscard]] std::uint64_t completed_so_far() const {
     return completed_so_far_;
-  }
-  [[nodiscard]] std::uint64_t shed_so_far() const { return shed_so_far_; }
-  [[nodiscard]] std::uint64_t deadline_missed_so_far() const {
-    return deadline_missed_so_far_;
-  }
-  [[nodiscard]] std::uint64_t completed_of(AdmissionClass cls) const {
-    return completed_by_class_[static_cast<std::size_t>(index_of(cls))];
-  }
-  /// Running decision-latency sketch (merged by the front-end per
-  /// sample instant).
-  [[nodiscard]] const obs::QuantileSketch& running_latency_sketch() const {
-    return latency_sketch_;
   }
 
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
@@ -354,6 +379,17 @@ class AgreementService {
   struct InstanceSlot;
   struct ActiveJob;
 
+  friend detail::DriveResult detail::drive(
+      std::span<AgreementService* const> shards, const ServiceConfig& config,
+      sweep::ThreadPool* pool, const std::function<int(std::uint64_t)>& route);
+
+  /// One batched round tick at `now` over `shards`: every instance
+  /// advances one round (on `pool` as (shard, instance-chunk) tasks, or
+  /// inline), then each shard settles — completion scan, deadline sweep,
+  /// queue drain. `step` is this over one shard with no pool.
+  static void tick(std::span<AgreementService* const> shards, double now,
+                   sweep::ThreadPool* pool);
+
   void build_shapes();
   [[nodiscard]] InstanceSlot* acquire_slot(int shape_index);
   void release_slot(InstanceSlot* slot);
@@ -361,11 +397,12 @@ class AgreementService {
   void shed_job(std::uint64_t local, double at, bool deadline_missed);
   void expire_deadlines(double now);
   void drain_queue(double now);
-  void tick(double now);
+  /// dispatch_pending + process_round for active_[begin, end).
+  void advance(std::size_t begin, std::size_t end);
+  /// The sequential part of a tick, after every instance advanced.
+  void settle(double now);
   void complete_sub_instance(InstanceSlot& slot, double now);
   [[nodiscard]] bool job_injected(std::uint64_t job_id) const;
-  void flush_samples(double next_event);
-  void push_sample(double at);
 
   ServiceConfig config_;
   std::vector<JobTemplate> mix_;
@@ -381,8 +418,10 @@ class AgreementService {
   std::vector<ActiveJob> jobs_;  // per offered job, by local index
   AdmissionQueue admission_;
   int active_width_ = 0;
+  /// Pooled tick: this shard's advance chunks still running. The task
+  /// that takes it to zero runs `settle`.
+  std::atomic<std::size_t> chunks_left_{0};
 
-  std::unique_ptr<sweep::ThreadPool> pool_;
   std::uint64_t slots_created_ = 0;
   std::uint64_t slot_reuses_ = 0;
 
@@ -396,15 +435,13 @@ class AgreementService {
   int peak_active_ = 0;
   sim::RunResult scratch_result_;
 
-  // Observability scratch (spans/samples/sketches, reset per run).
+  // Observability scratch (spans/sketches, reset per run).
   bool recording_ = false;        // record_spans, post kill-switch gate
   bool inject_enabled_ = false;   // fault_plan.active()
   std::vector<obs::Span> spans_;
-  std::vector<ServiceSample> samples_;
   obs::QuantileSketch latency_sketch_;
   obs::QuantileSketch queue_sketch_;
   std::array<obs::QuantileSketch, kAdmissionClassCount> class_latency_{};
-  double next_sample_ = 0.0;
   std::uint64_t completed_so_far_ = 0;
   std::uint64_t shed_so_far_ = 0;
   std::uint64_t deadline_missed_so_far_ = 0;

@@ -36,9 +36,9 @@ const obs::Counter& fabrications_dropped_counter() {
   static const obs::Counter c("sim.fabrications_dropped");
   return c;
 }
-const obs::Histogram& round_ms_histogram() {
-  static const obs::Histogram h("sim.round_ms");
-  return h;
+const obs::Quantile& round_ms_quantile() {
+  static const obs::Quantile q("sim.round_ms");
+  return q;
 }
 
 }  // namespace
@@ -152,7 +152,7 @@ void RoundEngine::dispatch_pending() {
 void RoundEngine::process_round() {
   DA_EXPECTS(begun_ && dispatched_ && !done());
   rounds_counter().add();
-  const obs::ScopedTimer round_timer(round_ms_histogram());
+  const obs::ScopedTimer round_timer(round_ms_quantile());
   const int r = rounds_processed_;
   delivered_.swap(inflight_);  // inflight buffers are all empty (cleared)
   for (std::size_t i = 0; i < processes_.size(); ++i) {

@@ -145,11 +145,9 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
   static const obs::Counter violations("sweep.violations");
   static const obs::Counter shards("sweep.shards");
   static const obs::Counter cancelled_shards("sweep.cancelled_shards");
-  // A quantile sketch rather than the octave histogram: shard imbalance
-  // lives in the p99/max tail, which 2x-wide buckets cannot resolve.
   static const obs::Quantile shard_wall_ms("sweep.shard_wall_ms");
-  static const obs::Histogram worker_busy_ms("sweep.worker_busy_ms");
-  static const obs::Histogram wall_ms("sweep.wall_ms");
+  static const obs::Quantile worker_busy_ms("sweep.worker_busy_ms");
+  static const obs::Quantile wall_ms("sweep.wall_ms");
   const obs::MetricsScope metrics_scope;
   sweeps.add();
   executions.add(result.stats.executions);

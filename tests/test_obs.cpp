@@ -135,40 +135,16 @@ TEST(Metrics, PerThreadSinksMergeAcrossThreads) {
             before + kThreads * kAddsPerThread);
 }
 
-TEST(Metrics, HistogramSnapshotAggregates) {
-#ifdef DA_METRICS_DISABLED
-  GTEST_SKIP() << "metrics instruments are no-ops under -DDA_METRICS=OFF";
-#endif
-  auto& registry = MetricsRegistry::global();
-  {
-    const MetricsScope scope;
-    const Histogram hist("test.obs.hist");
-    hist.record(1.0);
-    hist.record(2.0);
-    hist.record(9.0);
-  }
-  const auto snap = registry.snapshot();
-  const auto it = snap.histograms.find("test.obs.hist");
-  ASSERT_NE(it, snap.histograms.end());
-  EXPECT_GE(it->second.count, 3u);
-  EXPECT_GE(it->second.sum, 12.0);
-  EXPECT_GE(it->second.max, 9.0);
-  std::uint64_t bucket_total = 0;
-  for (const auto b : it->second.buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, it->second.count);
-}
-
 TEST(Metrics, BucketOfIsMonotonicAndClamped) {
-  EXPECT_EQ(HistogramSnapshot::bucket_of(0.0), 0u);
+  EXPECT_EQ(QuantileSketch::bucket_of(0.0), 0u);
   std::size_t previous = 0;
-  for (double v = 1e-4; v < 1e7; v *= 2) {
-    const std::size_t bucket = HistogramSnapshot::bucket_of(v);
+  for (double v = 1e-7; v < 1e7; v *= 1.5) {
+    const std::size_t bucket = QuantileSketch::bucket_of(v);
     EXPECT_GE(bucket, previous);
-    EXPECT_LT(bucket, HistogramSnapshot::kBuckets);
+    EXPECT_LT(bucket, QuantileSketch::kBuckets);
     previous = bucket;
   }
-  EXPECT_EQ(HistogramSnapshot::bucket_of(1e30),
-            HistogramSnapshot::kBuckets - 1);
+  EXPECT_EQ(QuantileSketch::bucket_of(1e30), QuantileSketch::kBuckets - 1);
 }
 
 TEST(Metrics, GaugeIsLastWriteWins) {

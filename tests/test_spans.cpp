@@ -438,14 +438,6 @@ TEST(Exposition, RendersAllMetricKinds) {
   obs::MetricsSnapshot snap;
   snap.counters["sim.messages_sent"] = 42;
   snap.gauges["service.cap"] = 256.0;
-  obs::HistogramSnapshot hist;
-  hist.count = 2;
-  hist.sum = 3.0;
-  hist.min = 1.0;
-  hist.max = 2.0;
-  hist.buckets[obs::HistogramSnapshot::bucket_of(1.0)] += 1;
-  hist.buckets[obs::HistogramSnapshot::bucket_of(2.0)] += 1;
-  snap.histograms["sim.round_ms"] = hist;
   QuantileSketch sketch;
   sketch.record(1.0);
   sketch.record(2.0);
@@ -457,9 +449,6 @@ TEST(Exposition, RendersAllMetricKinds) {
             std::string::npos);
   EXPECT_NE(text.find("da_sim_messages_sent 42"), std::string::npos);
   EXPECT_NE(text.find("# TYPE da_service_cap gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE da_sim_round_ms histogram"), std::string::npos);
-  EXPECT_NE(text.find("da_sim_round_ms_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
   EXPECT_NE(text.find("# TYPE da_service_decision_latency summary"),
             std::string::npos);
   EXPECT_NE(text.find("da_service_decision_latency{quantile=\"0.5\"}"),

@@ -282,9 +282,10 @@ TEST(RunSweep, PopulatesMetricsRegistry) {
   const std::uint64_t sweeps_before = registry.counter_value("sweep.sweeps");
   const std::uint64_t execs_before =
       registry.counter_value("sweep.executions");
-  const auto wall_before = registry.snapshot().histograms["sweep.wall_ms"];
-  const auto busy_before =
-      registry.snapshot().histograms["sweep.worker_busy_ms"];
+  const std::uint64_t wall_before =
+      registry.snapshot().quantiles["sweep.wall_ms"].count();
+  const std::uint64_t busy_before =
+      registry.snapshot().quantiles["sweep.worker_busy_ms"].count();
 
   const ShardPlan plan = ShardPlan::even(64, 8);
   SweepOptions options;
@@ -297,12 +298,11 @@ TEST(RunSweep, PopulatesMetricsRegistry) {
   EXPECT_EQ(registry.counter_value("sweep.sweeps"), sweeps_before + 1);
   EXPECT_EQ(registry.counter_value("sweep.executions"), execs_before + 64);
   auto snap = registry.snapshot();
-  EXPECT_EQ(snap.histograms["sweep.wall_ms"].count, wall_before.count + 1);
+  EXPECT_EQ(snap.quantiles["sweep.wall_ms"].count(), wall_before + 1);
   // One busy_ms sample per worker that ran shards (the -1 bucket is
-  // excluded from the histogram).
-  EXPECT_GT(snap.histograms["sweep.worker_busy_ms"].count, busy_before.count);
-  EXPECT_LE(snap.histograms["sweep.worker_busy_ms"].count,
-            busy_before.count + 2);
+  // excluded from the sketch).
+  EXPECT_GT(snap.quantiles["sweep.worker_busy_ms"].count(), busy_before);
+  EXPECT_LE(snap.quantiles["sweep.worker_busy_ms"].count(), busy_before + 2);
   EXPECT_EQ(snap.gauges["sweep.jobs"], 2.0);
 }
 

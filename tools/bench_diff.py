@@ -23,11 +23,13 @@ Two advisory passes ride along:
   between differently-configured runs reflect the configuration, not the
   code (the BENCH_perf.json policy is seed 7 / jobs 1 / clean tree);
 - the ``metrics.quantiles`` sections are diffed per sketch name on p50
-  and p99. Latency quantiles are measured in *virtual* time, so they are
-  deterministic — any drift past ``--quantile-threshold`` percent
-  (default 5) means service behaviour changed, not the machine. Drift is
-  printed as ``<< CHANGED`` but never fails the run: features legitimately
-  move latency, the diff just makes the move visible.
+  and p99, for the *virtual*-time sketches only. Those are deterministic
+  — any drift past ``--quantile-threshold`` percent (default 5) means
+  service behaviour changed, not the machine. A sketch whose name ends in
+  ``_ms`` (``sim.round_ms``, ``service.tick_ms``, ``sweep.shard_wall_ms``,
+  ...) holds wall-clock milliseconds, i.e. machine noise, and is skipped.
+  Drift is printed as ``<< CHANGED`` but never fails the run: features
+  legitimately move latency, the diff just makes the move visible.
 
 ``--require-rows NAME`` (repeatable) turns a missing candidate row into a
 hard failure: the run exits 1 unless the candidate carries a benchmark
@@ -103,11 +105,15 @@ def context_warnings(baseline: dict, candidate: dict) -> list[str]:
 
 
 def quantile_rows(report: dict) -> dict[str, dict[str, float]]:
-    """Sketch name -> {p50, p99}, from the metrics.quantiles section."""
+    """Sketch name -> {p50, p99}, from the metrics.quantiles section.
+
+    Wall-clock sketches (names ending in ``_ms``) are left out: only the
+    virtual-time ones are deterministic enough to diff.
+    """
     rows = {}
     quantiles = report.get("metrics", {}).get("quantiles", {})
     for name, sketch in quantiles.items():
-        if not isinstance(sketch, dict):
+        if name.endswith("_ms") or not isinstance(sketch, dict):
             continue
         try:
             rows[name] = {
@@ -291,7 +297,6 @@ def _report(
         "metrics": {
             "counters": {},
             "gauges": {},
-            "histograms": {},
             "quantiles": quantiles or {},
         },
     }
@@ -535,6 +540,39 @@ def self_test() -> int:
         _report(benchmarks={"BM_A": 1.0}, quantiles=base_q),
     )
     check("partial quantile entries are tolerated", status == 0)
+
+    # 11. Wall-clock sketches (``*_ms``) are machine noise: drift there is
+    # never flagged, while a virtual-time sketch in the same report is.
+    wall_base = {
+        "sim.round_ms": {"p50": 0.002, "p99": 0.04},
+        "sweep.shard_wall_ms": {"p50": 3.0, "p99": 9.0},
+        **base_q,
+    }
+    wall_drift = {
+        "sim.round_ms": {"p50": 0.004, "p99": 0.09},
+        "sweep.shard_wall_ms": {"p50": 5.0, "p99": 20.0},
+        **drift_q,
+    }
+    status, lines = compare(
+        _report(benchmarks={"BM_A": 1.0}, quantiles=wall_base),
+        _report(benchmarks={"BM_A": 1.0}, quantiles=wall_drift),
+        quantile_threshold=5.0,
+    )
+    check("wall-clock sketches stay advisory", status == 0)
+    check(
+        "wall-clock sketch drift is not flagged",
+        not any("_ms" in line and "CHANGED" in line for line in lines),
+    )
+    check(
+        "wall-clock sketches are left out of the quantile table",
+        not any(line.startswith(("sim.round_ms", "sweep.shard_wall_ms"))
+                for line in lines),
+    )
+    check(
+        "virtual-time drift next to wall-clock sketches is still flagged",
+        any("service.decision_latency" in line and "CHANGED" in line
+            for line in lines),
+    )
 
     if failures:
         print(f"self-test: {len(failures)} check(s) FAILED")
