@@ -4,7 +4,8 @@
 // efficient algorithm"): BYZ(m,m) sends Theta(N^{m+1}) messages over m+1
 // rounds. This suite measures wall time and message volume of:
 //   - BYZ(m,m) on the deterministic simulator, across N and m;
-//   - BYZ(m,m) on the thread-per-node runtime (real barriers/mailboxes);
+//   - BYZ(m,m) on the threaded runtime (the round engine with each
+//     round's nodes stepped on a two-worker pool);
 //   - Lamport OM(m) over the same substrate (identical message pattern,
 //     cheaper resolve);
 //   - Crusader (2 rounds regardless of m);

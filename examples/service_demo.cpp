@@ -79,6 +79,17 @@ std::uint64_t parse_count(const char* flag, const char* arg,
   return v;
 }
 
+/// Constructs the service or the front-end. A mix template wider than
+/// --cap could never be admitted, so it is a usage error.
+template <typename Service, typename Config>
+Service make_or_usage(const Config& config) {
+  try {
+    return Service(config);
+  } catch (const da::service::JobWiderThanCap& e) {
+    usage(e.what());
+  }
+}
+
 constexpr auto kIntMax =
     static_cast<std::uint64_t>(std::numeric_limits<int>::max());
 constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
@@ -262,7 +273,8 @@ int main(int argc, char** argv) {
     frontend_config.service = config;
     frontend_config.shards = shards;
     frontend_config.route = route;
-    ServiceFrontend frontend(frontend_config);
+    ServiceFrontend frontend =
+        make_or_usage<ServiceFrontend>(frontend_config);
     const FrontendResult result = frontend.run();
     tally(result.records);
 
@@ -305,7 +317,7 @@ int main(int argc, char** argv) {
     return result.violations == 0 ? 0 : 1;
   }
 
-  AgreementService svc(config);
+  AgreementService svc = make_or_usage<AgreementService>(config);
   const ServiceResult result = svc.run();
   tally(result.records);
 

@@ -34,9 +34,9 @@ struct RunExtras {
 ///   auto report  = da::check_conditions(spec, outcome.decisions);
 ///
 /// `run` executes on the deterministic single-threaded simulator;
-/// `run_threaded` executes the identical protocol with one OS thread per
-/// node (barrier-synchronized rounds). Both produce identical decisions for
-/// identical scenarios.
+/// `run_threaded` executes the identical protocol on the threaded runtime
+/// (each round's nodes stepped in parallel on a worker pool). Both produce
+/// identical decisions for identical scenarios.
 class DegradableAgreement {
  public:
   explicit DegradableAgreement(Config config);

@@ -18,7 +18,8 @@ struct Event {
   double time = 0.0;
   std::uint64_t seq = 0;  // ties broken by schedule order: deterministic
   Kind kind = Kind::kSend;
-  std::size_t node_index = 0;  // kSend / kDeadline
+  std::size_t node_index = 0;  // the node (kSend / kDeadline) or the
+                               // receiver (kArrival)
   int round = 0;
   sim::Message msg{};  // kArrival
 };
@@ -73,8 +74,6 @@ EventRunResult EventRunner::run() {
   static const obs::Counter sent("event.messages_sent");
   static const obs::Counter delivered_count("event.messages_delivered");
   static const obs::Counter false_timeouts("event.false_timeouts");
-  static const obs::Counter fabrications_dropped(
-      "event.fabrications_dropped");
   static const obs::Quantile run_ms("event.run_ms");
   const obs::MetricsScope metrics_scope;
   const obs::ScopedTimer run_timer(run_ms);
@@ -117,46 +116,39 @@ EventRunResult EventRunner::run() {
   // Round r+1 sends, produced by on_round(r) and held until the send event.
   std::vector<std::vector<sim::Message>> pending_outbox(n);
 
+  // Sends are counted when routed; deliveries only on arrival, since a
+  // message that lands after the receiver's deadline was never delivered.
   const auto dispatch = [&](std::vector<sim::Message>&& outbox,
                             std::size_t from_index, int round, double now,
                             bool fabricated) {
-    const NodeId from = processes_[from_index]->id();
-    const bool faulty = sim::is_faulty(options_, from);
-    for (sim::Message& msg : outbox) {
-      DA_EXPECTS(msg.from == from);
-      msg.round = round;
-      ++result.base.messages_sent;
-      sent.add();
-      if (options_.spans != nullptr) options_.spans->note_send(round, 1);
-      for (const sim::Message& delivered :
-           sim::filter_fanout(msg, options_, faulty, fabricated)) {
-        if (index.at(delivered.to) == sim::NodeIndex::npos) {
-          // Only fabricate() can aim at a non-participant: drop before an
-          // arrival event is ever scheduled (the arrival handler indexes
-          // the receiver's inbox buffers directly).
-          DA_EXPECTS(fabricated);
-          fabrications_dropped.add();
-          continue;
-        }
-        double latency = latency_of(timing_, delivered);
-        if (options_.network != nullptr) {
-          // Injection holdback: deliver later within the receiver's round
-          // window. The fraction applies to the window remaining after the
-          // link latency, so (with clocks synchronized and max_latency <=
-          // timeout) a held-back message still beats the deadline.
-          const double frac = options_.network->holdback(delivered);
-          if (frac > 0.0 && timing_.timeout > latency) {
-            latency += frac * (timing_.timeout - latency);
-          }
-        }
-        queue.push(Event{.time = now + latency,
-                         .seq = seq++,
-                         .kind = Kind::kArrival,
-                         .node_index = 0,
-                         .round = round,
-                         .msg = delivered});
-      }
+    if (outbox.empty()) return;
+    result.base.messages_sent += outbox.size();
+    sent.add(outbox.size());
+    if (options_.spans != nullptr) {
+      options_.spans->note_send(round, outbox.size());
     }
+    sim::route(outbox, processes_[from_index]->id(), round, fabricated,
+               options_, index,
+               [&](std::size_t to, const sim::Message& delivered) {
+                 double latency = latency_of(timing_, delivered);
+                 if (options_.network != nullptr) {
+                   // Injection holdback: deliver later within the
+                   // receiver's round window. The fraction applies to the
+                   // window remaining after the link latency, so (with
+                   // clocks synchronized and max_latency <= timeout) a
+                   // held-back message still beats the deadline.
+                   const double frac = options_.network->holdback(delivered);
+                   if (frac > 0.0 && timing_.timeout > latency) {
+                     latency += frac * (timing_.timeout - latency);
+                   }
+                 }
+                 queue.push(Event{.time = now + latency,
+                                  .seq = seq++,
+                                  .kind = Kind::kArrival,
+                                  .node_index = to,
+                                  .round = round,
+                                  .msg = delivered});
+               });
   };
 
   while (!queue.empty()) {
@@ -179,8 +171,7 @@ EventRunResult EventRunner::run() {
         break;
       }
       case Kind::kArrival: {
-        const std::size_t to = index.at(event.msg.to);
-        DA_EXPECTS(to != sim::NodeIndex::npos);
+        const std::size_t to = event.node_index;
         const int r = event.msg.round;
         if (r < 0 || r >= rounds) break;
         if (closed[to][static_cast<std::size_t>(r)]) {

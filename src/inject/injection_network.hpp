@@ -39,9 +39,9 @@ struct InjectionStats {
 /// and event runtimes observe byte-identical executions (the property
 /// tests/test_differential.cpp machine-checks).
 ///
-/// Thread-safety: the threaded runtime serializes all NetworkModel calls
-/// under its shared mutex (as it does for adversaries), so the plain stats
-/// counters need no atomics.
+/// Thread-safety: every runtime calls the network (and the adversary) from
+/// its one dispatching thread — only `on_round` runs on pool workers — so
+/// the plain stats counters need no atomics.
 class InjectionNetwork final : public sim::NetworkModel {
  public:
   explicit InjectionNetwork(FaultPlan plan,

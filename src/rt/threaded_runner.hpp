@@ -4,25 +4,23 @@
 #include <vector>
 
 #include "sim/process.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 
 namespace da::rt {
 
-/// Thread-per-node executor with the same observable semantics as
-/// `sim::SyncRunner`.
+/// Multi-threaded executor with the same observable semantics as
+/// `sim::SyncRunner`: a `sim::RoundEngine` whose rounds run the nodes'
+/// `on_round` in parallel on a small `sweep::ThreadPool`.
 ///
-/// Each node runs on its own `std::jthread`; rounds are separated by a
-/// `std::barrier`, so every thread finishes depositing its round-r messages
-/// before any thread reads its round-r inbox — exactly the synchronous-round
-/// discipline the paper's proofs assume ("the clocks on all the fault-free
-/// nodes are synchronized", Section 2; the barrier *is* our synchronized
-/// clock).
-///
-/// Determinism: the adversary and network model are shared across threads;
-/// a mutex serializes calls into them, and all stochastic behaviour in the
-/// provided adversaries/networks is a pure function of the message identity
-/// (never of call order), so the threaded runtime decides exactly what the
-/// deterministic simulator decides.
+/// The engine's round is the synchronous-round discipline the paper's
+/// proofs assume ("the clocks on all the fault-free nodes are
+/// synchronized", Section 2): every round-r message is routed before any
+/// node reads its round-r inbox, and `wait_idle` closes the round before
+/// the next dispatch. Routing (adversary, network, trace, counters) stays
+/// on the calling thread, so the threaded runtime decides, counts and
+/// traces exactly what the deterministic simulator does, whatever the
+/// thread schedule.
 class ThreadedRunner {
  public:
   ThreadedRunner(std::vector<std::unique_ptr<sim::Process>> processes,
@@ -31,8 +29,7 @@ class ThreadedRunner {
   [[nodiscard]] sim::RunResult run();
 
  private:
-  std::vector<std::unique_ptr<sim::Process>> processes_;
-  sim::RunOptions options_;
+  sim::RoundEngine engine_;
 };
 
 }  // namespace da::rt

@@ -118,7 +118,8 @@ struct FrontendResult {
 class ServiceFrontend {
  public:
   /// Throws `UnsupportedConfig` for mix templates the engine cannot
-  /// execute (the shards validate on construction).
+  /// execute and `JobWiderThanCap` for templates wider than the per-shard
+  /// cap (the shards validate on construction).
   explicit ServiceFrontend(FrontendConfig config);
   ~ServiceFrontend();
 

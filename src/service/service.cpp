@@ -294,6 +294,14 @@ struct AgreementService::ActiveJob {
   int remaining_subs = 0;
 };
 
+JobWiderThanCap::JobWiderThanCap(int width, int cap)
+    : std::invalid_argument("cap " + std::to_string(cap) +
+                            " is below the widest mix template (" +
+                            std::to_string(width) +
+                            " slots): such a job could never be admitted"),
+      width_(width),
+      cap_(cap) {}
+
 AgreementService::AgreementService(ServiceConfig config)
     : config_(std::move(config)) {
   DA_EXPECTS(config_.cap >= 1);
@@ -330,7 +338,7 @@ void AgreementService::build_shapes() {
     if (!tmpl.config.engine_runnable()) throw UnsupportedConfig(tmpl.config);
     const int width =
         tmpl.kind == JobKind::kIc ? tmpl.config.n : 1;
-    DA_EXPECTS(width <= config_.cap);  // a wider job could never admit
+    if (width > config_.cap) throw JobWiderThanCap(width, config_.cap);
     for (int sub = 0; sub < width; ++sub) {
       auto shape = std::make_unique<Shape>();
       shape->kind = tmpl.kind == JobKind::kByz ? JobKind::kByz : JobKind::kIc;

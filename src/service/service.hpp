@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -307,6 +308,22 @@ struct DriveResult {
 
 }  // namespace detail
 
+/// Structured rejection for a mix template wider than `ServiceConfig::cap`:
+/// an IC job holds `n` slots at once, so with fewer it could never be
+/// admitted. Thrown on construction, like `UnsupportedConfig`, so a CLI
+/// can report a usage error instead of failing a contract.
+class JobWiderThanCap : public std::invalid_argument {
+ public:
+  JobWiderThanCap(int width, int cap);
+
+  [[nodiscard]] int width() const { return width_; }
+  [[nodiscard]] int cap() const { return cap_; }
+
+ private:
+  int width_;
+  int cap_;
+};
+
 /// The long-lived service. Construct once; `run()` may be called
 /// repeatedly — slots, engines and queues persist across runs, so every
 /// run after the first starts warm (no slot construction at all when the
@@ -314,7 +331,8 @@ struct DriveResult {
 class AgreementService {
  public:
   /// Throws `UnsupportedConfig` when a mix template's config is outside
-  /// what the engine can execute (`Config::engine_runnable()`).
+  /// what the engine can execute (`Config::engine_runnable()`), and
+  /// `JobWiderThanCap` when a template needs more slots than `cap`.
   explicit AgreementService(ServiceConfig config);
   ~AgreementService();
 

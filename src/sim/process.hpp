@@ -11,7 +11,7 @@
 namespace da::sim {
 
 /// Per-node protocol logic, written once and executed by either runtime
-/// (the deterministic `SyncRunner` or the thread-per-node `ThreadedRunner`).
+/// (the deterministic `SyncRunner` or the pool-parallel `ThreadedRunner`).
 ///
 /// Lifecycle driven by a runner:
 ///   1. `start()` is called once; returned messages are the node's round-0

@@ -1,11 +1,13 @@
 #include "sim/round_engine.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <exception>
+#include <mutex>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
+#include "sweep/thread_pool.hpp"
 #include "util/contracts.hpp"
 
 namespace da::sim {
@@ -30,10 +32,6 @@ const obs::Counter& delivered_counter() {
 }
 const obs::Counter& wire_bytes_counter() {
   static const obs::Counter c("sim.wire_bytes");
-  return c;
-}
-const obs::Counter& fabrications_dropped_counter() {
-  static const obs::Counter c("sim.fabrications_dropped");
   return c;
 }
 const obs::Quantile& round_ms_quantile() {
@@ -74,56 +72,20 @@ void RoundEngine::begin() {
 
 void RoundEngine::dispatch(std::vector<Message>& outbox, NodeId from,
                            int round, bool fabricated) {
-  const bool faulty = is_faulty(options_, from);
   // Metric deltas are batched per dispatch call — identical totals, one
   // thread-local add per metric instead of three per message.
-  std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t wire_bytes = 0;
-  const auto deliver = [&](const Message& copy) {
-    const std::size_t to = index_.at(copy.to);
-    if (to == NodeIndex::npos) {
-      // Only fabricate() can aim at a non-participant (corrupt() is
-      // normalized, honest processes address peers): drop and count.
-      DA_EXPECTS(fabricated);
-      fabrications_dropped_counter().add();
-      return;
-    }
-    ++messages_delivered_;
-    ++delivered;
-    wire_bytes += wire_size_bytes(copy);
-    if (options_.trace != nullptr) options_.trace->record(copy);
-    inflight_[to].push_back(copy);
-  };
-
-  for (Message& msg : outbox) {
-    DA_EXPECTS(msg.from == from);
-    msg.round = round;
-    ++messages_sent_;
-    ++sent;
-    if (options_.network == nullptr) {
-      // Reliable-link fast path: no per-message fan-out vector. Semantics
-      // identical to filter_fanout (corrupt + from/to/round normalization).
-      if (fabricated || !faulty) {
-        deliver(msg);
-        continue;
-      }
-      DA_EXPECTS(options_.adversary != nullptr);
-      std::optional<Message> out = options_.adversary->corrupt(msg);
-      if (!out) continue;
-      out->from = msg.from;
-      out->to = msg.to;
-      out->round = msg.round;
-      deliver(*out);
-    } else {
-      // Fabricated messages already carry adversarial content; they skip
-      // corrupt() but still traverse the network model.
-      for (const Message& copy :
-           filter_fanout(msg, options_, faulty, fabricated)) {
-        deliver(copy);
-      }
-    }
-  }
+  route(outbox, from, round, fabricated, options_, index_,
+        [&](std::size_t to, const Message& copy) {
+          ++delivered;
+          wire_bytes += wire_size_bytes(copy);
+          if (options_.trace != nullptr) options_.trace->record(copy);
+          inflight_[to].push_back(copy);
+        });
+  const std::uint64_t sent = outbox.size();
+  messages_sent_ += sent;
+  messages_delivered_ += delivered;
   if (sent != 0) sent_counter().add(sent);
   if (delivered != 0) delivered_counter().add(delivered);
   if (wire_bytes != 0) wire_bytes_counter().add(wire_bytes);
@@ -149,29 +111,53 @@ void RoundEngine::dispatch_pending() {
   dispatched_ = true;
 }
 
-void RoundEngine::process_round() {
+void RoundEngine::step_node(std::size_t i) {
+  const int r = rounds_processed_;
+  std::vector<Message>& inbox = delivered_[i];
+  sort_inbox(inbox);
+  std::vector<Message> outbox = processes_[i]->on_round(r, inbox);
+  inbox.clear();  // keep capacity for the round after next
+  // Messages returned from the final round are discarded, uncounted.
+  if (r + 1 < rounds_) pending_[i] = std::move(outbox);
+}
+
+void RoundEngine::process_round(sweep::ThreadPool* pool) {
   DA_EXPECTS(begun_ && dispatched_ && !done());
   rounds_counter().add();
   const obs::ScopedTimer round_timer(round_ms_quantile());
-  const int r = rounds_processed_;
   delivered_.swap(inflight_);  // inflight buffers are all empty (cleared)
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    Process& p = *processes_[i];
-    std::vector<Message>& inbox = delivered_[i];
-    sort_inbox(inbox);
-    std::vector<Message> outbox = p.on_round(r, inbox);
-    inbox.clear();  // keep capacity for the round after next
-    if (r + 1 < rounds_) {
-      pending_[i] = std::move(outbox);
+  const std::size_t n = processes_.size();
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) step_node(i);
+  } else {
+    // A node's step touches only its own process, inbox and outbox, so
+    // the tasks share nothing but the error slot. The pool's workers do
+    // not catch: each task does, and the first exception is rethrown once
+    // every task has finished.
+    const std::size_t tasks =
+        std::min(n, static_cast<std::size_t>(pool->threads()));
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    for (std::size_t t = 0; t < tasks; ++t) {
+      pool->submit([this, t, tasks, n, &error_mutex, &error] {
+        const obs::MetricsScope task_metrics;
+        try {
+          for (std::size_t i = t; i < n; i += tasks) step_node(i);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+        }
+      });
     }
-    // Messages returned from the final round are discarded, uncounted —
-    // same as SyncRunner.
+    pool->wait_idle();
+    if (error) std::rethrow_exception(error);
   }
+  const int r = rounds_processed_;
   rounds_processed_ = r + 1;
   pending_round_ = r + 1;
   dispatched_ = false;
   if (options_.spans != nullptr) {
-    options_.spans->note_resolve(r, processes_.size());
+    options_.spans->note_resolve(r, n);
     if (done()) options_.spans->note_done(rounds_);
   }
 }
@@ -191,12 +177,12 @@ void RoundEngine::finish_into(RunResult& out) const {
   out.rounds = rounds_;
 }
 
-RunResult RoundEngine::run() {
+RunResult RoundEngine::run(sweep::ThreadPool* pool) {
   const obs::MetricsScope metrics_scope;
   if (!begun_) begin();
   while (!done()) {
     dispatch_pending();
-    process_round();
+    process_round(pool);
   }
   return finish();
 }

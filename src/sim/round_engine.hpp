@@ -5,6 +5,10 @@
 
 #include "sim/runner.hpp"
 
+namespace da::sweep {
+class ThreadPool;
+}  // namespace da::sweep
+
 namespace da::sim {
 
 /// Resumable synchronous-round executor: `SyncRunner`'s loop, unrolled
@@ -21,7 +25,7 @@ namespace da::sim {
 ///      not yet sent.
 ///   2. *dispatch* — `dispatch_pending()` pushes the held outboxes through
 ///      the adversary (`corrupt`/`fabricate`) and the network model into
-///      the receivers' inboxes.
+///      the receivers' inboxes (`route`, sim/runner.hpp).
 ///
 /// The split matters because all adversary influence happens at dispatch:
 /// a snapshot taken between collect and dispatch (the *pre-dispatch
@@ -37,7 +41,10 @@ namespace da::sim {
 /// docs/SEARCH.md's checkpoint-engine section spells out.
 ///
 /// `run()` drives the phases to completion and is exactly `SyncRunner`'s
-/// loop — `SyncRunner::run()` now delegates here, so the two cannot drift.
+/// loop — `SyncRunner::run()` delegates here, so the two cannot drift.
+/// Given a thread pool, `process_round` runs the nodes' steps as pool
+/// tasks; that is the threaded runtime (`rt::ThreadedRunner`). Dispatch
+/// stays serial either way, so the result does not depend on the pool.
 class RoundEngine {
  public:
   RoundEngine(std::vector<std::unique_ptr<Process>> processes,
@@ -53,8 +60,10 @@ class RoundEngine {
 
   /// Delivers the current round's inboxes, runs `on_round`, holds the
   /// next-round outboxes. After the final round there is nothing left to
-  /// dispatch and `done()` is true.
-  void process_round();
+  /// dispatch and `done()` is true. With a `pool`, the nodes step in
+  /// parallel on its workers; an exception from any node is rethrown here
+  /// after every task has finished.
+  void process_round(sweep::ThreadPool* pool = nullptr);
 
   /// True once every round has been processed.
   [[nodiscard]] bool done() const { return rounds_processed_ == rounds_; }
@@ -66,10 +75,14 @@ class RoundEngine {
   void finish_into(RunResult& out) const;
 
   /// Drives begin (unless already begun) / dispatch / process to
-  /// completion and returns the result. One-shot equivalent of SyncRunner.
-  RunResult run();
+  /// completion and returns the result. One-shot equivalent of SyncRunner
+  /// (or of the threaded runtime, given a pool).
+  RunResult run(sweep::ThreadPool* pool = nullptr);
 
   [[nodiscard]] int total_rounds() const { return rounds_; }
+  [[nodiscard]] int node_count() const {
+    return static_cast<int>(processes_.size());
+  }
   /// Rounds fully processed so far (= the next round to process).
   [[nodiscard]] int rounds_processed() const { return rounds_processed_; }
 
@@ -111,6 +124,8 @@ class RoundEngine {
  private:
   void dispatch(std::vector<Message>& outbox, NodeId from, int round,
                 bool fabricated);
+  /// One node's share of a round: sort inbox, `on_round`, hold outbox.
+  void step_node(std::size_t i);
 
   std::vector<std::unique_ptr<Process>> processes_;
   RunOptions options_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "sim/round_engine.hpp"
 #include "util/contracts.hpp"
 
@@ -29,29 +30,14 @@ NodeIndex::NodeIndex(
   count_ = processes.size();
 }
 
-std::vector<Message> filter_fanout(const Message& msg,
-                                   const RunOptions& options,
-                                   bool from_is_faulty, bool fabricated) {
-  std::optional<Message> out = msg;
-  if (!fabricated && from_is_faulty) {
-    DA_EXPECTS(options.adversary != nullptr);
-    out = options.adversary->corrupt(msg);
-    if (!out) return {};
-    // The adversary may rewrite content but not impersonate other nodes or
-    // time-travel: receivers would reject those, so normalize here.
-    out->from = msg.from;
-    out->to = msg.to;
-    out->round = msg.round;
-  }
-  if (options.network != nullptr) {
-    return options.network->transit_fanout(*out);
-  }
-  return {std::move(*out)};
+void count_dropped_fabrication() {
+  static const obs::Counter dropped("sim.fabrications_dropped");
+  dropped.add();
 }
 
 void sort_inbox(std::vector<Message>& inbox) {
   // Total order: a fabricating adversary may inject duplicates of a
-  // (from, path) slot with different contents, and both runtimes must
+  // (from, path) slot with different contents, and every runtime must
   // present them to the process in the same order.
   std::sort(inbox.begin(), inbox.end(),
             [](const Message& a, const Message& b) {

@@ -10,6 +10,7 @@
 #include "sim/network.hpp"
 #include "sim/process.hpp"
 #include "sim/trace.hpp"
+#include "util/contracts.hpp"
 #include "util/ids.hpp"
 
 namespace da::obs {
@@ -29,8 +30,9 @@ struct RunOptions {
   /// Optional transcript capture (delivered messages per receiver).
   Trace* trace = nullptr;
   /// Optional per-round phase tallies (send/deliver/resolve spans, see
-  /// obs/spans.hpp). The runtimes call it from their serialized dispatch
-  /// sections, so one sink observes one execution at a time.
+  /// obs/spans.hpp). The runtimes call it from one thread only (dispatch
+  /// and round close are serial), so one sink observes one execution at a
+  /// time.
   obs::SpanSink* spans = nullptr;
 };
 
@@ -63,25 +65,12 @@ class SyncRunner {
   RunOptions options_;
 };
 
-/// The single normalization path used by all three runtimes' dispatch
-/// loops: adversary
-/// (skipped for fabricated messages, which already carry adversarial
-/// content), then the network model's transit_fanout. A duplicating
-/// network (src/inject/) may return several copies; a dropping one, none.
-[[nodiscard]] std::vector<Message> filter_fanout(const Message& msg,
-                                                 const RunOptions& options,
-                                                 bool from_is_faulty,
-                                                 bool fabricated);
-
 /// True if `id` is in `options.faulty`.
 [[nodiscard]] bool is_faulty(const RunOptions& options, NodeId id);
 
-/// Dense NodeId -> process-index table shared by the three runtimes'
-/// indexed inbox buffers: `at(id)` is the process position, or npos for
-/// ids no process owns. Honest senders and the normalized adversary
-/// `corrupt` hook can only target participants, but `fabricate` may aim
-/// anywhere — runtimes must *drop* (and count) fabricated messages whose
-/// target is unknown instead of growing a map or writing out of bounds.
+/// Dense NodeId -> process-index table behind the runtimes' indexed inbox
+/// buffers: `at(id)` is the process position, or npos for ids no process
+/// owns (only a fabricated message can aim at one; `route` drops it).
 class NodeIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -101,7 +90,78 @@ class NodeIndex {
   std::size_t count_ = 0;
 };
 
-/// Canonical inbox order used by both runtimes.
+/// Canonical inbox order used by every runtime.
 void sort_inbox(std::vector<Message>& inbox);
+
+/// Counts one fabricated message dropped by `route` for aiming at a node
+/// outside the instance (`sim.fabrications_dropped`).
+void count_dropped_fabrication();
+
+/// What the link does to one send. A faulty sender's own message goes
+/// through the adversary's `corrupt`, which may rewrite the content or omit
+/// the message but not impersonate another sender, redirect it or move it
+/// to another round: receivers would reject those, so `from`/`to`/`round`
+/// are restored. Fabricated messages already carry adversarial content and
+/// skip `corrupt`. Then the network model's `transit_fanout` yields zero
+/// (drop), one or several (duplicate) copies; reliable links (null
+/// network) pass the message on without a per-message vector. Each copy
+/// goes to `sink`.
+template <typename Sink>
+void filter_fanout(const Message& msg, const RunOptions& options,
+                   bool corrupt, Sink&& sink) {
+  const auto transit = [&](const Message& out) {
+    if (options.network == nullptr) {
+      sink(out);
+      return;
+    }
+    for (const Message& copy : options.network->transit_fanout(out)) {
+      sink(copy);
+    }
+  };
+  if (!corrupt) {
+    transit(msg);
+    return;
+  }
+  std::optional<Message> lie = options.adversary->corrupt(msg);
+  if (!lie) return;
+  lie->from = msg.from;
+  lie->to = msg.to;
+  lie->round = msg.round;
+  transit(*lie);
+}
+
+/// The one message-dispatch rule, shared by `RoundEngine` (so also
+/// `SyncRunner` and the threaded runtime) and `event::EventRunner`. Stamps
+/// every message of `from`'s round-`round` outbox with the round, passes
+/// it through `filter_fanout`, and hands each resulting copy to
+/// `deliver(receiver_index, copy)`. Honest senders and the normalized
+/// `corrupt` can only address participants, but `fabricate` may aim
+/// anywhere: a copy for a node outside `index` is dropped here and counted
+/// once, before any runtime counts, traces or schedules it.
+template <typename Deliver>
+void route(std::vector<Message>& outbox, NodeId from, int round,
+           bool fabricated, const RunOptions& options, const NodeIndex& index,
+           Deliver&& deliver) {
+  const bool corrupt = !fabricated && is_faulty(options, from);
+  DA_EXPECTS(!corrupt || options.adversary != nullptr);
+  const auto land = [&](const Message& copy) {
+    const std::size_t to = index.at(copy.to);
+    if (to == NodeIndex::npos) {
+      DA_EXPECTS(fabricated);
+      count_dropped_fabrication();
+      return;
+    }
+    deliver(to, copy);
+  };
+  for (Message& msg : outbox) {
+    DA_EXPECTS(msg.from == from);
+    msg.round = round;
+    if (!corrupt && options.network == nullptr) {
+      land(msg);  // reliable-link fast path: delivered as sent
+    } else {
+      filter_fanout(msg, options, corrupt, land);
+    }
+  }
+}
 
 }  // namespace da::sim

@@ -1,8 +1,11 @@
 // Cross-runtime equivalence: the deterministic simulator, the
-// thread-per-node runtime, and the event-driven runtime (with perfect
-// clocks and latency within the timeout) must produce identical decisions
-// for identical scenarios — the protocol body is written once, and all
-// stochastic behaviour is a pure function of message identity.
+// pool-parallel threaded runtime, and the event-driven runtime (with
+// perfect clocks and latency within the timeout) must produce identical
+// decisions for identical scenarios — the protocol body is written once,
+// and all stochastic behaviour is a pure function of message identity.
+// The simulator and the threaded runtime share one round core, so both
+// are also checked against a naive reference executor
+// (tests/reference_executor.hpp) that shares none of it.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,8 @@
 #include "event/event_runner.hpp"
 #include "faults/adversaries.hpp"
 #include "faults/search.hpp"
+#include "inject/injection_network.hpp"
+#include "reference_executor.hpp"
 #include "rt/threaded_runner.hpp"
 #include "util/rng.hpp"
 
@@ -129,6 +134,132 @@ TEST(CrossRuntimeExtra, FabricatingAdversaryStaysDeterministic) {
   // And the injected garbage must not break the degraded conditions.
   const auto report = check_conditions(spec, sim_out.decisions);
   EXPECT_TRUE(report.satisfied) << report.detail;
+}
+
+// An adversary that forges metadata: every corrupted message claims
+// another sender, another receiver and a later round. The runtimes must
+// restore from/to/round, so only the value change reaches anyone.
+class MetadataForger final : public sim::Adversary {
+ public:
+  explicit MetadataForger(int n) : n_(n) {}
+  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
+    sim::Message forged = msg;
+    forged.from = (msg.from + 1) % n_;
+    forged.to = (msg.to + 1) % n_;
+    forged.round = msg.round + 1;
+    forged.value = Value::of(66);
+    return forged;
+  }
+
+ private:
+  int n_;
+};
+
+// Fabricates, every round, one message at node n+3 (outside the instance:
+// dropped) and two conflicting copies of one relay slot at each peer.
+class OutsideAndDuplicateFabricator final : public sim::Adversary {
+ public:
+  OutsideAndDuplicateFabricator(int n, NodeId sender)
+      : n_(n), sender_(sender) {}
+  std::optional<sim::Message> corrupt(const sim::Message& msg) override {
+    return msg;
+  }
+  std::vector<sim::Message> fabricate(NodeId node, int round) override {
+    std::vector<sim::Message> out{sim::Message{
+        .from = node, .to = n_ + 3, .round = round, .value = Value::of(99)}};
+    for (NodeId to = 0; to < n_; ++to) {
+      if (to == node || to == sender_) continue;
+      for (const std::int64_t v : {77, 78}) {
+        out.push_back(sim::Message{.from = node,
+                                   .to = to,
+                                   .round = round,
+                                   .path = Path{sender_, node},
+                                   .value = Value::of(v)});
+      }
+    }
+    return out;
+  }
+
+ private:
+  int n_;
+  NodeId sender_;
+};
+
+TEST(CrossRuntimeReference, EngineRuntimesMatchNaiveExecutor) {
+  const Config configs[] = {Config{.n = 5, .m = 1, .u = 2},
+                            Config{.n = 7, .m = 1, .u = 4},
+                            Config{.n = 7, .m = 2, .u = 2}};
+  Rng rng(2024);
+  for (const Config& config : configs) {
+    const auto family = faults::standard_family(rng.next());
+    for (int trial = 0; trial < 2; ++trial) {
+      ScenarioSpec spec;
+      spec.config = config;
+      spec.sender = static_cast<NodeId>(
+          rng.below(static_cast<std::uint64_t>(config.n)));
+      spec.sender_value = Value::of(rng.range(1, 99));
+      const auto subset = rng.subset(config.n, config.m + 1);
+      spec.faulty.assign(subset.begin(), subset.end());
+      const auto processes = [&] {
+        return core::make_byz_processes(config, spec.sender,
+                                        spec.sender_value);
+      };
+      const int rounds = processes().front()->total_rounds();
+
+      std::vector<faults::NamedAdversaryFactory> adversaries = family;
+      adversaries.push_back({"metadata-forger", [&](const ScenarioSpec&) {
+                               return std::unique_ptr<sim::Adversary>(
+                                   new MetadataForger(config.n));
+                             }});
+      adversaries.push_back(
+          {"outside-and-duplicate-fabricator", [&](const ScenarioSpec&) {
+             return std::unique_ptr<sim::Adversary>(
+                 new OutsideAndDuplicateFabricator(config.n, spec.sender));
+           }});
+
+      for (const auto& factory : adversaries) {
+        for (const bool injected : {false, true}) {
+          const inject::FaultPlan plan =
+              inject::FaultPlan::from_seed(rng.next(), config.n, rounds);
+          const std::string what = factory.name + " " + spec.to_string() +
+                                   (injected ? " plan " + plan.to_string()
+                                             : std::string(" reliable"));
+
+          auto ref_adversary = factory.make(spec);
+          inject::InjectionNetwork ref_net(plan);
+          sim::Trace ref_trace;
+          const reference::Result want = reference::run(
+              processes(), spec.faulty, ref_adversary.get(),
+              injected ? &ref_net : nullptr, &ref_trace);
+
+          for (const bool threaded : {false, true}) {
+            auto adversary = factory.make(spec);
+            inject::InjectionNetwork net(plan);
+            sim::Trace trace;
+            sim::RunOptions options;
+            options.faulty = spec.faulty;
+            options.adversary = adversary.get();
+            options.network = injected ? &net : nullptr;
+            options.trace = &trace;
+            const sim::RunResult got =
+                threaded
+                    ? rt::ThreadedRunner(processes(), std::move(options)).run()
+                    : sim::SyncRunner(processes(), std::move(options)).run();
+            const std::string runtime = threaded ? "threaded " : "sim ";
+            EXPECT_EQ(got.decisions, want.decisions) << runtime << what;
+            EXPECT_EQ(got.messages_sent, want.messages_sent)
+                << runtime << what;
+            EXPECT_EQ(got.messages_delivered, want.messages_delivered)
+                << runtime << what;
+            for (NodeId id = 0; id < config.n; ++id) {
+              EXPECT_EQ(trace.transcript(id), ref_trace.transcript(id))
+                  << runtime << what << " node " << id;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

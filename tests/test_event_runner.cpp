@@ -185,7 +185,7 @@ TEST(EventRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
 #ifndef DA_METRICS_DISABLED
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t before =
-      registry.counter_value("event.fabrications_dropped");
+      registry.counter_value("sim.fabrications_dropped");
 #endif
   const EventRunResult out = run_byz_event(
       config, spec, &adversary, TimingModel{}, perfect_clocks(config.n));
@@ -197,7 +197,7 @@ TEST(EventRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
     EXPECT_EQ(out.base.decisions.at(i), Value::of(42)) << "node " << i;
   }
 #ifndef DA_METRICS_DISABLED
-  EXPECT_EQ(registry.counter_value("event.fabrications_dropped"), before + 2);
+  EXPECT_EQ(registry.counter_value("sim.fabrications_dropped"), before + 2);
 #endif
 }
 

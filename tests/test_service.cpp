@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "service/admission.hpp"
 #include "service/arrivals.hpp"
+#include "service/frontend.hpp"
 
 namespace da::service {
 namespace {
@@ -468,6 +469,29 @@ TEST(Service, RejectsEngineUnrunnableConfigAtTheBoundary) {
 
   // The boundary, not valid(): n=3, m=1 sits exactly on the floor.
   EXPECT_TRUE((Config{.n = 3, .m = 1, .u = 1}).engine_runnable());
+}
+
+TEST(Service, RejectsCapBelowWidestTemplateWithTypedError) {
+  // The default mix's IC job (n=4) holds 4 slots at once: under cap 3 it
+  // could never be admitted. That used to fail a contract (an abort in
+  // service_demo); it is now a typed, recoverable rejection.
+  ServiceConfig config = small_config();
+  config.cap = 3;
+  try {
+    AgreementService svc(config);
+    FAIL() << "a mix wider than the cap was accepted";
+  } catch (const JobWiderThanCap& rejected) {
+    EXPECT_EQ(rejected.width(), 4);
+    EXPECT_EQ(rejected.cap(), 3);
+    EXPECT_NE(std::string(rejected.what()).find("cap 3"), std::string::npos);
+  }
+  FrontendConfig sharded;
+  sharded.service = config;
+  sharded.shards = 2;
+  EXPECT_THROW(ServiceFrontend{sharded}, JobWiderThanCap);
+
+  config.cap = 4;  // exactly the widest template: fine
+  EXPECT_NO_THROW(AgreementService{config});
 }
 
 TEST(Service, ShedConsumesLowestClassFirstUnderOverload) {

@@ -7,33 +7,9 @@
 #include "faults/adversaries.hpp"
 #include "faults/search.hpp"
 #include "obs/metrics.hpp"
-#include "rt/mailbox.hpp"
 
 namespace da {
 namespace {
-
-TEST(Mailbox, DepositDrainRoundTrip) {
-  rt::Mailbox box(2);
-  const sim::Message m1{.from = 2, .to = 0, .round = 0, .value = Value::of(1)};
-  const sim::Message m2{.from = 1, .to = 0, .round = 0, .value = Value::of(2)};
-  box.deposit(0, m1);
-  box.deposit(0, m2);
-  const auto drained = box.drain(0);
-  ASSERT_EQ(drained.size(), 2u);
-  // Canonical order: by sender id.
-  EXPECT_EQ(drained[0].from, 1);
-  EXPECT_EQ(drained[1].from, 2);
-  EXPECT_TRUE(box.drain(0).empty());
-  EXPECT_EQ(box.total_deposited(), 2u);
-}
-
-TEST(Mailbox, RoundsAreSeparate) {
-  rt::Mailbox box(3);
-  box.deposit(1, sim::Message{.from = 0, .to = 1, .round = 1});
-  EXPECT_TRUE(box.drain(0).empty());
-  EXPECT_EQ(box.drain(1).size(), 1u);
-  EXPECT_THROW(box.deposit(3, sim::Message{}), std::logic_error);
-}
 
 TEST(ThreadedRunner, MatchesSimulatorWithoutFaults) {
   const Config config{.n = 6, .m = 1, .u = 3};
@@ -68,8 +44,7 @@ TEST(ThreadedRunner, MatchesSimulatorUnderAdversaries) {
 }
 
 TEST(ThreadedRunner, ManyNodes) {
-  // Thread-per-node with a wide population: exercises the barrier under
-  // real contention.
+  // A wide population: many nodes per pool task, stepped concurrently.
   const Config config{.n = 24, .m = 1, .u = 21};
   const DegradableAgreement protocol(config);
   ScenarioSpec spec;
@@ -105,7 +80,7 @@ TEST(ThreadedRunner, RepeatedRunsAreDeterministic) {
 }
 
 TEST(ThreadedRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
-  // Regression: a fabrication aimed at node n+3 used to trip the mailbox
+  // Regression: a fabrication aimed at node n+3 used to trip the inbox
   // index lookup's contract check and abort the run; it must instead be
   // dropped (and counted) with honest traffic untouched.
   class ForeignTargetFabricator final : public sim::Adversary {
@@ -132,7 +107,7 @@ TEST(ThreadedRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
 #ifndef DA_METRICS_DISABLED
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t before =
-      registry.counter_value("rt.fabrications_dropped");
+      registry.counter_value("sim.fabrications_dropped");
 #endif
   rt::ThreadedRunner runner(core::make_byz_processes(config, 0, Value::of(7)),
                             std::move(options));
@@ -144,33 +119,46 @@ TEST(ThreadedRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
     EXPECT_EQ(result.decisions.at(i), Value::of(7)) << "node " << i;
   }
 #ifndef DA_METRICS_DISABLED
-  EXPECT_EQ(registry.counter_value("rt.fabrications_dropped"), before + 2);
+  EXPECT_EQ(registry.counter_value("sim.fabrications_dropped"), before + 2);
 #endif
 }
 
 TEST(ThreadedRunner, PropagatesProcessExceptions) {
+  // `throw_in_round` < 0 throws from start() (the serial begin); otherwise
+  // node 1 throws from on_round of that round, inside a pool task, where
+  // an uncaught exception would terminate the process.
   class Bomb final : public sim::Process {
    public:
-    explicit Bomb(NodeId id) : id_(id) {}
+    Bomb(NodeId id, int throw_in_round)
+        : id_(id), throw_in_round_(throw_in_round) {}
     NodeId id() const override { return id_; }
-    int total_rounds() const override { return 1; }
+    int total_rounds() const override { return 2; }
     std::vector<sim::Message> start() override {
-      if (id_ == 1) throw std::runtime_error("boom");
+      if (id_ == 1 && throw_in_round_ < 0) throw std::runtime_error("boom");
       return {};
     }
     std::vector<sim::Message> on_round(
-        int, const std::vector<sim::Message>&) override {
+        int round, const std::vector<sim::Message>&) override {
+      if (id_ == 1 && round == throw_in_round_) {
+        throw std::runtime_error("boom");
+      }
       return {};
     }
     Value decide() const override { return Value::def(); }
 
    private:
     NodeId id_;
+    int throw_in_round_;
   };
-  std::vector<std::unique_ptr<sim::Process>> procs;
-  for (NodeId i = 0; i < 3; ++i) procs.push_back(std::make_unique<Bomb>(i));
-  rt::ThreadedRunner runner(std::move(procs), sim::RunOptions{});
-  EXPECT_THROW((void)runner.run(), std::runtime_error);
+  for (const int throw_in_round : {-1, 0, 1}) {
+    std::vector<std::unique_ptr<sim::Process>> procs;
+    for (NodeId i = 0; i < 3; ++i) {
+      procs.push_back(std::make_unique<Bomb>(i, throw_in_round));
+    }
+    rt::ThreadedRunner runner(std::move(procs), sim::RunOptions{});
+    EXPECT_THROW((void)runner.run(), std::runtime_error)
+        << "throw_in_round " << throw_in_round;
+  }
 }
 
 }  // namespace
