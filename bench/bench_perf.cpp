@@ -16,16 +16,21 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/agreement.hpp"
 #include "core/byz.hpp"
 #include "faults/adversaries.hpp"
 #include "faults/behavior_search.hpp"
 #include "faults/search.hpp"
+#include "inject/fault_plan.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
+#include "obs/spans.hpp"
 #include "protocols/common/eig.hpp"
 #include "protocols/common/vote.hpp"
 #include "protocols/crusader/crusader.hpp"
@@ -438,7 +443,9 @@ BENCHMARK(BM_ServiceLatency)
 // always-on instrumentation (budget <1%; measured in the noise); the
 // adjacent-row delta prices the opt-in span/sample recording. Under
 // -DDA_METRICS=OFF the two rows must coincide (recording compiles away).
-// docs/OBSERVABILITY.md quotes the measured numbers.
+// docs/OBSERVABILITY.md cites these rows; BM_SpanRecord and
+// BM_SpansToJsonl below price the recording and export layers on their
+// own.
 void BM_ServiceTelemetry(benchmark::State& state) {
   const bool record = state.range(0) != 0;
   da::service::ServiceConfig config;
@@ -463,6 +470,84 @@ void BM_ServiceTelemetry(benchmark::State& state) {
   state.counters["p99"] = result.latency_quantile(0.99);
 }
 BENCHMARK(BM_ServiceTelemetry)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Span recording, the lowest observability rung: build one round span —
+// identity, window, parent identity and range(0) tags, the service's
+// injected-round shape at 3 and its widest inst span at 6 — and append
+// it to a warm vector. An iteration records kBatch spans.
+void BM_SpanRecord(benchmark::State& state) {
+  constexpr std::int64_t kBatch = 4096;
+  const int tags = static_cast<int>(state.range(0));
+  const da::obs::SpanTagKey keys[] = {"inj_delayed", "inj_duplicated",
+                                      "inj_examined", "rounds",
+                                      "rule0",       "rule1"};
+  std::vector<da::obs::Span> spans;
+  spans.reserve(kBatch);
+  for (auto _ : state) {
+    spans.clear();
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      da::obs::Span span;
+      span.name = "round";
+      span.job = i;
+      span.sub = 0;
+      span.round = static_cast<int>(i & 3);
+      span.t0 = static_cast<double>(i) * 0.25;
+      span.t1 = span.t0 + 1.0;
+      span.parent = {da::obs::SpanKind::kInst, i, 0};
+      for (int k = 0; k < tags; ++k) span.tags.add(keys[k], i + k);
+      spans.push_back(span);
+    }
+    benchmark::DoNotOptimize(spans.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_SpanRecord)->Arg(0)->Arg(3)->Arg(6);
+
+// Span export: `spans_to_jsonl` over the ~12k spans of one overloaded,
+// fault-injected 4-shard front-end stream (the perfbench `frontend`
+// workload's shape, seed 7). range(0)=0 exports the run's canonical
+// vector (one O(n) order check, then the writer); range(0)=1 exports it
+// reversed, so the export copies and sorts first.
+void BM_SpansToJsonl(benchmark::State& state) {
+  da::service::FrontendConfig config;
+  config.shards = 4;
+  config.route = da::service::RoutePolicy::kHashJobId;
+  da::service::ServiceConfig& svc = config.service;
+  svc.arrivals = da::service::ArrivalSpec::poisson(40.0);
+  svc.offered = 1500;
+  svc.cap = 24;
+  svc.queue_cap = 32;
+  svc.policy = da::service::OverloadPolicy::kShedOldest;
+  svc.seed = 7;
+  svc.mix = da::service::default_mix();
+  for (auto& tmpl : svc.mix) {
+    if (tmpl.admission == da::service::AdmissionClass::kLow) {
+      tmpl.deadline = 3.0;
+    }
+  }
+  svc.fault_plan.seed = 7;
+  svc.fault_plan.rules.push_back(da::inject::LinkRule{
+      da::kNoNode, 2, 1, da::inject::FaultKind::kDuplicate, 2});
+  svc.fault_plan.rules.push_back(da::inject::LinkRule{
+      1, da::kNoNode, 0, da::inject::FaultKind::kDelay, 2});
+  svc.fault_plan.rates.duplicate = 0.05;
+  svc.fault_plan.rates.delay = 0.10;
+  svc.inject_every = 3;
+  svc.record_spans = true;
+  std::vector<da::obs::Span> spans = da::service::run_frontend(config).spans;
+  if (state.range(0) != 0) std::reverse(spans.begin(), spans.end());
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string out = da::obs::spans_to_jsonl(spans);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetLabel(state.range(0) != 0 ? "reversed" : "canonical");
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.counters["spans"] = static_cast<double>(spans.size());
+}
+BENCHMARK(BM_SpansToJsonl)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The sharded front-end under the same Poisson storm as
 // BM_ServiceThroughput, split across 4 shards behind the hash router.

@@ -80,12 +80,16 @@ std::uint64_t parse_count(const char* flag, const char* arg,
 }
 
 /// Constructs the service or the front-end. A mix template wider than
-/// --cap could never be admitted, so it is a usage error.
+/// --cap could never be admitted, and spans recorded under an --inject
+/// plan with more outcomes and rules than a span can tag would be
+/// truncated, so both are usage errors.
 template <typename Service, typename Config>
 Service make_or_usage(const Config& config) {
   try {
     return Service(config);
   } catch (const da::service::JobWiderThanCap& e) {
+    usage(e.what());
+  } catch (const da::service::TooManySpanTags& e) {
     usage(e.what());
   }
 }

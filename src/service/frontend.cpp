@@ -107,10 +107,19 @@ FrontendResult ServiceFrontend::run() {
   result.samples = std::move(drive.samples);
   result.makespan = drive.makespan;
   // Fold the shards back into one stream: exact sketch merges, record
-  // concat + sort by global id, span concat + re-canonicalization.
+  // concat + sort by global id, span concat + the run's one canonical
+  // sort.
   result.records.reserve(offered);
+  std::vector<ServiceResult> parts;
+  parts.reserve(nshards);
+  std::size_t spans = 0;
+  for (const auto& shard : shards_) {
+    parts.push_back(shard->end_run(result.makespan));
+    spans += parts.back().spans.size();
+  }
+  result.spans.reserve(spans);
   for (std::size_t s = 0; s < nshards; ++s) {
-    ServiceResult part = shards_[s]->end_run(result.makespan);
+    ServiceResult& part = parts[s];
     FrontendShardSummary summary;
     summary.seed = shards_[s]->config().seed;
     summary.offered = part.records.size();
@@ -133,13 +142,14 @@ FrontendResult ServiceFrontend::run() {
                           part.records.end());
     result.spans.insert(result.spans.end(), part.spans.begin(),
                         part.spans.end());
+    part.spans = {};
     obs::MetricsRegistry::global().set_gauge(
         "frontend.shard" + std::to_string(s) + ".completed",
         static_cast<double>(part.completed));
   }
   std::sort(result.records.begin(), result.records.end(),
             [](const JobRecord& a, const JobRecord& b) { return a.id < b.id; });
-  if (!result.spans.empty()) obs::canonicalize(result.spans);
+  obs::canonicalize(result.spans);
   obs::MetricsRegistry::global().set_gauge("frontend.shards",
                                            static_cast<double>(nshards));
   result.wall_ms = std::chrono::duration<double, std::milli>(

@@ -91,8 +91,8 @@ struct FrontendResult {
   /// Aggregated time series on the global `sample_every` grid (sums over
   /// shards; latency quantiles over the exact-merged running sketches).
   std::vector<ServiceSample> samples;
-  /// Concatenated per-shard spans, re-canonicalized (global job ids keep
-  /// them disjoint).
+  /// Concatenated per-shard spans in canonical order, sorted once after
+  /// the concatenation (global job ids keep the shards' spans disjoint).
   std::vector<obs::Span> spans;
   /// Exact merges of the per-shard sketches: associative/commutative
   /// bucket adds, so `serialize()` is byte-identical across `jobs`.

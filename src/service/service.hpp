@@ -231,8 +231,10 @@ struct ServiceResult {
   /// Highest number of simultaneously active slots observed.
   int peak_active = 0;
   std::uint64_t ticks = 0;
-  /// Causal spans in canonical order (when `record_spans`); empty
-  /// otherwise and under DA_METRICS=OFF.
+  /// Causal spans (when `record_spans`); empty otherwise and under
+  /// DA_METRICS=OFF. Canonical order from `run()` and the front-end;
+  /// emission order from `end_run`, which leaves the one canonical sort
+  /// to its caller (`spans_to_jsonl` exports canonically either way).
   std::vector<obs::Span> spans;
   /// Periodic time series (when `sample_every > 0`).
   std::vector<ServiceSample> samples;
@@ -324,6 +326,20 @@ class JobWiderThanCap : public std::invalid_argument {
   int cap_;
 };
 
+/// Thrown on construction when `record_spans` is set under a FaultPlan
+/// whose injection tags could overflow one span
+/// (`obs::SpanTags::kCapacity`): the recorder never truncates a span's
+/// tags.
+class TooManySpanTags : public std::invalid_argument {
+ public:
+  explicit TooManySpanTags(std::size_t tags);
+
+  [[nodiscard]] std::size_t tags() const { return tags_; }
+
+ private:
+  std::size_t tags_;
+};
+
 /// The long-lived service. Construct once; `run()` may be called
 /// repeatedly — slots, engines and queues persist across runs, so every
 /// run after the first starts warm (no slot construction at all when the
@@ -331,8 +347,10 @@ class JobWiderThanCap : public std::invalid_argument {
 class AgreementService {
  public:
   /// Throws `UnsupportedConfig` when a mix template's config is outside
-  /// what the engine can execute (`Config::engine_runnable()`), and
-  /// `JobWiderThanCap` when a template needs more slots than `cap`.
+  /// what the engine can execute (`Config::engine_runnable()`),
+  /// `JobWiderThanCap` when a template needs more slots than `cap`, and
+  /// `TooManySpanTags` when recorded spans could not hold the fault
+  /// plan's tags.
   explicit AgreementService(ServiceConfig config);
   ~AgreementService();
 
@@ -353,8 +371,9 @@ class AgreementService {
   // state, `offer_job` performs full arrival semantics (deadline sweep,
   // class-aware admit-or-queue, overload shedding), `step` is one
   // batched round tick plus deadline sweep plus queue drain on the
-  // calling thread, and `end_run` folds the aggregates. All four must be
-  // called from one thread (the caller's event loop).
+  // calling thread, and `end_run` folds the aggregates (moving the spans
+  // out in emission order). All four must be called from one thread (the
+  // caller's event loop).
 
   /// `expected` pre-sizes the record store (0 is fine).
   void begin_run(std::uint64_t expected);
@@ -456,7 +475,8 @@ class AgreementService {
   // Observability scratch (spans/sketches, reset per run).
   bool recording_ = false;        // record_spans, post kill-switch gate
   bool inject_enabled_ = false;   // fault_plan.active()
-  std::vector<obs::Span> spans_;
+  std::vector<obs::Span> spans_;  // moved out by end_run
+  std::size_t span_reserve_ = 0;  // last run's span count
   obs::QuantileSketch latency_sketch_;
   obs::QuantileSketch queue_sketch_;
   std::array<obs::QuantileSketch, kAdmissionClassCount> class_latency_{};

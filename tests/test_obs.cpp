@@ -1,24 +1,33 @@
 // The observability layer (src/obs/): the JSON document type and parser,
 // the metrics registry with its thread-local sinks, the canonical JSONL
-// trace export with per-node diffing, and the bench report schema
-// validator.
+// trace export with per-node diffing, the bench report schema validator,
+// and the metric catalogue in docs/OBSERVABILITY.md checked against the
+// live registry.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <limits>
+#include <regex>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "core/agreement.hpp"
+#include "faults/behavior_search.hpp"
 #include "faults/figure2.hpp"
+#include "inject/fault_plan.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
+#include "service/frontend.hpp"
 #include "sim/message.hpp"
 #include "sim/trace.hpp"
+#include "sweep/sweep.hpp"
 
 namespace da::obs {
 namespace {
@@ -359,6 +368,153 @@ TEST(BenchSchema, MetricsToJsonContainsRegistryCounters) {
   const Json* value = counters->find("test.obs.schema_counter");
   ASSERT_NE(value, nullptr);
   EXPECT_GE(value->as_int(), 3);
+}
+
+// ---------------------------------------------------- metric catalogue --
+
+/// One row of the docs/OBSERVABILITY.md metric catalogue: the row's
+/// prefix and the full names it documents, `<placeholder>` segments kept.
+struct CatalogueRow {
+  std::string prefix;
+  std::vector<std::string> names;
+};
+
+/// Parses the catalogue table. A metric is a backticked token of the
+/// metrics column shaped like a metric name (lower-case segments joined by
+/// dots, `<placeholder>` allowed); file names and code references are not.
+std::vector<CatalogueRow> read_catalogue() {
+  std::ifstream in(DA_DOCS_DIR "/OBSERVABILITY.md");
+  const std::regex metric(
+      R"(^[a-z][a-z0-9_]*(<[a-z]+>)?(\.[a-z0-9_]+(<[a-z]+>)?)*$)");
+  const std::regex file(R"(\.(cpp|hpp|md)$)");
+  const std::regex code(R"(`([^`]+)`)");
+  std::vector<CatalogueRow> rows;
+  std::string line;
+  bool in_section = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("### Metric catalogue", 0) == 0) in_section = true;
+    if (!in_section || line.rfind("| `", 0) != 0) {
+      if (in_section && !rows.empty() && line.empty()) break;
+      continue;
+    }
+    // | `prefix` | written by | metrics |
+    const std::size_t c1 = line.find('|', 1);
+    const std::size_t c2 = line.find('|', c1 + 1);
+    CatalogueRow row;
+    row.prefix = line.substr(3, line.find('`', 3) - 3);
+    if (!row.prefix.empty() && row.prefix.back() == '*') {
+      row.prefix.erase(row.prefix.find_last_of('.') + 1);
+    }
+    const std::string cell = line.substr(c2 + 1);
+    for (auto it = std::sregex_iterator(cell.begin(), cell.end(), code);
+         it != std::sregex_iterator(); ++it) {
+      const std::string token = (*it)[1];
+      if (std::regex_match(token, metric) && !std::regex_search(token, file)) {
+        row.names.push_back(row.prefix + token);
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// A documented name as a pattern: `<placeholder>` matches one segment.
+std::regex name_pattern(const std::string& name) {
+  std::string out;
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    if (name[i] == '<') {
+      i = name.find('>', i);
+      out += "[a-z0-9_]+";
+    } else if (name[i] == '.') {
+      out += "\\.";
+    } else {
+      out += name[i];
+    }
+  }
+  return std::regex(out);
+}
+
+// The catalogue is the operator's map of the registry, so it must not
+// drift: every metric a fault-heavy front-end stream and a behaviour
+// search register is documented, and every metric the rows they exercise
+// document is registered. The idea is tsuba's FaultTestReport, where each
+// fault point reports its hit count — nothing is silently uncounted.
+TEST(MetricCatalogue, RegistryAndDocsTableAgree) {
+#ifdef DA_METRICS_DISABLED
+  GTEST_SKIP() << "the registry stays empty under -DDA_METRICS=OFF";
+#endif
+  const std::vector<CatalogueRow> rows = read_catalogue();
+  ASSERT_GT(rows.size(), 10u);
+
+  // A fault-heavy, overloaded two-shard stream: every injection outcome
+  // (drop, duplicate, delay, crash), shedding and deadline misses.
+  service::FrontendConfig front;
+  front.shards = 2;
+  service::ServiceConfig& svc = front.service;
+  svc.arrivals = service::ArrivalSpec::poisson(30.0);
+  svc.offered = 200;
+  svc.cap = 8;
+  svc.queue_cap = 8;
+  svc.policy = service::OverloadPolicy::kShedOldest;
+  svc.seed = 7;
+  svc.jobs = 2;
+  svc.mix = service::default_mix();
+  for (auto& tmpl : svc.mix) {
+    if (tmpl.admission == service::AdmissionClass::kLow) tmpl.deadline = 2.0;
+  }
+  auto plan = inject::FaultPlan::parse(
+      "seed 5\ndrop from=2 to=1 round=1\ndup from=1 to=* copies=3\n"
+      "delay from=3 to=*\ncrash node=2 down=1 restart=2\n"
+      "rates drop=0.05 dup=0.05 delay=0.1\n");
+  ASSERT_TRUE(plan.has_value());
+  svc.fault_plan = *plan;
+  svc.inject_every = 1;
+  const service::FrontendResult stream = service::run_frontend(front);
+  ASSERT_GT(stream.shed, 0u);
+
+  // A behaviour search on the pool: sweep, search and quotient counters.
+  sweep::SweepOptions sweep_options;
+  sweep_options.jobs = 2;
+  (void)faults::exhaustive_behavior_search(Config{.n = 4, .m = 1, .u = 1},
+                                           faults::BehaviorSearchOptions{},
+                                           sweep_options);
+
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  std::set<std::string> registered;
+  for (const auto& [name, value] : snap.counters) registered.insert(name);
+  for (const auto& [name, value] : snap.gauges) registered.insert(name);
+  for (const auto& [name, value] : snap.quantiles) registered.insert(name);
+
+  std::vector<std::pair<std::string, std::regex>> documented;
+  for (const CatalogueRow& row : rows) {
+    for (const std::string& name : row.names) {
+      documented.emplace_back(name, name_pattern(name));
+    }
+  }
+  // Registry -> docs. `test.` names are the tests' own instruments.
+  for (const std::string& name : registered) {
+    if (name.rfind("test.", 0) == 0) continue;
+    const bool found = std::any_of(
+        documented.begin(), documented.end(), [&name](const auto& doc) {
+          return std::regex_match(name, doc.second);
+        });
+    EXPECT_TRUE(found) << name << " is registered but not in the catalogue";
+  }
+  // Docs -> registry, for the rows these two workloads drive.
+  const std::set<std::string> exercised = {
+      "service.", "service.<class>.", "frontend.", "inject.",
+      "sweep.",   "search.",          "search.canon."};
+  for (const CatalogueRow& row : rows) {
+    if (exercised.count(row.prefix) == 0) continue;
+    for (const std::string& name : row.names) {
+      const std::regex pattern = name_pattern(name);
+      const bool found = std::any_of(
+          registered.begin(), registered.end(), [&pattern](const auto& r) {
+            return std::regex_match(r, pattern);
+          });
+      EXPECT_TRUE(found) << name << " is catalogued but was never registered";
+    }
+  }
 }
 
 }  // namespace

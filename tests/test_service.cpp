@@ -11,10 +11,12 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/byz.hpp"
 #include "core/scenario.hpp"
+#include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "service/admission.hpp"
 #include "service/arrivals.hpp"
@@ -650,6 +652,63 @@ TEST(ServiceObs, CompletedCounterAgreesAtEveryInstant) {
   EXPECT_EQ(sampled.samples.back().completed, sampled.completed);
   EXPECT_EQ(registry_counter("service.completed") - sampled_base,
             sampled.completed);
+}
+
+TEST(ServiceObs, ViolationCountersMatchTheVerdicts) {
+  // (n=4, m=1, u=2) is one node short of N >= 2m+u+1, so the service's
+  // liars and equivocators break it: a fault-free sender with faulty
+  // {1,2} violates D.3, a faulty sender with {0,1} violates D.4. Each
+  // violating job ticks `service.violations` once and the counter of the
+  // condition it violated once, at completion.
+  ServiceConfig config;
+  config.arrivals = ArrivalSpec::poisson(4.0);
+  config.offered = 60;
+  config.cap = 8;
+  config.seed = 7;
+  config.jobs = 1;  // completions on this thread: the run's scope flushes
+  const Config short_cell{.n = 4, .m = 1, .u = 2};
+  config.mix.push_back(
+      {JobKind::kByz, short_cell, 0, Value::of(17), {1, 2}});
+  config.mix.push_back(
+      {JobKind::kByz, short_cell, 0, Value::of(17), {0, 1}});
+
+#ifndef DA_METRICS_DISABLED
+  const char* const names[] = {"service.violations", "service.violations.d1",
+                               "service.violations.d2",
+                               "service.violations.d3",
+                               "service.violations.d4"};
+  std::array<std::uint64_t, 5> before{};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    before[i] = registry_counter(names[i]);
+  }
+#endif
+  const ServiceResult result = run_service(config);
+  std::array<std::uint64_t, 4> by_condition{};  // D.1-D.4
+  for (const JobRecord& rec : result.records) {
+    if (!rec.shed && !rec.satisfied) {
+      ++by_condition[static_cast<std::size_t>(rec.applied)];
+    }
+  }
+  ASSERT_GT(result.violations, 0u);
+  EXPECT_GT(by_condition[2], 0u);  // D.3
+  EXPECT_GT(by_condition[3], 0u);  // D.4
+#ifndef DA_METRICS_DISABLED
+  EXPECT_EQ(registry_counter(names[0]) - before[0], result.violations);
+  for (std::size_t c = 0; c < by_condition.size(); ++c) {
+    EXPECT_EQ(registry_counter(names[c + 1]) - before[c + 1], by_condition[c])
+        << names[c + 1];
+  }
+  // Operators read them from the exposition, zeros included.
+  const std::string text =
+      obs::to_exposition(obs::MetricsRegistry::global().snapshot());
+  EXPECT_NE(text.find("# TYPE da_service_violations counter"),
+            std::string::npos);
+  for (const char* line :
+       {"da_service_violations_d1 ", "da_service_violations_d2 ",
+        "da_service_violations_d3 ", "da_service_violations_d4 "}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line;
+  }
+#endif
 }
 #endif
 
