@@ -5,7 +5,9 @@
 // rounds. This suite measures wall time and message volume of:
 //   - BYZ(m,m) on the deterministic simulator, across N and m;
 //   - BYZ(m,m) on the threaded runtime (the round engine with each
-//     round's nodes stepped on a two-worker pool);
+//     round's nodes stepped as one fork-join round on a long-lived
+//     one-worker pool plus the calling thread);
+//   - that fork-join round by itself, over empty chunks;
 //   - Lamport OM(m) over the same substrate (identical message pattern,
 //     cheaper resolve);
 //   - Crusader (2 rounds regardless of m);
@@ -37,6 +39,7 @@
 #include "protocols/ic/interactive_consistency.hpp"
 #include "service/frontend.hpp"
 #include "service/service.hpp"
+#include "sweep/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -94,11 +97,30 @@ void BM_ByzThreaded(benchmark::State& state) {
     benchmark::DoNotOptimize(outcome.decisions);
   }
 }
+// Pool rows run on two threads, so they report wall time and the whole
+// process's CPU time, not the main thread's.
 BENCHMARK(BM_ByzThreaded)
     ->Args({4, 1})
     ->Args({7, 1})
     ->Args({7, 2})
     ->Args({10, 2})
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// The threaded runtime's per-round overhead: one fork-join round of
+// `chunks` empty chunks on a pool of `chunks - 1` workers plus the caller.
+void BM_PoolRound(benchmark::State& state) {
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  da::sweep::ThreadPool pool(static_cast<int>(chunks) - 1);
+  for (auto _ : state) {
+    pool.fork_join(chunks, [](std::size_t c) { benchmark::DoNotOptimize(c); });
+  }
+}
+BENCHMARK(BM_PoolRound)
+    ->Arg(2)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_LamportOM(benchmark::State& state) {
@@ -781,7 +803,13 @@ class RecordingReporter final : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred || run.iterations == 0) continue;
-      table_->row(run.benchmark_name(),
+      // A row is keyed by benchmark and arguments: how it is timed
+      // (`/process_time/real_time`) is recording policy, not identity.
+      benchmark::BenchmarkName name = run.run_name;
+      name.time_type.clear();
+      std::string key = name.str();
+      if (run.run_type == Run::RT_Aggregate) key += "_" + run.aggregate_name;
+      table_->row(key,
                   run.real_accumulated_time * 1e3 /
                       static_cast<double>(run.iterations),
                   run.cpu_accumulated_time * 1e3 /

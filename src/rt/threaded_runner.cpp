@@ -1,6 +1,5 @@
 #include "rt/threaded_runner.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "sweep/thread_pool.hpp"
@@ -13,11 +12,12 @@ ThreadedRunner::ThreadedRunner(
     : engine_(std::move(processes), std::move(options)) {}
 
 sim::RunResult ThreadedRunner::run() {
-  // Two workers is the smallest pool that still runs nodes concurrently
-  // (what the thread sanitizer needs to see); thread start-up dominates
-  // a small execution, so wider pools only cost time.
-  const int workers = std::min(engine_.node_count(), 2);
-  sweep::ThreadPool pool(workers);
+  // One long-lived worker plus the stepping caller: nodes still step on
+  // two threads at once (what the thread sanitizer needs to see), and no
+  // run pays to start or join a thread. Created on first use; concurrent
+  // runs share it without waiting on each other (fork-join batches are
+  // counted per caller).
+  static sweep::ThreadPool pool(1);
   return engine_.run(&pool);
 }
 

@@ -24,8 +24,8 @@ namespace da::service {
 /// on one global tick grid — the same event loop (`detail::drive`) that
 /// `AgreementService::run()` runs over one shard. Draining is batched on
 /// one sweep `ThreadPool` (`FrontendConfig::service.jobs > 1`): shards
-/// touch disjoint state, so a tick fans (shard, instance-chunk) tasks
-/// across all of them.
+/// touch disjoint state, so a tick is one fork-join round of (shard,
+/// instance-chunk) chunks across all of them.
 ///
 /// Determinism contract, extended: for a fixed (config, shard count,
 /// route policy), every field of `FrontendResult` except `wall_ms` —

@@ -662,32 +662,38 @@ void AgreementService::tick(std::span<AgreementService* const> shards,
   }
   // Batched round dispatch: every co-scheduled instance advances exactly
   // one synchronous round. Instances are disjoint process sets, so the
-  // batch parallelizes freely as (shard, chunk) tasks sized over all
-  // shards; the records stay identical for any worker count because each
-  // slot's outcome is a pure function of its own state, and each shard
-  // settles only after all of its chunks (on whichever worker finishes
-  // last), so one wait_idle covers the whole tick.
+  // batch parallelizes freely as (shard, chunk) pieces of one fork-join
+  // round, sized over all shards; the records stay identical for any
+  // worker count because each slot's outcome is a pure function of its
+  // own state. Each shard settles after all of its chunks, on whichever
+  // thread finishes last, so the chunks are laid out before the round: a
+  // settle compacts its shard's `active_` while other shards' chunks
+  // still run. An idle shard gets no chunks and needs no settle: its
+  // queue is empty too.
+  struct Chunk {
+    AgreementService* shard;
+    std::size_t begin;
+    std::size_t end;
+  };
   const std::size_t slots = static_cast<std::size_t>(pool->threads()) * 4;
   const std::size_t per = (total + slots - 1) / slots;
+  std::vector<Chunk> chunks;
+  chunks.reserve(slots + shards.size());
   for (AgreementService* shard : shards) {
-    // An idle shard gets no chunks and needs no settle: its queue is
-    // empty too.
     const std::size_t size = shard->active_.size();
     shard->chunks_left_.store((size + per - 1) / per,
                               std::memory_order_relaxed);
     for (std::size_t begin = 0; begin < size; begin += per) {
-      const std::size_t end = std::min(begin + per, size);
-      pool->submit([shard, begin, end, now] {
-        const obs::MetricsScope worker_scope;
-        shard->advance(begin, end);
-        if (shard->chunks_left_.fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-          shard->settle(now);
-        }
-      });
+      chunks.push_back({shard, begin, std::min(begin + per, size)});
     }
   }
-  pool->wait_idle();
+  pool->fork_join(chunks.size(), [&chunks, now](std::size_t c) {
+    AgreementService* shard = chunks[c].shard;
+    shard->advance(chunks[c].begin, chunks[c].end);
+    if (shard->chunks_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      shard->settle(now);
+    }
+  });
 }
 
 void AgreementService::advance(std::size_t begin, std::size_t end) {

@@ -300,9 +300,9 @@ struct DriveResult {
 /// arrival stream, seed, offered count, tick period and sample grid.
 /// `route(id)` picks the shard for job `id` (empty = shard 0); it runs on
 /// the calling thread between ticks, so it may read shard loads. Each
-/// tick advances every non-idle shard's instances on `pool` as (shard,
-/// instance-chunk) tasks, inline when `pool` is null. Calls `begin_run`
-/// on every shard; the caller calls `end_run`.
+/// tick advances every non-idle shard's instances on `pool` as one
+/// fork-join round of (shard, instance-chunk) chunks, inline when `pool`
+/// is null. Calls `begin_run` on every shard; the caller calls `end_run`.
 [[nodiscard]] DriveResult drive(std::span<AgreementService* const> shards,
                                 const ServiceConfig& config,
                                 sweep::ThreadPool* pool,
@@ -421,8 +421,8 @@ class AgreementService {
       sweep::ThreadPool* pool, const std::function<int(std::uint64_t)>& route);
 
   /// One batched round tick at `now` over `shards`: every instance
-  /// advances one round (on `pool` as (shard, instance-chunk) tasks, or
-  /// inline), then each shard settles — completion scan, deadline sweep,
+  /// advances one round (on `pool` as a fork-join round of (shard,
+  /// instance-chunk) chunks, or inline), then each shard settles — completion scan, deadline sweep,
   /// queue drain. `step` is this over one shard with no pool.
   static void tick(std::span<AgreementService* const> shards, double now,
                    sweep::ThreadPool* pool);
@@ -455,7 +455,7 @@ class AgreementService {
   std::vector<ActiveJob> jobs_;  // per offered job, by local index
   AdmissionQueue admission_;
   int active_width_ = 0;
-  /// Pooled tick: this shard's advance chunks still running. The task
+  /// Pooled tick: this shard's advance chunks still running. The chunk
   /// that takes it to zero runs `settle`.
   std::atomic<std::size_t> chunks_left_{0};
 

@@ -1,8 +1,6 @@
 #include "sim/round_engine.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -131,26 +129,13 @@ void RoundEngine::process_round(sweep::ThreadPool* pool) {
     for (std::size_t i = 0; i < n; ++i) step_node(i);
   } else {
     // A node's step touches only its own process, inbox and outbox, so
-    // the tasks share nothing but the error slot. The pool's workers do
-    // not catch: each task does, and the first exception is rethrown once
-    // every task has finished.
-    const std::size_t tasks =
-        std::min(n, static_cast<std::size_t>(pool->threads()));
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    for (std::size_t t = 0; t < tasks; ++t) {
-      pool->submit([this, t, tasks, n, &error_mutex, &error] {
-        const obs::MetricsScope task_metrics;
-        try {
-          for (std::size_t i = t; i < n; i += tasks) step_node(i);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-      });
-    }
-    pool->wait_idle();
-    if (error) std::rethrow_exception(error);
+    // the chunks share nothing. The caller steps a chunk too, hence one
+    // chunk per worker plus one.
+    const std::size_t chunks =
+        std::min(n, static_cast<std::size_t>(pool->threads()) + 1);
+    pool->fork_join(chunks, [this, chunks, n](std::size_t c) {
+      for (std::size_t i = c; i < n; i += chunks) step_node(i);
+    });
   }
   const int r = rounds_processed_;
   rounds_processed_ = r + 1;

@@ -42,9 +42,10 @@ namespace da::sim {
 ///
 /// `run()` drives the phases to completion and is exactly `SyncRunner`'s
 /// loop — `SyncRunner::run()` delegates here, so the two cannot drift.
-/// Given a thread pool, `process_round` runs the nodes' steps as pool
-/// tasks; that is the threaded runtime (`rt::ThreadedRunner`). Dispatch
-/// stays serial either way, so the result does not depend on the pool.
+/// Given a thread pool, `process_round` runs the nodes' steps as one
+/// fork-join round on it; that is the threaded runtime
+/// (`rt::ThreadedRunner`). Dispatch stays serial either way, so the
+/// result does not depend on the pool.
 class RoundEngine {
  public:
   RoundEngine(std::vector<std::unique_ptr<Process>> processes,
@@ -61,8 +62,9 @@ class RoundEngine {
   /// Delivers the current round's inboxes, runs `on_round`, holds the
   /// next-round outboxes. After the final round there is nothing left to
   /// dispatch and `done()` is true. With a `pool`, the nodes step in
-  /// parallel on its workers; an exception from any node is rethrown here
-  /// after every task has finished.
+  /// parallel as one `fork_join` round (the caller steps a chunk too); an
+  /// exception from any node is rethrown here after every chunk has
+  /// finished.
   void process_round(sweep::ThreadPool* pool = nullptr);
 
   /// True once every round has been processed.

@@ -1,6 +1,9 @@
 #include "sweep/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+
+#include "obs/metrics.hpp"
 
 namespace da::sweep {
 
@@ -13,6 +16,33 @@ thread_local const ThreadPool* t_pool = nullptr;
 thread_local int t_worker = -1;
 
 }  // namespace
+
+/// One `fork_join` call's shared state. It lives on the caller's stack;
+/// a worker touches it last while holding `mu`, which the caller must
+/// take to see `unfinished == 0` and return.
+struct ThreadPool::Batch {
+  void (*call)(void*, std::size_t);
+  void* fn;
+  std::mutex mu;
+  std::condition_variable done_cv;
+  std::size_t unfinished;    // chunks not yet finished
+  std::exception_ptr error;  // the first exception a chunk threw
+
+  /// Runs one chunk and counts it finished. A worker merges its metric
+  /// deltas first, so the caller reads them once `fork_join` returns.
+  void run(std::size_t chunk, bool on_worker) {
+    std::exception_ptr thrown;
+    try {
+      call(fn, chunk);
+    } catch (...) {
+      thrown = std::current_exception();
+    }
+    if (on_worker) obs::MetricsRegistry::global().flush_this_thread();
+    const std::lock_guard<std::mutex> lock(mu);
+    if (thrown && !error) error = std::move(thrown);
+    if (--unfinished == 0) done_cv.notify_one();
+  }
+};
 
 ThreadPool::ThreadPool(int threads) {
   const std::size_t count = static_cast<std::size_t>(std::max(1, threads));
@@ -53,7 +83,7 @@ void ThreadPool::submit(std::function<void()> task) {
   }
   {
     std::lock_guard<std::mutex> lock(workers_[target]->mu);
-    workers_[target]->queue.push_back(std::move(task));
+    workers_[target]->queue.push_back(Task{std::move(task)});
   }
   // Notify under mu_: waiters evaluate their predicate (a scan of the
   // queues) while holding mu_, so a notify outside it could land between
@@ -64,7 +94,50 @@ void ThreadPool::submit(std::function<void()> task) {
   }
 }
 
-bool ThreadPool::try_pop(std::size_t index, std::function<void()>& task) {
+void ThreadPool::run_batch(std::size_t n, void (*call)(void*, std::size_t),
+                           void* fn) {
+  if (n == 0) return;
+  Batch batch{call, fn, {}, {}, n, {}};
+  {
+    // Queued and notified under mu_, for the same lost-wakeup reason as
+    // in submit().
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t c = 1; c < n; ++c) {
+      Worker& w = *workers_[next_++ % workers_.size()];
+      const std::lock_guard<std::mutex> qlock(w.mu);
+      w.queue.push_back(Task{{}, &batch, c});
+    }
+    if (n > 1) work_cv_.notify_all();
+  }
+  batch.run(0, /*on_worker=*/false);
+  while (const std::optional<std::size_t> chunk = take_back(batch)) {
+    batch.run(*chunk, /*on_worker=*/false);
+  }
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(batch.mu);
+    batch.done_cv.wait(lock, [&batch] { return batch.unfinished == 0; });
+    error = batch.error;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+std::optional<std::size_t> ThreadPool::take_back(const Batch& batch) {
+  for (const auto& worker : workers_) {
+    const std::lock_guard<std::mutex> lock(worker->mu);
+    std::deque<Task>& queue = worker->queue;
+    const auto it =
+        std::find_if(queue.rbegin(), queue.rend(),
+                     [&batch](const Task& t) { return t.batch == &batch; });
+    if (it == queue.rend()) continue;
+    const std::size_t chunk = it->chunk;
+    queue.erase(std::next(it).base());
+    return chunk;
+  }
+  return std::nullopt;
+}
+
+bool ThreadPool::try_pop(std::size_t index, Task& task) {
   Worker& w = *workers_[index];
   std::lock_guard<std::mutex> lock(w.mu);
   if (w.queue.empty()) return false;
@@ -73,7 +146,7 @@ bool ThreadPool::try_pop(std::size_t index, std::function<void()>& task) {
   return true;
 }
 
-bool ThreadPool::try_steal(std::size_t thief, std::function<void()>& task) {
+bool ThreadPool::try_steal(std::size_t thief, Task& task) {
   const std::size_t n = workers_.size();
   for (std::size_t k = 1; k < n; ++k) {
     Worker& victim = *workers_[(thief + k) % n];
@@ -90,9 +163,13 @@ void ThreadPool::worker_loop(std::size_t index) {
   t_pool = this;
   t_worker = static_cast<int>(index);
   for (;;) {
-    std::function<void()> task;
+    Task task;
     if (try_pop(index, task) || try_steal(index, task)) {
-      task();
+      if (task.batch != nullptr) {
+        task.batch->run(task.chunk, /*on_worker=*/true);
+        continue;
+      }
+      task.fn();
       std::lock_guard<std::mutex> lock(mu_);
       --pending_;
       if (pending_ == 0) idle_cv_.notify_all();

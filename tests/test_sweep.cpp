@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "faults/behavior_search.hpp"
@@ -68,6 +71,124 @@ TEST(ThreadPool, ClampsThreadCountToAtLeastOne) {
   pool.submit([&count] { ++count; });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 1);
+}
+
+// ----------------------------------------------------------- fork-join --
+
+/// Yields until `flag` is set; false after 10 s (a hung schedule fails
+/// the test instead of hanging it).
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, ForkJoinRunsEveryIndexExactlyOnce) {
+  ThreadPool pool(2);
+  for (const std::size_t n : {0u, 1u, 2u, 17u}) {
+    std::vector<std::atomic<int>> runs(n);
+    pool.fork_join(n, [&runs](std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "n " << n << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, ForkJoinRethrowsCallerChunkErrorAfterWorkerChunk) {
+  // Chunk 0 runs on the caller; it throws only once chunk 1 is running on
+  // the worker, and the error must not surface before chunk 1 finishes.
+  ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  int caught = 0;
+  try {
+    pool.fork_join(2, [&](std::size_t i) {
+      if (i == 0) {
+        EXPECT_TRUE(wait_for(started));
+        throw std::runtime_error("caller");
+      }
+      started = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished = true;
+    });
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    EXPECT_STREQ(e.what(), "caller");
+    EXPECT_TRUE(finished.load());
+  }
+  EXPECT_EQ(caught, 1);
+}
+
+TEST(ThreadPool, ForkJoinRethrowsWorkerChunkErrorAfterEveryChunk) {
+  // Chunk 1 throws on a worker while chunk 2 is still running on the
+  // other one; the caller must wait for chunk 2 before rethrowing.
+  ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::atomic<bool> both_started{false};
+  std::atomic<bool> finished{false};
+  int caught = 0;
+  try {
+    pool.fork_join(3, [&](std::size_t i) {
+      if (i == 0) {
+        EXPECT_TRUE(wait_for(both_started));
+        return;
+      }
+      if (started.fetch_add(1) == 1) both_started = true;
+      if (i == 1) throw std::runtime_error("worker");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished = true;
+    });
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    EXPECT_STREQ(e.what(), "worker");
+    EXPECT_TRUE(finished.load());
+  }
+  EXPECT_EQ(caught, 1);
+}
+
+TEST(ThreadPool, ForkJoinCallersDoNotWaitOnEachOther) {
+  // Batch A's chunk is held until batch B, run by another thread on the
+  // same pool, has returned.
+  ThreadPool pool(2);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> a_done{false};
+  std::thread a([&] {
+    pool.fork_join(2, [&](std::size_t i) {
+      if (i != 1) return;
+      held = true;
+      EXPECT_TRUE(wait_for(release));
+    });
+    a_done = true;
+  });
+  ASSERT_TRUE(wait_for(held));
+  std::atomic<int> b_runs{0};
+  pool.fork_join(5, [&b_runs](std::size_t) { b_runs.fetch_add(1); });
+  EXPECT_EQ(b_runs.load(), 5);
+  EXPECT_FALSE(a_done.load());
+  release = true;
+  a.join();
+  EXPECT_TRUE(a_done.load());
+}
+
+TEST(ThreadPool, ForkJoinFromInsidePoolTasksCompletes) {
+  // A batch started on a worker (the only one, so the caller must take its
+  // own chunks back) and a batch nested inside a batch's chunk.
+  ThreadPool pool(1);
+  std::atomic<int> count{0};
+  pool.submit([&] {
+    pool.fork_join(3, [&count](std::size_t) { count.fetch_add(1); });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), 3);
+  pool.fork_join(2, [&](std::size_t) {
+    pool.fork_join(3, [&count](std::size_t) { count.fetch_add(1); });
+  });
+  EXPECT_EQ(count.load(), 9);
 }
 
 // ---------------------------------------------------------------- plan --

@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/agreement.hpp"
 #include "core/byz.hpp"
 #include "faults/adversaries.hpp"
 #include "faults/search.hpp"
 #include "obs/metrics.hpp"
+#include "sim/runner.hpp"
 
 namespace da {
 namespace {
@@ -159,6 +169,123 @@ TEST(ThreadedRunner, PropagatesProcessExceptions) {
     EXPECT_THROW((void)runner.run(), std::runtime_error)
         << "throw_in_round " << throw_in_round;
   }
+}
+
+// Forwards to a protocol process and records which thread stepped it in
+// each round. The first node naps in its steps so that, across many runs,
+// the pool's worker gets to step a chunk while the caller steps its own.
+class ThreadRecorder final : public sim::Process {
+ public:
+  using Log = std::map<int, std::set<std::thread::id>>;
+
+  ThreadRecorder(std::unique_ptr<sim::Process> inner, std::mutex& mu,
+                 Log& log, bool nap)
+      : inner_(std::move(inner)), mu_(mu), log_(log), nap_(nap) {}
+  NodeId id() const override { return inner_->id(); }
+  int total_rounds() const override { return inner_->total_rounds(); }
+  std::vector<sim::Message> start() override { return inner_->start(); }
+  std::vector<sim::Message> on_round(
+      int round, const std::vector<sim::Message>& inbox) override {
+    if (nap_) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      log_[round].insert(std::this_thread::get_id());
+    }
+    return inner_->on_round(round, inbox);
+  }
+  Value decide() const override { return inner_->decide(); }
+
+ private:
+  std::unique_ptr<sim::Process> inner_;
+  std::mutex& mu_;
+  Log& log_;
+  bool nap_;
+};
+
+std::map<std::string, std::uint64_t> sim_counters() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::global().snapshot().counters) {
+    if (name.rfind("sim.", 0) == 0) out[name] = value;
+  }
+  return out;
+}
+
+std::map<std::string, std::uint64_t> minus(
+    std::map<std::string, std::uint64_t> after,
+    const std::map<std::string, std::uint64_t>& before) {
+  for (auto& [name, value] : after) {
+    const auto it = before.find(name);
+    if (it != before.end()) value -= it->second;
+  }
+  return after;
+}
+
+TEST(ThreadedRunner, LongLivedPoolMatchesSimulatorOverManyRuns) {
+  // Back-to-back runs on the one process-wide pool, over mixed (n, m) and
+  // adversaries: each must decide and count exactly what SyncRunner does,
+  // and some round must step nodes on two threads at once.
+  const std::vector<Config> configs = {{.n = 4, .m = 1, .u = 1},
+                                       {.n = 5, .m = 1, .u = 2},
+                                       {.n = 6, .m = 1, .u = 3},
+                                       {.n = 7, .m = 2, .u = 2},
+                                       {.n = 8, .m = 1, .u = 5}};
+  const auto family = faults::standard_family(16);
+  std::mutex mu;
+  bool two_threads = false;
+  int runs = 0;
+  for (int rep = 0; runs < 200; ++rep) {
+    const Config& config = configs[static_cast<std::size_t>(rep) %
+                                   configs.size()];
+    const auto& factory = family[static_cast<std::size_t>(rep) % family.size()];
+    ScenarioSpec spec;
+    spec.config = config;
+    spec.sender = static_cast<NodeId>(rep % config.n);
+    spec.sender_value = Value::of(rep % 7 + 1);
+    spec.faulty = {static_cast<NodeId>((rep + 1) % config.n)};
+    const auto options = [&](sim::Adversary* adversary) {
+      sim::RunOptions o;
+      o.faulty = spec.faulty;
+      o.adversary = adversary;
+      return o;
+    };
+
+    auto a1 = factory.make(spec);
+    const auto sync_before = sim_counters();
+    const sim::RunResult sync =
+        sim::SyncRunner(core::make_byz_processes(config, spec.sender,
+                                                 spec.sender_value),
+                        options(a1.get()))
+            .run();
+    const auto sync_delta = minus(sim_counters(), sync_before);
+
+    ThreadRecorder::Log log;
+    std::vector<std::unique_ptr<sim::Process>> procs;
+    for (auto& p : core::make_byz_processes(config, spec.sender,
+                                            spec.sender_value)) {
+      const bool nap = procs.empty();
+      procs.push_back(
+          std::make_unique<ThreadRecorder>(std::move(p), mu, log, nap));
+    }
+    auto a2 = factory.make(spec);
+    const auto threaded_before = sim_counters();
+    const sim::RunResult threaded =
+        rt::ThreadedRunner(std::move(procs), options(a2.get())).run();
+    const auto threaded_delta = minus(sim_counters(), threaded_before);
+
+    EXPECT_EQ(sync.decisions, threaded.decisions)
+        << factory.name << " " << spec.to_string();
+    EXPECT_EQ(sync.messages_sent, threaded.messages_sent);
+    EXPECT_EQ(sync.messages_delivered, threaded.messages_delivered);
+    EXPECT_EQ(sync_delta, threaded_delta)
+        << factory.name << " " << spec.to_string();
+    for (const auto& [round, threads] : log) {
+      if (threads.size() >= 2) two_threads = true;
+    }
+    ++runs;
+  }
+  EXPECT_TRUE(two_threads)
+      << "no round stepped nodes on two threads in " << runs << " runs";
 }
 
 }  // namespace
