@@ -31,10 +31,10 @@ int check_plan(const char* path) {
   }
   std::ostringstream text;
   text << in.rdbuf();
-  std::string error;
-  const auto plan = da::inject::FaultPlan::parse(text.str(), &error);
+  const auto plan = da::inject::FaultPlan::parse(text.str());
   if (!plan.has_value()) {
-    std::fprintf(stderr, "inject_replay: %s: %s\n", path, error.c_str());
+    std::fprintf(stderr, "inject_replay: %s: %s\n", path,
+                 plan.error().to_string().c_str());
     return 1;
   }
   if (const auto problem = plan->validate(64)) {

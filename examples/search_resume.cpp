@@ -69,13 +69,13 @@ int parse_int(const char* flag, const char* arg) {
 }
 
 da::faults::Frontier load_or_die(const std::string& path) {
-  da::faults::FrontierParse parsed = da::faults::load_frontier(path);
-  if (!parsed.ok()) {
+  da::Parsed<da::faults::Frontier> parsed = da::faults::load_frontier(path);
+  if (!parsed) {
     std::fprintf(stderr, "search_resume: %s: %s\n", path.c_str(),
-                 parsed.error.c_str());
+                 parsed.error().to_string().c_str());
     std::exit(2);
   }
-  return *std::move(parsed.frontier);
+  return std::move(*parsed);
 }
 
 void save_or_die(const da::faults::Frontier& frontier,
@@ -342,14 +342,15 @@ int main(int argc, char** argv) {
     for (const std::string& path : positional) {
       frontiers.push_back(load_or_die(path));
     }
-    da::faults::FrontierParse merged = da::faults::merge_frontiers(frontiers);
-    if (!merged.ok()) {
+    const da::Parsed<da::faults::Frontier> merged =
+        da::faults::merge_frontiers(frontiers);
+    if (!merged) {
       std::fprintf(stderr, "search_resume: merge: %s\n",
-                   merged.error.c_str());
+                   merged.error().to_string().c_str());
       return 2;
     }
-    save_or_die(*merged.frontier, out);
-    print_status(*merged.frontier);
+    save_or_die(*merged, out);
+    print_status(*merged);
     return 0;
   }
   if (cmd == "artifact") {

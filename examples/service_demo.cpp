@@ -178,10 +178,10 @@ int main(int argc, char** argv) {
       for (char& c : text) {
         if (c == ';') c = '\n';
       }
-      std::string error;
-      const auto plan = da::inject::FaultPlan::parse(text, &error);
+      const auto plan = da::inject::FaultPlan::parse(text);
       if (!plan.has_value()) {
-        std::fprintf(stderr, "service_demo: --inject: %s\n", error.c_str());
+        std::fprintf(stderr, "service_demo: --inject: %s\n",
+                     plan.error().to_string().c_str());
         return 2;
       }
       config.fault_plan = *plan;

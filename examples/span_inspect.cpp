@@ -70,13 +70,13 @@ std::vector<Span> load_spans(const char* path) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  std::string error;
-  auto spans = da::obs::read_spans_jsonl(buf.str(), &error);
+  auto spans = da::obs::read_spans_jsonl(buf.str());
   if (!spans.has_value()) {
-    std::fprintf(stderr, "span_inspect: %s: %s\n", path, error.c_str());
+    std::fprintf(stderr, "span_inspect: %s: %s\n", path,
+                 spans.error().to_string().c_str());
     std::exit(1);
   }
-  return *std::move(spans);
+  return std::move(*spans);
 }
 
 std::int64_t tag_of(const Span& span, const char* key, std::int64_t fallback) {
@@ -142,10 +142,10 @@ int run_demo(const char* outdir) {
       "seed 99\n"
       "drop from=2 to=1 round=1\n"
       "delay from=3 to=* round=*\n";
-  std::string plan_error;
-  auto plan = da::inject::FaultPlan::parse(plan_text, &plan_error);
+  auto plan = da::inject::FaultPlan::parse(plan_text);
   if (!plan.has_value()) {
-    std::fprintf(stderr, "span_inspect: demo plan: %s\n", plan_error.c_str());
+    std::fprintf(stderr, "span_inspect: demo plan: %s\n",
+                 plan.error().to_string().c_str());
     return 1;
   }
 

@@ -52,13 +52,13 @@ std::optional<std::vector<da::obs::TraceEvent>> load(const std::string& path) {
   }
   std::ostringstream text;
   text << in.rdbuf();
-  std::string error;
-  auto events = da::obs::read_trace_jsonl(text.str(), &error);
+  auto events = da::obs::read_trace_jsonl(text.str());
   if (!events.has_value()) {
     std::fprintf(stderr, "trace_inspect: %s: %s\n", path.c_str(),
-                 error.c_str());
+                 events.error().to_string().c_str());
+    return std::nullopt;
   }
-  return events;
+  return std::move(*events);
 }
 
 std::string path_to_string(const std::vector<da::NodeId>& path) {

@@ -42,6 +42,8 @@ struct Config {
   [[nodiscard]] bool engine_runnable() const { return n >= 2 * m + 1; }
 
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const Config&, const Config&) = default;
 };
 
 /// Structured rejection for well-formed configs the EIG-based agreement

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -25,60 +26,77 @@ const obs::Counter& loads_counter() {
   return c;
 }
 
-FrontierParse fail(std::string error) {
-  FrontierParse out;
-  out.error = std::move(error);
-  return out;
+/// The kInconsistent error for record `i` of a list whose first record
+/// is on line `first`; `first` 0 means there is no text (a merge).
+ParseError inconsistent(std::size_t first, std::size_t i,
+                        std::string message) {
+  if (first == 0) return {ParseKind::kInconsistent, 0, 0, std::move(message)};
+  return {ParseKind::kInconsistent, first + i, 1, std::move(message)};
 }
 
-/// Validates the class table (v2): sorted by base, disjoint, in-range,
-/// and reconciling exactly to the unreduced space (sum of size * weight
-/// == space — the corruption check that catches dropped class lines).
-std::string check_classes(const Frontier& frontier) {
+/// Validates the class table (v2), whose first record is on line
+/// `first`: sorted by base, disjoint, in-range, and reconciling exactly
+/// to the unreduced space (sum of size * weight == space — the
+/// corruption check that catches dropped class lines).
+std::optional<ParseError> check_classes(const Frontier& frontier,
+                                        std::size_t first) {
   std::uint64_t prev_end = 0;
   std::uint64_t covered = 0;
   for (std::size_t i = 0; i < frontier.classes.size(); ++i) {
     const FrontierClass& c = frontier.classes[i];
-    if (c.size == 0 || c.weight == 0) return "invalid class record";
+    const auto fail = [&](const char* why) {
+      return inconsistent(first, i, why);
+    };
+    if (c.size == 0 || c.weight == 0) return fail("invalid class record");
     if (c.base > frontier.space - c.size || c.size > frontier.space) {
-      return "class beyond space";
+      return fail("class beyond space");
     }
     if (i > 0 && c.base < prev_end) {
-      return c.base == frontier.classes[i - 1].base ? "duplicate class"
-                                                    : "overlapping classes";
+      return fail(c.base == frontier.classes[i - 1].base
+                      ? "duplicate class"
+                      : "overlapping classes");
     }
     prev_end = c.end();
     const std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
     if (c.weight > (limit - covered) / c.size) {
-      return "class weights overflow";
+      return fail("class weights overflow");
     }
     covered += c.size * c.weight;
   }
   if (!frontier.classes.empty() && covered != frontier.space) {
-    return "class weights do not reconcile to the space";
+    return inconsistent(first, 0,
+                        "class weights do not reconcile to the space");
   }
-  return {};
+  return std::nullopt;
 }
 
-/// Validates shard geometry shared by the parser and the merger: sorted,
-/// in-range, non-overlapping, cursors and hits consistent — and, on a
-/// quotiented frontier, contained in some class's representative range.
-std::string check_shards(const Frontier& frontier) {
+/// Validates shard geometry shared by the parser and the merger (first
+/// shard record on line `first`): sorted, in-range, non-overlapping,
+/// cursors and hits consistent — and, on a quotiented frontier, contained
+/// in some class's representative range.
+std::optional<ParseError> check_shards(const Frontier& frontier,
+                                       std::size_t first) {
   std::uint64_t prev_end = 0;
   std::size_t cls = 0;
   for (std::size_t i = 0; i < frontier.shards.size(); ++i) {
     const FrontierShard& s = frontier.shards[i];
-    if (s.begin >= s.end) return "empty shard range";
-    if (s.end > frontier.space) return "shard beyond space";
+    const auto fail = [&](const char* why) {
+      return inconsistent(first, i, why);
+    };
+    if (s.begin >= s.end) return fail("empty shard range");
+    if (s.end > frontier.space) return fail("shard beyond space");
     if (i > 0 && s.begin < prev_end) {
-      return s.begin == frontier.shards[i - 1].begin ? "duplicate shard"
-                                                     : "overlapping shards";
+      return fail(s.begin == frontier.shards[i - 1].begin
+                      ? "duplicate shard"
+                      : "overlapping shards");
     }
     prev_end = s.end;
-    if (s.cursor < s.begin || s.cursor > s.end) return "cursor out of range";
+    if (s.cursor < s.begin || s.cursor > s.end) {
+      return fail("cursor out of range");
+    }
     if (s.hit != sweep::kNoHit) {
-      if (s.hit < s.begin || s.hit >= s.end) return "hit outside shard";
-      if (s.cursor != s.end) return "hit with unsettled cursor";
+      if (s.hit < s.begin || s.hit >= s.end) return fail("hit outside shard");
+      if (s.cursor != s.end) return fail("hit with unsettled cursor");
     }
     if (!frontier.classes.empty()) {
       // Shards and classes are both sorted, so one forward walk suffices.
@@ -89,29 +107,18 @@ std::string check_shards(const Frontier& frontier) {
       if (cls >= frontier.classes.size() ||
           s.begin < frontier.classes[cls].base ||
           s.end > frontier.classes[cls].end()) {
-        return "shard outside class ranges";
+        return fail("shard outside class ranges");
       }
     }
   }
-  return {};
+  return std::nullopt;
 }
 
-bool same_classes(const Frontier& a, const Frontier& b) {
-  if (a.classes.size() != b.classes.size()) return false;
-  for (std::size_t i = 0; i < a.classes.size(); ++i) {
-    if (a.classes[i].base != b.classes[i].base ||
-        a.classes[i].size != b.classes[i].size ||
-        a.classes[i].weight != b.classes[i].weight) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool same_header(const Frontier& a, const Frontier& b) {
-  return a.config.n == b.config.n && a.config.m == b.config.m &&
-         a.config.u == b.config.u && a.max_f == b.max_f && a.seed == b.seed &&
-         a.space == b.space && same_classes(a, b);
+/// `frontier` without its shards: the header every split part shares.
+Frontier header_of(const Frontier& frontier) {
+  Frontier header = frontier;
+  header.shards.clear();
+  return header;
 }
 
 }  // namespace
@@ -172,14 +179,8 @@ void Frontier::normalize() {
 
 std::string serialize_frontier(const Frontier& frontier) {
   Frontier sorted = frontier;
-  std::sort(sorted.classes.begin(), sorted.classes.end(),
-            [](const FrontierClass& a, const FrontierClass& b) {
-              return a.base < b.base;
-            });
-  std::sort(sorted.shards.begin(), sorted.shards.end(),
-            [](const FrontierShard& a, const FrontierShard& b) {
-              return a.begin < b.begin;
-            });
+  std::ranges::sort(sorted.classes, {}, &FrontierClass::base);
+  std::ranges::sort(sorted.shards, {}, &FrontierShard::begin);
   std::ostringstream out;
   out << kMagic << ' '
       << (sorted.classes.empty() ? kVersionPlain : kVersionQuotient) << '\n';
@@ -203,135 +204,94 @@ std::string serialize_frontier(const Frontier& frontier) {
   return out.str();
 }
 
-FrontierParse parse_frontier(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-
-  if (!std::getline(in, line)) return fail("empty frontier");
-  bool quotient = false;
-  {
-    std::istringstream header(line);
-    std::string magic;
-    std::string version;
-    header >> magic >> version;
-    if (magic != kMagic) return fail("not a frontier file");
-    if (version == kVersionQuotient) {
-      quotient = true;
-    } else if (version != kVersionPlain) {
-      return fail("unsupported frontier version: " + version);
-    }
+Parsed<Frontier> parse_frontier(std::string_view text) {
+  TextCursor in(text);
+  const auto truncated = [text](const char* why) {
+    return error_at(text, text.size(), ParseKind::kTruncated, why);
+  };
+  if (!in.next_line()) return truncated("empty frontier");
+  if (in.field() != kMagic) {
+    return in.error(ParseKind::kUnknownName, "not a frontier file");
+  }
+  const std::string_view version = in.field();
+  if (version != kVersionPlain && version != kVersionQuotient) {
+    return in.error(ParseKind::kUnknownName,
+                    "unsupported frontier version: " + std::string(version));
   }
 
   Frontier frontier;
-  if (!std::getline(in, line)) return fail("truncated frontier: no config");
-  {
-    std::istringstream config(line);
-    std::string tag;
-    config >> tag >> frontier.config.n >> frontier.config.m >>
-        frontier.config.u >> frontier.max_f >> frontier.seed >>
-        frontier.space;
-    if (tag != "config" || config.fail()) return fail("malformed config line");
-    if (!frontier.config.valid()) return fail("invalid config");
-    if (frontier.space == 0) return fail("empty search space");
+  if (!in.next_line()) return truncated("no config record");
+  if (in.field() != "config" || !in.number(frontier.config.n) ||
+      !in.number(frontier.config.m) || !in.number(frontier.config.u) ||
+      !in.number(frontier.max_f) || !in.number(frontier.seed) ||
+      !in.number(frontier.space)) {
+    return in.error(ParseKind::kSyntax, "malformed config record");
   }
-
-  bool terminated = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream rec(line);
-    std::string tag;
-    rec >> tag;
-    if (tag == "end") {
-      std::size_t count = 0;
-      rec >> count;
-      if (rec.fail() || count != frontier.shards.size()) {
-        return fail("truncated frontier: shard count mismatch");
-      }
-      terminated = true;
-      break;
-    }
+  while (true) {
+    if (!in.next_line()) return truncated("missing end record");
+    const std::string_view tag = in.field();
+    if (tag == "end") break;
     if (tag == "class") {
-      if (!quotient) return fail("class record in a v1 frontier");
-      if (!frontier.shards.empty()) {
-        return fail("class record after shard records");
+      FrontierClass& c = frontier.classes.emplace_back();
+      if (!in.number(c.base) || !in.number(c.size) || !in.number(c.weight)) {
+        return in.error(ParseKind::kSyntax, "malformed class record");
       }
-      FrontierClass cls;
-      rec >> cls.base >> cls.size >> cls.weight;
-      if (rec.fail()) return fail("malformed class line");
-      frontier.classes.push_back(cls);
-      continue;
-    }
-    if (tag != "shard") return fail("unknown record: " + tag);
-    FrontierShard shard;
-    std::string hit;
-    rec >> shard.begin >> shard.end >> shard.cursor >> shard.executions >>
-        shard.weighted >> hit;
-    if (rec.fail()) return fail("malformed shard line");
-    if (hit != "-") {
-      try {
-        std::size_t used = 0;
-        shard.hit = std::stoull(hit, &used);
-        if (used != hit.size()) return fail("malformed shard hit");
-      } catch (const std::exception&) {
-        return fail("malformed shard hit");
+    } else if (tag == "shard") {
+      FrontierShard& s = frontier.shards.emplace_back();
+      const bool counts = in.number(s.begin) && in.number(s.end) &&
+                          in.number(s.cursor) && in.number(s.executions) &&
+                          in.number(s.weighted);
+      const std::string_view hit = counts ? in.field() : std::string_view();
+      if (!counts || (hit != "-" && !parse_number(hit, s.hit))) {
+        return in.error(ParseKind::kSyntax, "malformed shard record");
       }
+    } else {
+      return in.error(ParseKind::kUnknownName,
+                      "unknown record: " + std::string(tag));
     }
-    frontier.shards.push_back(shard);
   }
-  if (!terminated) return fail("truncated frontier: missing end record");
-  if (quotient && frontier.classes.empty()) {
-    return fail("v2 frontier without class records");
+  // Everything the records leave unsaid — the `end` count, the version,
+  // record order, spacing, number spelling, trailing text — is checked in
+  // one step: the writer must give back the input bytes.
+  const std::string canonical = serialize_frontier(frontier);
+  if (canonical != text) return not_canonical(text, canonical);
+  if (!frontier.config.valid()) {
+    return ParseError{ParseKind::kBadValue, 2, 1, "invalid config"};
   }
-  if (std::string error = check_classes(frontier); !error.empty()) {
-    return fail(std::move(error));
+  if (frontier.space == 0) {
+    return ParseError{ParseKind::kBadValue, 2, 1, "empty search space"};
   }
-  if (std::string error = check_shards(frontier); !error.empty()) {
-    return fail(std::move(error));
+  if (auto error = check_classes(frontier, 3)) return *std::move(error);
+  if (auto error = check_shards(frontier, 3 + frontier.classes.size())) {
+    return *std::move(error);
   }
-  FrontierParse out;
-  out.frontier = std::move(frontier);
-  return out;
+  return frontier;
 }
 
 std::vector<Frontier> split_frontier(const Frontier& frontier,
                                      std::size_t parts) {
-  std::vector<Frontier> out(std::max<std::size_t>(parts, 1));
-  for (Frontier& part : out) {
-    part.config = frontier.config;
-    part.max_f = frontier.max_f;
-    part.seed = frontier.seed;
-    part.space = frontier.space;
-    part.classes = frontier.classes;
-  }
+  std::vector<Frontier> out(std::max<std::size_t>(parts, 1),
+                            header_of(frontier));
   for (std::size_t i = 0; i < frontier.shards.size(); ++i) {
     out[i % out.size()].shards.push_back(frontier.shards[i]);
   }
   return out;
 }
 
-FrontierParse merge_frontiers(const std::vector<Frontier>& parts) {
-  if (parts.empty()) return fail("nothing to merge");
-  Frontier merged;
-  merged.config = parts.front().config;
-  merged.max_f = parts.front().max_f;
-  merged.seed = parts.front().seed;
-  merged.space = parts.front().space;
-  merged.classes = parts.front().classes;
+Parsed<Frontier> merge_frontiers(const std::vector<Frontier>& parts) {
+  if (parts.empty()) return inconsistent(0, 0, "nothing to merge");
+  const Frontier header = header_of(parts.front());
+  Frontier merged = header;
   for (const Frontier& part : parts) {
-    if (!same_header(part, merged)) return fail("header mismatch");
+    if (header_of(part) != header) {
+      return inconsistent(0, 0, "header mismatch");
+    }
     merged.shards.insert(merged.shards.end(), part.shards.begin(),
                          part.shards.end());
   }
-  std::sort(merged.shards.begin(), merged.shards.end(),
-            [](const FrontierShard& a, const FrontierShard& b) {
-              return a.begin < b.begin;
-            });
-  if (std::string error = check_shards(merged); !error.empty()) {
-    return fail(std::move(error));
-  }
-  FrontierParse out;
-  out.frontier = std::move(merged);
-  return out;
+  std::ranges::sort(merged.shards, {}, &FrontierShard::begin);
+  if (auto error = check_shards(merged, 0)) return *std::move(error);
+  return merged;
 }
 
 bool save_frontier(const Frontier& frontier, const std::string& path) {
@@ -348,13 +308,13 @@ bool save_frontier(const Frontier& frontier, const std::string& path) {
   return true;
 }
 
-FrontierParse load_frontier(const std::string& path) {
+Parsed<Frontier> load_frontier(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return fail("cannot open " + path);
+  if (!in) return ParseError{ParseKind::kIo, 0, 0, "cannot open " + path};
   std::ostringstream text;
   text << in.rdbuf();
-  FrontierParse out = parse_frontier(text.str());
-  if (out.ok()) {
+  Parsed<Frontier> out = parse_frontier(text.str());
+  if (out) {
     const obs::MetricsScope metrics_scope;
     loads_counter().add();
   }

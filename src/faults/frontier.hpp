@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "sweep/sweep.hpp"
+#include "util/parse.hpp"
 
 namespace da::faults {
 
@@ -27,17 +27,9 @@ namespace da::faults {
 ///     ...
 ///     end <shard_count>
 ///
-/// Version 2 adds the subset-conjugacy quotient (docs/SEARCH.md §6): one
-/// `class` record per representative segment, between the config line and
-/// the shard lines —
-///
-///     da-frontier v2
-///     config <n> <m> <u> <max_f> <seed> <space>
-///     class <base> <size> <weight>
-///     ...
-///     shard <begin> <end> <cursor> <executions> <weighted> <hit|->
-///     ...
-///     end <shard_count>
+/// Version 2 (header `da-frontier v2`) adds the subset-conjugacy quotient
+/// (docs/SEARCH.md §6): one `class <base> <size> <weight>` record per
+/// representative segment, between the config line and the shard lines.
 ///
 /// `space` stays the *full* unreduced ordinal space in both versions;
 /// class records pin which representative ranges the shards actually
@@ -60,6 +52,8 @@ struct FrontierShard {
   std::uint64_t hit = sweep::kNoHit;  ///< shard's first violation ordinal
 
   [[nodiscard]] bool settled() const { return cursor == end; }
+
+  friend bool operator==(const FrontierShard&, const FrontierShard&) = default;
 };
 
 /// One subset-conjugacy class (v2): the representative segment's base
@@ -72,6 +66,8 @@ struct FrontierClass {
   std::uint64_t weight = 0;
 
   [[nodiscard]] std::uint64_t end() const { return base + size; }
+
+  friend bool operator==(const FrontierClass&, const FrontierClass&) = default;
 };
 
 struct Frontier {
@@ -104,26 +100,20 @@ struct Frontier {
   /// hit are fully deterministic, so a normalized settled frontier is
   /// byte-identical for any --jobs value and any interruption pattern.
   void normalize();
+
+  friend bool operator==(const Frontier&, const Frontier&) = default;
 };
 
 /// Renders the frontier in its text format — v2 when it carries classes,
 /// v1 otherwise (shards re-sorted by begin).
 [[nodiscard]] std::string serialize_frontier(const Frontier& frontier);
 
-struct FrontierParse {
-  std::optional<Frontier> frontier;
-  std::string error;  ///< non-empty exactly when frontier is empty
-
-  [[nodiscard]] bool ok() const { return frontier.has_value(); }
-};
-
-/// Strict parser for the v1/v2 formats: rejects unknown versions,
-/// truncated files (missing or miscounted `end` trailer), malformed
-/// records, duplicate or overlapping shards or classes, out-of-range
-/// cursors/hits, v2 files whose class weights do not reconcile to the
-/// space, shards outside every class range, and class records in a v1
-/// file.
-[[nodiscard]] FrontierParse parse_frontier(std::string_view text);
+/// Strict parser for the v1/v2 formats: decodes the records, accepts the
+/// text only if `serialize_frontier` gives its bytes back, then rejects
+/// an invalid config, duplicate or overlapping shards or classes,
+/// out-of-range cursors/hits, v2 class weights that do not reconcile to
+/// the space and shards outside every class range.
+[[nodiscard]] Parsed<Frontier> parse_frontier(std::string_view text);
 
 /// Splits a frontier into `parts` frontiers with the same header, dealing
 /// shards round-robin (part i takes shards i, i+parts, ...). Parts with
@@ -134,7 +124,8 @@ struct FrontierParse {
 /// Merges split parts back together. All parts must agree on the header;
 /// shard sets must be disjoint (a duplicate begin is an error, mirroring
 /// the parser).
-[[nodiscard]] FrontierParse merge_frontiers(
+/// Errors carry kind kInconsistent and no position.
+[[nodiscard]] Parsed<Frontier> merge_frontiers(
     const std::vector<Frontier>& parts);
 
 /// Atomically writes the frontier to `path` (tmp file + rename), so a
@@ -142,7 +133,7 @@ struct FrontierParse {
 /// failure.
 bool save_frontier(const Frontier& frontier, const std::string& path);
 
-/// Reads and parses a frontier file.
-[[nodiscard]] FrontierParse load_frontier(const std::string& path);
+/// Reads and parses a frontier file (kIo when it cannot be read).
+[[nodiscard]] Parsed<Frontier> load_frontier(const std::string& path);
 
 }  // namespace da::faults

@@ -1,7 +1,6 @@
 #include "inject/fault_plan.hpp"
 
 #include <charconv>
-#include <cstdio>
 
 #include "util/rng.hpp"
 
@@ -62,72 +61,39 @@ std::optional<std::string> FaultPlan::validate(int n) const {
 
 namespace {
 
-std::string node_str(NodeId id) {
-  return id == kNoNode ? "*" : std::to_string(id);
+/// A node or round field: `*` for the wildcard (kNoNode, or round -1).
+std::string slot_str(int slot) {
+  return slot < 0 ? "*" : std::to_string(slot);
 }
 
-std::string round_str(int round) {
-  return round < 0 ? "*" : std::to_string(round);
-}
-
+/// Shortest text that reads back as exactly `p`.
 std::string rate_str(double p) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", p);
-  return buf;
+  return {buf, std::to_chars(buf, buf + sizeof buf, p).ptr};
 }
 
-/// One `key=value` token. Returns false on shape mismatch.
-bool split_kv(const std::string& token, std::string& key, std::string& val) {
-  const std::size_t eq = token.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-    return false;
-  }
-  key = token.substr(0, eq);
-  val = token.substr(eq + 1);
-  return true;
-}
-
-bool parse_node(const std::string& val, NodeId& out) {
-  if (val == "*") {
-    out = kNoNode;
-    return true;
-  }
+/// An integer of at least `min`.
+bool parse_count(std::string_view val, int min, int& out) {
   int v = 0;
-  const auto [p, ec] = std::from_chars(val.data(), val.data() + val.size(), v);
-  if (ec != std::errc{} || p != val.data() + val.size() || v < 0) return false;
+  if (!parse_number(val, v) || v < min) return false;
   out = v;
   return true;
 }
 
-bool parse_round(const std::string& val, int& out) {
-  if (val == "*") {
-    out = -1;
-    return true;
-  }
-  const auto [p, ec] =
-      std::from_chars(val.data(), val.data() + val.size(), out);
-  return ec == std::errc{} && p == val.data() + val.size() && out >= 0;
+/// A node or round: a non-negative integer, or `*` for the wildcard -1
+/// (kNoNode for nodes, any round for rounds).
+bool parse_slot(std::string_view val, int& out) {
+  if (val != "*") return parse_count(val, 0, out);
+  out = -1;
+  return true;
 }
 
-bool parse_double(const std::string& val, double& out) {
-  char* end = nullptr;
-  out = std::strtod(val.c_str(), &end);
-  return end == val.c_str() + val.size() && !val.empty();
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) {
-      ++pos;
-    }
-    std::size_t end = pos;
-    while (end < line.size() && line[end] != ' ' && line[end] != '\t') ++end;
-    if (end > pos) tokens.push_back(line.substr(pos, end - pos));
-    pos = end;
-  }
-  return tokens;
+/// A probability in [0, 1] (NaN fails both bounds).
+bool parse_rate(std::string_view val, double& out) {
+  double p = 0.0;
+  if (!parse_number(val, p) || !(p >= 0.0 && p <= 1.0)) return false;
+  out = p;
+  return true;
 }
 
 }  // namespace
@@ -135,8 +101,9 @@ std::vector<std::string> tokenize(const std::string& line) {
 std::string FaultPlan::serialize() const {
   std::string out = "seed " + std::to_string(seed) + "\n";
   for (const LinkRule& r : rules) {
-    out += std::string(da::inject::to_string(r.kind)) + " from=" + node_str(r.from) +
-           " to=" + node_str(r.to) + " round=" + round_str(r.round);
+    out += std::string(da::inject::to_string(r.kind)) +
+           " from=" + slot_str(r.from) + " to=" + slot_str(r.to) +
+           " round=" + slot_str(r.round);
     if (r.kind == FaultKind::kDuplicate) {
       out += " copies=" + std::to_string(r.copies);
     }
@@ -156,112 +123,75 @@ std::string FaultPlan::serialize() const {
   return out;
 }
 
-std::optional<FaultPlan> FaultPlan::parse(const std::string& text,
-                                          std::string* error) {
-  const auto fail = [error](std::size_t line_no, const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
-    return std::nullopt;
-  };
-
+Parsed<FaultPlan> FaultPlan::parse(std::string_view text) {
   FaultPlan plan;
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos <= text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    std::vector<std::string> tokens = tokenize(line);
-    if (tokens.empty() || tokens[0][0] == '#') {
-      if (pos > text.size()) break;
+  TextCursor in(text, " \t");
+  while (in.next_line()) {
+    const std::string_view verb = in.field();
+    if (verb.empty() || verb.front() == '#') continue;
+    if (verb == "seed") {
+      if (!in.number(plan.seed) || !in.field().empty()) {
+        return in.error(ParseKind::kBadValue, "seed wants one integer");
+      }
       continue;
     }
-    const std::string& verb = tokens[0];
-
-    if (verb == "seed") {
-      if (tokens.size() != 2) return fail(line_no, "seed wants one value");
-      const std::string& v = tokens[1];
-      const auto [p, ec] =
-          std::from_chars(v.data(), v.data() + v.size(), plan.seed);
-      if (ec != std::errc{} || p != v.data() + v.size()) {
-        return fail(line_no, "bad seed `" + v + "`");
-      }
-    } else if (verb == "drop" || verb == "dup" || verb == "delay") {
-      LinkRule rule;
-      rule.kind = verb == "drop"  ? FaultKind::kDrop
-                  : verb == "dup" ? FaultKind::kDuplicate
-                                  : FaultKind::kDelay;
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        std::string key, val;
-        if (!split_kv(tokens[i], key, val)) {
-          return fail(line_no, "expected key=value, got `" + tokens[i] + "`");
-        }
-        if (key == "from" && parse_node(val, rule.from)) continue;
-        if (key == "to" && parse_node(val, rule.to)) continue;
-        if (key == "round" && parse_round(val, rule.round)) continue;
-        if (key == "copies" && rule.kind == FaultKind::kDuplicate) {
-          int c = 0;
-          const auto [p, ec] =
-              std::from_chars(val.data(), val.data() + val.size(), c);
-          if (ec == std::errc{} && p == val.data() + val.size() && c >= 2) {
-            rule.copies = c;
-            continue;
-          }
-        }
-        return fail(line_no, "bad " + verb + " field `" + tokens[i] + "`");
-      }
-      plan.rules.push_back(rule);
-    } else if (verb == "crash") {
-      CrashWindow window;
-      bool have_node = false;
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        std::string key, val;
-        if (!split_kv(tokens[i], key, val)) {
-          return fail(line_no, "expected key=value, got `" + tokens[i] + "`");
-        }
-        int v = 0;
-        const auto [p, ec] =
-            std::from_chars(val.data(), val.data() + val.size(), v);
-        const bool is_int =
-            ec == std::errc{} && p == val.data() + val.size() && v >= 0;
-        if (key == "node" && is_int) {
-          window.node = v;
-          have_node = true;
-        } else if (key == "down" && is_int) {
-          window.down_from = v;
-        } else if (key == "restart" && is_int) {
-          window.restart = v;
-        } else {
-          return fail(line_no, "bad crash field `" + tokens[i] + "`");
-        }
-      }
-      if (!have_node) return fail(line_no, "crash wants node=<id>");
-      plan.crashes.push_back(window);
-    } else if (verb == "rates") {
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        std::string key, val;
-        double p = 0.0;
-        if (!split_kv(tokens[i], key, val) || !parse_double(val, p) ||
-            p < 0.0 || p > 1.0) {
-          return fail(line_no, "bad rates field `" + tokens[i] + "`");
-        }
-        if (key == "drop") {
-          plan.rates.drop = p;
-        } else if (key == "dup") {
-          plan.rates.duplicate = p;
-        } else if (key == "delay") {
-          plan.rates.delay = p;
-        } else {
-          return fail(line_no, "unknown rate `" + key + "`");
-        }
-      }
-    } else {
-      return fail(line_no, "unknown directive `" + verb + "`");
+    LinkRule rule;
+    CrashWindow window;
+    const bool is_rule = verb == "drop" || verb == "dup" || verb == "delay";
+    if (verb == "dup") rule.kind = FaultKind::kDuplicate;
+    if (verb == "delay") rule.kind = FaultKind::kDelay;
+    if (!is_rule && verb != "crash" && verb != "rates") {
+      return in.error(ParseKind::kUnknownName,
+                      "unknown directive `" + std::string(verb) + "`");
     }
-    if (pos > text.size()) break;
+    bool have_node = false;
+    for (std::string_view f = in.field(); !f.empty(); f = in.field()) {
+      const std::size_t eq = f.find('=');
+      if (eq == std::string_view::npos || eq == 0) {
+        return in.error(ParseKind::kSyntax,
+                        "expected key=value, got `" + std::string(f) + "`");
+      }
+      const std::string_view key = f.substr(0, eq);
+      const std::string_view val = f.substr(eq + 1);
+      bool ok = false;
+      if (is_rule && key == "from") {
+        ok = parse_slot(val, rule.from);
+      } else if (is_rule && key == "to") {
+        ok = parse_slot(val, rule.to);
+      } else if (is_rule && key == "round") {
+        ok = parse_slot(val, rule.round);
+      } else if (verb == "dup" && key == "copies") {
+        ok = parse_count(val, 2, rule.copies);
+      } else if (verb == "crash" && key == "node") {
+        ok = have_node = parse_count(val, 0, window.node);
+      } else if (verb == "crash" && key == "down") {
+        ok = parse_count(val, 0, window.down_from);
+      } else if (verb == "crash" && key == "restart") {
+        ok = parse_count(val, 0, window.restart);
+      } else if (verb == "rates" && key == "drop") {
+        ok = parse_rate(val, plan.rates.drop);
+      } else if (verb == "rates" && key == "dup") {
+        ok = parse_rate(val, plan.rates.duplicate);
+      } else if (verb == "rates" && key == "delay") {
+        ok = parse_rate(val, plan.rates.delay);
+      } else {
+        return in.error(ParseKind::kUnknownName,
+                        "unknown " + std::string(verb) + " field `" +
+                            std::string(key) + "`");
+      }
+      if (!ok) {
+        return in.error(ParseKind::kBadValue,
+                        "bad " + std::string(verb) + " field `" +
+                            std::string(f) + "`");
+      }
+    }
+    if (is_rule) plan.rules.push_back(rule);
+    if (verb == "crash") {
+      if (!have_node) {
+        return in.error(ParseKind::kBadValue, "crash wants node=<id>");
+      }
+      plan.crashes.push_back(window);
+    }
   }
   return plan;
 }

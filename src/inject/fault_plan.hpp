@@ -3,10 +3,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/message.hpp"
 #include "util/ids.hpp"
+#include "util/parse.hpp"
 
 namespace da::inject {
 
@@ -102,13 +104,14 @@ struct FaultPlan {
   /// problem, or nullopt when the plan is sound.
   [[nodiscard]] std::optional<std::string> validate(int n) const;
 
-  /// Canonical text form; parse(serialize()) == *this.
+  /// Canonical text form (rates in their shortest exact spelling);
+  /// parse(serialize()) == *this.
   [[nodiscard]] std::string serialize() const;
 
-  /// Parses the text form. Returns nullopt (and sets `error`, if non-null)
-  /// on the first malformed line.
-  [[nodiscard]] static std::optional<FaultPlan> parse(
-      const std::string& text, std::string* error = nullptr);
+  /// Parses the text form, with the leniency docs/INJECTION.md lists
+  /// (spacing, comments, field order, number spellings); the error names
+  /// the first rejected line and field.
+  [[nodiscard]] static Parsed<FaultPlan> parse(std::string_view text);
 
   /// A randomized-but-reproducible plan for an n-node, `rounds`-round
   /// execution: moderate background rates, sometimes a crash window and a

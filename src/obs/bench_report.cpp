@@ -129,13 +129,13 @@ int BenchReporter::finish(int status) {
   std::ifstream in(json_path_, std::ios::binary);
   std::stringstream buf;
   buf << in.rdbuf();
-  std::string error;
-  const std::optional<Json> parsed = Json::parse(buf.str(), &error);
+  const Parsed<Json> parsed = Json::parse(buf.str());
   if (!parsed) {
     std::fprintf(stderr, "%s: emitted JSON does not parse: %s\n",
-                 bench_name_.c_str(), error.c_str());
+                 bench_name_.c_str(), parsed.error().to_string().c_str());
     return 1;
   }
+  std::string error;
   if (!validate_bench_schema(*parsed, &error)) {
     std::fprintf(stderr, "%s: emitted JSON fails schema check: %s\n",
                  bench_name_.c_str(), error.c_str());

@@ -1,8 +1,11 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 
 namespace da::obs {
 
@@ -84,14 +87,22 @@ void json_escape(std::string_view text, std::string& out) {
 
 namespace {
 
+/// `%.17g` (exact for every double), plus ".0" when that reads as an
+/// integer, so a parsed document dumps back to an equal one.
 void append_double(double d, std::string& out) {
   if (!std::isfinite(d)) {
     out += "null";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
+  char buf[32];
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17)
+          .ptr;
+  out.append(buf, end);
+  if (std::find_if(buf, end, [](char c) { return c == '.' || c == 'e'; }) ==
+      end) {
+    out += ".0";
+  }
 }
 
 void append_newline_indent(std::string& out, int indent, int depth) {
@@ -158,104 +169,108 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
+/// Nesting deeper than this is rejected rather than recursed into.
+constexpr int kMaxDepth = 512;
+
+/// RFC 8259 recursive-descent parser. The first error stops it: members
+/// return nullopt and `error_` holds the ParseError.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  std::optional<Json> run(std::string* error) {
-    std::optional<Json> value = parse_value();
+  Parsed<Json> run() {
+    std::optional<Json> value = parse_value(0);
     if (value) {
       skip_ws();
-      if (pos_ != text_.size()) {
-        fail("trailing characters after JSON value");
-        value = std::nullopt;
-      }
+      if (pos_ == text_.size()) return *std::move(value);
+      fail("trailing characters after JSON value");
     }
-    if (!value && error != nullptr) {
-      *error = error_ + " at byte " + std::to_string(pos_);
-    }
-    return value;
+    return *std::move(error_);
   }
 
  private:
-  void fail(const char* message) {
-    if (error_.empty()) error_ = message;
+  std::nullopt_t fail(const char* message,
+                      ParseKind kind = ParseKind::kSyntax) {
+    if (!error_) error_ = error_at(text_, pos_, kind, message);
+    return std::nullopt;
   }
 
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
+  /// Moves past any bytes in `set`; true if there was at least one.
+  bool skip(std::string_view set) {
+    const std::size_t start = pos_;
+    pos_ = std::min(text_.find_first_not_of(set, pos_), text_.size());
+    return pos_ > start;
   }
-
-  [[nodiscard]] bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
+  void skip_ws() { skip(" \t\n\r"); }
+  [[nodiscard]] bool digits() { return skip("0123456789"); }
 
   [[nodiscard]] bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
+    if (text_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
   }
+  [[nodiscard]] bool consume(char c) { return literal({&c, 1}); }
 
-  std::optional<Json> parse_value() {
+  std::optional<Json> parse_value(int depth) {
     skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return std::nullopt;
-    }
+    if (pos_ >= text_.size()) return fail("unexpected end of input");
+    if (depth > kMaxDepth) return fail("nesting too deep");
     const char c = text_[pos_];
-    if (c == 'n') {
-      if (literal("null")) return Json(nullptr);
-      fail("invalid literal");
-      return std::nullopt;
+    if (literal("null")) return Json(nullptr);
+    if (literal("true")) return Json(true);
+    if (literal("false")) return Json(false);
+    if (c == '"') {
+      std::optional<std::string> s = parse_string();
+      if (!s) return std::nullopt;
+      return Json(std::move(*s));
     }
-    if (c == 't') {
-      if (literal("true")) return Json(true);
-      fail("invalid literal");
-      return std::nullopt;
-    }
-    if (c == 'f') {
-      if (literal("false")) return Json(false);
-      fail("invalid literal");
-      return std::nullopt;
-    }
-    if (c == '"') return parse_string();
-    if (c == '[') return parse_array();
-    if (c == '{') return parse_object();
-    return parse_number();
+    if (c == '[') return parse_array(depth);
+    if (c == '{') return parse_object(depth);
+    if (c == '-' || (c >= '0' && c <= '9')) return number();
+    return fail("unexpected character");
   }
 
-  std::optional<Json> parse_string() {
-    std::optional<std::string> s = parse_raw_string();
-    if (!s) return std::nullopt;
-    return Json(std::move(*s));
+  /// The four hex digits of a \u escape.
+  std::optional<unsigned> hex4() {
+    unsigned code = 0;
+    const char* first = text_.data() + pos_;
+    if (pos_ + 4 > text_.size() ||
+        std::from_chars(first, first + 4, code, 16).ptr != first + 4) {
+      return fail("invalid \\u escape");
+    }
+    pos_ += 4;
+    return code;
   }
 
-  std::optional<std::string> parse_raw_string() {
-    if (!consume('"')) {
-      fail("expected '\"'");
-      return std::nullopt;
+  /// The code point of a \u escape (after the `\u`), joining a UTF-16
+  /// surrogate pair; a lone surrogate is an error.
+  std::optional<unsigned> code_point() {
+    const std::optional<unsigned> high = hex4();
+    if (!high || *high < 0xD800 || *high > 0xDFFF) return high;
+    std::optional<unsigned> low;
+    if (*high > 0xDBFF || !literal("\\u") || !(low = hex4()) ||
+        *low < 0xDC00 || *low > 0xDFFF) {
+      return fail("lone surrogate", ParseKind::kBadValue);
     }
+    return 0x10000 + ((*high - 0xD800) << 10) + (*low - 0xDC00);
+  }
+
+  std::optional<std::string> parse_string() {
+    if (!consume('"')) return fail("expected '\"'");
     std::string out;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
+      const char c = text_[pos_];
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return fail("raw control character in string");
+      }
+      ++pos_;
       if (c == '"') return out;
       if (c != '\\') {
         out += c;
         continue;
       }
       if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
+      switch (text_[pos_++]) {
         case '"': out += '"'; break;
         case '\\': out += '\\'; break;
         case '/': out += '/'; break;
@@ -265,139 +280,101 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-            return std::nullopt;
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("invalid \\u escape");
-              return std::nullopt;
-            }
-          }
-          // Encode the code point as UTF-8 (no surrogate-pair handling:
-          // the writer never emits escapes above U+001F).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
+          const std::optional<unsigned> code = code_point();
+          if (!code) return std::nullopt;
+          append_utf8(*code, out);
           break;
         }
         default:
-          fail("invalid escape");
-          return std::nullopt;
+          --pos_;
+          return fail("invalid escape");
       }
     }
-    fail("unterminated string");
-    return std::nullopt;
+    return fail("unterminated string");
   }
 
-  std::optional<Json> parse_number() {
+  /// UTF-8: a lead byte, then 6 bits per continuation byte.
+  static void append_utf8(unsigned code, std::string& out) {
+    static constexpr unsigned kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+    const int extra =
+        code < 0x80 ? 0 : code < 0x800 ? 1 : code < 0x10000 ? 2 : 3;
+    out += static_cast<char>(kLead[extra] | code >> (6 * extra));
+    for (int i = extra - 1; i >= 0; --i) {
+      out += static_cast<char>(0x80 | ((code >> (6 * i)) & 0x3F));
+    }
+  }
+
+  /// number = [ "-" ] ( "0" / digit1-9 *digit ) [ "." 1*digit ]
+  ///          [ ( "e" / "E" ) [ "-" / "+" ] 1*digit ]
+  /// An integer that fits int64 stays one; anything else is a double,
+  /// and a value a double cannot hold is an error.
+  std::optional<Json> number() {
     const std::size_t start = pos_;
-    if (consume('-')) {
+    (void)consume('-');
+    if (!consume('0') && !digits()) return fail("invalid number");
+    bool integral = true;
+    if (consume('.')) {
+      integral = false;
+      if (!digits()) return fail("invalid number");
     }
-    bool is_double = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = is_double || c == '.' || c == 'e' || c == 'E';
-        ++pos_;
-      } else {
-        break;
-      }
+    if (consume('e') || consume('E')) {
+      integral = false;
+      if (!consume('+')) (void)consume('-');
+      if (!digits()) return fail("invalid number");
     }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      fail("invalid number");
-      return std::nullopt;
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (!is_double) {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
-        return Json(static_cast<std::int64_t>(v));
-      }
-    }
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      fail("invalid number");
-      return std::nullopt;
+    const std::string_view token = text_.substr(start, pos_ - start);
+    std::int64_t i = 0;
+    if (integral && parse_number(token, i)) return Json(i);
+    double d = 0.0;
+    if (!parse_number(token, d)) {
+      pos_ = start;
+      return fail("number out of range", ParseKind::kBadValue);
     }
     return Json(d);
   }
 
-  std::optional<Json> parse_array() {
+  std::optional<Json> parse_array(int depth) {
     (void)consume('[');
     Json arr = Json::array();
     skip_ws();
     if (consume(']')) return arr;
     while (true) {
-      std::optional<Json> value = parse_value();
+      std::optional<Json> value = parse_value(depth + 1);
       if (!value) return std::nullopt;
       arr.push_back(std::move(*value));
       skip_ws();
       if (consume(']')) return arr;
-      if (!consume(',')) {
-        fail("expected ',' or ']'");
-        return std::nullopt;
-      }
+      if (!consume(',')) return fail("expected ',' or ']'");
     }
   }
 
-  std::optional<Json> parse_object() {
+  std::optional<Json> parse_object(int depth) {
     (void)consume('{');
     Json obj = Json::object();
     skip_ws();
     if (consume('}')) return obj;
     while (true) {
       skip_ws();
-      std::optional<std::string> key = parse_raw_string();
+      std::optional<std::string> key = parse_string();
       if (!key) return std::nullopt;
       skip_ws();
-      if (!consume(':')) {
-        fail("expected ':'");
-        return std::nullopt;
-      }
-      std::optional<Json> value = parse_value();
+      if (!consume(':')) return fail("expected ':'");
+      std::optional<Json> value = parse_value(depth + 1);
       if (!value) return std::nullopt;
       obj.set(std::move(*key), std::move(*value));
       skip_ws();
       if (consume('}')) return obj;
-      if (!consume(',')) {
-        fail("expected ',' or '}'");
-        return std::nullopt;
-      }
+      if (!consume(',')) return fail("expected ',' or '}'");
     }
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  std::string error_;
+  std::optional<ParseError> error_;
 };
 
 }  // namespace
 
-std::optional<Json> Json::parse(std::string_view text, std::string* error) {
-  return Parser(text).run(error);
-}
+Parsed<Json> Json::parse(std::string_view text) { return Parser(text).run(); }
 
 }  // namespace da::obs

@@ -1,12 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
+
+#include "util/parse.hpp"
 
 namespace da::obs {
 
@@ -18,7 +19,8 @@ namespace da::obs {
 /// This is deliberately small — just enough for the bench `--json`
 /// reports, the JSONL trace export and the `trace_inspect` CLI. It is not
 /// a general-purpose JSON library (no comments, no NaN/Infinity: non-finite
-/// doubles serialize as null).
+/// doubles serialize as null). A double always dumps with a fraction or an
+/// exponent (`1.0`, not `1`), so it parses back as a double.
 class Json {
  public:
   using Array = std::vector<Json>;
@@ -82,11 +84,10 @@ class Json {
   /// pretty-printed with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = -1) const;
 
-  /// Parses a complete JSON document (rejects trailing garbage). On
-  /// failure returns nullopt and, if `error` is non-null, a message with
-  /// the byte offset.
-  [[nodiscard]] static std::optional<Json> parse(std::string_view text,
-                                                 std::string* error = nullptr);
+  /// Parses one RFC 8259 document: numbers follow the grammar exactly (no
+  /// `.5`, `2.`, `01`, `+1`) and must fit a double; strings reject raw
+  /// control characters and lone surrogates. parse(dump(v)) == v.
+  [[nodiscard]] static Parsed<Json> parse(std::string_view text);
 
   friend bool operator==(const Json&, const Json&) = default;
 
@@ -108,5 +109,15 @@ class Json {
 
 /// Appends `text` JSON-escaped (quotes included) to `out`.
 void json_escape(std::string_view text, std::string& out);
+
+/// The integer member `key` of object `j`, when it exists and fits T.
+template <typename T>
+[[nodiscard]] bool int_member(const Json& j, std::string_view key, T& out) {
+  const Json* v = j.find(key);
+  const bool ok =
+      v != nullptr && v->is_integer() && std::in_range<T>(v->as_int());
+  if (ok) out = static_cast<T>(v->as_int());
+  return ok;
+}
 
 }  // namespace da::obs

@@ -7,7 +7,6 @@
 #include <compare>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <span>
 #include <tuple>
 
@@ -86,18 +85,6 @@ bool is_canonical(const std::vector<Span>& spans) {
          ordered_spans(spans);
 }
 
-/// Digits of a non-negative integer in canonical spelling (no sign, no
-/// leading zero), parsed into `out`; false when absent or out of range.
-template <typename Int>
-bool parse_digits(std::string_view text, std::size_t& pos, Int& out) {
-  const std::size_t start = pos;
-  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
-  if (pos == start || (text[start] == '0' && pos - start > 1)) return false;
-  const auto [end, ec] =
-      std::from_chars(text.data() + start, text.data() + pos, out);
-  return ec == std::errc() && end == text.data() + pos;
-}
-
 // ---------------------------------------------------------- rendering --
 
 // The export writes each line through a raw pointer into a buffer kept
@@ -137,15 +124,16 @@ char* put_id(char* p, const SpanRef& ref) {
   return p;
 }
 
-/// A double as `Json::dump` renders it (`%.17g`; non-finite -> null).
+/// A double as `%.17g` (non-finite -> null). Unlike `Json::dump`, an
+/// integral time stays `3`, not `3.0`: the export bytes are pinned.
 char* put_double(char* p, double value) {
   if (!std::isfinite(value)) return put(p, "null");
   return std::to_chars(p, p + 24, value, std::chars_format::general, 17).ptr;
 }
 
-/// One export line, byte-identical to the compact `Json::dump` of the
-/// record {id, name, job, sub, round, t0, t1, parent, tags}. Vocabulary
-/// names need no escaping, so none is done.
+/// One export line: the compact JSON of the record {id, name, job, sub,
+/// round, t0, t1, parent, tags}. Vocabulary names need no escaping, so
+/// none is done.
 char* put_span_line(char* p, const Span& s) {
   const SpanRef self = s.ref();
   DA_EXPECTS(!self.empty());  // the name is in kSpanNames
@@ -189,10 +177,6 @@ void write_lines(std::string& out, std::span<const Span> spans) {
   out.resize(used);
 }
 
-void set_error(SpanReadError* out, SpanReadError error) {
-  if (out != nullptr) *out = error;
-}
-
 }  // namespace
 
 std::optional<SpanTagKey> SpanTagKey::find(std::string_view text) {
@@ -208,7 +192,9 @@ SpanTagKey SpanTagKey::rule(std::size_t k) {
 }
 
 std::string_view SpanRef::name() const {
-  return empty() ? std::string_view()
+  // "", not a null view: the export memcpy()s it, and a null source is
+  // undefined behaviour even for zero bytes.
+  return empty() ? std::string_view("")
                  : kSpanNames[static_cast<std::size_t>(kind)];
 }
 
@@ -218,23 +204,24 @@ std::string SpanRef::id() const {
 }
 
 std::optional<SpanRef> SpanRef::parse(std::string_view id) {
-  const std::size_t end = std::min(id.find_first_of(":.#"), id.size());
+  std::size_t end = std::min(id.find_first_of(":.#"), id.size());
   const std::optional<SpanKind> kind = span_kind(id.substr(0, end));
   if (!kind) return std::nullopt;
   SpanRef ref;
   ref.kind = *kind;
-  std::size_t pos = end;
-  if (pos < id.size() && id[pos] == ':' && !parse_digits(id, ++pos, ref.job)) {
-    return std::nullopt;
-  }
-  if (pos < id.size() && id[pos] == '.' && !parse_digits(id, ++pos, ref.sub)) {
-    return std::nullopt;
-  }
-  if (pos < id.size() && id[pos] == '#' &&
-      !parse_digits(id, ++pos, ref.round)) {
-    return std::nullopt;
-  }
-  if (pos != id.size()) return std::nullopt;
+  // Decode the optional :job, .sub and #round parts, then accept only an
+  // id that renders back to itself (no sign, no leading zero, no junk).
+  const auto part = [&](char mark, auto& out) {
+    if (end == id.size() || id[end] != mark) return;
+    const std::size_t next =
+        std::min(id.find_first_of(":.#", end + 1), id.size());
+    (void)parse_number(id.substr(end + 1, next - end - 1), out);
+    end = next;
+  };
+  part(':', ref.job);
+  part('.', ref.sub);
+  part('#', ref.round);
+  if (ref.id() != id) return std::nullopt;
   return ref;
 }
 
@@ -291,90 +278,60 @@ SpanRef Span::ref() const {
   return {span_kind(name).value_or(SpanKind::kNone), job, sub, round};
 }
 
-const char* to_string(SpanReadError error) {
-  static constexpr const char* kWhy[] = {
-      "malformed JSON",
-      "missing, mistyped or out-of-range field",
-      "unknown span name",
-      "more tags than a span holds",
-      "unknown tag key",
-      "id does not match the identity fields",
-      "parent is not a span id",
-      "not in canonical form or order"};
-  const auto i = static_cast<std::size_t>(error);
-  return i < std::size(kWhy) ? kWhy[i] : "?";
-}
-
-std::optional<Span> Span::from_json(const Json& j, SpanReadError* error) {
-  const auto fail = [error](SpanReadError e) {
-    set_error(error, e);
-    return std::nullopt;
+Parsed<Span> Span::from_json(const Json& j) {
+  const auto fail = [](ParseKind kind, const char* why) {
+    return ParseError{kind, 0, 0, why};
   };
-  if (!j.is_object()) return fail(SpanReadError::kBadField);
-  const auto integer = [&j](const char* key, std::int64_t lo,
-                            std::int64_t hi) -> std::optional<std::int64_t> {
+  const ParseError bad{ParseKind::kBadValue, 0, 0,
+                       "missing, mistyped or out-of-range field"};
+  const auto number = [&j](const char* key, double& out) {
     const Json* v = j.find(key);
-    if (v == nullptr || !v->is_integer()) return std::nullopt;
-    if (v->as_int() < lo || v->as_int() > hi) return std::nullopt;
-    return v->as_int();
-  };
-  const auto number = [&j](const char* key) -> std::optional<double> {
-    const Json* v = j.find(key);
-    if (v == nullptr || !v->is_number()) return std::nullopt;
-    return v->as_double();
+    if (v == nullptr || !v->is_number()) return false;
+    out = v->as_double();
+    return true;
   };
   const auto string = [&j](const char* key) -> const std::string* {
     const Json* v = j.find(key);
     return v != nullptr && v->is_string() ? &v->as_string() : nullptr;
   };
-  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
-  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
   Span s;
   const std::string* name = string("name");
-  if (name == nullptr) return fail(SpanReadError::kBadField);
+  if (name == nullptr) return bad;
   const std::optional<SpanKind> kind = span_kind(*name);
-  if (!kind) return fail(SpanReadError::kUnknownName);
+  if (!kind) return fail(ParseKind::kUnknownName, "unknown span name");
   s.name = kSpanNames[static_cast<std::size_t>(*kind)];
-  const auto job = integer("job", std::numeric_limits<std::int64_t>::min(),
-                           std::numeric_limits<std::int64_t>::max());
-  const auto sub = integer("sub", kIntMin, kIntMax);
-  const auto round = integer("round", kIntMin, kIntMax);
-  const auto t0 = number("t0");
-  const auto t1 = number("t1");
-  if (!job || !sub || !round || !t0 || !t1) {
-    return fail(SpanReadError::kBadField);
+  if (!int_member(j, "job", s.job) || !int_member(j, "sub", s.sub) ||
+      !int_member(j, "round", s.round) || !number("t0", s.t0) ||
+      !number("t1", s.t1)) {
+    return bad;
   }
-  s.job = *job;
-  s.sub = static_cast<int>(*sub);
-  s.round = static_cast<int>(*round);
-  s.t0 = *t0;
-  s.t1 = *t1;
   const std::string* parent = string("parent");
-  if (parent == nullptr) return fail(SpanReadError::kBadField);
+  if (parent == nullptr) return bad;
   if (!parent->empty()) {
     const std::optional<SpanRef> ref = SpanRef::parse(*parent);
-    if (!ref) return fail(SpanReadError::kBadParent);
+    if (!ref) return fail(ParseKind::kBadParent, "parent is not a span id");
     s.parent = *ref;
   }
   const Json* tags = j.find("tags");
-  if (tags == nullptr || !tags->is_object()) {
-    return fail(SpanReadError::kBadField);
-  }
+  if (tags == nullptr || !tags->is_object()) return bad;
   if (tags->size() > SpanTags::kCapacity) {
-    return fail(SpanReadError::kTooManyTags);
+    return fail(ParseKind::kTooManyTags, "more tags than a span holds");
   }
   for (const auto& [key, value] : tags->as_object()) {
     const std::optional<SpanTagKey> known = SpanTagKey::find(key);
-    if (!known) return fail(SpanReadError::kUnknownTagKey);
-    if (!value.is_integer()) return fail(SpanReadError::kBadField);
+    if (!known) return fail(ParseKind::kUnknownTagKey, "unknown tag key");
+    if (!value.is_integer()) return bad;
     s.tags.add(*known, value.as_int());
   }
   // The emitted "id" field is derived; a mismatch means a hand-edited
   // file — reject it rather than silently re-derive.
   const std::string* id = string("id");
-  if (id == nullptr) return fail(SpanReadError::kBadField);
-  if (*id != s.id()) return fail(SpanReadError::kIdMismatch);
+  if (id == nullptr) return bad;
+  if (*id != s.id()) {
+    return fail(ParseKind::kIdMismatch,
+                "id does not match the identity fields");
+  }
   return s;
 }
 
@@ -395,49 +352,20 @@ std::string spans_to_jsonl(const std::vector<Span>& spans) {
   return out;
 }
 
-std::optional<std::vector<Span>> read_spans_jsonl(const std::string& text,
-                                                  std::string* error,
-                                                  SpanReadError* kind) {
+Parsed<std::vector<Span>> read_spans_jsonl(std::string_view text) {
   std::vector<Span> spans;
-  char rendered[kMaxLine];
-  std::size_t line_no = 0;
-  std::size_t start = 0;
-  const auto fail = [&](SpanReadError e, const std::string& why) {
-    set_error(kind, e);
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
-    return std::nullopt;
-  };
-  while (start < text.size()) {
-    ++line_no;
-    const std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) {
-      return fail(SpanReadError::kNotCanonical, "missing final newline");
-    }
-    const std::string_view line(text.data() + start, end - start + 1);
-    start = end + 1;
-    std::string parse_error;
-    const std::optional<Json> j =
-        Json::parse(line.substr(0, line.size() - 1), &parse_error);
-    if (!j) return fail(SpanReadError::kMalformedJson, parse_error);
-    SpanReadError why = SpanReadError::kBadField;
-    std::optional<Span> s = Span::from_json(*j, &why);
-    if (!s) {
-      return fail(why, std::string("not a span record: ") + to_string(why));
-    }
-    const char* last = put_span_line(rendered, *s);
-    const std::string_view canonical(
-        rendered, static_cast<std::size_t>(last - rendered));
-    if (canonical != line || !s->tags.sorted()) {
-      return fail(SpanReadError::kNotCanonical,
-                  "not the canonical rendering of its span");
-    }
-    if (!spans.empty() && before(*s, spans.back())) {
-      return fail(SpanReadError::kNotCanonical, "out of canonical order");
-    }
+  TextCursor in(text);
+  while (in.next_line()) {
+    Parsed<Json> j = Json::parse(in.line());
+    if (!j) return in.on_line(j.error());
+    Parsed<Span> s = Span::from_json(*j);
+    if (!s) return in.on_line(s.error());
     spans.push_back(*s);
   }
+  // Re-exporting sorts spans and tags, so this one comparison also
+  // rejects a file out of canonical order.
+  const std::string canonical = spans_to_jsonl(spans);
+  if (canonical != text) return not_canonical(text, canonical);
   return spans;
 }
 

@@ -211,20 +211,6 @@ class SpanTags {
   std::uint8_t size_ = 0;
 };
 
-/// Why a span record was rejected by `Span::from_json` / `read_spans_jsonl`.
-enum class SpanReadError {
-  kMalformedJson,  // the line is not a JSON document
-  kBadField,       // a field is missing, mistyped or out of range
-  kUnknownName,    // `name` is outside the span vocabulary
-  kTooManyTags,    // more tags than SpanTags::kCapacity
-  kUnknownTagKey,  // a tag key outside the vocabulary
-  kIdMismatch,     // `id` is not the id of the identity fields
-  kBadParent,      // `parent` is neither "" nor a vocabulary span id
-  kNotCanonical,   // not the canonical export bytes or order
-};
-
-[[nodiscard]] const char* to_string(SpanReadError error);
-
 struct Span {
   std::string_view name;  // an entry of kSpanNames (export requires it)
   std::int64_t job = -1;  // owning service job id; -1 for runtime spans
@@ -243,10 +229,10 @@ struct Span {
   [[nodiscard]] std::string id() const { return ref().id(); }
 
   /// Decodes one span record (names and keys resolved to the static
-  /// vocabulary). Returns nullopt (and sets `error`, if non-null) when the
-  /// record is not a well-formed span.
-  [[nodiscard]] static std::optional<Span> from_json(
-      const Json& j, SpanReadError* error = nullptr);
+  /// vocabulary). The error has no position; its kind is kBadValue (a
+  /// field missing, mistyped or out of range), kUnknownName,
+  /// kTooManyTags, kUnknownTagKey, kIdMismatch or kBadParent.
+  [[nodiscard]] static Parsed<Span> from_json(const Json& j);
 
   friend bool operator==(const Span&, const Span&) = default;
 };
@@ -262,14 +248,11 @@ void canonicalize(std::vector<Span>& spans);
 /// without a copy or a sort.
 [[nodiscard]] std::string spans_to_jsonl(const std::vector<Span>& spans);
 
-/// Parses a JSONL span export. Every line must be the canonical rendering
-/// of its span and the lines must be in canonical order, so an accepted
-/// text re-exports byte for byte. Returns nullopt on the first rejected
-/// line and sets `error` (a message naming the line) and `kind`, if
-/// non-null.
-[[nodiscard]] std::optional<std::vector<Span>> read_spans_jsonl(
-    const std::string& text, std::string* error = nullptr,
-    SpanReadError* kind = nullptr);
+/// Parses a JSONL span export, accepting exactly what `spans_to_jsonl`
+/// writes (each line the canonical rendering of its span, in canonical
+/// order, newline-terminated); the error names the first offending line.
+[[nodiscard]] Parsed<std::vector<Span>> read_spans_jsonl(
+    std::string_view text);
 
 /// Writes the JSONL export to `file_path`. Returns false on I/O failure.
 bool write_spans_jsonl(const std::vector<Span>& spans,

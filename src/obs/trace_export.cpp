@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <tuple>
+#include <utility>
 
 #include "sim/message.hpp"
 
@@ -50,40 +51,29 @@ Json TraceEvent::to_json() const {
   return j;
 }
 
-std::optional<TraceEvent> TraceEvent::from_json(const Json& j) {
-  if (!j.is_object()) return std::nullopt;
-  const Json* to = j.find("to");
-  const Json* from = j.find("from");
-  const Json* round = j.find("round");
+Parsed<TraceEvent> TraceEvent::from_json(const Json& j) {
+  const auto bad = [](const char* why) {
+    return ParseError{ParseKind::kBadValue, 0, 0, why};
+  };
+  TraceEvent ev;
   const Json* path = j.find("path");
   const Json* value = j.find("value");
-  const Json* aux = j.find("aux");
-  const Json* wire = j.find("wire_bytes");
-  if (to == nullptr || !to->is_integer() || from == nullptr ||
-      !from->is_integer() || round == nullptr || !round->is_integer() ||
-      path == nullptr || !path->is_array() || value == nullptr ||
-      aux == nullptr || !aux->is_integer() || wire == nullptr ||
-      !wire->is_integer()) {
-    return std::nullopt;
+  if (!int_member(j, "to", ev.to) || !int_member(j, "from", ev.from) ||
+      !int_member(j, "round", ev.round) || !int_member(j, "aux", ev.aux) ||
+      !int_member(j, "wire_bytes", ev.wire_bytes) || path == nullptr ||
+      !path->is_array() || value == nullptr) {
+    return bad("missing, mistyped or out-of-range field");
   }
-  TraceEvent ev;
-  ev.to = static_cast<da::NodeId>(to->as_int());
-  ev.from = static_cast<da::NodeId>(from->as_int());
-  ev.round = static_cast<int>(round->as_int());
   for (const Json& hop : path->as_array()) {
-    if (!hop.is_integer()) return std::nullopt;
+    if (!hop.is_integer() || !std::in_range<da::NodeId>(hop.as_int())) {
+      return bad("path hop is not a node id");
+    }
     ev.path.push_back(static_cast<da::NodeId>(hop.as_int()));
   }
-  if (value->is_null()) {
-    ev.value_default = true;
-  } else if (value->is_integer()) {
-    ev.value_default = false;
-    ev.value = value->as_int();
-  } else {
-    return std::nullopt;
+  ev.value_default = value->is_null();
+  if (!ev.value_default && !int_member(j, "value", ev.value)) {
+    return bad("value is neither null nor an integer");
   }
-  ev.aux = aux->as_int();
-  ev.wire_bytes = static_cast<std::size_t>(wire->as_int());
   return ev;
 }
 
@@ -122,35 +112,18 @@ bool write_trace_jsonl(const sim::Trace& trace, const std::string& file_path) {
   return static_cast<bool>(out);
 }
 
-std::optional<std::vector<TraceEvent>> read_trace_jsonl(
-    const std::string& text, std::string* error) {
+Parsed<std::vector<TraceEvent>> read_trace_jsonl(std::string_view text) {
   std::vector<TraceEvent> events;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    ++line_no;
-    const std::string_view line(text.data() + pos, end - pos);
-    pos = end + 1;
-    if (line.empty()) continue;
-    std::string parse_error;
-    const std::optional<Json> j = Json::parse(line, &parse_error);
-    if (!j) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": " + parse_error;
-      }
-      return std::nullopt;
-    }
-    std::optional<TraceEvent> ev = TraceEvent::from_json(*j);
-    if (!ev) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": not a trace event";
-      }
-      return std::nullopt;
-    }
+  TextCursor in(text);
+  while (in.next_line()) {
+    Parsed<Json> j = Json::parse(in.line());
+    if (!j) return in.on_line(j.error());
+    Parsed<TraceEvent> ev = TraceEvent::from_json(*j);
+    if (!ev) return in.on_line(ev.error());
     events.push_back(std::move(*ev));
   }
+  const std::string canonical = trace_to_jsonl(events);
+  if (canonical != text) return not_canonical(text, canonical);
   return events;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -25,7 +25,9 @@ struct TraceEvent {
   std::size_t wire_bytes = 0;
 
   [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static std::optional<TraceEvent> from_json(const Json& j);
+  /// Decodes one record; a field missing, mistyped or out of its C++
+  /// type's range (a negative `wire_bytes`) is a kBadValue error.
+  [[nodiscard]] static Parsed<TraceEvent> from_json(const Json& j);
 
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
@@ -42,10 +44,10 @@ struct TraceEvent {
 /// Writes the JSONL export to `file_path`. Returns false on I/O failure.
 bool write_trace_jsonl(const sim::Trace& trace, const std::string& file_path);
 
-/// Parses a JSONL trace export. Returns nullopt (and sets `error`, if
-/// non-null) on the first malformed line.
-[[nodiscard]] std::optional<std::vector<TraceEvent>> read_trace_jsonl(
-    const std::string& text, std::string* error = nullptr);
+/// Parses a JSONL trace export, accepting exactly the writer's bytes
+/// (no blank lines, a final newline); the error names the first line.
+[[nodiscard]] Parsed<std::vector<TraceEvent>> read_trace_jsonl(
+    std::string_view text);
 
 /// Per-node comparison of two trace exports.
 struct NodeDiff {

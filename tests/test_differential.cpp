@@ -43,9 +43,8 @@ TEST(FaultPlan, ParseSerializeRoundTrip) {
       "delay from=0 to=* round=1\n"
       "crash node=3 down=1 restart=3\n"
       "rates drop=0.05 dup=0.02 delay=0.1\n";
-  std::string error;
-  const auto plan = FaultPlan::parse(text, &error);
-  ASSERT_TRUE(plan.has_value()) << error;
+  const auto plan = FaultPlan::parse(text);
+  ASSERT_TRUE(plan.has_value()) << plan.error().to_string();
   EXPECT_EQ(plan->seed, 42u);
   ASSERT_EQ(plan->rules.size(), 3u);
   EXPECT_EQ(plan->rules[0].kind, FaultKind::kDrop);
@@ -58,21 +57,53 @@ TEST(FaultPlan, ParseSerializeRoundTrip) {
   // serialize() is a canonical fixed point: parse(serialize(p)) == p and
   // serialize(parse(s)) == serialize(p).
   const std::string canon = plan->serialize();
-  const auto reparsed = FaultPlan::parse(canon, &error);
-  ASSERT_TRUE(reparsed.has_value()) << error;
+  const auto reparsed = FaultPlan::parse(canon);
+  ASSERT_TRUE(reparsed.has_value()) << reparsed.error().to_string();
   EXPECT_EQ(*reparsed, *plan);
   EXPECT_EQ(reparsed->serialize(), canon);
+
+  // Seeded plans carry full-precision rates; they must survive too.
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    const FaultPlan seeded = FaultPlan::from_seed(seed, 5, 3);
+    const auto back = FaultPlan::parse(seeded.serialize());
+    ASSERT_TRUE(back.has_value()) << back.error().to_string();
+    ASSERT_EQ(*back, seeded) << "seed " << seed << "\n" << seeded.serialize();
+    ASSERT_EQ(back->serialize(), seeded.serialize());
+  }
 }
 
 TEST(FaultPlan, ParseRejectsMalformedLines) {
-  std::string error;
-  EXPECT_FALSE(FaultPlan::parse("bogus directive\n", &error).has_value());
-  EXPECT_NE(error.find("line 1"), std::string::npos);
-  EXPECT_FALSE(FaultPlan::parse("drop from=x\n", &error).has_value());
-  EXPECT_FALSE(FaultPlan::parse("dup from=0 copies=1\n", &error).has_value());
-  EXPECT_FALSE(FaultPlan::parse("crash down=2\n", &error).has_value());
-  EXPECT_FALSE(FaultPlan::parse("rates drop=1.5\n", &error).has_value());
-  EXPECT_FALSE(FaultPlan::parse("seed\n", &error).has_value());
+  const auto error_of = [](const char* text) {
+    const auto plan = FaultPlan::parse(text);
+    EXPECT_FALSE(plan.has_value()) << text;
+    return plan ? ParseError{} : plan.error();
+  };
+  const ParseError bogus = error_of("seed 1\nbogus directive\n");
+  EXPECT_EQ(bogus.kind, ParseKind::kUnknownName);
+  EXPECT_EQ(bogus.to_string(),
+            "line 2, column 1: unknown-name: unknown directive `bogus`");
+  EXPECT_EQ(error_of("drop from=x\n").kind, ParseKind::kBadValue);
+  EXPECT_EQ(error_of("drop  to=1 from=x\n").column, 12u);
+  EXPECT_EQ(error_of("dup from=0 copies=1\n").kind, ParseKind::kBadValue);
+  EXPECT_EQ(error_of("drop copies=3\n").kind, ParseKind::kUnknownName);
+  EXPECT_EQ(error_of("crash down=2\n").kind, ParseKind::kBadValue);
+  EXPECT_EQ(error_of("rates drop=1.5\n").kind, ParseKind::kBadValue);
+  EXPECT_EQ(error_of("rates drop=nan\n").kind, ParseKind::kBadValue);
+  EXPECT_EQ(error_of("seed\n").kind, ParseKind::kBadValue);
+  EXPECT_EQ(error_of("seed 1 2\n").column, 8u);
+  EXPECT_EQ(error_of("seed +1\n").kind, ParseKind::kBadValue);
+  EXPECT_EQ(error_of("drop from\n").kind, ParseKind::kSyntax);
+  EXPECT_EQ(error_of("drop round=2x\n").kind, ParseKind::kBadValue);
+
+  // The documented leniency (docs/INJECTION.md): spacing, comments,
+  // field order and number spellings, all read to the same plan.
+  const auto lenient = FaultPlan::parse(
+      "\t# comment\n\nseed 01\ndrop  round=2\tto=3 from=01 \n"
+      "rates delay=.1 drop=5e-2");
+  ASSERT_TRUE(lenient.has_value()) << lenient.error().to_string();
+  EXPECT_EQ(lenient->serialize(),
+            "seed 1\ndrop from=1 to=3 round=2\n"
+            "rates drop=0.05 dup=0 delay=0.1\n");
 }
 
 TEST(FaultPlan, RuleMatchingHonoursWildcards) {

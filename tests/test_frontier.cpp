@@ -53,12 +53,12 @@ TEST(Frontier, SerializeParseRoundTrip) {
 
   const std::string text = serialize_frontier(fresh);
   EXPECT_EQ(text.rfind("da-frontier v2\n", 0), 0u);
-  const faults::FrontierParse parsed = faults::parse_frontier(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  EXPECT_EQ(serialize_frontier(*parsed.frontier), text);
-  EXPECT_EQ(parsed.frontier->space, fresh.space);
-  EXPECT_EQ(parsed.frontier->shards.size(), fresh.shards.size());
-  EXPECT_EQ(parsed.frontier->classes.size(), fresh.classes.size());
+  const Parsed<faults::Frontier> parsed = faults::parse_frontier(text);
+  ASSERT_TRUE(parsed) << parsed.error().to_string();
+  EXPECT_EQ(serialize_frontier(*parsed), text);
+  EXPECT_EQ(parsed->space, fresh.space);
+  EXPECT_EQ(parsed->shards.size(), fresh.shards.size());
+  EXPECT_EQ(parsed->classes.size(), fresh.classes.size());
 
   // The unquotiented plan keeps serializing in the v1 format, and still
   // covers the (larger, gapless) shard set.
@@ -70,19 +70,20 @@ TEST(Frontier, SerializeParseRoundTrip) {
   EXPECT_GT(plain.shards.size(), fresh.shards.size());
   const std::string plain_text = serialize_frontier(plain);
   EXPECT_EQ(plain_text.rfind("da-frontier v1\n", 0), 0u);
-  const faults::FrontierParse plain_parsed = faults::parse_frontier(plain_text);
-  ASSERT_TRUE(plain_parsed.ok()) << plain_parsed.error;
-  EXPECT_EQ(serialize_frontier(*plain_parsed.frontier), plain_text);
+  const Parsed<faults::Frontier> plain_parsed =
+      faults::parse_frontier(plain_text);
+  ASSERT_TRUE(plain_parsed) << plain_parsed.error().to_string();
+  EXPECT_EQ(serialize_frontier(*plain_parsed), plain_text);
 
   // A settled frontier (cursors, counters and a hit populated) must
   // round-trip just as exactly.
   const faults::Frontier done = settle(kViolating);
   ASSERT_NE(done.best_hit(), sweep::kNoHit);
   const std::string done_text = serialize_frontier(done);
-  const faults::FrontierParse reparsed = faults::parse_frontier(done_text);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.error;
-  EXPECT_EQ(serialize_frontier(*reparsed.frontier), done_text);
-  EXPECT_EQ(reparsed.frontier->best_hit(), done.best_hit());
+  const Parsed<faults::Frontier> reparsed = faults::parse_frontier(done_text);
+  ASSERT_TRUE(reparsed) << reparsed.error().to_string();
+  EXPECT_EQ(serialize_frontier(*reparsed), done_text);
+  EXPECT_EQ(reparsed->best_hit(), done.best_hit());
 }
 
 TEST(Frontier, ParserRejectsDamage) {
@@ -90,52 +91,91 @@ TEST(Frontier, ParserRejectsDamage) {
       serialize_frontier(faults::init_behavior_frontier(kViolating));
 
   const auto error_of = [](const std::string& text) {
-    const faults::FrontierParse parsed = faults::parse_frontier(text);
-    EXPECT_FALSE(parsed.ok()) << "accepted: " << text.substr(0, 60);
-    return parsed.error;
+    const Parsed<faults::Frontier> parsed = faults::parse_frontier(text);
+    EXPECT_FALSE(parsed.has_value()) << "accepted: " << text.substr(0, 60);
+    return parsed ? ParseError{} : parsed.error();
+  };
+  // "kind: message" of the error, for the cases that pin both.
+  const auto why = [&error_of](const std::string& text) {
+    const ParseError e = error_of(text);
+    return std::string(to_string(e.kind)) + ": " + e.message;
   };
 
-  EXPECT_EQ(error_of(""), "empty frontier");
-  EXPECT_EQ(error_of("something else\n"), "not a frontier file");
-  EXPECT_EQ(error_of("da-frontier v3\nconfig 4 1 2 2 1 3952\nend 0\n"),
-            "unsupported frontier version: v3");
-  EXPECT_EQ(error_of("da-frontier v1\n"), "truncated frontier: no config");
-  EXPECT_EQ(error_of("da-frontier v1\nconfig 4 x\nend 0\n"),
-            "malformed config line");
-  EXPECT_EQ(error_of("da-frontier v1\nconfig 0 0 0 -1 1 5\nend 0\n"),
-            "invalid config");
-  EXPECT_EQ(error_of("da-frontier v1\nconfig 4 1 2 2 1 0\nend 0\n"),
-            "empty search space");
+  EXPECT_EQ(why(""), "truncated: empty frontier");
+  EXPECT_EQ(why("something else\n"), "unknown-name: not a frontier file");
+  EXPECT_EQ(why("da-frontier v3\nconfig 4 1 2 2 1 3952\nend 0\n"),
+            "unknown-name: unsupported frontier version: v3");
+  EXPECT_EQ(why("da-frontier v1\n"), "truncated: no config record");
+  EXPECT_EQ(why("da-frontier v1\nconfig 4 x\nend 0\n"),
+            "syntax: malformed config record");
+  EXPECT_EQ(why("da-frontier v1\nconfig 0 0 0 -1 1 5\nend 0\n"),
+            "bad-value: invalid config");
+  EXPECT_EQ(why("da-frontier v1\nconfig 4 1 2 2 1 0\nend 0\n"),
+            "bad-value: empty search space");
 
   // Truncation: chop the `end` trailer, then miscount it.
   const std::string no_end = good.substr(0, good.rfind("end "));
-  EXPECT_EQ(error_of(no_end), "truncated frontier: missing end record");
-  EXPECT_EQ(error_of(no_end + "end 1\n"),
-            "truncated frontier: shard count mismatch");
+  EXPECT_EQ(why(no_end), "truncated: missing end record");
+  EXPECT_EQ(error_of(no_end + "end 1\n").kind, ParseKind::kNotCanonical);
 
   // Shard-level damage, spliced into a minimal two-shard frontier.
   const std::string header = "da-frontier v1\nconfig 4 1 2 2 1 3952\n";
   const auto with_shards = [&](const std::string& shards, int count) {
     return header + shards + "end " + std::to_string(count) + "\n";
   };
-  EXPECT_EQ(error_of(with_shards("shard 0 0 0 0 0 -\n", 1)),
+  const auto inconsistent = [&why](const std::string& text) {
+    const std::string kind_and_message = why(text);
+    EXPECT_EQ(kind_and_message.rfind("inconsistent: ", 0), 0u)
+        << kind_and_message;
+    return kind_and_message.substr(std::string("inconsistent: ").size());
+  };
+  EXPECT_EQ(inconsistent(with_shards("shard 0 0 0 0 0 -\n", 1)),
             "empty shard range");
-  EXPECT_EQ(error_of(with_shards("shard 0 9999 0 0 0 -\n", 1)),
+  EXPECT_EQ(inconsistent(with_shards("shard 0 9999 0 0 0 -\n", 1)),
             "shard beyond space");
-  EXPECT_EQ(error_of(with_shards("shard 0 16 0 0 0 -\nshard 0 16 0 0 0 -\n", 2)),
+  EXPECT_EQ(inconsistent(
+                with_shards("shard 0 16 0 0 0 -\nshard 0 16 0 0 0 -\n", 2)),
             "duplicate shard");
-  EXPECT_EQ(error_of(with_shards("shard 0 16 0 0 0 -\nshard 8 32 8 0 0 -\n", 2)),
+  EXPECT_EQ(inconsistent(
+                with_shards("shard 0 16 0 0 0 -\nshard 8 32 8 0 0 -\n", 2)),
             "overlapping shards");
-  EXPECT_EQ(error_of(with_shards("shard 0 16 20 0 0 -\n", 1)),
+  EXPECT_EQ(error_of(with_shards("shard 0 16 0 0 0 -\nshard 8 32 8 0 0 -\n", 2))
+                .line,
+            4u);
+  EXPECT_EQ(inconsistent(with_shards("shard 0 16 20 0 0 -\n", 1)),
             "cursor out of range");
-  EXPECT_EQ(error_of(with_shards("shard 0 16 16 16 16 99\n", 1)),
+  EXPECT_EQ(inconsistent(with_shards("shard 0 16 16 16 16 99\n", 1)),
             "hit outside shard");
-  EXPECT_EQ(error_of(with_shards("shard 0 16 8 8 8 3\n", 1)),
+  EXPECT_EQ(inconsistent(with_shards("shard 0 16 8 8 8 3\n", 1)),
             "hit with unsettled cursor");
-  EXPECT_EQ(error_of(with_shards("shard 0 16 16 16 16 bogus\n", 1)),
-            "malformed shard hit");
-  EXPECT_EQ(error_of(with_shards("record 0 16 0 0 0 -\n", 1)),
-            "unknown record: record");
+  EXPECT_EQ(why(with_shards("shard 0 16 16 16 16 bogus\n", 1)),
+            "syntax: malformed shard record");
+  EXPECT_EQ(why(with_shards("record 0 16 0 0 0 -\n", 1)),
+            "unknown-name: unknown record: record");
+
+  // Torn or re-spelled files: each decodes, but only the writer's exact
+  // bytes are accepted. The error points at the first differing byte.
+  const std::string shard = "shard 0 16 16 16 16 -\n";
+  const auto at = [&error_of](const std::string& text) {
+    const ParseError e = error_of(text);
+    EXPECT_EQ(e.kind, ParseKind::kNotCanonical) << e.to_string();
+    return std::pair(e.line, e.column);
+  };
+  EXPECT_EQ(at(with_shards(shard, 1) + shard), std::pair(5ul, 1ul));
+  EXPECT_EQ(at(with_shards("shard 0 16 16 16 16 - junk\n", 1)),
+            std::pair(3ul, 22ul));
+  EXPECT_EQ(at(header.substr(0, header.size() - 1) + " \nend 0\n"),
+            std::pair(2ul, 22ul));
+  EXPECT_EQ(at("da-frontier v1\nconfig 04 1 2 2 1 3952\nend 0\n"),
+            std::pair(2ul, 8ul));
+  const std::size_t before_newline = header.size() + shard.size() + 5;
+  EXPECT_EQ(at(with_shards(shard, 1).substr(0, before_newline)),
+            std::pair(4ul, 6ul));
+  EXPECT_EQ(error_of(with_shards("shard 0 16 16 16 16-\n", 1)).kind,
+            ParseKind::kSyntax);
+  EXPECT_EQ(error_of("da-frontier v1\nconfig +4 1 2 2 1 3952\nend 0\n").kind,
+            ParseKind::kSyntax);
+  EXPECT_EQ(error_of(good + "\n").kind, ParseKind::kNotCanonical);
 
   // v2 class-table damage, spliced into a minimal quotiented frontier
   // (one 16-ordinal class standing for 247 conjugates: 16*247 = 3952).
@@ -143,27 +183,30 @@ TEST(Frontier, ParserRejectsDamage) {
   const auto v2_with = [&](const std::string& body, int count) {
     return v2_header + body + "end " + std::to_string(count) + "\n";
   };
-  EXPECT_EQ(error_of(v2_with("", 0)), "v2 frontier without class records");
-  EXPECT_EQ(error_of(with_shards("class 0 16 247\n", 0)),
-            "class record in a v1 frontier");
-  EXPECT_EQ(error_of(v2_with("class 0 16 x\n", 0)), "malformed class line");
-  EXPECT_EQ(error_of(v2_with("class 0 16 247\nshard 0 16 0 0 0 -\n"
-                             "class 0 16 247\n",
-                             1)),
-            "class record after shard records");
-  EXPECT_EQ(error_of(v2_with("class 0 0 247\n", 0)), "invalid class record");
-  EXPECT_EQ(error_of(v2_with("class 0 9999 1\n", 0)), "class beyond space");
-  EXPECT_EQ(error_of(v2_with("class 0 16 1\nclass 0 16 246\n", 0)),
+  // No classes means v1, and classes mean v2, whatever the header says.
+  EXPECT_EQ(at(v2_with("", 0)), std::pair(1ul, 14ul));
+  EXPECT_EQ(at(with_shards("class 0 16 247\n", 0)), std::pair(1ul, 14ul));
+  EXPECT_EQ(why(v2_with("class 0 16 x\n", 0)),
+            "syntax: malformed class record");
+  EXPECT_EQ(at(v2_with("class 0 16 247\nshard 0 16 0 0 0 -\n"
+                       "class 0 16 247\n",
+                       1)),
+            std::pair(4ul, 1ul));
+  EXPECT_EQ(inconsistent(v2_with("class 0 0 247\n", 0)),
+            "invalid class record");
+  EXPECT_EQ(inconsistent(v2_with("class 0 9999 1\n", 0)),
+            "class beyond space");
+  EXPECT_EQ(inconsistent(v2_with("class 0 16 1\nclass 0 16 246\n", 0)),
             "duplicate class");
-  EXPECT_EQ(error_of(v2_with("class 0 16 1\nclass 8 16 246\n", 0)),
+  EXPECT_EQ(inconsistent(v2_with("class 0 16 1\nclass 8 16 246\n", 0)),
             "overlapping classes");
-  EXPECT_EQ(error_of(v2_with("class 0 16 246\n", 0)),
+  EXPECT_EQ(inconsistent(v2_with("class 0 16 246\n", 0)),
             "class weights do not reconcile to the space");
+  EXPECT_EQ(inconsistent(v2_with("class 0 16 1152921504606846976\n", 0)),
+            "class weights overflow");
   EXPECT_EQ(
-      error_of(v2_with("class 0 16 1152921504606846976\n", 0)),
-      "class weights overflow");
-  EXPECT_EQ(error_of(v2_with("class 0 16 247\nshard 16 32 16 0 0 -\n", 1)),
-            "shard outside class ranges");
+      inconsistent(v2_with("class 0 16 247\nshard 16 32 16 0 0 -\n", 1)),
+      "shard outside class ranges");
 }
 
 TEST(Frontier, SplitMergeIsLossless) {
@@ -184,24 +227,25 @@ TEST(Frontier, SplitMergeIsLossless) {
       }
     }
     EXPECT_EQ(shard_total, whole.shards.size());
-    const faults::FrontierParse merged = faults::merge_frontiers(split);
-    ASSERT_TRUE(merged.ok()) << merged.error;
-    EXPECT_EQ(serialize_frontier(*merged.frontier), reference);
+    const Parsed<faults::Frontier> merged = faults::merge_frontiers(split);
+    ASSERT_TRUE(merged) << merged.error().to_string();
+    EXPECT_EQ(serialize_frontier(*merged), reference);
   }
 
   // A part merged twice duplicates its shards — same rejection as the
   // parser's.
   const std::vector<faults::Frontier> split = faults::split_frontier(whole, 2);
-  const faults::FrontierParse dup =
+  const Parsed<faults::Frontier> dup =
       faults::merge_frontiers({split[0], split[1], split[0]});
-  EXPECT_FALSE(dup.ok());
-  EXPECT_EQ(dup.error, "duplicate shard");
+  ASSERT_FALSE(dup);
+  EXPECT_EQ(dup.error().to_string(), "inconsistent: duplicate shard");
 
   // Parts from different searches must not merge.
   faults::Frontier foreign = faults::init_behavior_frontier(kClean);
-  const faults::FrontierParse mixed = faults::merge_frontiers({whole, foreign});
-  EXPECT_FALSE(mixed.ok());
-  EXPECT_EQ(mixed.error, "header mismatch");
+  const Parsed<faults::Frontier> mixed =
+      faults::merge_frontiers({whole, foreign});
+  ASSERT_FALSE(mixed);
+  EXPECT_EQ(mixed.error().message, "header mismatch");
 }
 
 TEST(Frontier, SaveLoadAtomicRoundTrip) {
@@ -209,13 +253,14 @@ TEST(Frontier, SaveLoadAtomicRoundTrip) {
   const std::string path =
       testing::TempDir() + "da_frontier_roundtrip.frontier";
   ASSERT_TRUE(faults::save_frontier(frontier, path));
-  const faults::FrontierParse loaded = faults::load_frontier(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(serialize_frontier(*loaded.frontier), serialize_frontier(frontier));
+  const Parsed<faults::Frontier> loaded = faults::load_frontier(path);
+  ASSERT_TRUE(loaded) << loaded.error().to_string();
+  EXPECT_EQ(serialize_frontier(*loaded), serialize_frontier(frontier));
   std::remove(path.c_str());
 
-  const faults::FrontierParse missing = faults::load_frontier(path);
-  EXPECT_FALSE(missing.ok());
+  const Parsed<faults::Frontier> missing = faults::load_frontier(path);
+  ASSERT_FALSE(missing);
+  EXPECT_EQ(missing.error().kind, ParseKind::kIo);
 }
 
 // ------------------------------------------------------ resume semantics
@@ -256,9 +301,9 @@ TEST(FrontierRun, KillAndResumeAtEveryBoundaryIsByteIdentical) {
       options.max_shards = static_cast<int>(boundary);
       options.checkpoint = [&checkpoints](const faults::Frontier& snapshot) {
         // Every incremental checkpoint must itself round-trip.
-        const faults::FrontierParse parsed =
+        const Parsed<faults::Frontier> parsed =
             faults::parse_frontier(serialize_frontier(snapshot));
-        ASSERT_TRUE(parsed.ok()) << parsed.error;
+        ASSERT_TRUE(parsed) << parsed.error().to_string();
         ++checkpoints;
       };
       const faults::FrontierRun run =
@@ -270,10 +315,10 @@ TEST(FrontierRun, KillAndResumeAtEveryBoundaryIsByteIdentical) {
         EXPECT_EQ(run.violation->spec.config.n, kViolating.n);
       }
       // Reload from bytes: resuming must survive the serialized form.
-      const faults::FrontierParse reloaded =
+      const Parsed<faults::Frontier> reloaded =
           faults::parse_frontier(serialize_frontier(frontier));
-      ASSERT_TRUE(reloaded.ok()) << reloaded.error;
-      frontier = *reloaded.frontier;
+      ASSERT_TRUE(reloaded) << reloaded.error().to_string();
+      frontier = *reloaded;
       ++runs;
     }
     EXPECT_GT(checkpoints, 0);
@@ -299,10 +344,10 @@ TEST(FrontierRun, SplitPartsMergeToTheSameArtifact) {
     EXPECT_FALSE(run.settled) << "a split part must not settle alone";
     finished.push_back(std::move(part));
   }
-  const faults::FrontierParse merged = faults::merge_frontiers(finished);
-  ASSERT_TRUE(merged.ok()) << merged.error;
-  EXPECT_TRUE(merged.frontier->settled());
-  EXPECT_EQ(artifact_of(*merged.frontier), reference);
+  const Parsed<faults::Frontier> merged = faults::merge_frontiers(finished);
+  ASSERT_TRUE(merged) << merged.error().to_string();
+  EXPECT_TRUE(merged->settled());
+  EXPECT_EQ(artifact_of(*merged), reference);
 }
 
 TEST(FrontierRun, RejectsForeignShardPlans) {

@@ -95,15 +95,50 @@ TEST(Json, ParseUnicodeEscape) {
   const auto parsed = Json::parse("\"\\u0041\\u00e9\"");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->as_string(), "A\xc3\xa9");
+  // A surrogate pair is one code point: U+1F600 as 4 bytes of UTF-8.
+  const auto pair = Json::parse("\"\\ud83d\\ude00\"");
+  ASSERT_TRUE(pair.has_value()) << pair.error().to_string();
+  EXPECT_EQ(pair->as_string(), "\xf0\x9f\x98\x80");
+  // A lone surrogate has no UTF-8 encoding.
+  for (const char* lone : {"\"\\ud800\"", "\"\\ude00\"", "\"\\ud83dx\"",
+                           "\"\\ud83d\\u0041\""}) {
+    const auto bad = Json::parse(lone);
+    ASSERT_FALSE(bad.has_value()) << lone;
+    EXPECT_EQ(bad.error().kind, ParseKind::kBadValue) << lone;
+  }
 }
 
 TEST(Json, ParseRejectsMalformedInput) {
-  std::string error;
-  EXPECT_FALSE(Json::parse("{\"a\":}", &error).has_value());
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(Json::parse("[1,2", nullptr).has_value());
-  EXPECT_FALSE(Json::parse("1 trailing", nullptr).has_value());
-  EXPECT_FALSE(Json::parse("", nullptr).has_value());
+  const auto error_of = [](std::string_view text) {
+    const auto parsed = Json::parse(text);
+    EXPECT_FALSE(parsed.has_value()) << text;
+    return parsed ? ParseError{} : parsed.error();
+  };
+  EXPECT_EQ(error_of("{\"a\":}").kind, ParseKind::kSyntax);
+  EXPECT_FALSE(error_of("{\"a\":}").message.empty());
+  EXPECT_EQ(error_of("[1,2").kind, ParseKind::kSyntax);
+  EXPECT_EQ(error_of("1 trailing").column, 3u);
+  EXPECT_EQ(error_of("").kind, ParseKind::kSyntax);
+  // Numbers follow the RFC 8259 grammar exactly.
+  for (const char* number :
+       {".5", "2.", "01", "+1", "-", "1e", "1.e5", "0x1"}) {
+    EXPECT_EQ(error_of(number).kind, ParseKind::kSyntax) << number;
+  }
+  // A number a double cannot hold is an error, not null.
+  EXPECT_EQ(error_of("1e999").kind, ParseKind::kBadValue);
+  EXPECT_EQ(error_of("[-1e999]").column, 2u);
+  // A raw control character in a string must be escaped.
+  const ParseError tab = error_of("{\n\"a\": \"x\ty\"}");
+  EXPECT_EQ(tab.kind, ParseKind::kSyntax);
+  EXPECT_EQ(tab.line, 2u);
+  EXPECT_EQ(tab.column, 8u);
+  // Valid spellings still parse, and an integral double stays a double.
+  const auto ok = Json::parse("[0, -0, 1.5e3, 2E-2, -0.25, 1.0]");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(ok->at(1).is_integer());
+  EXPECT_FALSE(ok->at(5).is_integer());
+  EXPECT_EQ(ok->dump(), "[0,0,1500.0,0.02,-0.25,1.0]");
+  EXPECT_EQ(*Json::parse(ok->dump()), *ok);
 }
 
 // ------------------------------------------------------------- metrics --
@@ -194,9 +229,8 @@ TEST(TraceExport, EventsAreCanonicalAndRoundTrip) {
   }
 
   const std::string jsonl = trace_to_jsonl(events);
-  std::string error;
-  const auto parsed = read_trace_jsonl(jsonl, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  const auto parsed = read_trace_jsonl(jsonl);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
   EXPECT_EQ(*parsed, events);
 }
 
@@ -269,10 +303,39 @@ TEST(TraceExport, ReadRejectsMalformedLinesWithLineNumber) {
   const std::string valid_line = trace_to_jsonl({event});
   ASSERT_TRUE(read_trace_jsonl(valid_line).has_value());
 
-  std::string error;
-  EXPECT_FALSE(read_trace_jsonl(valid_line + "not json\n", &error)
-                   .has_value());
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  // The kind and the 1-based line of the first rejected line.
+  const auto rejected = [](const std::string& text) {
+    const auto parsed = read_trace_jsonl(text);
+    EXPECT_FALSE(parsed.has_value()) << text;
+    return parsed ? std::pair(ParseKind::kIo, std::size_t{0})
+                  : std::pair(parsed.error().kind, parsed.error().line);
+  };
+  const auto with = [&valid_line](const std::string& from,
+                                  const std::string& to) {
+    std::string text = valid_line;
+    return text.replace(text.find(from), from.size(), to);
+  };
+  EXPECT_EQ(rejected(valid_line + "not json\n"),
+            std::pair(ParseKind::kSyntax, std::size_t{2}));
+  EXPECT_EQ(read_trace_jsonl(valid_line + "not json\n").error().to_string(),
+            "line 2, column 1: syntax: unexpected character");
+  // Blank lines and a missing final newline are not the writer's bytes.
+  EXPECT_EQ(rejected(valid_line + "\n" + valid_line),
+            std::pair(ParseKind::kSyntax, std::size_t{2}));
+  EXPECT_EQ(rejected(valid_line.substr(0, valid_line.size() - 1)),
+            std::pair(ParseKind::kNotCanonical, std::size_t{1}));
+  EXPECT_EQ(rejected(valid_line + " " + valid_line),
+            std::pair(ParseKind::kNotCanonical, std::size_t{2}));
+  // A field out of its C++ type's range is a typed error, not a wrap.
+  EXPECT_EQ(rejected(valid_line +
+                     with("\"wire_bytes\":0", "\"wire_bytes\":-1")),
+            std::pair(ParseKind::kBadValue, std::size_t{2}));
+  EXPECT_EQ(rejected(with("\"to\":1", "\"to\":4294967297")),
+            std::pair(ParseKind::kBadValue, std::size_t{1}));
+  EXPECT_EQ(rejected(with("\"path\":[]", "\"path\":[2147483648]")),
+            std::pair(ParseKind::kBadValue, std::size_t{1}));
+  EXPECT_EQ(rejected(with("\"value\":null", "\"value\":1.5")),
+            std::pair(ParseKind::kBadValue, std::size_t{1}));
 }
 
 TEST(TraceExport, WireBytesMatchMessageSize) {

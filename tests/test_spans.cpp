@@ -187,9 +187,9 @@ TEST(Span, FromJsonRejectsForgedId) {
   s.job = 9;
   obs::Json j = span_record(s);
   j.set("id", "job:8");  // id no longer matches the identity fields
-  obs::SpanReadError error = obs::SpanReadError::kMalformedJson;
-  EXPECT_FALSE(Span::from_json(j, &error).has_value());
-  EXPECT_EQ(error, obs::SpanReadError::kIdMismatch);
+  const auto parsed = Span::from_json(j);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().kind, ParseKind::kIdMismatch);
 }
 
 TEST(Span, CanonicalizeIsEmissionOrderIndependent) {
@@ -217,26 +217,25 @@ TEST(Span, JsonlRoundTripAndBadLineRejected) {
   s.job = 1;
   s.t1 = 0.5;
   const std::string jsonl = obs::spans_to_jsonl({s});
-  std::string error;
-  const auto parsed = obs::read_spans_jsonl(jsonl, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  const auto parsed = obs::read_spans_jsonl(jsonl);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
   ASSERT_EQ(parsed->size(), 1u);
   EXPECT_EQ(parsed->front(), s);
-  EXPECT_FALSE(obs::read_spans_jsonl("{not json\n", &error).has_value());
+  EXPECT_FALSE(obs::read_spans_jsonl("{not json\n").has_value());
 }
 
 /// The error kind `read_spans_jsonl` reports for `text`; nullopt when it
 /// accepts it.
-std::optional<obs::SpanReadError> read_error(const std::string& text) {
-  std::string error;
-  obs::SpanReadError kind{};
-  if (obs::read_spans_jsonl(text, &error, &kind)) return std::nullopt;
-  EXPECT_EQ(error.rfind("line ", 0), 0u) << error;
-  return kind;
+std::optional<ParseKind> read_error(const std::string& text) {
+  const auto parsed = obs::read_spans_jsonl(text);
+  if (parsed) return std::nullopt;
+  EXPECT_GT(parsed.error().line, 0u) << parsed.error().to_string();
+  EXPECT_EQ(parsed.error().to_string().rfind("line ", 0), 0u);
+  return parsed.error().kind;
 }
 
 TEST(SpanReader, RejectsEachMalformationWithATypedError) {
-  using E = obs::SpanReadError;
+  using E = ParseKind;
   const std::string good =
       R"({"id":"inst:4.1","name":"inst","job":4,"sub":1,"round":-1,)"
       R"("t0":1.5,"t1":3.25,"parent":"job:4",)"
@@ -272,10 +271,10 @@ TEST(SpanReader, RejectsEachMalformationWithATypedError) {
             E::kBadParent);
   // Mistyped or out-of-range fields.
   EXPECT_EQ(read_error(with(R"("sub":1)", R"("sub":4294967297)")),
-            E::kBadField);
-  EXPECT_EQ(read_error(with(R"("t0":1.5)", R"("t0":"1.5")")), E::kBadField);
+            E::kBadValue);
+  EXPECT_EQ(read_error(with(R"("t0":1.5)", R"("t0":"1.5")")), E::kBadValue);
   EXPECT_EQ(read_error(with(R"("rounds":2)", R"("rounds":2.5)")),
-            E::kBadField);
+            E::kBadValue);
   // Well-formed spans, but not the canonical bytes or order.
   EXPECT_EQ(read_error(with(R"("t0":1.5)", R"("t0":1.50)")),
             E::kNotCanonical);
@@ -288,8 +287,8 @@ TEST(SpanReader, RejectsEachMalformationWithATypedError) {
   EXPECT_EQ(read_error(good + later), std::nullopt);
   EXPECT_EQ(read_error(later + good), E::kNotCanonical);
   // Not JSON at all, blank lines included.
-  EXPECT_EQ(read_error("{not json\n"), E::kMalformedJson);
-  EXPECT_EQ(read_error(good + "\n"), E::kMalformedJson);
+  EXPECT_EQ(read_error("{not json\n"), E::kSyntax);
+  EXPECT_EQ(read_error(good + "\n"), E::kSyntax);
 }
 
 #ifndef DA_METRICS_DISABLED
@@ -486,101 +485,6 @@ TEST(ServiceObs, SpanTreeIsWellFormed) {
   // Kill switch: span recording compiles to nothing.
   EXPECT_TRUE(result.spans.empty());
 #endif
-}
-
-// Seeded mutational round trip: any one-edit mutation of a real export
-// either reads back into spans that re-export byte for byte, or is
-// rejected with a typed error naming the line — never a contract abort.
-TEST(JsonlMutation, SpanExportRoundTripsOrFailsTyped) {
-  std::vector<Span> spans;
-  // Runtime phase spans: send/deliver/resolve parents and negative tags.
-  for (int r = 0; r < 2; ++r) {
-    Span send;
-    send.name = "send";
-    send.round = r;
-    send.t0 = r;
-    send.t1 = r + 0.25;
-    send.tags = {{"messages", 12}};
-    Span deliver = send;
-    deliver.name = "deliver";
-    deliver.t0 = r + 0.25;
-    deliver.t1 = r + 0.5;
-    deliver.parent = {obs::SpanKind::kSend, -1, -1, r};
-    deliver.tags = {{"dropped", -2}, {"messages", 14}};
-    spans.push_back(send);
-    spans.push_back(deliver);
-  }
-  // Service spans under a fault plan: every service span kind and the
-  // injection tags, the first 40 lines of the export.
-  const service::ServiceResult result =
-      service::run_service(obs_service_config(1));
-  const std::size_t take = std::min<std::size_t>(result.spans.size(), 40);
-  spans.insert(spans.end(), result.spans.begin(),
-               result.spans.begin() + static_cast<std::ptrdiff_t>(take));
-  const std::string base = obs::spans_to_jsonl(spans);
-  ASSERT_EQ(obs::spans_to_jsonl(*obs::read_spans_jsonl(base)), base);
-
-  std::vector<std::size_t> line_starts = {0};
-  for (std::size_t i = 0; i + 1 < base.size(); ++i) {
-    if (base[i] == '\n') line_starts.push_back(i + 1);
-  }
-  const auto line = [&](std::size_t k) {
-    const std::size_t begin = line_starts[k];
-    const std::size_t end =
-        k + 1 < line_starts.size() ? line_starts[k + 1] : base.size();
-    return base.substr(begin, end - begin);
-  };
-  const std::string alphabet =
-      "0123456789-+.eE:#,{}[]\"\\ abcdjnoqrstuy_\n\t";
-  Rng rng(2024);
-  int accepted = 0;
-  int rejected = 0;
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::string text = base;
-    const std::size_t at = rng.below(text.size());
-    const char c = alphabet[rng.below(alphabet.size())];
-    switch (rng.below(6)) {
-      case 0:
-        text[at] = c;
-        break;
-      case 1:
-        text.erase(at, 1);
-        break;
-      case 2:
-        text.insert(at, 1, c);
-        break;
-      case 3: {  // duplicate a line in place
-        const std::size_t k = rng.below(line_starts.size());
-        text.insert(line_starts[k], line(k));
-        break;
-      }
-      case 4: {  // swap two lines
-        const std::size_t a = rng.below(line_starts.size());
-        const std::size_t b = rng.below(line_starts.size());
-        if (a == b) break;
-        text.clear();
-        for (std::size_t k = 0; k < line_starts.size(); ++k) {
-          text += line(k == a ? b : k == b ? a : k);
-        }
-        break;
-      }
-      default:
-        text.resize(at);
-    }
-    std::string error;
-    obs::SpanReadError kind{};
-    const auto parsed = obs::read_spans_jsonl(text, &error, &kind);
-    if (parsed) {
-      ++accepted;
-      ASSERT_EQ(obs::spans_to_jsonl(*parsed), text) << "trial " << trial;
-    } else {
-      ++rejected;
-      ASSERT_EQ(error.rfind("line ", 0), 0u) << "trial " << trial;
-      ASSERT_STRNE(obs::to_string(kind), "?");
-    }
-  }
-  EXPECT_GT(accepted, 0);
-  EXPECT_GT(rejected, 0);
 }
 
 // ------------------------------------------------------- export pin --

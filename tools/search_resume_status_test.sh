@@ -68,4 +68,21 @@ verdict       violation at ordinal 129 (settled)
 EOF
 diff -u "$TMP/hit.golden" "$TMP/hit.out"
 
+# 6. A torn file with a record appended after the `end` trailer must not
+#    resume: status exits 2 and names the line and the error kind.
+cp "$TMP/f" "$TMP/torn"
+echo "shard 0 64 64 20 64 -" >>"$TMP/torn"
+torn_lines=$(($(wc -l <"$TMP/torn")))
+if "$BIN" status --frontier "$TMP/torn" >/dev/null 2>"$TMP/torn.err"; then
+  echo "status accepted a record after end" >&2
+  exit 1
+else
+  code=$?
+fi
+[ "$code" -eq 2 ] || { echo "status exited $code, want 2" >&2; exit 1; }
+grep -q "line $torn_lines, column 1: not-canonical:" "$TMP/torn.err" || {
+  cat "$TMP/torn.err" >&2
+  exit 1
+}
+
 echo "search_resume status golden: OK"
