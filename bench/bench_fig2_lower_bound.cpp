@@ -10,8 +10,9 @@
 // It then runs both sides of the boundary through the parallel
 // adversary-complete behaviour sweep (src/sweep/): every behaviour of
 // every faulty subset at N = 4 (a violation must surface) and at N = 5
-// (none may). `--jobs N` sets the worker count; per-shard counters are
-// aggregated per worker so the run reports its own scaling.
+// (none may). `--jobs N` sets the scanning threads (the caller is worker
+// 0, pool workers 1..N-1); per-shard counters are aggregated per worker
+// so the run reports its own scaling.
 
 #include <cstdio>
 #include <cstdlib>
@@ -120,7 +121,8 @@ void sweep_boundary(int jobs) {
     const da::Config below{.n = 4, .m = 1, .u = 2};
     da::sweep::SweepStats stats;
     const auto violation =
-        da::faults::exhaustive_behavior_search(below, -1, options, &stats);
+        da::faults::exhaustive_behavior_search(
+            below, da::faults::BehaviorSearchOptions{}, options, &stats);
     std::printf("\nN = 4 (one node short): %s\n",
                 violation.has_value()
                     ? ("violation FOUND (expected): " +
@@ -134,7 +136,8 @@ void sweep_boundary(int jobs) {
     const da::Config tight{.n = 5, .m = 1, .u = 2};
     da::sweep::SweepStats stats;
     const auto violation =
-        da::faults::exhaustive_behavior_search(tight, -1, options, &stats);
+        da::faults::exhaustive_behavior_search(
+            tight, da::faults::BehaviorSearchOptions{}, options, &stats);
     std::printf("\nN = 5 (the bound, %llu behaviours): %s\n",
                 static_cast<unsigned long long>(
                     da::faults::behavior_search_space(tight)),

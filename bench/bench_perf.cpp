@@ -239,7 +239,8 @@ void BM_BehaviourSweep(benchmark::State& state) {
   da::sweep::SweepStats stats;
   for (auto _ : state) {
     const auto violation =
-        da::faults::exhaustive_behavior_search(config, -1, options, &stats);
+        da::faults::exhaustive_behavior_search(
+            config, da::faults::BehaviorSearchOptions{}, options, &stats);
     benchmark::DoNotOptimize(violation);
   }
   state.counters["executions"] = static_cast<double>(stats.executions);
@@ -262,7 +263,9 @@ void BM_BehaviorSearch(benchmark::State& state) {
   da::sweep::SweepStats stats;
   for (auto _ : state) {
     const auto violation = da::faults::exhaustive_behavior_search(
-        config, -1, options, &stats, checkpointing);
+        config,
+        da::faults::BehaviorSearchOptions{.checkpointing = checkpointing},
+        options, &stats);
     benchmark::DoNotOptimize(violation);
   }
   state.counters["executions"] = static_cast<double>(stats.executions);

@@ -51,7 +51,8 @@ std::string verify_cell(int m, int u) {
   bool adversary_complete = false;
   if (m <= 1 &&
       da::faults::behavior_search_space(feasible) <= 2'000'000) {
-    if (da::faults::exhaustive_behavior_search(feasible, -1, sweep_options)
+    if (da::faults::exhaustive_behavior_search(
+            feasible, da::faults::BehaviorSearchOptions{}, sweep_options)
             .has_value()) {
       return "ACHIEVABILITY FAILED (behaviour sweep)";
     }

@@ -481,18 +481,10 @@ std::optional<Violation> exhaustive_behavior_search(
   return search.candidate(*result.first_hit_shard);
 }
 
-std::optional<Violation> exhaustive_behavior_search(
-    const Config& config, int max_f, const sweep::SweepOptions& options,
-    sweep::SweepStats* stats, bool checkpointing) {
-  BehaviorSearchOptions search_options;
-  search_options.max_f = max_f;
-  search_options.checkpointing = checkpointing;
-  return exhaustive_behavior_search(config, search_options, options, stats);
-}
-
 std::optional<Violation> exhaustive_behavior_search(const Config& config,
                                                     int max_f) {
-  return exhaustive_behavior_search(config, max_f, sweep::SweepOptions{});
+  return exhaustive_behavior_search(
+      config, BehaviorSearchOptions{.max_f = max_f}, sweep::SweepOptions{});
 }
 
 std::uint64_t behavior_search_space(const Config& config, int max_f) {

@@ -65,7 +65,7 @@ struct BehaviorSearchOptions {
 
 /// Parallel form: the same sweep, sharded deterministically over the
 /// high-order base-4 digits of each subset's behaviour index and run on a
-/// work-stealing pool (see src/sweep/). Behaviour digits are big-endian
+/// fork-join pool (see src/sweep/). Behaviour digits are big-endian
 /// (slot 0 = most-significant digit), so ordinals sharing leading digits
 /// share their round-0 assignment. With `options.checkpointing` (the
 /// default) the walk exploits exactly that: each shard forks every
@@ -84,12 +84,6 @@ struct BehaviorSearchOptions {
     const Config& config, const BehaviorSearchOptions& options,
     const sweep::SweepOptions& sweep_options,
     sweep::SweepStats* stats = nullptr);
-
-/// Back-compat form of the above: max_f + checkpointing as bare
-/// parameters, symmetry at its default (on).
-[[nodiscard]] std::optional<Violation> exhaustive_behavior_search(
-    const Config& config, int max_f, const sweep::SweepOptions& options,
-    sweep::SweepStats* stats = nullptr, bool checkpointing = true);
 
 /// Number of protocol executions the unreduced search performs — the
 /// full 4^k ordinal space (for reporting and reconciliation).

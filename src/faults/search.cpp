@@ -98,8 +98,8 @@ struct ScenarioEntry {
 };
 
 /// Scenario ordinals are coarse units (each runs a whole adversary
-/// family), so shards are small to give the work-stealing pool enough
-/// pieces to balance. Constant, never derived from the job count.
+/// family), so shards are small to give the pool's threads enough pieces
+/// to balance. Constant, never derived from the job count.
 constexpr std::uint64_t kScenariosPerShard = 16;
 
 // Checkpoint-engine accounting (shared by name with behavior_search.cpp:

@@ -65,7 +65,7 @@ struct SearchOptions {
 /// Parallel form: the same search run through the scenario-sweep engine
 /// (src/sweep/) — scenarios are sharded deterministically in serial scan
 /// order (sender, then fault count, then subset lexicographic, then the
-/// random probes) and scanned by a work-stealing pool with early-exit
+/// random probes) and scanned on a fork-join pool with early-exit
 /// cancellation. The verdict and the canonical execution count in
 /// `stats->executions` are identical for every `sweep_options.jobs`
 /// value. Random probes derive their spec from mix64(seed, ordinal), so

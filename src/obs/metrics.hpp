@@ -20,8 +20,8 @@ namespace da::obs {
 /// slot per metric per thread — and are folded into the shared registry
 /// when a `MetricsScope` exits (counters merge with relaxed atomic adds,
 /// sketches under one mutex). That makes instrumentation safe and
-/// contention-free under the sweep engine's work-stealing pool: each
-/// worker accumulates locally and pays one merge per protocol execution.
+/// contention-free under the sweep engine's fork-join pool: each thread
+/// accumulates locally and pays one merge per protocol execution.
 ///
 /// Compile-time kill switch: building with -DDA_METRICS_DISABLED (CMake:
 /// -DDA_METRICS=OFF) turns every Counter/Quantile/ScopedTimer

@@ -38,7 +38,7 @@ namespace da::service {
 /// overload handling), and is executed in *batched round ticks*: every
 /// `round_period` of virtual time, all co-scheduled instances advance one
 /// synchronous round together, drained in instance chunks by the sweep
-/// engine's work-stealing pool when `jobs > 1`.
+/// engine's fork-join pool when `jobs > 1`.
 ///
 /// Steady-state admission is allocation-free: per distinct scenario
 /// *shape* (protocol, config, sender, value, faulty set) the service

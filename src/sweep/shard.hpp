@@ -20,7 +20,7 @@ struct ShardRange {
 /// The plan is a pure function of the enumeration space — never of the
 /// thread count — so a sweep's canonical result (first violation ordinal,
 /// canonical execution count) is reproducible for any `--jobs` value: the
-/// shards are simply dealt to however many workers exist.
+/// shards are simply claimed by however many threads scan.
 ///
 /// Behaviour-enumeration segments are split at *high-order base-4 digit*
 /// boundaries (`append_pow4`): a 4^s-sized segment becomes 4^d blocks of
@@ -33,7 +33,7 @@ class ShardPlan {
   /// Target number of ordinals per shard used by the `append_*` helpers
   /// when the caller does not override it. A fixed constant (not derived
   /// from the job count) keeps plans identical across `--jobs` values
-  /// while leaving enough shards for stealing to balance skew.
+  /// while leaving enough shards for the pool's threads to balance skew.
   static constexpr std::uint64_t kDefaultBlock = 4096;
 
   /// Appends a segment of 4^slots ordinals, split at high-order digit

@@ -22,6 +22,9 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
   DA_EXPECTS(static_cast<bool>(visitor));
   using Clock = std::chrono::steady_clock;
   const auto sweep_start = Clock::now();
+  // Flushes what the shards scanned on this thread staged, on return or
+  // on a visitor's exception; workers flush after each shard themselves.
+  const obs::MetricsScope metrics_scope;
   const int jobs = resolve_jobs(options.jobs);
 
   SweepResult result;
@@ -47,59 +50,53 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
     }
   }
   {
-    ThreadPool pool(jobs);
-    for (std::size_t s = 0; s < plan.shard_count(); ++s) {
-      pool.submit([&, s] {
-        // Flush this worker's thread-local metric deltas when the shard
-        // finishes: visitors that drive a RoundEngine phase-by-phase (the
-        // checkpointed searches) stage counters outside any MetricsScope
-        // of their own, and pool threads die without flushing.
-        const obs::MetricsScope metrics_scope;
-        const ShardRange range = plan.shard(s);
-        ShardStats& stats = result.stats.per_shard[s];
-        stats.begin = range.begin;
-        stats.end = range.end;
-        std::uint64_t o = range.begin;
-        if (options.resume != nullptr) {
-          const ShardResume& saved = options.resume->shards[s];
-          stats.executions = saved.executions;
-          stats.weighted = saved.weighted;
-          stats.first_hit = saved.first_hit;
-          if (saved.first_hit != kNoHit) stats.violations = 1;
-          o = saved.first_hit != kNoHit ? range.end : saved.cursor;
+    // The caller scans shards too, so `jobs` threads scan in all. Shards
+    // are claimed in ascending order, one at a time.
+    ThreadPool pool(jobs - 1);
+    pool.fork_join(plan.shard_count(), [&](std::size_t s) {
+      const ShardRange range = plan.shard(s);
+      ShardStats& stats = result.stats.per_shard[s];
+      stats.begin = range.begin;
+      stats.end = range.end;
+      std::uint64_t o = range.begin;
+      if (options.resume != nullptr) {
+        const ShardResume& saved = options.resume->shards[s];
+        stats.executions = saved.executions;
+        stats.weighted = saved.weighted;
+        stats.first_hit = saved.first_hit;
+        if (saved.first_hit != kNoHit) stats.violations = 1;
+        o = saved.first_hit != kNoHit ? range.end : saved.cursor;
+      }
+      stats.cursor = o;
+      if (o >= range.end) return;  // settled by the resumed-in state
+      if (canceller.cancelled(o)) return;  // stats.worker = -1
+      if (options.stop && options.stop()) return;  // suspended, untouched
+      stats.worker = pool.current_worker() + 1;  // the caller is 0
+      const auto start = Clock::now();
+      Rng rng(mix64(options.seed, range.begin));
+      while (o < range.end) {
+        if (canceller.cancelled(o)) break;
+        if (options.stop && options.stop()) break;  // park the cursor
+        const Visit visit = visitor(o, s, rng);
+        stats.executions += visit.executions;
+        stats.weighted += visit.weight;
+        if (visit.hit) {
+          ++stats.violations;
+          stats.first_hit = o;
+          canceller.report(o);
+          o = range.end;  // ascending scan: the shard verdict is settled
+          break;
         }
-        stats.cursor = o;
-        if (o >= range.end) return;  // settled by the resumed-in state
-        if (canceller.cancelled(o)) return;  // stats.worker = -1
-        if (options.stop && options.stop()) return;  // suspended, untouched
-        stats.worker = pool.current_worker();
-        const auto start = Clock::now();
-        Rng rng(mix64(options.seed, range.begin));
-        while (o < range.end) {
-          if (canceller.cancelled(o)) break;
-          if (options.stop && options.stop()) break;  // park the cursor
-          const Visit visit = visitor(o, s, rng);
-          stats.executions += visit.executions;
-          stats.weighted += visit.weight;
-          if (visit.hit) {
-            ++stats.violations;
-            stats.first_hit = o;
-            canceller.report(o);
-            o = range.end;  // ascending scan: the shard verdict is settled
-            break;
-          }
-          o = std::max(o + 1, visit.next);
-        }
-        stats.cursor = std::min(o, range.end);
-        stats.wall_ms = std::chrono::duration<double, std::milli>(
-                            Clock::now() - start)
-                            .count();
-        if (stats.cursor == range.end && options.on_shard_done) {
-          options.on_shard_done(s, stats);
-        }
-      });
-    }
-    pool.wait_idle();
+        o = std::max(o + 1, visit.next);
+      }
+      stats.cursor = std::min(o, range.end);
+      stats.wall_ms = std::chrono::duration<double, std::milli>(
+                          Clock::now() - start)
+                          .count();
+      if (stats.cursor == range.end && options.on_shard_done) {
+        options.on_shard_done(s, stats);
+      }
+    });
   }
 
   // Aggregate. The winner is the shard holding the best (minimum) hit
@@ -137,7 +134,8 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
           .count();
 
   // Fold the sweep's own statistics into the metrics registry (the
-  // per-execution sim.* counters were already written by the workers).
+  // per-execution sim.* counters were already staged by the scanning
+  // threads).
   static const obs::Counter sweeps("sweep.sweeps");
   static const obs::Counter executions("sweep.executions");
   static const obs::Counter weighted("sweep.weighted_executions");
@@ -148,7 +146,6 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
   static const obs::Quantile shard_wall_ms("sweep.shard_wall_ms");
   static const obs::Quantile worker_busy_ms("sweep.worker_busy_ms");
   static const obs::Quantile wall_ms("sweep.wall_ms");
-  const obs::MetricsScope metrics_scope;
   sweeps.add();
   executions.add(result.stats.executions);
   weighted.add(result.stats.weighted_executions);

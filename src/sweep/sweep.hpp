@@ -45,12 +45,14 @@ struct ShardStats {
   std::uint64_t violations = 0;  // hits reported by the visitor
   std::uint64_t first_hit = kNoHit;  // shard's first hit ordinal, if any
   double wall_ms = 0.0;          // wall time spent scanning this shard
-  int worker = -1;               // pool worker that ran it (-1: skipped)
+  int worker = -1;  // thread that scanned it: 0 the caller, 1.. pool
+                    // workers, -1 skipped (never scanned in this run)
 };
 
 /// Knobs for one parallel sweep.
 struct SweepOptions {
-  /// Worker threads; <= 0 means std::thread::hardware_concurrency().
+  /// Scanning threads, the caller included; <= 0 means
+  /// std::thread::hardware_concurrency().
   int jobs = 1;
   /// Base seed for the per-shard RNG streams (shard s receives
   /// Rng(mix64(seed, s.begin)) — a pure function of the plan, so streams
@@ -63,12 +65,13 @@ struct SweepOptions {
   /// only sound for visitors that ignore `rng` (the behaviour search
   /// does; the family search checkpoints only at shard boundaries).
   const SweepResume* resume = nullptr;
-  /// Cooperative suspension: polled (from worker threads — must be
+  /// Cooperative suspension: polled (from the scanning threads — must be
   /// thread-safe) before each shard and each ordinal; once it returns
-  /// true, in-flight shards park their cursors and queued shards never
-  /// start. Suspended progress is reported via `per_shard` cursors.
+  /// true, in-flight shards park their cursors and later shards never
+  /// start scanning. Suspended progress is reported via `per_shard`
+  /// cursors.
   std::function<bool()> stop;
-  /// Invoked from the owning worker thread each time a shard settles
+  /// Invoked from the scanning thread each time a shard settles
   /// (scanned to its end or found its hit) during *this* run — the hook
   /// for incremental frontier checkpointing. Not called for shards that
   /// were already settled by a resumed-in state, nor for suspended or
@@ -134,7 +137,7 @@ class Canceller {
 /// The visitor executes the scenario at one global ordinal and reports
 /// whether it was a violation ("hit"). `shard` is the shard's index in
 /// the plan (stash per-shard payloads there — each shard is scanned by
-/// exactly one worker, so a slot per shard needs no locking); `rng` is
+/// exactly one thread, so a slot per shard needs no locking); `rng` is
 /// the shard's private deterministic stream.
 struct Visit {
   bool hit = false;
@@ -163,12 +166,17 @@ struct SweepResult {
   SweepStats stats;
 };
 
-/// Runs the visitor over every ordinal of `plan` on a work-stealing pool,
-/// early-exiting once the first (by ordinal) hit is settled.
+/// Runs the visitor over every ordinal of `plan` as one fork-join batch of
+/// shards on a `ThreadPool` of jobs - 1 workers plus the calling thread,
+/// early-exiting once the first (by ordinal) hit is settled. Shards start
+/// in ascending order, each claimed by the next free thread.
 ///
 /// Deterministic contract, for any jobs >= 1: `first_hit`,
 /// `first_hit_shard` and `stats.executions` are identical; only
 /// `stats.performed`, per-shard wall times and worker assignments vary.
+///
+/// The first exception thrown by the visitor (or by `stop` or
+/// `on_shard_done`) is rethrown here, after every shard has finished.
 [[nodiscard]] SweepResult run_sweep(const ShardPlan& plan,
                                     const SweepOptions& options,
                                     const Visitor& visitor);
@@ -176,10 +184,11 @@ struct SweepResult {
 /// Resolved job count: `jobs` if positive, else hardware concurrency.
 [[nodiscard]] int resolve_jobs(int jobs);
 
-/// Per-worker rollup of the per-shard counters, for scaling reports:
-/// how many shards each pool worker scanned, how many protocol
-/// executions that cost, and how long the worker was busy. Skipped
-/// (cancelled-before-start) shards are reported under worker -1.
+/// Per-thread rollup of the per-shard counters, for scaling reports:
+/// how many shards each scanning thread (0 the caller, 1.. pool workers)
+/// scanned, how many protocol executions that cost, and how long it was
+/// busy. Skipped (cancelled-before-start) shards are reported under
+/// worker -1.
 struct WorkerSummary {
   int worker = -1;
   std::uint64_t shards = 0;

@@ -349,7 +349,9 @@ TEST(ForkEngine, BehaviorSearchCheckpointingEquivalence) {
         options.jobs = jobs;
         sweep::SweepStats stats;
         const auto violation = faults::exhaustive_behavior_search(
-            config, -1, options, &stats, checkpointing);
+            config,
+            faults::BehaviorSearchOptions{.checkpointing = checkpointing},
+            options, &stats);
         const std::string name =
             violation.has_value() ? violation->adversary : "(none)";
         if (first) {
@@ -423,7 +425,8 @@ TEST(ForkEngine, CheckpointCountersVisible) {
   // A clean config scans its whole space, so the walk forks throughout.
   const Config config{.n = 4, .m = 1, .u = 1};
   const auto violation = faults::exhaustive_behavior_search(
-      config, -1, sweep::SweepOptions{}, nullptr, /*checkpointing=*/true);
+      config, faults::BehaviorSearchOptions{.checkpointing = true},
+      sweep::SweepOptions{});
   EXPECT_FALSE(violation.has_value());
 
   EXPECT_GT(registry.counter_value("search.checkpoints"), checkpoints0);

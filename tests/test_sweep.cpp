@@ -26,55 +26,6 @@ namespace {
 
 // ---------------------------------------------------------------- pool --
 
-TEST(ThreadPool, RunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WorkerSubmittedTasksAlsoRun) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&pool, &count] {
-      // Fan out from inside a worker: exercises the local-deque path and
-      // stealing by the other workers.
-      for (int j = 0; j < 5; ++j) {
-        pool.submit([&count] { count.fetch_add(1); });
-      }
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, CurrentWorkerIsSetInsideAndNotOutside) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.current_worker(), -1);
-  std::atomic<bool> ok{false};
-  pool.submit([&] {
-    const int w = pool.current_worker();
-    ok = (w == 0 || w == 1);
-  });
-  pool.wait_idle();
-  EXPECT_TRUE(ok.load());
-}
-
-TEST(ThreadPool, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.threads(), 1);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
-
-// ----------------------------------------------------------- fork-join --
-
 /// Yields until `flag` is set; false after 10 s (a hung schedule fails
 /// the test instead of hanging it).
 bool wait_for(const std::atomic<bool>& flag) {
@@ -85,6 +36,40 @@ bool wait_for(const std::atomic<bool>& flag) {
     std::this_thread::yield();
   }
   return true;
+}
+
+TEST(ThreadPool, CurrentWorkerIsSetInsideAndNotOutside) {
+  // The caller claims index 0 and holds it until index 1 has run, which
+  // only a worker can have claimed.
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.current_worker(), -1);
+  std::atomic<bool> worker_ran{false};
+  int on_caller = -2;
+  int on_worker = -2;
+  pool.fork_join(2, [&](std::size_t i) {
+    if (i == 0) {
+      on_caller = pool.current_worker();
+      EXPECT_TRUE(wait_for(worker_ran));
+      return;
+    }
+    on_worker = pool.current_worker();
+    worker_ran = true;
+  });
+  EXPECT_EQ(on_caller, -1);
+  EXPECT_TRUE(on_worker == 0 || on_worker == 1) << on_worker;
+}
+
+TEST(ThreadPool, ZeroWorkersRunsEveryIndexOnTheCallerInOrder) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.threads(), 0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.fork_join(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(pool.current_worker(), -1);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPool, ForkJoinRunsEveryIndexExactlyOnce) {
@@ -176,19 +161,20 @@ TEST(ThreadPool, ForkJoinCallersDoNotWaitOnEachOther) {
 }
 
 TEST(ThreadPool, ForkJoinFromInsidePoolTasksCompletes) {
-  // A batch started on a worker (the only one, so the caller must take its
-  // own chunks back) and a batch nested inside a batch's chunk.
+  // A batch nested inside each index of a batch: index 0 on the caller,
+  // and index 1 on the pool's only worker, which index 0 waits for.
   ThreadPool pool(1);
+  std::atomic<bool> on_worker{false};
   std::atomic<int> count{0};
-  pool.submit([&] {
+  pool.fork_join(2, [&](std::size_t i) {
+    if (i == 1) {
+      on_worker = pool.current_worker() == 0;
+    } else {
+      EXPECT_TRUE(wait_for(on_worker));
+    }
     pool.fork_join(3, [&count](std::size_t) { count.fetch_add(1); });
   });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 3);
-  pool.fork_join(2, [&](std::size_t) {
-    pool.fork_join(3, [&count](std::size_t) { count.fetch_add(1); });
-  });
-  EXPECT_EQ(count.load(), 9);
+  EXPECT_EQ(count.load(), 6);
 }
 
 // ---------------------------------------------------------------- plan --
@@ -365,6 +351,37 @@ TEST(RunSweep, PerShardStatsPartitionTheWork) {
   EXPECT_EQ(sum, result.stats.performed);
 }
 
+TEST(RunSweep, SingleJobScansEveryShardOnTheCallerAsWorkerZero) {
+  const ShardPlan plan = ShardPlan::even(100, 7);
+  const std::thread::id caller = std::this_thread::get_id();
+  SweepOptions options;
+  options.jobs = 1;
+  const auto result = run_sweep(
+      plan, options, [&](std::uint64_t, std::size_t, Rng&) -> Visit {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        return {};
+      });
+  for (const ShardStats& stats : result.stats.per_shard) {
+    EXPECT_EQ(stats.worker, 0);
+  }
+}
+
+TEST(RunSweep, VisitorExceptionReachesCaller) {
+  const ShardPlan plan = ShardPlan::even(200, 10);
+  for (const int jobs : {1, 3}) {
+    SweepOptions options;
+    options.jobs = jobs;
+    EXPECT_THROW(
+        (void)run_sweep(plan, options,
+                        [](std::uint64_t o, std::size_t, Rng&) -> Visit {
+                          if (o == 57) throw std::runtime_error("visitor");
+                          return {};
+                        }),
+        std::runtime_error)
+        << jobs;
+  }
+}
+
 TEST(SummarizeWorkers, RollsUpPerWorkerIncludingSkippedShards) {
   // Hand-built stats: worker 0 ran two shards, worker 1 one, and two
   // shards were cancelled before any worker picked them up (worker -1 —
@@ -443,7 +460,8 @@ TEST(SweepDeterminism, BehaviourSearchVerdictAndCountMatchAcrossJobs) {
     options.jobs = jobs;
     SweepStats stats;
     const auto violation =
-        faults::exhaustive_behavior_search(broken, -1, options, &stats);
+        faults::exhaustive_behavior_search(
+            broken, faults::BehaviorSearchOptions{}, options, &stats);
     ASSERT_TRUE(violation.has_value()) << jobs;
     const std::string hit =
         violation->spec.to_string() + " / " + violation->adversary;
@@ -461,7 +479,8 @@ TEST(SweepDeterminism, BehaviourSearchVerdictAndCountMatchAcrossJobs) {
     options.jobs = jobs;
     SweepStats stats;
     EXPECT_FALSE(
-        faults::exhaustive_behavior_search(solid, -1, options, &stats)
+        faults::exhaustive_behavior_search(
+            solid, faults::BehaviorSearchOptions{}, options, &stats)
             .has_value())
         << jobs;
     // No violation: the walk executes exactly the canonical orbit
@@ -524,7 +543,8 @@ TEST(SweepDeterminism, ParallelBehaviourSearchAgreesWithSerialWrapper) {
   SweepOptions options;
   options.jobs = 4;
   const auto parallel =
-      faults::exhaustive_behavior_search(config, -1, options);
+      faults::exhaustive_behavior_search(
+          config, faults::BehaviorSearchOptions{}, options);
   ASSERT_TRUE(serial.has_value());
   ASSERT_TRUE(parallel.has_value());
   EXPECT_EQ(serial->spec.to_string(), parallel->spec.to_string());
