@@ -248,39 +248,28 @@ void BM_BehaviourSweep(benchmark::State& state) {
   state.counters["shards"] = static_cast<double>(stats.shards);
 }
 
-// Checkpoint-engine ablation: the adversary-complete behaviour walk with
-// the checkpoint/fork engine on vs off, single worker, on *clean*
-// configurations so both sides scan the full space (n = 4 and the
-// Theorem 2 boundary n = 5). range(0) = n, range(1) = checkpointing.
-// tests/test_fork_engine.cpp holds the two sides to identical verdicts
-// and execution counts; this measures what the forking buys.
+// The adversary-complete behaviour walk with its defaults (checkpoint/
+// fork engine, receiver orbits and subset quotient), single worker, on
+// *clean* configurations so it scans the whole space (n = 4 and the
+// Theorem 2 boundary n = 5). range(0) = n.
 void BM_BehaviorSearch(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const bool checkpointing = state.range(1) != 0;
   const da::Config config{.n = n, .m = 1, .u = n - 3};
   da::sweep::SweepOptions options;
   options.jobs = 1;
   da::sweep::SweepStats stats;
   for (auto _ : state) {
     const auto violation = da::faults::exhaustive_behavior_search(
-        config,
-        da::faults::BehaviorSearchOptions{.checkpointing = checkpointing},
-        options, &stats);
+        config, da::faults::BehaviorSearchOptions{}, options, &stats);
     benchmark::DoNotOptimize(violation);
   }
   state.counters["executions"] = static_cast<double>(stats.executions);
-  state.counters["checkpointing"] = checkpointing ? 1 : 0;
 }
-BENCHMARK(BM_BehaviorSearch)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({5, 0})
-    ->Args({5, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BehaviorSearch)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 
 // Symmetry-reduction ablation: the behaviour walk visiting every ordinal
 // vs only the canonical representative of each receiver-relabeling orbit
-// (docs/SEARCH.md §5), single worker, checkpointing on, clean configs so
+// (docs/SEARCH.md §5), single worker, clean configs so
 // both sides settle the whole space. range(0) = n, range(1) = symmetry.
 // tests/test_canonicalization.cpp holds the two sides to identical
 // verdicts and reconciled counts; this measures what the orbit skip buys
@@ -349,15 +338,13 @@ BENCHMARK(BM_BehaviorSearchSubsetCanonical)
     ->Args({6, 1})
     ->Unit(benchmark::kMillisecond);
 
-// Same ablation for the adversary-family search, whose checkpoint is the
-// honest round-0 prefix shared across the family (n = 7 feasible config,
-// no violation, so every scenario runs the whole family).
+// The adversary-family search, whose checkpoint is the honest round-0
+// prefix shared across the family (n = 7 feasible config, no violation,
+// so every scenario runs the whole family).
 void BM_SearchViolation(benchmark::State& state) {
-  const bool checkpointing = state.range(0) != 0;
   const da::Config config{.n = 7, .m = 1, .u = 4};
   da::faults::SearchOptions search;
   search.seed = 7;
-  search.checkpointing = checkpointing;
   da::sweep::SweepOptions options;
   options.jobs = 1;
   da::sweep::SweepStats stats;
@@ -367,12 +354,8 @@ void BM_SearchViolation(benchmark::State& state) {
     benchmark::DoNotOptimize(violation);
   }
   state.counters["executions"] = static_cast<double>(stats.executions);
-  state.counters["checkpointing"] = checkpointing ? 1 : 0;
 }
-BENCHMARK(BM_SearchViolation)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SearchViolation)->Unit(benchmark::kMillisecond);
 
 // The adversary-family search on a mid-size feasible config, same split.
 void BM_FamilySearchSweep(benchmark::State& state) {

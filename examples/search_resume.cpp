@@ -6,7 +6,7 @@
 //   search_resume init    --out F [--n N --m M --u U] [--max-f K] [--seed S]
 //                         [--no-subset-symmetry]
 //   search_resume run     --frontier F [--jobs J] [--max-shards K]
-//                         [--no-symmetry] [--no-checkpointing]
+//                         [--no-symmetry]
 //   search_resume status  --frontier F
 //   search_resume split   --frontier F --parts P --out-prefix PFX
 //   search_resume merge   --out F part1 part2 ...
@@ -28,6 +28,10 @@
 // store no wall times, keeping artifacts machine-independent), so its
 // eta line only reports "settled" or the remaining-shard count; `run`
 // appends a live estimate from the shards it just timed.
+//
+// `init` refuses, as a usage error, a config the behaviour search cannot
+// run (for example one past the 12-slot cap); `run` and `artifact`
+// refuse such a frontier the same way.
 //
 // Exit status: 0 on success (for `run`: the verdict may be either way;
 // for `artifact`: frontier settled), 1 on a clean "not settled yet",
@@ -52,8 +56,8 @@ namespace {
       "  search_resume init    --out F [--n N --m M --u U] [--max-f K] "
       "[--seed S]\n"
       "                        [--no-subset-symmetry]\n"
-      "  search_resume run     --frontier F [--jobs J] [--max-shards K]\n"
-      "                        [--no-symmetry] [--no-checkpointing]\n"
+      "  search_resume run     --frontier F [--jobs J] [--max-shards K] "
+      "[--no-symmetry]\n"
       "  search_resume status  --frontier F\n"
       "  search_resume split   --frontier F --parts P --out-prefix PFX\n"
       "  search_resume merge   --out F part1 part2 ...\n"
@@ -153,14 +157,12 @@ void print_status(const da::faults::Frontier& frontier) {
   }
 }
 
-int cmd_run(const std::string& path, int jobs, int max_shards, bool symmetry,
-            bool checkpointing) {
+int cmd_run(const std::string& path, int jobs, int max_shards, bool symmetry) {
   da::faults::Frontier frontier = load_or_die(path);
   da::faults::FrontierRunOptions options;
   options.jobs = jobs;
   options.max_shards = max_shards;
   options.symmetry = symmetry;
-  options.checkpointing = checkpointing;
   options.checkpoint = [&path](const da::faults::Frontier& snapshot) {
     // Best-effort incremental checkpoint; the final state is saved below.
     (void)da::faults::save_frontier(snapshot, path);
@@ -208,6 +210,12 @@ int cmd_run(const std::string& path, int jobs, int max_shards, bool symmetry,
 
 int cmd_artifact(const std::string& path, const std::string& out) {
   da::faults::Frontier frontier = load_or_die(path);
+  const std::string unsupported = da::faults::behavior_search_unsupported(
+      frontier.config, frontier.max_f);
+  if (!unsupported.empty()) {
+    std::fprintf(stderr, "search_resume: frontier: %s\n", unsupported.c_str());
+    return 2;
+  }
   if (!frontier.settled()) {
     std::fprintf(stderr,
                  "search_resume: frontier not settled; run it to completion "
@@ -258,7 +266,6 @@ int main(int argc, char** argv) {
   int max_shards = -1;
   bool symmetry = true;
   bool subset_symmetry = true;
-  bool checkpointing = true;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     const auto value = [&]() -> const char* {
@@ -291,8 +298,6 @@ int main(int argc, char** argv) {
       symmetry = false;
     } else if (std::strcmp(arg, "--no-subset-symmetry") == 0) {
       subset_symmetry = false;
-    } else if (std::strcmp(arg, "--no-checkpointing") == 0) {
-      checkpointing = false;
     } else if (arg[0] == '-') {
       usage(arg);
     } else {
@@ -303,7 +308,9 @@ int main(int argc, char** argv) {
   if (cmd == "init") {
     if (out.empty()) usage("init needs --out");
     const da::Config config{.n = n, .m = m, .u = u};
-    if (!config.valid() || config.m > 1) usage("invalid config");
+    const std::string unsupported =
+        da::faults::behavior_search_unsupported(config, max_f);
+    if (!unsupported.empty()) usage(unsupported.c_str());
     const da::faults::Frontier frontier = da::faults::init_behavior_frontier(
         config, max_f, static_cast<std::uint64_t>(seed), subset_symmetry);
     save_or_die(frontier, out);
@@ -312,7 +319,7 @@ int main(int argc, char** argv) {
   }
   if (cmd == "run") {
     if (frontier_path.empty()) usage("run needs --frontier");
-    return cmd_run(frontier_path, jobs, max_shards, symmetry, checkpointing);
+    return cmd_run(frontier_path, jobs, max_shards, symmetry);
   }
   if (cmd == "status") {
     if (frontier_path.empty()) usage("status needs --frontier");

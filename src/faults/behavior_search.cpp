@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -188,17 +187,11 @@ struct Segment {
   std::size_t round0_slots = 0;
 };
 
-/// Builds the representative segments. Bases always advance over *every*
-/// subset — the global ordinal space stays the unreduced one — but with
-/// `subset_symmetry` only one subset per conjugacy class materializes as
-/// a Segment; the rest become gaps the shard plan skips. Representatives
-/// are the lexicographically-first subsets of their class, which is also
-/// the class member with the smallest base, so the quotiented walk's
-/// first hit is the unquotiented walk's first hit (docs/SEARCH.md §6).
-std::vector<Segment> build_segments(const Config& config, int limit,
-                                    bool subset_symmetry) {
-  std::vector<Segment> segments;
-  std::uint64_t base = 0;
+/// The one walk over the unreduced enumeration, in serial scan order (f
+/// ascending, subsets lexicographic, sender at node 0): calls
+/// fn(spec, slots) once per faulty subset. Both may be moved from.
+template <typename SegmentFn>
+void for_each_segment(const Config& config, int limit, SegmentFn&& fn) {
   for (int f = 1; f <= limit; ++f) {
     for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
       ScenarioSpec spec;
@@ -206,39 +199,32 @@ std::vector<Segment> build_segments(const Config& config, int limit,
       spec.sender = 0;
       spec.sender_value = Value::of(7);
       spec.faulty = faulty;
-      auto slots = controlled_slots(spec);
-      DA_EXPECTS(slots.size() <= 12);  // 4^12 = 16M: keep runs bounded
-      if (subset_symmetry &&
-          !is_subset_representative(config.n, spec.sender, faulty)) {
-        subset_skipped_counter().add();
-        base += pow_symbols(slots.size());
-        return;
-      }
-      Segment seg;
-      seg.spec = std::move(spec);
-      seg.slots = std::move(slots);
-      seg.sym = make_slot_symmetry(seg.spec, seg.slots);
-      seg.round0_slots = seg.spec.sender_faulty()
-                             ? static_cast<std::size_t>(config.n - 1)
-                             : 0;
-      // The sender is node 0 and subsets are sorted, so its round-0 slots
-      // are exactly the leading run — the digit split relies on that.
-      for (std::size_t i = 0; i < seg.slots.size(); ++i) {
-        DA_EXPECTS((seg.slots[i].first == seg.spec.sender) ==
-                   (i < seg.round0_slots));
-      }
-      if (subset_symmetry) {
-        seg.class_size =
-            subset_class_size(config.n, seg.spec.sender, seg.spec.faulty);
-        subset_classes_counter().add();
-        subset_members_counter().add(seg.class_size);
-      }
-      seg.base = base;
-      base += pow_symbols(seg.slots.size());
-      segments.push_back(std::move(seg));
+      std::vector<std::pair<NodeId, NodeId>> slots = controlled_slots(spec);
+      fn(spec, slots);
     });
   }
-  return segments;
+}
+
+int resolve_limit(const Config& config, int max_f) {
+  return max_f < 0 ? config.u : max_f;
+}
+
+/// Canonical orbit representatives summed over every segment, or over the
+/// subset-class representatives only.
+std::uint64_t canonical_total(const Config& config, int max_f,
+                              bool subset_symmetry) {
+  DA_EXPECTS(config.valid());
+  std::uint64_t total = 0;
+  for_each_segment(config, resolve_limit(config, max_f),
+                   [&](const ScenarioSpec& spec, const auto& slots) {
+                     if (subset_symmetry &&
+                         !is_subset_representative(config.n, spec.sender,
+                                                   spec.faulty)) {
+                       return;
+                     }
+                     total += canonical_count(make_slot_symmetry(spec, slots));
+                   });
+  return total;
 }
 
 /// Shard-local replay state for the checkpoint walk. Each shard is scanned
@@ -259,24 +245,50 @@ struct ShardState {
 /// state shared by the one-shot search and the resumable frontier driver.
 class BehaviorSweep {
  public:
-  BehaviorSweep(const Config& config, int limit, bool checkpointing,
-                bool symmetry, bool subset_symmetry)
-      : checkpointing_(checkpointing),
-        symmetry_(symmetry),
+  /// Lays the segments out on the plan. Ordinals always advance over
+  /// *every* subset — the global ordinal space stays the unreduced one —
+  /// but with `subset_symmetry` only one subset per conjugacy class
+  /// materializes as a Segment; the rest become gaps the plan skips.
+  /// Representatives are the lexicographically-first subsets of their
+  /// class, which is also the class member with the smallest base, so the
+  /// quotiented walk's first hit is the unquotiented walk's first hit
+  /// (docs/SEARCH.md §6).
+  BehaviorSweep(const Config& config, int limit, bool symmetry,
+                bool subset_symmetry)
+      : symmetry_(symmetry),
         subset_symmetry_(subset_symmetry),
-        protocol_(config),
-        segments_(build_segments(config, limit, subset_symmetry)) {
-    for (const Segment& seg : segments_) {
-      // Skipped conjugate segments are gaps: the plan advances its
-      // ordinal space over them without creating shards, so every
-      // remaining shard keeps its unreduced global ordinals.
-      if (seg.base > plan_.total()) plan_.skip(seg.base - plan_.total());
-      plan_.append_pow4(seg.slots.size());
-    }
-    const std::uint64_t space = behavior_search_space(config, limit);
-    if (space > plan_.total()) plan_.skip(space - plan_.total());
+        protocol_(config) {
+    DA_EXPECTS(behavior_search_unsupported(config, limit).empty());
+    for_each_segment(config, limit, [&](ScenarioSpec& spec, auto& slots) {
+      if (subset_symmetry &&
+          !is_subset_representative(config.n, spec.sender, spec.faulty)) {
+        subset_skipped_counter().add();
+        plan_.skip(pow_symbols(slots.size()));
+        return;
+      }
+      Segment& seg = segments_.emplace_back();
+      seg.base = plan_.append_pow4(slots.size());
+      seg.spec = std::move(spec);
+      seg.slots = std::move(slots);
+      seg.sym = make_slot_symmetry(seg.spec, seg.slots);
+      seg.round0_slots = seg.spec.sender_faulty()
+                             ? static_cast<std::size_t>(config.n - 1)
+                             : 0;
+      // The sender is node 0 and subsets are sorted, so its round-0 slots
+      // are exactly the leading run — the digit split relies on that.
+      for (std::size_t i = 0; i < seg.slots.size(); ++i) {
+        DA_EXPECTS((seg.slots[i].first == seg.spec.sender) ==
+                   (i < seg.round0_slots));
+      }
+      if (subset_symmetry) {
+        seg.class_size =
+            subset_class_size(config.n, seg.spec.sender, seg.spec.faulty);
+        subset_classes_counter().add();
+        subset_members_counter().add(seg.class_size);
+      }
+    });
     candidates_.resize(plan_.shard_count());
-    shard_states_.resize(checkpointing_ ? plan_.shard_count() : 0);
+    shard_states_.resize(plan_.shard_count());
   }
 
   [[nodiscard]] const sweep::ShardPlan& plan() const { return plan_; }
@@ -377,16 +389,6 @@ class BehaviorSweep {
       return out;
     };
 
-    if (!checkpointing_) {
-      // Scratch path: one full execution, adversary rebuilt per ordinal.
-      TableAdversary adversary(seg.spec.config.n, seg.slots);
-      apply_digits(counter, slots, 0, slots, alphabet,
-                   [&](std::size_t i, Value v) {
-                     adversary.set(seg.slots[i], v);
-                   });
-      return report_at(protocol_.run_and_check(seg.spec, &adversary));
-    }
-
     // Checkpoint walk: ordinals inside a shard share their leading base-4
     // digits, i.e. their round-0 assignment, so the post-round-0 state is
     // computed once per leading-digit block and forked for every round-1
@@ -450,7 +452,6 @@ class BehaviorSweep {
     return report_at(check_conditions(seg.spec, st.result.decisions));
   }
 
-  bool checkpointing_;
   bool symmetry_;
   bool subset_symmetry_;
   DegradableAgreement protocol_;
@@ -460,20 +461,36 @@ class BehaviorSweep {
   std::vector<ShardState> shard_states_;
 };
 
-int resolve_limit(const Config& config, int max_f) {
-  return max_f < 0 ? config.u : max_f;
-}
-
 }  // namespace
+
+std::string behavior_search_unsupported(const Config& config, int max_f) {
+  if (!config.valid() || config.m > 1) {
+    return "config is not a depth-2 instance";
+  }
+  if (!config.engine_runnable()) {
+    return "config needs n >= 2m+1 for the EIG engine";
+  }
+  const int limit = resolve_limit(config, max_f);
+  if (limit > config.n) return "fault limit exceeds n";
+  if (limit == 0) return {};
+  // The widest segment's faulty subset holds the sender: its n-1 round-0
+  // slots plus n-2 relay slots per other faulty node (controlled_slots).
+  const auto n = static_cast<std::uint64_t>(config.n);
+  const std::uint64_t widest =
+      (n - 1) + static_cast<std::uint64_t>(limit - 1) * (n - 2);
+  if (widest > SlotSymmetry::kMaxSlots) {
+    return "a faulty subset controls " + std::to_string(widest) +
+           " slots, past the cap of " +
+           std::to_string(SlotSymmetry::kMaxSlots);
+  }
+  return {};
+}
 
 std::optional<Violation> exhaustive_behavior_search(
     const Config& config, const BehaviorSearchOptions& options,
     const sweep::SweepOptions& sweep_options, sweep::SweepStats* stats) {
-  DA_EXPECTS(config.valid());
-  DA_EXPECTS(config.m <= 1);  // depth-2 instances only
   BehaviorSweep search(config, resolve_limit(config, options.max_f),
-                       options.checkpointing, options.symmetry,
-                       options.subset_symmetry);
+                       options.symmetry, options.subset_symmetry);
   const sweep::SweepResult result =
       sweep::run_sweep(search.plan(), sweep_options, search.visitor());
   if (stats != nullptr) *stats = result.stats;
@@ -489,91 +506,47 @@ std::optional<Violation> exhaustive_behavior_search(const Config& config,
 
 std::uint64_t behavior_search_space(const Config& config, int max_f) {
   DA_EXPECTS(config.valid());
-  const int limit = resolve_limit(config, max_f);
   std::uint64_t total = 0;
-  for (int f = 1; f <= limit; ++f) {
-    for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
-      ScenarioSpec spec;
-      spec.config = config;
-      spec.sender = 0;
-      spec.faulty = faulty;
-      total += pow_symbols(controlled_slots(spec).size());
-    });
-  }
+  for_each_segment(config, resolve_limit(config, max_f),
+                   [&](const ScenarioSpec&, const auto& slots) {
+                     total += pow_symbols(slots.size());
+                   });
   return total;
 }
 
 std::uint64_t behavior_search_canonical_space(const Config& config,
                                               int max_f) {
-  DA_EXPECTS(config.valid());
-  const int limit = resolve_limit(config, max_f);
-  std::uint64_t total = 0;
-  for (int f = 1; f <= limit; ++f) {
-    for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
-      ScenarioSpec spec;
-      spec.config = config;
-      spec.sender = 0;
-      spec.faulty = faulty;
-      const auto slots = controlled_slots(spec);
-      total += canonical_count(make_slot_symmetry(spec, slots));
-    });
-  }
-  return total;
+  return canonical_total(config, max_f, /*subset_symmetry=*/false);
 }
 
 std::uint64_t behavior_search_quotient_space(const Config& config,
                                              int max_f) {
-  DA_EXPECTS(config.valid());
-  const int limit = resolve_limit(config, max_f);
-  std::uint64_t total = 0;
-  for (int f = 1; f <= limit; ++f) {
-    for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
-      ScenarioSpec spec;
-      spec.config = config;
-      spec.sender = 0;
-      spec.faulty = faulty;
-      if (!is_subset_representative(config.n, spec.sender, faulty)) return;
-      const auto slots = controlled_slots(spec);
-      total += canonical_count(make_slot_symmetry(spec, slots));
-    });
-  }
-  return total;
+  return canonical_total(config, max_f, /*subset_symmetry=*/true);
 }
 
 std::optional<Violation> behavior_at(const Config& config, int max_f,
                                      std::uint64_t ordinal) {
-  DA_EXPECTS(config.valid());
-  DA_EXPECTS(config.m <= 1);
-  const int limit = resolve_limit(config, max_f);
-  DA_EXPECTS(ordinal < behavior_search_space(config, limit));
   // Unquotiented on purpose: any full-space ordinal must resolve, not
   // just ordinals inside representative segments.
-  BehaviorSweep search(config, limit, /*checkpointing=*/false,
+  BehaviorSweep search(config, resolve_limit(config, max_f),
                        /*symmetry=*/false, /*subset_symmetry=*/false);
+  DA_EXPECTS(ordinal < search.plan().total());
   return search.at(ordinal);
 }
 
 Frontier init_behavior_frontier(const Config& config, int max_f,
                                 std::uint64_t seed, bool subset_symmetry) {
-  DA_EXPECTS(config.valid());
-  DA_EXPECTS(config.m <= 1);
   const int limit = resolve_limit(config, max_f);
-  BehaviorSweep search(config, limit, /*checkpointing=*/false,
-                       /*symmetry=*/false, subset_symmetry);
+  BehaviorSweep search(config, limit, /*symmetry=*/false, subset_symmetry);
   Frontier frontier;
   frontier.config = config;
   frontier.max_f = limit;  // resolved, so the header is self-contained
   frontier.seed = seed;
-  frontier.space = behavior_search_space(config, limit);
+  frontier.space = search.plan().total();
   frontier.classes = search.classes();
   frontier.shards.reserve(search.plan().shard_count());
-  for (std::size_t s = 0; s < search.plan().shard_count(); ++s) {
-    const sweep::ShardRange range = search.plan().shard(s);
-    FrontierShard shard;
-    shard.begin = range.begin;
-    shard.end = range.end;
-    shard.cursor = range.begin;
-    frontier.shards.push_back(shard);
+  for (const sweep::ShardRange& range : search.plan().shards()) {
+    frontier.shards.push_back({range.begin, range.end, range.begin});
   }
   return frontier;
 }
@@ -582,76 +555,58 @@ FrontierRun run_behavior_frontier(Frontier& frontier,
                                   const FrontierRunOptions& options) {
   const obs::MetricsScope metrics_scope;  // flush driver-side counters
   FrontierRun run;
-  if (!frontier.config.valid() || frontier.config.m > 1) {
-    run.error = "frontier config is not a depth-2 instance";
-    return run;
-  }
-  const int limit = resolve_limit(frontier.config, frontier.max_f);
-  if (frontier.space != behavior_search_space(frontier.config, limit)) {
-    run.error = "frontier space does not match the search space";
+  const std::string unsupported =
+      behavior_search_unsupported(frontier.config, frontier.max_f);
+  if (!unsupported.empty()) {
+    run.error = "frontier: " + unsupported;
     return run;
   }
   // The subset quotient is baked into the frontier: class records mean a
   // quotiented plan; their absence (a v1 file) means the full plan.
   const bool subset_symmetry = !frontier.classes.empty();
-  BehaviorSweep search(frontier.config, limit, options.checkpointing,
+  BehaviorSweep search(frontier.config,
+                       resolve_limit(frontier.config, frontier.max_f),
                        options.symmetry, subset_symmetry);
-  if (subset_symmetry) {
-    const std::vector<FrontierClass> expected = search.classes();
-    bool match = frontier.classes.size() == expected.size();
-    for (std::size_t i = 0; match && i < expected.size(); ++i) {
-      match = frontier.classes[i].base == expected[i].base &&
-              frontier.classes[i].size == expected[i].size &&
-              frontier.classes[i].weight == expected[i].weight;
+  if (frontier.space != search.plan().total()) {
+    run.error = "frontier space does not match the search space";
+    return run;
+  }
+  if (subset_symmetry && frontier.classes != search.classes()) {
+    run.error = "frontier classes do not match the search's class plan";
+    return run;
+  }
+
+  // Every frontier shard must be a shard of the search's plan (a split
+  // part holds a subset of them). The sweep then runs a plan of the
+  // frontier's own shards, so sweep shard s is frontier shard s.
+  const sweep::ShardPlan& full = search.plan();
+  sweep::ShardPlan plan;
+  std::size_t next = 0;
+  for (const FrontierShard& shard : frontier.shards) {
+    while (next < full.shard_count() && full.shard(next).begin < shard.begin) {
+      ++next;
     }
-    if (!match) {
-      run.error = "frontier classes do not match the search's class plan";
+    if (next >= full.shard_count() || full.shard(next).begin != shard.begin ||
+        full.shard(next).end != shard.end) {
+      run.error = "frontier shards do not match the search's shard plan";
       return run;
     }
-  }
-  const sweep::ShardPlan& plan = search.plan();
-
-  // Map frontier shards onto plan shards (the frontier may be a split
-  // part holding a subset). Foreign shards resume as settled-with-zero
-  // so the sweep never scans them; they are not folded back.
-  constexpr std::size_t kForeign = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> frontier_of(plan.shard_count(), kForeign);
-  sweep::SweepResume resume;
-  resume.shards.resize(plan.shard_count());
-  for (std::size_t s = 0; s < plan.shard_count(); ++s) {
-    const sweep::ShardRange range = plan.shard(s);
-    resume.shards[s].begin = range.begin;
-    resume.shards[s].end = range.end;
-    resume.shards[s].cursor = range.end;  // foreign default: skip
-  }
-  {
-    std::size_t s = 0;
-    for (std::size_t i = 0; i < frontier.shards.size(); ++i) {
-      const FrontierShard& shard = frontier.shards[i];
-      while (s < plan.shard_count() && plan.shard(s).begin < shard.begin) {
-        ++s;
-      }
-      if (s >= plan.shard_count() || plan.shard(s).begin != shard.begin ||
-          plan.shard(s).end != shard.end) {
-        run.error = "frontier shards do not match the search's shard plan";
-        return run;
-      }
-      frontier_of[s] = i;
-      resume.shards[s].cursor = shard.cursor;
-      resume.shards[s].executions = shard.executions;
-      resume.shards[s].weighted = shard.weighted;
-      resume.shards[s].first_hit = shard.hit;
-      if (!shard.settled()) frontier_resumed_counter().add();
-    }
+    ++next;
+    plan.skip(shard.begin - plan.total());
+    plan.append_even(shard.end - shard.begin, shard.end - shard.begin);
+    if (!shard.settled()) frontier_resumed_counter().add();
   }
   frontier_runs_counter().add();
 
+  // The sweep reads its resume records while settled shards are written
+  // back into the frontier; a copy keeps the two apart.
+  const std::vector<sweep::ShardProgress> saved = frontier.shards;
   std::atomic<int> completed{0};
   std::mutex frontier_mutex;
   sweep::SweepOptions sweep_options;
   sweep_options.jobs = options.jobs;
   sweep_options.seed = frontier.seed;
-  sweep_options.resume = &resume;
+  sweep_options.resume = &saved;
   if (options.max_shards >= 0) {
     sweep_options.stop = [&completed, max = options.max_shards] {
       return completed.load(std::memory_order_relaxed) >= max;
@@ -660,13 +615,8 @@ FrontierRun run_behavior_frontier(Frontier& frontier,
   sweep_options.on_shard_done = [&](std::size_t s,
                                     const sweep::ShardStats& stats) {
     completed.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t i = frontier_of[s];
-    if (i == kForeign) return;
     const std::lock_guard<std::mutex> lock(frontier_mutex);
-    frontier.shards[i].cursor = stats.cursor;
-    frontier.shards[i].executions = stats.executions;
-    frontier.shards[i].weighted = stats.weighted;
-    frontier.shards[i].hit = stats.first_hit;
+    frontier.shards[s] = stats;
     frontier_checkpoints_counter().add();
     if (options.checkpoint) options.checkpoint(frontier);
   };
@@ -675,16 +625,10 @@ FrontierRun run_behavior_frontier(Frontier& frontier,
       sweep::run_sweep(plan, sweep_options, search.visitor());
   run.stats = result.stats;
 
-  // Fold every owned shard back (suspended cursors included — the
-  // on_shard_done hook only saw shards that settled this run).
-  for (std::size_t s = 0; s < plan.shard_count(); ++s) {
-    const std::size_t i = frontier_of[s];
-    if (i == kForeign) continue;
-    const sweep::ShardStats& stats = result.stats.per_shard[s];
-    frontier.shards[i].cursor = stats.cursor;
-    frontier.shards[i].executions = stats.executions;
-    frontier.shards[i].weighted = stats.weighted;
-    frontier.shards[i].hit = stats.first_hit;
+  // Fold every shard back (suspended cursors included — the on_shard_done
+  // hook only saw shards that settled this run).
+  for (std::size_t s = 0; s < frontier.shards.size(); ++s) {
+    frontier.shards[s] = result.stats.per_shard[s];
   }
 
   const std::uint64_t hit = frontier.best_hit();

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 
 #include "faults/frontier.hpp"
 #include "faults/search.hpp"
@@ -43,9 +44,6 @@ namespace da::faults {
 struct BehaviorSearchOptions {
   /// Largest fault count to try; -1 means the config's u.
   int max_f = -1;
-  /// Fork each execution from a checkpointed post-round-0 state instead
-  /// of replaying round 0 (see docs/SEARCH.md §4). Verdict-neutral.
-  bool checkpointing = true;
   /// Walk only the canonical representative of each receiver-relabeling
   /// orbit, skipping non-minimal digit prefixes and weighting each
   /// representative by its orbit size (docs/SEARCH.md §5). The verdict,
@@ -67,23 +65,34 @@ struct BehaviorSearchOptions {
 /// high-order base-4 digits of each subset's behaviour index and run on a
 /// fork-join pool (see src/sweep/). Behaviour digits are big-endian
 /// (slot 0 = most-significant digit), so ordinals sharing leading digits
-/// share their round-0 assignment. With `options.checkpointing` (the
-/// default) the walk exploits exactly that: each shard forks every
-/// execution from a checkpointed post-round-0 state instead of replaying
-/// round 0, which is observationally identical
-/// (tests/test_fork_engine.cpp) but ~halves the simulated rounds and
-/// skips per-execution process construction. With `options.symmetry`
-/// (the default) the walk visits one representative per
-/// receiver-relabeling orbit. For every `sweep_options.jobs` value — and
-/// for either flag — it returns the same first-violation-or-nullopt
-/// verdict, the same first-hit ordinal, and the same canonical counts
-/// (`stats->executions` for a fixed symmetry setting,
-/// `stats->weighted_executions` across them); `stats` (optional)
+/// share their round-0 assignment. The walk exploits exactly that: each
+/// shard forks every execution from a checkpointed post-round-0 state
+/// instead of replaying round 0 (docs/SEARCH.md §4), which ~halves the
+/// simulated rounds and skips per-execution process construction; the
+/// scratch `behavior_at` is its reference (tests/test_fork_engine.cpp).
+/// With `options.symmetry` (the default) the walk visits one
+/// representative per receiver-relabeling orbit. For every
+/// `sweep_options.jobs` value — and for either quotient flag — it returns
+/// the same first-violation-or-nullopt verdict, the same first-hit
+/// ordinal, and the same canonical counts (`stats->executions` for fixed
+/// flags, `stats->weighted_executions` across them); `stats` (optional)
 /// additionally receives per-shard counters for scaling reports.
+///
+/// Expects `behavior_search_unsupported(config, options.max_f)` to be
+/// empty.
 [[nodiscard]] std::optional<Violation> exhaustive_behavior_search(
     const Config& config, const BehaviorSearchOptions& options,
     const sweep::SweepOptions& sweep_options,
     sweep::SweepStats* stats = nullptr);
+
+/// Why the behaviour search cannot run on `config` up to `max_f` faults
+/// (-1: the config's u), or an empty string when it can. This is the one
+/// place the slot cap is checked: the config must be a valid depth-2
+/// instance the EIG engine runs, the fault limit at most n, and no
+/// faulty subset may control more than `SlotSymmetry::kMaxSlots` slots
+/// (4^12 = 16M behaviours per segment keeps a run bounded).
+[[nodiscard]] std::string behavior_search_unsupported(const Config& config,
+                                                      int max_f = -1);
 
 /// Number of protocol executions the unreduced search performs — the
 /// full 4^k ordinal space (for reporting and reconciliation).
@@ -130,7 +139,6 @@ struct FrontierRunOptions {
   /// kill-and-resume unit); -1 runs to settlement. Suspension is
   /// cooperative: in-flight shards park their cursors in the frontier.
   int max_shards = -1;
-  bool checkpointing = true;
   /// Receiver-relabeling reduction for this run. A run-time knob because
   /// it changes which ordinals execute, never the shard plan. The subset
   /// quotient is *not* a run option: it reshapes the plan, so it is baked
@@ -153,14 +161,17 @@ struct FrontierRun {
   /// (schedule-dependent post-hit progress discarded), so its serialized
   /// form is byte-identical for any jobs value / interruption pattern.
   bool settled = false;
-  /// Non-empty when the frontier does not match the search's shard plan.
+  /// Non-empty when the search cannot run the frontier (see
+  /// `behavior_search_unsupported`) or it does not match the search's plan.
   std::string error;
 };
 
 /// Runs (or resumes) the behaviour search described by `frontier`,
 /// updating it in place. The frontier may be a split part (a subset of
-/// the plan's shards): foreign shards are left untouched and the verdict
-/// settles only on a space-covering frontier.
+/// the plan's shards): only its own shards are swept, and the verdict
+/// settles only on a space-covering frontier. A frontier the search
+/// cannot run, or whose shards are not shards of the search's plan,
+/// comes back untouched with `error` set.
 [[nodiscard]] FrontierRun run_behavior_frontier(
     Frontier& frontier, const FrontierRunOptions& options = {});
 

@@ -94,8 +94,10 @@ std::optional<ParseError> check_shards(const Frontier& frontier,
     if (s.cursor < s.begin || s.cursor > s.end) {
       return fail("cursor out of range");
     }
-    if (s.hit != sweep::kNoHit) {
-      if (s.hit < s.begin || s.hit >= s.end) return fail("hit outside shard");
+    if (s.first_hit != sweep::kNoHit) {
+      if (s.first_hit < s.begin || s.first_hit >= s.end) {
+        return fail("hit outside shard");
+      }
       if (s.cursor != s.end) return fail("hit with unsettled cursor");
     }
     if (!frontier.classes.empty()) {
@@ -125,7 +127,7 @@ Frontier header_of(const Frontier& frontier) {
 
 std::uint64_t Frontier::best_hit() const {
   std::uint64_t best = sweep::kNoHit;
-  for (const FrontierShard& s : shards) best = std::min(best, s.hit);
+  for (const FrontierShard& s : shards) best = std::min(best, s.first_hit);
   return best;
 }
 
@@ -168,12 +170,7 @@ void Frontier::normalize() {
   const std::uint64_t hit = best_hit();
   if (hit == sweep::kNoHit) return;
   for (FrontierShard& s : shards) {
-    if (s.begin > hit) {
-      s.cursor = s.begin;
-      s.executions = 0;
-      s.weighted = 0;
-      s.hit = sweep::kNoHit;
-    }
+    if (s.begin > hit) s = FrontierShard{s.begin, s.end, s.begin};
   }
 }
 
@@ -193,10 +190,10 @@ std::string serialize_frontier(const Frontier& frontier) {
   for (const FrontierShard& s : sorted.shards) {
     out << "shard " << s.begin << ' ' << s.end << ' ' << s.cursor << ' '
         << s.executions << ' ' << s.weighted << ' ';
-    if (s.hit == sweep::kNoHit) {
+    if (s.first_hit == sweep::kNoHit) {
       out << '-';
     } else {
-      out << s.hit;
+      out << s.first_hit;
     }
     out << '\n';
   }
@@ -242,7 +239,7 @@ Parsed<Frontier> parse_frontier(std::string_view text) {
                           in.number(s.cursor) && in.number(s.executions) &&
                           in.number(s.weighted);
       const std::string_view hit = counts ? in.field() : std::string_view();
-      if (!counts || (hit != "-" && !parse_number(hit, s.hit))) {
+      if (!counts || (hit != "-" && !parse_number(hit, s.first_hit))) {
         return in.error(ParseKind::kSyntax, "malformed shard record");
       }
     } else {
@@ -257,6 +254,9 @@ Parsed<Frontier> parse_frontier(std::string_view text) {
   if (canonical != text) return not_canonical(text, canonical);
   if (!frontier.config.valid()) {
     return ParseError{ParseKind::kBadValue, 2, 1, "invalid config"};
+  }
+  if (frontier.max_f > frontier.config.n) {
+    return ParseError{ParseKind::kBadValue, 2, 1, "fault limit exceeds n"};
   }
   if (frontier.space == 0) {
     return ParseError{ParseKind::kBadValue, 2, 1, "empty search space"};

@@ -43,18 +43,10 @@ namespace da::faults {
 /// hold a *subset* of the plan's shards (the unit of distribution for
 /// split/merge) — only a frontier whose shards cover the whole space
 /// (v2: every class's representative range) can settle a verdict.
-struct FrontierShard {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint64_t cursor = 0;      ///< next unvisited ordinal (== end: settled)
-  std::uint64_t executions = 0;  ///< cumulative representatives executed
-  std::uint64_t weighted = 0;    ///< cumulative orbit-weighted executions
-  std::uint64_t hit = sweep::kNoHit;  ///< shard's first violation ordinal
-
-  [[nodiscard]] bool settled() const { return cursor == end; }
-
-  friend bool operator==(const FrontierShard&, const FrontierShard&) = default;
-};
+///
+/// A `shard` record is one shard's sweep progress, the same record the
+/// sweep resumes from and reports; its `<hit|->` field is `first_hit`.
+using FrontierShard = sweep::ShardProgress;
 
 /// One subset-conjugacy class (v2): the representative segment's base
 /// ordinal and size in the unreduced space, plus how many conjugate
@@ -110,9 +102,9 @@ struct Frontier {
 
 /// Strict parser for the v1/v2 formats: decodes the records, accepts the
 /// text only if `serialize_frontier` gives its bytes back, then rejects
-/// an invalid config, duplicate or overlapping shards or classes,
-/// out-of-range cursors/hits, v2 class weights that do not reconcile to
-/// the space and shards outside every class range.
+/// an invalid config, a fault limit above n, duplicate or overlapping
+/// shards or classes, out-of-range cursors/hits, v2 class weights that do
+/// not reconcile to the space and shards outside every class range.
 [[nodiscard]] Parsed<Frontier> parse_frontier(std::string_view text);
 
 /// Splits a frontier into `parts` frontiers with the same header, dealing

@@ -48,11 +48,6 @@ struct SearchOptions {
   /// Extra random (subset, adversary) probes per fault count, on top of
   /// the exhaustive subset sweep.
   int random_trials = 0;
-  /// Share one checkpointed execution prefix per (sender, subset) across
-  /// the whole adversary family instead of executing each adversary from
-  /// scratch (see docs/SEARCH.md, "Checkpoint engine"). The verdict and
-  /// the canonical execution count are identical either way.
-  bool checkpointing = true;
 };
 
 /// Runs BYZ(m,m) under every (sender, faulty subset, adversary) combination

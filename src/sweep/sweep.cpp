@@ -31,21 +31,16 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
   result.stats.jobs = jobs;
   result.stats.shards = plan.shard_count();
   result.stats.per_shard.resize(plan.shard_count());
+  Canceller canceller;
   if (options.resume != nullptr) {
-    DA_EXPECTS(options.resume->shards.size() == plan.shard_count());
+    DA_EXPECTS(options.resume->size() == plan.shard_count());
     for (std::size_t s = 0; s < plan.shard_count(); ++s) {
-      const ShardResume& saved = options.resume->shards[s];
+      const ShardProgress& saved = (*options.resume)[s];
       DA_EXPECTS(saved.begin == plan.shard(s).begin);
       DA_EXPECTS(saved.end == plan.shard(s).end);
       DA_EXPECTS(saved.cursor >= saved.begin && saved.cursor <= saved.end);
-    }
-  }
-
-  Canceller canceller;
-  if (options.resume != nullptr) {
-    // Pre-seed from hits found by earlier runs so cancellation picks up
-    // exactly where the suspended sweep left off.
-    for (const ShardResume& saved : options.resume->shards) {
+      // Pre-seed from hits found by earlier runs so cancellation picks up
+      // exactly where the suspended sweep left off.
       if (saved.first_hit != kNoHit) canceller.report(saved.first_hit);
     }
   }
@@ -56,18 +51,15 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
     pool.fork_join(plan.shard_count(), [&](std::size_t s) {
       const ShardRange range = plan.shard(s);
       ShardStats& stats = result.stats.per_shard[s];
-      stats.begin = range.begin;
-      stats.end = range.end;
-      std::uint64_t o = range.begin;
-      if (options.resume != nullptr) {
-        const ShardResume& saved = options.resume->shards[s];
-        stats.executions = saved.executions;
-        stats.weighted = saved.weighted;
-        stats.first_hit = saved.first_hit;
-        if (saved.first_hit != kNoHit) stats.violations = 1;
-        o = saved.first_hit != kNoHit ? range.end : saved.cursor;
+      ShardProgress& progress = stats;
+      progress = options.resume != nullptr
+                     ? (*options.resume)[s]
+                     : ShardProgress{range.begin, range.end, range.begin};
+      if (stats.first_hit != kNoHit) {
+        stats.violations = 1;
+        stats.cursor = range.end;  // a hit settles the shard
       }
-      stats.cursor = o;
+      std::uint64_t o = stats.cursor;
       if (o >= range.end) return;  // settled by the resumed-in state
       if (canceller.cancelled(o)) return;  // stats.worker = -1
       if (options.stop && options.stop()) return;  // suspended, untouched
@@ -93,7 +85,7 @@ SweepResult run_sweep(const ShardPlan& plan, const SweepOptions& options,
       stats.wall_ms = std::chrono::duration<double, std::milli>(
                           Clock::now() - start)
                           .count();
-      if (stats.cursor == range.end && options.on_shard_done) {
+      if (stats.settled() && options.on_shard_done) {
         options.on_shard_done(s, stats);
       }
     });

@@ -16,34 +16,28 @@ namespace da::sweep {
 inline constexpr std::uint64_t kNoHit =
     std::numeric_limits<std::uint64_t>::max();
 
-/// Saved progress of one shard, for suspending a sweep and resuming it
-/// later (possibly in another process — see src/faults/frontier.hpp for
-/// the serialized form). `cursor` is the next unvisited ordinal; a shard
-/// is settled when cursor == end. Counters are cumulative across runs.
-struct ShardResume {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint64_t cursor = 0;
-  std::uint64_t executions = 0;
-  std::uint64_t weighted = 0;
-  std::uint64_t first_hit = kNoHit;
-};
-
-/// Saved progress of a whole sweep, one entry per plan shard, in plan
-/// order (begins/ends must match the plan exactly).
-struct SweepResume {
-  std::vector<ShardResume> shards;
-};
-
-/// Per-shard counters, in shard (= ordinal) order.
-struct ShardStats {
+/// One shard's progress: its ordinal range, the next unvisited ordinal
+/// and cumulative counters. The sweep resumes from it, reports it (as the
+/// base of `ShardStats`), and the frontier serializes it (see
+/// src/faults/frontier.hpp), possibly in another process. Counters are
+/// cumulative across runs.
+struct ShardProgress {
   std::uint64_t begin = 0;       // first global ordinal of the shard
   std::uint64_t end = 0;         // one past the last
   std::uint64_t cursor = 0;      // next unvisited ordinal (end: settled)
-  std::uint64_t executions = 0;  // protocol executions actually performed
+  std::uint64_t executions = 0;  // protocol executions performed
   std::uint64_t weighted = 0;    // orbit-weighted executions (see Visit)
-  std::uint64_t violations = 0;  // hits reported by the visitor
   std::uint64_t first_hit = kNoHit;  // shard's first hit ordinal, if any
+
+  [[nodiscard]] bool settled() const { return cursor == end; }
+
+  friend bool operator==(const ShardProgress&, const ShardProgress&) = default;
+};
+
+/// Per-shard counters, in shard (= ordinal) order: the shard's progress
+/// plus what only this run saw.
+struct ShardStats : ShardProgress {
+  std::uint64_t violations = 0;  // hits reported by the visitor
   double wall_ms = 0.0;          // wall time spent scanning this shard
   int worker = -1;  // thread that scanned it: 0 the caller, 1.. pool
                     // workers, -1 skipped (never scanned in this run)
@@ -58,13 +52,14 @@ struct SweepOptions {
   /// Rng(mix64(seed, s.begin)) — a pure function of the plan, so streams
   /// are identical for every jobs value).
   std::uint64_t seed = 1;
-  /// Resume from previously saved shard cursors instead of from scratch.
+  /// Resume from saved progress instead of from scratch: one record per
+  /// plan shard, in plan order, whose begins/ends match the plan exactly.
   /// Settled shards are skipped (their counters carry over verbatim) and
   /// saved hits pre-seed the canceller. Resuming a shard mid-range
   /// restarts its RNG stream from the shard head, so mid-shard resume is
   /// only sound for visitors that ignore `rng` (the behaviour search
   /// does; the family search checkpoints only at shard boundaries).
-  const SweepResume* resume = nullptr;
+  const std::vector<ShardProgress>* resume = nullptr;
   /// Cooperative suspension: polled (from the scanning threads — must be
   /// thread-safe) before each shard and each ordinal; once it returns
   /// true, in-flight shards park their cursors and later shards never
@@ -73,7 +68,7 @@ struct SweepOptions {
   std::function<bool()> stop;
   /// Invoked from the scanning thread each time a shard settles
   /// (scanned to its end or found its hit) during *this* run — the hook
-  /// for incremental frontier checkpointing. Not called for shards that
+  /// for incremental frontier saves. Not called for shards that
   /// were already settled by a resumed-in state, nor for suspended or
   /// cancelled shards.
   std::function<void(std::size_t shard, const ShardStats&)> on_shard_done;

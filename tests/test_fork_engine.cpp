@@ -8,6 +8,7 @@
 
 #include "sim/round_engine.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -334,79 +335,121 @@ TEST(ForkEngine, SnapshotAtEveryRoundBoundary) {
 
 // ------------------------------------- search equivalence and invariance
 
-TEST(ForkEngine, BehaviorSearchCheckpointingEquivalence) {
-  // One config with a violation, one exhaustively clean; for each, every
-  // (jobs, checkpointing) combination must report the identical verdict
-  // and the identical canonical execution count.
-  for (const Config& config :
-       {Config{.n = 4, .m = 1, .u = 2}, Config{.n = 4, .m = 1, .u = 1}}) {
-    std::optional<std::string> expected_name;
-    std::optional<std::uint64_t> expected_executions;
-    bool first = true;
+// The behaviour walk forks every execution from a checkpointed round-0
+// state; `behavior_at` re-runs one ordinal from scratch. Scanned in
+// ordinal order, the scratch path is the independent reference.
+TEST(ForkEngine, BehaviorWalkMatchesScratchReference) {
+  struct Case {
+    Config config;
+    std::uint64_t space;
+    std::optional<std::uint64_t> first_hit;
+  };
+  for (const Case& c : {Case{{.n = 4, .m = 1, .u = 2}, 3952, 129},
+                        Case{{.n = 4, .m = 1, .u = 1}, 112, std::nullopt}}) {
+    ASSERT_EQ(faults::behavior_search_space(c.config), c.space);
+    std::optional<std::uint64_t> reference;
+    std::optional<faults::Violation> reference_violation;
+    for (std::uint64_t o = 0; o < c.space && !reference; ++o) {
+      reference_violation = faults::behavior_at(c.config, -1, o);
+      if (reference_violation.has_value()) reference = o;
+    }
+    ASSERT_EQ(reference, c.first_hit) << c.config.to_string();
+
     for (const int jobs : {1, 3}) {
-      for (const bool checkpointing : {true, false}) {
-        sweep::SweepOptions options;
-        options.jobs = jobs;
-        sweep::SweepStats stats;
-        const auto violation = faults::exhaustive_behavior_search(
-            config,
-            faults::BehaviorSearchOptions{.checkpointing = checkpointing},
-            options, &stats);
-        const std::string name =
-            violation.has_value() ? violation->adversary : "(none)";
-        if (first) {
-          expected_name = name;
-          expected_executions = stats.executions;
-          first = false;
-          continue;
-        }
-        EXPECT_EQ(*expected_name, name)
-            << config.to_string() << " jobs=" << jobs
-            << " checkpointing=" << checkpointing;
-        EXPECT_EQ(*expected_executions, stats.executions)
-            << config.to_string() << " jobs=" << jobs
-            << " checkpointing=" << checkpointing;
+      sweep::SweepOptions options;
+      options.jobs = jobs;
+      sweep::SweepStats stats;
+      const auto violation = faults::exhaustive_behavior_search(
+          c.config,
+          faults::BehaviorSearchOptions{.symmetry = false,
+                                        .subset_symmetry = false},
+          options, &stats);
+      std::uint64_t first_hit = sweep::kNoHit;
+      for (const sweep::ShardStats& shard : stats.per_shard) {
+        first_hit = std::min(first_hit, shard.first_hit);
+      }
+      EXPECT_EQ(first_hit, reference.value_or(sweep::kNoHit))
+          << c.config.to_string() << " jobs=" << jobs;
+      // Unreduced: one execution per ordinal up to the first hit.
+      EXPECT_EQ(stats.executions, reference ? *reference + 1 : c.space)
+          << c.config.to_string() << " jobs=" << jobs;
+      ASSERT_EQ(violation.has_value(), reference_violation.has_value());
+      if (violation.has_value()) {
+        EXPECT_EQ(violation->adversary, reference_violation->adversary);
+        EXPECT_EQ(violation->spec.to_string(),
+                  reference_violation->spec.to_string());
       }
     }
   }
 }
 
-TEST(ForkEngine, SearchViolationCheckpointingEquivalence) {
-  // The family search over the paper's tight five-node config (clean) and
-  // the one-node-short Figure 2 config (violating): checkpointing must not
-  // change the verdict, the winning adversary or the execution count.
+// `search_violation` shares one checkpointed prefix per scenario across
+// the adversary family. The reference is a plain loop of run_and_check
+// over the same scan order: sender 0, fault count ascending, subsets
+// lexicographic, then the random probes, each spec derived from its
+// scenario ordinal; a fault-free scenario runs "silent" only.
+TEST(ForkEngine, SearchViolationMatchesScratchReference) {
+  constexpr int kRandomTrials = 2;
   for (const Config& config :
        {Config{.n = 5, .m = 1, .u = 2}, Config{.n = 4, .m = 1, .u = 2}}) {
-    std::optional<std::string> expected;
-    std::optional<std::uint64_t> expected_executions;
-    bool first = true;
-    for (const int jobs : {1, 3}) {
-      for (const bool checkpointing : {true, false}) {
-        faults::SearchOptions options;
-        options.random_trials = 2;
-        options.checkpointing = checkpointing;
-        sweep::SweepOptions sweep_options;
-        sweep_options.jobs = jobs;
-        sweep::SweepStats stats;
-        const auto violation =
-            faults::search_violation(config, options, sweep_options, &stats);
-        const std::string summary =
-            violation.has_value()
-                ? violation->adversary + "@" + violation->spec.to_string()
-                : "(none)";
-        if (first) {
-          expected = summary;
-          expected_executions = stats.executions;
-          first = false;
-          continue;
+    faults::SearchOptions options;
+    options.random_trials = kRandomTrials;
+    const auto family = faults::standard_family(options.seed);
+    const DegradableAgreement protocol(config);
+
+    std::optional<faults::Violation> reference;
+    std::uint64_t reference_executions = 0;
+    std::uint64_t ordinal = 0;
+    const auto scan = [&](const ScenarioSpec& spec) {
+      ++ordinal;
+      if (reference.has_value()) return;
+      for (const auto& factory : family) {
+        if (spec.f() == 0 && factory.name != "silent") continue;
+        auto adversary = factory.make(spec);
+        ++reference_executions;
+        const ConditionReport report =
+            protocol.run_and_check(spec, adversary.get());
+        if (!report.satisfied) {
+          reference = faults::Violation{spec, factory.name, report};
+          return;
         }
-        EXPECT_EQ(*expected, summary)
-            << config.to_string() << " jobs=" << jobs
-            << " checkpointing=" << checkpointing;
-        EXPECT_EQ(*expected_executions, stats.executions)
-            << config.to_string() << " jobs=" << jobs
-            << " checkpointing=" << checkpointing;
       }
+    };
+    for (int f = 0; f <= config.u; ++f) {
+      faults::for_each_subset(config.n, f, [&](const std::vector<NodeId>& s) {
+        ScenarioSpec spec;
+        spec.config = config;
+        spec.sender_value = Value::of(7);
+        spec.faulty = s;
+        scan(spec);
+      });
+      for (int t = 0; t < kRandomTrials; ++t) {
+        Rng rng(mix64(mix64(options.seed, 0xda), ordinal));
+        ScenarioSpec spec;
+        spec.config = config;
+        spec.sender_value = Value::of(rng.range(1, 100));
+        const std::vector<int> subset = rng.subset(config.n, f);
+        spec.faulty.assign(subset.begin(), subset.end());
+        scan(spec);
+      }
+    }
+
+    for (const int jobs : {1, 3}) {
+      sweep::SweepOptions sweep_options;
+      sweep_options.jobs = jobs;
+      sweep::SweepStats stats;
+      const auto violation =
+          faults::search_violation(config, options, sweep_options, &stats);
+      ASSERT_EQ(violation.has_value(), reference.has_value())
+          << config.to_string() << " jobs=" << jobs;
+      if (violation.has_value()) {
+        EXPECT_EQ(violation->adversary, reference->adversary)
+            << config.to_string() << " jobs=" << jobs;
+        EXPECT_EQ(violation->spec.to_string(), reference->spec.to_string())
+            << config.to_string() << " jobs=" << jobs;
+      }
+      EXPECT_EQ(stats.executions, reference_executions)
+          << config.to_string() << " jobs=" << jobs;
     }
   }
 }
@@ -425,8 +468,7 @@ TEST(ForkEngine, CheckpointCountersVisible) {
   // A clean config scans its whole space, so the walk forks throughout.
   const Config config{.n = 4, .m = 1, .u = 1};
   const auto violation = faults::exhaustive_behavior_search(
-      config, faults::BehaviorSearchOptions{.checkpointing = true},
-      sweep::SweepOptions{});
+      config, faults::BehaviorSearchOptions{}, sweep::SweepOptions{});
   EXPECT_FALSE(violation.has_value());
 
   EXPECT_GT(registry.counter_value("search.checkpoints"), checkpoints0);

@@ -112,6 +112,10 @@ TEST(Frontier, ParserRejectsDamage) {
             "bad-value: invalid config");
   EXPECT_EQ(why("da-frontier v1\nconfig 4 1 2 2 1 0\nend 0\n"),
             "bad-value: empty search space");
+  EXPECT_EQ(why("da-frontier v1\nconfig 4 1 2 9 1 3952\nend 0\n"),
+            "bad-value: fault limit exceeds n");
+  EXPECT_EQ(error_of("da-frontier v1\nconfig 4 1 2 9 1 3952\nend 0\n").line,
+            2u);
 
   // Truncation: chop the `end` trailer, then miscount it.
   const std::string no_end = good.substr(0, good.rfind("end "));
@@ -360,6 +364,47 @@ TEST(FrontierRun, RejectsForeignShardPlans) {
   const faults::FrontierRun run = faults::run_behavior_frontier(frontier);
   EXPECT_FALSE(run.error.empty());
   EXPECT_NE(run.error.find("shard plan"), std::string::npos) << run.error;
+}
+
+TEST(FrontierRun, RejectsConfigsPastTheSearchCap) {
+  // Each frontier parses, but the behaviour search cannot run it: run
+  // must return an error and leave the frontier untouched, never abort.
+  const auto one_shard = [](const Config& config, int max_f,
+                            std::uint64_t space) {
+    faults::Frontier frontier;
+    frontier.config = config;
+    frontier.max_f = max_f;
+    frontier.space = space;
+    frontier.shards.push_back({0, 1, 0});
+    return frontier;
+  };
+  struct Case {
+    faults::Frontier frontier;
+    const char* why;
+  };
+  for (const Case& c : {
+           // (6,1,3): a faulty subset holding the sender controls 13 slots.
+           Case{one_shard({.n = 6, .m = 1, .u = 3}, 3, 840829184),
+                "controls 13 slots, past the cap of 12"},
+           // (5,1,2) with every node faulty: 16 slots.
+           Case{one_shard({.n = 5, .m = 1, .u = 2}, 5, 1), "past the cap"},
+           Case{one_shard({.n = 4, .m = 1, .u = 2}, 9, 3952),
+                "fault limit exceeds n"},
+           Case{one_shard({.n = 2, .m = 1, .u = 1}, 1, 5), "n >= 2m+1"},
+       }) {
+    faults::Frontier frontier = c.frontier;
+    const faults::FrontierRun run = faults::run_behavior_frontier(frontier);
+    EXPECT_NE(run.error.find(c.why), std::string::npos) << run.error;
+    EXPECT_EQ(run.error.rfind("frontier: ", 0), 0u) << run.error;
+    EXPECT_EQ(frontier, c.frontier);
+    EXPECT_FALSE(
+        faults::behavior_search_unsupported(c.frontier.config,
+                                            c.frontier.max_f)
+            .empty());
+  }
+  EXPECT_EQ(faults::behavior_search_unsupported(kViolating), "");
+  EXPECT_EQ(faults::behavior_search_unsupported({.n = 5, .m = 1, .u = 2}),
+            "");
 }
 
 TEST(FrontierRun, UnreducedRunFindsTheSameHit) {

@@ -85,4 +85,43 @@ grep -q "line $torn_lines, column 1: not-canonical:" "$TMP/torn.err" || {
   exit 1
 }
 
+# 7. Inputs that parse but that the behaviour search cannot run are
+#    refused with exit 2 and a typed message on stderr, never an abort.
+#    expect_refusal <stderr pattern> <command...>
+expect_refusal() {
+  want=$1
+  shift
+  if "$@" >/dev/null 2>"$TMP/refused.err"; then
+    echo "accepted: $*" >&2
+    exit 1
+  else
+    code=$?
+  fi
+  [ "$code" -eq 2 ] || { echo "$* exited $code, want 2" >&2; exit 1; }
+  grep -q "$want" "$TMP/refused.err" || {
+    cat "$TMP/refused.err" >&2
+    exit 1
+  }
+}
+expect_refusal 'controls 13 slots, past the cap of 12' \
+  "$BIN" init --out "$TMP/big" --n 6 --m 1 --u 3
+expect_refusal 'fault limit exceeds n' \
+  "$BIN" init --out "$TMP/big" --n 5 --m 1 --u 2 --max-f 9
+expect_refusal 'n >= 2m+1' "$BIN" init --out "$TMP/big" --n 2 --m 1 --u 1
+# A v1 frontier past the slot cap: status reads it, run and artifact
+# refuse it.
+printf 'da-frontier v1\nconfig 6 1 3 3 1 840829184\nshard 0 1 0 0 0 -\nend 1\n' \
+  >"$TMP/big"
+"$BIN" status --frontier "$TMP/big" >/dev/null
+expect_refusal 'frontier: a faulty subset controls 13 slots' \
+  "$BIN" run --frontier "$TMP/big"
+expect_refusal 'frontier: a faulty subset controls 13 slots' \
+  "$BIN" artifact --frontier "$TMP/big"
+# A fault limit above n is a bad value on the config line.
+sed 's/^config 4 1 2 2 1 3952$/config 4 1 2 9 1 3952/' "$TMP/hit" >"$TMP/maxf"
+expect_refusal 'line 2, column 1: bad-value: fault limit exceeds n' \
+  "$BIN" status --frontier "$TMP/maxf"
+expect_refusal 'line 2, column 1: bad-value: fault limit exceeds n' \
+  "$BIN" run --frontier "$TMP/maxf"
+
 echo "search_resume status golden: OK"
