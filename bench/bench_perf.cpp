@@ -703,77 +703,65 @@ int verify_analytic_counts() {
   return mismatches;
 }
 
-// Service determinism smoke: a tiny open-loop run per arrival model,
-// executed with 1 and 2 workers; the digests (and the byte-level
-// artifacts) must match. Runs in both normal and --smoke modes, so the
-// CI service-smoke job gets a real check and the `--json` report carries
-// a "service_smoke" table. Returns the number of mismatched rows.
+// One `service_smoke` row: `run(jobs)` with 1 and 2 workers must agree
+// on the digest, the artifact and the latency sketch, with no violating
+// job. `sketch` picks the row's p50/p99 source: the exact record
+// quantiles, or the latency sketch (the front-end row's recorded cells).
+// Returns whether the row held.
+template <class Run>
+bool smoke_row(da::Table& table, const char* label, bool sketch, Run run) {
+  const da::service::ServiceResult lone = run(1);
+  const da::service::ServiceResult pair = run(2);
+  const bool invariant =
+      lone.digest() == pair.digest() && lone.artifact() == pair.artifact() &&
+      lone.latency_sketch.serialize() == pair.latency_sketch.serialize() &&
+      lone.violations == 0 && pair.violations == 0;
+  const auto quantile = [&lone, sketch](double q) {
+    return sketch ? lone.latency_sketch.quantile(q) : lone.latency_quantile(q);
+  };
+  char digest[24];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(lone.digest()));
+  table.row(label, lone.completed, lone.shed, quantile(0.50), quantile(0.99),
+            digest, invariant ? "yes" : "MISMATCH");
+  return invariant;
+}
+
+// Service determinism smoke: a tiny open-loop run per arrival model, and
+// a 2-shard front-end on the Poisson stream, each executed with 1 and 2
+// workers. Runs in both normal and --smoke modes, so the CI service-smoke
+// job gets a real check and the `--json` report carries a
+// "service_smoke" table. Returns the number of mismatched rows.
 int verify_service_smoke() {
   da::Table table({"model", "completed", "shed", "p50", "p99", "digest",
                    "jobs_invariant"});
   table.set_name("service_smoke");
+  da::service::ServiceConfig config;
+  config.offered = 200;
+  config.cap = 24;
+  config.queue_cap = 64;
+  config.seed = 7;
   int mismatches = 0;
-  for (const auto kind :
-       {da::service::ArrivalKind::kPoisson, da::service::ArrivalKind::kBursty,
-        da::service::ArrivalKind::kPareto}) {
-    da::service::ServiceConfig config;
-    switch (kind) {
-      case da::service::ArrivalKind::kPoisson:
-        config.arrivals = da::service::ArrivalSpec::poisson(20.0);
-        break;
-      case da::service::ArrivalKind::kBursty:
-        config.arrivals = da::service::ArrivalSpec::bursty(20.0);
-        break;
-      case da::service::ArrivalKind::kPareto:
-        config.arrivals = da::service::ArrivalSpec::pareto(20.0);
-        break;
-    }
-    config.offered = 200;
-    config.cap = 24;
-    config.queue_cap = 64;
-    config.seed = 7;
-    config.jobs = 1;
-    const auto lone = da::service::run_service(config);
-    config.jobs = 2;
-    const auto pair = da::service::run_service(config);
-    const bool invariant = lone.digest() == pair.digest() &&
-                           lone.artifact() == pair.artifact() &&
-                           lone.violations == 0 && pair.violations == 0;
-    if (!invariant) ++mismatches;
-    char digest[24];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(lone.digest()));
-    table.row(da::service::to_string(kind), lone.completed, lone.shed,
-              lone.latency_quantile(0.50), lone.latency_quantile(0.99),
-              digest, invariant ? "yes" : "MISMATCH");
+  for (const auto& arrivals : {da::service::ArrivalSpec::poisson(20.0),
+                               da::service::ArrivalSpec::bursty(20.0),
+                               da::service::ArrivalSpec::pareto(20.0)}) {
+    config.arrivals = arrivals;
+    const bool held = smoke_row(
+        table, da::service::to_string(arrivals.kind), false, [&](int jobs) {
+          config.jobs = jobs;
+          return da::service::run_service(config);
+        });
+    if (!held) ++mismatches;
   }
-  // The sharded front-end on the same stream: digest, artifact, and the
-  // exact-merged sketch serialization must all survive the jobs split.
-  {
-    da::service::FrontendConfig config;
-    config.service.arrivals = da::service::ArrivalSpec::poisson(20.0);
-    config.service.offered = 200;
-    config.service.cap = 24;
-    config.service.queue_cap = 64;
-    config.service.seed = 7;
-    config.shards = 2;
-    config.service.jobs = 1;
-    const auto lone = da::service::run_frontend(config);
-    config.service.jobs = 2;
-    const auto pair = da::service::run_frontend(config);
-    const bool invariant =
-        lone.digest() == pair.digest() && lone.artifact() == pair.artifact() &&
-        lone.latency_sketch.serialize() == pair.latency_sketch.serialize() &&
-        lone.violations == 0 && pair.violations == 0;
-    if (!invariant) ++mismatches;
-    char digest[24];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(lone.digest()));
-    table.row("frontend-2sh", lone.completed, lone.shed,
-              lone.latency_sketch.quantile(0.50),
-              lone.latency_sketch.quantile(0.99), digest,
-              invariant ? "yes" : "MISMATCH");
-  }
+  da::service::FrontendConfig front;
+  front.service = config;
+  front.service.arrivals = da::service::ArrivalSpec::poisson(20.0);
+  front.shards = 2;
+  const bool held = smoke_row(table, "frontend-2sh", true, [&](int jobs) {
+    front.service.jobs = jobs;
+    return da::service::run_frontend(front);
+  });
+  if (!held) ++mismatches;
   std::puts("\nService determinism smoke (jobs=1 vs jobs=2):");
   table.print();
   return mismatches;

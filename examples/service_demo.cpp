@@ -212,82 +212,11 @@ int main(int argc, char** argv) {
     for (JobTemplate& tmpl : config.mix) tmpl.deadline = deadline;
   }
 
-  // Fold the per-job outcomes into one by-class table (offered /
-  // completed / shed / deadline-missed per admission class).
-  struct ClassRow {
-    std::uint64_t offered = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t missed = 0;
-  };
-  std::array<ClassRow, kAdmissionClassCount> by_class{};
-  const auto tally = [&by_class](const std::vector<JobRecord>& records) {
-    for (const JobRecord& rec : records) {
-      ClassRow& row = by_class[static_cast<std::size_t>(index_of(rec.admission))];
-      ++row.offered;
-      if (rec.shed) {
-        ++row.shed;
-        if (rec.deadline_missed) ++row.missed;
-      } else if (rec.completed >= 0.0) {
-        ++row.completed;
-      }
-    }
-  };
-  const auto print_classes = [&by_class] {
-    for (int c = 0; c < kAdmissionClassCount; ++c) {
-      const ClassRow& row = by_class[static_cast<std::size_t>(c)];
-      if (row.offered == 0) continue;
-      std::printf("class      %-6s offered %llu  completed %llu  shed %llu  "
-                  "deadline_missed %llu\n",
-                  to_string(static_cast<AdmissionClass>(c)),
-                  static_cast<unsigned long long>(row.offered),
-                  static_cast<unsigned long long>(row.completed),
-                  static_cast<unsigned long long>(row.shed),
-                  static_cast<unsigned long long>(row.missed));
-    }
-  };
-  const auto write_outputs = [&](const std::vector<da::obs::Span>& spans,
-                                 std::size_t samples) {
-    if (spans_out != nullptr) {
-      if (!da::obs::write_spans_jsonl(spans, spans_out)) {
-        std::fprintf(stderr, "service_demo: cannot write %s\n", spans_out);
-        return false;
-      }
-      std::printf("spans      %zu -> %s\n", spans.size(), spans_out);
-    }
-    if (metrics_out != nullptr) {
-      if (!da::obs::write_exposition(
-              da::obs::MetricsRegistry::global().snapshot(), metrics_out)) {
-        std::fprintf(stderr, "service_demo: cannot write %s\n", metrics_out);
-        return false;
-      }
-      std::printf("metrics    -> %s\n", metrics_out);
-    }
-    if (config.sample_every > 0.0) {
-      std::printf("samples    %zu (every %g time units)\n", samples,
-                  config.sample_every);
-    }
-    return true;
-  };
-
-  if (shards > 1) {
-    // Sharded front-end path: one global arrival stream and tick grid
-    // over N independent service shards.
-    FrontendConfig frontend_config;
-    frontend_config.service = config;
-    frontend_config.shards = shards;
-    frontend_config.route = route;
-    ServiceFrontend frontend =
-        make_or_usage<ServiceFrontend>(frontend_config);
-    const FrontendResult result = frontend.run();
-    tally(result.records);
-
-    std::printf("frontend: %s  shards=%d route=%s cap=%d queue=%zu "
-                "policy=%s period=%g seed=%llu jobs=%d\n",
-                config.arrivals.to_string().c_str(), shards,
-                to_string(route), config.cap, config.queue_cap,
-                to_string(config.policy), config.round_period,
-                static_cast<unsigned long long>(config.seed), config.jobs);
+  // The one-screen summary of either run, after its header line:
+  // `detail_rows` prints the slot-pool row (plain service) or the
+  // per-shard rows (front-end) between the class rows and the digest.
+  const auto summarize = [&](const ServiceResult& result,
+                             const auto& detail_rows) {
     std::printf("offered    %llu jobs\n",
                 static_cast<unsigned long long>(config.offered));
     std::printf("completed  %llu   shed %llu   deadline_missed %llu   "
@@ -299,61 +228,105 @@ int main(int argc, char** argv) {
     std::printf("makespan   %.3f time units over %llu ticks  (%.1f ms wall)\n",
                 result.makespan, static_cast<unsigned long long>(result.ticks),
                 result.wall_ms);
-    std::printf("throughput %.3f jobs/time unit\n", result.throughput());
+    std::printf("throughput %.3f jobs/time unit   peak_active %d slots\n",
+                result.throughput(), result.peak_active);
     std::printf("latency    p50 %.3f  p90 %.3f  p99 %.3f time units\n",
-                result.latency_sketch.quantile(0.50),
-                result.latency_sketch.quantile(0.90),
-                result.latency_sketch.quantile(0.99));
-    print_classes();
-    for (std::size_t s = 0; s < result.shards.size(); ++s) {
-      const FrontendShardSummary& shard = result.shards[s];
-      std::printf("shard      %zu offered %llu  completed %llu  shed %llu  "
-                  "peak_active %d\n",
-                  s, static_cast<unsigned long long>(shard.offered),
-                  static_cast<unsigned long long>(shard.completed),
-                  static_cast<unsigned long long>(shard.shed),
-                  shard.peak_active);
+                result.latency_quantile(0.50), result.latency_quantile(0.90),
+                result.latency_quantile(0.99));
+    // Per admission class: offered / completed / shed / deadline-missed.
+    struct ClassRow {
+      std::uint64_t offered = 0;
+      std::uint64_t completed = 0;
+      std::uint64_t shed = 0;
+      std::uint64_t missed = 0;
+    };
+    std::array<ClassRow, kAdmissionClassCount> by_class{};
+    for (const JobRecord& rec : result.records) {
+      ClassRow& row = by_class[static_cast<std::size_t>(index_of(rec.admission))];
+      ++row.offered;
+      if (rec.shed) {
+        ++row.shed;
+        if (rec.deadline_missed) ++row.missed;
+      } else if (rec.completed >= 0.0) {
+        ++row.completed;
+      }
     }
+    for (int c = 0; c < kAdmissionClassCount; ++c) {
+      const ClassRow& row = by_class[static_cast<std::size_t>(c)];
+      if (row.offered == 0) continue;
+      std::printf("class      %-6s offered %llu  completed %llu  shed %llu  "
+                  "deadline_missed %llu\n",
+                  to_string(static_cast<AdmissionClass>(c)),
+                  static_cast<unsigned long long>(row.offered),
+                  static_cast<unsigned long long>(row.completed),
+                  static_cast<unsigned long long>(row.shed),
+                  static_cast<unsigned long long>(row.missed));
+    }
+    detail_rows();
     std::printf("digest     %016llx\n",
                 static_cast<unsigned long long>(result.digest()));
     if (dump_artifact) std::fputs(result.artifact().c_str(), stdout);
-    if (!write_outputs(result.spans, result.samples.size())) return 1;
+    if (spans_out != nullptr) {
+      if (!da::obs::write_spans_jsonl(result.spans, spans_out)) {
+        std::fprintf(stderr, "service_demo: cannot write %s\n", spans_out);
+        return 1;
+      }
+      std::printf("spans      %zu -> %s\n", result.spans.size(), spans_out);
+    }
+    if (metrics_out != nullptr) {
+      if (!da::obs::write_exposition(
+              da::obs::MetricsRegistry::global().snapshot(), metrics_out)) {
+        std::fprintf(stderr, "service_demo: cannot write %s\n", metrics_out);
+        return 1;
+      }
+      std::printf("metrics    -> %s\n", metrics_out);
+    }
+    if (config.sample_every > 0.0) {
+      std::printf("samples    %zu (every %g time units)\n",
+                  result.samples.size(), config.sample_every);
+    }
     return result.violations == 0 ? 0 : 1;
+  };
+
+  if (shards > 1) {
+    // Sharded front-end path: one global arrival stream and tick grid
+    // over N independent service shards.
+    FrontendConfig frontend_config;
+    frontend_config.service = config;
+    frontend_config.shards = shards;
+    frontend_config.route = route;
+    ServiceFrontend frontend =
+        make_or_usage<ServiceFrontend>(frontend_config);
+    const ServiceResult result = frontend.run();
+    std::printf("frontend: %s  shards=%d route=%s cap=%d queue=%zu "
+                "policy=%s period=%g seed=%llu jobs=%d\n",
+                config.arrivals.to_string().c_str(), shards,
+                to_string(route), config.cap, config.queue_cap,
+                to_string(config.policy), config.round_period,
+                static_cast<unsigned long long>(config.seed), config.jobs);
+    return summarize(result, [&result] {
+      for (std::size_t s = 0; s < result.shards.size(); ++s) {
+        const ShardSummary& shard = result.shards[s];
+        std::printf("shard      %zu offered %llu  completed %llu  shed %llu  "
+                    "peak_active %d\n",
+                    s, static_cast<unsigned long long>(shard.offered),
+                    static_cast<unsigned long long>(shard.completed),
+                    static_cast<unsigned long long>(shard.shed),
+                    shard.peak_active);
+      }
+    });
   }
 
   AgreementService svc = make_or_usage<AgreementService>(config);
   const ServiceResult result = svc.run();
-  tally(result.records);
-
   std::printf("service: %s  cap=%d queue=%zu policy=%s period=%g seed=%llu "
               "jobs=%d\n",
               config.arrivals.to_string().c_str(), config.cap,
               config.queue_cap, to_string(config.policy), config.round_period,
               static_cast<unsigned long long>(config.seed), config.jobs);
-  std::printf("offered    %llu jobs\n",
-              static_cast<unsigned long long>(config.offered));
-  std::printf("completed  %llu   shed %llu   deadline_missed %llu   "
-              "violations %llu\n",
-              static_cast<unsigned long long>(result.completed),
-              static_cast<unsigned long long>(result.shed),
-              static_cast<unsigned long long>(result.deadline_missed),
-              static_cast<unsigned long long>(result.violations));
-  std::printf("makespan   %.3f time units over %llu ticks  (%.1f ms wall)\n",
-              result.makespan, static_cast<unsigned long long>(result.ticks),
-              result.wall_ms);
-  std::printf("throughput %.3f jobs/time unit   peak_active %d slots\n",
-              result.throughput(), result.peak_active);
-  std::printf("latency    p50 %.3f  p90 %.3f  p99 %.3f time units\n",
-              result.latency_quantile(0.50), result.latency_quantile(0.90),
-              result.latency_quantile(0.99));
-  print_classes();
-  std::printf("slots      created %llu  reused %llu\n",
-              static_cast<unsigned long long>(svc.slots_created()),
-              static_cast<unsigned long long>(svc.slot_reuses()));
-  std::printf("digest     %016llx\n",
-              static_cast<unsigned long long>(result.digest()));
-  if (dump_artifact) std::fputs(result.artifact().c_str(), stdout);
-  if (!write_outputs(result.spans, result.samples.size())) return 1;
-
-  return result.violations == 0 ? 0 : 1;
+  return summarize(result, [&svc] {
+    std::printf("slots      created %llu  reused %llu\n",
+                static_cast<unsigned long long>(svc.slots_created()),
+                static_cast<unsigned long long>(svc.slot_reuses()));
+  });
 }

@@ -675,7 +675,8 @@ void AgreementService::tick(std::span<AgreementService* const> shards,
     std::size_t begin;
     std::size_t end;
   };
-  const std::size_t slots = static_cast<std::size_t>(pool->threads()) * 4;
+  const std::size_t slots =
+      static_cast<std::size_t>(pool->threads() + 1) * 4;
   const std::size_t per = (total + slots - 1) / slots;
   std::vector<Chunk> chunks;
   chunks.reserve(slots + shards.size());
@@ -826,6 +827,8 @@ ServiceResult AgreementService::end_run(double makespan) {
   result.makespan = makespan;
   result.peak_active = peak_active_;
   result.ticks = ticks_this_run_;
+  result.shards.push_back({records_.size(), result.completed, result.shed,
+                           result.deadline_missed, peak_active_});
   if (recording_) {
     span_reserve_ = spans_.size();
     result.spans = std::move(spans_);
@@ -841,20 +844,11 @@ ServiceResult AgreementService::end_run(double makespan) {
 }
 
 ServiceResult AgreementService::run() {
-  const obs::MetricsScope metrics_scope;
   std::optional<sweep::ThreadPool> pool;
-  if (config_.jobs > 1) pool.emplace(config_.jobs);
-  const auto wall_start = std::chrono::steady_clock::now();
+  if (config_.jobs > 1) pool.emplace(config_.jobs - 1);
   AgreementService* self = this;
-  detail::DriveResult drive = detail::drive(
-      {&self, 1}, config_, pool.has_value() ? &*pool : nullptr, {});
-  ServiceResult result = end_run(drive.makespan);
-  obs::canonicalize(result.spans);
-  result.samples = std::move(drive.samples);
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
-  return result;
+  return detail::run({&self, 1}, config_,
+                     pool.has_value() ? &*pool : nullptr, {});
 }
 
 bool AgreementService::job_injected(std::uint64_t job_id) const {
@@ -863,9 +857,11 @@ bool AgreementService::job_injected(std::uint64_t job_id) const {
 
 namespace detail {
 
-DriveResult drive(std::span<AgreementService* const> shards,
+ServiceResult run(std::span<AgreementService* const> shards,
                   const ServiceConfig& config, sweep::ThreadPool* pool,
                   const std::function<int(std::uint64_t)>& route) {
+  const obs::MetricsScope metrics_scope;
+  const auto wall_start = std::chrono::steady_clock::now();
   const std::uint64_t offered = config.offered;
   DA_EXPECTS(offered >= 1);
   DA_EXPECTS(!shards.empty());
@@ -901,7 +897,9 @@ DriveResult drive(std::span<AgreementService* const> shards,
     return point;
   };
 
-  DriveResult out;
+  std::vector<ServiceSample> samples;
+  std::vector<int> shard_of(offered, 0);
+  std::uint64_t ticks = 0;
   std::vector<AgreementService*> busy;
   busy.reserve(shards.size());
   ArrivalGenerator gen(config.arrivals, config.seed);
@@ -918,7 +916,7 @@ DriveResult drive(std::span<AgreementService* const> shards,
     // event: between events the state is constant, so each point reflects
     // the state as of its own instant.
     for (; next_sample < next_event; next_sample += config.sample_every) {
-      out.samples.push_back(sample(next_sample));
+      samples.push_back(sample(next_sample));
     }
     if (arrived < offered && next_arrival <= next_tick) {
       // Arrival event (ties with a tick resolve arrival-first, so a job
@@ -931,8 +929,8 @@ DriveResult drive(std::span<AgreementService* const> shards,
       offer.template_index = draw_template_index(config.seed, id, mix_size);
       offer.adversary_index =
           draw_adversary_index(config.seed, id, adversary_count);
-      AgreementService& shard =
-          *shards[route ? static_cast<std::size_t>(route(id)) : 0];
+      if (route) shard_of[id] = route(id);
+      AgreementService& shard = *shards[static_cast<std::size_t>(shard_of[id])];
       shard.offer_job(offer, now);
       if (next_tick == kNever && !shard.idle()) {
         next_tick = now + config.round_period;
@@ -943,7 +941,7 @@ DriveResult drive(std::span<AgreementService* const> shards,
     // (a queued job implies an active one), so skipping them loses
     // nothing.
     now = next_tick;
-    ++out.ticks;
+    ++ticks;
     busy.clear();
     for (AgreementService* shard : shards) {
       if (!shard->idle()) busy.push_back(shard);
@@ -956,9 +954,55 @@ DriveResult drive(std::span<AgreementService* const> shards,
   }
   // Close the time series at the makespan (the grid never reaches it:
   // points stop strictly before the final event).
-  if (config.sample_every > 0.0) out.samples.push_back(sample(now));
-  out.makespan = now;
-  return out;
+  if (config.sample_every > 0.0) samples.push_back(sample(now));
+
+  // Fold the shards back into one stream: shard 0's result is the base,
+  // the rest append to it (exact sketch merges, records re-sorted by
+  // global id), then the run's one canonical span sort.
+  std::vector<ServiceResult> parts;
+  parts.reserve(shards.size());
+  std::size_t records = 0;
+  std::size_t spans = 0;
+  for (AgreementService* shard : shards) {
+    parts.push_back(shard->end_run(now));
+    records += parts.back().records.size();
+    spans += parts.back().spans.size();
+  }
+  ServiceResult result = std::move(parts.front());
+  result.records.reserve(records);
+  result.spans.reserve(spans);
+  for (std::size_t s = 1; s < parts.size(); ++s) {
+    ServiceResult& part = parts[s];
+    result.completed += part.completed;
+    result.shed += part.shed;
+    result.deadline_missed += part.deadline_missed;
+    result.violations += part.violations;
+    result.peak_active = std::max(result.peak_active, part.peak_active);
+    result.latency_sketch.merge(part.latency_sketch);
+    result.queue_sketch.merge(part.queue_sketch);
+    for (std::size_t c = 0; c < kAdmissionClassCount; ++c) {
+      result.class_latency[c].merge(part.class_latency[c]);
+    }
+    result.records.insert(result.records.end(), part.records.begin(),
+                          part.records.end());
+    result.spans.insert(result.spans.end(), part.spans.begin(),
+                        part.spans.end());
+    result.shards.push_back(part.shards.front());
+  }
+  if (parts.size() > 1) {
+    std::ranges::sort(result.records, {}, &JobRecord::id);
+  }
+  obs::canonicalize(result.spans);
+  // Each end_run set the gauge to its own shard's peak; report the run's.
+  obs::MetricsRegistry::global().set_gauge("service.peak_active",
+                                           result.peak_active);
+  result.shard_of = std::move(shard_of);
+  result.samples = std::move(samples);
+  result.ticks = ticks;
+  result.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
+  return result;
 }
 
 }  // namespace detail
@@ -980,55 +1024,59 @@ double ServiceResult::latency_quantile(double q) const {
   return latencies[index];
 }
 
-std::uint64_t fold_job_record(std::uint64_t h, const JobRecord& rec) {
-  h = mix64(h, rec.id);
-  h = mix64(h, static_cast<std::uint64_t>(rec.template_index));
-  h = mix64(h, static_cast<std::uint64_t>(rec.adversary_index));
-  h = mix64(h, static_cast<std::uint64_t>(index_of(rec.admission)));
-  h = fold_double(h, rec.arrival);
-  h = mix64(h, rec.shed ? 1 : 0);
-  if (rec.shed) return mix64(h, rec.deadline_missed ? 1 : 0);
-  h = fold_double(h, rec.admitted);
-  h = fold_double(h, rec.completed);
-  h = mix64(h, static_cast<std::uint64_t>(rec.applied));
-  h = mix64(h, rec.satisfied ? 1 : 0);
-  return mix64(h, rec.decisions_digest);
-}
-
 std::uint64_t ServiceResult::digest() const {
-  // Everything deterministic about the run, excluding wall_ms.
+  // Everything deterministic about the run, excluding wall_ms: every
+  // record, and with several shards each job's placement too.
   std::uint64_t h = mix64(0x5e41ce, records.size());
-  for (const JobRecord& rec : records) h = fold_job_record(h, rec);
-  return h;
-}
-
-void append_record_line(std::string& out, const JobRecord& rec) {
-  char line[192];
-  if (rec.shed) {
-    std::snprintf(line, sizeof line,
-                  "job %llu tmpl=%d adv=%d class=%s arrival=%.6f %s\n",
-                  static_cast<unsigned long long>(rec.id),
-                  rec.template_index, rec.adversary_index,
-                  to_string(rec.admission), rec.arrival,
-                  rec.deadline_missed ? "DEADLINE" : "SHED");
-  } else {
-    std::snprintf(line, sizeof line,
-                  "job %llu tmpl=%d adv=%d class=%s arrival=%.6f "
-                  "admitted=%.6f completed=%.6f %s %s digest=%016llx\n",
-                  static_cast<unsigned long long>(rec.id),
-                  rec.template_index, rec.adversary_index,
-                  to_string(rec.admission), rec.arrival, rec.admitted,
-                  rec.completed, to_string(rec.applied),
-                  rec.satisfied ? "ok" : "VIOLATED",
-                  static_cast<unsigned long long>(rec.decisions_digest));
+  for (const JobRecord& rec : records) {
+    h = mix64(h, rec.id);
+    h = mix64(h, static_cast<std::uint64_t>(rec.template_index));
+    h = mix64(h, static_cast<std::uint64_t>(rec.adversary_index));
+    h = mix64(h, static_cast<std::uint64_t>(index_of(rec.admission)));
+    h = fold_double(h, rec.arrival);
+    h = mix64(h, rec.shed ? 1 : 0);
+    if (rec.shed) {
+      h = mix64(h, rec.deadline_missed ? 1 : 0);
+      continue;
+    }
+    h = fold_double(h, rec.admitted);
+    h = fold_double(h, rec.completed);
+    h = mix64(h, static_cast<std::uint64_t>(rec.applied));
+    h = mix64(h, rec.satisfied ? 1 : 0);
+    h = mix64(h, rec.decisions_digest);
   }
-  out += line;
+  if (shards.size() > 1) {
+    h = mix64(h, static_cast<std::uint64_t>(shards.size()));
+    for (const int s : shard_of) h = mix64(h, static_cast<std::uint64_t>(s));
+  }
+  return h;
 }
 
 std::string ServiceResult::artifact() const {
   std::string out;
   out.reserve(records.size() * 112);
-  for (const JobRecord& rec : records) append_record_line(out, rec);
+  char line[192];
+  for (const JobRecord& rec : records) {
+    if (rec.shed) {
+      std::snprintf(line, sizeof line,
+                    "job %llu tmpl=%d adv=%d class=%s arrival=%.6f %s\n",
+                    static_cast<unsigned long long>(rec.id),
+                    rec.template_index, rec.adversary_index,
+                    to_string(rec.admission), rec.arrival,
+                    rec.deadline_missed ? "DEADLINE" : "SHED");
+    } else {
+      std::snprintf(line, sizeof line,
+                    "job %llu tmpl=%d adv=%d class=%s arrival=%.6f "
+                    "admitted=%.6f completed=%.6f %s %s digest=%016llx\n",
+                    static_cast<unsigned long long>(rec.id),
+                    rec.template_index, rec.adversary_index,
+                    to_string(rec.admission), rec.arrival, rec.admitted,
+                    rec.completed, to_string(rec.applied),
+                    rec.satisfied ? "ok" : "VIOLATED",
+                    static_cast<unsigned long long>(rec.decisions_digest));
+    }
+    out += line;
+  }
   return out;
 }
 

@@ -59,10 +59,11 @@ namespace da::service {
 ///
 /// Besides the self-driving `run()`, the service exposes a *driven mode*
 /// (`begin_run` / `offer_job` / `step` / `end_run`). `run()` itself is
-/// the shared event loop `detail::drive` with this service as its only
-/// shard; the sharded front-end (`service/frontend.hpp`) runs the same
-/// loop over N shards, which is what makes an uncongested front-end
-/// stream record-identical to the single-service baseline.
+/// the shared run-and-merge path `detail::run` with this service as its
+/// only shard; the sharded front-end (`service/frontend.hpp`) runs the
+/// same path over N shards and gets the same `ServiceResult` back, which
+/// is what makes an uncongested front-end stream record-identical to the
+/// single-service baseline and a one-shard front-end the plain service.
 
 /// What kind of agreement one arriving job asks for.
 enum class JobKind {
@@ -132,8 +133,9 @@ struct ServiceConfig {
   /// one synchronous round per tick).
   double round_period = 1.0;
   std::uint64_t seed = 1;
-  /// Worker threads draining each round batch (instance chunks, across
-  /// every shard of a front-end); <= 1 drains inline.
+  /// Threads stepping each round batch (instance chunks, across every
+  /// shard of a front-end): a pool of `jobs - 1` workers plus the calling
+  /// thread; <= 1 steps inline, 0 means one per hardware thread.
   int jobs = 1;
   /// Scenario mix; `default_mix()` when empty.
   std::vector<JobTemplate> mix{};
@@ -184,17 +186,6 @@ struct JobRecord {
   }
 };
 
-/// Appends `rec`'s canonical one-line artifact form to `out` (shared by
-/// `ServiceResult::artifact()` and `FrontendResult::artifact()`, so an
-/// uncongested front-end stream can be compared to the single-service
-/// baseline byte for byte).
-void append_record_line(std::string& out, const JobRecord& rec);
-
-/// mix64-folds every digest-relevant field of one record into `h` (shared
-/// by `ServiceResult::digest()` and `FrontendResult::digest()`).
-[[nodiscard]] std::uint64_t fold_job_record(std::uint64_t h,
-                                            const JobRecord& rec);
-
 /// One periodic time-series point, taken on the `sample_every` grid of
 /// virtual time by the event loop — every field derives from deterministic
 /// event-loop state, so the series is identical for every `jobs` value.
@@ -217,9 +208,22 @@ struct ServiceSample {
   double latency_p99 = 0.0;
 };
 
-/// Aggregate of one `run()` call.
+/// One shard's slice of a run (the plain service is one shard).
+struct ShardSummary {
+  std::uint64_t offered = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t deadline_missed = 0;
+  int peak_active = 0;
+};
+
+/// Aggregate of one run: of the plain service, or of a sharded front-end
+/// with its shards exact-merged back into one stream.
 struct ServiceResult {
   std::vector<JobRecord> records;  // by job id, one per offered job
+  /// The routing decision, by global job id (empty from `end_run`).
+  std::vector<int> shard_of;
+  std::vector<ShardSummary> shards;  // one per shard, in shard order
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;  // all sheds, deadline misses included
   std::uint64_t deadline_missed = 0;
@@ -228,13 +232,15 @@ struct ServiceResult {
   double makespan = 0.0;
   /// Wall-clock time the run took (the only nondeterministic field).
   double wall_ms = 0.0;
-  /// Highest number of simultaneously active slots observed.
+  /// Highest number of simultaneously active slots observed in any one
+  /// shard (the largest shard peak; with one shard, the service's own).
   int peak_active = 0;
+  /// Tick-grid instants driven (each may tick several shards).
   std::uint64_t ticks = 0;
   /// Causal spans (when `record_spans`); empty otherwise and under
-  /// DA_METRICS=OFF. Canonical order from `run()` and the front-end;
-  /// emission order from `end_run`, which leaves the one canonical sort
-  /// to its caller (`spans_to_jsonl` exports canonically either way).
+  /// DA_METRICS=OFF. Canonical order from `run()`; emission order from
+  /// `end_run`, which leaves the one canonical sort to its caller
+  /// (`spans_to_jsonl` exports canonically either way).
   std::vector<obs::Span> spans;
   /// Periodic time series (when `sample_every > 0`).
   std::vector<ServiceSample> samples;
@@ -256,10 +262,13 @@ struct ServiceResult {
     return makespan <= 0.0 ? 0.0
                            : static_cast<double>(completed) / makespan;
   }
-  /// Order- and jobs-invariant fold of every record; the determinism pin.
+  /// Jobs-invariant fold of every record; the determinism pin. With more
+  /// than one shard it then also folds the shard count and each job's
+  /// shard, so a one-shard front-end has the plain service's digest.
   [[nodiscard]] std::uint64_t digest() const;
   /// Canonical one-line-per-job text artifact (byte-identical across
-  /// `jobs` values for a fixed config).
+  /// `jobs` values for a fixed config; no shard column, so a sharded
+  /// stream compares byte for byte with the plain service's).
   [[nodiscard]] std::string artifact() const;
 };
 
@@ -284,26 +293,17 @@ class AgreementService;
 
 namespace detail {
 
-/// What one pass of the shared event loop yields besides the shards' own
-/// per-run state (which the caller folds with `end_run`).
-struct DriveResult {
-  double makespan = 0.0;
-  /// Global tick-grid instants driven (each may tick several shards).
-  std::uint64_t ticks = 0;
-  /// The series on the `sample_every` grid (see `ServiceSample`).
-  std::vector<ServiceSample> samples;
-};
-
-/// The one arrival -> route -> tick -> sample loop (docs/SERVICE.md §"The
-/// event loop") over N >= 1 shards, behind both `AgreementService::run()`
-/// (one shard) and `ServiceFrontend::run()`. `config` supplies the global
-/// arrival stream, seed, offered count, tick period and sample grid.
-/// `route(id)` picks the shard for job `id` (empty = shard 0); it runs on
-/// the calling thread between ticks, so it may read shard loads. Each
-/// tick advances every non-idle shard's instances on `pool` as one
-/// fork-join round of (shard, instance-chunk) chunks, inline when `pool`
-/// is null. Calls `begin_run` on every shard; the caller calls `end_run`.
-[[nodiscard]] DriveResult drive(std::span<AgreementService* const> shards,
+/// The one run-and-merge path behind both `AgreementService::run()` (one
+/// shard) and `ServiceFrontend::run()`: the arrival -> route -> tick ->
+/// sample loop (docs/SERVICE.md §"The event loop") over N >= 1 shards,
+/// then `end_run` on every shard and the exact merge into one result.
+/// `config` supplies the global arrival stream, seed, offered count,
+/// tick period and sample grid. `route(id)` picks the shard for job `id`
+/// (empty = shard 0); it runs on the calling thread between ticks, so it
+/// may read shard loads. Each tick advances every non-idle shard's
+/// instances on `pool` as one fork-join round of (shard, instance-chunk)
+/// chunks, inline when `pool` is null.
+[[nodiscard]] ServiceResult run(std::span<AgreementService* const> shards,
                                 const ServiceConfig& config,
                                 sweep::ThreadPool* pool,
                                 const std::function<int(std::uint64_t)>& route);
@@ -358,11 +358,11 @@ class AgreementService {
   AgreementService& operator=(const AgreementService&) = delete;
 
   /// Offers `config().offered` jobs through the arrival model and drives
-  /// the event loop (`detail::drive`, this service as its only shard,
-  /// on a pool of `config().jobs` workers) until every job is completed
-  /// or shed. Virtual time restarts at 0 each run; the arrival stream is
-  /// re-seeded identically, so repeated runs of an unchanged service are
-  /// identical.
+  /// the event loop (`detail::run`, this service as its only shard, on a
+  /// pool of `config().jobs - 1` workers plus the calling thread) until
+  /// every job is completed or shed. Virtual time restarts at 0 each run;
+  /// the arrival stream is re-seeded identically, so repeated runs of an
+  /// unchanged service are identical.
   [[nodiscard]] ServiceResult run();
 
   // --- Driven mode -------------------------------------------------
@@ -416,7 +416,7 @@ class AgreementService {
   struct InstanceSlot;
   struct ActiveJob;
 
-  friend detail::DriveResult detail::drive(
+  friend ServiceResult detail::run(
       std::span<AgreementService* const> shards, const ServiceConfig& config,
       sweep::ThreadPool* pool, const std::function<int(std::uint64_t)>& route);
 

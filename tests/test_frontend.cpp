@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "service/service.hpp"
 
@@ -120,6 +123,14 @@ TEST(Frontend, UncongestedStreamMatchesSingleServiceBaseline) {
           << to_string(route) << " shards=" << shards;
       EXPECT_EQ(front.makespan, base.makespan);
       EXPECT_EQ(front.ticks, base.ticks);
+      // One shard is the plain service, digest included; with several the
+      // digest also folds placement, so it differs where the artifact
+      // does not.
+      if (shards == 1) {
+        EXPECT_EQ(front.digest(), base.digest()) << to_string(route);
+      } else {
+        EXPECT_NE(front.digest(), base.digest()) << to_string(route);
+      }
     }
   }
 }
@@ -138,6 +149,7 @@ TEST(Frontend, OneShardIsTheSingleServiceEvenUnderOverload) {
   config.service = service;
   config.shards = 1;
   const FrontendResult front = run_frontend(config);
+  EXPECT_EQ(front.digest(), base.digest());
   EXPECT_EQ(front.artifact(), base.artifact());
   EXPECT_EQ(front.completed, base.completed);
   EXPECT_EQ(front.shed, base.shed);
@@ -182,23 +194,18 @@ TEST(Frontend, RoutingIsConsistentAndCoversShards) {
   std::uint64_t offered = 0;
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;
-  for (const FrontendShardSummary& shard : result.shards) {
+  int peak = 0;
+  for (const ShardSummary& shard : result.shards) {
     offered += shard.offered;
     completed += shard.completed;
     shed += shard.shed;
+    peak = std::max(peak, shard.peak_active);
   }
+  EXPECT_EQ(result.peak_active, peak);  // the largest shard peak
   EXPECT_EQ(offered, config.service.offered);
   EXPECT_EQ(completed, result.completed);
   EXPECT_EQ(shed, result.shed);
   EXPECT_EQ(result.completed + result.shed, config.service.offered);
-  // Derived shard seeds are distinct from each other and the global seed.
-  ServiceFrontend frontend(config);
-  std::set<std::uint64_t> seeds;
-  for (int s = 0; s < frontend.shards(); ++s) {
-    seeds.insert(frontend.shard_seed(s));
-  }
-  EXPECT_EQ(seeds.size(), 4u);
-  EXPECT_EQ(seeds.count(config.service.seed), 0u);
 }
 
 TEST(Frontend, LeastLoadedSpreadsACongestedStream) {
@@ -209,7 +216,7 @@ TEST(Frontend, LeastLoadedSpreadsACongestedStream) {
   config.shards = 4;
   config.route = RoutePolicy::kLeastLoaded;
   const FrontendResult result = run_frontend(config);
-  for (const FrontendShardSummary& shard : result.shards) {
+  for (const ShardSummary& shard : result.shards) {
     EXPECT_GT(shard.offered, 0u);
     EXPECT_GT(shard.completed, 0u);
   }
@@ -249,6 +256,27 @@ TEST(Frontend, AggregatedSamplesAreJobsInvariant) {
   EXPECT_EQ(lone.samples.back().completed, lone.completed);
 }
 
+#ifdef __linux__
+TEST(Frontend, JobsCountsTheCallingThread) {
+  // `jobs` counts every stepping thread, the caller included, as in
+  // `run_sweep`: a front-end with jobs = 3 starts a pool of 2 workers.
+  const auto threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  FrontendConfig config;
+  config.service = congested_config();
+  config.service.jobs = 3;
+  const std::size_t before = threads();
+  const ServiceFrontend frontend(config);
+  EXPECT_EQ(threads() - before, 2u);
+}
+#endif
+
 TEST(Frontend, RejectsEngineUnrunnableMixOnConstruction) {
   FrontendConfig config;
   config.service = congested_config();
@@ -258,6 +286,22 @@ TEST(Frontend, RejectsEngineUnrunnableMixOnConstruction) {
 }
 
 #ifndef DA_METRICS_DISABLED
+TEST(Frontend, PeakActiveGaugeIsTheLargestShardPeak) {
+  FrontendConfig config;
+  config.service.arrivals = ArrivalSpec::poisson(10.0);
+  config.service.offered = 300;
+  config.service.cap = 24;
+  config.service.seed = 7;
+  config.shards = 3;
+  config.route = RoutePolicy::kLeastLoaded;
+  const FrontendResult result = run_frontend(config);
+  // The last shard peaks lowest here, so its own figure is not the run's.
+  ASSERT_GT(result.peak_active, result.shards.back().peak_active);
+  EXPECT_EQ(obs::MetricsRegistry::global().snapshot().gauges.at(
+                "service.peak_active"),
+            result.peak_active);
+}
+
 TEST(Frontend, SpansMergeAcrossShardsWithGlobalJobIds) {
   FrontendConfig config;
   config.service = congested_config();
