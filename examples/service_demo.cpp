@@ -31,6 +31,7 @@
 // tools/docs_check.sh --service-demo executes that walkthrough.
 
 #include <array>
+#include <cmath>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -45,6 +46,7 @@
 #include "obs/spans.hpp"
 #include "service/frontend.hpp"
 #include "service/service.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -60,10 +62,14 @@ namespace {
   std::exit(2);
 }
 
+/// Rates, periods and deadlines take finite positive numbers: strtod also
+/// reads "nan" and "inf", which no comparison with zero rejects.
 double parse_positive(const char* flag, const char* arg) {
   char* end = nullptr;
   const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0' || v <= 0.0) usage(flag);
+  if (end == arg || *end != '\0' || !(v > 0.0) || !std::isfinite(v)) {
+    usage(flag);
+  }
   return v;
 }
 
@@ -147,10 +153,13 @@ int main(int argc, char** argv) {
       config.round_period =
           parse_positive("--period expects a positive number", next());
     } else if (std::strcmp(flag, "--seed") == 0) {
-      config.seed = static_cast<std::uint64_t>(
-          std::strtoull(next(), nullptr, 10));
+      if (!da::parse_number(next(), config.seed)) {
+        usage("--seed expects a non-negative integer");
+      }
     } else if (std::strcmp(flag, "--jobs") == 0) {
-      config.jobs = std::atoi(next());
+      if (!da::parse_number(next(), config.jobs) || config.jobs < 0) {
+        usage("--jobs expects a count, 0 = all cores");
+      }
     } else if (std::strcmp(flag, "--shards") == 0) {
       shards = static_cast<int>(
           parse_count("--shards expects a positive count", next(), kIntMax));

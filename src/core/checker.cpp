@@ -41,7 +41,6 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
   const int m = spec.config.m;
   const int u = spec.config.u;
   const bool sender_ok = !spec.sender_faulty();
-  const std::vector<NodeId> receivers = spec.fault_free_receivers();
 
   // Classify the governing condition.
   if (f <= m) {
@@ -61,7 +60,8 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
   static thread_local std::vector<std::pair<Value, std::vector<NodeId>>>
       class_scratch;
   std::size_t class_count = 0;
-  for (NodeId r : receivers) {
+  for (NodeId r = 0; r < spec.config.n; ++r) {
+    if (r == spec.sender || spec.is_faulty(r)) continue;  // fault-free only
     const Value v = decision_of(decisions, r);
     std::size_t i = 0;
     while (i < class_count && class_scratch[i].first != v) ++i;

@@ -46,8 +46,11 @@ struct ConditionReport {
 
 /// Checks decisions (one per node; faulty nodes' entries are ignored)
 /// against conditions D.1-D.4 for `spec`. The `sim::Decisions` overload is
-/// the allocation-free form used by the search hot loops; the map overload
-/// serves callers that assemble decisions by hand.
+/// the form used by the search and service hot loops: once its
+/// thread-local class scratch is warm, the only allocations are the
+/// report's own class vectors (one for a satisfied D.1 execution) and the
+/// `detail` text of a violation. The map overload serves callers that
+/// assemble decisions by hand.
 [[nodiscard]] ConditionReport check_conditions(const ScenarioSpec& spec,
                                                const sim::Decisions& decisions);
 [[nodiscard]] ConditionReport check_conditions(

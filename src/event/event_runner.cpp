@@ -118,7 +118,7 @@ EventRunResult EventRunner::run() {
 
   // Sends are counted when routed; deliveries only on arrival, since a
   // message that lands after the receiver's deadline was never delivered.
-  const auto dispatch = [&](std::vector<sim::Message>&& outbox,
+  const auto dispatch = [&](std::vector<sim::Message>& outbox,
                             std::size_t from_index, int round, double now,
                             bool fabricated) {
     if (outbox.empty()) return;
@@ -157,15 +157,15 @@ EventRunResult EventRunner::run() {
     switch (event.kind) {
       case Kind::kSend: {
         sim::Process& proc = *processes_[event.node_index];
-        std::vector<sim::Message> outbox =
-            event.round == 0 ? proc.start()
-                             : std::move(pending_outbox[event.node_index]);
-        pending_outbox[event.node_index].clear();
-        dispatch(std::move(outbox), event.node_index, event.round, event.time,
+        std::vector<sim::Message>& outbox = pending_outbox[event.node_index];
+        if (event.round == 0) proc.start(outbox);
+        dispatch(outbox, event.node_index, event.round, event.time,
                  /*fabricated=*/false);
+        outbox.clear();  // keep capacity for on_round to append into
         if (sim::is_faulty(options_, proc.id())) {
-          dispatch(options_.adversary->fabricate(proc.id(), event.round),
-                   event.node_index, event.round, event.time,
+          std::vector<sim::Message> fabricated =
+              options_.adversary->fabricate(proc.id(), event.round);
+          dispatch(fabricated, event.node_index, event.round, event.time,
                    /*fabricated=*/true);
         }
         break;
@@ -198,10 +198,12 @@ EventRunResult EventRunner::run() {
         if (options_.spans != nullptr) {
           options_.spans->note_resolve(event.round, 1);
         }
-        std::vector<sim::Message> next = proc.on_round(event.round, box);
-        if (event.round + 1 < rounds) {
-          pending_outbox[event.node_index] = std::move(next);
-        } else {
+        // Send(r) emptied the outbox before this Deadline(r), and
+        // Send(r+1) dispatches what on_round appends here.
+        std::vector<sim::Message>& next = pending_outbox[event.node_index];
+        proc.on_round(event.round, box, next);
+        if (event.round + 1 == rounds) {
+          next.clear();  // sends from the final round have nowhere to go
           result.completion_time =
               std::max(result.completion_time, event.time);
         }

@@ -21,9 +21,8 @@ SmProcess::SmProcess(Params params) : params_(std::move(params)) {
   }
 }
 
-std::vector<sim::Message> SmProcess::start() {
-  std::vector<sim::Message> out;
-  if (params_.self != params_.sender) return out;
+void SmProcess::start(std::vector<sim::Message>& out) {
+  if (params_.self != params_.sender) return;
   Path chain;
   chain.push_back(params_.sender);
   const std::uint64_t tag =
@@ -37,7 +36,6 @@ std::vector<sim::Message> SmProcess::start() {
                                .value = params_.input,
                                .aux = static_cast<std::int64_t>(tag)});
   }
-  return out;
 }
 
 bool SmProcess::valid_message(int round, const sim::Message& msg) const {
@@ -59,10 +57,9 @@ bool SmProcess::valid_message(int round, const sim::Message& msg) const {
                                          static_cast<std::uint64_t>(msg.aux));
 }
 
-std::vector<sim::Message> SmProcess::on_round(
-    int round, const std::vector<sim::Message>& inbox) {
-  std::vector<sim::Message> out;
-  if (params_.self == params_.sender) return out;
+void SmProcess::on_round(int round, const std::vector<sim::Message>& inbox,
+                         std::vector<sim::Message>& out) {
+  if (params_.self == params_.sender) return;
   for (const sim::Message& msg : inbox) {
     if (!valid_message(round, msg)) continue;
     if (!accepted_.insert(msg.value).second) continue;  // already known
@@ -81,7 +78,6 @@ std::vector<sim::Message> SmProcess::on_round(
                                  .aux = static_cast<std::int64_t>(tag)});
     }
   }
-  return out;
 }
 
 Value SmProcess::decide() const {

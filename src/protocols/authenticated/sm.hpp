@@ -38,9 +38,9 @@ class SmProcess final : public sim::Process {
 
   [[nodiscard]] NodeId id() const override { return params_.self; }
   [[nodiscard]] int total_rounds() const override { return params_.m + 1; }
-  [[nodiscard]] std::vector<sim::Message> start() override;
-  [[nodiscard]] std::vector<sim::Message> on_round(
-      int round, const std::vector<sim::Message>& inbox) override;
+  void start(std::vector<sim::Message>& out) override;
+  void on_round(int round, const std::vector<sim::Message>& inbox,
+                std::vector<sim::Message>& out) override;
   [[nodiscard]] Value decide() const override;
 
   /// Checkpoint/fork support: execution state is just the accepted set.

@@ -17,9 +17,8 @@ EigProcess::EigProcess(Params params)
   }
 }
 
-std::vector<sim::Message> EigProcess::start() {
-  std::vector<sim::Message> out;
-  if (params_.self != params_.sender) return out;
+void EigProcess::start(std::vector<sim::Message>& out) {
+  if (params_.self != params_.sender) return;
   Path root;
   root.push_back(params_.sender);
   for (NodeId to : tree_.nodes()) {
@@ -30,7 +29,6 @@ std::vector<sim::Message> EigProcess::start() {
                                .path = root,
                                .value = params_.input});
   }
-  return out;
 }
 
 bool EigProcess::valid_message(int round, const sim::Message& msg) const {
@@ -47,43 +45,31 @@ bool EigProcess::valid_message(int round, const sim::Message& msg) const {
   return true;
 }
 
-std::vector<sim::Message> EigProcess::on_round(
-    int round, const std::vector<sim::Message>& inbox) {
-  // The final round (and the sender in every round) stores without
-  // relaying, so the fresh-path bookkeeping below is skipped entirely —
-  // the heaviest round of every execution allocates nothing here.
-  if (round + 1 >= params_.depth || params_.self == params_.sender) {
-    for (const sim::Message& msg : inbox) {
-      if (!valid_message(round, msg)) continue;
-      // Duplicate deliveries lose to the first write (set_if_absent).
-      tree_.set_if_absent(msg.path, msg.value);
-    }
-    return {};
-  }
-
-  std::vector<Path> fresh;
+void EigProcess::on_round(int round, const std::vector<sim::Message>& inbox,
+                          std::vector<sim::Message>& out) {
+  // Relays are appended into the runner's held outbox as each fresh path
+  // is stored, so no round of an execution allocates here once that
+  // buffer is warm. The final round (and the sender in every round)
+  // stores without relaying.
+  const bool relay =
+      round + 1 < params_.depth && params_.self != params_.sender;
   for (const sim::Message& msg : inbox) {
     if (!valid_message(round, msg)) continue;
-    if (!tree_.set_if_absent(msg.path, msg.value)) continue;  // duplicate
-    fresh.push_back(msg.path);
-  }
-
-  std::vector<sim::Message> out;
-  // Relay each value received this round with our id appended. Omitted
-  // incoming messages are not re-materialized: the downstream receiver
-  // observes our silence for that path as V_d, exactly as we did.
-  for (const Path& path : fresh) {
-    const Path extended = path.extended(params_.self);
+    // Duplicate deliveries lose to the first write (set_if_absent).
+    if (!tree_.set_if_absent(msg.path, msg.value) || !relay) continue;
+    // Relay the value just stored with our id appended. Omitted incoming
+    // messages are not re-materialized: the downstream receiver observes
+    // our silence for that path as V_d, exactly as we did.
+    const Path extended = msg.path.extended(params_.self);
     for (NodeId to : tree_.nodes()) {
       if (to == params_.self || extended.contains(to)) continue;
       out.push_back(sim::Message{.from = params_.self,
                                  .to = to,
                                  .round = round + 1,
                                  .path = extended,
-                                 .value = tree_.get(path)});
+                                 .value = msg.value});
     }
   }
-  return out;
 }
 
 Value EigProcess::decide() const {

@@ -34,9 +34,9 @@ class EigProcess final : public sim::Process {
 
   [[nodiscard]] NodeId id() const override { return params_.self; }
   [[nodiscard]] int total_rounds() const override { return params_.depth; }
-  [[nodiscard]] std::vector<sim::Message> start() override;
-  [[nodiscard]] std::vector<sim::Message> on_round(
-      int round, const std::vector<sim::Message>& inbox) override;
+  void start(std::vector<sim::Message>& out) override;
+  void on_round(int round, const std::vector<sim::Message>& inbox,
+                std::vector<sim::Message>& out) override;
   [[nodiscard]] Value decide() const override;
 
   /// Checkpoint/fork support: the flat EigTree arena makes both plain

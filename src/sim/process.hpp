@@ -14,14 +14,18 @@ namespace da::sim {
 /// (the deterministic `SyncRunner` or the pool-parallel `ThreadedRunner`).
 ///
 /// Lifecycle driven by a runner:
-///   1. `start()` is called once; returned messages are the node's round-0
-///      sends.
-///   2. For r = 0..total_rounds()-1, `on_round(r, inbox)` receives exactly
-///      the messages addressed to this node that were sent in round r (after
-///      adversary corruption and network filtering) and returns the node's
-///      round r+1 sends. Messages returned from the final round are
-///      discarded.
+///   1. `start(out)` is called once and appends the node's round-0 sends
+///      to `out`.
+///   2. For r = 0..total_rounds()-1, `on_round(r, inbox, out)` receives
+///      exactly the messages addressed to this node that were sent in round
+///      r (after adversary corruption and network filtering) and appends
+///      the node's round r+1 sends to `out`. Messages appended in the final
+///      round are discarded.
 ///   3. `decide()` is queried after the final round.
+///
+/// `out` is the runner's held outbox for this node: empty on entry, owned
+/// by the runner and reused across rounds, so a process that only appends
+/// never touches the allocator once the buffer is warm.
 class Process {
  public:
   virtual ~Process() = default;
@@ -34,12 +38,13 @@ class Process {
   /// Number of communication rounds this protocol needs.
   [[nodiscard]] virtual int total_rounds() const = 0;
 
-  /// Round-0 sends.
-  [[nodiscard]] virtual std::vector<Message> start() = 0;
+  /// Appends the round-0 sends to `out`.
+  virtual void start(std::vector<Message>& out) = 0;
 
-  /// Handle the messages delivered in round `round`; return round+1 sends.
-  [[nodiscard]] virtual std::vector<Message> on_round(
-      int round, const std::vector<Message>& inbox) = 0;
+  /// Handles the messages delivered in round `round`; appends the round+1
+  /// sends to `out`.
+  virtual void on_round(int round, const std::vector<Message>& inbox,
+                        std::vector<Message>& out) = 0;
 
   /// The node's decision after the final round.
   [[nodiscard]] virtual Value decide() const = 0;

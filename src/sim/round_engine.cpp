@@ -61,7 +61,7 @@ void RoundEngine::begin() {
   DA_EXPECTS(!begun_);
   executions_counter().add();
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    pending_[i] = processes_[i]->start();
+    processes_[i]->start(pending_[i]);
   }
   pending_round_ = 0;
   begun_ = true;
@@ -113,10 +113,10 @@ void RoundEngine::step_node(std::size_t i) {
   const int r = rounds_processed_;
   std::vector<Message>& inbox = delivered_[i];
   sort_inbox(inbox);
-  std::vector<Message> outbox = processes_[i]->on_round(r, inbox);
+  processes_[i]->on_round(r, inbox, pending_[i]);
   inbox.clear();  // keep capacity for the round after next
-  // Messages returned from the final round are discarded, uncounted.
-  if (r + 1 < rounds_) pending_[i] = std::move(outbox);
+  // Messages sent from the final round are discarded, uncounted.
+  if (r + 1 == rounds_) pending_[i].clear();
 }
 
 void RoundEngine::process_round(sweep::ThreadPool* pool) {

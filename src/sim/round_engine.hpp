@@ -18,11 +18,11 @@ namespace da::sim {
 ///
 /// A round has two phases, and the engine alternates them:
 ///
-///   1. *collect* — `begin()` gathers every process's round-0 sends;
-///      `process_round()` delivers the pending inboxes for the current
-///      round (canonical `sort_inbox` order), runs `on_round`, and gathers
-///      the resulting next-round outboxes. Collected outboxes are *held*,
-///      not yet sent.
+///   1. *collect* — `begin()` has every process append its round-0 sends
+///      to its outbox; `process_round()` delivers the pending inboxes for
+///      the current round (canonical `sort_inbox` order) and runs
+///      `on_round`, which appends the next-round sends to the same
+///      outbox. Collected outboxes are *held*, not yet sent.
 ///   2. *dispatch* — `dispatch_pending()` pushes the held outboxes through
 ///      the adversary (`corrupt`/`fabricate`) and the network model into
 ///      the receivers' inboxes (`route`, sim/runner.hpp).
@@ -135,7 +135,8 @@ class RoundEngine {
   int rounds_ = 0;
 
   // Held outboxes (one per process) for round `pending_round_`, collected
-  // but not yet dispatched. `begun_` flips on begin(); `dispatched_`
+  // but not yet dispatched. Processes append into them directly; dispatch
+  // empties them and keeps their capacity, so warm rounds never allocate. `begun_` flips on begin(); `dispatched_`
   // tracks which phase is next.
   std::vector<std::vector<Message>> pending_;
   int pending_round_ = 0;

@@ -56,7 +56,7 @@ inline Result run(std::vector<std::unique_ptr<sim::Process>> processes,
   Result result;
   const int rounds = processes.front()->total_rounds();
   std::map<NodeId, std::vector<sim::Message>> outgoing;
-  for (const auto& p : processes) outgoing[p->id()] = p->start();
+  for (const auto& p : processes) p->start(outgoing[p->id()]);
 
   for (int round = 0; round < rounds; ++round) {
     std::map<NodeId, Inbox> inboxes;
@@ -102,7 +102,8 @@ inline Result run(std::vector<std::unique_ptr<sim::Process>> processes,
     for (const auto& [id, proc] : by_id) {
       std::vector<sim::Message> inbox;
       for (const auto& [key, msg] : inboxes[id]) inbox.push_back(msg);
-      std::vector<sim::Message> replies = proc->on_round(round, inbox);
+      std::vector<sim::Message> replies;
+      proc->on_round(round, inbox, replies);
       // Sends after the last round have nowhere to go.
       if (round + 1 < rounds) outgoing[id] = std::move(replies);
     }

@@ -15,9 +15,10 @@ TEST(EigTree, MissingSlotReadsAsDefault) {
 }
 
 TEST(EigTree, DoubleSetIsContractViolation) {
-  // Receivers dedupe deliveries upstream (has() in EigProcess::on_round),
-  // so a second write to a slot can only be a protocol bug: it must fault
-  // loudly instead of silently keeping (or replacing) the first value.
+  // Receivers dedupe deliveries upstream (set_if_absent in
+  // EigProcess::on_round), so a second write to a slot can only be a
+  // protocol bug: it must fault loudly instead of silently keeping (or
+  // replacing) the first value.
   EigTree tree(1, 0, {0, 1, 2, 3}, 2);
   tree.set(Path{0}, Value::of(5));
   EXPECT_THROW(tree.set(Path{0}, Value::of(9)), std::logic_error);
@@ -119,7 +120,8 @@ TEST(EigProcess, SenderBroadcastsItsValue) {
                                        .depth = 2,
                                        .input = Value::of(6),
                                        .resolver = resolver});
-  const auto out = sender.start();
+  std::vector<sim::Message> out;
+  sender.start(out);
   ASSERT_EQ(out.size(), 3u);
   for (const auto& msg : out) {
     EXPECT_EQ(msg.from, 0);
@@ -136,10 +138,12 @@ TEST(EigProcess, ReceiverRelaysWithAppendedPath) {
                                          .nodes = {0, 1, 2, 3},
                                          .depth = 2,
                                          .resolver = resolver});
-  EXPECT_TRUE(receiver.start().empty());
+  std::vector<sim::Message> relays;
+  receiver.start(relays);
+  EXPECT_TRUE(relays.empty());
   const sim::Message direct{
       .from = 0, .to = 2, .round = 0, .path = Path{0}, .value = Value::of(6)};
-  const auto relays = receiver.on_round(0, {direct});
+  receiver.on_round(0, {direct}, relays);
   ASSERT_EQ(relays.size(), 2u);  // to nodes 1 and 3
   for (const auto& msg : relays) {
     EXPECT_EQ(msg.path, (Path{0, 2}));
@@ -177,8 +181,10 @@ TEST(EigProcess, MalformedMessagesIgnored) {
                              .round = 1,
                              .path = Path{0, 9},
                              .value = Value::of(4)};
-  EXPECT_TRUE(receiver.on_round(0, {bad_len, bad_tail}).empty());
-  (void)receiver.on_round(1, {self_path, foreign});
+  std::vector<sim::Message> out;
+  receiver.on_round(0, {bad_len, bad_tail}, out);
+  EXPECT_TRUE(out.empty());
+  receiver.on_round(1, {self_path, foreign}, out);
   EXPECT_EQ(receiver.tree().stored(), 0u);
 }
 

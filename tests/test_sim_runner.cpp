@@ -22,24 +22,20 @@ class PingPong final : public Process {
   NodeId id() const override { return self_; }
   int total_rounds() const override { return 2; }
 
-  std::vector<Message> start() override {
-    std::vector<Message> out;
-    if (self_ != 0) return out;
+  void start(std::vector<Message>& out) override {
+    if (self_ != 0) return;
     for (NodeId to = 1; to < n_; ++to) {
       out.push_back(Message{.from = 0, .to = to, .round = 0, .value = input_});
     }
-    return out;
   }
 
-  std::vector<Message> on_round(int round,
-                                const std::vector<Message>& inbox) override {
+  void on_round(int round, const std::vector<Message>& inbox,
+                std::vector<Message>& out) override {
     if (!inbox.empty() && heard_.is_default()) heard_ = inbox.front().value;
-    std::vector<Message> out;
     if (round == 0 && self_ != 0 && !inbox.empty()) {
       out.push_back(Message{
           .from = self_, .to = 0, .round = 1, .value = inbox.front().value});
     }
-    return out;
   }
 
   Value decide() const override { return self_ == 0 ? input_ : heard_; }
@@ -199,10 +195,9 @@ TEST(SyncRunner, MismatchedRoundCountsRejected) {
    public:
     NodeId id() const override { return 2; }
     int total_rounds() const override { return 1; }
-    std::vector<Message> start() override { return {}; }
-    std::vector<Message> on_round(int, const std::vector<Message>&) override {
-      return {};
-    }
+    void start(std::vector<Message>&) override {}
+    void on_round(int, const std::vector<Message>&,
+                  std::vector<Message>&) override {}
     Value decide() const override { return Value::def(); }
   };
   procs[2] = std::make_unique<OneRound>();

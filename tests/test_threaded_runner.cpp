@@ -143,16 +143,14 @@ TEST(ThreadedRunner, PropagatesProcessExceptions) {
         : id_(id), throw_in_round_(throw_in_round) {}
     NodeId id() const override { return id_; }
     int total_rounds() const override { return 2; }
-    std::vector<sim::Message> start() override {
+    void start(std::vector<sim::Message>&) override {
       if (id_ == 1 && throw_in_round_ < 0) throw std::runtime_error("boom");
-      return {};
     }
-    std::vector<sim::Message> on_round(
-        int round, const std::vector<sim::Message>&) override {
+    void on_round(int round, const std::vector<sim::Message>&,
+                  std::vector<sim::Message>&) override {
       if (id_ == 1 && round == throw_in_round_) {
         throw std::runtime_error("boom");
       }
-      return {};
     }
     Value decide() const override { return Value::def(); }
 
@@ -183,15 +181,15 @@ class ThreadRecorder final : public sim::Process {
       : inner_(std::move(inner)), mu_(mu), log_(log), nap_(nap) {}
   NodeId id() const override { return inner_->id(); }
   int total_rounds() const override { return inner_->total_rounds(); }
-  std::vector<sim::Message> start() override { return inner_->start(); }
-  std::vector<sim::Message> on_round(
-      int round, const std::vector<sim::Message>& inbox) override {
+  void start(std::vector<sim::Message>& out) override { inner_->start(out); }
+  void on_round(int round, const std::vector<sim::Message>& inbox,
+                std::vector<sim::Message>& out) override {
     if (nap_) std::this_thread::sleep_for(std::chrono::microseconds(100));
     {
       const std::lock_guard<std::mutex> lock(mu_);
       log_[round].insert(std::this_thread::get_id());
     }
-    return inner_->on_round(round, inbox);
+    inner_->on_round(round, inbox, out);
   }
   Value decide() const override { return inner_->decide(); }
 
