@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -511,12 +512,9 @@ void BM_SpanRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanRecord)->Arg(0)->Arg(3)->Arg(6);
 
-// Span export: `spans_to_jsonl` over the ~12k spans of one overloaded,
-// fault-injected 4-shard front-end stream (the perfbench `frontend`
-// workload's shape, seed 7). range(0)=0 exports the run's canonical
-// vector (one O(n) order check, then the writer); range(0)=1 exports it
-// reversed, so the export copies and sorts first.
-void BM_SpansToJsonl(benchmark::State& state) {
+// One overloaded, fault-injected 4-shard front-end stream recording
+// spans (the perfbench `frontend` workload's shape, seed 7): ~12k spans.
+da::service::FrontendConfig span_stream_config() {
   da::service::FrontendConfig config;
   config.shards = 4;
   config.route = da::service::RoutePolicy::kHashJobId;
@@ -542,7 +540,16 @@ void BM_SpansToJsonl(benchmark::State& state) {
   svc.fault_plan.rates.delay = 0.10;
   svc.inject_every = 3;
   svc.record_spans = true;
-  std::vector<da::obs::Span> spans = da::service::run_frontend(config).spans;
+  return config;
+}
+
+// Span export: `spans_to_jsonl` over the span stream above. range(0)=0
+// exports the run's canonical vector (one O(n) order check, then the
+// writer); range(0)=1 exports it reversed, so the export merges into
+// canonical order first.
+void BM_SpansToJsonl(benchmark::State& state) {
+  std::vector<da::obs::Span> spans =
+      da::service::run_frontend(span_stream_config()).spans;
   if (state.range(0) != 0) std::reverse(spans.begin(), spans.end());
   std::size_t bytes = 0;
   for (auto _ : state) {
@@ -556,6 +563,35 @@ void BM_SpansToJsonl(benchmark::State& state) {
   state.counters["spans"] = static_cast<double>(spans.size());
 }
 BENCHMARK(BM_SpansToJsonl)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The run's span merge: `merge_canonical` of the span stream above, split
+// back into its four shards' runs, each in end-time order — the order a
+// shard records its spans in — into one canonical vector.
+void BM_SpanMerge(benchmark::State& state) {
+  const da::service::FrontendResult result =
+      da::service::run_frontend(span_stream_config());
+  std::vector<std::vector<da::obs::Span>> shards(result.shards.size());
+  for (const da::obs::Span& span : result.spans) {
+    shards[static_cast<std::size_t>(
+               result.shard_of[static_cast<std::size_t>(span.job)])]
+        .push_back(span);
+  }
+  std::vector<std::span<const da::obs::Span>> runs;
+  for (std::vector<da::obs::Span>& shard : shards) {
+    std::stable_sort(shard.begin(), shard.end(),
+                     [](const auto& a, const auto& b) { return a.t1 < b.t1; });
+    runs.emplace_back(shard);
+  }
+  for (auto _ : state) {
+    const std::vector<da::obs::Span> merged = da::obs::merge_canonical(runs);
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(result.spans.size()));
+  state.counters["spans"] = static_cast<double>(result.spans.size());
+  state.counters["shards"] = static_cast<double>(runs.size());
+}
+BENCHMARK(BM_SpanMerge)->Unit(benchmark::kMillisecond);
 
 // The sharded front-end under the same Poisson storm as
 // BM_ServiceThroughput, split across 4 shards behind the hash router.

@@ -32,10 +32,19 @@ Value decision_of(const sim::Decisions& decisions, NodeId id) {
 }
 
 template <typename DecisionContainer>
-ConditionReport check_conditions_impl(const ScenarioSpec& spec,
-                                      const DecisionContainer& decisions) {
+void check_conditions_impl(const ScenarioSpec& spec,
+                           const DecisionContainer& decisions,
+                           ConditionReport& report) {
   spec.validate();
-  ConditionReport report;
+  // Reset to a default report, keeping the vectors' and the text's
+  // capacity.
+  report.satisfied = true;
+  report.value_class.clear();
+  report.default_class.clear();
+  report.violators.clear();
+  report.corollary_m_plus_1 = false;
+  report.largest_agreeing_class = 0;
+  report.detail.clear();
 
   const int f = spec.f();
   const int m = spec.config.m;
@@ -84,7 +93,7 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
       // Everyone must decide the sender's value.
       for (const auto& [value, members] : classes) {
         if (value == spec.sender_value) {
-          report.value_class = members;
+          report.value_class.assign(members.begin(), members.end());
         } else {
           report.violators.insert(report.violators.end(), members.begin(),
                                   members.end());
@@ -100,9 +109,9 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
       if (!classes.empty()) {
         const auto& [value, members] = *classes.begin();
         if (value.is_default()) {
-          report.default_class = members;
+          report.default_class.assign(members.begin(), members.end());
         } else {
-          report.value_class = members;
+          report.value_class.assign(members.begin(), members.end());
         }
       }
       if (!report.satisfied) {
@@ -119,9 +128,9 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
       // Each fault-free receiver decides the sender's value or V_d.
       for (const auto& [value, members] : classes) {
         if (value == spec.sender_value) {
-          report.value_class = members;
+          report.value_class.assign(members.begin(), members.end());
         } else if (value.is_default()) {
-          report.default_class = members;
+          report.default_class.assign(members.begin(), members.end());
         } else {
           report.violators.insert(report.violators.end(), members.begin(),
                                   members.end());
@@ -139,11 +148,11 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
       int non_default_values = 0;
       for (const auto& [value, members] : classes) {
         if (value.is_default()) {
-          report.default_class = members;
+          report.default_class.assign(members.begin(), members.end());
         } else {
           ++non_default_values;
           if (non_default_values == 1) {
-            report.value_class = members;
+            report.value_class.assign(members.begin(), members.end());
           } else {
             report.violators.insert(report.violators.end(), members.begin(),
                                     members.end());
@@ -179,20 +188,28 @@ ConditionReport check_conditions_impl(const ScenarioSpec& spec,
     report.largest_agreeing_class = std::max(report.largest_agreeing_class, 1);
   }
   report.corollary_m_plus_1 = report.largest_agreeing_class >= m + 1;
-
-  return report;
 }
 
 }  // namespace
 
+void check_conditions_into(const ScenarioSpec& spec,
+                           const sim::Decisions& decisions,
+                           ConditionReport& report) {
+  check_conditions_impl(spec, decisions, report);
+}
+
 ConditionReport check_conditions(const ScenarioSpec& spec,
                                  const sim::Decisions& decisions) {
-  return check_conditions_impl(spec, decisions);
+  ConditionReport report;
+  check_conditions_into(spec, decisions, report);
+  return report;
 }
 
 ConditionReport check_conditions(const ScenarioSpec& spec,
                                  const std::map<NodeId, Value>& decisions) {
-  return check_conditions_impl(spec, decisions);
+  ConditionReport report;
+  check_conditions_impl(spec, decisions, report);
+  return report;
 }
 
 }  // namespace da

@@ -45,14 +45,19 @@ struct ConditionReport {
 };
 
 /// Checks decisions (one per node; faulty nodes' entries are ignored)
-/// against conditions D.1-D.4 for `spec`. The `sim::Decisions` overload is
-/// the form used by the search and service hot loops: once its
-/// thread-local class scratch is warm, the only allocations are the
-/// report's own class vectors (one for a satisfied D.1 execution) and the
-/// `detail` text of a violation. The map overload serves callers that
+/// against conditions D.1-D.4 for `spec`. The `sim::Decisions` overloads
+/// are the forms used by the search and service hot loops: once the
+/// thread-local class scratch is warm, the returning form allocates only
+/// the report's own class vectors (one for a satisfied D.1 execution) and
+/// the `detail` text of a violation. The map overload serves callers that
 /// assemble decisions by hand.
 [[nodiscard]] ConditionReport check_conditions(const ScenarioSpec& spec,
                                                const sim::Decisions& decisions);
+/// `check_conditions` into `report`, reusing its vectors' capacity: a
+/// warm satisfied check allocates nothing.
+void check_conditions_into(const ScenarioSpec& spec,
+                           const sim::Decisions& decisions,
+                           ConditionReport& report);
 [[nodiscard]] ConditionReport check_conditions(
     const ScenarioSpec& spec, const std::map<NodeId, Value>& decisions);
 

@@ -24,10 +24,34 @@ constexpr SpanTagKey kRule0 = "rule0";
 static_assert(kSpanTagKeys[kRule0.index() + SpanTags::kCapacity - 1] ==
               "rule7");
 
-/// Lifecycle rank: the index in kSpanNames (names outside it sort last).
+constexpr auto kNoRank = static_cast<std::uint8_t>(SpanKind::kNone);
+
+/// A name's slot in kRankBySlot, from its first and third letters: every
+/// vocabulary name has three, and no two share a slot.
+constexpr std::size_t name_slot(std::string_view name) {
+  return (static_cast<std::size_t>(static_cast<unsigned char>(name[0])) * 4 +
+          static_cast<unsigned char>(name[2])) &
+         31;
+}
+
+constexpr std::array<std::uint8_t, 32> kRankBySlot = [] {
+  std::array<std::uint8_t, 32> table{};
+  table.fill(kNoRank);
+  for (std::size_t i = 0; i < kSpanNames.size(); ++i) {
+    // A throw is ill-formed in a constant expression: a clash fails the
+    // build.
+    if (table[name_slot(kSpanNames[i])] != kNoRank) throw "slot clash";
+    table[name_slot(kSpanNames[i])] = static_cast<std::uint8_t>(i);
+  }
+  return table;
+}();
+
+/// Lifecycle rank: the index in kSpanNames (names outside it sort last),
+/// in one table lookup and one comparison.
 int name_rank(std::string_view name) {
-  const auto* it = std::find(kSpanNames.begin(), kSpanNames.end(), name);
-  return static_cast<int>(it - kSpanNames.begin());
+  if (name.size() < 3) return kNoRank;
+  const std::uint8_t rank = kRankBySlot[name_slot(name)];
+  return rank != kNoRank && kSpanNames[rank] == name ? rank : kNoRank;
 }
 
 /// The kind spelled `text`, or nullopt for a name outside the vocabulary.
@@ -57,15 +81,22 @@ std::strong_ordering compare_head(const Span& a, const Span& b) {
          std::tuple(name_rank(b.name), b.round);
 }
 
+SpanTags sorted_copy(SpanTags tags) {
+  tags.sort();
+  return tags;
+}
+
 /// The rest of a span, so that the order is total: only spans with equal
-/// identities and start times (duplicate ids) ever get this far.
+/// identities and start times (duplicate ids) ever get this far. Tags
+/// compare sorted, so the order does not depend on the order they were
+/// added in.
 std::strong_ordering compare_tail(const Span& a, const Span& b) {
   const auto tail = [](const Span& s) {
     return std::tuple(s.name, ordered(s.t1), s.parent.kind, s.parent.job,
                       s.parent.sub, s.parent.round);
   };
   if (const auto c = tail(a) <=> tail(b); c != 0) return c;
-  return a.tags <=> b.tags;
+  return sorted_copy(a.tags) <=> sorted_copy(b.tags);
 }
 
 bool before(const Span& a, const Span& b) {
@@ -73,17 +104,53 @@ bool before(const Span& a, const Span& b) {
   return compare_tail(a, b) < 0;
 }
 
-bool ordered_spans(const std::vector<Span>& spans) {
-  return std::is_sorted(spans.begin(), spans.end(), before);
-}
-
 /// True when `spans` is already in canonical export order with every
 /// span's tags sorted — one O(n) pass.
 bool is_canonical(const std::vector<Span>& spans) {
   return std::all_of(spans.begin(), spans.end(),
                      [](const Span& s) { return s.tags.sorted(); }) &&
-         ordered_spans(spans);
+         std::is_sorted(spans.begin(), spans.end(), before);
 }
+
+/// The head's identity (job, sub, lifecycle rank, round) packed into 64
+/// bits in compare order, so that packs compare as `compare_head` does
+/// after t0. A field in [-1, 2^bits - 4] packs to value + 2; one outside
+/// packs to an end code (0 or 2^bits - 1) and ends the pack, the later
+/// fields left 0. So the pack never inverts the order: it can only tie
+/// two different heads, and a tie falls back to the full compare. Every
+/// span the service or the runtimes record packs without an end code.
+std::uint64_t packed_identity(const Span& s) {
+  const std::pair<std::int64_t, int> fields[] = {
+      {s.job, 32}, {s.sub, 12}, {name_rank(s.name), 4}, {s.round, 16}};
+  std::uint64_t pack = 0;
+  int shift = 64;
+  for (const auto& [value, bits] : fields) {
+    shift -= bits;
+    const std::int64_t top = (std::int64_t{1} << bits) - 1;
+    const std::int64_t code =
+        value < -1 ? 0 : (value > top - 3 ? top : value + 2);
+    pack |= static_cast<std::uint64_t>(code) << shift;
+    if (code == 0 || code == top) break;
+  }
+  return pack;
+}
+
+/// A span's place in canonical order as two integers, and the span, for
+/// ties.
+struct SortKey {
+  std::uint64_t t0;
+  std::uint64_t identity;
+  const Span* span;
+
+  explicit SortKey(const Span& s)
+      : t0(ordered(s.t0)), identity(packed_identity(s)), span(&s) {}
+
+  friend bool operator<(const SortKey& a, const SortKey& b) {
+    if (a.t0 != b.t0) return a.t0 < b.t0;
+    if (a.identity != b.identity) return a.identity < b.identity;
+    return before(*a.span, *b.span);
+  }
+};
 
 // ---------------------------------------------------------- rendering --
 
@@ -124,17 +191,47 @@ char* put_id(char* p, const SpanRef& ref) {
   return p;
 }
 
-/// A double as `%.17g` (non-finite -> null). Unlike `Json::dump`, an
-/// integral time stays `3`, not `3.0`: the export bytes are pinned.
-char* put_double(char* p, double value) {
-  if (!std::isfinite(value)) return put(p, "null");
-  return std::to_chars(p, p + 24, value, std::chars_format::general, 17).ptr;
-}
+/// The renderings of the doubles one export has written, direct-mapped
+/// by a multiplicative hash of their bits. A run's spans share few
+/// instants (about one distinct t0/t1 value in fifteen in a front-end
+/// stream), so most lookups copy bytes instead of formatting; a
+/// collision formats again and takes the entry over.
+class RenderedDoubles {
+ public:
+  /// A double as `%.17g` (non-finite -> null). Unlike `Json::dump`, an
+  /// integral time stays `3`, not `3.0`: the export bytes are pinned.
+  char* put_double(char* p, double value) {
+    if (!std::isfinite(value)) return put(p, "null");
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    Entry& e = entries_[(bits * 0x9e3779b97f4a7c15) >> 58];
+    if (e.size == 0 || e.bits != bits) {
+      e.bits = bits;
+      e.size = static_cast<std::uint8_t>(
+          std::to_chars(e.text, e.text + sizeof e.text, value,
+                        std::chars_format::general, 17)
+              .ptr -
+          e.text);
+    }
+    // A fixed-size copy is a few moves, where one sized to the rendering
+    // is a call; the export keeps kMaxLine bytes of room ahead, and a
+    // line's budget counts 24 bytes per double.
+    std::memcpy(p, e.text, sizeof e.text);
+    return p + e.size;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t bits = 0;
+    std::uint8_t size = 0;  // 0: empty (a rendering is never empty)
+    char text[24];          // the longest %.17g rendering
+  };
+  std::array<Entry, 64> entries_{};
+};
 
 /// One export line: the compact JSON of the record {id, name, job, sub,
 /// round, t0, t1, parent, tags}. Vocabulary names need no escaping, so
 /// none is done.
-char* put_span_line(char* p, const Span& s) {
+char* put_span_line(char* p, const Span& s, RenderedDoubles& doubles) {
   const SpanRef self = s.ref();
   DA_EXPECTS(!self.empty());  // the name is in kSpanNames
   p = put(p, "{\"id\":\"");
@@ -148,9 +245,9 @@ char* put_span_line(char* p, const Span& s) {
   p = put(p, ",\"round\":");
   p = put_int(p, s.round);
   p = put(p, ",\"t0\":");
-  p = put_double(p, s.t0);
+  p = doubles.put_double(p, s.t0);
   p = put(p, ",\"t1\":");
-  p = put_double(p, s.t1);
+  p = doubles.put_double(p, s.t1);
   p = put(p, ",\"parent\":\"");
   p = put_id(p, s.parent);
   p = put(p, "\",\"tags\":{");
@@ -169,10 +266,11 @@ void write_lines(std::string& out, std::span<const Span> spans) {
   std::size_t used = out.size();
   // Lines average ~160 bytes; the first sizing covers nearly every export.
   out.resize(used + spans.size() * 176 + kMaxLine);
+  RenderedDoubles doubles;
   for (const Span& s : spans) {
     if (out.size() - used < kMaxLine) out.resize(2 * out.size());
     used = static_cast<std::size_t>(
-        put_span_line(out.data() + used, s) - out.data());
+        put_span_line(out.data() + used, s, doubles) - out.data());
   }
   out.resize(used);
 }
@@ -335,20 +433,37 @@ Parsed<Span> Span::from_json(const Json& j) {
   return s;
 }
 
+std::vector<Span> merge_canonical(std::span<const std::span<const Span>> runs) {
+  std::size_t total = 0;
+  for (const std::span<const Span> run : runs) total += run.size();
+  std::vector<SortKey> keys;
+  keys.reserve(total);
+  for (const std::span<const Span> run : runs) {
+    for (const Span& s : run) keys.emplace_back(s);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<Span> merged;
+  merged.reserve(total);
+  for (const SortKey& key : keys) {
+    merged.push_back(*key.span);
+    merged.back().tags.sort();
+  }
+  return merged;
+}
+
 void canonicalize(std::vector<Span>& spans) {
-  for (Span& s : spans) s.tags.sort();
-  if (!ordered_spans(spans)) std::sort(spans.begin(), spans.end(), before);
+  const std::span<const Span> run(spans);
+  spans = merge_canonical({&run, 1});
 }
 
 std::string spans_to_jsonl(const std::vector<Span>& spans) {
   std::string out;
   if (is_canonical(spans)) {
     write_lines(out, spans);
-    return out;
+  } else {
+    const std::span<const Span> run(spans);
+    write_lines(out, merge_canonical({&run, 1}));
   }
-  std::vector<Span> sorted = spans;
-  canonicalize(sorted);
-  write_lines(out, sorted);
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -240,8 +241,15 @@ struct Span {
 /// Sorts spans into canonical export order — (t0, job, sub, lifecycle
 /// rank, round), then the remaining fields — and each span's tags by key.
 /// Two span sets with equal contents canonicalize to identical sequences
-/// regardless of emission order. Already-canonical input costs one pass.
+/// regardless of emission order.
 void canonicalize(std::vector<Span>& spans);
+
+/// `canonicalize` of the concatenation of `runs` (one per shard, each in
+/// any order), with each span copied once: the spans are ordered by
+/// packed integer keys, and only spans whose keys tie are compared field
+/// by field.
+[[nodiscard]] std::vector<Span> merge_canonical(
+    std::span<const std::span<const Span>> runs);
 
 /// Canonical JSONL: one compact JSON object per line, canonical order,
 /// whatever the order of `spans`. Canonical input is written directly,

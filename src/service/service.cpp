@@ -566,8 +566,9 @@ void AgreementService::complete_sub_instance(InstanceSlot& slot, double now) {
   const Shape& shape = *shapes_[static_cast<std::size_t>(slot.shape_index)];
   slot.engine.finish_into(scratch_result_);
   JobRecord& rec = records_[slot.job_id];
-  const ConditionReport report =
-      check_conditions(shape.spec, scratch_result_.decisions);
+  check_conditions_into(shape.spec, scratch_result_.decisions,
+                        scratch_report_);
+  const ConditionReport& report = scratch_report_;
   if (condition_rank(report.applied) > condition_rank(rec.applied)) {
     rec.applied = report.applied;
   }
@@ -653,44 +654,51 @@ void AgreementService::tick(std::span<AgreementService* const> shards,
     rounds_driven_counter().add(shard->active_.size());
     total += shard->active_.size();
   }
-  if (pool == nullptr || total <= 1) {
+  // Batched round dispatch: every co-scheduled instance advances exactly
+  // one synchronous round. Instances are disjoint process sets, so the
+  // batch parallelizes freely as (shard, chunk) pieces of one fork-join
+  // round, sized over all shards but never below kMinChunk instances (a
+  // smaller piece costs more to hand off than it saves); the records stay
+  // identical for any worker count because each slot's outcome is a pure
+  // function of its own state. Each shard settles after all of its
+  // chunks, on whichever thread finishes last, so the chunks are laid out
+  // before the round: a settle compacts its shard's `active_` while other
+  // shards' chunks still run. An idle shard gets no chunks and needs no
+  // settle: its queue is empty too. A tick of one chunk runs inline.
+  constexpr std::size_t kMinChunk = 16;
+  struct Chunk {
+    AgreementService* shard;
+    std::size_t begin;
+    std::size_t end;
+  };
+  static thread_local std::vector<Chunk> chunks;  // reused across ticks
+  chunks.clear();
+  if (pool != nullptr) {
+    const std::size_t slots =
+        static_cast<std::size_t>(pool->threads() + 1) * 4;
+    const std::size_t per = std::max((total + slots - 1) / slots, kMinChunk);
+    for (AgreementService* shard : shards) {
+      const std::size_t size = shard->active_.size();
+      shard->chunks_left_.store((size + per - 1) / per,
+                                std::memory_order_relaxed);
+      for (std::size_t begin = 0; begin < size; begin += per) {
+        chunks.push_back({shard, begin, std::min(begin + per, size)});
+      }
+    }
+  }
+  if (chunks.size() <= 1) {
     for (AgreementService* shard : shards) {
       shard->advance(0, shard->active_.size());
       shard->settle(now);
     }
     return;
   }
-  // Batched round dispatch: every co-scheduled instance advances exactly
-  // one synchronous round. Instances are disjoint process sets, so the
-  // batch parallelizes freely as (shard, chunk) pieces of one fork-join
-  // round, sized over all shards; the records stay identical for any
-  // worker count because each slot's outcome is a pure function of its
-  // own state. Each shard settles after all of its chunks, on whichever
-  // thread finishes last, so the chunks are laid out before the round: a
-  // settle compacts its shard's `active_` while other shards' chunks
-  // still run. An idle shard gets no chunks and needs no settle: its
-  // queue is empty too.
-  struct Chunk {
-    AgreementService* shard;
-    std::size_t begin;
-    std::size_t end;
-  };
-  const std::size_t slots =
-      static_cast<std::size_t>(pool->threads() + 1) * 4;
-  const std::size_t per = (total + slots - 1) / slots;
-  std::vector<Chunk> chunks;
-  chunks.reserve(slots + shards.size());
-  for (AgreementService* shard : shards) {
-    const std::size_t size = shard->active_.size();
-    shard->chunks_left_.store((size + per - 1) / per,
-                              std::memory_order_relaxed);
-    for (std::size_t begin = 0; begin < size; begin += per) {
-      chunks.push_back({shard, begin, std::min(begin + per, size)});
-    }
-  }
-  pool->fork_join(chunks.size(), [&chunks, now](std::size_t c) {
-    AgreementService* shard = chunks[c].shard;
-    shard->advance(chunks[c].begin, chunks[c].end);
+  // The workers see this thread's list through `cut`, not through the
+  // thread_local name, which would name their own.
+  const std::span<const Chunk> cut(chunks);
+  pool->fork_join(cut.size(), [cut, now](std::size_t c) {
+    AgreementService* shard = cut[c].shard;
+    shard->advance(cut[c].begin, cut[c].end);
     if (shard->chunks_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       shard->settle(now);
     }
@@ -956,21 +964,24 @@ ServiceResult run(std::span<AgreementService* const> shards,
   // points stop strictly before the final event).
   if (config.sample_every > 0.0) samples.push_back(sample(now));
 
-  // Fold the shards back into one stream: shard 0's result is the base,
-  // the rest append to it (exact sketch merges, records re-sorted by
-  // global id), then the run's one canonical span sort.
+  // Fold the shards back into one stream: the shards' spans merge into
+  // canonical order, each span copied once; shard 0's result is the base
+  // and the rest append to it (exact sketch merges, records re-sorted by
+  // global id).
   std::vector<ServiceResult> parts;
   parts.reserve(shards.size());
+  std::vector<std::span<const obs::Span>> span_runs;
+  span_runs.reserve(shards.size());
   std::size_t records = 0;
-  std::size_t spans = 0;
   for (AgreementService* shard : shards) {
     parts.push_back(shard->end_run(now));
     records += parts.back().records.size();
-    spans += parts.back().spans.size();
+    span_runs.emplace_back(parts.back().spans);
   }
+  std::vector<obs::Span> spans = obs::merge_canonical(span_runs);
   ServiceResult result = std::move(parts.front());
+  result.spans = std::move(spans);
   result.records.reserve(records);
-  result.spans.reserve(spans);
   for (std::size_t s = 1; s < parts.size(); ++s) {
     ServiceResult& part = parts[s];
     result.completed += part.completed;
@@ -985,14 +996,11 @@ ServiceResult run(std::span<AgreementService* const> shards,
     }
     result.records.insert(result.records.end(), part.records.begin(),
                           part.records.end());
-    result.spans.insert(result.spans.end(), part.spans.begin(),
-                        part.spans.end());
     result.shards.push_back(part.shards.front());
   }
   if (parts.size() > 1) {
     std::ranges::sort(result.records, {}, &JobRecord::id);
   }
-  obs::canonicalize(result.spans);
   // Each end_run set the gauge to its own shard's peak; report the run's.
   obs::MetricsRegistry::global().set_gauge("service.peak_active",
                                            result.peak_active);

@@ -239,7 +239,7 @@ struct ServiceResult {
   std::uint64_t ticks = 0;
   /// Causal spans (when `record_spans`); empty otherwise and under
   /// DA_METRICS=OFF. Canonical order from `run()`; emission order from
-  /// `end_run`, which leaves the one canonical sort to its caller
+  /// `end_run`, which leaves the one canonical merge to its caller
   /// (`spans_to_jsonl` exports canonically either way).
   std::vector<obs::Span> spans;
   /// Periodic time series (when `sample_every > 0`).
@@ -471,6 +471,7 @@ class AgreementService {
   std::uint64_t ticks_this_run_ = 0;
   int peak_active_ = 0;
   sim::RunResult scratch_result_;
+  ConditionReport scratch_report_;
 
   // Observability scratch (spans/sketches, reset per run).
   bool recording_ = false;        // record_spans, post kill-switch gate

@@ -1,7 +1,7 @@
 // Allocation pins for the hot paths that claim to be allocation-free once
 // warm: one service instance's round cycle on the checkpoint/fork engine
 // (restore, then dispatch_pending / process_round to the end, then
-// finish_into) and the checker's `sim::Decisions` overload.
+// finish_into) and the checker's `sim::Decisions` overloads.
 //
 // This file replaces the global `operator new` with one that counts the
 // calls made on the calling thread while a `Counting` guard is alive, so
@@ -181,6 +181,30 @@ TEST(Alloc, WarmSatisfiedCheckAllocatesOnlyTheValueClass) {
     EXPECT_TRUE(report.satisfied);
   }
   EXPECT_EQ(news, 1u);
+}
+
+TEST(Alloc, WarmSatisfiedCheckIntoAllocatesNothing) {
+  // The same check into a held report: the value class reuses the
+  // report's capacity, as the service's scratch report does.
+  Instance inst = byz(Config{.n = 7, .m = 1, .u = 4}, {2});
+  inst.cycle();
+  ConditionReport report;
+  for (int i = 0; i < kWarmCycles; ++i) {
+    check_conditions_into(inst.spec, inst.result.decisions, report);
+  }
+  std::uint64_t news = 0;
+  {
+    const Counting counting;
+    for (int i = 0; i < kCountedCycles; ++i) {
+      check_conditions_into(inst.spec, inst.result.decisions, report);
+    }
+    news = counting.news();
+  }
+  EXPECT_EQ(news, 0u);
+  EXPECT_EQ(report.applied, Condition::kD1);
+  EXPECT_TRUE(report.satisfied);
+  EXPECT_EQ(report.value_class.size(), 5u);
+  EXPECT_TRUE(report.violators.empty());
 }
 
 }  // namespace

@@ -248,6 +248,24 @@ TEST(Service, DeterministicAcrossJobsValues) {
   }
 }
 
+TEST(Service, PooledTicksOfSeveralChunksMatchInlineTicks) {
+  // A pooled tick cuts chunks of at least 16 instances, so one shard
+  // splits into concurrent chunks (advance on several threads, settle on
+  // whichever finishes last) only with more than 32 instances active.
+  // This stream keeps that many active, so the sanitizer legs see that
+  // path too, and its records must match the inline run's.
+  ServiceConfig config = small_config();
+  config.arrivals = ArrivalSpec::poisson(40.0);
+  config.cap = 96;
+  config.jobs = 1;
+  const ServiceResult lone = run_service(config);
+  ASSERT_GT(lone.peak_active, 32);
+  config.jobs = 4;
+  const ServiceResult fleet = run_service(config);
+  EXPECT_EQ(lone.digest(), fleet.digest());
+  EXPECT_EQ(lone.artifact(), fleet.artifact());
+}
+
 TEST(Service, RepeatedRunsOfOneServiceAreIdentical) {
   AgreementService svc(small_config());
   const ServiceResult first = svc.run();

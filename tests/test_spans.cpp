@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/byz.hpp"
@@ -209,6 +214,146 @@ TEST(Span, CanonicalizeIsEmissionOrderIndependent) {
   std::vector<Span> shuffled = spans;
   std::reverse(shuffled.begin(), shuffled.end());
   EXPECT_EQ(obs::spans_to_jsonl(spans), obs::spans_to_jsonl(shuffled));
+}
+
+/// `value` as the export must write it: `%.17g`, non-finite as null.
+std::string rendered(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, value,
+                             std::chars_format::general, 17)
+                   .ptr};
+}
+
+/// The text between `"key":` and the next ',' on `line`.
+std::string field_text(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + key.size() + 3;
+  return line.substr(begin, line.find(',', begin) - begin);
+}
+
+// The export renders each distinct instant once per call and copies it
+// after; the bytes must still be `%.17g` of every t0/t1, for values a
+// cache could confuse: both zeros, subnormals, integers past 2^53,
+// non-finite values, repeats, and more distinct values than the cache
+// holds, revisited in an order that keeps evicting them.
+TEST(SpanExport, DoublesRenderAsToCharsGeneral17) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 3.0, 0.25, 1e17, 1e15, 1e-5, 123456789.0,
+      std::ldexp(1.0, 53), std::ldexp(1.0, 53) + 2.0, 9007199254740993.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 0.1 + 0.2, 1.0 / 3.0,
+      std::numeric_limits<double>::quiet_NaN(), kInf, -kInf};
+  Rng rng(2024);
+  while (values.size() < 200) {
+    // Random bit patterns (any exponent) and plain virtual times.
+    values.push_back(values.size() % 2 == 0
+                         ? std::bit_cast<double>(rng.next())
+                         : static_cast<double>(rng.below(4000)) * 0.125);
+  }
+  std::vector<Span> spans;
+  for (std::size_t i = 0; i < 3 * values.size(); ++i) {
+    Span s;
+    s.name = "job";
+    s.job = static_cast<std::int64_t>(i);
+    s.t0 = values[(i * 7) % values.size()];
+    s.t1 = values[i % values.size()];
+    spans.push_back(s);
+  }
+  const std::string jsonl = obs::spans_to_jsonl(spans);
+  std::size_t lines = 0;
+  for (std::size_t begin = 0; begin < jsonl.size(); ++lines) {
+    const std::size_t end = jsonl.find('\n', begin);
+    ASSERT_NE(end, std::string::npos);
+    const std::string line = jsonl.substr(begin, end - begin);
+    begin = end + 1;
+    const Span& s = spans[std::stoull(field_text(line, "job"))];
+    EXPECT_EQ(field_text(line, "t0"), rendered(s.t0)) << line;
+    EXPECT_EQ(field_text(line, "t1"), rendered(s.t1)) << line;
+  }
+  EXPECT_EQ(lines, spans.size());
+}
+
+/// Canonical order as documented, written out independently of the
+/// library: (t0, job, sub, lifecycle rank, round), then name, t1, parent
+/// and sorted tags. The inputs below carry no NaN and no -0.0, so `<` on
+/// the doubles is the library's total order.
+bool reference_before(const Span& a, const Span& b) {
+  const auto rank = [](const Span& s) {
+    return std::find(obs::kSpanNames.begin(), obs::kSpanNames.end(), s.name) -
+           obs::kSpanNames.begin();
+  };
+  const auto tags = [](const Span& s) {
+    std::vector<std::pair<std::string_view, std::int64_t>> out(
+        s.tags.begin(), s.tags.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto key = [&](const Span& s) {
+    return std::tuple(s.t0, s.job, s.sub, rank(s), s.round, s.name, s.t1,
+                      s.parent.kind, s.parent.job, s.parent.sub,
+                      s.parent.round, tags(s));
+  };
+  return key(a) < key(b);
+}
+
+// Per-shard runs, each shuffled, merge to exactly the canonical order of
+// their concatenation. The fields are drawn from small sets so heads tie
+// often, duplicate identities differ only in their tails (t1, parent,
+// tag order), and some fields lie outside the packed key's range (job
+// 2^33, sub 5000, round 70000, job -7), where keys tie and the field
+// compare decides.
+TEST(SpanMerge, ShuffledShardRunsMergeToCanonicalOrder) {
+  const double times[] = {0.0, 0.5, 1.0, 1.5, 2.25};
+  const std::int64_t jobs[] = {-7, -1, 0, 1, 2, std::int64_t{1} << 33,
+                               (std::int64_t{1} << 33) + 1};
+  const int subs[] = {-1, 0, 1, 5000};
+  const int rounds[] = {-1, 0, 3, 70000};
+  const obs::SpanTagKey keys[] = {"adv", "class", "rounds", "tmpl"};
+  Rng rng(99);
+  const auto pick = [&rng](const auto& options) {
+    return options[rng.below(std::size(options))];
+  };
+  std::vector<std::vector<Span>> shards(5);  // shard 4 stays empty
+  for (int i = 0; i < 3000; ++i) {
+    Span s;
+    s.name = obs::kSpanNames[rng.below(obs::kSpanNames.size())];
+    s.job = pick(jobs);
+    s.sub = pick(subs);
+    s.round = pick(rounds);
+    s.t0 = pick(times);
+    s.t1 = s.t0 + pick(times);
+    if (rng.chance(0.5)) {
+      s.parent = {static_cast<obs::SpanKind>(rng.below(9)), pick(jobs),
+                  pick(subs), pick(rounds)};
+    }
+    for (std::uint64_t k = rng.below(4); k > 0; --k) {
+      s.tags.add(pick(keys), static_cast<std::int64_t>(rng.below(3)));
+    }
+    shards[rng.below(4)].push_back(s);
+  }
+  std::vector<Span> concat;
+  std::vector<std::span<const Span>> runs;
+  for (std::vector<Span>& shard : shards) {
+    rng.shuffle(shard);
+    concat.insert(concat.end(), shard.begin(), shard.end());
+    runs.emplace_back(shard);
+  }
+  const std::vector<Span> merged = obs::merge_canonical(runs);
+  std::vector<Span> canonical = concat;
+  obs::canonicalize(canonical);
+  EXPECT_EQ(merged, canonical);
+
+  std::vector<Span> reference = concat;
+  for (Span& s : reference) s.tags.sort();
+  std::sort(reference.begin(), reference.end(), reference_before);
+  EXPECT_EQ(merged, reference);
+  EXPECT_EQ(obs::spans_to_jsonl(concat), obs::spans_to_jsonl(merged));
 }
 
 TEST(Span, JsonlRoundTripAndBadLineRejected) {
