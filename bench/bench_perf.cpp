@@ -249,13 +249,14 @@ void BM_BehaviourSweep(benchmark::State& state) {
   state.counters["shards"] = static_cast<double>(stats.shards);
 }
 
-// The adversary-complete behaviour walk with its defaults (checkpoint/
-// fork engine, receiver orbits and subset quotient), single worker, on
-// *clean* configurations so it scans the whole space (n = 4 and the
-// Theorem 2 boundary n = 5). range(0) = n.
+// The adversary-complete behaviour walk (checkpoint/fork engine, receiver
+// orbits and subset quotient), single worker, on *clean* configurations
+// so it scans the whole space: (4,1,1), the Theorem 2 boundary (5,1,2)
+// and (6,1,2), where the subset quotient walks 4 of 21 nonempty segments.
+// range(0) = n, u = min(n - 3, 2).
 void BM_BehaviorSearch(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const da::Config config{.n = n, .m = 1, .u = n - 3};
+  const da::Config config{.n = n, .m = 1, .u = std::min(n - 3, 2)};
   da::sweep::SweepOptions options;
   options.jobs = 1;
   da::sweep::SweepStats stats;
@@ -265,78 +266,39 @@ void BM_BehaviorSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(violation);
   }
   state.counters["executions"] = static_cast<double>(stats.executions);
-}
-BENCHMARK(BM_BehaviorSearch)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
-
-// Symmetry-reduction ablation: the behaviour walk visiting every ordinal
-// vs only the canonical representative of each receiver-relabeling orbit
-// (docs/SEARCH.md §5), single worker, clean configs so
-// both sides settle the whole space. range(0) = n, range(1) = symmetry.
-// tests/test_canonicalization.cpp holds the two sides to identical
-// verdicts and reconciled counts; this measures what the orbit skip buys
-// (the `executions` counter shrinks to the representatives run while
-// `weighted` stays at the full 4^k space).
-void BM_BehaviorSearchCanonical(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool symmetry = state.range(1) != 0;
-  const da::Config config{.n = n, .m = 1, .u = n - 3};
-  da::faults::BehaviorSearchOptions search;
-  search.symmetry = symmetry;
-  // Subset quotient pinned off on both sides: these rows isolate what the
-  // receiver-orbit skip buys (BM_BehaviorSearchSubsetCanonical below
-  // measures the quotient on top of it).
-  search.subset_symmetry = false;
-  da::sweep::SweepOptions options;
-  options.jobs = 1;
-  da::sweep::SweepStats stats;
-  for (auto _ : state) {
-    const auto violation =
-        da::faults::exhaustive_behavior_search(config, search, options, &stats);
-    benchmark::DoNotOptimize(violation);
-  }
-  state.counters["executions"] = static_cast<double>(stats.executions);
   state.counters["weighted"] = static_cast<double>(stats.weighted_executions);
-  state.counters["symmetry"] = symmetry ? 1 : 0;
 }
-BENCHMARK(BM_BehaviorSearchCanonical)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({5, 0})
-    ->Args({5, 1})
+BENCHMARK(BM_BehaviorSearch)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(6)
     ->Unit(benchmark::kMillisecond);
 
-// Subset-conjugacy ablation: receiver symmetry on for both sides, the
-// faulty-subset quotient (docs/SEARCH.md §6) off vs on. range(0) = n,
-// range(1) = subset_symmetry; u = 2 so n = 6 is the (6,1,2) headline
-// regime where the quotient walks 4 of 21 nonempty segments. The
-// three-way differential in tests/test_canonicalization.cpp holds both
-// sides to identical verdicts and reconciled counts; this measures what
-// skipping conjugate segments buys (`executions` shrinks again while
-// `weighted` stays at the full 4^k space).
-void BM_BehaviorSearchSubsetCanonical(benchmark::State& state) {
+// The scratch reference the walk is tested against: `behavior_at` on
+// every ordinal of the full space of (4,1,1) and (5,1,2), in order, one
+// thread, no quotient and no fork. BM_BehaviorSearch/<n> over this row
+// is what the quotient walk and the fork engine buy together.
+// range(0) = n, u = n - 3.
+void BM_BehaviorReference(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const bool subset_symmetry = state.range(1) != 0;
-  const da::Config config{.n = n, .m = 1, .u = 2};
-  da::faults::BehaviorSearchOptions search;
-  search.symmetry = true;
-  search.subset_symmetry = subset_symmetry;
-  da::sweep::SweepOptions options;
-  options.jobs = 1;
-  da::sweep::SweepStats stats;
+  const da::Config config{.n = n, .m = 1, .u = n - 3};
+  const std::uint64_t space = da::faults::behavior_search_space(config);
+  std::uint64_t violations = 0;
   for (auto _ : state) {
-    const auto violation =
-        da::faults::exhaustive_behavior_search(config, search, options, &stats);
-    benchmark::DoNotOptimize(violation);
+    violations = 0;
+    for (std::uint64_t ordinal = 0; ordinal < space; ++ordinal) {
+      if (da::faults::behavior_at(config, -1, ordinal).has_value()) {
+        ++violations;
+      }
+    }
+    benchmark::DoNotOptimize(violations);
   }
-  state.counters["executions"] = static_cast<double>(stats.executions);
-  state.counters["weighted"] = static_cast<double>(stats.weighted_executions);
-  state.counters["subset_symmetry"] = subset_symmetry ? 1 : 0;
+  state.counters["executions"] = static_cast<double>(space);
+  state.counters["violations"] = static_cast<double>(violations);
 }
-BENCHMARK(BM_BehaviorSearchSubsetCanonical)
-    ->Args({5, 0})
-    ->Args({5, 1})
-    ->Args({6, 0})
-    ->Args({6, 1})
+BENCHMARK(BM_BehaviorReference)
+    ->Arg(4)
+    ->Arg(5)
     ->Unit(benchmark::kMillisecond);
 
 // The adversary-family search, whose checkpoint is the honest round-0

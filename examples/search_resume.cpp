@@ -4,18 +4,15 @@
 // back, and emit the final byte-deterministic artifact.
 //
 //   search_resume init    --out F [--n N --m M --u U] [--max-f K] [--seed S]
-//                         [--no-subset-symmetry]
 //   search_resume run     --frontier F [--jobs J] [--max-shards K]
-//                         [--no-symmetry]
 //   search_resume status  --frontier F
 //   search_resume split   --frontier F --parts P --out-prefix PFX
 //   search_resume merge   --out F part1 part2 ...
 //   search_resume artifact --frontier F [--out F2]
 //
-// `init` writes a subset-quotiented frontier (da-frontier v2) by
-// default; `--no-subset-symmetry` writes the full v1 plan. The choice is
-// baked into the file — `run` derives it from the class records, so v1
-// files keep resuming unquotiented (docs/SEARCH.md §6).
+// `init` writes a subset-quotiented frontier (da-frontier v2, one class
+// record per conjugacy class; docs/SEARCH.md §6), the only format `run`
+// resumes.
 //
 // `run` checkpoints the frontier back to its file after every settled
 // shard (atomic tmp+rename), so a `kill -9` mid-sweep loses at most the
@@ -31,20 +28,26 @@
 //
 // `init` refuses, as a usage error, a config the behaviour search cannot
 // run (for example one past the 12-slot cap); `run` and `artifact`
-// refuse such a frontier the same way.
+// refuse such a frontier the same way. Numeric flags are read whole into
+// their own types: --seed is an unsigned 64-bit value, --jobs a count
+// (0 = all cores), --parts at least 1, --max-f and --max-shards at least
+// -1 (-1: the config's u / no budget); anything else is a usage error.
 //
 // Exit status: 0 on success (for `run`: the verdict may be either way;
 // for `artifact`: frontier settled), 1 on a clean "not settled yet",
 // 2 on usage or file errors.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "faults/behavior_search.hpp"
 #include "faults/frontier.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -55,9 +58,7 @@ namespace {
       "usage:\n"
       "  search_resume init    --out F [--n N --m M --u U] [--max-f K] "
       "[--seed S]\n"
-      "                        [--no-subset-symmetry]\n"
-      "  search_resume run     --frontier F [--jobs J] [--max-shards K] "
-      "[--no-symmetry]\n"
+      "  search_resume run     --frontier F [--jobs J] [--max-shards K]\n"
       "  search_resume status  --frontier F\n"
       "  search_resume split   --frontier F --parts P --out-prefix PFX\n"
       "  search_resume merge   --out F part1 part2 ...\n"
@@ -65,11 +66,16 @@ namespace {
   std::exit(2);
 }
 
-int parse_int(const char* flag, const char* arg) {
-  char* end = nullptr;
-  const long v = std::strtol(arg, &end, 10);
-  if (end == arg || *end != '\0') usage(flag);
-  return static_cast<int>(v);
+/// Reads `text` whole as a T no smaller than `min`, or exits 2 with a
+/// usage error naming `flag` and what it `expects`.
+template <typename T>
+T number_or_die(const char* flag, const char* text, T min,
+                const char* expects) {
+  T value{};
+  if (!da::parse_number(text, value) || value < min) {
+    usage((std::string(flag) + " expects " + expects).c_str());
+  }
+  return value;
 }
 
 da::faults::Frontier load_or_die(const std::string& path) {
@@ -111,13 +117,9 @@ void print_status(const da::faults::Frontier& frontier) {
               static_cast<unsigned long long>(frontier.space),
               frontier.shards.size(),
               frontier.covers_space() ? "full plan" : "split part");
-  if (frontier.classes.empty()) {
-    std::printf("plan          unquotiented (da-frontier v1)\n");
-  } else {
-    std::printf("plan          subset-quotiented, %zu conjugacy classes "
-                "(da-frontier v2)\n",
-                frontier.classes.size());
-  }
+  std::printf("plan          subset-quotiented, %zu conjugacy classes "
+              "(da-frontier v2)\n",
+              frontier.classes.size());
   // Percentages are over the *plan* (the shards this file owns — a split
   // part reports its own completion, not the whole space's).
   const double plan_pct =
@@ -157,12 +159,11 @@ void print_status(const da::faults::Frontier& frontier) {
   }
 }
 
-int cmd_run(const std::string& path, int jobs, int max_shards, bool symmetry) {
+int cmd_run(const std::string& path, int jobs, int max_shards) {
   da::faults::Frontier frontier = load_or_die(path);
   da::faults::FrontierRunOptions options;
   options.jobs = jobs;
   options.max_shards = max_shards;
-  options.symmetry = symmetry;
   options.checkpoint = [&path](const da::faults::Frontier& snapshot) {
     // Best-effort incremental checkpoint; the final state is saved below.
     (void)da::faults::save_frontier(snapshot, path);
@@ -260,12 +261,11 @@ int main(int argc, char** argv) {
   int m = 1;
   int u = 1;
   int max_f = -1;
-  int seed = 1;
+  std::uint64_t seed = 1;
   int jobs = 1;
-  int parts = 0;
+  int parts = 0;  // unset; split requires --parts
   int max_shards = -1;
-  bool symmetry = true;
-  bool subset_symmetry = true;
+  constexpr int kAnyInt = std::numeric_limits<int>::min();
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     const auto value = [&]() -> const char* {
@@ -279,25 +279,24 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--out-prefix") == 0) {
       out_prefix = value();
     } else if (std::strcmp(arg, "--n") == 0) {
-      n = parse_int(arg, value());
+      n = number_or_die(arg, value(), kAnyInt, "an integer");
     } else if (std::strcmp(arg, "--m") == 0) {
-      m = parse_int(arg, value());
+      m = number_or_die(arg, value(), kAnyInt, "an integer");
     } else if (std::strcmp(arg, "--u") == 0) {
-      u = parse_int(arg, value());
+      u = number_or_die(arg, value(), kAnyInt, "an integer");
     } else if (std::strcmp(arg, "--max-f") == 0) {
-      max_f = parse_int(arg, value());
+      max_f = number_or_die(arg, value(), -1,
+                            "an integer >= -1 (-1 = the config's u)");
     } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = parse_int(arg, value());
+      seed = number_or_die<std::uint64_t>(arg, value(), 0,
+                                          "an unsigned 64-bit integer");
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      jobs = parse_int(arg, value());
+      jobs = number_or_die(arg, value(), 0, "a count, 0 = all cores");
     } else if (std::strcmp(arg, "--parts") == 0) {
-      parts = parse_int(arg, value());
+      parts = number_or_die(arg, value(), 1, "a count >= 1");
     } else if (std::strcmp(arg, "--max-shards") == 0) {
-      max_shards = parse_int(arg, value());
-    } else if (std::strcmp(arg, "--no-symmetry") == 0) {
-      symmetry = false;
-    } else if (std::strcmp(arg, "--no-subset-symmetry") == 0) {
-      subset_symmetry = false;
+      max_shards = number_or_die(arg, value(), -1,
+                                 "an integer >= -1 (-1 = no budget)");
     } else if (arg[0] == '-') {
       usage(arg);
     } else {
@@ -311,15 +310,15 @@ int main(int argc, char** argv) {
     const std::string unsupported =
         da::faults::behavior_search_unsupported(config, max_f);
     if (!unsupported.empty()) usage(unsupported.c_str());
-    const da::faults::Frontier frontier = da::faults::init_behavior_frontier(
-        config, max_f, static_cast<std::uint64_t>(seed), subset_symmetry);
+    const da::faults::Frontier frontier =
+        da::faults::init_behavior_frontier(config, max_f, seed);
     save_or_die(frontier, out);
     print_status(frontier);
     return 0;
   }
   if (cmd == "run") {
     if (frontier_path.empty()) usage("run needs --frontier");
-    return cmd_run(frontier_path, jobs, max_shards, symmetry);
+    return cmd_run(frontier_path, jobs, max_shards);
   }
   if (cmd == "status") {
     if (frontier_path.empty()) usage("status needs --frontier");
@@ -327,7 +326,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "split") {
-    if (frontier_path.empty() || parts <= 0 || out_prefix.empty()) {
+    if (frontier_path.empty() || parts == 0 || out_prefix.empty()) {
       usage("split needs --frontier, --parts and --out-prefix");
     }
     const da::faults::Frontier frontier = load_or_die(frontier_path);

@@ -85,10 +85,10 @@ const obs::Counter& frontier_checkpoints_counter() {
 /// (from, to). Round-0 slots exist only for a faulty sender; round-1
 /// relay slots for each faulty receiver (destinations outside {sender,
 /// self} — relaying *to* the sender is useless, as the sender ignores
-/// paths containing itself).
-std::vector<std::pair<NodeId, NodeId>> controlled_slots(
-    const ScenarioSpec& spec) {
-  std::vector<std::pair<NodeId, NodeId>> slots;
+/// paths containing itself). Overwrites `slots`, reusing its capacity.
+void controlled_slots(const ScenarioSpec& spec,
+                      std::vector<std::pair<NodeId, NodeId>>& slots) {
+  slots.clear();
   for (NodeId from : spec.faulty) {
     if (from == spec.sender) {
       for (NodeId to = 0; to < spec.config.n; ++to) {
@@ -100,7 +100,6 @@ std::vector<std::pair<NodeId, NodeId>> controlled_slots(
       }
     }
   }
-  return slots;
 }
 
 /// Plays one behaviour table over a dense n*n (from, to) grid. Mutable
@@ -179,8 +178,8 @@ struct Segment {
   std::vector<std::pair<NodeId, NodeId>> slots;
   SlotSymmetry sym;
   std::uint64_t base = 0;
-  /// Conjugate subsets this segment stands for (1 when the subset
-  /// quotient is off): every visit weight is multiplied by it.
+  /// Conjugate subsets this segment stands for: every visit weight is
+  /// multiplied by it.
   std::uint64_t class_size = 1;
   /// Leading slots that are the faulty sender's round-0 broadcast (0 when
   /// the sender is honest). Everything after is a round-1 relay slot.
@@ -189,42 +188,26 @@ struct Segment {
 
 /// The one walk over the unreduced enumeration, in serial scan order (f
 /// ascending, subsets lexicographic, sender at node 0): calls
-/// fn(spec, slots) once per faulty subset. Both may be moved from.
+/// fn(spec, slots) once per faulty subset. Both are reused across calls
+/// (no allocation per subset once warm), so `fn` copies what it keeps.
 template <typename SegmentFn>
 void for_each_segment(const Config& config, int limit, SegmentFn&& fn) {
+  ScenarioSpec spec;
+  spec.config = config;
+  spec.sender = 0;
+  spec.sender_value = Value::of(7);
+  std::vector<std::pair<NodeId, NodeId>> slots;
   for (int f = 1; f <= limit; ++f) {
     for_each_subset(config.n, f, [&](const std::vector<NodeId>& faulty) {
-      ScenarioSpec spec;
-      spec.config = config;
-      spec.sender = 0;
-      spec.sender_value = Value::of(7);
       spec.faulty = faulty;
-      std::vector<std::pair<NodeId, NodeId>> slots = controlled_slots(spec);
-      fn(spec, slots);
+      controlled_slots(spec, slots);
+      fn(std::as_const(spec), std::as_const(slots));
     });
   }
 }
 
 int resolve_limit(const Config& config, int max_f) {
   return max_f < 0 ? config.u : max_f;
-}
-
-/// Canonical orbit representatives summed over every segment, or over the
-/// subset-class representatives only.
-std::uint64_t canonical_total(const Config& config, int max_f,
-                              bool subset_symmetry) {
-  DA_EXPECTS(config.valid());
-  std::uint64_t total = 0;
-  for_each_segment(config, resolve_limit(config, max_f),
-                   [&](const ScenarioSpec& spec, const auto& slots) {
-                     if (subset_symmetry &&
-                         !is_subset_representative(config.n, spec.sender,
-                                                   spec.faulty)) {
-                       return;
-                     }
-                     total += canonical_count(make_slot_symmetry(spec, slots));
-                   });
-  return total;
 }
 
 /// Shard-local replay state for the checkpoint walk. Each shard is scanned
@@ -243,33 +226,30 @@ struct ShardState {
 
 /// One constructed behaviour sweep: segments, shard plan, and the visitor
 /// state shared by the one-shot search and the resumable frontier driver.
+/// It walks the one quotient of docs/SEARCH.md §5–§6: receiver orbits
+/// within a segment, subset conjugacy across segments.
 class BehaviorSweep {
  public:
   /// Lays the segments out on the plan. Ordinals always advance over
   /// *every* subset — the global ordinal space stays the unreduced one —
-  /// but with `subset_symmetry` only one subset per conjugacy class
-  /// materializes as a Segment; the rest become gaps the plan skips.
-  /// Representatives are the lexicographically-first subsets of their
-  /// class, which is also the class member with the smallest base, so the
-  /// quotiented walk's first hit is the unquotiented walk's first hit
-  /// (docs/SEARCH.md §6).
-  BehaviorSweep(const Config& config, int limit, bool symmetry,
-                bool subset_symmetry)
-      : symmetry_(symmetry),
-        subset_symmetry_(subset_symmetry),
-        protocol_(config) {
+  /// but only one subset per conjugacy class materializes as a Segment;
+  /// the rest become gaps the plan skips. Representatives are the
+  /// lexicographically-first subsets of their class, which is also the
+  /// class member with the smallest base, so the quotient walk's first
+  /// hit is the full enumeration's first hit (docs/SEARCH.md §6).
+  BehaviorSweep(const Config& config, int limit) {
     DA_EXPECTS(behavior_search_unsupported(config, limit).empty());
-    for_each_segment(config, limit, [&](ScenarioSpec& spec, auto& slots) {
-      if (subset_symmetry &&
-          !is_subset_representative(config.n, spec.sender, spec.faulty)) {
+    for_each_segment(config, limit, [&](const ScenarioSpec& spec,
+                                        const auto& slots) {
+      if (!is_subset_representative(config.n, spec.sender, spec.faulty)) {
         subset_skipped_counter().add();
         plan_.skip(pow_symbols(slots.size()));
         return;
       }
       Segment& seg = segments_.emplace_back();
       seg.base = plan_.append_pow4(slots.size());
-      seg.spec = std::move(spec);
-      seg.slots = std::move(slots);
+      seg.spec = spec;
+      seg.slots = slots;
       seg.sym = make_slot_symmetry(seg.spec, seg.slots);
       seg.round0_slots = seg.spec.sender_faulty()
                              ? static_cast<std::size_t>(config.n - 1)
@@ -280,12 +260,10 @@ class BehaviorSweep {
         DA_EXPECTS((seg.slots[i].first == seg.spec.sender) ==
                    (i < seg.round0_slots));
       }
-      if (subset_symmetry) {
-        seg.class_size =
-            subset_class_size(config.n, seg.spec.sender, seg.spec.faulty);
-        subset_classes_counter().add();
-        subset_members_counter().add(seg.class_size);
-      }
+      seg.class_size =
+          subset_class_size(config.n, seg.spec.sender, seg.spec.faulty);
+      subset_classes_counter().add();
+      subset_members_counter().add(seg.class_size);
     });
     candidates_.resize(plan_.shard_count());
     shard_states_.resize(plan_.shard_count());
@@ -293,12 +271,9 @@ class BehaviorSweep {
 
   [[nodiscard]] const sweep::ShardPlan& plan() const { return plan_; }
 
-  /// The conjugacy-class table in frontier form (empty when the subset
-  /// quotient is off — the segments then tile the space contiguously and
-  /// the frontier serializes as v1).
+  /// The conjugacy-class table in frontier form.
   [[nodiscard]] std::vector<FrontierClass> classes() const {
     std::vector<FrontierClass> out;
-    if (!subset_symmetry_) return out;
     out.reserve(segments_.size());
     for (const Segment& seg : segments_) {
       FrontierClass cls;
@@ -321,23 +296,6 @@ class BehaviorSweep {
     return candidates_[shard];
   }
 
-  /// Scratch single-ordinal execution (no sweep, no checkpoint state).
-  [[nodiscard]] std::optional<Violation> at(std::uint64_t ordinal) {
-    const Segment& seg = segment_of(ordinal);
-    const std::uint64_t counter = ordinal - seg.base;
-    const std::size_t slots = seg.slots.size();
-    const auto alphabet = alphabet_for(seg.spec.sender_value);
-    TableAdversary adversary(seg.spec.config.n, seg.slots);
-    apply_digits(counter, slots, 0, slots, alphabet,
-                 [&](std::size_t i, Value v) {
-                   adversary.set(seg.slots[i], v);
-                 });
-    const ConditionReport report =
-        protocol_.run_and_check(seg.spec, &adversary);
-    if (report.satisfied) return std::nullopt;
-    return Violation{seg.spec, "behavior#" + std::to_string(counter), report};
-  }
-
  private:
   [[nodiscard]] const Segment& segment_of(std::uint64_t ordinal) const {
     const auto seg_it = std::prev(std::upper_bound(
@@ -354,29 +312,27 @@ class BehaviorSweep {
     const std::size_t slots = seg.slots.size();
     const auto alphabet = alphabet_for(seg.spec.sender_value);
 
-    // Weight starts at the subset-conjugacy class size (1 unquotiented)
-    // and picks up the receiver-orbit size below; the product is what a
-    // clean sweep reconciles against the full unreduced space.
+    // Weight starts at the subset-conjugacy class size and picks up the
+    // receiver-orbit size below; the product is what a clean sweep
+    // reconciles against the full unreduced space.
     std::uint64_t weight = seg.class_size;
-    if (symmetry_) {
-      if (!seg.sym.trivial()) {
-        // Non-canonical prefix: leap to the orbit's next representative.
-        // Every ordinal in between shares a "column j > column j+1"
-        // certificate, so nothing executable is skipped.
-        const std::uint64_t canon = next_canonical(seg.sym, counter);
-        if (canon != counter) {
-          canon_skipped_counter().add(canon - counter);
-          sweep::Visit skip;
-          skip.executions = 0;
-          skip.weight = 0;
-          skip.next = seg.base + canon;
-          return skip;
-        }
-        weight = checked_mul(weight, orbit_size(seg.sym, counter));
+    if (!seg.sym.trivial()) {
+      // Non-canonical prefix: leap to the orbit's next representative.
+      // Every ordinal in between shares a "column j > column j+1"
+      // certificate, so nothing executable is skipped.
+      const std::uint64_t canon = next_canonical(seg.sym, counter);
+      if (canon != counter) {
+        canon_skipped_counter().add(canon - counter);
+        sweep::Visit skip;
+        skip.executions = 0;
+        skip.weight = 0;
+        skip.next = seg.base + canon;
+        return skip;
       }
-      canon_representatives_counter().add();
-      canon_weight_counter().add(weight);
+      weight = checked_mul(weight, orbit_size(seg.sym, counter));
     }
+    canon_representatives_counter().add();
+    canon_weight_counter().add(weight);
 
     const auto report_at = [&](const ConditionReport& report) -> sweep::Visit {
       sweep::Visit out;
@@ -452,9 +408,6 @@ class BehaviorSweep {
     return report_at(check_conditions(seg.spec, st.result.decisions));
   }
 
-  bool symmetry_;
-  bool subset_symmetry_;
-  DegradableAgreement protocol_;
   std::vector<Segment> segments_;
   sweep::ShardPlan plan_;
   std::vector<std::optional<Violation>> candidates_;
@@ -489,8 +442,7 @@ std::string behavior_search_unsupported(const Config& config, int max_f) {
 std::optional<Violation> exhaustive_behavior_search(
     const Config& config, const BehaviorSearchOptions& options,
     const sweep::SweepOptions& sweep_options, sweep::SweepStats* stats) {
-  BehaviorSweep search(config, resolve_limit(config, options.max_f),
-                       options.symmetry, options.subset_symmetry);
+  BehaviorSweep search(config, resolve_limit(config, options.max_f));
   const sweep::SweepResult result =
       sweep::run_sweep(search.plan(), sweep_options, search.visitor());
   if (stats != nullptr) *stats = result.stats;
@@ -514,30 +466,58 @@ std::uint64_t behavior_search_space(const Config& config, int max_f) {
   return total;
 }
 
-std::uint64_t behavior_search_canonical_space(const Config& config,
-                                              int max_f) {
-  return canonical_total(config, max_f, /*subset_symmetry=*/false);
-}
-
 std::uint64_t behavior_search_quotient_space(const Config& config,
                                              int max_f) {
-  return canonical_total(config, max_f, /*subset_symmetry=*/true);
+  DA_EXPECTS(config.valid());
+  std::uint64_t total = 0;
+  for_each_segment(
+      config, resolve_limit(config, max_f),
+      [&](const ScenarioSpec& spec, const auto& slots) {
+        if (is_subset_representative(config.n, spec.sender, spec.faulty)) {
+          total += canonical_count(make_slot_symmetry(spec, slots));
+        }
+      });
+  return total;
 }
 
 std::optional<Violation> behavior_at(const Config& config, int max_f,
                                      std::uint64_t ordinal) {
-  // Unquotiented on purpose: any full-space ordinal must resolve, not
-  // just ordinals inside representative segments.
-  BehaviorSweep search(config, resolve_limit(config, max_f),
-                       /*symmetry=*/false, /*subset_symmetry=*/false);
-  DA_EXPECTS(ordinal < search.plan().total());
-  return search.at(ordinal);
+  // Deliberately independent of the walk: no quotient, no shard plan, no
+  // fork engine — locate the segment by its size in the full enumeration
+  // and run that one behaviour from scratch.
+  DA_EXPECTS(behavior_search_unsupported(config, max_f).empty());
+  ScenarioSpec spec;
+  std::vector<std::pair<NodeId, NodeId>> slots;
+  std::uint64_t counter = ordinal;
+  bool found = false;
+  for_each_segment(config, resolve_limit(config, max_f),
+                   [&](const ScenarioSpec& s, const auto& segment_slots) {
+                     if (found) return;
+                     const std::uint64_t size =
+                         pow_symbols(segment_slots.size());
+                     if (counter >= size) {
+                       counter -= size;
+                       return;
+                     }
+                     spec = s;
+                     slots = segment_slots;
+                     found = true;
+                   });
+  DA_EXPECTS(found);  // ordinal < behavior_search_space(config, max_f)
+  TableAdversary adversary(config.n, slots);
+  apply_digits(counter, slots.size(), 0, slots.size(),
+               alphabet_for(spec.sender_value),
+               [&](std::size_t i, Value v) { adversary.set(slots[i], v); });
+  const ConditionReport report =
+      DegradableAgreement(config).run_and_check(spec, &adversary);
+  if (report.satisfied) return std::nullopt;
+  return Violation{spec, "behavior#" + std::to_string(counter), report};
 }
 
 Frontier init_behavior_frontier(const Config& config, int max_f,
-                                std::uint64_t seed, bool subset_symmetry) {
+                                std::uint64_t seed) {
   const int limit = resolve_limit(config, max_f);
-  BehaviorSweep search(config, limit, /*symmetry=*/false, subset_symmetry);
+  BehaviorSweep search(config, limit);
   Frontier frontier;
   frontier.config = config;
   frontier.max_f = limit;  // resolved, so the header is self-contained
@@ -561,17 +541,13 @@ FrontierRun run_behavior_frontier(Frontier& frontier,
     run.error = "frontier: " + unsupported;
     return run;
   }
-  // The subset quotient is baked into the frontier: class records mean a
-  // quotiented plan; their absence (a v1 file) means the full plan.
-  const bool subset_symmetry = !frontier.classes.empty();
   BehaviorSweep search(frontier.config,
-                       resolve_limit(frontier.config, frontier.max_f),
-                       options.symmetry, subset_symmetry);
+                       resolve_limit(frontier.config, frontier.max_f));
   if (frontier.space != search.plan().total()) {
     run.error = "frontier space does not match the search space";
     return run;
   }
-  if (subset_symmetry && frontier.classes != search.classes()) {
+  if (frontier.classes != search.classes()) {
     run.error = "frontier classes do not match the search's class plan";
     return run;
   }
@@ -633,7 +609,7 @@ FrontierRun run_behavior_frontier(Frontier& frontier,
 
   const std::uint64_t hit = frontier.best_hit();
   if (hit != sweep::kNoHit) {
-    run.violation = search.at(hit);
+    run.violation = behavior_at(frontier.config, frontier.max_f, hit);
     DA_ENSURES(run.violation.has_value());
   }
   if (frontier.settled()) {

@@ -44,21 +44,6 @@ namespace da::faults {
 struct BehaviorSearchOptions {
   /// Largest fault count to try; -1 means the config's u.
   int max_f = -1;
-  /// Walk only the canonical representative of each receiver-relabeling
-  /// orbit, skipping non-minimal digit prefixes and weighting each
-  /// representative by its orbit size (docs/SEARCH.md §5). The verdict,
-  /// the first-hit ordinal, and — on clean sweeps — the orbit-weighted
-  /// execution count (`SweepStats::weighted_executions`, which reconciles
-  /// to `behavior_search_space`) are identical to the unreduced walk;
-  /// only `executions` shrinks, to the representatives actually run.
-  bool symmetry = true;
-  /// Walk only one faulty subset per conjugacy class under sender-fixing
-  /// node permutations, weighting its results by the class size
-  /// (docs/SEARCH.md §6). Composes with `symmetry`: a representative's
-  /// weight is its receiver-orbit size times its subset class size.
-  /// Verdict, first-hit ordinal and weighted counts stay pinned to the
-  /// unquotiented walk; the skipped segments never execute at all.
-  bool subset_symmetry = true;
 };
 
 /// Parallel form: the same sweep, sharded deterministically over the
@@ -68,15 +53,19 @@ struct BehaviorSearchOptions {
 /// share their round-0 assignment. The walk exploits exactly that: each
 /// shard forks every execution from a checkpointed post-round-0 state
 /// instead of replaying round 0 (docs/SEARCH.md §4), which ~halves the
-/// simulated rounds and skips per-execution process construction; the
-/// scratch `behavior_at` is its reference (tests/test_fork_engine.cpp).
-/// With `options.symmetry` (the default) the walk visits one
-/// representative per receiver-relabeling orbit. For every
-/// `sweep_options.jobs` value — and for either quotient flag — it returns
-/// the same first-violation-or-nullopt verdict, the same first-hit
-/// ordinal, and the same canonical counts (`stats->executions` for fixed
-/// flags, `stats->weighted_executions` across them); `stats` (optional)
-/// additionally receives per-shard counters for scaling reports.
+/// simulated rounds and skips per-execution process construction.
+///
+/// The walk is quotiented twice (docs/SEARCH.md §5–§6): it runs one
+/// faulty subset per conjugacy class under sender-fixing node
+/// permutations, and within it one representative per receiver-relabeling
+/// orbit, weighting each by orbit size times class size. The verdict and
+/// the first-hit ordinal are those of the full 4^k enumeration, and on a
+/// clean sweep `stats->weighted_executions` reconciles to
+/// `behavior_search_space` while `stats->executions` is
+/// `behavior_search_quotient_space`; the scratch `behavior_at` scan is
+/// the reference the tests hold it to. All of these are identical for
+/// every `sweep_options.jobs` value; `stats` (optional) additionally
+/// receives per-shard counters for scaling reports.
 ///
 /// Expects `behavior_search_unsupported(config, options.max_f)` to be
 /// empty.
@@ -94,44 +83,35 @@ struct BehaviorSearchOptions {
 [[nodiscard]] std::string behavior_search_unsupported(const Config& config,
                                                       int max_f = -1);
 
-/// Number of protocol executions the unreduced search performs — the
-/// full 4^k ordinal space (for reporting and reconciliation).
+/// Size of the full enumeration — the 4^k ordinal space summed over the
+/// faulty subsets — which the walk's weighted counts reconcile to.
 [[nodiscard]] std::uint64_t behavior_search_space(const Config& config,
                                                   int max_f = -1);
 
-/// Number of canonical orbit representatives the symmetry-reduced walk
-/// executes on a clean sweep: sum over segments of 4^fixed *
+/// Number of representatives the quotient walk executes on a clean
+/// sweep: over the subset-class representatives, the sum of 4^fixed *
 /// multichoose(4^rows, free receivers). Always <= behavior_search_space.
-[[nodiscard]] std::uint64_t behavior_search_canonical_space(
-    const Config& config, int max_f = -1);
-
-/// Number of representatives the fully quotiented walk (receiver orbits
-/// plus subset conjugacy, both defaults) executes on a clean sweep: the
-/// canonical count summed over representative subsets only. Always <=
-/// behavior_search_canonical_space.
 [[nodiscard]] std::uint64_t behavior_search_quotient_space(
     const Config& config, int max_f = -1);
 
-/// Re-executes the single behaviour at a global ordinal (scratch path, no
-/// sweep) and reports its violation, if any. This is how a resumed
-/// frontier rematerializes the Violation for a hit ordinal recorded by an
-/// earlier process, and how tests map orbit members to their verdicts.
+/// Re-executes the single behaviour at a global ordinal of the full
+/// enumeration from scratch — no shard plan, quotient or fork engine —
+/// and reports its violation, if any. This is how a resumed frontier
+/// rematerializes the Violation for a hit ordinal recorded by an earlier
+/// process, and the independent reference the tests scan the walk
+/// against. Expects `ordinal < behavior_search_space(config, max_f)`.
 [[nodiscard]] std::optional<Violation> behavior_at(const Config& config,
                                                    int max_f,
                                                    std::uint64_t ordinal);
 
 /// Builds a fresh (untouched) frontier for the behaviour search: one
-/// record per sweep shard, cursors at their shard heads. `seed` is
-/// stored in the frontier so every resuming process derives identical
-/// per-shard RNG streams. With `subset_symmetry` (the default) the
-/// frontier is quotiented — it carries one class record per conjugacy
-/// class and serializes as `da-frontier v2`; pass false for the full v1
-/// plan. The quotient choice is baked into the frontier (derived from
-/// its class records on resume), so v1 files keep resuming unquotiented.
+/// class record per subset-conjugacy class and one shard record per
+/// sweep shard, cursors at their shard heads. `seed` is stored in the
+/// frontier so every resuming process derives identical per-shard RNG
+/// streams.
 [[nodiscard]] Frontier init_behavior_frontier(const Config& config,
                                               int max_f = -1,
-                                              std::uint64_t seed = 1,
-                                              bool subset_symmetry = true);
+                                              std::uint64_t seed = 1);
 
 struct FrontierRunOptions {
   int jobs = 1;
@@ -139,11 +119,6 @@ struct FrontierRunOptions {
   /// kill-and-resume unit); -1 runs to settlement. Suspension is
   /// cooperative: in-flight shards park their cursors in the frontier.
   int max_shards = -1;
-  /// Receiver-relabeling reduction for this run. A run-time knob because
-  /// it changes which ordinals execute, never the shard plan. The subset
-  /// quotient is *not* a run option: it reshapes the plan, so it is baked
-  /// into the frontier at init time and derived from its class records.
-  bool symmetry = true;
   /// Invoked (serialized, from worker threads) with the updated frontier
   /// each time a shard settles — hook the atomic save_frontier here for
   /// crash-safe incremental checkpoints.
@@ -170,8 +145,8 @@ struct FrontierRun {
 /// updating it in place. The frontier may be a split part (a subset of
 /// the plan's shards): only its own shards are swept, and the verdict
 /// settles only on a space-covering frontier. A frontier the search
-/// cannot run, or whose shards are not shards of the search's plan,
-/// comes back untouched with `error` set.
+/// cannot run, or whose classes or shards are not those of the search's
+/// plan, comes back untouched with `error` set.
 [[nodiscard]] FrontierRun run_behavior_frontier(
     Frontier& frontier, const FrontierRunOptions& options = {});
 

@@ -14,8 +14,7 @@ namespace da::faults {
 namespace {
 
 constexpr std::string_view kMagic = "da-frontier";
-constexpr std::string_view kVersionPlain = "v1";
-constexpr std::string_view kVersionQuotient = "v2";
+constexpr std::string_view kVersion = "v2";
 
 const obs::Counter& saves_counter() {
   static const obs::Counter c("search.frontier.saves");
@@ -34,10 +33,10 @@ ParseError inconsistent(std::size_t first, std::size_t i,
   return {ParseKind::kInconsistent, first + i, 1, std::move(message)};
 }
 
-/// Validates the class table (v2), whose first record is on line
-/// `first`: sorted by base, disjoint, in-range, and reconciling exactly
-/// to the unreduced space (sum of size * weight == space — the
-/// corruption check that catches dropped class lines).
+/// Validates the class table, whose first record is on line `first`:
+/// sorted by base, disjoint, in-range, and reconciling exactly to the
+/// unreduced space (sum of size * weight == space — the corruption check
+/// that catches dropped class lines, the whole table included).
 std::optional<ParseError> check_classes(const Frontier& frontier,
                                         std::size_t first) {
   std::uint64_t prev_end = 0;
@@ -63,7 +62,7 @@ std::optional<ParseError> check_classes(const Frontier& frontier,
     }
     covered += c.size * c.weight;
   }
-  if (!frontier.classes.empty() && covered != frontier.space) {
+  if (covered != frontier.space) {
     return inconsistent(first, 0,
                         "class weights do not reconcile to the space");
   }
@@ -72,8 +71,8 @@ std::optional<ParseError> check_classes(const Frontier& frontier,
 
 /// Validates shard geometry shared by the parser and the merger (first
 /// shard record on line `first`): sorted, in-range, non-overlapping,
-/// cursors and hits consistent — and, on a quotiented frontier, contained
-/// in some class's representative range.
+/// cursors and hits consistent, and each contained in some class's
+/// representative range.
 std::optional<ParseError> check_shards(const Frontier& frontier,
                                        std::size_t first) {
   std::uint64_t prev_end = 0;
@@ -100,17 +99,15 @@ std::optional<ParseError> check_shards(const Frontier& frontier,
       }
       if (s.cursor != s.end) return fail("hit with unsettled cursor");
     }
-    if (!frontier.classes.empty()) {
-      // Shards and classes are both sorted, so one forward walk suffices.
-      while (cls < frontier.classes.size() &&
-             frontier.classes[cls].end() <= s.begin) {
-        ++cls;
-      }
-      if (cls >= frontier.classes.size() ||
-          s.begin < frontier.classes[cls].base ||
-          s.end > frontier.classes[cls].end()) {
-        return fail("shard outside class ranges");
-      }
+    // Shards and classes are both sorted, so one forward walk suffices.
+    while (cls < frontier.classes.size() &&
+           frontier.classes[cls].end() <= s.begin) {
+      ++cls;
+    }
+    if (cls >= frontier.classes.size() ||
+        s.begin < frontier.classes[cls].base ||
+        s.end > frontier.classes[cls].end()) {
+      return fail("shard outside class ranges");
     }
   }
   return std::nullopt;
@@ -132,16 +129,8 @@ std::uint64_t Frontier::best_hit() const {
 }
 
 bool Frontier::covers_space() const {
-  if (classes.empty()) {
-    std::uint64_t next = 0;
-    for (const FrontierShard& s : shards) {
-      if (s.begin != next) return false;
-      next = s.end;
-    }
-    return next == space && space > 0;
-  }
-  // Quotiented: the shards must tile exactly the union of the class
-  // representative ranges (both lists are sorted by base).
+  // The shards must tile exactly the union of the class representative
+  // ranges (both lists are sorted by base).
   std::size_t j = 0;
   for (const FrontierClass& c : classes) {
     std::uint64_t next = c.base;
@@ -154,7 +143,7 @@ bool Frontier::covers_space() const {
       ++j;
     }
   }
-  return j == shards.size() && space > 0;
+  return j == shards.size() && !classes.empty();
 }
 
 bool Frontier::settled() const {
@@ -179,8 +168,7 @@ std::string serialize_frontier(const Frontier& frontier) {
   std::ranges::sort(sorted.classes, {}, &FrontierClass::base);
   std::ranges::sort(sorted.shards, {}, &FrontierShard::begin);
   std::ostringstream out;
-  out << kMagic << ' '
-      << (sorted.classes.empty() ? kVersionPlain : kVersionQuotient) << '\n';
+  out << kMagic << ' ' << kVersion << '\n';
   out << "config " << sorted.config.n << ' ' << sorted.config.m << ' '
       << sorted.config.u << ' ' << sorted.max_f << ' ' << sorted.seed << ' '
       << sorted.space << '\n';
@@ -211,7 +199,7 @@ Parsed<Frontier> parse_frontier(std::string_view text) {
     return in.error(ParseKind::kUnknownName, "not a frontier file");
   }
   const std::string_view version = in.field();
-  if (version != kVersionPlain && version != kVersionQuotient) {
+  if (version != kVersion) {
     return in.error(ParseKind::kUnknownName,
                     "unsupported frontier version: " + std::string(version));
   }

@@ -19,36 +19,35 @@ namespace da::faults {
 /// several processes and merged back — and still produce an artifact
 /// byte-identical to an uninterrupted run (docs/SEARCH.md §5).
 ///
-/// Text format, version 1 (one record per line, space-separated):
+/// Text format, version 2 (one record per line, space-separated):
 ///
-///     da-frontier v1
+///     da-frontier v2
 ///     config <n> <m> <u> <max_f> <seed> <space>
+///     class <base> <size> <weight>
+///     ...
 ///     shard <begin> <end> <cursor> <executions> <weighted> <hit|->
 ///     ...
 ///     end <shard_count>
 ///
-/// Version 2 (header `da-frontier v2`) adds the subset-conjugacy quotient
-/// (docs/SEARCH.md §6): one `class <base> <size> <weight>` record per
-/// representative segment, between the config line and the shard lines.
+/// One `class` record per subset-conjugacy class (docs/SEARCH.md §6)
+/// names the representative segment the shards tile and how many
+/// conjugate segments it stands for. `space` is the *full* unreduced
+/// ordinal space, and the parser rejects any file whose class weights do
+/// not reconcile exactly to it (sum of size*weight == space) — so a file
+/// with no class records is rejected too. Any other version, v1
+/// included, is refused as unsupported.
 ///
-/// `space` stays the *full* unreduced ordinal space in both versions;
-/// class records pin which representative ranges the shards actually
-/// tile and how many conjugate segments each stands for, and the parser
-/// rejects any file whose class weights do not reconcile exactly to the
-/// space (sum of size*weight == space). A v1 file (no classes) describes
-/// an unquotiented search, and both versions remain parseable.
-///
-/// Shards are sorted by `begin`, must not overlap, and duplicates are
-/// rejected; the `end` trailer guards against truncation. A file may
-/// hold a *subset* of the plan's shards (the unit of distribution for
-/// split/merge) — only a frontier whose shards cover the whole space
-/// (v2: every class's representative range) can settle a verdict.
+/// Shards are sorted by `begin`, must not overlap, must lie inside a
+/// class range, and duplicates are rejected; the `end` trailer guards
+/// against truncation. A file may hold a *subset* of the plan's shards
+/// (the unit of distribution for split/merge) — only a frontier whose
+/// shards cover every class's representative range can settle a verdict.
 ///
 /// A `shard` record is one shard's sweep progress, the same record the
 /// sweep resumes from and reports; its `<hit|->` field is `first_hit`.
 using FrontierShard = sweep::ShardProgress;
 
-/// One subset-conjugacy class (v2): the representative segment's base
+/// One subset-conjugacy class: the representative segment's base
 /// ordinal and size in the unreduced space, plus how many conjugate
 /// segments it stands for. Weighted counters multiply by `weight`, so a
 /// clean quotiented sweep still reconciles to the full space.
@@ -67,18 +66,16 @@ struct Frontier {
   int max_f = -1;
   std::uint64_t seed = 1;
   std::uint64_t space = 0;  ///< full (unreduced) ordinal space, 4^k summed
-  /// Subset-conjugacy classes, sorted by base, disjoint. Empty means the
-  /// search is unquotiented (and the file serializes as v1).
+  /// Subset-conjugacy classes, sorted by base, disjoint.
   std::vector<FrontierClass> classes;
   std::vector<FrontierShard> shards;  ///< sorted by begin, non-overlapping
 
   /// Smallest recorded hit ordinal across shards, or sweep::kNoHit.
   [[nodiscard]] std::uint64_t best_hit() const;
 
-  /// True when the shards tile the scanned space exactly — [0, space)
-  /// for an unquotiented frontier, the union of class representative
-  /// ranges for a quotiented one — i.e. this frontier is the whole plan,
-  /// not a split part.
+  /// True when the shards tile the union of the class representative
+  /// ranges exactly, i.e. this frontier is the whole plan, not a split
+  /// part.
   [[nodiscard]] bool covers_space() const;
 
   /// True when the verdict is final: the shards cover the space and every
@@ -96,14 +93,14 @@ struct Frontier {
   friend bool operator==(const Frontier&, const Frontier&) = default;
 };
 
-/// Renders the frontier in its text format — v2 when it carries classes,
-/// v1 otherwise (shards re-sorted by begin).
+/// Renders the frontier in its text format (classes and shards re-sorted
+/// by base).
 [[nodiscard]] std::string serialize_frontier(const Frontier& frontier);
 
-/// Strict parser for the v1/v2 formats: decodes the records, accepts the
-/// text only if `serialize_frontier` gives its bytes back, then rejects
-/// an invalid config, a fault limit above n, duplicate or overlapping
-/// shards or classes, out-of-range cursors/hits, v2 class weights that do
+/// Strict parser for the format: decodes the records, accepts the text
+/// only if `serialize_frontier` gives its bytes back, then rejects an
+/// invalid config, a fault limit above n, duplicate or overlapping
+/// shards or classes, out-of-range cursors/hits, class weights that do
 /// not reconcile to the space and shards outside every class range.
 [[nodiscard]] Parsed<Frontier> parse_frontier(std::string_view text);
 

@@ -3,13 +3,13 @@
 // force on exhaustively enumerable segments, subset-conjugacy classes
 // checked against full subset enumeration, orbit and conjugacy invariance
 // of real protocol executions for all six protocols, boundary tests of
-// the checked orbit arithmetic, and a corpus-first three-way differential
-// suite pinning the receiver-canonical and subset-quotient walks to the
-// full enumeration — identical verdicts, identical first-hit ordinals,
-// and orbit-weighted execution counts that reconcile exactly against the
-// unreduced 4^k space. Corpus lines in tests/corpus/canonicalization.txt
-// are replayed first; append any config a randomized or field failure
-// flags.
+// the checked orbit arithmetic, and a corpus-first differential suite
+// pinning the quotient walk, at two --jobs values, to a scratch
+// `behavior_at` scan of the full enumeration — identical verdicts,
+// first-hit ordinals and adversaries, and orbit-weighted execution counts
+// that reconcile exactly against the unreduced 4^k space. Corpus lines in
+// tests/corpus/canonicalization.txt are replayed first; append any
+// config a randomized or field failure flags.
 
 #include "faults/canon.hpp"
 
@@ -298,8 +298,8 @@ TEST(CanonProperties, SenderFixingPermutationsPreserveSubsetClass) {
 
 TEST(CanonProperties, SubsetQuotientReducesSegmentsThreefold) {
   // The acceptance floor for (6,1,2): the quotient walks at most a third
-  // of the (sender 0) segments the receiver-canonical walk visits, and
-  // the executed-representative space shrinks by at least as much.
+  // of the (sender 0) segments, and executes exactly 28,651
+  // representatives of the 1,968,384-ordinal space.
   const Config config{.n = 6, .m = 1, .u = 2};
   std::uint64_t segments = 0;
   std::uint64_t representatives = 0;
@@ -316,8 +316,8 @@ TEST(CanonProperties, SubsetQuotientReducesSegmentsThreefold) {
   EXPECT_EQ(segments, 22u);        // C(6,0) + C(6,1) + C(6,2)
   EXPECT_EQ(representatives, 5u);  // {}, {0}, {1}, {0,1}, {1,2}
   EXPECT_GE(segments, 3 * representatives);
-  EXPECT_GE(faults::behavior_search_canonical_space(config),
-            3 * faults::behavior_search_quotient_space(config));
+  EXPECT_EQ(faults::behavior_search_quotient_space(config), 28'651u);
+  EXPECT_EQ(faults::behavior_search_space(config), 1'968'384u);
 }
 
 // ------------------------------------- orbit invariance, all six protocols
@@ -556,16 +556,8 @@ TEST(CanonOrbitSim, SixProtocolSubsetConjugacyInvariance) {
   }
 }
 
-// ----------------------------------------- corpus differential, the full
-// walk vs the receiver-canonical walk vs the subset-quotient walk
-
-std::uint64_t first_hit_of(const sweep::SweepStats& stats) {
-  std::uint64_t best = sweep::kNoHit;
-  for (const sweep::ShardStats& shard : stats.per_shard) {
-    best = std::min(best, shard.first_hit);
-  }
-  return best;
-}
+// ------------------------------- corpus differential: the quotient walk at
+// two --jobs values vs a scratch scan of the full enumeration
 
 struct SearchOutcome {
   std::string adversary;  // "(none)" when clean
@@ -573,81 +565,74 @@ struct SearchOutcome {
   sweep::SweepStats stats;
 };
 
-SearchOutcome run_search(const Config& config, bool symmetry,
-                         bool subset_symmetry, int jobs) {
-  faults::BehaviorSearchOptions options;
-  options.symmetry = symmetry;
-  options.subset_symmetry = subset_symmetry;
+SearchOutcome run_search(const Config& config, int jobs) {
   sweep::SweepOptions sweep_options;
   sweep_options.jobs = jobs;
   SearchOutcome out;
   const auto violation = faults::exhaustive_behavior_search(
-      config, options, sweep_options, &out.stats);
+      config, faults::BehaviorSearchOptions{}, sweep_options, &out.stats);
   out.adversary = violation.has_value() ? violation->adversary : "(none)";
-  out.first_hit = first_hit_of(out.stats);
+  for (const sweep::ShardStats& shard : out.stats.per_shard) {
+    out.first_hit = std::min(out.first_hit, shard.first_hit);
+  }
+  return out;
+}
+
+/// The reference: `behavior_at` on every ordinal of the full space, in
+/// order up to the first hit. No quotient, fork engine or segment table
+/// is shared with the walk; only the ordinals are spread over every core
+/// (a plain plan, early exit at the first hit).
+SearchOutcome scan_full_space(const Config& config) {
+  sweep::ShardPlan plan;
+  plan.append_even(faults::behavior_search_space(config));
+  sweep::SweepOptions sweep_options;
+  sweep_options.jobs = 0;
+  const sweep::SweepResult result = sweep::run_sweep(
+      plan, sweep_options, [&](std::uint64_t ordinal, std::size_t, Rng&) {
+        sweep::Visit visit;
+        visit.hit = faults::behavior_at(config, -1, ordinal).has_value();
+        return visit;
+      });
+  SearchOutcome out;
+  out.stats = result.stats;
+  out.first_hit = result.first_hit.value_or(sweep::kNoHit);
+  if (result.first_hit.has_value()) {
+    const auto violation = faults::behavior_at(config, -1, out.first_hit);
+    out.adversary = violation.has_value() ? violation->adversary : "?";
+  } else {
+    out.adversary = "(none)";
+  }
   return out;
 }
 
 void check_differential(const Config& config) {
   SCOPED_TRACE(config.to_string());
   const std::uint64_t space = faults::behavior_search_space(config);
-  const std::uint64_t canonical_space =
-      faults::behavior_search_canonical_space(config);
   const std::uint64_t quotient_space =
       faults::behavior_search_quotient_space(config);
-  ASSERT_LE(canonical_space, space);
-  ASSERT_LE(quotient_space, canonical_space);
+  ASSERT_LE(quotient_space, space);
 
-  const SearchOutcome full =
-      run_search(config, /*symmetry=*/false, /*subset_symmetry=*/false, 1);
-  const SearchOutcome canon =
-      run_search(config, /*symmetry=*/true, /*subset_symmetry=*/false, 1);
-  const SearchOutcome quotient =
-      run_search(config, /*symmetry=*/true, /*subset_symmetry=*/true, 1);
-
-  // The tentpole equivalence, one rung at a time: verdict and first-hit
-  // ordinal survive the receiver-relabeling reduction and the composed
-  // subset quotient exactly.
-  EXPECT_EQ(full.adversary, canon.adversary);
-  EXPECT_EQ(full.first_hit, canon.first_hit);
-  EXPECT_EQ(full.adversary, quotient.adversary);
-  EXPECT_EQ(full.first_hit, quotient.first_hit);
-
-  if (full.first_hit == sweep::kNoHit) {
-    // Clean sweeps reconcile their counts against the whole space: the
-    // full walk executes every ordinal; each reduced walk executes fewer
-    // representatives but weights them back to the identical total.
-    EXPECT_EQ(full.stats.executions, space);
-    EXPECT_EQ(full.stats.weighted_executions, space);
-    EXPECT_EQ(canon.stats.executions, canonical_space);
-    EXPECT_EQ(canon.stats.weighted_executions, space);
-    EXPECT_EQ(quotient.stats.executions, quotient_space);
-    EXPECT_EQ(quotient.stats.weighted_executions, space);
-  } else {
-    // Violating sweeps pin the first hit instead: the winning behaviour
-    // rematerializes to the same adversary through the scratch path.
-    const auto replay = faults::behavior_at(config, -1, full.first_hit);
-    ASSERT_TRUE(replay.has_value());
-    EXPECT_EQ(replay->adversary, full.adversary);
+  const SearchOutcome reference = scan_full_space(config);
+  const std::array<SearchOutcome, 2> walks = {run_search(config, 1),
+                                              run_search(config, 3)};
+  for (const SearchOutcome& walk : walks) {
+    // Verdict, first-hit ordinal and the rematerialized adversary survive
+    // the composed quotient exactly, for any jobs value.
+    EXPECT_EQ(walk.adversary, reference.adversary);
+    EXPECT_EQ(walk.first_hit, reference.first_hit);
+    if (reference.first_hit == sweep::kNoHit) {
+      // Clean: the scan executed every ordinal; the walk executes only
+      // its representatives but weights them back to the identical total.
+      EXPECT_EQ(reference.stats.executions, space);
+      EXPECT_EQ(walk.stats.executions, quotient_space);
+      EXPECT_EQ(walk.stats.weighted_executions, space);
+    }
   }
-
-  // Canonical counts are canonical: a different jobs value must not move
-  // the verdict, the hit, or either execution counter — for either
-  // reduced walk.
-  const SearchOutcome canon_wide =
-      run_search(config, /*symmetry=*/true, /*subset_symmetry=*/false, 3);
-  EXPECT_EQ(canon.adversary, canon_wide.adversary);
-  EXPECT_EQ(canon.first_hit, canon_wide.first_hit);
-  EXPECT_EQ(canon.stats.executions, canon_wide.stats.executions);
-  EXPECT_EQ(canon.stats.weighted_executions,
-            canon_wide.stats.weighted_executions);
-  const SearchOutcome quotient_wide =
-      run_search(config, /*symmetry=*/true, /*subset_symmetry=*/true, 3);
-  EXPECT_EQ(quotient.adversary, quotient_wide.adversary);
-  EXPECT_EQ(quotient.first_hit, quotient_wide.first_hit);
-  EXPECT_EQ(quotient.stats.executions, quotient_wide.stats.executions);
-  EXPECT_EQ(quotient.stats.weighted_executions,
-            quotient_wide.stats.weighted_executions);
+  // Canonical counts are canonical: the jobs value moves neither counter,
+  // on violating cells too.
+  EXPECT_EQ(walks[0].stats.executions, walks[1].stats.executions);
+  EXPECT_EQ(walks[0].stats.weighted_executions,
+            walks[1].stats.weighted_executions);
 }
 
 TEST(CanonicalizationCorpus, ThreeWayDifferentialReplay) {
@@ -665,7 +650,7 @@ TEST(CanonicalizationCorpus, ThreeWayDifferentialReplay) {
     check_differential(Config{.n = n, .m = m, .u = u});
     ++replayed;
   }
-  EXPECT_GE(replayed, 12);  // every cheap (n <= 4, m, u) plus spot checks
+  EXPECT_GE(replayed, 17);  // every (n <= 4, m, u) plus spot checks
 }
 
 }  // namespace

@@ -336,8 +336,9 @@ TEST(ForkEngine, SnapshotAtEveryRoundBoundary) {
 // ------------------------------------- search equivalence and invariance
 
 // The behaviour walk forks every execution from a checkpointed round-0
-// state; `behavior_at` re-runs one ordinal from scratch. Scanned in
-// ordinal order, the scratch path is the independent reference.
+// state and visits only quotient representatives; `behavior_at` re-runs
+// one ordinal of the full enumeration from scratch. Scanned in ordinal
+// order, the scratch path is the independent reference.
 TEST(ForkEngine, BehaviorWalkMatchesScratchReference) {
   struct Case {
     Config config;
@@ -360,19 +361,21 @@ TEST(ForkEngine, BehaviorWalkMatchesScratchReference) {
       options.jobs = jobs;
       sweep::SweepStats stats;
       const auto violation = faults::exhaustive_behavior_search(
-          c.config,
-          faults::BehaviorSearchOptions{.symmetry = false,
-                                        .subset_symmetry = false},
-          options, &stats);
+          c.config, faults::BehaviorSearchOptions{}, options, &stats);
       std::uint64_t first_hit = sweep::kNoHit;
       for (const sweep::ShardStats& shard : stats.per_shard) {
         first_hit = std::min(first_hit, shard.first_hit);
       }
       EXPECT_EQ(first_hit, reference.value_or(sweep::kNoHit))
           << c.config.to_string() << " jobs=" << jobs;
-      // Unreduced: one execution per ordinal up to the first hit.
-      EXPECT_EQ(stats.executions, reference ? *reference + 1 : c.space)
-          << c.config.to_string() << " jobs=" << jobs;
+      if (!reference) {
+        // Clean: the representatives reconcile to the whole space.
+        EXPECT_EQ(stats.executions,
+                  faults::behavior_search_quotient_space(c.config))
+            << c.config.to_string() << " jobs=" << jobs;
+        EXPECT_EQ(stats.weighted_executions, c.space)
+            << c.config.to_string() << " jobs=" << jobs;
+      }
       ASSERT_EQ(violation.has_value(), reference_violation.has_value());
       if (violation.has_value()) {
         EXPECT_EQ(violation->adversary, reference_violation->adversary);

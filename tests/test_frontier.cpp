@@ -1,4 +1,4 @@
-// Serialized search frontiers (faults/frontier.hpp): the v1 text format
+// Serialized search frontiers (faults/frontier.hpp): the v2 text format
 // round-trips exactly, the parser rejects every class of damage a crashed
 // or concatenated file can exhibit, split/merge is a lossless partition,
 // and — the tentpole guarantee — a behaviour sweep killed at *any*
@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ faults::Frontier settle(const Config& config, int jobs = 1) {
 TEST(Frontier, SerializeParseRoundTrip) {
   const faults::Frontier fresh = faults::init_behavior_frontier(kViolating);
   ASSERT_GT(fresh.shards.size(), 1u);
-  ASSERT_FALSE(fresh.classes.empty());  // quotiented by default: v2
+  ASSERT_FALSE(fresh.classes.empty());
   EXPECT_TRUE(fresh.covers_space());
   EXPECT_FALSE(fresh.settled());
   EXPECT_EQ(fresh.best_hit(), sweep::kNoHit);
@@ -59,21 +60,6 @@ TEST(Frontier, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->space, fresh.space);
   EXPECT_EQ(parsed->shards.size(), fresh.shards.size());
   EXPECT_EQ(parsed->classes.size(), fresh.classes.size());
-
-  // The unquotiented plan keeps serializing in the v1 format, and still
-  // covers the (larger, gapless) shard set.
-  const faults::Frontier plain =
-      faults::init_behavior_frontier(kViolating, -1, 1,
-                                     /*subset_symmetry=*/false);
-  EXPECT_TRUE(plain.classes.empty());
-  EXPECT_TRUE(plain.covers_space());
-  EXPECT_GT(plain.shards.size(), fresh.shards.size());
-  const std::string plain_text = serialize_frontier(plain);
-  EXPECT_EQ(plain_text.rfind("da-frontier v1\n", 0), 0u);
-  const Parsed<faults::Frontier> plain_parsed =
-      faults::parse_frontier(plain_text);
-  ASSERT_TRUE(plain_parsed) << plain_parsed.error().to_string();
-  EXPECT_EQ(serialize_frontier(*plain_parsed), plain_text);
 
   // A settled frontier (cursors, counters and a hit populated) must
   // round-trip just as exactly.
@@ -105,16 +91,22 @@ TEST(Frontier, ParserRejectsDamage) {
   EXPECT_EQ(why("something else\n"), "unknown-name: not a frontier file");
   EXPECT_EQ(why("da-frontier v3\nconfig 4 1 2 2 1 3952\nend 0\n"),
             "unknown-name: unsupported frontier version: v3");
-  EXPECT_EQ(why("da-frontier v1\n"), "truncated: no config record");
-  EXPECT_EQ(why("da-frontier v1\nconfig 4 x\nend 0\n"),
+  // v1, the unquotiented format of earlier releases, is refused the same
+  // way, on its header line.
+  const std::string v1 =
+      "da-frontier v1\nconfig 4 1 1 1 1 112\nshard 0 64 0 0 0 -\nend 1\n";
+  EXPECT_EQ(why(v1), "unknown-name: unsupported frontier version: v1");
+  EXPECT_EQ(error_of(v1).line, 1u);
+  EXPECT_EQ(why("da-frontier v2\n"), "truncated: no config record");
+  EXPECT_EQ(why("da-frontier v2\nconfig 4 x\nend 0\n"),
             "syntax: malformed config record");
-  EXPECT_EQ(why("da-frontier v1\nconfig 0 0 0 -1 1 5\nend 0\n"),
+  EXPECT_EQ(why("da-frontier v2\nconfig 0 0 0 -1 1 5\nend 0\n"),
             "bad-value: invalid config");
-  EXPECT_EQ(why("da-frontier v1\nconfig 4 1 2 2 1 0\nend 0\n"),
+  EXPECT_EQ(why("da-frontier v2\nconfig 4 1 2 2 1 0\nend 0\n"),
             "bad-value: empty search space");
-  EXPECT_EQ(why("da-frontier v1\nconfig 4 1 2 9 1 3952\nend 0\n"),
+  EXPECT_EQ(why("da-frontier v2\nconfig 4 1 2 9 1 3952\nend 0\n"),
             "bad-value: fault limit exceeds n");
-  EXPECT_EQ(error_of("da-frontier v1\nconfig 4 1 2 9 1 3952\nend 0\n").line,
+  EXPECT_EQ(error_of("da-frontier v2\nconfig 4 1 2 9 1 3952\nend 0\n").line,
             2u);
 
   // Truncation: chop the `end` trailer, then miscount it.
@@ -122,8 +114,11 @@ TEST(Frontier, ParserRejectsDamage) {
   EXPECT_EQ(why(no_end), "truncated: missing end record");
   EXPECT_EQ(error_of(no_end + "end 1\n").kind, ParseKind::kNotCanonical);
 
-  // Shard-level damage, spliced into a minimal two-shard frontier.
-  const std::string header = "da-frontier v1\nconfig 4 1 2 2 1 3952\n";
+  // Shard-level damage, spliced into a minimal frontier whose one class
+  // (16 ordinals standing for 247 conjugates: 16*247 = 3952) holds the
+  // shards.
+  const std::string header =
+      "da-frontier v2\nconfig 4 1 2 2 1 3952\nclass 0 16 247\n";
   const auto with_shards = [&](const std::string& shards, int count) {
     return header + shards + "end " + std::to_string(count) + "\n";
   };
@@ -145,7 +140,7 @@ TEST(Frontier, ParserRejectsDamage) {
             "overlapping shards");
   EXPECT_EQ(error_of(with_shards("shard 0 16 0 0 0 -\nshard 8 32 8 0 0 -\n", 2))
                 .line,
-            4u);
+            5u);
   EXPECT_EQ(inconsistent(with_shards("shard 0 16 20 0 0 -\n", 1)),
             "cursor out of range");
   EXPECT_EQ(inconsistent(with_shards("shard 0 16 16 16 16 99\n", 1)),
@@ -165,31 +160,33 @@ TEST(Frontier, ParserRejectsDamage) {
     EXPECT_EQ(e.kind, ParseKind::kNotCanonical) << e.to_string();
     return std::pair(e.line, e.column);
   };
-  EXPECT_EQ(at(with_shards(shard, 1) + shard), std::pair(5ul, 1ul));
+  EXPECT_EQ(at(with_shards(shard, 1) + shard), std::pair(6ul, 1ul));
   EXPECT_EQ(at(with_shards("shard 0 16 16 16 16 - junk\n", 1)),
-            std::pair(3ul, 22ul));
-  EXPECT_EQ(at(header.substr(0, header.size() - 1) + " \nend 0\n"),
+            std::pair(4ul, 22ul));
+  EXPECT_EQ(at("da-frontier v2\nconfig 4 1 2 2 1 3952 \nclass 0 16 247\n"
+               "end 0\n"),
             std::pair(2ul, 22ul));
-  EXPECT_EQ(at("da-frontier v1\nconfig 04 1 2 2 1 3952\nend 0\n"),
+  EXPECT_EQ(at("da-frontier v2\nconfig 04 1 2 2 1 3952\nend 0\n"),
             std::pair(2ul, 8ul));
   const std::size_t before_newline = header.size() + shard.size() + 5;
   EXPECT_EQ(at(with_shards(shard, 1).substr(0, before_newline)),
-            std::pair(4ul, 6ul));
+            std::pair(5ul, 6ul));
   EXPECT_EQ(error_of(with_shards("shard 0 16 16 16 16-\n", 1)).kind,
             ParseKind::kSyntax);
-  EXPECT_EQ(error_of("da-frontier v1\nconfig +4 1 2 2 1 3952\nend 0\n").kind,
+  EXPECT_EQ(error_of("da-frontier v2\nconfig +4 1 2 2 1 3952\nend 0\n").kind,
             ParseKind::kSyntax);
   EXPECT_EQ(error_of(good + "\n").kind, ParseKind::kNotCanonical);
 
-  // v2 class-table damage, spliced into a minimal quotiented frontier
-  // (one 16-ordinal class standing for 247 conjugates: 16*247 = 3952).
+  // Class-table damage, spliced after the config record.
   const std::string v2_header = "da-frontier v2\nconfig 4 1 2 2 1 3952\n";
   const auto v2_with = [&](const std::string& body, int count) {
     return v2_header + body + "end " + std::to_string(count) + "\n";
   };
-  // No classes means v1, and classes mean v2, whatever the header says.
-  EXPECT_EQ(at(v2_with("", 0)), std::pair(1ul, 14ul));
-  EXPECT_EQ(at(with_shards("class 0 16 247\n", 0)), std::pair(1ul, 14ul));
+  // A file with no class records is byte-canonical, but covers nothing.
+  EXPECT_EQ(inconsistent(v2_with("", 0)),
+            "class weights do not reconcile to the space");
+  EXPECT_EQ(inconsistent(v2_with("shard 0 16 0 0 0 -\n", 1)),
+            "class weights do not reconcile to the space");
   EXPECT_EQ(why(v2_with("class 0 16 x\n", 0)),
             "syntax: malformed class record");
   EXPECT_EQ(at(v2_with("class 0 16 247\nshard 0 16 0 0 0 -\n"
@@ -408,55 +405,43 @@ TEST(FrontierRun, RejectsConfigsPastTheSearchCap) {
 }
 
 TEST(FrontierRun, UnreducedRunFindsTheSameHit) {
-  // Three rungs of the reduction ladder: fully quotiented (v2 frontier,
-  // receiver orbits on), subset quotient only (v2, receiver orbits off),
-  // and completely unreduced (v1 frontier, both off). All three must
-  // settle on the same hit ordinal and the same rematerialized adversary.
-  faults::Frontier quotient = faults::init_behavior_frontier(kViolating);
-  faults::Frontier subset_only = faults::init_behavior_frontier(kViolating);
-  faults::Frontier full = faults::init_behavior_frontier(
-      kViolating, -1, 1, /*subset_symmetry=*/false);
-  faults::FrontierRunOptions options;
-  const faults::FrontierRun quotient_run =
-      faults::run_behavior_frontier(quotient, options);
-  options.symmetry = false;
-  const faults::FrontierRun subset_run =
-      faults::run_behavior_frontier(subset_only, options);
-  const faults::FrontierRun full_run =
-      faults::run_behavior_frontier(full, options);
-  ASSERT_TRUE(quotient_run.error.empty()) << quotient_run.error;
-  ASSERT_TRUE(subset_run.error.empty()) << subset_run.error;
-  ASSERT_TRUE(full_run.error.empty()) << full_run.error;
-  ASSERT_TRUE(quotient_run.settled && subset_run.settled && full_run.settled);
-  EXPECT_EQ(quotient.best_hit(), full.best_hit());
-  EXPECT_EQ(subset_only.best_hit(), full.best_hit());
-  ASSERT_TRUE(quotient_run.violation.has_value());
-  ASSERT_TRUE(subset_run.violation.has_value());
-  ASSERT_TRUE(full_run.violation.has_value());
-  EXPECT_EQ(quotient_run.violation->adversary, full_run.violation->adversary);
-  EXPECT_EQ(subset_run.violation->adversary, full_run.violation->adversary);
+  // The quotient frontier's hit and rematerialized adversary are those of
+  // a scratch `behavior_at` scan of the full enumeration, in order.
+  std::uint64_t scan_hit = sweep::kNoHit;
+  std::optional<faults::Violation> scan_violation;
+  const std::uint64_t space = faults::behavior_search_space(kViolating);
+  for (std::uint64_t o = 0; o < space && !scan_violation; ++o) {
+    scan_violation = faults::behavior_at(kViolating, -1, o);
+    if (scan_violation.has_value()) scan_hit = o;
+  }
+  ASSERT_EQ(scan_hit, 129u);
+
+  faults::Frontier frontier = faults::init_behavior_frontier(kViolating);
+  const faults::FrontierRun run = faults::run_behavior_frontier(frontier);
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  ASSERT_TRUE(run.settled);
+  EXPECT_EQ(frontier.best_hit(), scan_hit);
+  ASSERT_TRUE(run.violation.has_value());
+  EXPECT_EQ(run.violation->adversary, scan_violation->adversary);
+  EXPECT_EQ(run.violation->spec.to_string(), scan_violation->spec.to_string());
 }
 
-TEST(FrontierRun, QuotientAndPlainFrontiersResumeTheirOwnPlans) {
-  // A v1 file keeps resuming against the unquotiented plan; a v2 file
-  // against the quotiented one. Tampered class tables are rejected.
-  faults::Frontier plain = faults::init_behavior_frontier(
-      kClean, -1, 1, /*subset_symmetry=*/false);
-  const faults::FrontierRun plain_run = faults::run_behavior_frontier(plain);
-  ASSERT_TRUE(plain_run.error.empty()) << plain_run.error;
-  EXPECT_TRUE(plain_run.settled);
-  EXPECT_EQ(plain_run.stats.executions,
-            faults::behavior_search_canonical_space(kClean));
-
+TEST(FrontierRun, RejectsTamperedClassTables) {
   // A class table that disagrees with the search's own quotient plan is
-  // rejected up front, before any shard executes.
+  // rejected up front, before any shard executes — whether weights were
+  // swapped or the table is gone.
   faults::Frontier tampered = faults::init_behavior_frontier(kClean);
   ASSERT_GE(tampered.classes.size(), 2u);
   std::swap(tampered.classes.front().weight, tampered.classes.back().weight);
   ASSERT_NE(tampered.classes.front().weight, tampered.classes.back().weight);
-  const faults::FrontierRun run = faults::run_behavior_frontier(tampered);
-  EXPECT_FALSE(run.error.empty());
-  EXPECT_NE(run.error.find("class"), std::string::npos) << run.error;
+  faults::Frontier classless = faults::init_behavior_frontier(kClean);
+  classless.classes.clear();
+  for (faults::Frontier frontier : {tampered, classless}) {
+    const faults::Frontier before = frontier;
+    const faults::FrontierRun run = faults::run_behavior_frontier(frontier);
+    EXPECT_NE(run.error.find("class"), std::string::npos) << run.error;
+    EXPECT_EQ(frontier, before);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Seeded mutation tests for every external text reader: FaultPlan,
-// `da-frontier` v1 and v2, obs::Json, trace JSONL and span JSONL. Each
+// `da-frontier` (v2), obs::Json, trace JSONL and span JSONL. Each
 // trial applies one to three edits — replace, delete or insert a byte,
 // duplicate a line, swap two lines, truncate — to a seed text taken from
 // a real export or a docs fence, and feeds the result to the reader. An
@@ -157,30 +157,22 @@ auto exact(Read read, Write write) {
 
 // -------------------------------------------------------------- frontier
 
-std::vector<std::string> frontier_seeds(bool quotient) {
+std::vector<std::string> frontier_seeds() {
   constexpr Config kViolating{.n = 4, .m = 1, .u = 2};
-  faults::Frontier fresh =
-      faults::init_behavior_frontier(kViolating, -1, 1, quotient);
+  faults::Frontier fresh = faults::init_behavior_frontier(kViolating);
   faults::Frontier settled = fresh;
   faults::FrontierRunOptions options;
   EXPECT_TRUE(faults::run_behavior_frontier(settled, options).error.empty());
   std::vector<std::string> seeds = {serialize_frontier(fresh),
                                     serialize_frontier(settled)};
   for (const std::string& fence : docs_fences("SEARCH.md", "frontier")) {
-    if ((fence.rfind("da-frontier v2", 0) == 0) == quotient) {
-      seeds.push_back(fence);
-    }
+    seeds.push_back(fence);
   }
   return seeds;
 }
 
-TEST(InputFuzz, FrontierV1) {
-  fuzz("da-frontier v1", frontier_seeds(false), 1,
-       exact(faults::parse_frontier, faults::serialize_frontier));
-}
-
 TEST(InputFuzz, FrontierV2) {
-  fuzz("da-frontier v2", frontier_seeds(true), 2,
+  fuzz("da-frontier v2", frontier_seeds(), 2,
        exact(faults::parse_frontier, faults::serialize_frontier));
 }
 

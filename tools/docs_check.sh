@@ -35,8 +35,8 @@
 #  10. with --frontier-check BIN (the built examples/search_resume.cpp),
 #      every ```frontier fence in docs/SEARCH.md is written to its own
 #      file and fed to `BIN status --frontier` individually, so each
-#      documented frontier example (the v1 plan and the v2 quotient) must
-#      parse with the real parser on its own.
+#      documented frontier example (§5's suspended search and §6's
+#      settled one) must parse with the real parser on its own.
 #
 # Usage: docs_check.sh [--bench-json FILE] [--plan-check BIN]
 #                      [--service-demo BIN] [--span-check BIN]

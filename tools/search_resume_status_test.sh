@@ -10,6 +10,24 @@ BIN=${1:?usage: search_resume_status_test.sh <search_resume-binary>}
 TMP=$(mktemp -d "${TMPDIR:-/tmp}/sr_status.XXXXXX")
 trap 'rm -rf "$TMP"' EXIT INT TERM
 
+# expect_refusal <stderr pattern> <command...>: the command must exit 2
+# with the pattern on stderr — a typed refusal, never an abort.
+expect_refusal() {
+  want=$1
+  shift
+  if "$@" >/dev/null 2>"$TMP/refused.err"; then
+    echo "accepted: $*" >&2
+    exit 1
+  else
+    code=$?
+  fi
+  [ "$code" -eq 2 ] || { echo "$* exited $code, want 2" >&2; exit 1; }
+  grep -q "$want" "$TMP/refused.err" || {
+    cat "$TMP/refused.err" >&2
+    exit 1
+  }
+}
+
 # 1. Fresh quotiented frontier: init prints the v2 plan line, 0.0%
 #    progress and an "unknown" eta carrying the remaining-shard count.
 "$BIN" init --out "$TMP/f" --n 4 --m 1 --u 1 >"$TMP/fresh.out"
@@ -43,14 +61,15 @@ verdict       clean (settled)
 EOF
 diff -u "$TMP/settled.golden" "$TMP/settled.out"
 
-# 4. --no-subset-symmetry writes a v1 file and reports the unquotiented
-#    plan (more shards: no segments were skipped).
-"$BIN" init --out "$TMP/v1" --n 4 --m 1 --u 1 --no-subset-symmetry \
-  >"$TMP/v1.out"
-grep -q '^plan          unquotiented (da-frontier v1)$' "$TMP/v1.out"
-grep -q '^space         112 ordinals, 4 shards (full plan)$' "$TMP/v1.out"
-head -n 1 "$TMP/v1" | grep -q '^da-frontier v1$'
+# 4. v2 is the only format init writes, and a v1 file — the unquotiented
+#    format of earlier releases — is refused on its header line.
 head -n 1 "$TMP/f" | grep -q '^da-frontier v2$'
+printf 'da-frontier v1\nconfig 4 1 1 1 1 112\nshard 0 64 0 0 0 -\nend 1\n' \
+  >"$TMP/v1"
+expect_refusal 'line 1, column 13: unknown-name: unsupported frontier version: v1' \
+  "$BIN" status --frontier "$TMP/v1"
+expect_refusal 'unknown-name: unsupported frontier version: v1' \
+  "$BIN" run --frontier "$TMP/v1"
 
 # 5. A partially-run violating frontier stays deterministic too: the hit
 #    at ordinal 129 settles the verdict while a cancelled shard remains.
@@ -87,30 +106,14 @@ grep -q "line $torn_lines, column 1: not-canonical:" "$TMP/torn.err" || {
 
 # 7. Inputs that parse but that the behaviour search cannot run are
 #    refused with exit 2 and a typed message on stderr, never an abort.
-#    expect_refusal <stderr pattern> <command...>
-expect_refusal() {
-  want=$1
-  shift
-  if "$@" >/dev/null 2>"$TMP/refused.err"; then
-    echo "accepted: $*" >&2
-    exit 1
-  else
-    code=$?
-  fi
-  [ "$code" -eq 2 ] || { echo "$* exited $code, want 2" >&2; exit 1; }
-  grep -q "$want" "$TMP/refused.err" || {
-    cat "$TMP/refused.err" >&2
-    exit 1
-  }
-}
 expect_refusal 'controls 13 slots, past the cap of 12' \
   "$BIN" init --out "$TMP/big" --n 6 --m 1 --u 3
 expect_refusal 'fault limit exceeds n' \
   "$BIN" init --out "$TMP/big" --n 5 --m 1 --u 2 --max-f 9
 expect_refusal 'n >= 2m+1' "$BIN" init --out "$TMP/big" --n 2 --m 1 --u 1
-# A v1 frontier past the slot cap: status reads it, run and artifact
+# A frontier past the slot cap: status reads it, run and artifact
 # refuse it.
-printf 'da-frontier v1\nconfig 6 1 3 3 1 840829184\nshard 0 1 0 0 0 -\nend 1\n' \
+printf 'da-frontier v2\nconfig 6 1 3 3 1 840829184\nclass 0 840829184 1\nshard 0 1 0 0 0 -\nend 1\n' \
   >"$TMP/big"
 "$BIN" status --frontier "$TMP/big" >/dev/null
 expect_refusal 'frontier: a faulty subset controls 13 slots' \
@@ -123,5 +126,32 @@ expect_refusal 'line 2, column 1: bad-value: fault limit exceeds n' \
   "$BIN" status --frontier "$TMP/maxf"
 expect_refusal 'line 2, column 1: bad-value: fault limit exceeds n' \
   "$BIN" run --frontier "$TMP/maxf"
+
+# 8. Numeric flags are read whole into their own types and ranges; a
+#    value that does not fit is a usage error naming the flag, never a
+#    wrapped number. (No in-range huge --jobs here: that would start
+#    that many threads.)
+expect_refusal '^search_resume: --n expects' \
+  "$BIN" init --out "$TMP/num" --n 4294967300
+expect_refusal '^search_resume: --seed expects' \
+  "$BIN" init --out "$TMP/num" --seed -1
+expect_refusal '^search_resume: --seed expects' \
+  "$BIN" init --out "$TMP/num" --seed 18446744073709551616
+expect_refusal '^search_resume: --max-f expects' \
+  "$BIN" init --out "$TMP/num" --max-f -2
+expect_refusal '^search_resume: --parts expects' \
+  "$BIN" split --frontier "$TMP/f" --parts 4294967297 --out-prefix "$TMP/p"
+expect_refusal '^search_resume: --parts expects' \
+  "$BIN" split --frontier "$TMP/f" --parts 0 --out-prefix "$TMP/p"
+expect_refusal '^search_resume: --jobs expects' \
+  "$BIN" run --frontier "$TMP/f" --jobs -3
+expect_refusal '^search_resume: --jobs expects' \
+  "$BIN" run --frontier "$TMP/f" --jobs 99999999999
+expect_refusal '^search_resume: --max-shards expects' \
+  "$BIN" run --frontier "$TMP/f" --max-shards -2
+# A seed past 32 bits is stored whole.
+"$BIN" init --out "$TMP/seed" --seed 99999999999 >"$TMP/seed.out"
+grep -q '^config        n=4 m=1 u=1 max_f=1 seed=99999999999$' "$TMP/seed.out"
+grep -q '^config 4 1 1 1 99999999999 112$' "$TMP/seed"
 
 echo "search_resume status golden: OK"
