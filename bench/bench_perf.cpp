@@ -12,6 +12,8 @@
 //     cheaper resolve);
 //   - Crusader (2 rounds regardless of m);
 //   - the VOTE primitive and EIG-tree resolution in isolation;
+//   - one warm round-engine execution (restore, then dispatch/process
+//     rounds), the service's per-instance cycle;
 //   - the parallel scenario-sweep engine over the adversary-complete
 //     behaviour space (`--jobs N` adds an N-worker variant next to the
 //     1-worker baseline, so the report shows the scaling directly).
@@ -40,6 +42,7 @@
 #include "protocols/ic/interactive_consistency.hpp"
 #include "service/frontend.hpp"
 #include "service/service.hpp"
+#include "sim/round_engine.hpp"
 #include "sweep/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -226,6 +229,39 @@ BENCHMARK(BM_EigResolve)
     ->Args({7, 3})
     ->Args({10, 4})
     ->Unit(benchmark::kMicrosecond);
+
+// One warm round-engine execution of BYZ(7,2,2) under `equivocator`, as
+// the service steps an admitted slot: restore the round-0 pre-dispatch
+// snapshot, then dispatch_pending / process_round until done. Dispatch
+// (routing, the adversary's `corrupt`) plus each receiver's admit walk,
+// store and relay fan-out, without the final resolve.
+void BM_RoundEngineRound(benchmark::State& state) {
+  const da::Config config{.n = 7, .m = 2, .u = 2};
+  const auto spec = make_spec(config, config.m);
+  auto adversary = da::faults::equivocator(da::Value::of(17),
+                                           da::Value::of(5));
+  da::sim::RunOptions options;
+  options.faulty = spec.faulty;
+  options.adversary = adversary.get();
+  da::sim::RoundEngine engine(
+      da::core::make_byz_processes(config, spec.sender, spec.sender_value),
+      options);
+  engine.begin();
+  const da::sim::RoundEngine::Snapshot start = engine.snapshot();
+  da::sim::RunResult result;
+  for (auto _ : state) {
+    engine.restore(start);
+    while (!engine.done()) {
+      engine.dispatch_pending();
+      engine.process_round();
+    }
+    benchmark::DoNotOptimize(engine);
+    benchmark::ClobberMemory();
+  }
+  engine.finish_into(result);
+  state.counters["messages"] = static_cast<double>(result.messages_sent);
+}
+BENCHMARK(BM_RoundEngineRound)->Unit(benchmark::kMicrosecond);
 
 // The adversary-complete behaviour sweep at the Theorem 2 boundary
 // (n = 5, 1/2-degradable), on `state.range(0)` sweep workers. Registered

@@ -19,7 +19,8 @@
 // in-flight shards' partial cursors; rerunning `run` resumes from the
 // last checkpoint and converges to the same normalized artifact for any
 // --jobs value and any interruption pattern (docs/SEARCH.md §5).
-// `artifact` refuses to print until the frontier has settled.
+// `artifact` refuses to print until the frontier has settled. `split`
+// writes min(P, shards) parts (at least one), none of them empty.
 //
 // `status` output is a pure function of the frontier bytes (frontiers
 // store no wall times, keeping artifacts machine-independent), so its

@@ -79,7 +79,8 @@ EventRunResult EventRunner::run() {
   const obs::ScopedTimer run_timer(run_ms);
   executions.add();
 
-  const sim::NodeIndex index(processes_);  // asserts ids unique
+  // Asserts ids unique and faulty ids known.
+  const sim::NodeIndex index(processes_, options_.faulty);
 
   EventRunResult result;
   result.base.rounds = rounds;
@@ -162,7 +163,7 @@ EventRunResult EventRunner::run() {
         dispatch(outbox, event.node_index, event.round, event.time,
                  /*fabricated=*/false);
         outbox.clear();  // keep capacity for on_round to append into
-        if (sim::is_faulty(options_, proc.id())) {
+        if (index.faulty(proc.id())) {
           std::vector<sim::Message> fabricated =
               options_.adversary->fabricate(proc.id(), event.round);
           dispatch(fabricated, event.node_index, event.round, event.time,

@@ -258,8 +258,11 @@ Parsed<Frontier> parse_frontier(std::string_view text) {
 
 std::vector<Frontier> split_frontier(const Frontier& frontier,
                                      std::size_t parts) {
-  std::vector<Frontier> out(std::max<std::size_t>(parts, 1),
-                            header_of(frontier));
+  // No part without a shard (beyond the one a shardless frontier needs),
+  // so a huge `parts` costs nothing.
+  const std::size_t count =
+      std::max<std::size_t>(std::min(parts, frontier.shards.size()), 1);
+  std::vector<Frontier> out(count, header_of(frontier));
   for (std::size_t i = 0; i < frontier.shards.size(); ++i) {
     out[i % out.size()].shards.push_back(frontier.shards[i]);
   }

@@ -104,9 +104,10 @@ struct Frontier {
 /// not reconcile to the space and shards outside every class range.
 [[nodiscard]] Parsed<Frontier> parse_frontier(std::string_view text);
 
-/// Splits a frontier into `parts` frontiers with the same header, dealing
-/// shards round-robin (part i takes shards i, i+parts, ...). Parts with
-/// no shards are still emitted, so merge(split(f)) == f.
+/// Splits a frontier into min(`parts`, shard count) frontiers (at least
+/// one) with the same header, dealing shards round-robin (part i takes
+/// shards i, i+k, ... for k parts), so no part is empty unless the
+/// frontier has no shards, and merge(split(f)) == f.
 [[nodiscard]] std::vector<Frontier> split_frontier(const Frontier& frontier,
                                                    std::size_t parts);
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -135,20 +136,18 @@ int BenchReporter::finish(int status) {
                  bench_name_.c_str(), parsed.error().to_string().c_str());
     return 1;
   }
-  std::string error;
-  if (!validate_bench_schema(*parsed, &error)) {
+  if (const auto error = validate_bench_schema(*parsed)) {
     std::fprintf(stderr, "%s: emitted JSON fails schema check: %s\n",
-                 bench_name_.c_str(), error.c_str());
+                 bench_name_.c_str(), error->c_str());
     return 1;
   }
   std::printf("[json report: %s]\n", json_path_.c_str());
   return status;
 }
 
-bool validate_bench_schema(const Json& report, std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
+std::optional<std::string> validate_bench_schema(const Json& report) {
+  const auto fail = [](std::string message) {
+    return std::optional<std::string>(std::move(message));
   };
   if (!report.is_object()) return fail("report is not an object");
 
@@ -221,7 +220,7 @@ bool validate_bench_schema(const Json& report, std::string* error) {
       }
     }
   }
-  return true;
+  return std::nullopt;
 }
 
 }  // namespace da::obs

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,11 +72,11 @@ class BenchReporter {
   std::vector<Json> tables_;
 };
 
-/// Validates a parsed bench report against the schema above. Returns true
-/// when every required top-level field is present with the right type; on
-/// failure fills `error` (if non-null) with the first problem.
-[[nodiscard]] bool validate_bench_schema(const Json& report,
-                                         std::string* error = nullptr);
+/// Validates a parsed bench report against the schema above. Returns
+/// nothing when every required top-level field is present with the right
+/// type, and the first problem otherwise.
+[[nodiscard]] std::optional<std::string> validate_bench_schema(
+    const Json& report);
 
 /// The current metrics registry contents as the report's "metrics" value.
 [[nodiscard]] Json metrics_to_json();

@@ -16,6 +16,9 @@ SmProcess::SmProcess(Params params) : params_(std::move(params)) {
                                 params_.self));
   DA_EXPECTS(std::binary_search(params_.nodes.begin(), params_.nodes.end(),
                                 params_.sender));
+  // Every id must fit a path hop, so no relay can fail mid-round.
+  DA_EXPECTS(Path::fits(params_.nodes.front()) &&
+             Path::fits(params_.nodes.back()));
   if (params_.self == params_.sender) {
     DA_EXPECTS(!params_.input.is_default());
   }

@@ -1,7 +1,6 @@
 #include "protocols/common/eig.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "protocols/common/vote.hpp"
 #include "util/contracts.hpp"
@@ -15,6 +14,7 @@ EigTree::EigTree(NodeId self, NodeId sender, std::vector<NodeId> nodes,
   DA_EXPECTS(static_cast<std::size_t>(depth_) <= Path::kMaxLen);
   std::sort(nodes_.begin(), nodes_.end());
   DA_EXPECTS(!nodes_.empty() && nodes_.front() >= 0);
+  DA_EXPECTS(Path::fits(nodes_.back()));
   DA_EXPECTS(std::adjacent_find(nodes_.begin(), nodes_.end()) ==
              nodes_.end());
 
@@ -26,6 +26,7 @@ EigTree::EigTree(NodeId self, NodeId sender, std::vector<NodeId> nodes,
   DA_EXPECTS(is_participant(sender_));
   DA_EXPECTS(is_participant(self_));
   const int sender_rank = rank_of_[static_cast<std::size_t>(sender_)];
+  self_bit_ = std::uint64_t{1} << rank_of_[static_cast<std::size_t>(self_)];
   if (self_ != sender_) {
     exclude_rank_ = rank_of_[static_cast<std::size_t>(self_)];
   }
@@ -37,23 +38,9 @@ EigTree::EigTree(NodeId self, NodeId sender, std::vector<NodeId> nodes,
 }
 
 std::uint32_t EigTree::ordinal_of(const Path& path) const {
-  DA_EXPECTS(!path.empty() && path.front() == sender_);
-  DA_EXPECTS(static_cast<int>(path.size()) <= depth_);
-  const EigLayout& layout = *layout_;
-  std::uint64_t mask = 1ULL << layout.sender_rank();
-  std::uint32_t ord = 0;
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    DA_EXPECTS(is_participant(path[i]));
-    const int rank = rank_of_[static_cast<std::size_t>(path[i])];
-    const std::uint64_t bit = 1ULL << rank;
-    DA_EXPECTS((mask & bit) == 0);  // hops pairwise distinct
-    // Child index = rank's position among the ranks not yet on the path.
-    const int child =
-        rank - std::popcount(mask & (bit - 1));
-    ord = layout.child_begin(ord, static_cast<int>(i) - 1) +
-          static_cast<std::uint32_t>(child);
-    mask |= bit;
-  }
+  std::uint64_t mask = 0;
+  const std::uint32_t ord = walk(path, mask);
+  DA_EXPECTS(ord != kNoSlot);
   return ord;
 }
 
@@ -63,15 +50,6 @@ void EigTree::set(const Path& path, Value v) {
   values_[ord] = v;
   present_[ord] = 1;
   ++stored_;
-}
-
-bool EigTree::set_if_absent(const Path& path, Value v) {
-  const std::uint32_t ord = ordinal_of(path);
-  if (present_[ord] != 0) return false;
-  values_[ord] = v;
-  present_[ord] = 1;
-  ++stored_;
-  return true;
 }
 
 Value EigTree::get(const Path& path) const { return values_[ordinal_of(path)]; }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,11 +37,12 @@ class Resolver {
 /// Storage is a flat arena: the shared `EigLayout` maps each admissible
 /// path to a dense ordinal (level-major, children contiguous per parent),
 /// values live in one contiguous vector preinitialized to V_d, and a
-/// presence bitmap backs `has()` and the first-write contract. `set`,
-/// `get` and `has` require structurally admissible paths — rooted at the
-/// sender, within depth, pairwise-distinct participant hops — which every
-/// receiver validates upstream anyway (`EigProcess::valid_message`);
-/// malformed paths are contract violations here, not silent V_d reads.
+/// presence bitmap backs `has()` and the first-write contract. A receiver
+/// turns a delivered path into its ordinal with one `admit` walk, which
+/// also rejects every malformed path. `set`, `get` and `has` require
+/// structurally admissible paths — rooted at the sender, within depth,
+/// pairwise-distinct participant hops — and treat malformed ones as
+/// contract violations, not silent V_d reads.
 ///
 /// `resolve` then computes the receiver's decision exactly as step 3 of
 /// BYZ(t,m): at an internal path sigma, the receiver's value vector is its
@@ -52,19 +54,31 @@ class Resolver {
 class EigTree {
  public:
   /// `nodes` lists every participant (sender included); `depth` is the
-  /// number of rounds (maximum path length).
+  /// number of rounds (maximum path length). Every id must fit a path hop
+  /// (`Path::fits`), so no relay can fail mid-round.
   EigTree(NodeId self, NodeId sender, std::vector<NodeId> nodes, int depth);
+
+  /// `admit`'s "no slot" ordinal.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// The receive walk: the arena ordinal of a delivered `path`, or kNoSlot
+  /// if this receiver must ignore it — not rooted at the sender, deeper
+  /// than the tree, a hop that is not a participant or repeats, or a hop
+  /// through this receiver. On success `mask` is the bitset of the ranks
+  /// on the path (`EigLayout::hop_mask` of the ordinal). One pass over the
+  /// hops does both the validation and the ordinal arithmetic.
+  [[nodiscard]] std::uint32_t admit(const Path& path,
+                                    std::uint64_t& mask) const;
 
   /// Stores a received value. Writing a slot twice is a contract
   /// violation: receivers deduplicate deliveries upstream (`has()`), so a
   /// second write can only be a protocol bug and must not be masked.
   void set(const Path& path, Value v);
 
-  /// `has()` + `set()` fused into one arena probe: stores `v` and returns
-  /// true if the slot was empty, returns false (leaving the first-written
-  /// value) if it was already filled. The receive hot path uses this so
-  /// duplicate detection and the write share a single ordinal walk.
-  bool set_if_absent(const Path& path, Value v);
+  /// Stores `v` at an `admit`ted ordinal and returns true if the slot was
+  /// empty; returns false (leaving the first-written value) if it was
+  /// already filled. This is the receive hot path's duplicate check.
+  bool set_if_absent(std::uint32_t ordinal, Value v);
 
   /// Value at `path`; V_d if never set.
   [[nodiscard]] Value get(const Path& path) const;
@@ -78,6 +92,13 @@ class EigTree {
   [[nodiscard]] std::size_t stored() const { return stored_; }
   [[nodiscard]] const std::vector<NodeId>& nodes() const { return nodes_; }
 
+  /// The ranks a relay of an admitted path (rank mask `mask`) goes to:
+  /// every participant off the path except this receiver. Rank r is
+  /// `nodes()[r]`, so ascending ranks are ascending ids.
+  [[nodiscard]] std::uint64_t relay_ranks(std::uint64_t mask) const {
+    return (~std::uint64_t{0} >> (64 - nodes_.size())) & ~(mask | self_bit_);
+  }
+
   /// True if `id` is a participant (O(1) rank-table lookup).
   [[nodiscard]] bool is_participant(NodeId id) const {
     return id >= 0 && static_cast<std::size_t>(id) < rank_of_.size() &&
@@ -88,6 +109,11 @@ class EigTree {
   [[nodiscard]] const EigLayout& layout() const { return *layout_; }
 
  private:
+  /// The hop walk shared by `admit` and `ordinal_of`: the ordinal of a
+  /// structurally admissible path (and its rank mask), else kNoSlot.
+  [[nodiscard]] std::uint32_t walk(const Path& path,
+                                   std::uint64_t& mask) const;
+  /// `walk` for the contract API: a malformed path is a violation.
   [[nodiscard]] std::uint32_t ordinal_of(const Path& path) const;
 
   NodeId self_;
@@ -97,12 +123,56 @@ class EigTree {
   /// Rank this receiver prunes at resolve time, or -1 when self == sender
   /// (the sender excludes nobody — it never relays through itself anyway).
   int exclude_rank_ = -1;
+  std::uint64_t self_bit_ = 0;  // this receiver's rank bit (`admit`)
   std::vector<std::int16_t> rank_of_;  // NodeId -> rank in nodes_, -1 unknown
   std::shared_ptr<const EigLayout> layout_;
   std::vector<Value> values_;          // arena, V_d where never set
   std::vector<std::uint8_t> present_;  // backs has() / first-write contract
   std::size_t stored_ = 0;
 };
+
+// The receive hot path, defined here so `EigProcess::on_round` compiles it
+// in place.
+
+inline std::uint32_t EigTree::walk(const Path& path,
+                                   std::uint64_t& mask) const {
+  const std::size_t len = path.size();
+  if (len == 0 || len > static_cast<std::size_t>(depth_) ||
+      path.front() != sender_) {
+    return kNoSlot;
+  }
+  const EigLayout& layout = *layout_;
+  std::uint64_t seen = std::uint64_t{1} << layout.sender_rank();
+  std::uint32_t ord = 0;
+  for (std::size_t i = 1; i < len; ++i) {
+    const NodeId hop = path[i];
+    if (!is_participant(hop)) return kNoSlot;
+    const int rank = rank_of_[static_cast<std::size_t>(hop)];
+    const std::uint64_t bit = std::uint64_t{1} << rank;
+    if ((seen & bit) != 0) return kNoSlot;  // hops pairwise distinct
+    // Child index = rank's position among the ranks not yet on the path.
+    const int child = rank - std::popcount(seen & (bit - 1));
+    ord = layout.child_begin(ord, static_cast<int>(i) - 1) +
+          static_cast<std::uint32_t>(child);
+    seen |= bit;
+  }
+  mask = seen;
+  return ord;
+}
+
+inline std::uint32_t EigTree::admit(const Path& path,
+                                    std::uint64_t& mask) const {
+  const std::uint32_t ord = walk(path, mask);
+  return ord != kNoSlot && (mask & self_bit_) == 0 ? ord : kNoSlot;
+}
+
+inline bool EigTree::set_if_absent(std::uint32_t ordinal, Value v) {
+  if (present_[ordinal] != 0) return false;
+  values_[ordinal] = v;
+  present_[ordinal] = 1;
+  ++stored_;
+  return true;
+}
 
 /// BYZ(t,m)'s rule: VOTE(n_sub - 1 - m, n_sub - 1). The fixed `m` threads
 /// through every level of the recursion (the paper: "the values of n and t

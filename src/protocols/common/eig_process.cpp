@@ -1,6 +1,6 @@
 #include "protocols/common/eig_process.hpp"
 
-#include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
@@ -31,20 +31,6 @@ void EigProcess::start(std::vector<sim::Message>& out) {
   }
 }
 
-bool EigProcess::valid_message(int round, const sim::Message& msg) const {
-  if (msg.to != params_.self) return false;
-  if (static_cast<int>(msg.path.size()) != round + 1) return false;
-  if (msg.path.front() != params_.sender) return false;
-  if (msg.path.back() != msg.from) return false;
-  if (!msg.path.distinct()) return false;
-  if (msg.path.contains(params_.self)) return false;
-  // Every relayer must be a participant.
-  for (NodeId hop : msg.path) {
-    if (!tree_.is_participant(hop)) return false;
-  }
-  return true;
-}
-
 void EigProcess::on_round(int round, const std::vector<sim::Message>& inbox,
                           std::vector<sim::Message>& out) {
   // Relays are appended into the runner's held outbox as each fresh path
@@ -53,21 +39,36 @@ void EigProcess::on_round(int round, const std::vector<sim::Message>& inbox,
   // stores without relaying.
   const bool relay =
       round + 1 < params_.depth && params_.self != params_.sender;
+  const std::vector<NodeId>& nodes = tree_.nodes();
   for (const sim::Message& msg : inbox) {
-    if (!valid_message(round, msg)) continue;
+    // A message is stored only if it is addressed here, its path has the
+    // round's length and ends at the actual transmitter, and `admit`
+    // finds its slot (rooted at the sender, distinct participant hops,
+    // not through this receiver).
+    if (msg.to != params_.self ||
+        static_cast<int>(msg.path.size()) != round + 1 ||
+        msg.path.back() != msg.from) {
+      continue;
+    }
+    std::uint64_t mask = 0;
+    const std::uint32_t slot = tree_.admit(msg.path, mask);
+    if (slot == EigTree::kNoSlot) continue;
     // Duplicate deliveries lose to the first write (set_if_absent).
-    if (!tree_.set_if_absent(msg.path, msg.value) || !relay) continue;
-    // Relay the value just stored with our id appended. Omitted incoming
-    // messages are not re-materialized: the downstream receiver observes
-    // our silence for that path as V_d, exactly as we did.
+    if (!tree_.set_if_absent(slot, msg.value) || !relay) continue;
+    // Relay the value just stored with our id appended, to every
+    // participant off the extended path, in ascending id (= rank) order.
+    // Omitted incoming messages are not re-materialized: the downstream
+    // receiver observes our silence for that path as V_d, exactly as we
+    // did.
     const Path extended = msg.path.extended(params_.self);
-    for (NodeId to : tree_.nodes()) {
-      if (to == params_.self || extended.contains(to)) continue;
-      out.push_back(sim::Message{.from = params_.self,
-                                 .to = to,
-                                 .round = round + 1,
-                                 .path = extended,
-                                 .value = msg.value});
+    for (std::uint64_t rest = tree_.relay_ranks(mask); rest != 0;
+         rest &= rest - 1) {
+      out.push_back(sim::Message{
+          .from = params_.self,
+          .to = nodes[static_cast<std::size_t>(std::countr_zero(rest))],
+          .round = round + 1,
+          .path = extended,
+          .value = msg.value});
     }
   }
 }

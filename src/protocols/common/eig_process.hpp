@@ -17,7 +17,8 @@ namespace da::protocols {
 /// Receivers validate structure strictly — a message is stored only if its
 /// path has the right length for the round, starts at the sender, ends at
 /// the actual transmitter, repeats no node, and does not contain the
-/// receiver. Anything malformed is ignored, which a fault-free receiver
+/// receiver (`EigTree::admit` checks the path in the same walk that finds
+/// its slot). Anything malformed is ignored, which a fault-free receiver
 /// cannot distinguish from an omission (and an omission reads as V_d).
 class EigProcess final : public sim::Process {
  public:
@@ -48,8 +49,6 @@ class EigProcess final : public sim::Process {
   [[nodiscard]] const EigTree& tree() const { return tree_; }
 
  private:
-  [[nodiscard]] bool valid_message(int round, const sim::Message& msg) const;
-
   Params params_;
   EigTree tree_;
 };

@@ -10,12 +10,4 @@ std::string Message::to_string() const {
   return s + ")";
 }
 
-std::size_t wire_size_bytes(const Message& msg) {
-  std::size_t bytes = 4 + 4 + 4;           // from, to, round
-  bytes += 1 + msg.path.size();            // path length + hops
-  bytes += msg.value.is_default() ? 1 : 9; // value tag (+ payload)
-  if (msg.aux != 0) bytes += 8;
-  return bytes;
-}
-
 }  // namespace da::sim

@@ -35,6 +35,12 @@ struct Message {
 /// length-prefixed path (1 byte length + 1 byte per hop), a 1-byte value
 /// tag plus an 8-byte payload for non-default values, and an 8-byte aux
 /// field only when aux is nonzero.
-[[nodiscard]] std::size_t wire_size_bytes(const Message& msg);
+[[nodiscard]] inline std::size_t wire_size_bytes(const Message& msg) {
+  std::size_t bytes = 4 + 4 + 4;            // from, to, round
+  bytes += 1 + msg.path.size();             // path length + hops
+  bytes += msg.value.is_default() ? 1 : 9;  // value tag (+ payload)
+  if (msg.aux != 0) bytes += 8;
+  return bytes;
+}
 
 }  // namespace da::sim

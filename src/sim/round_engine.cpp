@@ -43,18 +43,14 @@ RoundEngine::RoundEngine(std::vector<std::unique_ptr<Process>> processes,
                          RunOptions options)
     : processes_(std::move(processes)),
       options_(std::move(options)),
-      index_(processes_) {
+      index_(processes_, options_.faulty) {
   DA_EXPECTS(!processes_.empty());
   DA_EXPECTS(options_.faulty.empty() || options_.adversary != nullptr);
-  for (NodeId f : options_.faulty) {
-    DA_EXPECTS(index_.at(f) != NodeIndex::npos);
-  }
   rounds_ = processes_[0]->total_rounds();
   for (const auto& p : processes_) DA_EXPECTS(p->total_rounds() == rounds_);
   const std::size_t n = processes_.size();
   pending_.resize(n);
-  inflight_.resize(n);
-  delivered_.resize(n);
+  inboxes_.resize(n);
 }
 
 void RoundEngine::begin() {
@@ -79,7 +75,7 @@ void RoundEngine::dispatch(std::vector<Message>& outbox, NodeId from,
           ++delivered;
           wire_bytes += wire_size_bytes(copy);
           if (options_.trace != nullptr) options_.trace->record(copy);
-          inflight_[to].push_back(copy);
+          inboxes_[to].push_back(copy);
         });
   const std::uint64_t sent = outbox.size();
   messages_sent_ += sent;
@@ -99,7 +95,7 @@ void RoundEngine::dispatch_pending() {
     dispatch(pending_[i], processes_[i]->id(), pending_round_,
              /*fabricated=*/false);
     pending_[i].clear();  // keep capacity for the next collect
-    if (is_faulty(options_, processes_[i]->id())) {
+    if (index_.faulty(processes_[i]->id())) {
       std::vector<Message> fabricated =
           options_.adversary->fabricate(processes_[i]->id(), pending_round_);
       dispatch(fabricated, processes_[i]->id(), pending_round_,
@@ -111,10 +107,10 @@ void RoundEngine::dispatch_pending() {
 
 void RoundEngine::step_node(std::size_t i) {
   const int r = rounds_processed_;
-  std::vector<Message>& inbox = delivered_[i];
+  std::vector<Message>& inbox = inboxes_[i];
   sort_inbox(inbox);
   processes_[i]->on_round(r, inbox, pending_[i]);
-  inbox.clear();  // keep capacity for the round after next
+  inbox.clear();  // keep capacity for the next round's dispatch
   // Messages sent from the final round are discarded, uncounted.
   if (r + 1 == rounds_) pending_[i].clear();
 }
@@ -123,7 +119,6 @@ void RoundEngine::process_round(sweep::ThreadPool* pool) {
   DA_EXPECTS(begun_ && dispatched_ && !done());
   rounds_counter().add();
   const obs::ScopedTimer round_timer(round_ms_quantile());
-  delivered_.swap(inflight_);  // inflight buffers are all empty (cleared)
   const std::size_t n = processes_.size();
   if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) step_node(i);
@@ -198,8 +193,7 @@ void RoundEngine::restore(const Snapshot& snap) {
   }
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     pending_[i] = snap.pending[i];  // copy-assign: reuses capacity
-    inflight_[i].clear();
-    delivered_[i].clear();
+    inboxes_[i].clear();
   }
   pending_round_ = snap.pending_round;
   rounds_processed_ = snap.rounds_processed;

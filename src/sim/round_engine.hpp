@@ -115,7 +115,7 @@ class RoundEngine {
 
   /// Captures the state. Legal only at a pre-dispatch boundary (after
   /// `begin()` or `process_round()`, before `dispatch_pending()`), where
-  /// the in-flight buffers are empty by construction.
+  /// the inboxes are empty by construction.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Rewinds this engine to `snap` (which must come from an engine over
@@ -143,10 +143,9 @@ class RoundEngine {
   bool begun_ = false;
   bool dispatched_ = false;
 
-  // In-flight inboxes for round `rounds_processed_` (filled by dispatch,
-  // consumed by process_round) and the spare buffer set they swap with.
-  std::vector<std::vector<Message>> inflight_;
-  std::vector<std::vector<Message>> delivered_;
+  // Inboxes for round `rounds_processed_`: filled by dispatch, consumed
+  // and cleared (keeping capacity) by process_round.
+  std::vector<std::vector<Message>> inboxes_;
   int rounds_processed_ = 0;
 
   std::size_t messages_sent_ = 0;

@@ -65,28 +65,38 @@ class SyncRunner {
   RunOptions options_;
 };
 
-/// True if `id` is in `options.faulty`.
-[[nodiscard]] bool is_faulty(const RunOptions& options, NodeId id);
-
-/// Dense NodeId -> process-index table behind the runtimes' indexed inbox
-/// buffers: `at(id)` is the process position, or npos for ids no process
-/// owns (only a fabricated message can aim at one; `route` drops it).
+/// Dense NodeId -> process table behind the runtimes' indexed inbox
+/// buffers and their faulty-sender test: `at(id)` is the process position,
+/// or npos for ids no process owns (only a fabricated message can aim at
+/// one; `route` drops it), and `faulty(id)` says whether a process id is
+/// in the run's faulty set.
 class NodeIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  explicit NodeIndex(const std::vector<std::unique_ptr<Process>>& processes);
+  /// Every process id must be unique and every `faulty` id a process id.
+  NodeIndex(const std::vector<std::unique_ptr<Process>>& processes,
+            const std::vector<NodeId>& faulty);
 
   [[nodiscard]] std::size_t at(NodeId id) const {
     return id >= 0 && static_cast<std::size_t>(id) < index_.size()
-               ? index_[static_cast<std::size_t>(id)]
+               ? index_[static_cast<std::size_t>(id)].position
                : npos;
+  }
+
+  /// True if process `id` (which must be a process id) is faulty.
+  [[nodiscard]] bool faulty(NodeId id) const {
+    return index_[static_cast<std::size_t>(id)].faulty;
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }
 
  private:
-  std::vector<std::size_t> index_;  // NodeId -> position, npos when unknown
+  struct Entry {
+    std::size_t position = npos;  // npos when no process owns the id
+    bool faulty = false;
+  };
+  std::vector<Entry> index_;  // by NodeId
   std::size_t count_ = 0;
 };
 
@@ -142,7 +152,7 @@ template <typename Deliver>
 void route(std::vector<Message>& outbox, NodeId from, int round,
            bool fabricated, const RunOptions& options, const NodeIndex& index,
            Deliver&& deliver) {
-  const bool corrupt = !fabricated && is_faulty(options, from);
+  const bool corrupt = !fabricated && index.faulty(from);
   DA_EXPECTS(!corrupt || options.adversary != nullptr);
   const auto land = [&](const Message& copy) {
     const std::size_t to = index.at(copy.to);

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <string>
 
 #include "util/contracts.hpp"
@@ -15,15 +18,33 @@ namespace da {
 /// travelled through, starting at the original sender. Paths in BYZ(t,m)
 /// never repeat a node and never exceed m+1 hops, so a small inline array
 /// avoids per-message heap allocation in the simulator's hot path.
+///
+/// Each hop is stored as one signed byte (`Hop`), so a path is 13 bytes
+/// and a `sim::Message` 56 (88 with 32-bit hops). The API takes
+/// and returns `NodeId`; ids outside [kMinHop, kMaxHop] cannot be stored
+/// (`push_back` is a contract violation), which is why the protocols that
+/// build paths (`EigTree`, `SmProcess`) reject such participants at
+/// construction instead of failing mid-round. EIG's layout caps an
+/// instance at 64 nodes anyway. Iteration yields the stored hops, which
+/// widen to the same `NodeId` values; `hash()` is the same function of
+/// those values as over 32-bit storage.
 class Path {
  public:
+  using Hop = std::int8_t;
   static constexpr std::size_t kMaxLen = 12;
+  static constexpr NodeId kMinHop = std::numeric_limits<Hop>::min();
+  static constexpr NodeId kMaxHop = std::numeric_limits<Hop>::max();
+
+  /// True if `id` can be stored as a hop.
+  [[nodiscard]] static constexpr bool fits(NodeId id) noexcept {
+    return id >= kMinHop && id <= kMaxHop;
+  }
 
   constexpr Path() noexcept = default;
 
   Path(std::initializer_list<NodeId> ids) {
     DA_EXPECTS(ids.size() <= kMaxLen);
-    for (NodeId id : ids) nodes_[len_++] = id;
+    for (NodeId id : ids) push_back(id);
   }
 
   [[nodiscard]] constexpr std::size_t size() const noexcept { return len_; }
@@ -40,7 +61,8 @@ class Path {
 
   void push_back(NodeId id) {
     DA_EXPECTS(len_ < kMaxLen);
-    nodes_[len_++] = id;
+    DA_EXPECTS(fits(id));
+    nodes_[len_++] = static_cast<Hop>(id);
   }
 
   void pop_back() {
@@ -49,8 +71,8 @@ class Path {
   }
 
   [[nodiscard]] bool contains(NodeId id) const noexcept {
-    return std::find(nodes_.begin(), nodes_.begin() + len_, id) !=
-           nodes_.begin() + len_;
+    return fits(id) &&
+           std::find(begin(), end(), static_cast<Hop>(id)) != end();
   }
 
   /// All elements pairwise distinct?
@@ -68,10 +90,8 @@ class Path {
     return p;
   }
 
-  [[nodiscard]] const NodeId* begin() const noexcept { return nodes_.data(); }
-  [[nodiscard]] const NodeId* end() const noexcept {
-    return nodes_.data() + len_;
-  }
+  [[nodiscard]] const Hop* begin() const noexcept { return nodes_.data(); }
+  [[nodiscard]] const Hop* end() const noexcept { return nodes_.data() + len_; }
 
   friend bool operator==(const Path& a, const Path& b) noexcept {
     return a.len_ == b.len_ &&
@@ -79,9 +99,10 @@ class Path {
   }
 
   /// Lexicographic order (used for deterministic iteration in maps).
-  friend bool operator<(const Path& a, const Path& b) noexcept {
-    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                        b.end());
+  friend std::strong_ordering operator<=>(const Path& a,
+                                          const Path& b) noexcept {
+    return std::lexicographical_compare_three_way(a.begin(), a.end(),
+                                                  b.begin(), b.end());
   }
 
   [[nodiscard]] std::string to_string() const {
@@ -103,7 +124,7 @@ class Path {
   }
 
  private:
-  std::array<NodeId, kMaxLen> nodes_{};
+  std::array<Hop, kMaxLen> nodes_{};
   std::uint8_t len_ = 0;
 };
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <numeric>
+#include <vector>
+
 #include "protocols/common/eig_process.hpp"
 #include "sim/runner.hpp"
 
@@ -57,6 +64,121 @@ TEST(EigTree, RejectsNonParticipantAndRepeatedHops) {
   EXPECT_THROW(tree.set(Path{0, 9}, Value::of(1)), std::logic_error);
   EXPECT_THROW(tree.set(Path{0, 2, 2}, Value::of(1)), std::logic_error);
   EXPECT_THROW((void)tree.get(Path{0, 9}), std::logic_error);
+}
+
+TEST(EigTree, RejectsIdsBeyondAPathHop) {
+  EXPECT_NO_THROW(EigTree(0, 0, {0, 127}, 1));
+  EXPECT_THROW(EigTree(0, 0, {0, 128}, 1), std::logic_error);
+  EXPECT_THROW(EigTree(0, 0, {0, 1, 300}, 2), std::logic_error);
+}
+
+/// The receive walk as it was before `admit`: the path checks of the old
+/// `EigProcess::valid_message` (its length check is `admit`'s depth bound
+/// here; the message-level checks stay in `on_round`), then the old
+/// `EigTree::ordinal_of`. Returns the ordinal, or EigTree::kNoSlot.
+std::uint32_t reference_admit(const EigTree& tree, NodeId self,
+                              NodeId sender, const Path& path) {
+  if (path.empty() || static_cast<int>(path.size()) > tree.depth()) {
+    return EigTree::kNoSlot;
+  }
+  if (path.front() != sender) return EigTree::kNoSlot;
+  if (!path.distinct()) return EigTree::kNoSlot;
+  if (path.contains(self)) return EigTree::kNoSlot;
+  for (NodeId hop : path) {
+    if (!tree.is_participant(hop)) return EigTree::kNoSlot;
+  }
+  const EigLayout& layout = tree.layout();
+  const std::vector<NodeId>& nodes = tree.nodes();
+  std::uint64_t mask = 1ULL << layout.sender_rank();
+  std::uint32_t ord = 0;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const int rank = static_cast<int>(
+        std::lower_bound(nodes.begin(), nodes.end(), path[i]) -
+        nodes.begin());
+    const std::uint64_t bit = 1ULL << rank;
+    const int child = rank - std::popcount(mask & (bit - 1));
+    ord = layout.child_begin(ord, static_cast<int>(i) - 1) +
+          static_cast<std::uint32_t>(child);
+    mask |= bit;
+  }
+  return ord;
+}
+
+TEST(EigTree, AdmitMatchesValidMessagePlusOrdinalOf) {
+  // Every path of length 0..depth+1 over the ids one below the smallest
+  // participant to one above the largest, so duplicate hops, hops through
+  // the receiver, foreign roots and non-participants all occur.
+  std::vector<std::vector<NodeId>> node_sets;
+  for (int n = 2; n <= 5; ++n) {
+    std::vector<NodeId> nodes(static_cast<std::size_t>(n));
+    std::iota(nodes.begin(), nodes.end(), 0);
+    node_sets.push_back(nodes);
+  }
+  node_sets.push_back({0, 2, 3, 5});
+  node_sets.push_back({1, 3, 4});
+  std::size_t admitted = 0;
+  std::size_t rejected = 0;
+  for (const std::vector<NodeId>& nodes : node_sets) {
+    const int n = static_cast<int>(nodes.size());
+    const NodeId lo = nodes.front() - 1;
+    const NodeId hi = nodes.back() + 1;
+    for (int depth = 1; depth <= std::min(n, 3); ++depth) {
+      for (const NodeId sender : nodes) {
+        for (const NodeId self : nodes) {
+          const EigTree tree(self, sender, nodes, depth);
+          Path path;
+          const std::function<void()> visit = [&] {
+            if (::testing::Test::HasFailure()) return;  // report one path
+            std::uint64_t mask = 0;
+            const std::uint32_t got = tree.admit(path, mask);
+            const std::uint32_t want =
+                reference_admit(tree, self, sender, path);
+            ASSERT_EQ(got, want) << path.to_string() << " self " << self
+                                 << " sender " << sender << " depth "
+                                 << depth;
+            if (got == EigTree::kNoSlot) {
+              ++rejected;
+            } else {
+              ++admitted;
+              EXPECT_EQ(mask, tree.layout().hop_mask(got));
+            }
+            if (static_cast<int>(path.size()) > depth) return;
+            for (NodeId id = lo; id <= hi; ++id) {
+              path.push_back(id);
+              visit();
+              path.pop_back();
+            }
+          };
+          visit();
+        }
+      }
+    }
+  }
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(rejected, admitted);
+}
+
+TEST(EigProcess, RelayFanOutSkipsEveryNodeOnThePath) {
+  const auto resolver = std::make_shared<ByzResolver>(2);
+  EigProcess receiver(EigProcess::Params{.self = 2,
+                                         .sender = 0,
+                                         .nodes = {0, 1, 2, 3, 4, 5},
+                                         .depth = 3,
+                                         .resolver = resolver});
+  const sim::Message msg{.from = 4,
+                         .to = 2,
+                         .round = 1,
+                         .path = Path{0, 4},
+                         .value = Value::of(6)};
+  std::vector<sim::Message> out;
+  receiver.on_round(1, {msg}, out);
+  std::vector<NodeId> to;
+  for (const sim::Message& relay : out) {
+    EXPECT_EQ(relay.path, (Path{0, 4, 2}));
+    EXPECT_EQ(relay.round, 2);
+    to.push_back(relay.to);
+  }
+  EXPECT_EQ(to, (std::vector<NodeId>{1, 3, 5}));  // ascending ids
 }
 
 TEST(EigTree, DepthOneResolveIsDirectRead) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <regex>
 #include <set>
 #include <string>
@@ -378,8 +379,9 @@ Json minimal_report() {
 }
 
 TEST(BenchSchema, AcceptsMinimalReport) {
-  std::string error;
-  EXPECT_TRUE(validate_bench_schema(minimal_report(), &error)) << error;
+  const std::optional<std::string> error =
+      validate_bench_schema(minimal_report());
+  EXPECT_FALSE(error) << *error;
 }
 
 TEST(BenchSchema, RejectsMissingOrMistypedFields) {
@@ -390,14 +392,14 @@ TEST(BenchSchema, RejectsMissingOrMistypedFields) {
     for (const auto& [key, value] : report.as_object()) {
       if (key != field) broken.set(key, value);
     }
-    std::string error;
-    EXPECT_FALSE(validate_bench_schema(broken, &error)) << field;
-    EXPECT_NE(error.find(field), std::string::npos) << error;
+    const std::optional<std::string> error = validate_bench_schema(broken);
+    ASSERT_TRUE(error) << field;
+    EXPECT_NE(error->find(field), std::string::npos) << *error;
   }
 
   Json mistyped = minimal_report();
   mistyped.set("seed", "seven");
-  EXPECT_FALSE(validate_bench_schema(mistyped, nullptr));
+  EXPECT_TRUE(validate_bench_schema(mistyped).has_value());
 }
 
 TEST(BenchSchema, RejectsRowArityMismatch) {
@@ -412,8 +414,7 @@ TEST(BenchSchema, RejectsRowArityMismatch) {
   Json tables = Json::array();
   tables.push_back(table);
   report.set("tables", tables);
-  std::string error;
-  EXPECT_FALSE(validate_bench_schema(report, &error));
+  EXPECT_TRUE(validate_bench_schema(report).has_value());
 }
 
 TEST(BenchSchema, MetricsToJsonContainsRegistryCounters) {

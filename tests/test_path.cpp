@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_set>
+#include <vector>
+
+#include "sim/message.hpp"
 
 namespace da {
 namespace {
@@ -105,6 +109,58 @@ TEST(Path, RangeFor) {
   int sum = 0;
   for (NodeId id : p) sum += id;
   EXPECT_EQ(sum, 12);
+}
+
+// One byte per hop keeps a whole message within 56 bytes (88 with 32-bit
+// hops).
+static_assert(sizeof(Path) == 13);
+static_assert(sizeof(sim::Message) <= 56);
+
+TEST(Path, HopsRoundTripAtByteBounds) {
+  for (const NodeId id : {Path::kMinHop, -1, 0, 63, 127}) {
+    Path p;
+    p.push_back(id);
+    EXPECT_EQ(p[0], id);
+    EXPECT_EQ(p.front(), id);
+    EXPECT_TRUE(p.contains(id));
+    for (const NodeId hop : p) EXPECT_EQ(hop, id);
+  }
+  const Path p{-1, 0, 63, 127};
+  EXPECT_EQ(p.to_string(), "[-1,0,63,127]");
+  EXPECT_EQ(p.back(), 127);
+}
+
+TEST(Path, HopOutsideByteThrows) {
+  Path p;
+  EXPECT_THROW(p.push_back(128), std::logic_error);
+  EXPECT_THROW(p.push_back(Path::kMinHop - 1), std::logic_error);
+  EXPECT_TRUE(p.empty());
+  EXPECT_THROW((Path{0, 128}), std::logic_error);
+  // An id that does not fit is on no path, whatever its low byte.
+  const Path q{0, 1};
+  EXPECT_FALSE(q.contains(256));
+  EXPECT_FALSE(q.contains(257));
+  EXPECT_FALSE(q.contains(-256));
+}
+
+TEST(Path, HashEqualsInt32Formula) {
+  // The formula over 32-bit hops, as it was before hops became bytes:
+  // traces, adversary decisions and the injection hash all depend on it.
+  const auto int32_hash = [](const std::vector<std::int32_t>& hops) {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (const std::int32_t hop : hops) {
+      h ^= static_cast<std::uint64_t>(hop) + 0x9e3779b97f4a7c15ULL +
+           (h << 6) + (h >> 2);
+    }
+    return static_cast<std::size_t>(h ^ hops.size());
+  };
+  const std::vector<std::vector<std::int32_t>> cases{
+      {}, {0}, {-1}, {127}, {-128}, {0, 3, 1}, {5, -1, 127, 63, 0, 2}};
+  for (const auto& hops : cases) {
+    Path p;
+    for (const std::int32_t hop : hops) p.push_back(hop);
+    EXPECT_EQ(p.hash(), int32_hash(hops)) << p.to_string();
+  }
 }
 
 }  // namespace

@@ -23,6 +23,20 @@ sim::RunResult run_sm(int n, int m, NodeId sender, Value v,
   return runner.run();
 }
 
+TEST(SmProcess, RejectsIdsBeyondAPathHop) {
+  const SignatureAuthority authority(1, 200);
+  const auto params = [&](NodeId top) {
+    return SmProcess::Params{.self = 0,
+                             .sender = 0,
+                             .nodes = {0, 1, top},
+                             .m = 1,
+                             .input = Value::of(1),
+                             .authority = &authority};
+  };
+  EXPECT_NO_THROW(SmProcess(params(127)));
+  EXPECT_THROW(SmProcess(params(128)), std::logic_error);
+}
+
 TEST(Signatures, SignVerifyRoundTrip) {
   const SignatureAuthority authority(1, 4);
   const Path chain{0, 2};
