@@ -65,7 +65,7 @@ Tally sweep(std::shared_ptr<const da::protocols::Resolver> resolver, int f) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_ablation_vote", &argc, argv);
+  da::obs::BenchReporter reporter("bench_ablation_vote", argc, argv);
   std::puts("E10: ablation — VOTE(n-1-m, n-1) vs simple majority resolve");
   std::printf("     config %s, identical message pattern, exhaustive fault "
               "subsets x adversary family\n\n",

@@ -185,7 +185,7 @@ void periodic_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_clocksync", &argc, argv);
+  da::obs::BenchReporter reporter("bench_clocksync", argc, argv);
   std::puts("E7: clock synchronization (Section 6)\n");
   cnv_table();
   witness_table();

@@ -152,7 +152,7 @@ void separator_demo(int m, int u) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_connectivity", &argc, argv);
+  da::obs::BenchReporter reporter("bench_connectivity", argc, argv);
   std::puts("E5: Theorem 3 — connectivity >= m+u+1 necessary and sufficient\n");
   threshold_demo(1, 2);
   threshold_demo(2, 3);

@@ -72,7 +72,7 @@ Cell sweep(double timeout, double offset_spread, int f, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_event_timing", &argc, argv);
+  da::obs::BenchReporter reporter("bench_event_timing", argc, argv);
   std::puts("E6b: clock-driven rounds and timeout-based absence detection");
   std::printf("     config %s, link latency U[0.01, 0.10], period 1.0\n\n",
               kConfig.to_string().c_str());

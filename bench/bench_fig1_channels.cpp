@@ -88,7 +88,7 @@ void report(const char* title, const ChannelSystem& system, int max_f,
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_fig1_channels", &argc, argv);
+  da::obs::BenchReporter reporter("bench_fig1_channels", argc, argv);
   std::puts("E3: multiple-channel systems of Figure 1 (m = 1)\n");
 
   const ChannelSystem byzantine(

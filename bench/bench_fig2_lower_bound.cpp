@@ -15,8 +15,6 @@
 // so the run reports its own scaling.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 #include "core/agreement.hpp"
@@ -147,24 +145,10 @@ void sweep_boundary(int jobs) {
   }
 }
 
-int parse_jobs(int argc, char** argv) {
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    }
-  }
-  return jobs;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_fig2_lower_bound", &argc, argv);
-  const int jobs = parse_jobs(argc, argv);
-  reporter.set_jobs(jobs);
+  da::obs::BenchReporter reporter("bench_fig2_lower_bound", argc, argv);
   std::puts("E4: Theorem 2 lower bound, Figure 2 made executable");
   std::printf("    alpha = %s, beta = %s, both distinct from V_d\n\n",
               da::faults::figure2::kAlpha.to_string().c_str(),
@@ -174,7 +158,7 @@ int main(int argc, char** argv) {
   run_at(6);  // Part II group lift
   run_at(8);
 
-  sweep_boundary(jobs);
+  sweep_boundary(reporter.jobs());
 
   std::puts("\nWith one more node (N = 2m+u+1) the exhaustive sweeps of");
   std::puts("bench_table_min_nodes find no violation: the bound is tight.");

@@ -70,7 +70,7 @@ int degradable_retained(int f, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_ic_comparison", &argc, argv);
+  da::obs::BenchReporter reporter("bench_ic_comparison", argc, argv);
   std::puts("E8: graceful degradation — interactive consistency vs");
   std::puts("    1/4-degradable agreement on 7 nodes (worst over trials)\n");
 

@@ -51,7 +51,7 @@ double run_batch(int runs, const da::inject::FaultPlan* plan) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_inject", &argc, argv);
+  da::obs::BenchReporter reporter("bench_inject", argc, argv);
   reporter.set_seed(1);
   const int runs = reporter.smoke() ? 20 : 400;
 

@@ -21,8 +21,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,8 +46,6 @@
 #include "util/table.hpp"
 
 namespace {
-
-int g_jobs = 1;
 
 da::ScenarioSpec make_spec(const da::Config& config, int f) {
   da::ScenarioSpec spec;
@@ -653,7 +649,7 @@ BENCHMARK(BM_ServiceClassLatency)
     ->Arg(static_cast<int>(da::service::AdmissionClass::kLow))
     ->Unit(benchmark::kMillisecond);
 
-void register_sweep_benchmarks() {
+void register_sweep_benchmarks(int jobs) {
   auto* behaviour =
       benchmark::RegisterBenchmark("BM_BehaviourSweep", BM_BehaviourSweep);
   auto* family = benchmark::RegisterBenchmark("BM_FamilySearchSweep",
@@ -664,7 +660,7 @@ void register_sweep_benchmarks() {
                                                 BM_FrontendThroughput);
   for (auto* bench : {behaviour, family, service, frontend}) {
     bench->Unit(benchmark::kMillisecond)->Arg(1);
-    if (g_jobs > 1) bench->Arg(g_jobs);
+    if (jobs > 1) bench->Arg(jobs);
   }
 }
 
@@ -833,30 +829,15 @@ class RecordingReporter final : public benchmark::ConsoleReporter {
 
 }  // namespace
 
-// Hand-rolled main instead of BENCHMARK_MAIN(): `--jobs N` must be
-// stripped before benchmark::Initialize rejects it as an unknown flag
-// (the reporter strips `--json`/`--smoke` the same way).
+// Hand-rolled main instead of BENCHMARK_MAIN(): google-benchmark takes
+// its `--benchmark_*` flags out of argv first, and the reporter then reads
+// the rest (`--jobs`, `--json`, `--smoke`), refusing anything else.
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_perf", &argc, argv);
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      g_jobs = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      g_jobs = std::atoi(argv[i] + 7);
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  benchmark::Initialize(&argc, argv);
+  da::obs::BenchReporter reporter("bench_perf", argc, argv);
   reporter.set_seed(7);
-  reporter.set_jobs(g_jobs);
   if (!reporter.smoke()) {
-    register_sweep_benchmarks();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-      return reporter.finish(1);
-    }
+    register_sweep_benchmarks(reporter.jobs());
     da::Table bench_table({"benchmark", "real_ms", "cpu_ms", "iterations"});
     bench_table.set_name("benchmarks");
     RecordingReporter recording(&bench_table);

@@ -64,7 +64,7 @@ Cell sweep(const da::Config& config, int f, double drop, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_relaxed_timeouts", &argc, argv);
+  da::obs::BenchReporter reporter("bench_relaxed_timeouts", argc, argv);
   std::puts("E6: false timeouts between fault-free nodes (Section 6.1)");
   const da::Config config{.n = 7, .m = 1, .u = 4};
   std::printf("    config: %s\n\n", config.to_string().c_str());

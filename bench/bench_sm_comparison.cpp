@@ -47,7 +47,7 @@ da::sim::RunResult run_sm(int n, int m, const std::vector<da::NodeId>& faulty,
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_sm_comparison", &argc, argv);
+  da::obs::BenchReporter reporter("bench_sm_comparison", argc, argv);
   std::puts("E11: oral (OM / BYZ) vs signed (SM) message models\n");
 
   std::puts("node budget to mask m traitors:");

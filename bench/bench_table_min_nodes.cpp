@@ -9,8 +9,6 @@
 // for every value — see docs/SEARCH.md).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/bounds.hpp"
@@ -75,14 +73,8 @@ std::string verify_cell(int m, int u) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_table_min_nodes", &argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      g_jobs = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      g_jobs = std::atoi(argv[i] + 7);
-    }
-  }
+  da::obs::BenchReporter reporter("bench_table_min_nodes", argc, argv);
+  g_jobs = reporter.jobs();
   if (reporter.smoke()) g_verify_node_cap = 4;
   reporter.set_seed(7);
   std::puts("E1: minimum number of nodes for m/u-degradable agreement");
@@ -124,6 +116,5 @@ int main(int argc, char** argv) {
     }
     table.print();
   }
-  reporter.set_jobs(g_jobs);
   return reporter.finish();
 }

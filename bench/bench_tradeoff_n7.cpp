@@ -62,7 +62,7 @@ SweepRow sweep(const da::Config& config, int f, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  da::obs::BenchReporter reporter("bench_tradeoff_n7", &argc, argv);
+  da::obs::BenchReporter reporter("bench_tradeoff_n7", argc, argv);
   std::puts("E2: the 7-node trade-off (paper, Section 2)");
   std::puts("    exact    = all fault-free nodes on one value (D.1/D.2)");
   std::puts("    degraded = {value, V_d} split, >= m+1 nodes agreeing (D.3/D.4)");

@@ -15,12 +15,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "da/da.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -32,69 +33,63 @@ struct Args {
   std::int64_t value = 42;
   std::vector<da::NodeId> faulty;
   std::string adversary = "equivocator";
-  std::string runtime = "sim";
+  bool threaded = false;
   bool trace = false;
 };
 
-std::vector<da::NodeId> parse_id_list(const char* arg) {
-  std::vector<da::NodeId> out;
-  std::string token;
-  for (const char* p = arg;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!token.empty()) out.push_back(std::atoi(token.c_str()));
-      token.clear();
-      if (*p == '\0') break;
-    } else {
-      token += *p;
-    }
-  }
-  return out;
-}
+constexpr const char* kUsage =
+    "usage: da_cli [--n N] [--m M] [--u U] [--sender S] [--value V]\n"
+    "              [--faulty a,b,c] [--adversary NAME]\n"
+    "              [--runtime sim|threaded] [--trace]\n"
+    "adversaries: honest silent liar default equivocator pivot crash noise";
 
-[[noreturn]] void usage() {
-  std::puts(
-      "usage: da_cli [--n N] [--m M] [--u U] [--sender S] [--value V]\n"
-      "              [--faulty a,b,c] [--adversary NAME]\n"
-      "              [--runtime sim|threaded] [--trace]\n"
-      "adversaries: honest silent liar default equivocator pivot crash "
-      "noise");
-  std::exit(2);
-}
+// The adversaries lie with `value + 13` and draw noise from `value ± 5`,
+// so --value keeps that far from the int64 limits.
+using Limits = std::numeric_limits<std::int64_t>;
+constexpr std::int64_t kMinValue = Limits::min() + 5;
+constexpr std::int64_t kMaxValue = Limits::max() - 13;
 
-Args parse(int argc, char** argv) {
+/// Reads the command line and checks the scenario it names with the
+/// conditions of `ScenarioSpec::validate` and the EIG engine, so a bad
+/// scenario is a usage error (exit 2), never a contract abort.
+Args parse(int argc, char** argv, da::ArgReader& reader) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const auto want = [&](const char* flag) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) usage();
-      return true;
-    };
-    if (want("--n")) {
-      args.n = std::atoi(argv[++i]);
-    } else if (want("--m")) {
-      args.m = std::atoi(argv[++i]);
-    } else if (want("--u")) {
-      args.u = std::atoi(argv[++i]);
-    } else if (want("--sender")) {
-      args.sender = std::atoi(argv[++i]);
-    } else if (want("--value")) {
-      args.value = std::atoll(argv[++i]);
-    } else if (want("--faulty")) {
-      args.faulty = parse_id_list(argv[++i]);
-    } else if (want("--adversary")) {
-      args.adversary = argv[++i];
-    } else if (want("--runtime")) {
-      args.runtime = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      args.trace = true;
-    } else {
-      usage();
-    }
+  std::string faulty;
+  // EigLayout's rank mask holds 64 nodes; BYZ(m) relays m + 1 hops a path.
+  reader.integer("--n", args.n, 2, 64)
+      .integer("--m", args.m, 0, static_cast<int>(da::Path::kMaxLen) - 1)
+      .integer("--u", args.u, 0, 63)
+      .integer("--sender", args.sender, 0, 63)
+      .integer("--value", args.value, kMinValue, kMaxValue)
+      .text("--faulty", faulty)
+      .text("--adversary", args.adversary)
+      .choice("--runtime", args.threaded, {{"sim", false}, {"threaded", true}})
+      .flag("--trace", args.trace)
+      .read(argc, argv);
+  const da::Config config{.n = args.n, .m = args.m, .u = args.u};
+  if (!config.valid()) reader.refuse("invalid config: " + config.to_string());
+  if (!config.engine_runnable()) {
+    reader.refuse(da::UnsupportedConfig(config).what());
+  }
+  const std::string ids = "ids in [0, " + std::to_string(args.n - 1) + "]";
+  if (args.sender >= args.n) reader.fail("--sender", "one of the " + ids);
+  for (std::string_view rest = faulty; !faulty.empty();) {
+    const std::size_t comma = rest.find(',');
+    args.faulty.push_back(reader.number<da::NodeId>(
+        "--faulty", rest.substr(0, comma), 0, args.n - 1));
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
+  }
+  std::sort(args.faulty.begin(), args.faulty.end());
+  if (std::adjacent_find(args.faulty.begin(), args.faulty.end()) !=
+      args.faulty.end()) {
+    reader.fail("--faulty", "distinct " + ids);
   }
   return args;
 }
 
-std::unique_ptr<da::sim::Adversary> make_adversary(const Args& args) {
+std::unique_ptr<da::sim::Adversary> make_adversary(
+    const Args& args, const da::ArgReader& reader) {
   const da::Value truth = da::Value::of(args.value);
   const da::Value lie = da::Value::of(args.value + 13);
   if (args.adversary == "honest") return da::faults::honest();
@@ -111,26 +106,24 @@ std::unique_ptr<da::sim::Adversary> make_adversary(const Args& args) {
   if (args.adversary == "noise") {
     return da::faults::random_noise(99, args.value - 5, args.value + 5, 0.25);
   }
-  usage();
+  reader.fail("--adversary",
+              "one of honest silent liar default equivocator pivot crash "
+              "noise");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  da::ArgReader reader("da_cli", kUsage);
+  const Args args = parse(argc, argv, reader);
+  auto adversary = make_adversary(args, reader);
 
   da::ScenarioSpec spec;
   spec.config = da::Config{.n = args.n, .m = args.m, .u = args.u};
   spec.sender = args.sender;
   spec.sender_value = da::Value::of(args.value);
   spec.faulty = args.faulty;
-  std::sort(spec.faulty.begin(), spec.faulty.end());
 
-  if (!spec.config.valid()) {
-    std::fprintf(stderr, "invalid config: %s\n",
-                 spec.config.to_string().c_str());
-    return 2;
-  }
   std::printf("scenario: %s\n", spec.to_string().c_str());
   std::printf("feasible: %s (N_min = %d, connectivity_min = %d)\n",
               spec.config.feasible() ? "yes" : "NO",
@@ -138,13 +131,12 @@ int main(int argc, char** argv) {
               da::bounds::min_connectivity(args.m, args.u));
 
   const da::DegradableAgreement protocol(spec.config);
-  auto adversary = make_adversary(args);
   da::sim::Trace trace;
   da::RunExtras extras;
   if (args.trace) extras.trace = &trace;
 
   const da::Outcome outcome =
-      args.runtime == "threaded"
+      args.threaded
           ? protocol.run_threaded(spec, adversary.get(), extras)
           : protocol.run(spec, adversary.get(), extras);
 

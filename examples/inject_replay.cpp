@@ -7,19 +7,25 @@
 //                                          validate docs/INJECTION.md)
 //   inject_replay --case SEED ORDINAL      replay one differential case
 //                                          and print each runtime's verdict
-//   inject_replay --sweep SEED CASES [JOBS] sweep ordinals [0, CASES)
+//   inject_replay --sweep SEED CASES [JOBS] sweep ordinals [0, CASES),
+//                                          CASES >= 1, JOBS in
+//                                          [0, da::kMaxJobs] (0 = all
+//                                          cores, default 4)
 //
 // Exit status is 0 iff every replayed case agreed across the sim,
 // threaded and event runtimes.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "inject/differ.hpp"
 #include "inject/fault_plan.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -87,23 +93,33 @@ int sweep(std::uint64_t seed, std::uint64_t cases, int jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 3 && std::string(argv[1]) == "--check-plan") {
-    return check_plan(argv[2]);
+  const da::ArgReader reader(
+      "inject_replay",
+      "usage: inject_replay [--check-plan FILE | --case SEED ORDINAL | "
+      "--sweep SEED CASES [JOBS]]");
+  const std::string_view mode = argc > 1 ? argv[1] : "";
+  const std::vector<std::string_view> args = reader.read(argc, argv, 2, 3);
+  const auto u64 = [&](const char* what, std::size_t i, std::uint64_t min) {
+    return reader.number(what, args[i], min,
+                         std::numeric_limits<std::uint64_t>::max());
+  };
+  if (mode == "--check-plan" && args.size() == 1) {
+    return check_plan(args[0].data());
   }
-  if (argc >= 4 && std::string(argv[1]) == "--case") {
-    return replay_case(std::strtoull(argv[2], nullptr, 10),
-                       std::strtoull(argv[3], nullptr, 10));
+  if (mode == "--case" && args.size() == 2) {
+    const std::uint64_t seed = u64("--case SEED", 0, 0);
+    return replay_case(seed, u64("--case ORDINAL", 1, 0));
   }
-  if (argc >= 4 && std::string(argv[1]) == "--sweep") {
-    return sweep(std::strtoull(argv[2], nullptr, 10),
-                 std::strtoull(argv[3], nullptr, 10),
-                 argc >= 5 ? std::atoi(argv[4]) : 4);
+  if (mode == "--sweep" && args.size() >= 2) {
+    const std::uint64_t seed = u64("--sweep SEED", 0, 0);
+    const std::uint64_t cases = u64("--sweep CASES", 1, 1);
+    return sweep(seed, cases,
+                 args.size() == 3 ? reader.number("--sweep JOBS", args[2], 0,
+                                                  da::kMaxJobs)
+                                  : 4);
   }
   if (argc > 1) {
-    std::fprintf(stderr,
-                 "usage: inject_replay [--check-plan FILE | --case SEED "
-                 "ORDINAL | --sweep SEED CASES [JOBS]]\n");
-    return 2;
+    reader.refuse("wrong arguments for `" + std::string(mode) + "`");
   }
   // Demo: one detailed case, then a short sweep across all six protocols.
   if (replay_case(2026, 0) != 0) return 1;

@@ -29,10 +29,11 @@
 //
 // `init` refuses, as a usage error, a config the behaviour search cannot
 // run (for example one past the 12-slot cap); `run` and `artifact`
-// refuse such a frontier the same way. Numeric flags are read whole into
-// their own types: --seed is an unsigned 64-bit value, --jobs a count
-// (0 = all cores), --parts at least 1, --max-f and --max-shards at least
-// -1 (-1: the config's u / no budget); anything else is a usage error.
+// refuse such a frontier the same way. Numeric flags are read whole
+// (da::ArgReader) into their own ranges: --n 2..64, --m and --u 0..63,
+// --seed any unsigned 64-bit value, --jobs 0..da::kMaxJobs (0 = all
+// cores), --parts at least 1, --max-f and --max-shards at least -1 (-1:
+// the config's u / no budget); anything else is a usage error.
 //
 // Exit status: 0 on success (for `run`: the verdict may be either way;
 // for `artifact`: frontier settled), 1 on a clean "not settled yet",
@@ -41,9 +42,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "faults/behavior_search.hpp"
@@ -52,32 +53,15 @@
 
 namespace {
 
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "search_resume: %s\n", msg);
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  search_resume init    --out F [--n N --m M --u U] [--max-f K] "
-      "[--seed S]\n"
-      "  search_resume run     --frontier F [--jobs J] [--max-shards K]\n"
-      "  search_resume status  --frontier F\n"
-      "  search_resume split   --frontier F --parts P --out-prefix PFX\n"
-      "  search_resume merge   --out F part1 part2 ...\n"
-      "  search_resume artifact --frontier F [--out F2]\n");
-  std::exit(2);
-}
-
-/// Reads `text` whole as a T no smaller than `min`, or exits 2 with a
-/// usage error naming `flag` and what it `expects`.
-template <typename T>
-T number_or_die(const char* flag, const char* text, T min,
-                const char* expects) {
-  T value{};
-  if (!da::parse_number(text, value) || value < min) {
-    usage((std::string(flag) + " expects " + expects).c_str());
-  }
-  return value;
-}
+constexpr const char* kUsage =
+    "usage:\n"
+    "  search_resume init    --out F [--n N --m M --u U] [--max-f K] "
+    "[--seed S]\n"
+    "  search_resume run     --frontier F [--jobs J] [--max-shards K]\n"
+    "  search_resume status  --frontier F\n"
+    "  search_resume split   --frontier F --parts P --out-prefix PFX\n"
+    "  search_resume merge   --out F part1 part2 ...\n"
+    "  search_resume artifact --frontier F [--out F2]";
 
 da::faults::Frontier load_or_die(const std::string& path) {
   da::Parsed<da::faults::Frontier> parsed = da::faults::load_frontier(path);
@@ -252,12 +236,9 @@ int cmd_artifact(const std::string& path, const std::string& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage("missing subcommand");
-  const std::string cmd = argv[1];
   std::string frontier_path;
   std::string out;
   std::string out_prefix;
-  std::vector<std::string> positional;
   int n = 4;
   int m = 1;
   int u = 1;
@@ -266,51 +247,31 @@ int main(int argc, char** argv) {
   int jobs = 1;
   int parts = 0;  // unset; split requires --parts
   int max_shards = -1;
-  constexpr int kAnyInt = std::numeric_limits<int>::min();
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(arg);
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--frontier") == 0) {
-      frontier_path = value();
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out = value();
-    } else if (std::strcmp(arg, "--out-prefix") == 0) {
-      out_prefix = value();
-    } else if (std::strcmp(arg, "--n") == 0) {
-      n = number_or_die(arg, value(), kAnyInt, "an integer");
-    } else if (std::strcmp(arg, "--m") == 0) {
-      m = number_or_die(arg, value(), kAnyInt, "an integer");
-    } else if (std::strcmp(arg, "--u") == 0) {
-      u = number_or_die(arg, value(), kAnyInt, "an integer");
-    } else if (std::strcmp(arg, "--max-f") == 0) {
-      max_f = number_or_die(arg, value(), -1,
-                            "an integer >= -1 (-1 = the config's u)");
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = number_or_die<std::uint64_t>(arg, value(), 0,
-                                          "an unsigned 64-bit integer");
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      jobs = number_or_die(arg, value(), 0, "a count, 0 = all cores");
-    } else if (std::strcmp(arg, "--parts") == 0) {
-      parts = number_or_die(arg, value(), 1, "a count >= 1");
-    } else if (std::strcmp(arg, "--max-shards") == 0) {
-      max_shards = number_or_die(arg, value(), -1,
-                                 "an integer >= -1 (-1 = no budget)");
-    } else if (arg[0] == '-') {
-      usage(arg);
-    } else {
-      positional.emplace_back(arg);
-    }
-  }
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  da::ArgReader reader("search_resume", kUsage);
+  reader.text("--frontier", frontier_path)
+      .text("--out", out)
+      .text("--out-prefix", out_prefix)
+      .integer("--n", n, 2, 64)  // EigLayout's rank mask holds 64 nodes
+      .integer("--m", m, 0, 63)
+      .integer("--u", u, 0, 63)
+      .integer("--max-f", max_f, -1, 64)
+      .integer<std::uint64_t>("--seed", seed, 0,
+                              std::numeric_limits<std::uint64_t>::max())
+      .integer("--jobs", jobs, 0, da::kMaxJobs)
+      .integer("--parts", parts, 1, kIntMax)
+      .integer("--max-shards", max_shards, -1, kIntMax);
+  if (argc < 2) reader.refuse("missing subcommand");
+  const std::string cmd = argv[1];
+  const std::vector<std::string_view> positional = reader.read(
+      argc, argv, 2, cmd == "merge" ? static_cast<std::size_t>(argc) : 0);
 
   if (cmd == "init") {
-    if (out.empty()) usage("init needs --out");
+    if (out.empty()) reader.refuse("init needs --out");
     const da::Config config{.n = n, .m = m, .u = u};
     const std::string unsupported =
         da::faults::behavior_search_unsupported(config, max_f);
-    if (!unsupported.empty()) usage(unsupported.c_str());
+    if (!unsupported.empty()) reader.refuse(unsupported);
     const da::faults::Frontier frontier =
         da::faults::init_behavior_frontier(config, max_f, seed);
     save_or_die(frontier, out);
@@ -318,17 +279,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "run") {
-    if (frontier_path.empty()) usage("run needs --frontier");
+    if (frontier_path.empty()) reader.refuse("run needs --frontier");
     return cmd_run(frontier_path, jobs, max_shards);
   }
   if (cmd == "status") {
-    if (frontier_path.empty()) usage("status needs --frontier");
+    if (frontier_path.empty()) reader.refuse("status needs --frontier");
     print_status(load_or_die(frontier_path));
     return 0;
   }
   if (cmd == "split") {
     if (frontier_path.empty() || parts == 0 || out_prefix.empty()) {
-      usage("split needs --frontier, --parts and --out-prefix");
+      reader.refuse("split needs --frontier, --parts and --out-prefix");
     }
     const da::faults::Frontier frontier = load_or_die(frontier_path);
     const std::vector<da::faults::Frontier> split = da::faults::split_frontier(
@@ -342,12 +303,12 @@ int main(int argc, char** argv) {
   }
   if (cmd == "merge") {
     if (out.empty() || positional.empty()) {
-      usage("merge needs --out and part files");
+      reader.refuse("merge needs --out and part files");
     }
     std::vector<da::faults::Frontier> frontiers;
     frontiers.reserve(positional.size());
-    for (const std::string& path : positional) {
-      frontiers.push_back(load_or_die(path));
+    for (const std::string_view path : positional) {
+      frontiers.push_back(load_or_die(std::string(path)));
     }
     const da::Parsed<da::faults::Frontier> merged =
         da::faults::merge_frontiers(frontiers);
@@ -361,8 +322,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "artifact") {
-    if (frontier_path.empty()) usage("artifact needs --frontier");
+    if (frontier_path.empty()) reader.refuse("artifact needs --frontier");
     return cmd_artifact(frontier_path, out);
   }
-  usage("unknown subcommand");
+  reader.refuse("unknown subcommand");
 }

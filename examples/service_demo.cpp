@@ -31,15 +31,10 @@
 // tools/docs_check.sh --service-demo executes that walkthrough.
 
 #include <array>
-#include <cmath>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
-#include <system_error>
 
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -50,159 +45,91 @@
 
 namespace {
 
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "service_demo: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: service_demo [--model poisson|bursty|pareto] "
-               "[--rate R] [--offered N] [--cap C] [--queue Q] "
-               "[--policy shed|block] [--period P] [--seed S] [--jobs J] "
-               "[--shards N] [--route hash|least-loaded] [--deadline T] "
-               "[--artifact] [--spans-out FILE] [--metrics-out FILE] "
-               "[--sample-every P] [--inject SPEC] [--inject-every K]\n");
-  std::exit(2);
-}
-
-/// Rates, periods and deadlines take finite positive numbers: strtod also
-/// reads "nan" and "inf", which no comparison with zero rejects.
-double parse_positive(const char* flag, const char* arg) {
-  char* end = nullptr;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0' || !(v > 0.0) || !std::isfinite(v)) {
-    usage(flag);
-  }
-  return v;
-}
-
-/// Counts take positive integers only: a fraction, zero, a sign, trailing
-/// text or a value above `max` is a usage error, never a silent
-/// truncation.
-std::uint64_t parse_count(const char* flag, const char* arg,
-                          std::uint64_t max) {
-  const char* last = arg + std::strlen(arg);
-  std::uint64_t v = 0;
-  const auto [end, ec] = std::from_chars(arg, last, v);
-  if (ec != std::errc{} || end != last || v == 0 || v > max) usage(flag);
-  return v;
-}
+constexpr const char* kUsage =
+    "usage: service_demo [--model poisson|bursty|pareto] [--rate R] "
+    "[--offered N] [--cap C] [--queue Q] [--policy shed|block] [--period P] "
+    "[--seed S] [--jobs J] [--shards N] [--route hash|least-loaded] "
+    "[--deadline T] [--artifact] [--spans-out FILE] [--metrics-out FILE] "
+    "[--sample-every P] [--inject SPEC] [--inject-every K]";
 
 /// Constructs the service or the front-end. A mix template wider than
 /// --cap could never be admitted, and spans recorded under an --inject
 /// plan with more outcomes and rules than a span can tag would be
 /// truncated, so both are usage errors.
 template <typename Service, typename Config>
-Service make_or_usage(const Config& config) {
+Service make_or_usage(const Config& config, const da::ArgReader& reader) {
   try {
     return Service(config);
   } catch (const da::service::JobWiderThanCap& e) {
-    usage(e.what());
+    reader.refuse(e.what());
   } catch (const da::service::TooManySpanTags& e) {
-    usage(e.what());
+    reader.refuse(e.what());
   }
 }
-
-constexpr auto kIntMax =
-    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
-constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace da::service;
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
 
   ServiceConfig config;
-  ArrivalKind kind = ArrivalKind::kPoisson;
+  std::string model = "poisson";
   double rate = 8.0;
   int shards = 1;
-  RoutePolicy route = RoutePolicy::kHashJobId;
+  std::string route_name = "hash";
   double deadline = 0.0;
   bool dump_artifact = false;
-  const char* spans_out = nullptr;
-  const char* metrics_out = nullptr;
+  std::string spans_out;
+  std::string metrics_out;
+  std::string inject;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* flag = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(flag);
-      return argv[++i];
-    };
-    if (std::strcmp(flag, "--model") == 0) {
-      const auto parsed = parse_arrival_kind(next());
-      if (!parsed.has_value()) usage("--model expects poisson|bursty|pareto");
-      kind = *parsed;
-    } else if (std::strcmp(flag, "--rate") == 0) {
-      rate = parse_positive("--rate expects a positive number", next());
-    } else if (std::strcmp(flag, "--offered") == 0) {
-      config.offered =
-          parse_count("--offered expects a positive count", next(), kU64Max);
-    } else if (std::strcmp(flag, "--cap") == 0) {
-      config.cap = static_cast<int>(
-          parse_count("--cap expects a positive count", next(), kIntMax));
-    } else if (std::strcmp(flag, "--queue") == 0) {
-      config.queue_cap = static_cast<std::size_t>(
-          parse_count("--queue expects a positive count", next(), kU64Max));
-    } else if (std::strcmp(flag, "--policy") == 0) {
-      const char* p = next();
-      if (std::strcmp(p, "shed") == 0) {
-        config.policy = OverloadPolicy::kShedOldest;
-      } else if (std::strcmp(p, "block") == 0) {
-        config.policy = OverloadPolicy::kBlock;
-      } else {
-        usage("--policy expects shed|block");
-      }
-    } else if (std::strcmp(flag, "--period") == 0) {
-      config.round_period =
-          parse_positive("--period expects a positive number", next());
-    } else if (std::strcmp(flag, "--seed") == 0) {
-      if (!da::parse_number(next(), config.seed)) {
-        usage("--seed expects a non-negative integer");
-      }
-    } else if (std::strcmp(flag, "--jobs") == 0) {
-      if (!da::parse_number(next(), config.jobs) || config.jobs < 0) {
-        usage("--jobs expects a count, 0 = all cores");
-      }
-    } else if (std::strcmp(flag, "--shards") == 0) {
-      shards = static_cast<int>(
-          parse_count("--shards expects a positive count", next(), kIntMax));
-    } else if (std::strcmp(flag, "--route") == 0) {
-      const auto parsed = parse_route_policy(next());
-      if (!parsed.has_value()) usage("--route expects hash|least-loaded");
-      route = *parsed;
-    } else if (std::strcmp(flag, "--deadline") == 0) {
-      deadline =
-          parse_positive("--deadline expects a positive number", next());
-    } else if (std::strcmp(flag, "--artifact") == 0) {
-      dump_artifact = true;
-    } else if (std::strcmp(flag, "--spans-out") == 0) {
-      spans_out = next();
-      config.record_spans = true;
-    } else if (std::strcmp(flag, "--metrics-out") == 0) {
-      metrics_out = next();
-    } else if (std::strcmp(flag, "--sample-every") == 0) {
-      config.sample_every =
-          parse_positive("--sample-every expects a positive number", next());
-    } else if (std::strcmp(flag, "--inject") == 0) {
-      // Plan lines separated by ';' (the multi-line text form of
-      // docs/INJECTION.md, flattened for the shell).
-      std::string text = next();
-      for (char& c : text) {
-        if (c == ';') c = '\n';
-      }
-      const auto plan = da::inject::FaultPlan::parse(text);
-      if (!plan.has_value()) {
-        std::fprintf(stderr, "service_demo: --inject: %s\n",
-                     plan.error().to_string().c_str());
-        return 2;
-      }
-      config.fault_plan = *plan;
-    } else if (std::strcmp(flag, "--inject-every") == 0) {
-      config.inject_every = parse_count(
-          "--inject-every expects a positive count", next(), kU64Max);
-    } else {
-      usage(flag);
+  da::ArgReader reader("service_demo", kUsage);
+  reader
+      .text("--model", model)
+      .real("--rate", rate)
+      .integer<std::uint64_t>("--offered", config.offered, 1, kU64Max)
+      .integer("--cap", config.cap, 1, kIntMax)
+      .integer<std::size_t>("--queue", config.queue_cap, 1, kU64Max)
+      .choice("--policy", config.policy,
+              {{"shed", OverloadPolicy::kShedOldest},
+               {"block", OverloadPolicy::kBlock}})
+      .real("--period", config.round_period)
+      .integer<std::uint64_t>("--seed", config.seed, 0, kU64Max)
+      .integer("--jobs", config.jobs, 0, da::kMaxJobs)
+      .integer("--shards", shards, 1, kIntMax)
+      .text("--route", route_name)
+      .real("--deadline", deadline)
+      .flag("--artifact", dump_artifact)
+      .text("--spans-out", spans_out)
+      .text("--metrics-out", metrics_out)
+      .real("--sample-every", config.sample_every)
+      .text("--inject", inject)
+      .integer<std::uint64_t>("--inject-every", config.inject_every, 1,
+                              kU64Max);
+  reader.read(argc, argv);
+  const auto kind = parse_arrival_kind(model);
+  if (!kind) reader.fail("--model", "one of poisson|bursty|pareto");
+  const auto route = parse_route_policy(route_name);
+  if (!route) reader.fail("--route", "one of hash|least-loaded");
+  config.record_spans = !spans_out.empty();
+  if (!inject.empty()) {
+    // Plan lines separated by ';' (the multi-line text form of
+    // docs/INJECTION.md, flattened for the shell).
+    for (char& c : inject) {
+      if (c == ';') c = '\n';
     }
+    const auto plan = da::inject::FaultPlan::parse(inject);
+    if (!plan.has_value()) {
+      std::fprintf(stderr, "service_demo: --inject: %s\n",
+                   plan.error().to_string().c_str());
+      return 2;
+    }
+    config.fault_plan = *plan;
   }
 
-  switch (kind) {
+  switch (*kind) {
     case ArrivalKind::kPoisson:
       config.arrivals = ArrivalSpec::poisson(rate);
       break;
@@ -275,20 +202,23 @@ int main(int argc, char** argv) {
     std::printf("digest     %016llx\n",
                 static_cast<unsigned long long>(result.digest()));
     if (dump_artifact) std::fputs(result.artifact().c_str(), stdout);
-    if (spans_out != nullptr) {
+    if (!spans_out.empty()) {
       if (!da::obs::write_spans_jsonl(result.spans, spans_out)) {
-        std::fprintf(stderr, "service_demo: cannot write %s\n", spans_out);
+        std::fprintf(stderr, "service_demo: cannot write %s\n",
+                     spans_out.c_str());
         return 1;
       }
-      std::printf("spans      %zu -> %s\n", result.spans.size(), spans_out);
+      std::printf("spans      %zu -> %s\n", result.spans.size(),
+                  spans_out.c_str());
     }
-    if (metrics_out != nullptr) {
+    if (!metrics_out.empty()) {
       if (!da::obs::write_exposition(
               da::obs::MetricsRegistry::global().snapshot(), metrics_out)) {
-        std::fprintf(stderr, "service_demo: cannot write %s\n", metrics_out);
+        std::fprintf(stderr, "service_demo: cannot write %s\n",
+                     metrics_out.c_str());
         return 1;
       }
-      std::printf("metrics    -> %s\n", metrics_out);
+      std::printf("metrics    -> %s\n", metrics_out.c_str());
     }
     if (config.sample_every > 0.0) {
       std::printf("samples    %zu (every %g time units)\n",
@@ -303,14 +233,14 @@ int main(int argc, char** argv) {
     FrontendConfig frontend_config;
     frontend_config.service = config;
     frontend_config.shards = shards;
-    frontend_config.route = route;
+    frontend_config.route = *route;
     ServiceFrontend frontend =
-        make_or_usage<ServiceFrontend>(frontend_config);
+        make_or_usage<ServiceFrontend>(frontend_config, reader);
     const ServiceResult result = frontend.run();
     std::printf("frontend: %s  shards=%d route=%s cap=%d queue=%zu "
                 "policy=%s period=%g seed=%llu jobs=%d\n",
                 config.arrivals.to_string().c_str(), shards,
-                to_string(route), config.cap, config.queue_cap,
+                to_string(*route), config.cap, config.queue_cap,
                 to_string(config.policy), config.round_period,
                 static_cast<unsigned long long>(config.seed), config.jobs);
     return summarize(result, [&result] {
@@ -326,7 +256,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  AgreementService svc = make_or_usage<AgreementService>(config);
+  AgreementService svc = make_or_usage<AgreementService>(config, reader);
   const ServiceResult result = svc.run();
   std::printf("service: %s  cap=%d queue=%zu policy=%s period=%g seed=%llu "
               "jobs=%d\n",

@@ -24,13 +24,12 @@
 // run reports condition violations, or an input fails to parse.
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -45,22 +44,18 @@
 #include "obs/quantiles.hpp"
 #include "obs/spans.hpp"
 #include "service/service.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
 using da::obs::Span;
 
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "span_inspect: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: span_inspect demo <outdir>\n"
-               "       span_inspect timeline <spans.jsonl> [--job N] "
-               "[--plan plan.txt]\n"
-               "       span_inspect quantiles <spans.jsonl>\n"
-               "       span_inspect check <spans.jsonl>\n"
-               "       span_inspect schema\n");
-  std::exit(2);
-}
+constexpr const char* kUsage =
+    "usage: span_inspect demo <outdir>\n"
+    "       span_inspect timeline <spans.jsonl> [--job N] [--plan plan.txt]\n"
+    "       span_inspect quantiles <spans.jsonl>\n"
+    "       span_inspect check <spans.jsonl>\n"
+    "       span_inspect schema";
 
 std::vector<Span> load_spans(const char* path) {
   std::ifstream in(path, std::ios::binary);
@@ -268,8 +263,7 @@ int run_timeline(const std::vector<Span>& spans, std::int64_t want_job,
       for (const auto& [k, v] : r->tags) {
         int rule = 0;
         if (k.rfind("rule", 0) == 0 &&
-            std::from_chars(k.data() + 4, k.data() + k.size(), rule).ec ==
-                std::errc()) {
+            da::parse_number(std::string_view(k).substr(4), rule)) {
           rule_totals[rule] += v;
         }
       }
@@ -377,32 +371,27 @@ int run_schema() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage("missing subcommand");
-  const char* cmd = argv[1];
+  std::int64_t job = -1;  // unset: the first job with injected rounds
+  std::string plan;
+  da::ArgReader reader("span_inspect", kUsage);
+  reader.integer<std::int64_t>("--job", job, 0,
+                               std::numeric_limits<std::int64_t>::max())
+      .text("--plan", plan);
+  if (argc < 2) reader.refuse("missing subcommand");
+  const std::string_view cmd = argv[1];
+  const std::vector<std::string_view> positional =
+      reader.read(argc, argv, 2, 1);
 
-  if (std::strcmp(cmd, "schema") == 0) return run_schema();
-  if (std::strcmp(cmd, "demo") == 0) {
-    if (argc != 3) usage("demo expects an output directory");
-    return run_demo(argv[2]);
+  if (cmd == "schema" && positional.empty()) return run_schema();
+  if (cmd == "demo" && positional.size() == 1) {
+    return run_demo(positional[0].data());
   }
-  if (argc < 3) usage("missing spans.jsonl path");
-  const std::vector<Span> spans = load_spans(argv[2]);
-
-  if (std::strcmp(cmd, "quantiles") == 0) return run_quantiles(spans);
-  if (std::strcmp(cmd, "check") == 0) return run_check(spans);
-  if (std::strcmp(cmd, "timeline") == 0) {
-    std::int64_t job = -1;
-    std::vector<std::string> rule_labels;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--job") == 0 && i + 1 < argc) {
-        job = std::atoll(argv[++i]);
-      } else if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
-        rule_labels = plan_rule_lines(argv[++i]);
-      } else {
-        usage(argv[i]);
-      }
-    }
-    return run_timeline(spans, job, rule_labels);
+  if ((cmd == "quantiles" || cmd == "check" || cmd == "timeline") &&
+      positional.size() == 1) {
+    const std::vector<Span> spans = load_spans(positional[0].data());
+    if (cmd == "quantiles") return run_quantiles(spans);
+    if (cmd == "check") return run_check(spans);
+    return run_timeline(spans, job, plan_rule_lines(plan.c_str()));
   }
-  usage(cmd);
+  reader.refuse("wrong arguments for `" + std::string(cmd) + "`");
 }

@@ -18,31 +18,28 @@
 //   $ trace_inspect diff /tmp/fig2/scenario_a.jsonl /tmp/fig2/scenario_b.jsonl
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/agreement.hpp"
 #include "faults/figure2.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/trace.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-[[noreturn]] void usage() {
-  std::puts(
-      "usage: trace_inspect dump <trace.jsonl> [--node N]\n"
-      "       trace_inspect diff <a.jsonl> <b.jsonl> [--node N]\n"
-      "       trace_inspect fig2 [--n N] [--out DIR]\n"
-      "       trace_inspect schema");
-  std::exit(2);
-}
+constexpr const char* kUsage =
+    "usage: trace_inspect dump <trace.jsonl> [--node N]\n"
+    "       trace_inspect diff <a.jsonl> <b.jsonl> [--node N]\n"
+    "       trace_inspect fig2 [--n N] [--out DIR]\n"
+    "       trace_inspect schema";
 
 std::optional<std::vector<da::obs::TraceEvent>> load(const std::string& path) {
   std::ifstream in(path);
@@ -79,17 +76,17 @@ void print_events(const std::vector<da::obs::TraceEvent>& events) {
   table.print();
 }
 
-int cmd_dump(const std::string& path, std::optional<da::NodeId> node) {
+int cmd_dump(const std::string& path, da::NodeId node) {
   const auto events = load(path);
   if (!events.has_value()) return 1;
 
-  if (node.has_value()) {
+  if (node != da::kNoNode) {
     std::vector<da::obs::TraceEvent> selected;
     for (const auto& e : *events) {
-      if (e.to == *node) selected.push_back(e);
+      if (e.to == node) selected.push_back(e);
     }
     std::printf("%s: node %d, %zu events (canonical order)\n", path.c_str(),
-                *node, selected.size());
+                node, selected.size());
     print_events(selected);
     return 0;
   }
@@ -143,7 +140,7 @@ da::obs::TraceDiff print_diff(const std::vector<da::obs::TraceEvent>& a,
 }
 
 int cmd_diff(const std::string& path_a, const std::string& path_b,
-             std::optional<da::NodeId> node) {
+             da::NodeId node) {
   const auto a = load(path_a);
   const auto b = load(path_b);
   if (!a.has_value() || !b.has_value()) return 1;
@@ -151,18 +148,18 @@ int cmd_diff(const std::string& path_a, const std::string& path_b,
   std::printf("diff %s %s\n", path_a.c_str(), path_b.c_str());
   const auto diff = print_diff(*a, *b);
 
-  if (node.has_value()) {
+  if (node != da::kNoNode) {
     for (const auto& n : diff.nodes) {
-      if (n.node != *node) continue;
+      if (n.node != node) continue;
       std::printf(
           "\nnode %d: %s — a node with an identical transcript cannot\n"
           "distinguish the two executions, so it must decide identically\n"
           "in both (the paper's indistinguishability argument).\n",
-          *node, n.identical ? "IDENTICAL" : "DIFFERS");
+          node, n.identical ? "IDENTICAL" : "DIFFERS");
       return n.identical ? 0 : 1;
     }
     std::fprintf(stderr, "trace_inspect: node %d not present in either trace\n",
-                 *node);
+                 node);
     return 1;
   }
   return diff.identical() ? 0 : 1;
@@ -265,47 +262,27 @@ int cmd_schema() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  const std::string cmd = argv[1];
-
-  std::optional<da::NodeId> node;
+  da::NodeId node = da::kNoNode;
   int n = 4;
   std::string out_dir = ".";
-  std::vector<std::string> positional;
-  for (int i = 2; i < argc; ++i) {
-    const auto want = [&](const char* flag) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) usage();
-      return true;
-    };
-    if (want("--node")) {
-      node = std::atoi(argv[++i]);
-    } else if (want("--n")) {
-      n = std::atoi(argv[++i]);
-    } else if (want("--out")) {
-      out_dir = argv[++i];
-    } else if (argv[i][0] == '-') {
-      usage();
-    } else {
-      positional.emplace_back(argv[i]);
-    }
-  }
+  da::ArgReader reader("trace_inspect", kUsage);
+  // Node ids fit EigLayout's 64-rank mask; Figure 2 needs n >= 4.
+  reader.integer("--node", node, 0, 63)
+      .integer("--n", n, 4, 64)
+      .text("--out", out_dir);
+  if (argc < 2) reader.refuse("missing subcommand");
+  const std::string cmd = argv[1];
+  const std::vector<std::string_view> positional =
+      reader.read(argc, argv, 2, 2);
 
   if (cmd == "dump" && positional.size() == 1) {
-    return cmd_dump(positional[0], node);
+    return cmd_dump(std::string(positional[0]), node);
   }
   if (cmd == "diff" && positional.size() == 2) {
-    return cmd_diff(positional[0], positional[1], node);
+    return cmd_diff(std::string(positional[0]), std::string(positional[1]),
+                    node);
   }
-  if (cmd == "fig2" && positional.empty()) {
-    if (n < 4) {
-      std::fprintf(stderr, "trace_inspect: fig2 needs --n >= 4\n");
-      return 2;
-    }
-    return cmd_fig2(n, out_dir);
-  }
-  if (cmd == "schema" && positional.empty()) {
-    return cmd_schema();
-  }
-  usage();
+  if (cmd == "fig2" && positional.empty()) return cmd_fig2(n, out_dir);
+  if (cmd == "schema" && positional.empty()) return cmd_schema();
+  reader.refuse("unknown subcommand or wrong arguments for " + cmd);
 }

@@ -1,6 +1,7 @@
 #include "inject/fault_plan.hpp"
 
 #include <charconv>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -72,18 +73,12 @@ std::string rate_str(double p) {
   return {buf, std::to_chars(buf, buf + sizeof buf, p).ptr};
 }
 
-/// An integer of at least `min`.
-bool parse_count(std::string_view val, int min, int& out) {
-  int v = 0;
-  if (!parse_number(val, v) || v < min) return false;
-  out = v;
-  return true;
-}
+constexpr int kIntMax = std::numeric_limits<int>::max();
 
 /// A node or round: a non-negative integer, or `*` for the wildcard -1
 /// (kNoNode for nodes, any round for rounds).
 bool parse_slot(std::string_view val, int& out) {
-  if (val != "*") return parse_count(val, 0, out);
+  if (val != "*") return parse_number_in(val, 0, kIntMax, out);
   out = -1;
   return true;
 }
@@ -161,13 +156,13 @@ Parsed<FaultPlan> FaultPlan::parse(std::string_view text) {
       } else if (is_rule && key == "round") {
         ok = parse_slot(val, rule.round);
       } else if (verb == "dup" && key == "copies") {
-        ok = parse_count(val, 2, rule.copies);
+        ok = parse_number_in(val, 2, kIntMax, rule.copies);
       } else if (verb == "crash" && key == "node") {
-        ok = have_node = parse_count(val, 0, window.node);
+        ok = have_node = parse_number_in(val, 0, kIntMax, window.node);
       } else if (verb == "crash" && key == "down") {
-        ok = parse_count(val, 0, window.down_from);
+        ok = parse_number_in(val, 0, kIntMax, window.down_from);
       } else if (verb == "crash" && key == "restart") {
-        ok = parse_count(val, 0, window.restart);
+        ok = parse_number_in(val, 0, kIntMax, window.restart);
       } else if (verb == "rates" && key == "drop") {
         ok = parse_rate(val, plan.rates.drop);
       } else if (verb == "rates" && key == "dup") {

@@ -1,13 +1,12 @@
 #include "obs/bench_report.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/parse.hpp"
 
 #ifndef DA_GIT_DESCRIBE
 #define DA_GIT_DESCRIBE "unknown"
@@ -61,27 +60,14 @@ Json metrics_to_json() {
   return metrics;
 }
 
-BenchReporter::BenchReporter(std::string bench_name, int* argc, char** argv)
+BenchReporter::BenchReporter(std::string bench_name, int argc, char** argv)
     : bench_name_(std::move(bench_name)) {
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < *argc) {
-      json_path_ = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path_ = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke_ = true;
-    } else {
-      if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < *argc) {
-        jobs_ = std::atoi(argv[i + 1]);
-      } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-        jobs_ = std::atoi(argv[i] + 7);
-      }
-      argv[kept++] = argv[i];
-    }
-  }
-  *argc = kept;
-  argv[*argc] = nullptr;
+  ArgReader(bench_name_,
+            "usage: " + bench_name_ + " [--smoke] [--json FILE] [--jobs N]")
+      .flag("--smoke", smoke_)
+      .text("--json", json_path_)
+      .integer("--jobs", jobs_, 0, kMaxJobs)
+      .read(argc, argv);
   Table::set_print_listener(
       [this](const Table& table) { tables_.push_back(table_to_json(table)); });
 }

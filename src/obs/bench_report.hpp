@@ -22,23 +22,24 @@ namespace da::obs {
 /// (documented with an example in docs/OBSERVABILITY.md). Usage:
 ///
 ///   int main(int argc, char** argv) {
-///     da::obs::BenchReporter reporter("bench_foo", &argc, argv);
+///     da::obs::BenchReporter reporter("bench_foo", argc, argv);
 ///     ...print tables as before (captured automatically)...
 ///     return reporter.finish();
 ///   }
 ///
-/// The constructor strips the flags it owns (`--json`, `--smoke`) from
-/// argv so the bench's own argument parsing never sees them, and installs
-/// a Table print listener so every table the bench prints is captured
-/// without further plumbing. `--smoke` is a convention for tiny-parameter
-/// runs wired into ctest's bench-smoke label; benches that scale work
-/// query `smoke()`.
+/// The constructor reads the bench's whole command line with a
+/// da::ArgReader — `--json FILE`, `--smoke` and `--jobs N` (0..kMaxJobs,
+/// 0 = all cores), each also as `--flag=value` — and refuses anything
+/// else with exit 2. It installs a Table print listener so every table
+/// the bench prints is captured without further plumbing. `--smoke` is a
+/// convention for tiny-parameter runs wired into ctest's bench-smoke
+/// label; benches that scale work query `smoke()`, sweeping benches
+/// `jobs()`.
 class BenchReporter {
  public:
-  /// `bench_name` is the value of the "bench" field. Strips owned flags
-  /// from (*argc, argv) in place and records `--jobs N` if present
-  /// (without stripping it — the bench parses it too).
-  BenchReporter(std::string bench_name, int* argc, char** argv);
+  /// `bench_name` is the value of the "bench" field and the program name
+  /// of a refusal.
+  BenchReporter(std::string bench_name, int argc, char** argv);
   ~BenchReporter();
 
   BenchReporter(const BenchReporter&) = delete;
@@ -47,11 +48,13 @@ class BenchReporter {
   /// True when `--smoke` was passed: run with tiny parameters.
   [[nodiscard]] bool smoke() const { return smoke_; }
 
+  /// The `--jobs` value (default 1), also the report's "jobs" field.
+  [[nodiscard]] int jobs() const { return jobs_; }
+
   /// True when `--json` was passed (finish() will write a report).
   [[nodiscard]] bool json_requested() const { return !json_path_.empty(); }
 
   void set_seed(std::uint64_t seed) { seed_ = seed; }
-  void set_jobs(int jobs) { jobs_ = jobs; }
 
   /// Adds a table explicitly (for data the bench never print()s).
   void add_table(const Table& table);

@@ -1,6 +1,9 @@
 #include "util/parse.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 
 namespace da {
@@ -81,6 +84,73 @@ ParseError TextCursor::on_line(ParseError inner) const {
   inner.line = line_no_;
   inner.column = std::max<std::size_t>(inner.column, 1);
   return inner;
+}
+
+ArgReader& ArgReader::flag(std::string_view name, bool& out) {
+  return add(name, "", [&out](std::string_view) { return out = true; });
+}
+
+ArgReader& ArgReader::real(std::string_view name, double& out) {
+  return add(name, "a finite positive number", [&out](std::string_view v) {
+    double value = 0.0;
+    const bool ok = parse_number(v, value) && std::isfinite(value) && value > 0;
+    if (ok) out = value;
+    return ok;
+  });
+}
+
+ArgReader& ArgReader::text(std::string_view name, std::string& out) {
+  return add(name, "a value",
+             [&out](std::string_view v) { return (out = v, true); });
+}
+
+ArgReader& ArgReader::add(std::string_view name, std::string expects,
+                          std::function<bool(std::string_view)> store) {
+  options_.push_back({std::string(name), std::move(expects), std::move(store)});
+  return *this;
+}
+
+std::vector<std::string_view> ArgReader::read(
+    int argc, char** argv, int first, std::size_t max_positionals) const {
+  std::vector<std::string_view> positionals;
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) {
+      if (positionals.size() == max_positionals) {
+        refuse("unexpected argument `" + std::string(arg) + "`");
+      }
+      positionals.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(0, eq);
+    const auto option =
+        std::find_if(options_.begin(), options_.end(),
+                     [name](const Option& o) { return o.name == name; });
+    if (option == options_.end()) refuse("unknown flag " + std::string(name));
+    const bool inline_value = eq != std::string_view::npos;
+    if (option->expects.empty()) {  // a switch
+      if (inline_value) fail(name, "no value");
+      option->store({});
+      continue;
+    }
+    if (!inline_value && i + 1 == argc) fail(name, option->expects);
+    if (!option->store(inline_value ? arg.substr(eq + 1) : argv[++i])) {
+      fail(name, option->expects);
+    }
+  }
+  return positionals;
+}
+
+void ArgReader::fail(std::string_view what, std::string_view expects) const {
+  refuse(std::string(what) + " expects " + std::string(expects));
+}
+
+void ArgReader::refuse(std::string_view message) const {
+  std::fprintf(stderr, "%s: %.*s\n%s\n", program_.c_str(),
+               static_cast<int>(message.size()), message.data(),
+               usage_.c_str());
+  std::exit(2);
 }
 
 }  // namespace da

@@ -3,19 +3,25 @@
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 #include <variant>
+#include <vector>
 
 namespace da {
 
 /// The one parser idiom behind every external text the project reads —
-/// FaultPlan, `da-frontier`, obs::Json, trace JSONL and span JSONL: a
-/// reader returns a `Parsed<T>`, which is the decoded value or the typed
-/// `ParseError` that rejected the input, and reads numbers only through
-/// `parse_number` (std::from_chars over one whole field).
+/// FaultPlan, `da-frontier`, obs::Json, trace JSONL, span JSONL and the
+/// command lines of every example and bench: a reader returns a
+/// `Parsed<T>`, which is the decoded value or the typed `ParseError` that
+/// rejected the input (a command line's `ArgReader` exits 2 instead), and
+/// reads numbers only through `parse_number` (std::from_chars over one
+/// whole field).
 
 /// Why a reader rejected its input.
 enum class ParseKind : std::uint8_t {
@@ -82,6 +88,16 @@ template <typename T>
   return true;
 }
 
+/// `parse_number`, failing also (with `out` untouched) outside [min, max].
+template <typename T>
+[[nodiscard]] bool parse_number_in(std::string_view text, T min, T max,
+                                   T& out) {
+  T value{};
+  if (!parse_number(text, value) || value < min || value > max) return false;
+  out = value;
+  return true;
+}
+
 /// An error at byte `offset` of `text`, with its line and column.
 [[nodiscard]] ParseError error_at(std::string_view text, std::size_t offset,
                                   ParseKind kind, std::string message);
@@ -132,6 +148,107 @@ class TextCursor {
   std::size_t line_no_ = 0;
   std::size_t field_end_ = 0;    // offset in line_ past the last field
   std::size_t field_start_ = 0;  // offset in line_ of the last field
+};
+
+/// The most workers any `--jobs` flag or JOBS positional accepts (0 asks
+/// for one per core), so a typo cannot start tens of thousands of threads.
+inline constexpr int kMaxJobs = 256;
+
+/// Reads a command line against declared flags: `--name value` or
+/// `--name=value` for a valued flag, `--name` alone for a switch. Every
+/// argument that does not start with `--` is a positional, so `-1` can be
+/// one. A repeated flag keeps its last value. Any refusal — an unknown
+/// flag, a missing value, a value outside its kind, a surplus positional —
+/// prints "<program>: <flag> expects <what>" (or the refusal) and the
+/// usage text on stderr and exits 2, so no command line reaches a
+/// contract check.
+///
+///   ArgReader args("da_cli", kUsage);
+///   args.integer("--n", n, 2, 64).flag("--trace", trace);
+///   args.read(argc, argv);
+class ArgReader {
+ public:
+  ArgReader(std::string program, std::string usage)
+      : program_(std::move(program)), usage_(std::move(usage)) {}
+
+  /// A bare switch: its presence sets `out`.
+  ArgReader& flag(std::string_view name, bool& out);
+
+  /// An integer of type T in [min, max], read whole (see parse_number).
+  template <typename T>
+  ArgReader& integer(std::string_view name, T& out, T min, T max) {
+    return add(name, range(min, max), [&out, min, max](std::string_view v) {
+      return parse_number_in(v, min, max, out);
+    });
+  }
+
+  /// A finite positive real: `nan`, `inf`, 0 and negatives are refused.
+  ArgReader& real(std::string_view name, double& out);
+
+  template <typename T>
+  using Choices = std::initializer_list<
+      std::pair<std::string_view, std::type_identity_t<T>>>;
+
+  /// One of the names in `table`; `out` gets the value paired with it.
+  template <typename T>
+  ArgReader& choice(std::string_view name, T& out, Choices<T> table) {
+    std::string names;
+    for (const auto& [key, value] : table) {
+      names += (names.empty() ? "" : "|") + std::string(key);
+    }
+    return add(name, "one of " + names,
+               [&out, entries = std::vector(table)](std::string_view v) {
+                 for (const auto& [key, value] : entries) {
+                   if (key == v) return (out = value, true);
+                 }
+                 return false;
+               });
+  }
+
+  /// A path or free text, taken as given.
+  ArgReader& text(std::string_view name, std::string& out);
+
+  /// Reads argv[first, argc), storing every flag, and returns the
+  /// positionals in order, each a whole (NUL-terminated) argv entry;
+  /// more than `max_positionals` is a refusal.
+  std::vector<std::string_view> read(int argc, char** argv, int first = 1,
+                                     std::size_t max_positionals = 0) const;
+
+  /// `text` — a positional or a list item — read whole as a T in
+  /// [min, max]; a refusal names `what`.
+  template <typename T>
+  [[nodiscard]] T number(std::string_view what, std::string_view text, T min,
+                         T max) const {
+    T out{};
+    if (!parse_number_in(text, min, max, out)) fail(what, range(min, max));
+    return out;
+  }
+
+  /// Prints "<program>: <what> expects <expects>" and the usage; exits 2.
+  [[noreturn]] void fail(std::string_view what,
+                         std::string_view expects) const;
+
+  /// Prints "<program>: <message>" and the usage; exits 2.
+  [[noreturn]] void refuse(std::string_view message) const;
+
+ private:
+  struct Option {
+    std::string name;
+    std::string expects;  // empty for a switch
+    std::function<bool(std::string_view)> store;
+  };
+
+  template <typename T>
+  static std::string range(T min, T max) {
+    return "an integer in [" + std::to_string(min) + ", " +
+           std::to_string(max) + "]";
+  }
+  ArgReader& add(std::string_view name, std::string expects,
+                 std::function<bool(std::string_view)> store);
+
+  std::string program_;
+  std::string usage_;
+  std::vector<Option> options_;
 };
 
 }  // namespace da

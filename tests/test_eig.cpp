@@ -291,12 +291,6 @@ TEST(EigProcess, MalformedMessagesIgnored) {
   // Path not ending at transmitter.
   const sim::Message bad_tail{
       .from = 1, .to = 2, .round = 0, .path = Path{0}, .value = Value::of(2)};
-  // Path containing the receiver.
-  const sim::Message self_path{.from = 1,
-                               .to = 2,
-                               .round = 1,
-                               .path = Path{0, 2},
-                               .value = Value::of(3)};
   // Unknown participant in path.
   const sim::Message foreign{.from = 9,
                              .to = 2,
@@ -306,8 +300,24 @@ TEST(EigProcess, MalformedMessagesIgnored) {
   std::vector<sim::Message> out;
   receiver.on_round(0, {bad_len, bad_tail}, out);
   EXPECT_TRUE(out.empty());
-  receiver.on_round(1, {self_path, foreign}, out);
+  receiver.on_round(1, {foreign}, out);
   EXPECT_EQ(receiver.tree().stored(), 0u);
+
+  // Path through the receiver: at depth 3, [0,2,1] from 1 in round 2 has
+  // the round's length and ends at its transmitter, so only admit's
+  // self-hop check can reject it.
+  EigProcess deep(EigProcess::Params{.self = 2,
+                                     .sender = 0,
+                                     .nodes = {0, 1, 2, 3},
+                                     .depth = 3,
+                                     .resolver = resolver});
+  const sim::Message self_path{.from = 1,
+                               .to = 2,
+                               .round = 2,
+                               .path = Path{0, 2, 1},
+                               .value = Value::of(3)};
+  deep.on_round(2, {self_path}, out);
+  EXPECT_EQ(deep.tree().stored(), 0u);
 }
 
 TEST(EigProcess, FullRunNoFaults) {
