@@ -43,7 +43,7 @@ DegradableSyncResult degradable_sync_round(
     if (reading.is_default()) reading = Value::of(1);
     inputs.push_back(reading);
   }
-  const core::DicResult ic =
+  const protocols::ic::IcResult ic =
       core::run_degradable_ic(config, inputs, faulty, adversaries);
   const auto& vectors = ic.vectors;
 

@@ -7,17 +7,17 @@
 
 namespace da::core {
 
-DicResult run_degradable_ic(const Config& config,
-                            const std::vector<Value>& inputs,
-                            const std::vector<NodeId>& faulty,
-                            const protocols::ic::AdversaryFactory& adversaries) {
+protocols::ic::IcResult run_degradable_ic(
+    const Config& config, const std::vector<Value>& inputs,
+    const std::vector<NodeId>& faulty,
+    const protocols::ic::AdversaryFactory& adversaries) {
   DA_EXPECTS(config.valid());
   DA_EXPECTS(static_cast<int>(inputs.size()) == config.n);
   DA_EXPECTS(std::is_sorted(faulty.begin(), faulty.end()));
   for (const Value& input : inputs) DA_EXPECTS(!input.is_default());
 
   const DegradableAgreement protocol(config);
-  DicResult result;
+  protocols::ic::IcResult result;
   for (NodeId p = 0; p < config.n; ++p) {
     result.vectors[p].assign(static_cast<std::size_t>(config.n),
                              Value::def());
@@ -48,7 +48,7 @@ DicResult run_degradable_ic(const Config& config,
 DicReport check_degradable_ic(const Config& config,
                               const std::vector<Value>& inputs,
                               const std::vector<NodeId>& faulty,
-                              const DicResult& result) {
+                              const protocols::ic::IcResult& result) {
   DicReport report;
   report.min_coordinate_agreement = config.n;
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -22,13 +21,10 @@ namespace da::core {
 ///     two classes — the true/common value and V_d — so every coordinate
 ///     still has >= m+1 fault-free nodes in agreement (whereas classical
 ///     interactive consistency retains nothing past N/3; see Bhandari).
-struct DicResult {
-  /// vectors[p][s] = what node p decided node s's private value is.
-  std::map<NodeId, std::vector<Value>> vectors;
-  std::size_t messages_sent = 0;
-};
-
-[[nodiscard]] DicResult run_degradable_ic(
+///
+/// The result has interactive consistency's shape: vectors[p][s] is what
+/// node p decided node s's private value is.
+[[nodiscard]] protocols::ic::IcResult run_degradable_ic(
     const Config& config, const std::vector<Value>& inputs,
     const std::vector<NodeId>& faulty,
     const protocols::ic::AdversaryFactory& adversaries);
@@ -50,6 +46,7 @@ struct DicReport {
 
 [[nodiscard]] DicReport check_degradable_ic(
     const Config& config, const std::vector<Value>& inputs,
-    const std::vector<NodeId>& faulty, const DicResult& result);
+    const std::vector<NodeId>& faulty,
+    const protocols::ic::IcResult& result);
 
 }  // namespace da::core

@@ -116,6 +116,8 @@ EventRunResult EventRunner::run() {
       n, std::vector<bool>(static_cast<std::size_t>(rounds), false));
   // Round r+1 sends, produced by on_round(r) and held until the send event.
   std::vector<std::vector<sim::Message>> pending_outbox(n);
+  // `route`'s buffer for the copies the network model delivers.
+  std::vector<sim::Message> copies;
 
   // Sends are counted when routed; deliveries only on arrival, since a
   // message that lands after the receiver's deadline was never delivered.
@@ -129,19 +131,17 @@ EventRunResult EventRunner::run() {
       options_.spans->note_send(round, outbox.size());
     }
     sim::route(outbox, processes_[from_index]->id(), round, fabricated,
-               options_, index,
-               [&](std::size_t to, const sim::Message& delivered) {
+               options_, index, copies,
+               [&](std::size_t to, const sim::Message& delivered,
+                   double holdback) {
                  double latency = latency_of(timing_, delivered);
-                 if (options_.network != nullptr) {
-                   // Injection holdback: deliver later within the
-                   // receiver's round window. The fraction applies to the
-                   // window remaining after the link latency, so (with
-                   // clocks synchronized and max_latency <= timeout) a
-                   // held-back message still beats the deadline.
-                   const double frac = options_.network->holdback(delivered);
-                   if (frac > 0.0 && timing_.timeout > latency) {
-                     latency += frac * (timing_.timeout - latency);
-                   }
+                 // Injection holdback: deliver later within the receiver's
+                 // round window. The fraction applies to the window
+                 // remaining after the link latency, so (with clocks
+                 // synchronized and max_latency <= timeout) a held-back
+                 // message still beats the deadline.
+                 if (holdback > 0.0 && timing_.timeout > latency) {
+                   latency += holdback * (timing_.timeout - latency);
                  }
                  queue.push(Event{.time = now + latency,
                                   .seq = seq++,

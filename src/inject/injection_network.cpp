@@ -1,7 +1,5 @@
 #include "inject/injection_network.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -44,8 +42,7 @@ obs::Json InjectionStats::to_json() const {
   return j;
 }
 
-InjectionNetwork::InjectionNetwork(FaultPlan plan, sim::NetworkModel* inner)
-    : plan_(std::move(plan)), inner_(inner) {
+InjectionNetwork::InjectionNetwork(FaultPlan plan) : plan_(std::move(plan)) {
   stats_.rule_hits.assign(plan_.rules.size(), 0);
 }
 
@@ -87,21 +84,8 @@ InjectionNetwork::Decision InjectionNetwork::decide(
   return d;
 }
 
-bool InjectionNetwork::deliver(const sim::Message& msg) {
-  // NetworkModel's single-copy entry points funnel through transit().
-  const Decision d = decide(msg);
-  return !d.crash && !d.drop;
-}
-
-std::optional<sim::Message> InjectionNetwork::transit(
-    const sim::Message& msg) {
-  std::vector<sim::Message> copies = transit_fanout(msg);
-  if (copies.empty()) return std::nullopt;
-  return std::move(copies.front());
-}
-
-std::vector<sim::Message> InjectionNetwork::transit_fanout(
-    const sim::Message& msg) {
+double InjectionNetwork::transit(const sim::Message& msg,
+                                 std::vector<sim::Message>& out) {
   static const obs::Counter examined("inject.examined");
   static const obs::Counter dropped("inject.dropped");
   static const obs::Counter duplicated("inject.duplicated");
@@ -118,45 +102,24 @@ std::vector<sim::Message> InjectionNetwork::transit_fanout(
   if (d.crash) {
     ++stats_.crash_dropped;
     crash_dropped.add();
-    return {};
+    return 0.0;
   }
   if (d.drop) {
     ++stats_.dropped;
     dropped.add();
-    return {};
+    return 0.0;
   }
-
-  // The inner model sees the message once; its verdict (drop, rewrite)
-  // applies to every injected copy — duplication happens on *this* hop.
-  std::vector<sim::Message> inner_copies =
-      inner_ != nullptr ? inner_->transit_fanout(msg)
-                        : std::vector<sim::Message>{msg};
-  if (inner_copies.empty()) return {};
-
   if (d.delay_frac > 0.0) {
     ++stats_.delayed;
     delayed.add();
   }
-  if (d.copies > 1) {
-    const std::size_t base = inner_copies.size();
-    for (int c = 1; c < d.copies; ++c) {
-      for (std::size_t i = 0; i < base; ++i) {
-        inner_copies.push_back(inner_copies[i]);
-        ++stats_.duplicated;
-        duplicated.add();
-      }
-    }
+  out.push_back(msg);
+  for (int c = 1; c < d.copies; ++c) {
+    out.push_back(msg);
+    ++stats_.duplicated;
+    duplicated.add();
   }
-  return inner_copies;
-}
-
-double InjectionNetwork::holdback(const sim::Message& msg) {
-  const Decision d = decide(msg);
-  double frac = d.crash || d.drop ? 0.0 : d.delay_frac;
-  if (inner_ != nullptr) {
-    frac = std::max(frac, inner_->holdback(msg));
-  }
-  return frac;
+  return d.delay_frac;
 }
 
 }  // namespace da::inject

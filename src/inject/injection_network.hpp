@@ -31,28 +31,24 @@ struct InjectionStats {
       default;
 };
 
-/// The fault-injection transport: wraps any inner NetworkModel (null =
-/// reliable links) and perturbs traffic per a FaultPlan — scripted
-/// per-link drop/duplicate/delay rules, crash-restart windows, and seeded
-/// background rates. Every decision derives from the plan seed and the
-/// message identity via mix64, never from call order, so the sim, threaded
-/// and event runtimes observe byte-identical executions (the property
-/// tests/test_differential.cpp machine-checks).
+/// The fault-injection transport: perturbs traffic per a FaultPlan —
+/// scripted per-link drop/duplicate/delay rules, crash-restart windows, and
+/// seeded background rates. Every decision derives from the plan seed and
+/// the message identity via mix64, never from call order, so the sim,
+/// threaded and event runtimes observe byte-identical executions (the
+/// property tests/test_differential.cpp machine-checks).
 ///
 /// Thread-safety: every runtime calls the network (and the adversary) from
 /// its one dispatching thread — only `on_round` runs on pool workers — so
 /// the plain stats counters need no atomics.
 class InjectionNetwork final : public sim::NetworkModel {
  public:
-  explicit InjectionNetwork(FaultPlan plan,
-                            sim::NetworkModel* inner = nullptr);
+  explicit InjectionNetwork(FaultPlan plan);
 
-  [[nodiscard]] bool deliver(const sim::Message& msg) override;
-  [[nodiscard]] std::optional<sim::Message> transit(
-      const sim::Message& msg) override;
-  [[nodiscard]] std::vector<sim::Message> transit_fanout(
-      const sim::Message& msg) override;
-  [[nodiscard]] double holdback(const sim::Message& msg) override;
+  /// Decides `msg` once: appends nothing (crash window or drop), one copy
+  /// or the duplicates, tallies the stats, and returns the delay fraction.
+  double transit(const sim::Message& msg,
+                 std::vector<sim::Message>& out) override;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const InjectionStats& stats() const { return stats_; }
@@ -69,10 +65,9 @@ class InjectionNetwork final : public sim::NetworkModel {
   }
 
  private:
-  /// The plan's verdict for one message, before the inner network runs.
+  /// The plan's verdict for one message.
   struct Decision {
-    FaultKind kind = FaultKind::kDelay;  // kDelay doubles as "pass, maybe late"
-    bool crash = false;                  // crash window drop
+    bool crash = false;  // crash window drop
     bool drop = false;
     int copies = 1;
     double delay_frac = 0.0;  // 0 = on time
@@ -81,7 +76,6 @@ class InjectionNetwork final : public sim::NetworkModel {
   [[nodiscard]] Decision decide(const sim::Message& msg) const;
 
   FaultPlan plan_;
-  sim::NetworkModel* inner_;
   InjectionStats stats_;
 };
 

@@ -28,10 +28,6 @@ GraphRelayNetwork::GraphRelayNetwork(graph::Graph g, int m, int u,
   std::sort(faulty_.begin(), faulty_.end());
 }
 
-bool GraphRelayNetwork::deliver(const sim::Message& msg) {
-  return transit(msg).has_value();
-}
-
 const std::vector<std::vector<NodeId>>& GraphRelayNetwork::paths_for(
     NodeId s, NodeId t) {
   const std::uint64_t key = pair_key(s, t);
@@ -45,22 +41,24 @@ int GraphRelayNetwork::paths_between(NodeId s, NodeId t) {
   return static_cast<int>(paths_for(s, t).size());
 }
 
-std::optional<sim::Message> GraphRelayNetwork::transit(
-    const sim::Message& msg) {
-  if (msg.from == msg.to) return msg;
-  if (graph_.has_edge(msg.from, msg.to)) return msg;  // direct link
+double GraphRelayNetwork::transit(const sim::Message& msg,
+                                  std::vector<sim::Message>& out) {
+  if (msg.from == msg.to || graph_.has_edge(msg.from, msg.to)) {
+    out.push_back(msg);  // self or direct link
+    return 0.0;
+  }
 
   const auto& paths = paths_for(msg.from, msg.to);
-  if (paths.empty()) return std::nullopt;  // disconnected pair
+  if (paths.empty()) return 0.0;  // disconnected pair
 
   const ChannelResult channel =
       send_along_paths(paths, msg.value, u_, faulty_, corruption_);
   // A defaulted channel is indistinguishable from an omitted message for
   // the EIG protocols (an unset tree slot reads as V_d), but delivering
   // the V_d explicitly keeps the message counts meaningful.
-  sim::Message out = msg;
-  out.value = channel.delivered;
-  return out;
+  out.push_back(msg);
+  out.back().value = channel.delivered;
+  return 0.0;
 }
 
 }  // namespace da::relay

@@ -33,10 +33,10 @@ class GraphRelayNetwork final : public sim::NetworkModel {
   GraphRelayNetwork(graph::Graph g, int m, int u,
                     std::vector<NodeId> faulty, HopCorruption corruption);
 
-  [[nodiscard]] bool deliver(const sim::Message& msg) override;
-
-  [[nodiscard]] std::optional<sim::Message> transit(
-      const sim::Message& msg) override;
+  /// Appends `msg` as is over a direct link, or with the value the
+  /// disjoint-path vote delivers otherwise; nothing for a disconnected pair.
+  double transit(const sim::Message& msg,
+                 std::vector<sim::Message>& out) override;
 
   /// Number of disjoint paths available between a pair (cached).
   [[nodiscard]] int paths_between(NodeId s, NodeId t);

@@ -5,26 +5,22 @@
 
 namespace da::sim {
 
-bool FalseTimeoutNetwork::deliver(const Message& msg) {
-  if (!active_ || drop_prob_ <= 0.0) return true;
-  std::uint64_t h = mix64(seed_, static_cast<std::uint64_t>(msg.from));
-  h = mix64(h, static_cast<std::uint64_t>(msg.to));
-  h = mix64(h, static_cast<std::uint64_t>(msg.round));
-  h = mix64(h, msg.path.hash());
-  const double x = static_cast<double>(h >> 11) * 0x1.0p-53;
-  if (x < drop_prob_) {
-    static const obs::Counter dropped("sim.network.false_timeouts");
-    dropped.add();
-    return false;
+double FalseTimeoutNetwork::transit(const Message& msg,
+                                    std::vector<Message>& out) {
+  if (active_ && drop_prob_ > 0.0) {
+    std::uint64_t h = mix64(seed_, static_cast<std::uint64_t>(msg.from));
+    h = mix64(h, static_cast<std::uint64_t>(msg.to));
+    h = mix64(h, static_cast<std::uint64_t>(msg.round));
+    h = mix64(h, msg.path.hash());
+    const double x = static_cast<double>(h >> 11) * 0x1.0p-53;
+    if (x < drop_prob_) {
+      static const obs::Counter dropped("sim.network.false_timeouts");
+      dropped.add();
+      return 0.0;
+    }
   }
-  return true;
-}
-
-bool TopologyNetwork::deliver(const Message& msg) {
-  if (graph_.has_edge(msg.from, msg.to)) return true;
-  static const obs::Counter blocked("sim.network.topology_blocked");
-  blocked.add();
-  return false;
+  out.push_back(msg);
+  return 0.0;
 }
 
 }  // namespace da::sim

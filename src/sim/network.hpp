@@ -1,62 +1,36 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "sim/message.hpp"
 
 namespace da::sim {
 
-/// Models the link layer between two fault-free endpoints (adversaries
-/// handle faulty senders separately). `deliver` returning false means the
-/// receiver observes an absent message.
+/// Models the link layer a send crosses after the adversary's `corrupt`
+/// (a null model means reliable links with detectable absence, the
+/// assumptions (a)/(b) of Section 4).
 class NetworkModel {
  public:
   virtual ~NetworkModel() = default;
-  [[nodiscard]] virtual bool deliver(const Message& msg) = 0;
 
-  /// Generalization for networks that *alter* messages in transit (e.g.
-  /// multi-hop relay channels over a sparse graph, where faulty interior
-  /// nodes may corrupt a copy and the receiver votes over the path copies).
-  /// Default: all-or-nothing delivery with content intact.
-  [[nodiscard]] virtual std::optional<Message> transit(const Message& msg) {
-    return deliver(msg) ? std::optional<Message>(msg) : std::nullopt;
-  }
-
-  /// Fan-out generalization for networks that may deliver *several* copies
-  /// of one send (duplication faults — src/inject/). All three runtimes
-  /// route every send through this entry point. Implementations must keep
-  /// the result a pure function of the message identity, never of call
-  /// order. Default: zero-or-one copies via transit().
-  [[nodiscard]] virtual std::vector<Message> transit_fanout(
-      const Message& msg) {
-    std::optional<Message> one = transit(msg);
-    if (one) return {std::move(*one)};
-    return {};
-  }
-
-  /// Injection hook for the event-driven runtime: an extra in-window
-  /// delivery delay for `msg`, as a fraction [0,1) of the receiver's
-  /// remaining round window after link latency. The round-synchronous
-  /// runtimes ignore it (intra-round delivery order is canonicalized by
-  /// sort_inbox), so a holdback perturbs real-time arrival order without
+  /// Appends to `out` the copies of `msg` the link delivers: none (the
+  /// receiver observes an absent message), one, or several (duplication
+  /// faults, src/inject/). A copy's content may differ from `msg` (relay
+  /// channels over a sparse graph, where faulty interior nodes corrupt
+  /// their copy). What `out` already holds is left alone.
+  ///
+  /// Returns the in-window holdback of the appended copies: an extra
+  /// delivery delay, as a fraction [0,1) of the receiver's round window
+  /// remaining after link latency. Only the event-driven runtime reads it;
+  /// the round-synchronous runtimes canonicalize intra-round order
+  /// (sort_inbox), so a holdback perturbs real-time arrival order without
   /// changing any observable decision — which is exactly what the
-  /// differential-replay harness asserts. Must be a pure function of the
-  /// message identity.
-  [[nodiscard]] virtual double holdback(const Message& msg) {
-    (void)msg;
-    return 0.0;
-  }
-};
-
-/// Assumption (a)/(b) of Section 4: all messages delivered, absence
-/// detectable. The baseline network.
-class ReliableNetwork final : public NetworkModel {
- public:
-  [[nodiscard]] bool deliver(const Message&) override { return true; }
+  /// differential-replay harness asserts.
+  ///
+  /// Copies and holdback must be a pure function of the message identity,
+  /// never of call order, so every runtime observes the same execution.
+  virtual double transit(const Message& msg, std::vector<Message>& out) = 0;
 };
 
 /// Section 6.1 relaxation: when more than m nodes are faulty, clock
@@ -75,27 +49,12 @@ class FalseTimeoutNetwork final : public NetworkModel {
 
   void set_active(bool active) { active_ = active; }
 
-  [[nodiscard]] bool deliver(const Message& msg) override;
+  double transit(const Message& msg, std::vector<Message>& out) override;
 
  private:
   double drop_prob_;
   std::uint64_t seed_;
   bool active_ = false;
-};
-
-/// Restricts communication to the edges of a graph: messages between
-/// non-adjacent nodes are never delivered. Used by the connectivity
-/// experiments (Theorem 3).
-class TopologyNetwork final : public NetworkModel {
- public:
-  explicit TopologyNetwork(graph::Graph g) : graph_(std::move(g)) {}
-
-  [[nodiscard]] bool deliver(const Message& msg) override;
-
-  [[nodiscard]] const graph::Graph& graph() const { return graph_; }
-
- private:
-  graph::Graph graph_;
 };
 
 }  // namespace da::sim

@@ -70,8 +70,8 @@ void RoundEngine::dispatch(std::vector<Message>& outbox, NodeId from,
   // thread-local add per metric instead of three per message.
   std::uint64_t delivered = 0;
   std::uint64_t wire_bytes = 0;
-  route(outbox, from, round, fabricated, options_, index_,
-        [&](std::size_t to, const Message& copy) {
+  route(outbox, from, round, fabricated, options_, index_, copies_,
+        [&](std::size_t to, const Message& copy, double /*holdback*/) {
           ++delivered;
           wire_bytes += wire_size_bytes(copy);
           if (options_.trace != nullptr) options_.trace->record(copy);

@@ -136,8 +136,8 @@ class RoundEngine {
 
   // Held outboxes (one per process) for round `pending_round_`, collected
   // but not yet dispatched. Processes append into them directly; dispatch
-  // empties them and keeps their capacity, so warm rounds never allocate. `begun_` flips on begin(); `dispatched_`
-  // tracks which phase is next.
+  // empties them and keeps their capacity, so warm rounds never allocate.
+  // `begun_` flips on begin(); `dispatched_` tracks which phase is next.
   std::vector<std::vector<Message>> pending_;
   int pending_round_ = 0;
   bool begun_ = false;
@@ -147,6 +147,10 @@ class RoundEngine {
   // and cleared (keeping capacity) by process_round.
   std::vector<std::vector<Message>> inboxes_;
   int rounds_processed_ = 0;
+
+  // `route`'s buffer for the copies a network model delivers; cleared per
+  // send and never shrunk, so warm rounds route without allocating.
+  std::vector<Message> copies_;
 
   std::size_t messages_sent_ = 0;
   std::size_t messages_delivered_ = 0;

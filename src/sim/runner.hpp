@@ -112,21 +112,22 @@ void count_dropped_fabrication();
 /// the message but not impersonate another sender, redirect it or move it
 /// to another round: receivers would reject those, so `from`/`to`/`round`
 /// are restored. Fabricated messages already carry adversarial content and
-/// skip `corrupt`. Then the network model's `transit_fanout` yields zero
-/// (drop), one or several (duplicate) copies; reliable links (null
-/// network) pass the message on without a per-message vector. Each copy
-/// goes to `sink`.
+/// skip `corrupt`. Then the network model's `transit` appends zero (drop),
+/// one or several (duplicate) copies to `copies`, the runtime's held
+/// buffer, which is cleared first; reliable links (null network) pass the
+/// message on without touching it. Each copy goes to `sink(copy,
+/// holdback)` with the model's holdback fraction (0 on reliable links).
 template <typename Sink>
 void filter_fanout(const Message& msg, const RunOptions& options,
-                   bool corrupt, Sink&& sink) {
+                   bool corrupt, std::vector<Message>& copies, Sink&& sink) {
   const auto transit = [&](const Message& out) {
     if (options.network == nullptr) {
-      sink(out);
+      sink(out, 0.0);
       return;
     }
-    for (const Message& copy : options.network->transit_fanout(out)) {
-      sink(copy);
-    }
+    copies.clear();
+    const double holdback = options.network->transit(out, copies);
+    for (const Message& copy : copies) sink(copy, holdback);
   };
   if (!corrupt) {
     transit(msg);
@@ -143,33 +144,34 @@ void filter_fanout(const Message& msg, const RunOptions& options,
 /// The one message-dispatch rule, shared by `RoundEngine` (so also
 /// `SyncRunner` and the threaded runtime) and `event::EventRunner`. Stamps
 /// every message of `from`'s round-`round` outbox with the round, passes
-/// it through `filter_fanout`, and hands each resulting copy to
-/// `deliver(receiver_index, copy)`. Honest senders and the normalized
-/// `corrupt` can only address participants, but `fabricate` may aim
-/// anywhere: a copy for a node outside `index` is dropped here and counted
-/// once, before any runtime counts, traces or schedules it.
+/// it through `filter_fanout` (with `copies` as its buffer), and hands
+/// each resulting copy to `deliver(receiver_index, copy, holdback)`.
+/// Honest senders and the normalized `corrupt` can only address
+/// participants, but `fabricate` may aim anywhere: a copy for a node
+/// outside `index` is dropped here and counted once, before any runtime
+/// counts, traces or schedules it.
 template <typename Deliver>
 void route(std::vector<Message>& outbox, NodeId from, int round,
            bool fabricated, const RunOptions& options, const NodeIndex& index,
-           Deliver&& deliver) {
+           std::vector<Message>& copies, Deliver&& deliver) {
   const bool corrupt = !fabricated && index.faulty(from);
   DA_EXPECTS(!corrupt || options.adversary != nullptr);
-  const auto land = [&](const Message& copy) {
+  const auto land = [&](const Message& copy, double holdback) {
     const std::size_t to = index.at(copy.to);
     if (to == NodeIndex::npos) {
       DA_EXPECTS(fabricated);
       count_dropped_fabrication();
       return;
     }
-    deliver(to, copy);
+    deliver(to, copy, holdback);
   };
   for (Message& msg : outbox) {
     DA_EXPECTS(msg.from == from);
     msg.round = round;
     if (!corrupt && options.network == nullptr) {
-      land(msg);  // reliable-link fast path: delivered as sent
+      land(msg, 0.0);  // reliable-link fast path: delivered as sent
     } else {
-      filter_fanout(msg, options, corrupt, land);
+      filter_fanout(msg, options, corrupt, copies, land);
     }
   }
 }

@@ -61,8 +61,12 @@ inline Result run(std::vector<std::unique_ptr<sim::Process>> processes,
   for (int round = 0; round < rounds; ++round) {
     std::map<NodeId, Inbox> inboxes;
     const auto transmit = [&](const sim::Message& msg) {
-      std::vector<sim::Message> copies{msg};
-      if (network != nullptr) copies = network->transit_fanout(msg);
+      std::vector<sim::Message> copies;
+      if (network == nullptr) {
+        copies.push_back(msg);
+      } else {
+        network->transit(msg, copies);  // holdback: event runtime only
+      }
       for (const sim::Message& copy : copies) {
         if (!by_id.contains(copy.to)) continue;  // fabricated, unknown node
         ++result.messages_delivered;

@@ -1,7 +1,8 @@
 // Allocation pins for the hot paths that claim to be allocation-free once
 // warm: one service instance's round cycle on the checkpoint/fork engine
 // (restore, then dispatch_pending / process_round to the end, then
-// finish_into) and the checker's `sim::Decisions` overloads.
+// finish_into), on reliable links and under fault injection, and the
+// checker's `sim::Decisions` overloads.
 //
 // This file replaces the global `operator new` with one that counts the
 // calls made on the calling thread while a `Counting` guard is alive, so
@@ -21,6 +22,7 @@
 #include "core/checker.hpp"
 #include "core/scenario.hpp"
 #include "faults/adversaries.hpp"
+#include "inject/injection_network.hpp"
 #include "protocols/lamport/om.hpp"
 #include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
@@ -144,6 +146,23 @@ TEST(Alloc, WarmByzThreeRoundRoundsAllocateNothing) {
   Instance inst = byz(Config{.n = 7, .m = 2, .u = 2}, {1, 2});
   EXPECT_EQ(inst.warm_cycle_news(), 0u);
   EXPECT_GT(inst.result.messages_sent, 0u);
+}
+
+TEST(Alloc, WarmByzInjectedRoundsAllocateNothing) {
+  // Duplicated and delayed sends: the network model appends each send's
+  // copies to the engine's held buffer, so a warm cycle still allocates
+  // nothing.
+  inject::FaultPlan plan;
+  plan.seed = 3;
+  plan.rates.duplicate = 0.05;
+  plan.rates.delay = 0.10;
+  inject::InjectionNetwork network(plan);
+  Instance inst = byz(Config{.n = 7, .m = 1, .u = 4}, {2, 3});
+  inst.engine->set_network(&network);
+  EXPECT_EQ(inst.warm_cycle_news(), 0u);
+  EXPECT_GT(network.stats().duplicated, 0u);
+  EXPECT_GT(network.stats().delayed, 0u);
+  EXPECT_GT(inst.result.messages_delivered, inst.result.messages_sent);
 }
 
 TEST(Alloc, WarmIcCoordinateRoundsAllocateNothing) {

@@ -10,6 +10,8 @@
 namespace da::core {
 namespace {
 
+using protocols::ic::IcResult;
+
 std::vector<Value> inputs_for(int n) {
   std::vector<Value> inputs;
   for (int i = 0; i < n; ++i) inputs.push_back(Value::of(200 + i));
@@ -23,7 +25,7 @@ protocols::ic::AdversaryFactory honest_factory() {
 TEST(DegradableIc, NoFaultsVectorsAreInputs) {
   const Config config{.n = 7, .m = 1, .u = 4};
   const auto inputs = inputs_for(config.n);
-  const DicResult result =
+  const IcResult result =
       run_degradable_ic(config, inputs, {}, honest_factory());
   const DicReport report = check_degradable_ic(config, inputs, {}, result);
   EXPECT_TRUE(report.satisfied) << report.detail;
@@ -36,7 +38,7 @@ TEST(DegradableIc, ExactRangeKeepsVectorsIdentical) {
   const Config config{.n = 7, .m = 1, .u = 4};
   const auto inputs = inputs_for(config.n);
   const std::vector<NodeId> faulty{3};
-  const DicResult result = run_degradable_ic(
+  const IcResult result = run_degradable_ic(
       config, inputs, faulty, [](NodeId sender) {
         return faults::equivocator(Value::of(1), Value::of(2 + sender));
       });
@@ -62,7 +64,7 @@ TEST(DegradableIc, DegradedRangeKeepsPerCoordinateGuarantee) {
     Rng rng(static_cast<std::uint64_t>(f) * 71);
     std::vector<NodeId> faulty;
     for (const int x : rng.subset(config.n, f)) faulty.push_back(x);
-    const DicResult result = run_degradable_ic(
+    const IcResult result = run_degradable_ic(
         config, inputs, faulty, [f](NodeId sender) {
           return faults::random_noise(
               mix64(static_cast<std::uint64_t>(f),
@@ -95,7 +97,7 @@ TEST(DegradableIc, BeatsClassicalIcPastOneThird) {
   EXPECT_FALSE(
       protocols::ic::interactive_consistency_holds(ic, inputs, faulty));
 
-  const DicResult dic = run_degradable_ic(config, inputs, faulty, factory);
+  const IcResult dic = run_degradable_ic(config, inputs, faulty, factory);
   const DicReport report = check_degradable_ic(config, inputs, faulty, dic);
   EXPECT_TRUE(report.satisfied) << report.detail;
   EXPECT_GE(report.min_coordinate_agreement, 2);
@@ -107,7 +109,7 @@ TEST(DegradableIc, ViolationReportingWorks) {
   const Config config{.n = 5, .m = 1, .u = 2};
   const auto inputs = inputs_for(config.n);
   const std::vector<NodeId> faulty{4};
-  DicResult result =
+  IcResult result =
       run_degradable_ic(config, inputs, faulty, honest_factory());
   // Corrupt node 2's view of coordinate 1 to a third value.
   result.vectors[2][1] = Value::of(9999);
@@ -131,7 +133,7 @@ TEST(DegradableIc, DefaultInputsRejected) {
 TEST(DegradableIc, MessageCostIsNInstances)
 {
   const Config config{.n = 6, .m = 1, .u = 3};
-  const DicResult result =
+  const IcResult result =
       run_degradable_ic(config, inputs_for(6), {}, honest_factory());
   EXPECT_EQ(result.messages_sent,
             static_cast<std::size_t>(config.n) *

@@ -32,6 +32,18 @@ sim::Message msg(NodeId from, NodeId to, int round) {
   return m;
 }
 
+/// What the link did to one send: its copies and their holdback.
+struct Transit {
+  std::vector<sim::Message> copies;
+  double holdback = 0.0;
+};
+
+Transit transit(InjectionNetwork& network, const sim::Message& m) {
+  Transit t;
+  t.holdback = network.transit(m, t.copies);
+  return t;
+}
+
 // ---------------------------------------------------------------- FaultPlan
 
 TEST(FaultPlan, ParseSerializeRoundTrip) {
@@ -165,10 +177,10 @@ TEST(FaultPlan, InactivePlanIsInert) {
   for (int r = 0; r < 3; ++r) {
     for (NodeId from = 0; from < 4; ++from) {
       for (NodeId to = 0; to < 4; ++to) {
-        const auto copies = network.transit_fanout(msg(from, to, r));
-        ASSERT_EQ(copies.size(), 1u);
-        EXPECT_EQ(copies[0], msg(from, to, r));
-        EXPECT_EQ(network.holdback(msg(from, to, r)), 0.0);
+        const Transit t = transit(network, msg(from, to, r));
+        ASSERT_EQ(t.copies.size(), 1u);
+        EXPECT_EQ(t.copies[0], msg(from, to, r));
+        EXPECT_EQ(t.holdback, 0.0);
       }
     }
   }
@@ -192,11 +204,11 @@ TEST(InjectionNetwork, ScriptedRulesApplyFirstMatch) {
 
   // First rule matches (0 -> 1, round 0): dropped, even though the second
   // rule would duplicate it.
-  EXPECT_TRUE(network.transit_fanout(msg(0, 1, 0)).empty());
+  EXPECT_TRUE(transit(network, msg(0, 1, 0)).copies.empty());
   // Only the second matches 0 -> 2: three copies.
-  EXPECT_EQ(network.transit_fanout(msg(0, 2, 0)).size(), 3u);
+  EXPECT_EQ(transit(network, msg(0, 2, 0)).copies.size(), 3u);
   // Neither matches 1 -> 0: passthrough.
-  EXPECT_EQ(network.transit_fanout(msg(1, 0, 0)).size(), 1u);
+  EXPECT_EQ(transit(network, msg(1, 0, 0)).copies.size(), 1u);
   EXPECT_EQ(network.stats().dropped, 1u);
   EXPECT_EQ(network.stats().duplicated, 2u);
 }
@@ -205,10 +217,10 @@ TEST(InjectionNetwork, CrashWindowDropsBothDirections) {
   FaultPlan plan;
   plan.crashes.push_back(CrashWindow{.node = 2, .down_from = 1, .restart = 2});
   InjectionNetwork network(plan);
-  EXPECT_FALSE(network.transit_fanout(msg(2, 0, 0)).empty());  // before
-  EXPECT_TRUE(network.transit_fanout(msg(2, 0, 1)).empty());   // down, sends
-  EXPECT_TRUE(network.transit_fanout(msg(0, 2, 1)).empty());   // down, recvs
-  EXPECT_FALSE(network.transit_fanout(msg(2, 0, 2)).empty());  // restarted
+  EXPECT_FALSE(transit(network, msg(2, 0, 0)).copies.empty());  // before
+  EXPECT_TRUE(transit(network, msg(2, 0, 1)).copies.empty());   // down, sends
+  EXPECT_TRUE(transit(network, msg(0, 2, 1)).copies.empty());   // down, recvs
+  EXPECT_FALSE(transit(network, msg(2, 0, 2)).copies.empty());  // restarted
   EXPECT_EQ(network.stats().crash_dropped, 2u);
 }
 
@@ -221,10 +233,10 @@ TEST(InjectionNetwork, DecisionsArePureFunctionsOfMessageIdentity) {
   for (int r = 0; r < 4; ++r) {
     for (NodeId from = 0; from < 5; ++from) {
       for (NodeId to = 0; to < 5; ++to) {
-        const auto fwd = a.transit_fanout(msg(from, to, r));
-        EXPECT_EQ(a.holdback(msg(from, to, r)), b.holdback(msg(from, to, r)));
-        const auto again = b.transit_fanout(msg(from, to, r));
-        EXPECT_EQ(fwd, again);
+        const Transit fwd = transit(a, msg(from, to, r));
+        const Transit again = transit(b, msg(from, to, r));
+        EXPECT_EQ(fwd.copies, again.copies);
+        EXPECT_EQ(fwd.holdback, again.holdback);
       }
     }
   }
@@ -234,7 +246,7 @@ TEST(InjectionNetwork, DecisionsArePureFunctionsOfMessageIdentity) {
   for (int r = 3; r >= 0; --r) {
     for (NodeId from = 4; from >= 0; --from) {
       for (NodeId to = 4; to >= 0; --to) {
-        (void)c.transit_fanout(msg(from, to, r));
+        transit(c, msg(from, to, r));
       }
     }
   }
@@ -247,11 +259,29 @@ TEST(InjectionNetwork, HoldbackStaysInWindow) {
   InjectionNetwork network(plan);
   for (NodeId from = 0; from < 6; ++from) {
     for (NodeId to = 0; to < 6; ++to) {
-      const double frac = network.holdback(msg(from, to, 1));
+      const double frac = transit(network, msg(from, to, 1)).holdback;
       EXPECT_GT(frac, 0.0);
       EXPECT_LT(frac, 1.0);  // always lands inside the round window
     }
   }
+}
+
+TEST(InjectionNetwork, TransitAppendsAfterWhatTheBufferHolds) {
+  FaultPlan plan;
+  plan.rules.push_back(LinkRule{
+      .from = 0, .to = kNoNode, .round = -1, .kind = FaultKind::kDuplicate,
+      .copies = 3});
+  plan.rules.push_back(
+      LinkRule{.from = 1, .to = kNoNode, .round = -1, .kind = FaultKind::kDrop});
+  InjectionNetwork network(plan);
+  std::vector<sim::Message> out{msg(4, 5, 0)};
+  network.transit(msg(0, 2, 0), out);  // three copies, appended
+  network.transit(msg(1, 2, 0), out);  // dropped: appends nothing
+  network.transit(msg(2, 3, 0), out);  // one copy
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[0], msg(4, 5, 0));  // what the buffer held stays first
+  for (std::size_t i = 1; i <= 3; ++i) EXPECT_EQ(out[i], msg(0, 2, 0));
+  EXPECT_EQ(out[4], msg(2, 3, 0));
 }
 
 // ------------------------------------------------------------- Differential

@@ -707,9 +707,11 @@ TEST(InjectionNetworkObs, RuleHitsAttributeDecisions) {
   sim::Message hit_drop{.from = 1, .to = 2, .round = 0};
   sim::Message hit_dup{.from = 3, .to = 0, .round = 1};
   sim::Message miss{.from = 0, .to = 1, .round = 0};
-  (void)net.transit_fanout(hit_drop);
-  (void)net.transit_fanout(hit_dup);
-  (void)net.transit_fanout(miss);
+  std::vector<sim::Message> copies;
+  net.transit(hit_drop, copies);
+  net.transit(hit_dup, copies);
+  net.transit(miss, copies);
+  EXPECT_EQ(copies.size(), 3u);  // two of the duplicate, one of the miss
   EXPECT_EQ(net.stats().rule_hits[0], 1u);
   EXPECT_EQ(net.stats().rule_hits[1], 1u);
   EXPECT_EQ(net.stats().examined, 3u);
@@ -723,7 +725,7 @@ TEST(InjectionNetworkObs, RuleHitsAttributeDecisions) {
 
   // Reseeding changes only the seed-dependent draws, not the rule table.
   net.reseed(99);
-  (void)net.transit_fanout(hit_drop);
+  net.transit(hit_drop, copies);
   EXPECT_EQ(net.stats().rule_hits[0], 1u);
 }
 

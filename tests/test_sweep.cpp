@@ -283,8 +283,10 @@ TEST(RunSweep, FirstHitIsSmallestOrdinalNotFastestWallClock) {
       plan, options, [&](std::uint64_t o, std::size_t, Rng&) -> Visit {
         if (o == 37) {
           // Make the early shard slow so the later hit lands first in
-          // wall-clock order on multi-core machines.
-          for (volatile int spin = 0; spin < 200000; spin = spin + 1) {
+          // wall-clock order on multi-core machines. Every iteration reads
+          // the volatile bound, so the loop cannot be elided.
+          volatile int bound = 200000;
+          for (int spin = 0; spin < bound; ++spin) {
           }
           return {.hit = true};
         }

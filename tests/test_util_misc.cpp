@@ -8,41 +8,10 @@
 
 #include "core/agreement.hpp"
 #include "util/contracts.hpp"
-#include "util/log.hpp"
 #include "util/parse.hpp"
 
 namespace da {
 namespace {
-
-TEST(Log, LevelRoundTrip) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(LogLevel::kOff);
-  EXPECT_EQ(log_level(), LogLevel::kOff);
-  set_log_level(before);
-}
-
-TEST(Log, SuppressedBelowThreshold) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  int evaluations = 0;
-  const auto expensive = [&evaluations] {
-    ++evaluations;
-    return 42;
-  };
-  DA_LOG(kDebug) << "never shown " << expensive();
-  EXPECT_EQ(evaluations, 0);  // the stream body is short-circuited
-  set_log_level(before);
-}
-
-TEST(Log, EmitsAtOrAboveThreshold) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kOff);
-  // kOff silences even errors — and must not crash.
-  DA_LOG(kError) << "silenced";
-  set_log_level(before);
-}
 
 TEST(Contracts, ExpectsThrowsWithLocation) {
   try {
