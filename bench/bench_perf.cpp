@@ -21,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <span>
 #include <string>
 #include <vector>
@@ -442,11 +443,9 @@ BENCHMARK(BM_ServiceLatency)
 // layer quiet (range(0)=0) and recording (range(0)=1: causal spans plus
 // periodic time-series samples). Both rows run the same protocol work —
 // recording never perturbs admission or rounds (identical p99 counter).
-// The quiet row compared across DA_METRICS=ON/OFF builds measures the
-// always-on instrumentation (budget <1%; measured in the noise); the
-// adjacent-row delta prices the opt-in span/sample recording. Under
-// -DDA_METRICS=OFF the two rows must coincide (recording compiles away).
-// docs/OBSERVABILITY.md cites these rows; BM_SpanRecord and
+// The adjacent-row delta prices the opt-in span/sample recording; the
+// always-on registry is priced by BM_CounterAdd, BM_QuantileRecord and
+// BM_ScopedTimer. docs/OBSERVABILITY.md cites these rows; BM_SpanRecord and
 // BM_SpansToJsonl below price the recording and export layers on their
 // own.
 void BM_ServiceTelemetry(benchmark::State& state) {
@@ -473,6 +472,52 @@ void BM_ServiceTelemetry(benchmark::State& state) {
   state.counters["p99"] = result.latency_quantile(0.99);
 }
 BENCHMARK(BM_ServiceTelemetry)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The always-on registry's three operations, 1000 per iteration (so the
+// ms rows read as us per operation) on one thread, with a MetricsScope
+// open as around a protocol execution: a counter add and a quantile
+// record each write the thread-local sink (no atomic, no lock); a
+// ScopedTimer reads the steady clock twice and records the difference.
+// A run's registry event counts times these rows price the layer
+// (docs/OBSERVABILITY.md "Overhead budget").
+constexpr int kRegistryBatch = 1000;
+
+void BM_CounterAdd(benchmark::State& state) {
+  static const da::obs::Counter counter("bench.counter_add");
+  const da::obs::MetricsScope scope;
+  for (auto _ : state) {
+    for (int i = 0; i < kRegistryBatch; ++i) counter.add();
+  }
+  state.SetItemsProcessed(state.iterations() * kRegistryBatch);
+}
+BENCHMARK(BM_CounterAdd);
+
+void BM_QuantileRecord(benchmark::State& state) {
+  static const da::obs::Quantile quantile("bench.quantile_record");
+  // Samples spread over many sketch buckets, as latencies are.
+  std::array<double, 256> samples{};
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = 0.001 * static_cast<double>(1 + i * i);
+  }
+  const da::obs::MetricsScope scope;
+  for (auto _ : state) {
+    for (int i = 0; i < kRegistryBatch; ++i) quantile.record(samples[i & 255]);
+  }
+  state.SetItemsProcessed(state.iterations() * kRegistryBatch);
+}
+BENCHMARK(BM_QuantileRecord);
+
+void BM_ScopedTimer(benchmark::State& state) {
+  static const da::obs::Quantile quantile("bench.scoped_timer_ms");
+  const da::obs::MetricsScope scope;
+  for (auto _ : state) {
+    for (int i = 0; i < kRegistryBatch; ++i) {
+      const da::obs::ScopedTimer timer(quantile);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kRegistryBatch);
+}
+BENCHMARK(BM_ScopedTimer);
 
 // Span recording, the lowest observability rung: build one round span —
 // identity, window, parent identity and range(0) tags, the service's
@@ -674,15 +719,6 @@ int verify_analytic_counts() {
   table.set_name("analytic_vs_measured");
   int mismatches = 0;
 
-  // Registry-delta rows are meaningless under -DDA_METRICS=OFF (counter
-  // writes compile to no-ops, so every delta reads 0); keep only the
-  // rows fed by the runners' own outcome counts there.
-#ifndef DA_METRICS_DISABLED
-  constexpr bool kRegistryCounts = true;
-#else
-  constexpr bool kRegistryCounts = false;
-#endif
-
   const auto check = [&](const char* protocol, int n, int m,
                          std::uint64_t measured, std::uint64_t analytic) {
     const bool ok = measured == analytic;
@@ -700,7 +736,7 @@ int verify_analytic_counts() {
         registry.counter_value("sim.messages_sent") - before;
     const std::uint64_t analytic =
         da::core::byz_message_count(n, m);
-    if (kRegistryCounts) check("BYZ", n, m, delta, analytic);
+    check("BYZ", n, m, delta, analytic);
     check("BYZ(outcome)", n, m, outcome.messages_sent, analytic);
   }
 
@@ -713,10 +749,8 @@ int verify_analytic_counts() {
     (void)runner.run();
     const std::uint64_t delta =
         registry.counter_value("sim.messages_sent") - before;
-    if (kRegistryCounts) {
-      check("crusader", n, 1, delta,
-            da::protocols::crusader::crusader_message_count(n));
-    }
+    check("crusader", n, 1, delta,
+          da::protocols::crusader::crusader_message_count(n));
   }
 
   for (const auto& [n, m] : {std::pair{4, 1}, {5, 1}}) {

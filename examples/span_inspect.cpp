@@ -354,16 +354,15 @@ int run_schema() {
   std::puts(
       "span JSONL: one compact JSON object per line, canonical order\n"
       "  id      string  name[:job][.sub][#round], derived from identity\n"
-      "  name    string  job|queue|inst|round|decide|recycle|"
-      "send|deliver|resolve\n"
-      "  job     int     owning service job id, -1 for runtime spans\n"
+      "  name    string  job|queue|inst|round|decide|recycle\n"
+      "  job     int     owning service job id\n"
       "  sub     int     sub-instance (IC coordinate), -1 when n/a\n"
       "  round   int     round index, -1 when n/a\n"
-      "  t0, t1  number  virtual time (service) or round units (runtime)\n"
+      "  t0, t1  number  virtual time\n"
       "  parent  string  id of the causing span, \"\" = root\n"
-      "  tags    object  int64-valued labels: tmpl/adv/width/rounds/ok/"
-      "cond,\n"
-      "                  messages/dropped/nodes (runtime phases),\n"
+      "  tags    object  int64-valued labels: tmpl/adv/class/width/rounds/"
+      "ok/cond,\n"
+      "                  deadline/shed (dispositions),\n"
       "                  inj_* and rule<k> fault-injection attribution");
   return 0;
 }

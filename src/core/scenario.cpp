@@ -1,7 +1,10 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <limits>
 
+#include "core/byz.hpp"
+#include "protocols/common/eig_layout.hpp"
 #include "util/contracts.hpp"
 
 namespace da {
@@ -11,11 +14,42 @@ std::string Config::to_string() const {
          std::to_string(n);
 }
 
+bool Config::engine_runnable() const {
+  return n >= 2 * m + 1 && engine_slots() <= kEngineSlotBudget;
+}
+
+std::uint64_t Config::engine_slots() const {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t tree =
+      protocols::EigLayout::slot_count(n, core::byz_depth(m));
+  const auto receivers = static_cast<std::uint64_t>(std::max(n, 0));
+  if (receivers != 0 && tree > kMax / receivers) return kMax;
+  return receivers * tree;
+}
+
+namespace {
+
+std::string unsupported_reason(const Config& config) {
+  if (config.n < 2 * config.m + 1) {
+    return " needs n >= 2m+1 = " + std::to_string(2 * config.m + 1) +
+           " for the engine's deepest VOTE quorum to be non-empty";
+  }
+  const std::uint64_t slots = config.engine_slots();
+  const std::string count =
+      slots == std::numeric_limits<std::uint64_t>::max()
+          ? "more than 2^64"
+          : std::to_string(slots);
+  return " needs " + count + " EIG arena slots (n receivers x the depth-" +
+         std::to_string(core::byz_depth(config.m)) +
+         " tree), over the engine's budget of " +
+         std::to_string(kEngineSlotBudget);
+}
+
+}  // namespace
+
 UnsupportedConfig::UnsupportedConfig(const Config& config)
-    : std::invalid_argument(
-          "unsupported config: " + config.to_string() +
-          " needs n >= 2m+1 = " + std::to_string(2 * config.m + 1) +
-          " for the engine's deepest VOTE quorum to be non-empty"),
+    : std::invalid_argument("unsupported config: " + config.to_string() +
+                            unsupported_reason(config)),
       config_(config) {}
 
 bool ScenarioSpec::sender_faulty() const { return is_faulty(sender); }

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "obs/metrics.hpp"
-#include "obs/spans.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -127,9 +126,6 @@ EventRunResult EventRunner::run() {
     if (outbox.empty()) return;
     result.base.messages_sent += outbox.size();
     sent.add(outbox.size());
-    if (options_.spans != nullptr) {
-      options_.spans->note_send(round, outbox.size());
-    }
     sim::route(outbox, processes_[from_index]->id(), round, fabricated,
                options_, index, copies,
                [&](std::size_t to, const sim::Message& delivered,
@@ -184,7 +180,6 @@ EventRunResult EventRunner::run() {
         }
         ++result.base.messages_delivered;
         delivered_count.add();
-        if (options_.spans != nullptr) options_.spans->note_deliver(r, 1);
         if (options_.trace != nullptr) options_.trace->record(event.msg);
         inbox[to][static_cast<std::size_t>(r)].push_back(event.msg);
         break;
@@ -196,9 +191,6 @@ EventRunResult EventRunner::run() {
         std::vector<sim::Message> box;
         box.swap(inbox[event.node_index][r]);
         sim::sort_inbox(box);
-        if (options_.spans != nullptr) {
-          options_.spans->note_resolve(event.round, 1);
-        }
         // Send(r) emptied the outbox before this Deadline(r), and
         // Send(r+1) dispatches what on_round appends here.
         std::vector<sim::Message>& next = pending_outbox[event.node_index];
@@ -213,7 +205,6 @@ EventRunResult EventRunner::run() {
     }
   }
 
-  if (options_.spans != nullptr) options_.spans->note_done(rounds);
   for (const auto& p : processes_) {
     result.base.decisions[p->id()] = p->decide();
   }

@@ -73,14 +73,9 @@ std::uint32_t MetricsRegistry::intern_quantile(std::string_view name) {
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, double value) {
-#ifndef DA_METRICS_DISABLED
   Store& s = store();
   const std::lock_guard<std::mutex> lock(s.mu);
   s.gauges[std::string(name)] = value;
-#else
-  (void)name;
-  (void)value;
-#endif
 }
 
 void MetricsRegistry::flush_this_thread() {
@@ -110,7 +105,6 @@ void MetricsRegistry::flush_this_thread() {
 
 MetricsSnapshot MetricsRegistry::snapshot() {
   MetricsSnapshot out;
-#ifndef DA_METRICS_DISABLED
   flush_this_thread();
   Store& s = store();
   const std::lock_guard<std::mutex> lock(s.mu);
@@ -122,26 +116,19 @@ MetricsSnapshot MetricsRegistry::snapshot() {
   for (std::size_t i = 0; i < s.quantile_names.size(); ++i) {
     out.quantiles[s.quantile_names[i]] = s.quantile_cells[i];
   }
-#endif
   return out;
 }
 
 std::uint64_t MetricsRegistry::counter_value(std::string_view name) {
-#ifndef DA_METRICS_DISABLED
   flush_this_thread();
   Store& s = store();
   const std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.counter_ids.find(std::string(name));
   if (it == s.counter_ids.end()) return 0;
   return s.counter_cells[it->second].load(std::memory_order_relaxed);
-#else
-  (void)name;
-  return 0;
-#endif
 }
 
 void MetricsRegistry::reset() {
-#ifndef DA_METRICS_DISABLED
   flush_this_thread();
   Store& s = store();
   const std::lock_guard<std::mutex> lock(s.mu);
@@ -150,7 +137,6 @@ void MetricsRegistry::reset() {
   }
   for (QuantileSketch& cell : s.quantile_cells) cell.clear();
   s.gauges.clear();
-#endif
 }
 
 namespace detail {

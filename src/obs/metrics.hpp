@@ -22,11 +22,6 @@ namespace da::obs {
 /// sketches under one mutex). That makes instrumentation safe and
 /// contention-free under the sweep engine's fork-join pool: each thread
 /// accumulates locally and pays one merge per protocol execution.
-///
-/// Compile-time kill switch: building with -DDA_METRICS_DISABLED (CMake:
-/// -DDA_METRICS=OFF) turns every Counter/Quantile/ScopedTimer
-/// operation into an inline no-op so the cost of the instrumentation
-/// itself can be measured (the registry stays linkable but stays empty).
 
 /// Point-in-time copy of every registered metric. Quantile metrics carry
 /// their full `QuantileSketch`, so a snapshot can answer any percentile
@@ -82,19 +77,12 @@ class MetricsRegistry {
 /// instrumentation site), then `add()` per event.
 class Counter {
  public:
-#ifndef DA_METRICS_DISABLED
   explicit Counter(std::string_view name)
       : id_(MetricsRegistry::global().intern_counter(name)) {}
   void add(std::uint64_t delta = 1) const { detail::tls_counter_add(id_, delta); }
-#else
-  explicit Counter(std::string_view) {}
-  void add(std::uint64_t = 1) const {}
-#endif
 
  private:
-#ifndef DA_METRICS_DISABLED
   std::uint32_t id_;
-#endif
 };
 
 /// A named quantile metric: double samples stream into a thread-local
@@ -104,19 +92,12 @@ class Counter {
 /// safe to pin byte-for-byte in tests.
 class Quantile {
  public:
-#ifndef DA_METRICS_DISABLED
   explicit Quantile(std::string_view name)
       : id_(MetricsRegistry::global().intern_quantile(name)) {}
   void record(double value) const { detail::tls_quantile_record(id_, value); }
-#else
-  explicit Quantile(std::string_view) {}
-  void record(double) const {}
-#endif
 
  private:
-#ifndef DA_METRICS_DISABLED
   std::uint32_t id_;
-#endif
 };
 
 /// Flushes the calling thread's staged metric deltas when it dies.
@@ -127,18 +108,13 @@ class MetricsScope {
   MetricsScope() = default;
   MetricsScope(const MetricsScope&) = delete;
   MetricsScope& operator=(const MetricsScope&) = delete;
-#ifndef DA_METRICS_DISABLED
   ~MetricsScope() { MetricsRegistry::global().flush_this_thread(); }
-#else
-  ~MetricsScope() = default;
-#endif
 };
 
 /// Records the elapsed wall time (milliseconds) into a quantile metric at
 /// destruction. The referenced metric must outlive the timer.
 class ScopedTimer {
  public:
-#ifndef DA_METRICS_DISABLED
   explicit ScopedTimer(const Quantile& metric)
       : metric_(&metric), start_(std::chrono::steady_clock::now()) {}
   ~ScopedTimer() {
@@ -146,17 +122,12 @@ class ScopedTimer {
                       std::chrono::steady_clock::now() - start_)
                       .count());
   }
-#else
-  explicit ScopedTimer(const Quantile&) {}
-#endif
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-#ifndef DA_METRICS_DISABLED
   const Quantile* metric_;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 }  // namespace da::obs

@@ -118,7 +118,7 @@ bool is_canonical(const std::vector<Span>& spans) {
 /// packs to an end code (0 or 2^bits - 1) and ends the pack, the later
 /// fields left 0. So the pack never inverts the order: it can only tie
 /// two different heads, and a tie falls back to the full compare. Every
-/// span the service or the runtimes record packs without an end code.
+/// span the service records packs without an end code.
 std::uint64_t packed_identity(const Span& s) {
   const std::pair<std::int64_t, int> fields[] = {
       {s.job, 32}, {s.sub, 12}, {name_rank(s.name), 4}, {s.round, 16}};
@@ -491,90 +491,5 @@ bool write_spans_jsonl(const std::vector<Span>& spans,
   out << spans_to_jsonl(spans);
   return static_cast<bool>(out);
 }
-
-#ifndef DA_METRICS_DISABLED
-
-void SpanSink::ensure(int round) {
-  const auto need = static_cast<std::size_t>(round) + 1;
-  if (sends_.size() < need) {
-    sends_.resize(need, 0);
-    delivers_.resize(need, 0);
-    resolves_.resize(need, 0);
-  }
-}
-
-void SpanSink::note_send(int round, std::uint64_t n) {
-  ensure(round);
-  sends_[static_cast<std::size_t>(round)] += n;
-}
-
-void SpanSink::note_deliver(int round, std::uint64_t n) {
-  ensure(round);
-  delivers_[static_cast<std::size_t>(round)] += n;
-}
-
-void SpanSink::note_resolve(int round, std::uint64_t nodes) {
-  ensure(round);
-  resolves_[static_cast<std::size_t>(round)] += nodes;
-}
-
-void SpanSink::note_done(int total_rounds) { total_rounds_ = total_rounds; }
-
-void SpanSink::clear() {
-  sends_.clear();
-  delivers_.clear();
-  resolves_.clear();
-  total_rounds_ = -1;
-}
-
-std::vector<Span> SpanSink::round_spans() const {
-  // Phases of round r occupy [r, r+1) in round units: sends in the first
-  // quarter, deliveries in the second, resolution in the back half. The
-  // offsets are binary fractions, so the stamps are exact doubles.
-  std::vector<Span> out;
-  const std::size_t rounds = sends_.size();
-  out.reserve(rounds * 3 + 1);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const auto t = static_cast<double>(r);
-    const int round = static_cast<int>(r);
-    Span send;
-    send.name = "send";
-    send.round = round;
-    send.t0 = t;
-    send.t1 = t + 0.25;
-    send.tags.add("messages", static_cast<std::int64_t>(sends_[r]));
-    out.push_back(send);
-    Span deliver;
-    deliver.name = "deliver";
-    deliver.round = round;
-    deliver.t0 = t + 0.25;
-    deliver.t1 = t + 0.5;
-    deliver.parent = {SpanKind::kSend, -1, -1, round};
-    deliver.tags.add("messages", static_cast<std::int64_t>(delivers_[r]));
-    // Signed: negative means a duplicating network delivered extra copies.
-    deliver.tags.add("dropped", static_cast<std::int64_t>(sends_[r]) -
-                                    static_cast<std::int64_t>(delivers_[r]));
-    out.push_back(deliver);
-    Span resolve;
-    resolve.name = "resolve";
-    resolve.round = round;
-    resolve.t0 = t + 0.5;
-    resolve.t1 = t + 1.0;
-    resolve.parent = {SpanKind::kDeliver, -1, -1, round};
-    resolve.tags.add("nodes", static_cast<std::int64_t>(resolves_[r]));
-    out.push_back(resolve);
-  }
-  if (total_rounds_ >= 0) {
-    Span decide;
-    decide.name = "decide";
-    decide.round = total_rounds_;
-    decide.t0 = static_cast<double>(total_rounds_);
-    decide.t1 = decide.t0;
-    out.push_back(decide);
-  }
-  return out;
-}
-
-#endif  // DA_METRICS_DISABLED
 
 }  // namespace da::obs

@@ -17,11 +17,10 @@
 
 namespace da::obs {
 
-/// Causal span tracing for the agreement service and the three runtimes,
-/// stamped in **virtual time** (service spans) or **round units** (runtime
-/// phase spans) — never wall clock — so a span export is a deterministic
-/// function of the execution and byte-identical across `--jobs` values
-/// and runtimes (docs/OBSERVABILITY.md "Spans").
+/// Causal span tracing for the agreement service, stamped in **virtual
+/// time** — never wall clock — so a span export is a deterministic
+/// function of the configuration and byte-identical across `--jobs`
+/// values (docs/OBSERVABILITY.md "Causal spans").
 ///
 /// The causal tree the service emits per job:
 ///
@@ -32,28 +31,21 @@ namespace da::obs {
 ///      ├─ decide <id>/<sub>        the decision instant
 ///      └─ recycle <id>/<sub>       slot returned to the pool
 ///
-/// Runtime executions emit per-round *phase* spans instead (send /
-/// deliver / resolve, one triple per round, stamped in round units).
-///
 /// A span is plain data: its name is a `string_view` into static storage
 /// (the fixed vocabulary below), its parent is a stored identity, and its
 /// tags live in an inline array keyed by a static key table. Recording a
 /// span never allocates; ids and JSON are rendered only at export.
 
 /// The span vocabulary in lifecycle order: spans sharing a start instant
-/// sort parents before the children they caused, phases in causal order.
-inline constexpr std::array<std::string_view, 9> kSpanNames = {
-    "job",     "queue", "inst",   "send",    "deliver",
-    "resolve", "round", "decide", "recycle"};
+/// sort parents before the children they caused.
+inline constexpr std::array<std::string_view, 6> kSpanNames = {
+    "job", "queue", "inst", "round", "decide", "recycle"};
 
 /// A span's kind: its index in kSpanNames, or kNone for "no span".
 enum class SpanKind : std::uint8_t {
   kJob,
   kQueue,
   kInst,
-  kSend,
-  kDeliver,
-  kResolve,
   kRound,
   kDecide,
   kRecycle,
@@ -61,16 +53,17 @@ enum class SpanKind : std::uint8_t {
 };
 
 /// Every tag key, sorted, so key order is index order: the fixed keys
-/// (template/adversary indices, message tallies, `inj_*` injection
-/// deltas) and one `rule<k>` per FaultPlan rule a span can hold.
-inline constexpr std::array<std::string_view, 25> kSpanTagKeys = {
-    "adv",         "class",          "cond",         "deadline",
-    "dropped",     "inj_crash_dropped",
-    "inj_delayed", "inj_dropped",    "inj_duplicated", "inj_examined",
-    "messages",    "nodes",          "ok",           "rounds",
-    "rule0",       "rule1",          "rule2",        "rule3",
-    "rule4",       "rule5",          "rule6",        "rule7",
-    "shed",        "tmpl",           "width"};
+/// (template/adversary indices, outcomes, `inj_*` injection deltas) and
+/// one `rule<k>` per FaultPlan rule a span can hold.
+inline constexpr std::array<std::string_view, 22> kSpanTagKeys = {
+    "adv",         "class",         "cond",
+    "deadline",    "inj_crash_dropped",
+    "inj_delayed", "inj_dropped",   "inj_duplicated",
+    "inj_examined", "ok",           "rounds",
+    "rule0",       "rule1",         "rule2",
+    "rule3",       "rule4",         "rule5",
+    "rule6",       "rule7",         "shed",
+    "tmpl",        "width"};
 
 /// A tag key, held as its index in kSpanTagKeys. A string literal
 /// resolves at compile time (an unknown literal does not compile); runtime
@@ -113,7 +106,7 @@ struct SpanRef {
   /// kSpanNames[kind]; "" when empty.
   [[nodiscard]] std::string_view name() const;
 
-  /// name[:job][.sub][#round], e.g. "round:12.0#3" or "send#2"; "" when
+  /// name[:job][.sub][#round], e.g. "round:12.0#3" or "queue:7"; "" when
   /// empty.
   [[nodiscard]] std::string id() const;
 
@@ -214,10 +207,10 @@ class SpanTags {
 
 struct Span {
   std::string_view name;  // an entry of kSpanNames (export requires it)
-  std::int64_t job = -1;  // owning service job id; -1 for runtime spans
+  std::int64_t job = -1;  // owning service job id; -1 when n/a
   int sub = -1;           // sub-instance (IC coordinate); -1 when n/a
   int round = -1;         // round index; -1 when n/a
-  double t0 = 0.0;        // virtual time (service) or round units (runtime)
+  double t0 = 0.0;        // virtual time
   double t1 = 0.0;
   SpanRef parent;         // identity of the parent span; empty = root
   SpanTags tags;          // sorted by key once canonical
@@ -265,46 +258,5 @@ void canonicalize(std::vector<Span>& spans);
 /// Writes the JSONL export to `file_path`. Returns false on I/O failure.
 bool write_spans_jsonl(const std::vector<Span>& spans,
                        const std::string& file_path);
-
-/// Per-round phase tallies for one runtime execution. The runtimes call
-/// the `note_*` hooks from their dispatch/arrival/round loops (the sim
-/// and event runtimes single-threaded, the threaded runtime under its
-/// shared mutex — callers serialize, the sink does not lock); after the
-/// run, `round_spans()` renders one send/deliver/resolve triple per round
-/// plus a final decide span. Counts derive from the same per-message
-/// events as the `*.messages_sent` / `*.messages_delivered` counters, so
-/// runtimes that agree on those (the differential contract) export
-/// byte-identical phase spans.
-///
-/// Under DA_METRICS_DISABLED every hook is an inline no-op and
-/// `round_spans()` is empty.
-class SpanSink {
- public:
-#ifndef DA_METRICS_DISABLED
-  void note_send(int round, std::uint64_t n);
-  void note_deliver(int round, std::uint64_t n);
-  void note_resolve(int round, std::uint64_t nodes);
-  void note_done(int total_rounds);
-  void clear();
-  [[nodiscard]] std::vector<Span> round_spans() const;
-#else
-  void note_send(int, std::uint64_t) {}
-  void note_deliver(int, std::uint64_t) {}
-  void note_resolve(int, std::uint64_t) {}
-  void note_done(int) {}
-  void clear() {}
-  [[nodiscard]] std::vector<Span> round_spans() const { return {}; }
-#endif
-
- private:
-#ifndef DA_METRICS_DISABLED
-  void ensure(int round);
-
-  std::vector<std::uint64_t> sends_;
-  std::vector<std::uint64_t> delivers_;
-  std::vector<std::uint64_t> resolves_;
-  int total_rounds_ = -1;  // set by note_done
-#endif
-};
 
 }  // namespace da::obs

@@ -1,5 +1,7 @@
 #include "protocols/common/eig_layout.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 
@@ -9,21 +11,37 @@
 
 namespace da::protocols {
 
+std::uint64_t EigLayout::slot_count(int n, int depth) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t total = 0;
+  std::uint64_t level = 1;  // level r holds (n-1)(n-2)...(n-r) slots
+  for (int r = 0; r < depth; ++r) {
+    if (r > 0) {
+      const auto children = static_cast<std::uint64_t>(std::max(n - r, 0));
+      if (children != 0 && level > kMax / children) return kMax;
+      level *= children;
+    }
+    if (level > kMax - total) return kMax;
+    total += level;
+  }
+  return total;
+}
+
 EigLayout::EigLayout(int n, int sender_rank, int depth)
     : n_(n), depth_(depth), sender_rank_(sender_rank) {
   DA_EXPECTS(n >= 2 && n <= 64);  // hop_mask is a 64-bit rank bitset
   DA_EXPECTS(sender_rank >= 0 && sender_rank < n);
   DA_EXPECTS(depth >= 1);
   DA_EXPECTS(static_cast<std::size_t>(depth) <= Path::kMaxLen);
+  // Ordinals are 32-bit: a tree past that is refused before any allocation.
+  DA_EXPECTS(slot_count(n, depth) <=
+             std::numeric_limits<std::uint32_t>::max());
 
   // Level r holds the (n-1)(n-2)...(n-r) length-(r+1) relay chains.
   level_offset_.assign(static_cast<std::size_t>(depth) + 1, 0);
-  std::uint32_t size = 1;
-  level_offset_[0] = 0;
   for (int r = 1; r <= depth; ++r) {
     level_offset_[static_cast<std::size_t>(r)] =
-        level_offset_[static_cast<std::size_t>(r - 1)] + size;
-    if (r < depth) size *= static_cast<std::uint32_t>(n - r);
+        static_cast<std::uint32_t>(slot_count(n, r));
   }
 
   edge_.assign(this->size(), 0);

@@ -39,6 +39,11 @@ class EigLayout {
                                                             int sender_rank,
                                                             int depth);
 
+  /// Slots of the tree over n nodes at `depth`, computed without building
+  /// it: 1 + (n-1) + (n-1)(n-2) + ... over `depth` levels. Saturates at
+  /// UINT64_MAX when the count does not fit.
+  [[nodiscard]] static std::uint64_t slot_count(int n, int depth);
+
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] int depth() const { return depth_; }
   [[nodiscard]] int sender_rank() const { return sender_rank_; }
@@ -49,10 +54,6 @@ class EigLayout {
   /// First ordinal of level `r`; `level_offset(depth)` == size().
   [[nodiscard]] std::uint32_t level_offset(int r) const {
     return level_offset_[static_cast<std::size_t>(r)];
-  }
-
-  [[nodiscard]] std::uint32_t level_size(int r) const {
-    return level_offset(r + 1) - level_offset(r);
   }
 
   /// Children per slot of level `r` (one per rank not yet on the path).

@@ -52,16 +52,6 @@ const QueuedJob& AdmissionQueue::front() const {
   return by_class_.back().front();  // unreachable
 }
 
-AdmissionClass AdmissionQueue::front_class() const {
-  DA_EXPECTS(size_ > 0);
-  for (int c = 0; c < kAdmissionClassCount; ++c) {
-    if (!by_class_[static_cast<std::size_t>(c)].empty()) {
-      return static_cast<AdmissionClass>(c);
-    }
-  }
-  return AdmissionClass::kLow;  // unreachable
-}
-
 void AdmissionQueue::pop_front() {
   DA_EXPECTS(size_ > 0);
   for (auto& q : by_class_) {

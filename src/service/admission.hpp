@@ -81,7 +81,6 @@ class AdmissionQueue {
   /// Admission head: the oldest job of the highest occupied class.
   /// Callable only when !empty().
   [[nodiscard]] const QueuedJob& front() const;
-  [[nodiscard]] AdmissionClass front_class() const;
   void pop_front();
 
   /// Overload victim: the *oldest* job of the *lowest* occupied class

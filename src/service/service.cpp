@@ -103,10 +103,6 @@ const obs::Counter& class_deadline_counter(AdmissionClass cls) {
       obs::Counter("service.low.deadline_missed")};
   return c[static_cast<std::size_t>(index_of(cls))];
 }
-// Latency-shaped metrics use quantile sketches (p50/p90/p99/p999 in the
-// registry snapshot) rather than the power-of-two histograms: virtual-time
-// latencies cluster within a few octaves, where 2.2%-relative-error
-// sketch buckets resolve what octave histograms blur.
 const obs::Quantile& decision_latency_quantile() {
   static const obs::Quantile q("service.decision_latency");
   return q;
@@ -133,12 +129,6 @@ const obs::Quantile& tick_ms_quantile() {
   static const obs::Quantile q("service.tick_ms");
   return q;
 }
-
-#ifndef DA_METRICS_DISABLED
-constexpr bool kSpansEnabled = true;
-#else
-constexpr bool kSpansEnabled = false;
-#endif
 
 obs::SpanRef job_span(std::uint64_t job) {
   return {obs::SpanKind::kJob, static_cast<std::int64_t>(job)};
@@ -352,9 +342,6 @@ AgreementService::AgreementService(ServiceConfig config)
   DA_EXPECTS(config_.inject_every >= 1);
   DA_EXPECTS(config_.sample_every >= 0.0);
   inject_enabled_ = config_.fault_plan.active();
-  recording_ = kSpansEnabled && config_.record_spans;
-  // Validated whether or not the kill switch compiles recording away, so
-  // a config is accepted or refused the same way by every build.
   if (config_.record_spans && inject_enabled_) {
     const std::size_t widest = widest_span_tags(config_.fault_plan);
     if (widest > obs::SpanTags::kCapacity) throw TooManySpanTags(widest);
@@ -483,7 +470,7 @@ bool AgreementService::try_admit(std::uint64_t local, double now) {
       slot->engine.set_network(nullptr);
       slot->injected = false;
     }
-    if (recording_) {
+    if (config_.record_spans) {
       slot->admitted_at = now;
       slot->last_time = now;
       slot->last_stats =
@@ -499,7 +486,7 @@ bool AgreementService::try_admit(std::uint64_t local, double now) {
   queue_wait_quantile().record(rec.queue_wait());
   class_queue_wait_quantile(rec.admission).record(rec.queue_wait());
   queue_sketch_.record(rec.queue_wait());
-  if (recording_) {
+  if (config_.record_spans) {
     obs::Span span;
     span.name = "queue";
     span.job = static_cast<std::int64_t>(rec.id);
@@ -529,7 +516,7 @@ void AgreementService::shed_job(std::uint64_t local, double at,
     deadline_missed_counter().add();
     class_deadline_counter(rec.admission).add();
   }
-  if (recording_) {
+  if (config_.record_spans) {
     obs::Span span;
     span.name = "job";
     span.job = static_cast<std::int64_t>(rec.id);
@@ -584,7 +571,7 @@ void AgreementService::complete_sub_instance(InstanceSlot& slot, double now) {
   }
   rec.decisions_digest = h;
   instances_counter().add();
-  if (recording_) {
+  if (config_.record_spans) {
     obs::Span inst;
     inst.name = "inst";
     inst.job = static_cast<std::int64_t>(rec.id);
@@ -621,7 +608,7 @@ void AgreementService::complete_sub_instance(InstanceSlot& slot, double now) {
         }
       }
     }
-    if (recording_) {
+    if (config_.record_spans) {
       obs::Span root;
       root.name = "job";
       root.job = static_cast<std::int64_t>(rec.id);
@@ -717,7 +704,7 @@ void AgreementService::settle(double now) {
   // finished sub-instances into their job records and recycle the slots.
   std::size_t kept = 0;
   for (InstanceSlot* slot : active_) {
-    if (recording_) {
+    if (config_.record_spans) {
       // The round this tick just processed, [previous boundary, now],
       // tagged with the injection deltas it incurred.
       obs::Span span;
@@ -743,7 +730,7 @@ void AgreementService::settle(double now) {
     complete_sub_instance(*slot, now);
     release_slot(slot);
     --active_width_;
-    if (recording_) {
+    if (config_.record_spans) {
       obs::Span span;
       span.name = "recycle";
       span.job = static_cast<std::int64_t>(records_[slot->job_id].id);
@@ -837,7 +824,7 @@ ServiceResult AgreementService::end_run(double makespan) {
   result.ticks = ticks_this_run_;
   result.shards.push_back({records_.size(), result.completed, result.shed,
                            result.deadline_missed, peak_active_});
-  if (recording_) {
+  if (config_.record_spans) {
     span_reserve_ = spans_.size();
     result.spans = std::move(spans_);
     spans_ = {};

@@ -140,8 +140,7 @@ struct ServiceConfig {
   /// Scenario mix; `default_mix()` when empty.
   std::vector<JobTemplate> mix{};
   /// Record causal lifecycle spans (job/queue/inst/round/decide/recycle,
-  /// obs/spans.hpp) into `ServiceResult::spans`. Ignored when the build's
-  /// metrics kill switch (DA_METRICS=OFF) is on.
+  /// obs/spans.hpp) into `ServiceResult::spans`.
   bool record_spans = false;
   /// Emit a `ServiceSample` every this much virtual time (0 = off).
   double sample_every = 0.0;
@@ -237,17 +236,16 @@ struct ServiceResult {
   int peak_active = 0;
   /// Tick-grid instants driven (each may tick several shards).
   std::uint64_t ticks = 0;
-  /// Causal spans (when `record_spans`); empty otherwise and under
-  /// DA_METRICS=OFF. Canonical order from `run()`; emission order from
-  /// `end_run`, which leaves the one canonical merge to its caller
-  /// (`spans_to_jsonl` exports canonically either way).
+  /// Causal spans (when `record_spans`); empty otherwise. Canonical
+  /// order from `run()`; emission order from `end_run`, which leaves the
+  /// one canonical merge to its caller (`spans_to_jsonl` exports
+  /// canonically either way).
   std::vector<obs::Span> spans;
   /// Periodic time series (when `sample_every > 0`).
   std::vector<ServiceSample> samples;
   /// Streaming sketches over completed jobs — decision latency and queue
-  /// wait in virtual time. Always recorded (independent of the registry
-  /// kill switch); exact-merge determinism makes their `serialize()` form
-  /// byte-identical across `jobs` values.
+  /// wait in virtual time. Always recorded; exact-merge determinism makes
+  /// their `serialize()` form byte-identical across `jobs` values.
   obs::QuantileSketch latency_sketch{};
   obs::QuantileSketch queue_sketch{};
   /// Per-class decision-latency sketches, indexed by
@@ -474,7 +472,6 @@ class AgreementService {
   ConditionReport scratch_report_;
 
   // Observability scratch (spans/sketches, reset per run).
-  bool recording_ = false;        // record_spans, post kill-switch gate
   bool inject_enabled_ = false;   // fault_plan.active()
   std::vector<obs::Span> spans_;  // moved out by end_run
   std::size_t span_reserve_ = 0;  // last run's span count

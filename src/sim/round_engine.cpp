@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/spans.hpp"
 #include "sweep/thread_pool.hpp"
 #include "util/contracts.hpp"
 
@@ -83,10 +82,6 @@ void RoundEngine::dispatch(std::vector<Message>& outbox, NodeId from,
   if (sent != 0) sent_counter().add(sent);
   if (delivered != 0) delivered_counter().add(delivered);
   if (wire_bytes != 0) wire_bytes_counter().add(wire_bytes);
-  if (options_.spans != nullptr) {
-    options_.spans->note_send(round, sent);
-    options_.spans->note_deliver(round, delivered);
-  }
 }
 
 void RoundEngine::dispatch_pending() {
@@ -136,10 +131,6 @@ void RoundEngine::process_round(sweep::ThreadPool* pool) {
   rounds_processed_ = r + 1;
   pending_round_ = r + 1;
   dispatched_ = false;
-  if (options_.spans != nullptr) {
-    options_.spans->note_resolve(r, n);
-    if (done()) options_.spans->note_done(rounds_);
-  }
 }
 
 RunResult RoundEngine::finish() const {

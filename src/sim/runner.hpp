@@ -13,10 +13,6 @@
 #include "util/contracts.hpp"
 #include "util/ids.hpp"
 
-namespace da::obs {
-class SpanSink;
-}  // namespace da::obs
-
 namespace da::sim {
 
 /// Everything a runner needs besides the processes themselves.
@@ -29,11 +25,6 @@ struct RunOptions {
   NetworkModel* network = nullptr;
   /// Optional transcript capture (delivered messages per receiver).
   Trace* trace = nullptr;
-  /// Optional per-round phase tallies (send/deliver/resolve spans, see
-  /// obs/spans.hpp). The runtimes call it from one thread only (dispatch
-  /// and round close are serial), so one sink observes one execution at a
-  /// time.
-  obs::SpanSink* spans = nullptr;
 };
 
 /// Outcome of one protocol execution.

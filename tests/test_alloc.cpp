@@ -1,18 +1,22 @@
 // Allocation pins for the hot paths that claim to be allocation-free once
 // warm: one service instance's round cycle on the checkpoint/fork engine
 // (restore, then dispatch_pending / process_round to the end, then
-// finish_into), on reliable links and under fault injection, and the
-// checker's `sim::Decisions` overloads.
+// finish_into), on reliable links and under fault injection, the
+// checker's `sim::Decisions` overloads, and the engine's config predicate,
+// which refuses an over-budget instance without building anything.
 //
 // This file replaces the global `operator new` with one that counts the
 // calls made on the calling thread while a `Counting` guard is alive, so
 // it is built as its own executable (`da_alloc_tests`) and not under a
 // sanitizer, whose runtime owns `operator new` (tests/CMakeLists.txt).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <string>
 #include <new>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "core/scenario.hpp"
 #include "faults/adversaries.hpp"
 #include "inject/injection_network.hpp"
+#include "protocols/common/eig_layout.hpp"
 #include "protocols/lamport/om.hpp"
 #include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
@@ -224,6 +229,80 @@ TEST(Alloc, WarmSatisfiedCheckIntoAllocatesNothing) {
   EXPECT_TRUE(report.satisfied);
   EXPECT_EQ(report.value_class.size(), 5u);
   EXPECT_TRUE(report.violators.empty());
+}
+
+// `engine_runnable` over every (n, m) the command lines accept (n <= 64,
+// m <= 11): the predicate and the predicted arena size are computed
+// without building a layout or allocating, and they agree with each
+// other and with the tree's recursive shape (the root plus n-1 subtrees
+// over n-1 nodes, one level shallower).
+TEST(Alloc, EngineBudgetGridAllocatesNothing) {
+  constexpr int kMaxN = 64;
+  constexpr int kMaxM = 11;
+  constexpr std::uint64_t kSaturated =
+      std::numeric_limits<std::uint64_t>::max();
+  struct Cell {
+    bool runnable = false;
+    std::uint64_t slots = 0;
+    std::uint64_t tree = 0;
+    std::uint64_t subtree = 0;  // the tree over n-1 nodes, one level less
+  };
+  std::array<std::array<Cell, kMaxM + 1>, kMaxN + 1> grid{};
+  std::uint64_t news = 0;
+  {
+    const Counting counting;
+    for (int n = 2; n <= kMaxN; ++n) {
+      for (int m = 0; m <= kMaxM; ++m) {
+        const Config config{.n = n, .m = m, .u = m};
+        const int depth = core::byz_depth(m);
+        Cell& cell = grid[static_cast<std::size_t>(n)]
+                         [static_cast<std::size_t>(m)];
+        cell.runnable = config.engine_runnable();
+        cell.slots = config.engine_slots();
+        cell.tree = protocols::EigLayout::slot_count(n, depth);
+        cell.subtree = protocols::EigLayout::slot_count(n - 1, depth - 1);
+      }
+    }
+    news = counting.news();
+  }
+  EXPECT_EQ(news, 0u);
+
+  for (int n = 2; n <= kMaxN; ++n) {
+    for (int m = 0; m <= kMaxM; ++m) {
+      const Cell& cell =
+          grid[static_cast<std::size_t>(n)][static_cast<std::size_t>(m)];
+      const auto children = static_cast<std::uint64_t>(n - 1);
+      const bool tree_fits = cell.subtree != kSaturated &&
+                             cell.subtree <= (kSaturated - 1) / children;
+      EXPECT_EQ(cell.tree, tree_fits ? 1 + children * cell.subtree
+                                     : kSaturated)
+          << n << "," << m;
+      const auto receivers = static_cast<std::uint64_t>(n);
+      const bool arena_fits =
+          cell.tree != kSaturated && cell.tree <= kSaturated / receivers;
+      EXPECT_EQ(cell.slots, arena_fits ? receivers * cell.tree : kSaturated)
+          << n << "," << m;
+      EXPECT_EQ(cell.runnable,
+                n >= 2 * m + 1 && cell.slots <= kEngineSlotBudget)
+          << n << "," << m;
+    }
+  }
+  // The two command lines that used to end in bad_alloc, and the widest
+  // BYZ shapes the benches and tests run.
+  EXPECT_FALSE(grid[23][11].runnable);
+  EXPECT_FALSE(grid[30][9].runnable);
+  EXPECT_EQ(grid[64][11].slots, kSaturated);
+  EXPECT_TRUE(grid[16][1].runnable);
+  EXPECT_TRUE(grid[10][3].runnable);
+  EXPECT_TRUE(grid[13][4].runnable);
+
+  // The refusal names the limit that failed.
+  const std::string budget =
+      UnsupportedConfig(Config{.n = 23, .m = 11, .u = 11}).what();
+  EXPECT_NE(budget.find("budget of 16777216"), std::string::npos) << budget;
+  const std::string floor =
+      UnsupportedConfig(Config{.n = 2, .m = 1, .u = 1}).what();
+  EXPECT_NE(floor.find("n >= 2m+1"), std::string::npos) << floor;
 }
 
 }  // namespace

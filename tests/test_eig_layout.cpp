@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -302,6 +303,22 @@ TEST(EigLayoutProperty, VerdictsMatchReference) {
     std::string failure;
     ASSERT_FALSE(verdict_case(0x5EED5, ordinal, &failure)) << failure;
   }
+}
+
+// The predicted size is the built layout's size on every small shape,
+// and saturates rather than wraps past 2^64.
+TEST(EigLayout, SlotCountMatchesBuiltLayouts) {
+  for (int n = 2; n <= 9; ++n) {
+    for (int depth = 1; depth <= 4; ++depth) {
+      EXPECT_EQ(EigLayout::slot_count(n, depth),
+                EigLayout::get(n, 0, depth)->size())
+          << n << "," << depth;
+    }
+  }
+  EXPECT_EQ(EigLayout::slot_count(4, 2), 4u);
+  EXPECT_EQ(EigLayout::slot_count(7, 3), 1u + 6u + 30u);
+  EXPECT_EQ(EigLayout::slot_count(64, 12),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace

@@ -182,11 +182,9 @@ TEST(EventRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
   const Config config{.n = 5, .m = 1, .u = 2};
   const auto spec = make_spec(config, {2});
   ForeignTargetFabricator adversary(/*target=*/config.n + 3);
-#ifndef DA_METRICS_DISABLED
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t before =
       registry.counter_value("sim.fabrications_dropped");
-#endif
   const EventRunResult out = run_byz_event(
       config, spec, &adversary, TimingModel{}, perfect_clocks(config.n));
   // corrupt() is the identity, so the run matches a fault-free one except
@@ -196,9 +194,7 @@ TEST(EventRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
   for (NodeId i = 0; i < config.n; ++i) {
     EXPECT_EQ(out.base.decisions.at(i), Value::of(42)) << "node " << i;
   }
-#ifndef DA_METRICS_DISABLED
   EXPECT_EQ(registry.counter_value("sim.fabrications_dropped"), before + 2);
-#endif
 }
 
 TEST(EventRunner, RejectsBadTiming) {

@@ -458,9 +458,6 @@ TEST(ForkEngine, SearchViolationMatchesScratchReference) {
 }
 
 TEST(ForkEngine, CheckpointCountersVisible) {
-#ifdef DA_METRICS_DISABLED
-  GTEST_SKIP() << "search counters are no-ops under -DDA_METRICS=OFF";
-#endif
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t checkpoints0 = registry.counter_value("search.checkpoints");
   const std::uint64_t forks0 = registry.counter_value("search.forks");

@@ -285,7 +285,6 @@ TEST(Frontend, RejectsEngineUnrunnableMixOnConstruction) {
   EXPECT_THROW(ServiceFrontend{config}, UnsupportedConfig);
 }
 
-#ifndef DA_METRICS_DISABLED
 TEST(Frontend, PeakActiveGaugeIsTheLargestShardPeak) {
   FrontendConfig config;
   config.service.arrivals = ArrivalSpec::poisson(10.0);
@@ -321,7 +320,6 @@ TEST(Frontend, SpansMergeAcrossShardsWithGlobalJobIds) {
   EXPECT_EQ(*jobs_seen.rbegin(),
             static_cast<std::int64_t>(config.service.offered) - 1);
 }
-#endif
 
 }  // namespace
 }  // namespace da::service

@@ -214,24 +214,42 @@ TEST(InputFuzz, TraceJsonl) {
 // ------------------------------------------------------------ span JSONL
 
 TEST(InputFuzz, SpanJsonl) {
-  // Runtime phase spans (send/deliver parents, negative tags) and the
-  // first lines of a fault-injected service run's export.
-  std::vector<obs::Span> phases;
-  for (int r = 0; r < 2; ++r) {
-    obs::Span send;
-    send.name = "send";
-    send.round = r;
-    send.t0 = r;
-    send.t1 = r + 0.25;
-    send.tags = {{"messages", 12}};
-    obs::Span deliver = send;
-    deliver.name = "deliver";
-    deliver.t0 = r + 0.25;
-    deliver.t1 = r + 0.5;
-    deliver.parent = {obs::SpanKind::kSend, -1, -1, r};
-    deliver.tags = {{"dropped", -2}, {"messages", 14}};
-    phases.push_back(send);
-    phases.push_back(deliver);
+  // A hand-built service span tree (job, queue, inst, round, with
+  // parents, a negative tag and a multi-digit sub) and the first lines of
+  // a fault-injected service run's export.
+  std::vector<obs::Span> tree;
+  for (std::int64_t j = 0; j < 2; ++j) {
+    const auto t = static_cast<double>(j);
+    obs::Span job;
+    job.name = "job";
+    job.job = j;
+    job.t0 = t;
+    job.t1 = t + 2.5;
+    job.tags = {{"class", 1}, {"deadline", -2}, {"tmpl", 3}};
+    obs::Span queue = job;
+    queue.name = "queue";
+    queue.t1 = t + 0.5;
+    queue.parent = {obs::SpanKind::kJob, j};
+    queue.tags = {};
+    obs::Span inst = queue;
+    inst.name = "inst";
+    inst.sub = 10;
+    inst.t0 = t + 0.5;
+    inst.t1 = t + 2.5;
+    inst.tags = {{"rounds", 2}, {"width", 4}};
+    tree.push_back(job);
+    tree.push_back(queue);
+    tree.push_back(inst);
+    for (int r = 0; r < 2; ++r) {
+      obs::Span round = inst;
+      round.name = "round";
+      round.round = r;
+      round.t0 = t + 0.5 + r;
+      round.t1 = round.t0 + 1.0;
+      round.parent = {obs::SpanKind::kInst, j, 10};
+      round.tags = {};
+      tree.push_back(round);
+    }
   }
   service::ServiceConfig config;
   config.arrivals = service::ArrivalSpec::poisson(12.0);
@@ -243,7 +261,7 @@ TEST(InputFuzz, SpanJsonl) {
       *inject::FaultPlan::parse("seed 9\ndrop from=2 to=1 round=1\n");
   config.inject_every = 2;
   const service::ServiceResult result = service::run_service(config);
-  std::vector<std::string> seeds = {obs::spans_to_jsonl(phases)};
+  std::vector<std::string> seeds = {obs::spans_to_jsonl(tree)};
   for (std::size_t at = 0; at + 12 <= result.spans.size() && at < 48;
        at += 12) {
     seeds.push_back(obs::spans_to_jsonl(

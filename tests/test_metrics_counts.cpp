@@ -26,14 +26,6 @@ std::uint64_t sim_messages_sent() {
   return obs::MetricsRegistry::global().counter_value("sim.messages_sent");
 }
 
-// Under the -DDA_METRICS=OFF kill switch registry reads return 0; keep the
-// runner-side leg of each cross-check and drop the registry-delta leg.
-#ifndef DA_METRICS_DISABLED
-constexpr bool kRegistryChecks = true;
-#else
-constexpr bool kRegistryChecks = false;
-#endif
-
 ScenarioSpec fault_free_spec(const Config& config) {
   ScenarioSpec spec;
   spec.config = config;
@@ -87,10 +79,8 @@ TEST(MessageCounts, ByzMeasuredMatchesAnalytic) {
     const auto outcome = protocol.run(fault_free_spec(config), nullptr);
     const std::uint64_t analytic = core::byz_message_count(n, m);
     EXPECT_EQ(outcome.messages_sent, analytic) << "n=" << n << " m=" << m;
-    if (kRegistryChecks) {
-      EXPECT_EQ(sim_messages_sent() - before, analytic)
-          << "n=" << n << " m=" << m;
-    }
+    EXPECT_EQ(sim_messages_sent() - before, analytic)
+        << "n=" << n << " m=" << m;
   }
 }
 
@@ -102,10 +92,8 @@ TEST(MessageCounts, LamportOmMeasuredMatchesAnalytic) {
     const auto outcome = protocol.run(fault_free_spec(config), nullptr);
     const std::uint64_t analytic = protocols::lamport::om_message_count(n, m);
     EXPECT_EQ(outcome.messages_sent, analytic) << "n=" << n << " m=" << m;
-    if (kRegistryChecks) {
-      EXPECT_EQ(sim_messages_sent() - before, analytic)
-          << "n=" << n << " m=" << m;
-    }
+    EXPECT_EQ(sim_messages_sent() - before, analytic)
+        << "n=" << n << " m=" << m;
   }
 }
 
@@ -119,9 +107,7 @@ TEST(MessageCounts, CrusaderMeasuredMatchesAnalytic) {
     const std::uint64_t analytic =
         protocols::crusader::crusader_message_count(n);
     EXPECT_EQ(result.messages_sent, analytic) << "n=" << n;
-    if (kRegistryChecks) {
-      EXPECT_EQ(sim_messages_sent() - before, analytic) << "n=" << n;
-    }
+    EXPECT_EQ(sim_messages_sent() - before, analytic) << "n=" << n;
   }
 }
 
@@ -134,10 +120,8 @@ TEST(MessageCounts, InteractiveConsistencyMeasuredMatchesAnalytic) {
         protocols::ic::run_interactive_consistency(n, m, inputs, {}, nullptr);
     const std::uint64_t analytic = protocols::ic::ic_message_count(n, m);
     EXPECT_EQ(result.messages_sent, analytic) << "n=" << n << " m=" << m;
-    if (kRegistryChecks) {
-      EXPECT_EQ(sim_messages_sent() - before, analytic)
-          << "n=" << n << " m=" << m;
-    }
+    EXPECT_EQ(sim_messages_sent() - before, analytic)
+        << "n=" << n << " m=" << m;
   }
 }
 

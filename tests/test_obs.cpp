@@ -145,9 +145,6 @@ TEST(Json, ParseRejectsMalformedInput) {
 // ------------------------------------------------------------- metrics --
 
 TEST(Metrics, CounterAddsFlushOnScopeExit) {
-#ifdef DA_METRICS_DISABLED
-  GTEST_SKIP() << "metrics instruments are no-ops under -DDA_METRICS=OFF";
-#endif
   auto& registry = MetricsRegistry::global();
   const std::uint64_t before = registry.counter_value("test.obs.counter");
   {
@@ -160,9 +157,6 @@ TEST(Metrics, CounterAddsFlushOnScopeExit) {
 }
 
 TEST(Metrics, PerThreadSinksMergeAcrossThreads) {
-#ifdef DA_METRICS_DISABLED
-  GTEST_SKIP() << "metrics instruments are no-ops under -DDA_METRICS=OFF";
-#endif
   auto& registry = MetricsRegistry::global();
   const std::uint64_t before = registry.counter_value("test.obs.threads");
   constexpr int kThreads = 4;
@@ -193,9 +187,6 @@ TEST(Metrics, BucketOfIsMonotonicAndClamped) {
 }
 
 TEST(Metrics, GaugeIsLastWriteWins) {
-#ifdef DA_METRICS_DISABLED
-  GTEST_SKIP() << "metrics instruments are no-ops under -DDA_METRICS=OFF";
-#endif
   auto& registry = MetricsRegistry::global();
   registry.set_gauge("test.obs.gauge", 1.0);
   registry.set_gauge("test.obs.gauge", 8.0);
@@ -418,9 +409,6 @@ TEST(BenchSchema, RejectsRowArityMismatch) {
 }
 
 TEST(BenchSchema, MetricsToJsonContainsRegistryCounters) {
-#ifdef DA_METRICS_DISABLED
-  GTEST_SKIP() << "metrics instruments are no-ops under -DDA_METRICS=OFF";
-#endif
   {
     const MetricsScope scope;
     const Counter counter("test.obs.schema_counter");
@@ -504,9 +492,6 @@ std::regex name_pattern(const std::string& name) {
 // document is registered. The idea is tsuba's FaultTestReport, where each
 // fault point reports its hit count — nothing is silently uncounted.
 TEST(MetricCatalogue, RegistryAndDocsTableAgree) {
-#ifdef DA_METRICS_DISABLED
-  GTEST_SKIP() << "the registry stays empty under -DDA_METRICS=OFF";
-#endif
   const std::vector<CatalogueRow> rows = read_catalogue();
   ASSERT_GT(rows.size(), 10u);
 

@@ -25,8 +25,7 @@
 namespace da::service {
 namespace {
 
-// [[maybe_unused]]: every call site is compiled out under -DDA_METRICS=OFF.
-[[maybe_unused]] std::uint64_t registry_counter(const char* name) {
+std::uint64_t registry_counter(const char* name) {
   return obs::MetricsRegistry::global().counter_value(name);
 }
 
@@ -293,21 +292,16 @@ TEST(Service, SlotRecyclingIsAllocationFreeAfterWarmup) {
   // each of the default mix's 7 shapes (3 BYZ + 4 IC coordinates) — still
   // a constant, vanishing next to the 10k-job churn.
   EXPECT_LE(warm_slots, static_cast<std::uint64_t>(config.cap) * 7);
-#ifndef DA_METRICS_DISABLED
   const std::uint64_t warm_counter = registry_counter("service.slots_created");
-#endif
 
   const ServiceResult churn = svc.run();
   EXPECT_EQ(churn.completed, config.offered);
   EXPECT_EQ(svc.slots_created(), warm_slots)
       << "steady-state admission constructed a slot";
   EXPECT_GE(svc.slot_reuses() - warm_reuses, config.offered);
-#ifndef DA_METRICS_DISABLED
-  // Registry counters mirror the service's own tallies — unless the
-  // -DDA_METRICS=OFF kill switch compiled them to no-ops.
+  // Registry counters mirror the service's own tallies.
   EXPECT_EQ(registry_counter("service.slots_created"), warm_counter);
   EXPECT_GE(registry_counter("service.slot_reuse"), svc.slot_reuses());
-#endif
 }
 
 TEST(Service, ShedOldestBoundsTheQueue) {
@@ -601,7 +595,6 @@ TEST(Service, DeadlineMissedIsADistinctDisposition) {
   EXPECT_EQ(result.artifact(), fleet.artifact());
 }
 
-#ifndef DA_METRICS_DISABLED
 TEST(ServiceObs, CompletedCounterAgreesAtEveryInstant) {
   // The counter-drift regression: `service.completed` is bumped at
   // completion time, so a registry read at *any* event instant agrees
@@ -690,7 +683,6 @@ TEST(ServiceObs, ViolationCountersMatchTheVerdicts) {
   config.mix.push_back(
       {JobKind::kByz, short_cell, 0, Value::of(17), {0, 1}});
 
-#ifndef DA_METRICS_DISABLED
   const char* const names[] = {"service.violations", "service.violations.d1",
                                "service.violations.d2",
                                "service.violations.d3",
@@ -699,7 +691,6 @@ TEST(ServiceObs, ViolationCountersMatchTheVerdicts) {
   for (std::size_t i = 0; i < before.size(); ++i) {
     before[i] = registry_counter(names[i]);
   }
-#endif
   const ServiceResult result = run_service(config);
   std::array<std::uint64_t, 4> by_condition{};  // D.1-D.4
   for (const JobRecord& rec : result.records) {
@@ -710,7 +701,6 @@ TEST(ServiceObs, ViolationCountersMatchTheVerdicts) {
   ASSERT_GT(result.violations, 0u);
   EXPECT_GT(by_condition[2], 0u);  // D.3
   EXPECT_GT(by_condition[3], 0u);  // D.4
-#ifndef DA_METRICS_DISABLED
   EXPECT_EQ(registry_counter(names[0]) - before[0], result.violations);
   for (std::size_t c = 0; c < by_condition.size(); ++c) {
     EXPECT_EQ(registry_counter(names[c + 1]) - before[c + 1], by_condition[c])
@@ -726,9 +716,7 @@ TEST(ServiceObs, ViolationCountersMatchTheVerdicts) {
         "da_service_violations_d3 ", "da_service_violations_d4 "}) {
     EXPECT_NE(text.find(line), std::string::npos) << line;
   }
-#endif
 }
-#endif
 
 }  // namespace
 }  // namespace da::service

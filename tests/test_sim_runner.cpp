@@ -145,11 +145,9 @@ TEST(SyncRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
   options.adversary = &adversary;
   Trace trace;
   options.trace = &trace;
-#ifndef DA_METRICS_DISABLED
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t before =
       registry.counter_value("sim.fabrications_dropped");
-#endif
   SyncRunner runner(make_pingpong(n, Value::of(9)), options);
   const RunResult result = runner.run();
   // Honest traffic (3 broadcasts + 3 echoes) is unaffected; the two
@@ -161,9 +159,7 @@ TEST(SyncRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
   for (NodeId i = 0; i < n; ++i) {
     EXPECT_EQ(result.decisions.at(i), Value::of(9));
   }
-#ifndef DA_METRICS_DISABLED
   EXPECT_EQ(registry.counter_value("sim.fabrications_dropped"), before + 2);
-#endif
 }
 
 TEST(SyncRunner, TraceRecordsDeliveredMessages) {

@@ -1,7 +1,7 @@
 // Causal span tracing + streaming quantile telemetry (src/obs/spans,
 // src/obs/quantiles, src/obs/exposition): sketch math and exact-merge
-// associativity, span export round-trips, cross-runtime phase-span
-// identity, and the service's jobs-invariant span/sketch/sample exports.
+// associativity, span export round-trips, and the service's
+// jobs-invariant span/sketch/sample exports.
 
 #include <gtest/gtest.h>
 
@@ -18,18 +18,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/byz.hpp"
-#include "event/event_runner.hpp"
-#include "faults/adversaries.hpp"
 #include "inject/injection_network.hpp"
 #include "obs/exposition.hpp"
 #include "obs/quantiles.hpp"
 #include "obs/spans.hpp"
-#include "rt/threaded_runner.hpp"
 #include "service/frontend.hpp"
 #include "service/service.hpp"
 #include "sha256.hpp"
-#include "sim/round_engine.hpp"
 #include "util/rng.hpp"
 
 namespace da {
@@ -37,7 +32,6 @@ namespace {
 
 using obs::QuantileSketch;
 using obs::Span;
-using obs::SpanSink;
 
 // ----------------------------------------------------------- sketches --
 
@@ -158,10 +152,10 @@ TEST(Span, IdDerivesFromIdentity) {
   s.sub = 0;
   s.round = 3;
   EXPECT_EQ(s.id(), "round:12.0#3");
-  Span phase;
-  phase.name = "send";
-  phase.round = 2;
-  EXPECT_EQ(phase.id(), "send#2");
+  Span queue;
+  queue.name = "queue";
+  queue.job = 7;
+  EXPECT_EQ(queue.id(), "queue:7");
 }
 
 /// The JSON record of `s`'s export line.
@@ -329,8 +323,9 @@ TEST(SpanMerge, ShuffledShardRunsMergeToCanonicalOrder) {
     s.t0 = pick(times);
     s.t1 = s.t0 + pick(times);
     if (rng.chance(0.5)) {
-      s.parent = {static_cast<obs::SpanKind>(rng.below(9)), pick(jobs),
-                  pick(subs), pick(rounds)};
+      const auto kind =
+          static_cast<obs::SpanKind>(rng.below(obs::kSpanNames.size()));
+      s.parent = {kind, pick(jobs), pick(subs), pick(rounds)};
     }
     for (std::uint64_t k = rng.below(4); k > 0; --k) {
       s.tags.add(pick(keys), static_cast<std::int64_t>(rng.below(3)));
@@ -393,15 +388,18 @@ TEST(SpanReader, RejectsEachMalformationWithATypedError) {
     EXPECT_NE(at, std::string::npos) << from;
     return text.replace(at, from.size(), to);
   };
-  // Unknown span name, its id spelled to match.
+  // Unknown span names, each id spelled to match.
   EXPECT_EQ(read_error(with(R"("id":"inst:4.1","name":"inst")",
                             R"("id":"task:4.1","name":"task")")),
+            E::kUnknownName);
+  EXPECT_EQ(read_error(with(R"("id":"inst:4.1","name":"inst")",
+                            R"("id":"send:4.1","name":"send")")),
             E::kUnknownName);
   // Nine tags, every key valid: more than a span holds.
   EXPECT_EQ(read_error(with(R"({"inj_dropped":1,"rounds":2})",
                             R"({"adv":0,"class":1,"cond":2,"deadline":3,)"
-                            R"("dropped":4,"inj_delayed":5,"inj_dropped":6,)"
-                            R"("nodes":7,"rounds":8})")),
+                            R"("inj_crash_dropped":4,"inj_delayed":5,)"
+                            R"("inj_dropped":6,"inj_duplicated":7,"rounds":8})")),
             E::kTooManyTags);
   // Tag keys outside the vocabulary.
   EXPECT_EQ(read_error(with(R"("inj_dropped")", R"("inj_lost")")),
@@ -435,86 +433,6 @@ TEST(SpanReader, RejectsEachMalformationWithATypedError) {
   EXPECT_EQ(read_error("{not json\n"), E::kSyntax);
   EXPECT_EQ(read_error(good + "\n"), E::kSyntax);
 }
-
-#ifndef DA_METRICS_DISABLED
-
-TEST(SpanSink, RendersPhaseTriplesPerRound) {
-  SpanSink sink;
-  sink.note_send(0, 4);
-  sink.note_deliver(0, 3);  // one message dropped
-  sink.note_resolve(0, 4);
-  sink.note_send(1, 12);
-  sink.note_deliver(1, 12);
-  sink.note_resolve(1, 4);
-  sink.note_done(2);
-  const std::vector<Span> spans = sink.round_spans();
-  ASSERT_EQ(spans.size(), 7u);  // 3 per round + decide
-  EXPECT_EQ(spans[0].id(), "send#0");
-  EXPECT_EQ(spans[1].id(), "deliver#0");
-  EXPECT_EQ(spans[1].parent.id(), "send#0");
-  EXPECT_EQ(spans[1].tags.find("dropped"), 1);
-  EXPECT_EQ(spans[2].id(), "resolve#0");
-  EXPECT_EQ(spans[2].parent.id(), "deliver#0");
-  EXPECT_EQ(spans.back().name, "decide");
-  EXPECT_DOUBLE_EQ(spans.back().t0, 2.0);
-}
-
-// The three runtimes must export byte-identical phase spans for the same
-// scenario — the span analogue of the cross-runtime decision contract.
-TEST(SpanSink, CrossRuntimeByteIdentical) {
-  const Config config{.n = 5, .m = 1, .u = 2};
-  const ScenarioSpec spec{
-      .config = config, .sender = 0, .sender_value = Value::of(17),
-      .faulty = {2, 4}};
-
-  const auto run_sim = [&] {
-    SpanSink sink;
-    auto adversary = faults::constant_liar(Value::of(5));
-    sim::RunOptions options;
-    options.faulty = spec.faulty;
-    options.adversary = adversary.get();
-    options.spans = &sink;
-    sim::RoundEngine engine(
-        core::make_byz_processes(config, spec.sender, spec.sender_value),
-        std::move(options));
-    (void)engine.run();
-    return obs::spans_to_jsonl(sink.round_spans());
-  };
-  const auto run_threaded = [&] {
-    SpanSink sink;
-    auto adversary = faults::constant_liar(Value::of(5));
-    sim::RunOptions options;
-    options.faulty = spec.faulty;
-    options.adversary = adversary.get();
-    options.spans = &sink;
-    rt::ThreadedRunner runner(
-        core::make_byz_processes(config, spec.sender, spec.sender_value),
-        std::move(options));
-    (void)runner.run();
-    return obs::spans_to_jsonl(sink.round_spans());
-  };
-  const auto run_event = [&] {
-    SpanSink sink;
-    auto adversary = faults::constant_liar(Value::of(5));
-    sim::RunOptions options;
-    options.faulty = spec.faulty;
-    options.adversary = adversary.get();
-    options.spans = &sink;
-    event::EventRunner runner(
-        core::make_byz_processes(config, spec.sender, spec.sender_value),
-        std::move(options), event::TimingModel{},
-        event::perfect_clocks(config.n));
-    (void)runner.run();
-    return obs::spans_to_jsonl(sink.round_spans());
-  };
-
-  const std::string sim_spans = run_sim();
-  EXPECT_FALSE(sim_spans.empty());
-  EXPECT_EQ(sim_spans, run_threaded());
-  EXPECT_EQ(sim_spans, run_event());
-}
-
-#endif  // DA_METRICS_DISABLED
 
 // ------------------------------------------------------------ service --
 
@@ -600,7 +518,6 @@ TEST(ServiceObs, RecordingRejectsAFaultPlanWiderThanASpan) {
 TEST(ServiceObs, SpanTreeIsWellFormed) {
   const service::ServiceResult result =
       service::run_service(obs_service_config(1));
-#ifndef DA_METRICS_DISABLED
   ASSERT_FALSE(result.spans.empty());
   // Unique ids, resolvable parents, child windows inside parents.
   std::map<std::string, const Span*> by_id;
@@ -626,10 +543,6 @@ TEST(ServiceObs, SpanTreeIsWellFormed) {
   std::vector<Span> sorted = result.spans;
   obs::canonicalize(sorted);
   EXPECT_EQ(sorted, result.spans);
-#else
-  // Kill switch: span recording compiles to nothing.
-  EXPECT_TRUE(result.spans.empty());
-#endif
 }
 
 // ------------------------------------------------------- export pin --
@@ -680,7 +593,6 @@ TEST(SpanExport, Sha256KnownAnswers) {
 }
 
 TEST(SpanExport, FrontendStreamBytesPinned) {
-#ifndef DA_METRICS_DISABLED
   for (int jobs : {1, 2}) {
     const service::FrontendResult result =
         service::run_frontend(pinned_frontend_config(jobs));
@@ -692,7 +604,6 @@ TEST(SpanExport, FrontendStreamBytesPinned) {
         "44e17dae98d358d50b17e9612c85a4ec95890e7a519fb6c60756254ffa64702f")
         << jobs;
   }
-#endif
 }
 
 // ------------------------------------------------- injection rule hits --

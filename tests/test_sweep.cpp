@@ -414,10 +414,6 @@ TEST(SummarizeWorkers, RollsUpPerWorkerIncludingSkippedShards) {
 }
 
 TEST(RunSweep, PopulatesMetricsRegistry) {
-#ifdef DA_METRICS_DISABLED
-  GTEST_SKIP() << "registry instruments compile to no-ops under "
-                  "-DDA_METRICS=OFF";
-#endif
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t sweeps_before = registry.counter_value("sweep.sweeps");
   const std::uint64_t execs_before =

@@ -114,11 +114,9 @@ TEST(ThreadedRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
   sim::RunOptions options;
   options.faulty = {2};
   options.adversary = &adversary;
-#ifndef DA_METRICS_DISABLED
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t before =
       registry.counter_value("sim.fabrications_dropped");
-#endif
   rt::ThreadedRunner runner(core::make_byz_processes(config, 0, Value::of(7)),
                             std::move(options));
   const sim::RunResult result = runner.run();
@@ -128,9 +126,7 @@ TEST(ThreadedRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
   for (NodeId i = 0; i < config.n; ++i) {
     EXPECT_EQ(result.decisions.at(i), Value::of(7)) << "node " << i;
   }
-#ifndef DA_METRICS_DISABLED
   EXPECT_EQ(registry.counter_value("sim.fabrications_dropped"), before + 2);
-#endif
 }
 
 TEST(ThreadedRunner, PropagatesProcessExceptions) {

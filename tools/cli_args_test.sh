@@ -59,7 +59,7 @@ run_one() {
     count=$((count - 1))
   done
   runs=$((runs + 1))
-  timeout 10 "$@" >/dev/null 2>"$TMP/err"
+  timeout 10 "$@" >"$TMP/out" 2>"$TMP/err"
   code=$?
   if [ "$code" -ne 2 ]; then
     echo "FAIL ($code, want 2): $*"
@@ -80,6 +80,15 @@ refused --value "abc 1e3 '' 12abc -9223372036854775804 9223372036854775807" \
   "$DA_CLI" --value @
 refused --faulty "abc 1e3 99999999999 -1 99 1,1 2,x , 1,,2" \
   "$DA_CLI" --faulty @
+# Every flag in range, but the instance's EIG arenas are past the
+# engine's slot budget: refused, naming the budget, before any output.
+for nm in 23:11 30:9; do
+  run_one budget "" "$DA_CLI" --n "${nm%:*}" --m "${nm#*:}" --u "${nm#*:}"
+  if [ -s "$TMP/out" ]; then
+    echo "FAIL (output before the refusal): $DA_CLI --n ${nm%:*}"
+    failures=$((failures + 1))
+  fi
+done
 
 # service_demo.
 for flag in --rate --period --deadline --sample-every; do

@@ -28,10 +28,13 @@
 #      run as arguments to BIN, so the documented walkthrough commands
 #      cannot drift from the flags the demo accepts;
 #   9. with --span-check BIN (the built examples/span_inspect.cpp), the
-#      demo run is executed, its spans.jsonl must pass `BIN check`, and
+#      demo run is executed, its spans.jsonl must pass `BIN check`,
 #      every span field named in the ```spans fence of
-#      docs/OBSERVABILITY.md must occur in the emitted JSONL, so the
-#      documented span schema cannot drift from what the service records.
+#      docs/OBSERVABILITY.md must occur in the emitted JSONL, and the
+#      span names drawn in the ```spantree fence (the lifecycle tree)
+#      must be exactly the names the demo emits, so neither the
+#      documented schema nor the documented tree can drift from what the
+#      service records.
 #  10. with --frontier-check BIN (the built examples/search_resume.cpp),
 #      every ```frontier fence in docs/SEARCH.md is written to its own
 #      file and fed to `BIN status --frontier` individually, so each
@@ -236,6 +239,23 @@ if [ -n "$span_check" ]; then
         grep -q "\"$key\"" "$tmpdir/spandemo/spans.jsonl" || \
           fail "span schema field \`$key\` absent from the demo spans.jsonl"
       done < "$tmpdir/span_keys"
+      # The tree draws one span per line as `name:job...` or `name#r`
+      # after the box-drawing prefix.
+      awk '/^```spantree$/{grab=1; next} /^```$/{grab=0} grab' \
+          docs/OBSERVABILITY.md \
+        | LC_ALL=C sed -n 's/^[^a-z]*\([a-z][a-z]*\)[:#].*/\1/p' \
+        | sort -u > "$tmpdir/tree_names"
+      LC_ALL=C grep -o '"name":"[a-z]*"' "$tmpdir/spandemo/spans.jsonl" \
+        | sed -e 's/^"name":"//' -e 's/"$//' | sort -u > "$tmpdir/demo_names"
+      if [ ! -s "$tmpdir/tree_names" ]; then
+        fail "no \`\`\`spantree fence with span names in docs/OBSERVABILITY.md"
+      fi
+      for name in $(comm -23 "$tmpdir/tree_names" "$tmpdir/demo_names"); do
+        fail "span tree draws \`$name\`, absent from the demo spans.jsonl"
+      done
+      for name in $(comm -13 "$tmpdir/tree_names" "$tmpdir/demo_names"); do
+        fail "demo spans.jsonl emits \`$name\`, not drawn in the span tree"
+      done
     fi
   fi
 fi
