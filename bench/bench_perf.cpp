@@ -19,6 +19,7 @@
 //     1-worker baseline, so the report shows the scaling directly).
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
@@ -519,33 +520,26 @@ void BM_ScopedTimer(benchmark::State& state) {
 }
 BENCHMARK(BM_ScopedTimer);
 
-// Span recording, the lowest observability rung: build one round span —
-// identity, window, parent identity and range(0) tags, the service's
-// injected-round shape at 3 and its widest inst span at 6 — and append
-// it to a warm vector. An iteration records kBatch spans.
+// Span recording, the lowest observability rung: append one round span —
+// identity, window and range(0) tags, the service's injected-round shape
+// at 3 and its widest inst span at 6 — to a warm span log, as the service
+// records. An iteration records kBatch spans.
 void BM_SpanRecord(benchmark::State& state) {
   constexpr std::int64_t kBatch = 4096;
   const int tags = static_cast<int>(state.range(0));
   const da::obs::SpanTagKey keys[] = {"inj_delayed", "inj_duplicated",
                                       "inj_examined", "rounds",
                                       "rule0",       "rule1"};
-  std::vector<da::obs::Span> spans;
-  spans.reserve(kBatch);
+  da::obs::SpanLog log;
   for (auto _ : state) {
-    spans.clear();
+    log.clear();
     for (std::int64_t i = 0; i < kBatch; ++i) {
-      da::obs::Span span;
-      span.name = "round";
-      span.job = i;
-      span.sub = 0;
-      span.round = static_cast<int>(i & 3);
-      span.t0 = static_cast<double>(i) * 0.25;
-      span.t1 = span.t0 + 1.0;
-      span.parent = {da::obs::SpanKind::kInst, i, 0};
-      for (int k = 0; k < tags; ++k) span.tags.add(keys[k], i + k);
-      spans.push_back(span);
+      const double t0 = static_cast<double>(i) * 0.25;
+      log.add({da::obs::SpanKind::kRound, i, 0, static_cast<int>(i & 3)}, t0,
+              t0 + 1.0);
+      for (int k = 0; k < tags; ++k) log.tag(keys[k], i + k);
     }
-    benchmark::DoNotOptimize(spans.data());
+    benchmark::DoNotOptimize(log);
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
@@ -604,8 +598,9 @@ void BM_SpansToJsonl(benchmark::State& state) {
 BENCHMARK(BM_SpansToJsonl)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The run's span merge: `merge_canonical` of the span stream above, split
-// back into its four shards' runs, each in end-time order — the order a
-// shard records its spans in — into one canonical vector.
+// back into its four shards' span logs, each in end-time order — the
+// order a shard records its spans in — into one canonical vector, with
+// the key scratch kept across iterations as the service keeps it.
 void BM_SpanMerge(benchmark::State& state) {
   const da::service::FrontendResult result =
       da::service::run_frontend(span_stream_config());
@@ -615,14 +610,23 @@ void BM_SpanMerge(benchmark::State& state) {
                result.shard_of[static_cast<std::size_t>(span.job)])]
         .push_back(span);
   }
-  std::vector<std::span<const da::obs::Span>> runs;
-  for (std::vector<da::obs::Span>& shard : shards) {
-    std::stable_sort(shard.begin(), shard.end(),
+  std::vector<da::obs::SpanLog> logs(shards.size());
+  std::vector<const da::obs::SpanLog*> runs;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    std::stable_sort(shards[s].begin(), shards[s].end(),
                      [](const auto& a, const auto& b) { return a.t1 < b.t1; });
-    runs.emplace_back(shard);
+    for (const da::obs::Span& span : shards[s]) {
+      logs[s].add(span.ref(), span.t0, span.t1);
+      for (const auto& [key, value] : span.tags) {
+        logs[s].tag(*da::obs::SpanTagKey::find(key), value);
+      }
+    }
+    runs.push_back(&logs[s]);
   }
+  std::vector<da::obs::SpanKey> keys;
   for (auto _ : state) {
-    const std::vector<da::obs::Span> merged = da::obs::merge_canonical(runs);
+    const std::vector<da::obs::Span> merged =
+        da::obs::merge_canonical(runs, keys);
     benchmark::DoNotOptimize(merged.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -631,6 +635,36 @@ void BM_SpanMerge(benchmark::State& state) {
   state.counters["shards"] = static_cast<double>(runs.size());
 }
 BENCHMARK(BM_SpanMerge)->Unit(benchmark::kMillisecond);
+
+// The span stream's whole cycle, as the perfbench `frontend` workload
+// times it: one warm front-end `run()` (record, then merge) plus
+// `spans_to_jsonl` of its spans. `minflt_per_iter` counts the minor page
+// faults a cycle takes (getrusage): memory a cycle frees back to the
+// system and touches afresh next time. Read it with this row alone
+// (`--benchmark_filter=FrontendCycle`): rows run earlier in the process
+// move glibc's mmap threshold, and with it the count.
+void BM_FrontendCycle(benchmark::State& state) {
+  da::service::ServiceFrontend frontend(span_stream_config());
+  (void)frontend.run();  // slots and span logs grow once
+  std::size_t bytes = 0;
+  const auto minflt = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  const long faults_before = minflt();
+  for (auto _ : state) {
+    const da::service::FrontendResult result = frontend.run();
+    bytes = da::obs::spans_to_jsonl(result.spans).size();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["minflt_per_iter"] =
+      static_cast<double>(minflt() - faults_before) /
+      static_cast<double>(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_FrontendCycle)->Unit(benchmark::kMillisecond);
 
 // The sharded front-end under the same Poisson storm as
 // BM_ServiceThroughput, split across 4 shards behind the hash router.

@@ -5,14 +5,15 @@
 //   service_demo [flags]
 //     --model poisson|bursty|pareto   arrival model       (poisson)
 //     --rate R                        mean jobs/time unit (8.0)
-//     --offered N                     jobs to offer       (1000)
+//     --offered N                     jobs to offer, <= 2^22 (1000)
 //     --cap C                         concurrency cap, in slots (256)
 //     --queue Q                       queue bound for shed-oldest (1024)
 //     --policy shed|block             overload policy     (shed)
 //     --period P                      virtual time per round tick (1.0)
 //     --seed S                        arrival/mix seed    (1)
 //     --jobs J                        worker threads, 0 = all cores (1)
-//     --shards N                      front-end shards, 1 = plain service (1)
+//     --shards N                      front-end shards, 1 = plain service,
+//                                     <= 1024 (1)
 //     --route hash|least-loaded       front-end routing   (hash)
 //     --deadline T                    admission deadline on every template,
 //                                     in virtual time (0 = none)
@@ -89,7 +90,8 @@ int main(int argc, char** argv) {
   reader
       .text("--model", model)
       .real("--rate", rate)
-      .integer<std::uint64_t>("--offered", config.offered, 1, kU64Max)
+      .integer<std::uint64_t>("--offered", config.offered, 1,
+                              ServiceConfig::kMaxOffered)
       .integer("--cap", config.cap, 1, kIntMax)
       .integer<std::size_t>("--queue", config.queue_cap, 1, kU64Max)
       .choice("--policy", config.policy,
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
       .real("--period", config.round_period)
       .integer<std::uint64_t>("--seed", config.seed, 0, kU64Max)
       .integer("--jobs", config.jobs, 0, da::kMaxJobs)
-      .integer("--shards", shards, 1, kIntMax)
+      .integer("--shards", shards, 1, FrontendConfig::kMaxShards)
       .text("--route", route_name)
       .real("--deadline", deadline)
       .flag("--artifact", dump_artifact)

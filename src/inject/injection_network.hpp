@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "inject/fault_plan.hpp"
@@ -57,11 +58,14 @@ class InjectionNetwork final : public sim::NetworkModel {
   /// rebuilding the rule table.
   void reseed(std::uint64_t seed) { plan_.seed = seed; }
 
-  /// Zero the stats, keeping the per-rule tally sized to the plan. Lets a
-  /// recycled service slot reuse one network across instances.
+  /// Zero the stats, keeping the per-rule tally sized to the plan (and
+  /// its storage). Lets a recycled service slot reuse one network across
+  /// instances without allocating.
   void reset_stats() {
+    std::vector<std::uint64_t> hits = std::move(stats_.rule_hits);
     stats_ = InjectionStats{};
-    stats_.rule_hits.assign(plan_.rules.size(), 0);
+    hits.assign(plan_.rules.size(), 0);
+    stats_.rule_hits = std::move(hits);
   }
 
  private:

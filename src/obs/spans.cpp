@@ -7,6 +7,7 @@
 #include <compare>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <tuple>
 
@@ -119,9 +120,10 @@ bool is_canonical(const std::vector<Span>& spans) {
 /// fields left 0. So the pack never inverts the order: it can only tie
 /// two different heads, and a tie falls back to the full compare. Every
 /// span the service records packs without an end code.
-std::uint64_t packed_identity(const Span& s) {
+std::uint64_t packed_identity(std::int64_t job, int sub, int rank,
+                              int round) {
   const std::pair<std::int64_t, int> fields[] = {
-      {s.job, 32}, {s.sub, 12}, {name_rank(s.name), 4}, {s.round, 16}};
+      {job, 32}, {sub, 12}, {rank, 4}, {round, 16}};
   std::uint64_t pack = 0;
   int shift = 64;
   for (const auto& [value, bits] : fields) {
@@ -135,22 +137,33 @@ std::uint64_t packed_identity(const Span& s) {
   return pack;
 }
 
-/// A span's place in canonical order as two integers, and the span, for
-/// ties.
-struct SortKey {
-  std::uint64_t t0;
-  std::uint64_t identity;
-  const Span* span;
+SpanKey key_of(double t0, std::int64_t job, int sub, int rank, int round,
+               std::size_t run, std::size_t index) {
+  DA_EXPECTS(index <= std::numeric_limits<std::uint32_t>::max());
+  return {ordered(t0), packed_identity(job, sub, rank, round),
+          static_cast<std::uint32_t>(run), static_cast<std::uint32_t>(index)};
+}
 
-  explicit SortKey(const Span& s)
-      : t0(ordered(s.t0)), identity(packed_identity(s)), span(&s) {}
-
-  friend bool operator<(const SortKey& a, const SortKey& b) {
-    if (a.t0 != b.t0) return a.t0 < b.t0;
-    if (a.identity != b.identity) return a.identity < b.identity;
-    return before(*a.span, *b.span);
+/// The one sort behind every merge: sorts `keys` by their two integers,
+/// comparing the spans they name (`span_at(key)`) only where both tie,
+/// then builds each span once, tags sorted, in that order.
+template <typename SpanAt>
+std::vector<Span> merge_keys(std::vector<SpanKey>& keys,
+                             const SpanAt& span_at) {
+  std::sort(keys.begin(), keys.end(),
+            [&span_at](const SpanKey& a, const SpanKey& b) {
+              if (a.t0 != b.t0) return a.t0 < b.t0;
+              if (a.identity != b.identity) return a.identity < b.identity;
+              return before(span_at(a), span_at(b));
+            });
+  std::vector<Span> merged;
+  merged.reserve(keys.size());
+  for (const SpanKey& key : keys) {
+    merged.push_back(span_at(key));
+    merged.back().tags.sort();
   }
-};
+  return merged;
+}
 
 // ---------------------------------------------------------- rendering --
 
@@ -372,6 +385,66 @@ std::strong_ordering operator<=>(const SpanTags& a, const SpanTags& b) {
   return a.size_ <=> b.size_;
 }
 
+void SpanLog::refuse(const char* condition) {
+  detail::contract_failure("precondition", condition, __FILE__, __LINE__);
+}
+
+void SpanLog::clear() {
+  records_.clear();
+  tag_values_.clear();
+  tag_keys_.clear();
+}
+
+Span SpanLog::span(std::size_t i) const {
+  const Record& rec = records_[i];
+  Span s;
+  s.name = kSpanNames[static_cast<std::size_t>(rec.kind)];
+  s.job = rec.job;
+  s.sub = rec.sub;
+  s.round = rec.round;
+  s.t0 = rec.t0;
+  s.t1 = rec.t1;
+  // The service's tree: queue, inst and decide hang off their job; round
+  // and recycle off their instance.
+  switch (rec.kind) {
+    case SpanKind::kQueue:
+    case SpanKind::kInst:
+    case SpanKind::kDecide:
+      s.parent = {SpanKind::kJob, rec.job};
+      break;
+    case SpanKind::kRound:
+    case SpanKind::kRecycle:
+      s.parent = {SpanKind::kInst, rec.job, rec.sub};
+      break;
+    case SpanKind::kJob:
+    case SpanKind::kNone:
+      break;
+  }
+  // A whole array's worth where the pool has it: fixed-size copies are
+  // a few moves, where copies sized to the span are calls. Entries past
+  // `size_` are never read.
+  if (rec.first_tag + SpanTags::kCapacity <= tag_keys_.size()) {
+    std::memcpy(s.tags.keys_.data(), tag_keys_.data() + rec.first_tag,
+                sizeof s.tags.keys_);
+    std::memcpy(s.tags.values_.data(), tag_values_.data() + rec.first_tag,
+                sizeof s.tags.values_);
+  } else {
+    for (std::size_t t = 0; t < rec.tags; ++t) {
+      s.tags.keys_[t] = tag_keys_[rec.first_tag + t];
+      s.tags.values_[t] = tag_values_[rec.first_tag + t];
+    }
+  }
+  s.tags.size_ = rec.tags;
+  return s;
+}
+
+std::vector<Span> SpanLog::spans() const {
+  std::vector<Span> out;
+  out.reserve(records_.size());
+  for (std::size_t i = 0; i < records_.size(); ++i) out.push_back(span(i));
+  return out;
+}
+
 SpanRef Span::ref() const {
   return {span_kind(name).value_or(SpanKind::kNone), job, sub, round};
 }
@@ -436,19 +509,34 @@ Parsed<Span> Span::from_json(const Json& j) {
 std::vector<Span> merge_canonical(std::span<const std::span<const Span>> runs) {
   std::size_t total = 0;
   for (const std::span<const Span> run : runs) total += run.size();
-  std::vector<SortKey> keys;
+  std::vector<SpanKey> keys;
   keys.reserve(total);
-  for (const std::span<const Span> run : runs) {
-    for (const Span& s : run) keys.emplace_back(s);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (std::size_t i = 0; i < runs[r].size(); ++i) {
+      const Span& s = runs[r][i];
+      keys.push_back(
+          key_of(s.t0, s.job, s.sub, name_rank(s.name), s.round, r, i));
+    }
   }
-  std::sort(keys.begin(), keys.end());
-  std::vector<Span> merged;
-  merged.reserve(total);
-  for (const SortKey& key : keys) {
-    merged.push_back(*key.span);
-    merged.back().tags.sort();
+  return merge_keys(keys, [runs](const SpanKey& key) -> const Span& {
+    return runs[key.run][key.index];
+  });
+}
+
+std::vector<Span> merge_canonical(std::span<const SpanLog* const> logs,
+                                  std::vector<SpanKey>& keys) {
+  keys.clear();
+  for (std::size_t r = 0; r < logs.size(); ++r) {
+    const std::vector<SpanLog::Record>& records = logs[r]->records_;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const SpanLog::Record& rec = records[i];
+      keys.push_back(key_of(rec.t0, rec.job, rec.sub,
+                            static_cast<int>(rec.kind), rec.round, r, i));
+    }
   }
-  return merged;
+  return merge_keys(keys, [logs](const SpanKey& key) {
+    return logs[key.run]->span(key.index);
+  });
 }
 
 void canonicalize(std::vector<Span>& spans) {

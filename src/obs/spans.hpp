@@ -26,15 +26,17 @@ namespace da::obs {
 ///
 ///   job <id>                       arrival -> completion (or shed)
 ///   ├─ queue <id>                  arrival -> admission
-///   └─ inst <id>/<sub>             admission -> sub-instance decision
-///      ├─ round <id>/<sub>/<r>     previous tick -> this tick
-///      ├─ decide <id>/<sub>        the decision instant
-///      └─ recycle <id>/<sub>       slot returned to the pool
+///   ├─ inst <id>/<sub>             admission -> sub-instance decision
+///   │  ├─ round <id>/<sub>/<r>     previous tick -> this tick
+///   │  └─ recycle <id>/<sub>       slot returned to the pool
+///   └─ decide <id>                 the job's decision instant
 ///
 /// A span is plain data: its name is a `string_view` into static storage
 /// (the fixed vocabulary below), its parent is a stored identity, and its
-/// tags live in an inline array keyed by a static key table. Recording a
-/// span never allocates; ids and JSON are rendered only at export.
+/// tags live in an inline array keyed by a static key table. The service
+/// records into a `SpanLog` of compact records instead, which it keeps
+/// across runs; a run builds each `Span` once, in canonical order, when
+/// it merges its shards' logs. Ids and JSON are rendered only at export.
 
 /// The span vocabulary in lifecycle order: spans sharing a start instant
 /// sort parents before the children they caused.
@@ -121,8 +123,9 @@ struct SpanRef {
 /// Up to `kCapacity` (key, int64) tags inline. A key is stored as its
 /// index in kSpanTagKeys and read back as a view of that static table, so
 /// a span holds no strings and copying one copies no heap memory. One
-/// byte per key keeps a Span at 152 bytes; with a `string_view` per key it
-/// was 280, and a front-end run holds its ~12k spans twice while merging.
+/// byte per key keeps a Span at 152 bytes (280 with a `string_view` per
+/// key). A run builds its Spans once, from its shards' compact logs, so a
+/// front-end run's ~12k spans exist as Spans only in its result.
 class SpanTags {
  public:
   using value_type = std::pair<std::string_view, std::int64_t>;
@@ -194,6 +197,8 @@ class SpanTags {
                                           const SpanTags& b);
 
  private:
+  friend class SpanLog;  // builds a span's tags from its pool
+
   [[noreturn]] static void overflow();
   [[nodiscard]] std::pair<std::uint8_t, std::int64_t> item(
       std::size_t i) const {
@@ -231,6 +236,78 @@ struct Span {
   friend bool operator==(const Span&, const Span&) = default;
 };
 
+/// A span's place in canonical order as a merge sorts it: the ordered
+/// bits of t0, then job, sub, lifecycle rank and round packed into 64
+/// bits, then which run and which of its spans it is. A recorder that
+/// merges every run keeps a vector of these, so the merge reuses it.
+struct SpanKey {
+  std::uint64_t t0 = 0;
+  std::uint64_t identity = 0;
+  std::uint32_t run = 0;
+  std::uint32_t index = 0;
+};
+
+/// The spans of the service's tree (the diagram above) as compact
+/// records, for a recorder that keeps its log across runs: `clear` keeps
+/// the capacity, so a warm run records without allocating. A record holds
+/// the kind as a byte, the identity and the window (40 bytes); its parent
+/// is implied by its kind (queue, inst and decide under `job:<job>`;
+/// round and recycle under `inst:<job>.<sub>`), and its tags sit in one
+/// pool at 9 bytes each. A front-end stream's spans average under 64
+/// bytes here, against a Span's 152.
+class SpanLog {
+ public:
+  /// Appends a span with no tags yet; `self` must not be empty.
+  void add(const SpanRef& self, double t0, double t1) {
+    if (self.empty() || tag_keys_.size() >= kMaxTags) {
+      refuse("a span log records a named span and has room for its tags");
+    }
+    records_.push_back({t0, t1, self.job, self.sub, self.round,
+                        static_cast<std::uint32_t>(tag_keys_.size()),
+                        self.kind, 0});
+  }
+  /// Tags the span added last. A full span is a contract failure, as in
+  /// `SpanTags::add`.
+  void tag(SpanTagKey key, std::int64_t value) {
+    if (records_.empty() || records_.back().tags == SpanTags::kCapacity) {
+      refuse("a span log tags a span with room for the tag");
+    }
+    ++records_.back().tags;
+    tag_keys_.push_back(key.index());
+    tag_values_.push_back(value);
+  }
+
+  void clear();
+  /// Span `i` built in full, its tags in the order they were added.
+  [[nodiscard]] Span span(std::size_t i) const;
+  /// Every span built in full, in the order they were added.
+  [[nodiscard]] std::vector<Span> spans() const;
+
+ private:
+  friend std::vector<Span> merge_canonical(
+      std::span<const SpanLog* const> logs, std::vector<SpanKey>& keys);
+
+  /// A record addresses its tags with 32 bits.
+  static constexpr std::size_t kMaxTags = std::uint32_t{0xffffffff};
+
+  [[noreturn]] static void refuse(const char* condition);
+
+  struct Record {
+    double t0;
+    double t1;
+    std::int64_t job;
+    std::int32_t sub;
+    std::int32_t round;
+    std::uint32_t first_tag;  // index of its first tag in the pool
+    SpanKind kind;
+    std::uint8_t tags;  // how many
+  };
+
+  std::vector<Record> records_;
+  std::vector<std::int64_t> tag_values_;
+  std::vector<std::uint8_t> tag_keys_;  // indices into kSpanTagKeys
+};
+
 /// Sorts spans into canonical export order — (t0, job, sub, lifecycle
 /// rank, round), then the remaining fields — and each span's tags by key.
 /// Two span sets with equal contents canonicalize to identical sequences
@@ -243,6 +320,12 @@ void canonicalize(std::vector<Span>& spans);
 /// by field.
 [[nodiscard]] std::vector<Span> merge_canonical(
     std::span<const std::span<const Span>> runs);
+
+/// The same merge over span logs (one per shard): each Span is built
+/// once, in canonical order, tags sorted. `keys` is scratch, cleared
+/// first and left holding the sorted keys.
+[[nodiscard]] std::vector<Span> merge_canonical(
+    std::span<const SpanLog* const> logs, std::vector<SpanKey>& keys);
 
 /// Canonical JSONL: one compact JSON object per line, canonical order,
 /// whatever the order of `spans`. Canonical input is written directly,

@@ -42,6 +42,11 @@ std::optional<RoutePolicy> parse_route_policy(std::string_view name) {
 ServiceFrontend::ServiceFrontend(FrontendConfig config)
     : config_(std::move(config)) {
   DA_EXPECTS(config_.shards >= 1);
+  if (config_.shards > FrontendConfig::kMaxShards) {
+    throw CountOutOfRange("shards",
+                          static_cast<std::uint64_t>(config_.shards),
+                          FrontendConfig::kMaxShards);
+  }
   const int jobs = sweep::resolve_jobs(config_.service.jobs);
   config_.service.jobs = jobs;
   // The one pool: each tick fans (shard, instance-chunk) tasks over its

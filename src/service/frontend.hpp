@@ -51,13 +51,16 @@ enum class RoutePolicy {
     std::string_view name);
 
 struct FrontendConfig {
+  /// The most shards a front-end may have (each is a whole service).
+  static constexpr int kMaxShards = 1024;
+
   /// Per-shard service configuration. `offered` and `seed` are global
   /// (the front-end owns the arrival stream); `jobs` counts the threads
   /// stepping every shard's instance chunks (one pool of `jobs - 1`
   /// workers plus the calling thread); `sample_every` drives the
   /// *aggregated* time series.
   ServiceConfig service{};
-  int shards = 2;
+  int shards = 2;  // 1..kMaxShards
   RoutePolicy route = RoutePolicy::kHashJobId;
 };
 
@@ -69,9 +72,11 @@ using FrontendResult = ServiceResult;
 /// repeatedly — shards persist, so warm runs reuse every slot pool.
 class ServiceFrontend {
  public:
-  /// Throws `UnsupportedConfig` for mix templates the engine cannot
-  /// execute and `JobWiderThanCap` for templates wider than the per-shard
-  /// cap (the shards validate on construction).
+  /// Throws `CountOutOfRange` for more than `kMaxShards` shards (before
+  /// building any), and whatever a shard's construction
+  /// throws: `CountOutOfRange` for `offered`, `UnsupportedConfig` for mix
+  /// templates the engine cannot execute and `JobWiderThanCap` for
+  /// templates wider than the per-shard cap.
   explicit ServiceFrontend(FrontendConfig config);
   ~ServiceFrontend();
 

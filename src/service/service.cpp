@@ -130,12 +130,9 @@ const obs::Quantile& tick_ms_quantile() {
   return q;
 }
 
-obs::SpanRef job_span(std::uint64_t job) {
-  return {obs::SpanKind::kJob, static_cast<std::int64_t>(job)};
-}
-
-obs::SpanRef inst_span(std::uint64_t job, int sub) {
-  return {obs::SpanKind::kInst, static_cast<std::int64_t>(job), sub};
+obs::SpanRef span_of(obs::SpanKind kind, std::uint64_t job, int sub = -1,
+                     int round = -1) {
+  return {kind, static_cast<std::int64_t>(job), sub, round};
 }
 
 /// The most tags any span can carry under `plan`: an injected inst span's
@@ -158,14 +155,15 @@ std::size_t widest_span_tags(const inject::FaultPlan& plan) {
          static_cast<std::size_t>(!plan.crashes.empty()) + plan.rules.size();
 }
 
-/// Appends nonzero injection tallies (`base == nullptr`: totals; else the
-/// delta since `base`) as `inj_*` / `rule<k>` span tags — the correlation
-/// handles span_inspect uses to attribute delay to a FaultPlan rule.
-void add_injection_tags(obs::SpanTags& tags, const inject::InjectionStats& cur,
+/// Tags the span `log` recorded last with the nonzero injection tallies
+/// (`base == nullptr`: totals; else the delta since `base`) as `inj_*` /
+/// `rule<k>` tags — the correlation handles span_inspect uses to
+/// attribute delay to a FaultPlan rule.
+void add_injection_tags(obs::SpanLog& log, const inject::InjectionStats& cur,
                         const inject::InjectionStats* base) {
-  const auto add = [&tags](obs::SpanTagKey key, std::uint64_t c,
-                           std::uint64_t b) {
-    if (c > b) tags.add(key, static_cast<std::int64_t>(c - b));
+  const auto add = [&log](obs::SpanTagKey key, std::uint64_t c,
+                          std::uint64_t b) {
+    if (c > b) log.tag(key, static_cast<std::int64_t>(c - b));
   };
   add("inj_examined", cur.examined, base != nullptr ? base->examined : 0);
   add("inj_dropped", cur.dropped, base != nullptr ? base->dropped : 0);
@@ -300,9 +298,9 @@ struct AgreementService::InstanceSlot {
   std::uint64_t job_id = 0;  // local job index (records_[job_id].id = global)
   int sub = 0;  // coordinate index within the job (0 for kByz)
   sim::RoundEngine engine;
-  /// Per-slot fault transport, constructed lazily on the first injected
-  /// admission and re-seeded per job. One worker advances one slot per
-  /// tick, so its plain stats counters are race-free.
+  /// Per-slot fault transport, built with the slot when the fault plan is
+  /// active and re-seeded per injected job. One worker advances one slot
+  /// per tick, so its plain stats counters are race-free.
   std::unique_ptr<inject::InjectionNetwork> net;
   bool injected = false;
   // Span bookkeeping (meaningful only while record_spans is on).
@@ -319,6 +317,11 @@ struct AgreementService::ActiveJob {
   /// Bit c set: a sub-instance violated Condition c (one of D.1-D.4).
   unsigned violated = 0;
 };
+
+CountOutOfRange::CountOutOfRange(const std::string& name, std::uint64_t value,
+                                 std::uint64_t max)
+    : std::invalid_argument(name + " = " + std::to_string(value) +
+                            " is above the limit of " + std::to_string(max)) {}
 
 TooManySpanTags::TooManySpanTags(std::size_t tags)
     : std::invalid_argument(
@@ -337,6 +340,10 @@ JobWiderThanCap::JobWiderThanCap(int width, int cap)
 
 AgreementService::AgreementService(ServiceConfig config)
     : config_(std::move(config)) {
+  if (config_.offered > ServiceConfig::kMaxOffered) {
+    throw CountOutOfRange("offered", config_.offered,
+                          ServiceConfig::kMaxOffered);
+  }
   DA_EXPECTS(config_.cap >= 1);
   DA_EXPECTS(config_.round_period > 0.0);
   DA_EXPECTS(config_.inject_every >= 1);
@@ -426,7 +433,14 @@ AgreementService::InstanceSlot* AgreementService::acquire_slot(
   slots_created_counter().add();
   slots_.push_back(std::make_unique<InstanceSlot>(
       shape_index, *shapes_[static_cast<std::size_t>(shape_index)]));
-  return slots_.back().get();
+  InstanceSlot* slot = slots_.back().get();
+  if (inject_enabled_) {
+    // Sized here, so that admissions reuse the network's and the span
+    // bookkeeping's storage whichever slot a job lands in.
+    slot->net = std::make_unique<inject::InjectionNetwork>(config_.fault_plan);
+    slot->last_stats = slot->net->stats();
+  }
+  return slot;
 }
 
 void AgreementService::release_slot(InstanceSlot* slot) {
@@ -458,10 +472,6 @@ bool AgreementService::try_admit(std::uint64_t local, double now) {
     // for the same reason set_adversary is — the restore boundary
     // precedes every dispatch of this instance.
     if (inject) {
-      if (slot->net == nullptr) {
-        slot->net =
-            std::make_unique<inject::InjectionNetwork>(config_.fault_plan);
-      }
       slot->net->reseed(mix64(config_.fault_plan.seed, mix64(rec.id, 0x1f)));
       slot->net->reset_stats();
       slot->engine.set_network(slot->net.get());
@@ -473,8 +483,8 @@ bool AgreementService::try_admit(std::uint64_t local, double now) {
     if (config_.record_spans) {
       slot->admitted_at = now;
       slot->last_time = now;
-      slot->last_stats =
-          slot->injected ? slot->net->stats() : inject::InjectionStats{};
+      // Read only while injected; a copy assignment keeps its storage.
+      if (slot->injected) slot->last_stats = slot->net->stats();
     }
     active_.push_back(slot);
   }
@@ -487,15 +497,9 @@ bool AgreementService::try_admit(std::uint64_t local, double now) {
   class_queue_wait_quantile(rec.admission).record(rec.queue_wait());
   queue_sketch_.record(rec.queue_wait());
   if (config_.record_spans) {
-    obs::Span span;
-    span.name = "queue";
-    span.job = static_cast<std::int64_t>(rec.id);
-    span.t0 = rec.arrival;
-    span.t1 = now;
-    span.parent = job_span(rec.id);
-    span.tags.add("width", width);
-    span.tags.add("class", index_of(rec.admission));
-    spans_.push_back(span);
+    spans_.add(span_of(obs::SpanKind::kQueue, rec.id), rec.arrival, now);
+    spans_.tag("width", width);
+    spans_.tag("class", index_of(rec.admission));
   }
   return true;
 }
@@ -517,18 +521,13 @@ void AgreementService::shed_job(std::uint64_t local, double at,
     class_deadline_counter(rec.admission).add();
   }
   if (config_.record_spans) {
-    obs::Span span;
-    span.name = "job";
-    span.job = static_cast<std::int64_t>(rec.id);
-    span.t0 = rec.arrival;
-    span.t1 = at;
-    span.tags.add("tmpl", rec.template_index);
-    span.tags.add("adv", rec.adversary_index);
-    span.tags.add("class", index_of(rec.admission));
-    span.tags.add(deadline_missed ? obs::SpanTagKey("deadline")
-                                  : obs::SpanTagKey("shed"),
-                  1);
-    spans_.push_back(span);
+    spans_.add(span_of(obs::SpanKind::kJob, rec.id), rec.arrival, at);
+    spans_.tag("tmpl", rec.template_index);
+    spans_.tag("adv", rec.adversary_index);
+    spans_.tag("class", index_of(rec.admission));
+    spans_.tag(deadline_missed ? obs::SpanTagKey("deadline")
+                               : obs::SpanTagKey("shed"),
+               1);
   }
 }
 
@@ -572,18 +571,10 @@ void AgreementService::complete_sub_instance(InstanceSlot& slot, double now) {
   rec.decisions_digest = h;
   instances_counter().add();
   if (config_.record_spans) {
-    obs::Span inst;
-    inst.name = "inst";
-    inst.job = static_cast<std::int64_t>(rec.id);
-    inst.sub = slot.sub;
-    inst.t0 = slot.admitted_at;
-    inst.t1 = now;
-    inst.parent = job_span(rec.id);
-    inst.tags.add("rounds", shape.rounds);
-    if (slot.injected) {
-      add_injection_tags(inst.tags, slot.net->stats(), nullptr);
-    }
-    spans_.push_back(inst);
+    spans_.add(span_of(obs::SpanKind::kInst, rec.id, slot.sub),
+               slot.admitted_at, now);
+    spans_.tag("rounds", shape.rounds);
+    if (slot.injected) add_injection_tags(spans_, slot.net->stats(), nullptr);
   }
   if (--job.remaining_subs == 0) {
     rec.completed = now;
@@ -609,24 +600,13 @@ void AgreementService::complete_sub_instance(InstanceSlot& slot, double now) {
       }
     }
     if (config_.record_spans) {
-      obs::Span root;
-      root.name = "job";
-      root.job = static_cast<std::int64_t>(rec.id);
-      root.t0 = rec.arrival;
-      root.t1 = now;
-      root.tags.add("tmpl", rec.template_index);
-      root.tags.add("adv", rec.adversary_index);
-      root.tags.add("class", index_of(rec.admission));
-      spans_.push_back(root);
-      obs::Span decide;
-      decide.name = "decide";
-      decide.job = static_cast<std::int64_t>(rec.id);
-      decide.t0 = now;
-      decide.t1 = now;
-      decide.parent = job_span(rec.id);
-      decide.tags.add("ok", rec.satisfied ? 1 : 0);
-      decide.tags.add("cond", static_cast<std::int64_t>(rec.applied));
-      spans_.push_back(decide);
+      spans_.add(span_of(obs::SpanKind::kJob, rec.id), rec.arrival, now);
+      spans_.tag("tmpl", rec.template_index);
+      spans_.tag("adv", rec.adversary_index);
+      spans_.tag("class", index_of(rec.admission));
+      spans_.add(span_of(obs::SpanKind::kDecide, rec.id), now, now);
+      spans_.tag("ok", rec.satisfied ? 1 : 0);
+      spans_.tag("cond", static_cast<std::int64_t>(rec.applied));
     }
   }
 }
@@ -707,21 +687,15 @@ void AgreementService::settle(double now) {
     if (config_.record_spans) {
       // The round this tick just processed, [previous boundary, now],
       // tagged with the injection deltas it incurred.
-      obs::Span span;
-      span.name = "round";
-      span.job = static_cast<std::int64_t>(records_[slot->job_id].id);
-      span.sub = slot->sub;
-      span.round = slot->engine.rounds_processed() - 1;
-      span.t0 = slot->last_time;
-      span.t1 = now;
-      span.parent = inst_span(records_[slot->job_id].id, slot->sub);
+      spans_.add(span_of(obs::SpanKind::kRound, records_[slot->job_id].id,
+                         slot->sub, slot->engine.rounds_processed() - 1),
+                 slot->last_time, now);
       if (slot->injected) {
         const inject::InjectionStats& cur = slot->net->stats();
-        add_injection_tags(span.tags, cur, &slot->last_stats);
+        add_injection_tags(spans_, cur, &slot->last_stats);
         slot->last_stats = cur;
       }
       slot->last_time = now;
-      spans_.push_back(span);
     }
     if (!slot->engine.done()) {
       active_[kept++] = slot;
@@ -731,14 +705,9 @@ void AgreementService::settle(double now) {
     release_slot(slot);
     --active_width_;
     if (config_.record_spans) {
-      obs::Span span;
-      span.name = "recycle";
-      span.job = static_cast<std::int64_t>(records_[slot->job_id].id);
-      span.sub = slot->sub;
-      span.t0 = now;
-      span.t1 = now;
-      span.parent = inst_span(records_[slot->job_id].id, slot->sub);
-      spans_.push_back(span);
+      spans_.add(span_of(obs::SpanKind::kRecycle, records_[slot->job_id].id,
+                         slot->sub),
+                 now, now);
     }
   }
   active_.resize(kept);
@@ -750,13 +719,13 @@ void AgreementService::settle(double now) {
 
 void AgreementService::begin_run(std::uint64_t expected) {
   DA_EXPECTS(active_.empty());
+  DA_EXPECTS(expected <= ServiceConfig::kMaxOffered);
   records_.clear();
   records_.reserve(expected);
   jobs_.clear();
   jobs_.reserve(expected);
   admission_.clear();
   spans_.clear();
-  spans_.reserve(span_reserve_);
   latency_sketch_.clear();
   queue_sketch_.clear();
   for (auto& sketch : class_latency_) sketch.clear();
@@ -810,6 +779,12 @@ void AgreementService::step(double now) {
 }
 
 ServiceResult AgreementService::end_run(double makespan) {
+  ServiceResult result = fold_run(makespan);
+  result.spans = spans_.spans();
+  return result;
+}
+
+ServiceResult AgreementService::fold_run(double makespan) {
   ServiceResult result;
   result.records = records_;
   result.completed = completed_so_far_;
@@ -824,11 +799,6 @@ ServiceResult AgreementService::end_run(double makespan) {
   result.ticks = ticks_this_run_;
   result.shards.push_back({records_.size(), result.completed, result.shed,
                            result.deadline_missed, peak_active_});
-  if (config_.record_spans) {
-    span_reserve_ = spans_.size();
-    result.spans = std::move(spans_);
-    spans_ = {};
-  }
   result.latency_sketch = latency_sketch_;
   result.queue_sketch = queue_sketch_;
   result.class_latency = class_latency_;
@@ -951,23 +921,24 @@ ServiceResult run(std::span<AgreementService* const> shards,
   // points stop strictly before the final event).
   if (config.sample_every > 0.0) samples.push_back(sample(now));
 
-  // Fold the shards back into one stream: the shards' spans merge into
-  // canonical order, each span copied once; shard 0's result is the base
-  // and the rest append to it (exact sketch merges, records re-sorted by
-  // global id).
+  // Fold the shards back into one stream: the shards' span logs merge
+  // into canonical order, each Span built once; shard 0's result is the
+  // base and the rest append to it (exact sketch merges, records
+  // re-sorted by global id).
   std::vector<ServiceResult> parts;
   parts.reserve(shards.size());
-  std::vector<std::span<const obs::Span>> span_runs;
-  span_runs.reserve(shards.size());
   std::size_t records = 0;
   for (AgreementService* shard : shards) {
-    parts.push_back(shard->end_run(now));
+    parts.push_back(shard->fold_run(now));
     records += parts.back().records.size();
-    span_runs.emplace_back(parts.back().spans);
   }
-  std::vector<obs::Span> spans = obs::merge_canonical(span_runs);
   ServiceResult result = std::move(parts.front());
-  result.spans = std::move(spans);
+  if (config.record_spans) {
+    std::vector<const obs::SpanLog*> logs;
+    logs.reserve(shards.size());
+    for (const AgreementService* shard : shards) logs.push_back(&shard->spans_);
+    result.spans = obs::merge_canonical(logs, shards.front()->span_keys_);
+  }
   result.records.reserve(records);
   for (std::size_t s = 1; s < parts.size(); ++s) {
     ServiceResult& part = parts[s];

@@ -121,8 +121,13 @@ enum class OverloadPolicy {
 [[nodiscard]] const char* to_string(OverloadPolicy policy);
 
 struct ServiceConfig {
+  /// The most jobs one run may offer. A run keeps about 160 bytes per
+  /// offered job (its record, the result's copy, the routing entry), so
+  /// this caps that memory near 0.7 GB.
+  static constexpr std::uint64_t kMaxOffered = std::uint64_t{1} << 22;
+
   ArrivalSpec arrivals = ArrivalSpec::poisson(8.0);
-  /// Jobs the arrival process offers per `run()`.
+  /// Jobs the arrival process offers per `run()`, at most `kMaxOffered`.
   std::uint64_t offered = 1000;
   /// Concurrency cap, in slots (an IC job holds `n` slots at once).
   int cap = 256;
@@ -236,9 +241,9 @@ struct ServiceResult {
   int peak_active = 0;
   /// Tick-grid instants driven (each may tick several shards).
   std::uint64_t ticks = 0;
-  /// Causal spans (when `record_spans`); empty otherwise. Canonical
-  /// order from `run()`; emission order from `end_run`, which leaves the
-  /// one canonical merge to its caller (`spans_to_jsonl` exports
+  /// Causal spans (when `record_spans`); empty otherwise. `run()` builds
+  /// them once, in canonical order, from its shards' span logs; `end_run`
+  /// builds its shard's in emission order (`spans_to_jsonl` exports
   /// canonically either way).
   std::vector<obs::Span> spans;
   /// Periodic time series (when `sample_every > 0`).
@@ -324,6 +329,17 @@ class JobWiderThanCap : public std::invalid_argument {
   int cap_;
 };
 
+/// Thrown on construction when a count that sizes a run's memory is out
+/// of range: `ServiceConfig::offered` above `kMaxOffered`, or
+/// `FrontendConfig::shards` above `kMaxShards` (each shard is a whole
+/// service). So a CLI can report a usage error instead of failing an
+/// allocation.
+class CountOutOfRange : public std::invalid_argument {
+ public:
+  CountOutOfRange(const std::string& name, std::uint64_t value,
+                  std::uint64_t max);
+};
+
 /// Thrown on construction when `record_spans` is set under a FaultPlan
 /// whose injection tags could overflow one span
 /// (`obs::SpanTags::kCapacity`): the recorder never truncates a span's
@@ -344,8 +360,9 @@ class TooManySpanTags : public std::invalid_argument {
 /// mix is unchanged).
 class AgreementService {
  public:
-  /// Throws `UnsupportedConfig` when a mix template's config is outside
-  /// what the engine can execute (`Config::engine_runnable()`),
+  /// Throws `CountOutOfRange` when `offered` is above `kMaxOffered`,
+  /// `UnsupportedConfig` when a mix template's config is outside what
+  /// the engine can execute (`Config::engine_runnable()`),
   /// `JobWiderThanCap` when a template needs more slots than `cap`, and
   /// `TooManySpanTags` when recorded spans could not hold the fault
   /// plan's tags.
@@ -369,11 +386,12 @@ class AgreementService {
   // state, `offer_job` performs full arrival semantics (deadline sweep,
   // class-aware admit-or-queue, overload shedding), `step` is one
   // batched round tick plus deadline sweep plus queue drain on the
-  // calling thread, and `end_run` folds the aggregates (moving the spans
-  // out in emission order). All four must be called from one thread (the
-  // caller's event loop).
+  // calling thread, and `end_run` folds the aggregates (building the
+  // spans from the span log, in emission order). All four must be called
+  // from one thread (the caller's event loop).
 
-  /// `expected` pre-sizes the record store (0 is fine).
+  /// `expected` pre-sizes the record store (0 is fine; at most
+  /// `ServiceConfig::kMaxOffered`).
   void begin_run(std::uint64_t expected);
   void offer_job(const JobOffer& offer, double now);
   void step(double now);
@@ -438,6 +456,9 @@ class AgreementService {
   void settle(double now);
   void complete_sub_instance(InstanceSlot& slot, double now);
   [[nodiscard]] bool job_injected(std::uint64_t job_id) const;
+  /// `end_run` without the spans: `detail::run` merges every shard's
+  /// span log instead.
+  [[nodiscard]] ServiceResult fold_run(double makespan);
 
   ServiceConfig config_;
   std::vector<JobTemplate> mix_;
@@ -472,9 +493,13 @@ class AgreementService {
   ConditionReport scratch_report_;
 
   // Observability scratch (spans/sketches, reset per run).
-  bool inject_enabled_ = false;   // fault_plan.active()
-  std::vector<obs::Span> spans_;  // moved out by end_run
-  std::size_t span_reserve_ = 0;  // last run's span count
+  bool inject_enabled_ = false;  // fault_plan.active()
+  /// This run's spans. Cleared by begin_run and never moved out, so its
+  /// capacity carries over and a warm run records without allocating.
+  obs::SpanLog spans_;
+  /// The merge's key scratch, used when this service is a run's first
+  /// shard; kept for the same reason.
+  std::vector<obs::SpanKey> span_keys_;
   obs::QuantileSketch latency_sketch_;
   obs::QuantileSketch queue_sketch_;
   std::array<obs::QuantileSketch, kAdmissionClassCount> class_latency_{};

@@ -31,10 +31,6 @@ const obs::Counter& wire_bytes_counter() {
   static const obs::Counter c("sim.wire_bytes");
   return c;
 }
-const obs::Quantile& round_ms_quantile() {
-  static const obs::Quantile q("sim.round_ms");
-  return q;
-}
 
 }  // namespace
 
@@ -113,7 +109,6 @@ void RoundEngine::step_node(std::size_t i) {
 void RoundEngine::process_round(sweep::ThreadPool* pool) {
   DA_EXPECTS(begun_ && dispatched_ && !done());
   rounds_counter().add();
-  const obs::ScopedTimer round_timer(round_ms_quantile());
   const std::size_t n = processes_.size();
   if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) step_node(i);

@@ -2,8 +2,9 @@
 // warm: one service instance's round cycle on the checkpoint/fork engine
 // (restore, then dispatch_pending / process_round to the end, then
 // finish_into), on reliable links and under fault injection, the
-// checker's `sim::Decisions` overloads, and the engine's config predicate,
-// which refuses an over-budget instance without building anything.
+// checker's `sim::Decisions` overloads, the engine's config predicate,
+// which refuses an over-budget instance without building anything, and
+// span recording in warm service runs, which keep their span logs.
 //
 // This file replaces the global `operator new` with one that counts the
 // calls made on the calling thread while a `Counting` guard is alive, so
@@ -29,6 +30,8 @@
 #include "inject/injection_network.hpp"
 #include "protocols/common/eig_layout.hpp"
 #include "protocols/lamport/om.hpp"
+#include "service/frontend.hpp"
+#include "service/service.hpp"
 #include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 
@@ -303,6 +306,96 @@ TEST(Alloc, EngineBudgetGridAllocatesNothing) {
   const std::string floor =
       UnsupportedConfig(Config{.n = 2, .m = 1, .u = 1}).what();
   EXPECT_NE(floor.find("n >= 2m+1"), std::string::npos) << floor;
+}
+
+// ------------------------------------------------------------- spans --
+
+/// bench_perf's span stream: an overloaded, fault-injected 4-shard
+/// front-end, here offering `jobs` jobs and recording spans or not.
+service::FrontendConfig span_stream_config(std::uint64_t jobs, bool record) {
+  service::FrontendConfig config;
+  config.shards = 4;
+  config.route = service::RoutePolicy::kHashJobId;
+  service::ServiceConfig& svc = config.service;
+  svc.arrivals = service::ArrivalSpec::poisson(40.0);
+  svc.offered = jobs;
+  svc.cap = 24;
+  svc.queue_cap = 32;
+  svc.policy = service::OverloadPolicy::kShedOldest;
+  svc.seed = 7;
+  svc.mix = service::default_mix();
+  for (auto& tmpl : svc.mix) {
+    if (tmpl.admission == service::AdmissionClass::kLow) tmpl.deadline = 3.0;
+  }
+  svc.fault_plan.seed = 7;
+  svc.fault_plan.rules.push_back(
+      inject::LinkRule{kNoNode, 2, 1, inject::FaultKind::kDuplicate, 2});
+  svc.fault_plan.rules.push_back(
+      inject::LinkRule{1, kNoNode, 0, inject::FaultKind::kDelay, 2});
+  svc.fault_plan.rates.duplicate = 0.05;
+  svc.fault_plan.rates.delay = 0.10;
+  svc.inject_every = 3;
+  svc.record_spans = record;
+  return config;
+}
+
+/// What runs 2 and 3 of a long-lived service or front-end allocate, and
+/// how many spans run 3 returned.
+struct WarmRuns {
+  std::array<std::uint64_t, 2> news{};
+  std::size_t spans = 0;
+};
+
+template <typename Service>
+WarmRuns warm_runs(Service& service) {
+  WarmRuns out;
+  (void)service.run();
+  for (std::uint64_t& news : out.news) {
+    const Counting counting;
+    const service::ServiceResult result = service.run();
+    news = counting.news();
+    out.spans = result.spans.size();
+  }
+  return out;
+}
+
+/// A recorded run and a quiet run of one stream do the same work, so
+/// their allocations differ only by what recording costs. Warm, that is
+/// the result's span vector and the run's list of shard logs, on runs 2
+/// and 3 alike, whatever the number of spans. (A run's own count drifts
+/// while a long-lived service still meets new work: queue blocks, slots
+/// injected for the first time, inboxes that grow.) A recorder that
+/// reserved or grew its log afresh each run would allocate more, and
+/// more again as the spans double.
+template <typename Service, typename MakeConfig>
+void expect_warm_span_runs_allocate_alike(const MakeConfig& make) {
+  constexpr std::uint64_t kSpanVectors = 2;
+  std::size_t spans = 0;
+  for (const std::uint64_t jobs : {750u, 1500u}) {
+    Service recording(make(jobs, true));
+    Service quiet(make(jobs, false));
+    const WarmRuns rec = warm_runs(recording);
+    const WarmRuns base = warm_runs(quiet);
+    for (std::size_t run = 0; run < rec.news.size(); ++run) {
+      EXPECT_EQ(rec.news[run] - base.news[run], kSpanVectors)
+          << jobs << " jobs, run " << run + 2;
+    }
+    EXPECT_EQ(base.spans, 0u);
+    EXPECT_GT(rec.spans, spans) << jobs;
+    spans = rec.spans;
+  }
+}
+
+TEST(Alloc, WarmRecordedServiceRunsAllocateAsManyAtAnySpanCount) {
+  expect_warm_span_runs_allocate_alike<service::AgreementService>(
+      [](std::uint64_t jobs, bool record) {
+        return span_stream_config(jobs, record).service;
+      });
+}
+
+TEST(Alloc, WarmRecordedFrontendRunsAllocateAsManyAtAnySpanCount) {
+  expect_warm_span_runs_allocate_alike<service::ServiceFrontend>(
+      span_stream_config);
 }
 
 }  // namespace

@@ -508,6 +508,32 @@ TEST(Service, RejectsCapBelowWidestTemplateWithTypedError) {
   EXPECT_NO_THROW(AgreementService{config});
 }
 
+TEST(Service, RejectsCountsPastTheirBoundsWithTypedError) {
+  // A run keeps a record per offered job and each shard is a whole
+  // service: past their bounds both are refused on construction, before
+  // anything is sized by them (`--offered 18446744073709551615` used to
+  // abort on a std::length_error).
+  ServiceConfig config = small_config();
+  config.offered = ServiceConfig::kMaxOffered + 1;
+  EXPECT_THROW(AgreementService{config}, CountOutOfRange);
+  FrontendConfig sharded;
+  sharded.service = config;
+  EXPECT_THROW(ServiceFrontend{sharded}, CountOutOfRange);
+  config.offered = ServiceConfig::kMaxOffered;  // at the bound: fine
+  EXPECT_NO_THROW(AgreementService{config});
+
+  sharded.service = small_config();
+  sharded.shards = FrontendConfig::kMaxShards + 1;
+  try {
+    ServiceFrontend frontend(sharded);
+    FAIL() << "more shards than the bound were accepted";
+  } catch (const CountOutOfRange& rejected) {
+    EXPECT_NE(std::string(rejected.what()).find("shards = 1025"),
+              std::string::npos)
+        << rejected.what();
+  }
+}
+
 TEST(Service, ShedConsumesLowestClassFirstUnderOverload) {
   // Sustained ~5x overload: the default mix spreads jobs over
   // kHigh/kNormal/kLow, and shed-lowest-class-first must make the lower

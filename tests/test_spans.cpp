@@ -351,6 +351,63 @@ TEST(SpanMerge, ShuffledShardRunsMergeToCanonicalOrder) {
   EXPECT_EQ(obs::spans_to_jsonl(concat), obs::spans_to_jsonl(merged));
 }
 
+// Span logs hold the service's tree: each record's parent is implied by
+// its kind, `spans()` keeps emission order and tag order, and the logs'
+// merge equals `canonicalize` of their spans, on draws where heads tie
+// often and some fields lie outside the packed key's range. The merge's
+// key vector is reused, as the service reuses it across runs.
+TEST(SpanMerge, ShardLogsMergeToCanonicalOrder) {
+  obs::SpanLog first;
+  first.add({obs::SpanKind::kRound, 4, 1, 2}, 1.0, 2.0);
+  first.tag("inj_delayed", 3);
+  first.tag("adv", 1);
+  first.add({obs::SpanKind::kDecide, 4}, 2.0, 2.0);
+  first.add({obs::SpanKind::kJob, 4}, 0.0, 2.0);
+  const std::vector<Span> emitted = first.spans();
+  ASSERT_EQ(emitted.size(), 3u);
+  EXPECT_EQ(emitted[0].id(), "round:4.1#2");
+  EXPECT_EQ(emitted[0].parent.id(), "inst:4.1");
+  EXPECT_EQ(emitted[0].tags, (obs::SpanTags{{"inj_delayed", 3}, {"adv", 1}}));
+  EXPECT_EQ(emitted[1].parent.id(), "job:4");
+  EXPECT_TRUE(emitted[2].parent.empty());
+  EXPECT_EQ(emitted[2], first.span(2));
+
+  const double times[] = {0.0, 0.5, 1.0, 2.25};
+  const std::int64_t jobs[] = {-7, 0, 1, std::int64_t{1} << 33};
+  const int subs[] = {-1, 0, 5000};
+  const int rounds[] = {-1, 0, 70000};
+  const obs::SpanTagKey keys[] = {"adv", "class", "rounds", "tmpl"};
+  Rng rng(7);
+  const auto pick = [&rng](const auto& options) {
+    return options[rng.below(std::size(options))];
+  };
+  std::vector<obs::SpanLog> logs(4);
+  std::vector<obs::SpanKey> scratch;
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<Span> concat;
+    for (obs::SpanLog& log : logs) {
+      log.clear();
+      for (int i = 0; i < 500; ++i) {
+        const auto kind =
+            static_cast<obs::SpanKind>(rng.below(obs::kSpanNames.size()));
+        const double t0 = pick(times);
+        log.add({kind, pick(jobs), pick(subs), pick(rounds)}, t0,
+                t0 + pick(times));
+        for (std::uint64_t k = rng.below(4); k > 0; --k) {
+          log.tag(pick(keys), static_cast<std::int64_t>(rng.below(3)));
+        }
+      }
+      const std::vector<Span> spans = log.spans();
+      concat.insert(concat.end(), spans.begin(), spans.end());
+    }
+    const std::vector<const obs::SpanLog*> runs = {&logs[0], &logs[1],
+                                                   &logs[2], &logs[3]};
+    const std::vector<Span> merged = obs::merge_canonical(runs, scratch);
+    obs::canonicalize(concat);
+    EXPECT_EQ(merged, concat) << pass;
+  }
+}
+
 TEST(Span, JsonlRoundTripAndBadLineRejected) {
   Span s;
   s.name = "queue";

@@ -26,7 +26,7 @@ Two advisory passes ride along:
   and p99, for the *virtual*-time sketches only. Those are deterministic
   — any drift past ``--quantile-threshold`` percent (default 5) means
   service behaviour changed, not the machine. A sketch whose name ends in
-  ``_ms`` (``sim.round_ms``, ``service.tick_ms``, ``sweep.shard_wall_ms``,
+  ``_ms`` (``event.run_ms``, ``service.tick_ms``, ``sweep.shard_wall_ms``,
   ...) holds wall-clock milliseconds, i.e. machine noise, and is skipped.
   Drift is printed as ``<< CHANGED`` but never fails the run: features
   legitimately move latency, the diff just makes the move visible.

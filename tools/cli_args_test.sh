@@ -6,8 +6,8 @@
 # sits under `timeout 10`.
 #
 # The tables hold only values the flag refuses. A large value that a flag
-# accepts is never passed: `--offered 99999999999` is a valid u64 and
-# would start a huge service run, so the u64 flags get 2^64 instead.
+# accepts is never passed: `--seed 99999999999` is a valid u64, so the
+# u64 flags get 2^64 instead.
 #
 # Usage: cli_args_test.sh DA_CLI SERVICE_DEMO SEARCH_RESUME TRACE_INSPECT
 #                         SPAN_INSPECT INJECT_REPLAY BENCH...
@@ -94,12 +94,24 @@ done
 for flag in --rate --period --deadline --sample-every; do
   refused "$flag" "$REAL" "$SERVICE_DEMO" "$flag" @
 done
-refused --offered "$BIG_INT 0" "$SERVICE_DEMO" --offered @
+refused --offered "$BIG_INT 0 18446744073709551615" \
+  "$SERVICE_DEMO" --offered @
 refused --cap "$INT 0" "$SERVICE_DEMO" --cap @
 refused --queue "$BIG_INT 0" "$SERVICE_DEMO" --queue @
 refused --seed "$BIG_INT -1" "$SERVICE_DEMO" --seed @
 refused --jobs "$JOBS" "$SERVICE_DEMO" --jobs @
 refused --shards "$INT 0" "$SERVICE_DEMO" --shards @
+# A run keeps a record per offered job, and each shard is a whole
+# service, so both counts are bounded (ServiceConfig::kMaxOffered = 2^22,
+# FrontendConfig::kMaxShards = 1024): the value just past each bound is
+# refused before any output.
+for leg in --offered:4194305 --shards:1025; do
+  run_one "${leg%:*}" "" "$SERVICE_DEMO" "${leg%:*}" "${leg#*:}"
+  if [ -s "$TMP/out" ]; then
+    echo "FAIL (output before the refusal): $SERVICE_DEMO ${leg%:*}"
+    failures=$((failures + 1))
+  fi
+done
 refused --inject-every "$BIG_INT 0" "$SERVICE_DEMO" --inject-every @
 
 # search_resume: the flags are read before any file is touched.
