@@ -10,6 +10,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "inject/fault_plan.hpp"
 #include "inject/injection_network.hpp"
 #include "sim/message.hpp"
+#include "sha256.hpp"
 #include "util/rng.hpp"
 
 namespace da::inject {
@@ -412,6 +415,37 @@ TEST(Differential, CorpusReplays) {
     ++replayed;
   }
   EXPECT_GE(replayed, 6);  // at least one case per protocol
+}
+
+// The sim runtime's artifacts (case header, per-instance record and JSONL
+// trace export) over the corpus cases and the first 600 ordinals of seed
+// 7, concatenated and pinned by length and digest: the differential
+// compares runtimes with each other, this pins all of them to the bytes
+// every earlier build wrote.
+TEST(Differential, SimArtifactsPinned) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cases;
+  std::ifstream in(std::string(DA_TEST_CORPUS_DIR) + "/differential.txt");
+  ASSERT_TRUE(in.is_open()) << "missing tests/corpus/differential.txt";
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::uint64_t seed = 0;
+    std::uint64_t ordinal = 0;
+    ASSERT_TRUE(fields >> seed >> ordinal) << "bad corpus line: " << line;
+    cases.emplace_back(seed, ordinal);
+  }
+  ASSERT_EQ(cases.size(), 12u);
+  for (std::uint64_t ordinal = 0; ordinal < 600; ++ordinal) {
+    cases.emplace_back(7, ordinal);
+  }
+  std::string artifacts;
+  for (const auto& [seed, ordinal] : cases) {
+    artifacts += run_differential(draw_case(seed, ordinal)).sim.artifact;
+  }
+  EXPECT_EQ(artifacts.size(), 1405966u);
+  EXPECT_EQ(testing::sha256_hex(artifacts),
+            "f42350cdfebbf484013d710d7b0b2ff50a7fe7b6c78290700feb75084b283393");
 }
 
 // ---------------------------------------------------------- Mutation check

@@ -26,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "service/frontend.hpp"
+#include "sha256.hpp"
 #include "sim/message.hpp"
 #include "sim/trace.hpp"
 #include "sweep/sweep.hpp"
@@ -224,6 +225,25 @@ TEST(TraceExport, EventsAreCanonicalAndRoundTrip) {
   const auto parsed = read_trace_jsonl(jsonl);
   ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
   EXPECT_EQ(*parsed, events);
+}
+
+// The three exports `trace_inspect fig2` writes, pinned by length and
+// digest: the export's bytes are a contract with every file already
+// written, so a refactor of the trace or the writer must leave them be.
+TEST(TraceExport, Figure2ExportsPinned) {
+  const std::pair<faults::figure2::Scenario, const char*> pins[] = {
+      {faults::figure2::scenario_a(4),
+       "222187800ee57598905702dfc6a735613535bda35ae8fb4cfb609bfce8e791f9"},
+      {faults::figure2::scenario_b(4),
+       "a64f9ae3798ff0abde225c99afe43895f954bb26ca4f5b000a7f1862418a4435"},
+      {faults::figure2::scenario_c(4),
+       "3a5c5362e921146e0b101020b291ce6ccaba08d314569026156a9618f88b062f"},
+  };
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::string jsonl = trace_to_jsonl(figure2_trace(pins[i].first));
+    EXPECT_EQ(jsonl.size(), 687u) << i;
+    EXPECT_EQ(testing::sha256_hex(jsonl), pins[i].second) << i;
+  }
 }
 
 TEST(TraceExport, IndistinguishableExecutionsExportIdentically) {
