@@ -19,6 +19,7 @@
 #include "faults/search.hpp"
 #include "obs/bench_report.hpp"
 #include "protocols/common/eig_process.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
@@ -48,7 +49,7 @@ Tally sweep(std::shared_ptr<const da::protocols::Resolver> resolver, int f) {
           da::sim::RunOptions options;
           options.faulty = faulty;
           options.adversary = adversary.get();
-          da::sim::SyncRunner runner(
+          da::sim::RoundEngine runner(
               da::protocols::make_eig_processes(
                   kConfig.n, spec.sender, spec.sender_value,
                   da::core::byz_depth(kConfig.m), resolver),

@@ -20,6 +20,7 @@
 #include "inject/differ.hpp"
 #include "inject/injection_network.hpp"
 #include "obs/bench_report.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
@@ -39,7 +40,7 @@ double run_batch(int runs, const da::inject::FaultPlan* plan) {
       network.emplace(*plan);
       options.network = &*network;
     }
-    da::sim::SyncRunner runner(
+    da::sim::RoundEngine runner(
         da::core::make_byz_processes(kConfig, 0, da::Value::of(42)),
         std::move(options));
     (void)runner.run();

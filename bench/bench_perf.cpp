@@ -154,7 +154,7 @@ void BM_Crusader(benchmark::State& state) {
   for (int i = 0; i < m; ++i) options.faulty.push_back(i + 1);
   options.adversary = adversary.get();
   for (auto _ : state) {
-    da::sim::SyncRunner runner(
+    da::sim::RoundEngine runner(
         da::protocols::crusader::make_crusader_processes(n, m, 0,
                                                          da::Value::of(17)),
         options);
@@ -776,7 +776,7 @@ int verify_analytic_counts() {
 
   for (const int n : {4, 7}) {
     const std::uint64_t before = registry.counter_value("sim.messages_sent");
-    da::sim::SyncRunner runner(
+    da::sim::RoundEngine runner(
         da::protocols::crusader::make_crusader_processes(n, 1, 0,
                                                          da::Value::of(17)),
         da::sim::RunOptions{});

@@ -22,6 +22,7 @@
 #include "protocols/authenticated/sm.hpp"
 #include "protocols/lamport/om.hpp"
 #include "relay/cutset_adversary.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
@@ -36,7 +37,7 @@ da::sim::RunResult run_sm(int n, int m, const std::vector<da::NodeId>& faulty,
   auto adversary = da::protocols::authenticated::signing_equivocator(
       authority, faulty, da::Value::of(5), da::Value::of(8));
   options.adversary = adversary.get();
-  da::sim::SyncRunner runner(
+  da::sim::RoundEngine runner(
       da::protocols::authenticated::make_sm_processes(n, m, 0,
                                                       da::Value::of(5),
                                                       authority),

@@ -12,11 +12,13 @@
 // diverge otherwise. `fig2` generates the three Theorem 2 scenarios,
 // writes their exports next to each other, and runs both diffs — the
 // pivotal fault-free node must come out IDENTICAL in each pair. `schema`
-// prints one annotated event record.
+// prints one annotated record.
 //
 //   $ trace_inspect fig2 --out /tmp/fig2
 //   $ trace_inspect diff /tmp/fig2/scenario_a.jsonl /tmp/fig2/scenario_b.jsonl
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,7 +30,9 @@
 
 #include "core/agreement.hpp"
 #include "faults/figure2.hpp"
+#include "obs/json.hpp"
 #include "obs/trace_export.hpp"
+#include "sim/message.hpp"
 #include "sim/trace.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
@@ -41,7 +45,7 @@ constexpr const char* kUsage =
     "       trace_inspect fig2 [--n N] [--out DIR]\n"
     "       trace_inspect schema";
 
-std::optional<std::vector<da::obs::TraceEvent>> load(const std::string& path) {
+std::optional<da::sim::Trace> load(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "trace_inspect: cannot open %s\n", path.c_str());
@@ -49,82 +53,69 @@ std::optional<std::vector<da::obs::TraceEvent>> load(const std::string& path) {
   }
   std::ostringstream text;
   text << in.rdbuf();
-  auto events = da::obs::read_trace_jsonl(text.str());
-  if (!events.has_value()) {
+  auto trace = da::obs::read_trace_jsonl(text.str());
+  if (!trace.has_value()) {
     std::fprintf(stderr, "trace_inspect: %s: %s\n", path.c_str(),
-                 events.error().to_string().c_str());
+                 trace.error().to_string().c_str());
     return std::nullopt;
   }
-  return std::move(*events);
+  return std::move(*trace);
 }
 
-std::string path_to_string(const std::vector<da::NodeId>& path) {
+std::string path_to_string(const da::Path& path) {
   std::string out;
-  for (da::NodeId id : path) {
+  for (const da::NodeId id : path) {
     out += (out.empty() ? "" : ".") + std::to_string(id);
   }
   return out.empty() ? "-" : out;
 }
 
-void print_events(const std::vector<da::obs::TraceEvent>& events) {
+void print_messages(const std::vector<da::sim::Message>& messages) {
   da::Table table({"to", "round", "from", "path", "value", "aux", "bytes"});
-  for (const auto& e : events) {
-    table.row(e.to, e.round, e.from, path_to_string(e.path),
-              e.value_default ? std::string("V_d") : std::to_string(e.value),
-              e.aux, static_cast<std::int64_t>(e.wire_bytes));
+  for (const auto& m : messages) {
+    table.row(m.to, m.round, m.from, path_to_string(m.path),
+              m.value.to_string(), m.aux,
+              static_cast<std::int64_t>(da::sim::wire_size_bytes(m)));
   }
   table.print();
 }
 
 int cmd_dump(const std::string& path, da::NodeId node) {
-  const auto events = load(path);
-  if (!events.has_value()) return 1;
+  const auto trace = load(path);
+  if (!trace.has_value()) return 1;
 
   if (node != da::kNoNode) {
-    std::vector<da::obs::TraceEvent> selected;
-    for (const auto& e : *events) {
-      if (e.to == node) selected.push_back(e);
-    }
+    const auto received = trace->received(node);
     std::printf("%s: node %d, %zu events (canonical order)\n", path.c_str(),
-                node, selected.size());
-    print_events(selected);
+                node, received.size());
+    print_messages(received);
     return 0;
   }
 
-  std::size_t bytes = 0;
-  for (const auto& e : *events) bytes += e.wire_bytes;
-  std::printf("%s: %zu events, %zu wire bytes\n", path.c_str(), events->size(),
-              bytes);
   da::Table table({"node", "events", "rounds", "wire_bytes"});
-  da::NodeId current = da::kNoNode;
-  std::size_t count = 0, node_bytes = 0;
-  int max_round = 0;
-  const auto flush = [&] {
-    if (count > 0) {
-      table.row(current, static_cast<std::int64_t>(count), max_round + 1,
-                static_cast<std::int64_t>(node_bytes));
+  std::size_t bytes = 0;
+  for (const da::NodeId to : trace->nodes()) {
+    std::size_t node_bytes = 0;
+    int max_round = 0;
+    const auto received = trace->received(to);
+    for (const auto& m : received) {
+      node_bytes += da::sim::wire_size_bytes(m);
+      max_round = std::max(max_round, m.round);
     }
-    count = node_bytes = 0;
-    max_round = 0;
-  };
-  for (const auto& e : *events) {  // events arrive sorted by node
-    if (e.to != current) {
-      flush();
-      current = e.to;
-    }
-    ++count;
-    node_bytes += e.wire_bytes;
-    if (e.round > max_round) max_round = e.round;
+    table.row(to, static_cast<std::int64_t>(received.size()), max_round + 1,
+              static_cast<std::int64_t>(node_bytes));
+    bytes += node_bytes;
   }
-  flush();
+  std::printf("%s: %zu events, %zu wire bytes\n", path.c_str(),
+              trace->total_messages(), bytes);
   table.print();
   return 0;
 }
 
 /// Prints the per-node verdict table; returns the diff for the caller to
 /// inspect (exit status, pivot checks).
-da::obs::TraceDiff print_diff(const std::vector<da::obs::TraceEvent>& a,
-                              const std::vector<da::obs::TraceEvent>& b) {
+da::obs::TraceDiff print_diff(const da::sim::Trace& a,
+                              const da::sim::Trace& b) {
   const auto diff = da::obs::diff_traces(a, b);
   da::Table table(
       {"node", "events_a", "events_b", "transcript", "first_divergence"});
@@ -198,14 +189,10 @@ int cmd_fig2(int n, const std::string& out_dir) {
     std::printf("wrote %s\n", path.c_str());
   }
 
-  const auto ea = da::obs::trace_events(ta);
-  const auto eb = da::obs::trace_events(tb);
-  const auto ec = da::obs::trace_events(tc);
 
   bool ok = true;
   const auto check_pair = [&](const char* label, const char* pair_files,
-                              const std::vector<da::obs::TraceEvent>& x,
-                              const std::vector<da::obs::TraceEvent>& y,
+                              const da::sim::Trace& x, const da::sim::Trace& y,
                               da::NodeId pivot) {
     std::printf("\n%s  (%s)\n", label, pair_files);
     const auto diff = print_diff(x, y);
@@ -222,9 +209,9 @@ int cmd_fig2(int n, const std::string& out_dir) {
     ok = ok && pivot_identical;
   };
   check_pair("scenario (a) vs (b), pivot B", "scenario_a.jsonl vs _b.jsonl",
-             ea, eb, sb.pivot_node);
+             ta, tb, sb.pivot_node);
   check_pair("scenario (b) vs (c), pivot A", "scenario_b.jsonl vs _c.jsonl",
-             eb, ec, sc.pivot_node);
+             tb, tc, sc.pivot_node);
 
   std::printf(
       "\n%s\n",
@@ -236,15 +223,16 @@ int cmd_fig2(int n, const std::string& out_dir) {
 }
 
 int cmd_schema() {
-  da::obs::TraceEvent event;
-  event.to = 2;
-  event.from = 3;
-  event.round = 1;
-  event.path = {0, 3};
-  event.value_default = false;
-  event.value = 101;
-  event.wire_bytes = 17;
-  std::printf("%s\n", event.to_json().dump(2).c_str());
+  da::sim::Message msg;
+  msg.from = 3;
+  msg.to = 2;
+  msg.round = 1;
+  msg.path = {0, 3};
+  msg.value = da::Value::of(101);
+  da::sim::Trace trace;
+  trace.record(msg);
+  const std::string line = da::obs::trace_to_jsonl(trace);
+  std::printf("%s\n", da::obs::Json::parse(line)->dump(2).c_str());
   std::puts(
       "\nfields:\n"
       "  to            receiving node (transcripts are grouped by `to`)\n"
@@ -252,10 +240,12 @@ int cmd_schema() {
       "  round         protocol round the message was delivered in\n"
       "  path          EIG relay path: nodes the value passed through\n"
       "  value         payload; `null` encodes the default value V_d\n"
-      "  aux           protocol-specific tag (omitted when 0)\n"
-      "  wire_bytes    serialized size under sim::wire_size_bytes\n"
-      "\norder: events are canonical — sorted by (to, round, from, path) —\n"
-      "so exports of indistinguishable executions are byte-identical.");
+      "  aux           protocol-specific tag (always written; 0 if unused)\n"
+      "  wire_bytes    serialized size under sim::wire_size_bytes; a reader\n"
+      "                refuses a record whose wire_bytes is not its size\n"
+      "\norder: records are canonical — sorted by (to, round, from, path,\n"
+      "value with V_d last, aux), a total order — so exports of\n"
+      "indistinguishable executions are byte-identical.");
   return 0;
 }
 

@@ -1,7 +1,10 @@
 #include "core/agreement.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 #include "rt/threaded_runner.hpp"
+#include "sim/round_engine.hpp"
 #include "util/contracts.hpp"
 
 namespace da {
@@ -39,33 +42,31 @@ DegradableAgreement::DegradableAgreement(Config config) : config_(config) {
 Outcome DegradableAgreement::run(const ScenarioSpec& spec,
                                  sim::Adversary* adversary,
                                  const RunExtras& extras) const {
-  spec.validate();
-  DA_EXPECTS(spec.config.n == config_.n && spec.config.m == config_.m &&
-             spec.config.u == config_.u);
-  static const obs::Counter executions("protocol.byz.executions");
-  static const obs::Counter messages("protocol.byz.messages_sent");
-  executions.add();
-  sim::SyncRunner runner(
-      core::make_byz_processes(config_, spec.sender, spec.sender_value),
-      to_run_options(spec, adversary, extras));
-  Outcome out = to_outcome(runner.run());
-  messages.add(out.messages_sent);
-  return out;
+  return execute(spec, adversary, extras, /*threaded=*/false);
 }
 
 Outcome DegradableAgreement::run_threaded(const ScenarioSpec& spec,
                                           sim::Adversary* adversary,
                                           const RunExtras& extras) const {
+  return execute(spec, adversary, extras, /*threaded=*/true);
+}
+
+Outcome DegradableAgreement::execute(const ScenarioSpec& spec,
+                                     sim::Adversary* adversary,
+                                     const RunExtras& extras,
+                                     bool threaded) const {
   spec.validate();
   DA_EXPECTS(spec.config.n == config_.n && spec.config.m == config_.m &&
              spec.config.u == config_.u);
   static const obs::Counter executions("protocol.byz.executions");
   static const obs::Counter messages("protocol.byz.messages_sent");
   executions.add();
-  rt::ThreadedRunner runner(
-      core::make_byz_processes(config_, spec.sender, spec.sender_value),
-      to_run_options(spec, adversary, extras));
-  Outcome out = to_outcome(runner.run());
+  auto procs =
+      core::make_byz_processes(config_, spec.sender, spec.sender_value);
+  sim::RunOptions options = to_run_options(spec, adversary, extras);
+  Outcome out = to_outcome(
+      threaded ? rt::ThreadedRunner(std::move(procs), std::move(options)).run()
+               : sim::RoundEngine(std::move(procs), std::move(options)).run());
   messages.add(out.messages_sent);
   return out;
 }
@@ -92,9 +93,9 @@ Outcome LamportAgreement::run(const ScenarioSpec& spec,
   auto procs = protocols::make_eig_processes(
       n_, spec.sender, spec.sender_value, m_ + 1,
       std::make_shared<protocols::MajorityResolver>());
-  sim::SyncRunner runner(std::move(procs),
-                         to_run_options(spec, adversary, extras));
-  Outcome out = to_outcome(runner.run());
+  sim::RoundEngine engine(std::move(procs),
+                          to_run_options(spec, adversary, extras));
+  Outcome out = to_outcome(engine.run());
   messages.add(out.messages_sent);
   return out;
 }

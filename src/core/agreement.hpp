@@ -60,6 +60,11 @@ class DegradableAgreement {
       const RunExtras& extras = {}) const;
 
  private:
+  /// The one body of `run` and `run_threaded`.
+  [[nodiscard]] Outcome execute(const ScenarioSpec& spec,
+                                sim::Adversary* adversary,
+                                const RunExtras& extras, bool threaded) const;
+
   Config config_;
 };
 

@@ -54,7 +54,7 @@ struct EventRunResult {
 ///
 /// `clocks[i]` is node i's hardware clock; pass all-zero clocks for a
 /// perfectly synchronous execution (then the results coincide with
-/// `sim::SyncRunner` whenever max_latency <= timeout).
+/// `sim::RoundEngine` whenever max_latency <= timeout).
 class EventRunner {
  public:
   EventRunner(std::vector<std::unique_ptr<sim::Process>> processes,

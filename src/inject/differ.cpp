@@ -16,6 +16,7 @@
 #include "protocols/crusader/crusader.hpp"
 #include "protocols/lamport/om.hpp"
 #include "rt/threaded_runner.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 #include "sim/trace.hpp"
 #include "sweep/sweep.hpp"
@@ -210,8 +211,8 @@ RuntimeObservation observe(const DifferentialCase& c, Runtime rt) {
     sim::RunResult result;
     switch (rt) {
       case Runtime::kSim:
-        result = sim::SyncRunner(make_processes(c.protocol, spec, authority),
-                                 std::move(options))
+        result = sim::RoundEngine(make_processes(c.protocol, spec, authority),
+                                  std::move(options))
                      .run();
         break;
       case Runtime::kThreaded:

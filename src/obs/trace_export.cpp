@@ -1,108 +1,99 @@
 #include "obs/trace_export.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
-#include <map>
-#include <tuple>
+#include <iterator>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "sim/message.hpp"
+#include "util/path.hpp"
 
 namespace da::obs {
 
 namespace {
 
-TraceEvent event_from_message(const sim::Message& msg) {
-  TraceEvent ev;
-  ev.to = msg.to;
-  ev.from = msg.from;
-  ev.round = msg.round;
-  ev.path.assign(msg.path.begin(), msg.path.end());
-  ev.value_default = msg.value.is_default();
-  ev.value = msg.value.raw();
-  ev.aux = msg.aux;
-  ev.wire_bytes = sim::wire_size_bytes(msg);
-  return ev;
+void append_int(std::string& out, std::int64_t value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
-auto event_key(const TraceEvent& ev) {
-  // value/aux tiebreak keeps the order total even when an adversary or a
-  // duplicating network produces several events in one (to, round, from,
-  // path) slot — without it, same-slot events would keep their (runtime-
-  // dependent) insertion order and byte-identity across runtimes would be
-  // a coin flip.
-  return std::tie(ev.to, ev.round, ev.from, ev.path, ev.value_default,
-                  ev.value, ev.aux);
+/// One export line: the compact JSON of the record {to, from, round,
+/// path, value, aux, wire_bytes}, as `Json::dump` spells it.
+void append_record(std::string& out, const sim::Message& msg) {
+  out += "{\"to\":";
+  append_int(out, msg.to);
+  out += ",\"from\":";
+  append_int(out, msg.from);
+  out += ",\"round\":";
+  append_int(out, msg.round);
+  out += ",\"path\":[";
+  for (std::size_t i = 0; i < msg.path.size(); ++i) {
+    if (i != 0) out += ',';
+    append_int(out, msg.path[i]);
+  }
+  out += "],\"value\":";
+  if (msg.value.is_default()) {
+    out += "null";
+  } else {
+    append_int(out, msg.value.raw());
+  }
+  out += ",\"aux\":";
+  append_int(out, msg.aux);
+  out += ",\"wire_bytes\":";
+  append_int(out, static_cast<std::int64_t>(sim::wire_size_bytes(msg)));
+  out += "}\n";
+}
+
+/// Decodes one record. A field missing, mistyped or out of its type's
+/// range is kBadValue; a `wire_bytes` that the decoded message does not
+/// have is kInconsistent.
+Parsed<sim::Message> message_from_json(const Json& j) {
+  const auto bad = [](ParseKind kind, const char* why) {
+    return ParseError{kind, 0, 0, why};
+  };
+  sim::Message msg;
+  std::size_t wire_bytes = 0;
+  const Json* path = j.find("path");
+  const Json* value = j.find("value");
+  if (!int_member(j, "to", msg.to) || !int_member(j, "from", msg.from) ||
+      !int_member(j, "round", msg.round) || !int_member(j, "aux", msg.aux) ||
+      !int_member(j, "wire_bytes", wire_bytes) || path == nullptr ||
+      !path->is_array() || value == nullptr) {
+    return bad(ParseKind::kBadValue, "missing, mistyped or out-of-range field");
+  }
+  if (path->as_array().size() > Path::kMaxLen) {
+    return bad(ParseKind::kBadValue, "path has more than Path::kMaxLen hops");
+  }
+  for (const Json& hop : path->as_array()) {
+    if (!hop.is_integer() || !std::in_range<NodeId>(hop.as_int()) ||
+        !Path::fits(static_cast<NodeId>(hop.as_int()))) {
+      return bad(ParseKind::kBadValue, "path hop is not a storable node id");
+    }
+    msg.path.push_back(static_cast<NodeId>(hop.as_int()));
+  }
+  if (!value->is_null()) {
+    std::int64_t raw = 0;
+    if (!int_member(j, "value", raw)) {
+      return bad(ParseKind::kBadValue, "value is neither null nor an integer");
+    }
+    msg.value = Value::of(raw);
+  }
+  if (wire_bytes != sim::wire_size_bytes(msg)) {
+    return bad(ParseKind::kInconsistent,
+               "wire_bytes is not the message's wire size");
+  }
+  return msg;
 }
 
 }  // namespace
 
-Json TraceEvent::to_json() const {
-  Json path_json = Json::array();
-  for (const da::NodeId id : path) path_json.push_back(id);
-  Json j = Json::object();
-  j.set("to", to)
-      .set("from", from)
-      .set("round", round)
-      .set("path", std::move(path_json))
-      .set("value", value_default ? Json(nullptr) : Json(value))
-      .set("aux", aux)
-      .set("wire_bytes", wire_bytes);
-  return j;
-}
-
-Parsed<TraceEvent> TraceEvent::from_json(const Json& j) {
-  const auto bad = [](const char* why) {
-    return ParseError{ParseKind::kBadValue, 0, 0, why};
-  };
-  TraceEvent ev;
-  const Json* path = j.find("path");
-  const Json* value = j.find("value");
-  if (!int_member(j, "to", ev.to) || !int_member(j, "from", ev.from) ||
-      !int_member(j, "round", ev.round) || !int_member(j, "aux", ev.aux) ||
-      !int_member(j, "wire_bytes", ev.wire_bytes) || path == nullptr ||
-      !path->is_array() || value == nullptr) {
-    return bad("missing, mistyped or out-of-range field");
-  }
-  for (const Json& hop : path->as_array()) {
-    if (!hop.is_integer() || !std::in_range<da::NodeId>(hop.as_int())) {
-      return bad("path hop is not a node id");
-    }
-    ev.path.push_back(static_cast<da::NodeId>(hop.as_int()));
-  }
-  ev.value_default = value->is_null();
-  if (!ev.value_default && !int_member(j, "value", ev.value)) {
-    return bad("value is neither null nor an integer");
-  }
-  return ev;
-}
-
-std::vector<TraceEvent> trace_events(const sim::Trace& trace) {
-  std::vector<TraceEvent> events;
-  events.reserve(trace.total_messages());
-  for (const da::NodeId node : trace.nodes()) {
-    for (const sim::Message& msg : trace.received(node)) {
-      events.push_back(event_from_message(msg));
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return event_key(a) < event_key(b);
-            });
-  return events;
-}
-
-std::string trace_to_jsonl(const std::vector<TraceEvent>& events) {
-  std::string out;
-  for (const TraceEvent& ev : events) {
-    out += ev.to_json().dump();
-    out += '\n';
-  }
-  return out;
-}
-
 std::string trace_to_jsonl(const sim::Trace& trace) {
-  return trace_to_jsonl(trace_events(trace));
+  std::string out;
+  for (const sim::Message& msg : trace.canonical()) append_record(out, msg);
+  return out;
 }
 
 bool write_trace_jsonl(const sim::Trace& trace, const std::string& file_path) {
@@ -112,49 +103,39 @@ bool write_trace_jsonl(const sim::Trace& trace, const std::string& file_path) {
   return static_cast<bool>(out);
 }
 
-Parsed<std::vector<TraceEvent>> read_trace_jsonl(std::string_view text) {
-  std::vector<TraceEvent> events;
+Parsed<sim::Trace> read_trace_jsonl(std::string_view text) {
+  sim::Trace trace;
   TextCursor in(text);
   while (in.next_line()) {
     Parsed<Json> j = Json::parse(in.line());
     if (!j) return in.on_line(j.error());
-    Parsed<TraceEvent> ev = TraceEvent::from_json(*j);
-    if (!ev) return in.on_line(ev.error());
-    events.push_back(std::move(*ev));
+    Parsed<sim::Message> msg = message_from_json(*j);
+    if (!msg) return in.on_line(msg.error());
+    trace.record(*msg);
   }
-  const std::string canonical = trace_to_jsonl(events);
+  const std::string canonical = trace_to_jsonl(trace);
   if (canonical != text) return not_canonical(text, canonical);
-  return events;
+  return trace;
 }
 
-TraceDiff diff_traces(const std::vector<TraceEvent>& a,
-                      const std::vector<TraceEvent>& b) {
-  std::map<da::NodeId, std::pair<std::vector<const TraceEvent*>,
-                                 std::vector<const TraceEvent*>>>
-      by_node;
-  for (const TraceEvent& ev : a) by_node[ev.to].first.push_back(&ev);
-  for (const TraceEvent& ev : b) by_node[ev.to].second.push_back(&ev);
-
-  const auto canonical = [](std::vector<const TraceEvent*>& events) {
-    std::sort(events.begin(), events.end(),
-              [](const TraceEvent* x, const TraceEvent* y) {
-                return event_key(*x) < event_key(*y);
-              });
-  };
-
+TraceDiff diff_traces(const sim::Trace& a, const sim::Trace& b) {
+  const std::vector<NodeId> nodes_a = a.nodes();
+  const std::vector<NodeId> nodes_b = b.nodes();
+  std::vector<NodeId> nodes;
+  std::set_union(nodes_a.begin(), nodes_a.end(), nodes_b.begin(),
+                 nodes_b.end(), std::back_inserter(nodes));
   TraceDiff diff;
-  for (auto& [node, sides] : by_node) {
-    canonical(sides.first);
-    canonical(sides.second);
+  for (const NodeId node : nodes) {
+    const std::vector<sim::Message> ra = a.received(node);
+    const std::vector<sim::Message> rb = b.received(node);
+    const auto [ia, ib] =
+        std::mismatch(ra.begin(), ra.end(), rb.begin(), rb.end());
     NodeDiff nd;
     nd.node = node;
-    nd.events_a = sides.first.size();
-    nd.events_b = sides.second.size();
-    const std::size_t common = std::min(nd.events_a, nd.events_b);
-    std::size_t i = 0;
-    while (i < common && *sides.first[i] == *sides.second[i]) ++i;
-    nd.first_divergence = i;
-    nd.identical = i == nd.events_a && i == nd.events_b;
+    nd.events_a = ra.size();
+    nd.events_b = rb.size();
+    nd.first_divergence = static_cast<std::size_t>(ia - ra.begin());
+    nd.identical = ia == ra.end() && ib == rb.end();
     diff.nodes.push_back(nd);
   }
   return diff;

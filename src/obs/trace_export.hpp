@@ -1,62 +1,42 @@
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "sim/trace.hpp"
+#include "util/ids.hpp"
+#include "util/parse.hpp"
 
 namespace da::obs {
 
-/// One exported trace event: a message as one JSONL record. The export is
-/// canonical — events sorted by (to, round, from, path) — so two exports
-/// of indistinguishable executions are byte-identical, and `diff` output
-/// is stable across runs.
-struct TraceEvent {
-  da::NodeId to = da::kNoNode;
-  da::NodeId from = da::kNoNode;
-  int round = 0;
-  std::vector<da::NodeId> path;
-  bool value_default = true;
-  std::int64_t value = 0;
-  std::int64_t aux = 0;
-  std::size_t wire_bytes = 0;
-
-  [[nodiscard]] Json to_json() const;
-  /// Decodes one record; a field missing, mistyped or out of its C++
-  /// type's range (a negative `wire_bytes`) is a kBadValue error.
-  [[nodiscard]] static Parsed<TraceEvent> from_json(const Json& j);
-
-  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
-};
-
-/// Flattens a sim::Trace into canonical event order.
-[[nodiscard]] std::vector<TraceEvent> trace_events(const sim::Trace& trace);
-
-/// Serializes `events` as JSONL: one compact JSON object per line.
-[[nodiscard]] std::string trace_to_jsonl(const std::vector<TraceEvent>& events);
-
-/// Convenience: export a sim::Trace directly.
+/// Serializes `trace` as JSONL: one compact JSON object per delivered
+/// message, in the trace's canonical order, so two exports of
+/// indistinguishable executions are byte-identical and `diff` output is
+/// stable across runs. Fields: to, from, round, path, value (null for
+/// V_d), aux, and wire_bytes (`sim::wire_size_bytes` of the message).
 [[nodiscard]] std::string trace_to_jsonl(const sim::Trace& trace);
 
 /// Writes the JSONL export to `file_path`. Returns false on I/O failure.
 bool write_trace_jsonl(const sim::Trace& trace, const std::string& file_path);
 
-/// Parses a JSONL trace export, accepting exactly the writer's bytes
-/// (no blank lines, a final newline); the error names the first line.
-[[nodiscard]] Parsed<std::vector<TraceEvent>> read_trace_jsonl(
-    std::string_view text);
+/// Parses a JSONL trace export, accepting exactly the writer's bytes (no
+/// blank lines, a final newline, canonical order); the error names the
+/// first rejected line. A hop outside `Path::fits`, more than
+/// `Path::kMaxLen` hops or a field out of its type's range is kBadValue;
+/// a `wire_bytes` other than the decoded message's size is kInconsistent.
+[[nodiscard]] Parsed<sim::Trace> read_trace_jsonl(std::string_view text);
 
-/// Per-node comparison of two trace exports.
+/// Per-node comparison of two traces.
 struct NodeDiff {
   da::NodeId node = da::kNoNode;
   std::size_t events_a = 0;
   std::size_t events_b = 0;
   bool identical = false;
-  /// Index of the first differing event in the node's canonical sequence
-  /// (== min(events_a, events_b) when one side is a prefix of the other).
+  /// Index of the first differing message in the node's canonical
+  /// sequence (== min(events_a, events_b) when one side is a prefix of
+  /// the other).
   std::size_t first_divergence = 0;
 };
 
@@ -70,10 +50,10 @@ struct TraceDiff {
   }
 };
 
-/// Compares two event lists node by node (canonical order). This is the
+/// Compares two traces node by node, in canonical order. This is the
 /// machine-checkable form of the paper's indistinguishability argument: a
-/// node whose entry is `identical` cannot tell the two executions apart.
-[[nodiscard]] TraceDiff diff_traces(const std::vector<TraceEvent>& a,
-                                    const std::vector<TraceEvent>& b);
+/// node whose entry is `identical` cannot tell the two executions apart
+/// (its entry agrees with `sim::Trace::indistinguishable_for`).
+[[nodiscard]] TraceDiff diff_traces(const sim::Trace& a, const sim::Trace& b);
 
 }  // namespace da::obs

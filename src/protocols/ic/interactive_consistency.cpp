@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "protocols/lamport/om.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 #include "util/contracts.hpp"
 
@@ -38,7 +39,7 @@ IcResult run_interactive_consistency(int n, int m,
       adversary = adversaries(sender);
       options.adversary = adversary.get();
     }
-    sim::SyncRunner runner(
+    sim::RoundEngine runner(
         lamport::make_om_processes(n, m, sender,
                                    inputs[static_cast<std::size_t>(sender)]),
         options);

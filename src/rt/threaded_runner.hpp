@@ -9,8 +9,8 @@
 
 namespace da::rt {
 
-/// Multi-threaded executor with the same observable semantics as
-/// `sim::SyncRunner`: a `sim::RoundEngine` whose rounds run the nodes'
+/// Multi-threaded executor with the same observable semantics as the
+/// deterministic `sim::RoundEngine`: an engine whose rounds run the nodes'
 /// `on_round` in parallel, as one fork-join round on a process-wide
 /// one-worker `sweep::ThreadPool` plus the calling thread.
 ///

@@ -10,8 +10,9 @@
 
 namespace da::sim {
 
-/// Per-node protocol logic, written once and executed by either runtime
-/// (the deterministic `SyncRunner` or the pool-parallel `ThreadedRunner`).
+/// Per-node protocol logic, written once and executed by every runtime
+/// (the deterministic `RoundEngine`, the pool-parallel `ThreadedRunner`
+/// and the discrete-event `EventRunner`).
 ///
 /// Lifecycle driven by a runner:
 ///   1. `start(out)` is called once and appends the node's round-0 sends

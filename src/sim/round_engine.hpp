@@ -11,10 +11,14 @@ class ThreadPool;
 
 namespace da::sim {
 
-/// Resumable synchronous-round executor: `SyncRunner`'s loop, unrolled
-/// into explicit phases so a search can checkpoint an execution at a round
-/// boundary and fork cheap copies that continue under different adversary
-/// decisions.
+/// The deterministic synchronous-round executor. Rounds are global: all
+/// messages produced in round r are delivered together at the start of
+/// processing for round r, in a canonical order (`sort_inbox`), so
+/// executions are exactly reproducible. `RoundEngine(processes,
+/// options).run()` is a one-shot execution; the loop is unrolled into
+/// explicit phases so a search can also checkpoint an execution at a
+/// round boundary and fork cheap copies that continue under different
+/// adversary decisions.
 ///
 /// A round has two phases, and the engine alternates them:
 ///
@@ -40,12 +44,10 @@ namespace da::sim {
 /// adversary would have made the same (absent) round-0..k decisions, which
 /// docs/SEARCH.md's checkpoint-engine section spells out.
 ///
-/// `run()` drives the phases to completion and is exactly `SyncRunner`'s
-/// loop — `SyncRunner::run()` delegates here, so the two cannot drift.
-/// Given a thread pool, `process_round` runs the nodes' steps as one
-/// fork-join round on it; that is the threaded runtime
-/// (`rt::ThreadedRunner`). Dispatch stays serial either way, so the
-/// result does not depend on the pool.
+/// `run()` drives the phases to completion. Given a thread pool,
+/// `process_round` runs the nodes' steps as one fork-join round on it;
+/// that is the threaded runtime (`rt::ThreadedRunner`). Dispatch stays
+/// serial either way, so the result does not depend on the pool.
 class RoundEngine {
  public:
   RoundEngine(std::vector<std::unique_ptr<Process>> processes,
@@ -77,8 +79,8 @@ class RoundEngine {
   void finish_into(RunResult& out) const;
 
   /// Drives begin (unless already begun) / dispatch / process to
-  /// completion and returns the result. One-shot equivalent of SyncRunner
-  /// (or of the threaded runtime, given a pool).
+  /// completion and returns the result (the threaded runtime's, given a
+  /// pool).
   RunResult run(sweep::ThreadPool* pool = nullptr);
 
   [[nodiscard]] int total_rounds() const { return rounds_; }

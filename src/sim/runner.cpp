@@ -1,10 +1,8 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "obs/metrics.hpp"
-#include "sim/round_engine.hpp"
 #include "util/contracts.hpp"
 
 namespace da::sim {
@@ -50,23 +48,6 @@ void sort_inbox(std::vector<Message>& inbox) {
   if (!std::is_sorted(inbox.begin(), inbox.end(), before)) {
     std::sort(inbox.begin(), inbox.end(), before);
   }
-}
-
-SyncRunner::SyncRunner(std::vector<std::unique_ptr<Process>> processes,
-                       RunOptions options)
-    : processes_(std::move(processes)), options_(std::move(options)) {
-  DA_EXPECTS(!processes_.empty());
-  DA_EXPECTS(options_.faulty.empty() || options_.adversary != nullptr);
-  for (NodeId f : options_.faulty) {
-    const bool known = std::any_of(
-        processes_.begin(), processes_.end(),
-        [f](const auto& p) { return p->id() == f; });
-    DA_EXPECTS(known);
-  }
-}
-
-RunResult SyncRunner::run() {
-  return RoundEngine(std::move(processes_), std::move(options_)).run();
 }
 
 }  // namespace da::sim

@@ -23,7 +23,7 @@ struct RunOptions {
   Adversary* adversary = nullptr;
   /// Link model; null means reliable delivery.
   NetworkModel* network = nullptr;
-  /// Optional transcript capture (delivered messages per receiver).
+  /// Optional transcript capture (every delivered message).
   Trace* trace = nullptr;
 };
 
@@ -36,24 +36,6 @@ struct RunResult {
   std::size_t messages_sent = 0;
   std::size_t messages_delivered = 0;
   int rounds = 0;
-};
-
-/// Deterministic, single-threaded synchronous-round executor. Rounds are
-/// global: all messages produced in round r are delivered together at the
-/// start of processing for round r, in a canonical order (sender id, then
-/// relay path), so executions are exactly reproducible. The loop itself
-/// lives in `RoundEngine` (sim/round_engine.hpp), which additionally
-/// supports checkpoint/fork replay; `run()` is the one-shot form.
-class SyncRunner {
- public:
-  SyncRunner(std::vector<std::unique_ptr<Process>> processes,
-             RunOptions options);
-
-  [[nodiscard]] RunResult run();
-
- private:
-  std::vector<std::unique_ptr<Process>> processes_;
-  RunOptions options_;
 };
 
 /// Dense NodeId -> process table behind the runtimes' indexed inbox
@@ -132,8 +114,8 @@ void filter_fanout(const Message& msg, const RunOptions& options,
   transit(*lie);
 }
 
-/// The one message-dispatch rule, shared by `RoundEngine` (so also
-/// `SyncRunner` and the threaded runtime) and `event::EventRunner`. Stamps
+/// The one message-dispatch rule, shared by `RoundEngine` (so also the
+/// threaded runtime) and `event::EventRunner`. Stamps
 /// every message of `from`'s round-`round` outbox with the round, passes
 /// it through `filter_fanout` (with `copies` as its buffer), and hands
 /// each resulting copy to `deliver(receiver_index, copy, holdback)`.

@@ -1,49 +1,65 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <tuple>
 
 namespace da::sim {
 
-const std::vector<Message> Trace::kEmpty{};
+namespace {
 
-void Trace::record(const Message& msg) { by_node_[msg.to].push_back(msg); }
+// The one transcript order. The value/aux tiebreak keeps it total when an
+// adversary or a duplicating network delivers several messages in one
+// (to, round, from, path) slot, so same-slot messages never keep their
+// runtime-dependent delivery order. `sort_inbox` (sim/runner.cpp) keeps
+// its own order on purpose: it decides which duplicate an EIG slot admits
+// first, and changing it would move decisions.
+bool transcript_before(const Message& a, const Message& b) {
+  const auto key = [](const Message& m) {
+    return std::tuple<NodeId, int, NodeId, const Path&, bool, std::int64_t,
+                      std::int64_t>(m.to, m.round, m.from, m.path,
+                                    m.value.is_default(), m.value.raw(),
+                                    m.aux);
+  };
+  return key(a) < key(b);
+}
+
+}  // namespace
+
+std::vector<Message> Trace::canonical() const {
+  std::vector<Message> out = delivered_;
+  std::sort(out.begin(), out.end(), transcript_before);
+  return out;
+}
+
+std::vector<Message> Trace::received(NodeId node) const {
+  std::vector<Message> out;
+  std::copy_if(delivered_.begin(), delivered_.end(), std::back_inserter(out),
+               [node](const Message& m) { return m.to == node; });
+  std::sort(out.begin(), out.end(), transcript_before);
+  return out;
+}
 
 std::string Trace::transcript(NodeId node) const {
-  auto msgs = received(node);
-  std::sort(msgs.begin(), msgs.end(),
-            [](const Message& a, const Message& b) {
-              if (a.round != b.round) return a.round < b.round;
-              if (a.from != b.from) return a.from < b.from;
-              return a.path < b.path;
-            });
   std::string out;
-  for (const Message& m : msgs) {
+  for (const Message& m : received(node)) {
     out += m.to_string();
     out += '\n';
   }
   return out;
 }
 
-const std::vector<Message>& Trace::received(NodeId node) const {
-  const auto it = by_node_.find(node);
-  return it == by_node_.end() ? kEmpty : it->second;
-}
-
 bool Trace::indistinguishable_for(NodeId node, const Trace& other) const {
-  return transcript(node) == other.transcript(node);
+  return received(node) == other.received(node);
 }
 
 std::vector<NodeId> Trace::nodes() const {
   std::vector<NodeId> out;
-  out.reserve(by_node_.size());
-  for (const auto& [node, msgs] : by_node_) out.push_back(node);
+  for (const Message& m : delivered_) out.push_back(m.to);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-std::size_t Trace::total_messages() const {
-  std::size_t total = 0;
-  for (const auto& [node, msgs] : by_node_) total += msgs.size();
-  return total;
 }
 
 }  // namespace da::sim

@@ -1,7 +1,7 @@
 #pragma once
 
 // A deliberately naive synchronous-round executor, kept only as the
-// independent partner of the cross-runtime differential. `SyncRunner` and
+// independent partner of the cross-runtime differential. The simulator and
 // the threaded runtime share `sim::RoundEngine` and its `sim::route`, so
 // comparing them with each other cannot catch a bug in that shared core;
 // comparing both with this executor can.

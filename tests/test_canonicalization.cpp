@@ -37,6 +37,7 @@
 #include "protocols/authenticated/sm.hpp"
 #include "protocols/crusader/crusader.hpp"
 #include "protocols/lamport/om.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 #include "sweep/sweep.hpp"
 #include "util/rng.hpp"
@@ -393,7 +394,8 @@ OrbitObservation observe(Proto proto, const ScenarioSpec& spec,
   options.faulty = spec.faulty;
   options.adversary = &adversary;
   const sim::RunResult result =
-      sim::SyncRunner(processes_for(proto, spec, authority), std::move(options))
+      sim::RoundEngine(processes_for(proto, spec, authority),
+                       std::move(options))
           .run();
 
   OrbitObservation obs;
@@ -471,7 +473,8 @@ ConjugacyObservation observe_table(
   options.faulty = spec.faulty;
   options.adversary = &adversary;
   const sim::RunResult result =
-      sim::SyncRunner(processes_for(proto, spec, authority), std::move(options))
+      sim::RoundEngine(processes_for(proto, spec, authority),
+                       std::move(options))
           .run();
   ConjugacyObservation obs;
   const ConditionReport report = check_conditions(spec, result.decisions);

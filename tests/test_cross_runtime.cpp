@@ -244,7 +244,7 @@ TEST(CrossRuntimeReference, EngineRuntimesMatchNaiveExecutor) {
             const sim::RunResult got =
                 threaded
                     ? rt::ThreadedRunner(processes(), std::move(options)).run()
-                    : sim::SyncRunner(processes(), std::move(options)).run();
+                    : sim::RoundEngine(processes(), std::move(options)).run();
             const std::string runtime = threaded ? "threaded " : "sim ";
             EXPECT_EQ(got.decisions, want.decisions) << runtime << what;
             EXPECT_EQ(got.messages_sent, want.messages_sent)

@@ -5,6 +5,7 @@
 #include "core/scenario.hpp"
 #include "faults/adversaries.hpp"
 #include "faults/search.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 
 namespace da::protocols::crusader {
@@ -16,7 +17,7 @@ sim::RunResult run_crusader(int n, int m, NodeId sender, Value v,
   sim::RunOptions options;
   options.faulty = faulty;
   options.adversary = adversary;
-  sim::SyncRunner runner(make_crusader_processes(n, m, sender, v), options);
+  sim::RoundEngine runner(make_crusader_processes(n, m, sender, v), options);
   return runner.run();
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "protocols/common/eig_process.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 
 namespace da::protocols {
@@ -323,7 +324,7 @@ TEST(EigProcess, MalformedMessagesIgnored) {
 TEST(EigProcess, FullRunNoFaults) {
   auto procs =
       make_eig_processes(5, 0, Value::of(11), 3, std::make_shared<ByzResolver>(2));
-  sim::SyncRunner runner(std::move(procs), sim::RunOptions{});
+  sim::RoundEngine runner(std::move(procs), sim::RunOptions{});
   const auto result = runner.run();
   for (NodeId i = 0; i < 5; ++i) {
     EXPECT_EQ(result.decisions.at(i), Value::of(11)) << "node " << i;

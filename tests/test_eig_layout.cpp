@@ -23,6 +23,7 @@
 #include "core/checker.hpp"
 #include "faults/search.hpp"
 #include "protocols/common/eig.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 #include "sim/trace.hpp"
 #include "util/rng.hpp"
@@ -211,7 +212,7 @@ bool verdict_case(std::uint64_t seed, std::uint64_t ordinal,
   options.faulty = spec.faulty;
   options.adversary = adversary.get();
   options.trace = &trace;
-  sim::SyncRunner runner(
+  sim::RoundEngine runner(
       core::make_byz_processes(config, spec.sender, spec.sender_value),
       std::move(options));
   const sim::RunResult result = runner.run();

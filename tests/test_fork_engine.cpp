@@ -2,9 +2,10 @@
 // (sim/round_engine.hpp): an execution assembled from begin / snapshot /
 // restore / fork pieces must be byte-identical — canonical trace,
 // decisions and D.1-D.4 verdict — to the same scenario executed from
-// scratch by SyncRunner, for all six protocols. Corpus lines in
-// tests/corpus/fork_engine.txt are replayed before any randomized trials;
-// append any (seed, ordinal) pair a randomized run flags.
+// scratch by one `RoundEngine::run()`, for all six protocols. Corpus
+// lines in tests/corpus/fork_engine.txt are replayed before any
+// randomized trials; append any (seed, ordinal) pair a randomized run
+// flags.
 
 #include "sim/round_engine.hpp"
 
@@ -180,7 +181,7 @@ std::string run_scratch(const ForkCase& c, const SignatureAuthority& authority) 
   options.adversary = adversary.get();
   options.trace = &trace;
   const sim::RunResult result =
-      sim::SyncRunner(make_processes(c, authority), std::move(options)).run();
+      sim::RoundEngine(make_processes(c, authority), std::move(options)).run();
   return artifact_of(trace, result, c.spec);
 }
 
@@ -216,7 +217,7 @@ void check_fork_case(std::uint64_t seed, std::uint64_t ordinal) {
   const sim::RoundEngine::Snapshot at_begin = engine.snapshot();
   run_to_completion(engine);
   EXPECT_EQ(scratch, artifact_of(trace, engine.finish(), c.spec))
-      << "incremental execution diverged from SyncRunner";
+      << "incremental execution diverged from a one-shot run";
 
   std::unique_ptr<sim::Adversary> fork_adversary;
   if (!c.spec.faulty.empty()) {
@@ -295,7 +296,7 @@ TEST(ForkEngine, SnapshotAtEveryRoundBoundary) {
   scratch_options.adversary = adversary.get();
   scratch_options.trace = &scratch_trace;
   const sim::RunResult scratch_result =
-      sim::SyncRunner(
+      sim::RoundEngine(
           core::make_byz_processes(spec.config, spec.sender, spec.sender_value),
           std::move(scratch_options))
           .run();

@@ -27,6 +27,7 @@
 #include "obs/spans.hpp"
 #include "obs/trace_export.hpp"
 #include "service/service.hpp"
+#include "sim/message.hpp"
 #include "sim/trace.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
@@ -180,35 +181,39 @@ TEST(InputFuzz, FrontierV2) {
 
 TEST(InputFuzz, TraceJsonl) {
   // A real export (Figure 2 scenario (a)), one slice per receiving node,
-  // plus events with every field away from its default.
+  // plus records with every field away from its default and with paths
+  // at the edges of what a Path stores: hops -128 and 127, 12 hops.
   const auto scenario = faults::figure2::scenario_a(4);
   sim::Trace trace;
   RunExtras extras;
   extras.trace = &trace;
   (void)DegradableAgreement(scenario.spec.config)
       .run(scenario.spec, scenario.adversary.get(), extras);
-  std::vector<std::vector<obs::TraceEvent>> slices(4);
-  for (const obs::TraceEvent& ev : obs::trace_events(trace)) {
-    slices[static_cast<std::size_t>(ev.to) % slices.size()].push_back(ev);
+  std::vector<sim::Trace> slices(4);
+  for (const sim::Message& msg : trace.canonical()) {
+    slices[static_cast<std::size_t>(msg.to) % slices.size()].record(msg);
   }
-  obs::TraceEvent odd;
+  sim::Message odd;
   odd.to = 2147483647;
   odd.from = -1;
   odd.round = -3;
   odd.path = {0, 3, 2};
-  odd.value_default = false;
-  odd.value = -9223372036854775807 - 1;
+  odd.value = Value::of(-9223372036854775807 - 1);
   odd.aux = 42;
-  odd.wire_bytes = 9007199254740993;
-  slices.push_back({odd, odd});
+  sim::Message edge = odd;
+  edge.path = {-128, 127, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  edge.value = Value::def();
+  edge.aux = -7;
+  sim::Trace odd_trace;
+  for (const sim::Message& msg : {odd, odd, edge}) odd_trace.record(msg);
+  slices.push_back(odd_trace);
   std::vector<std::string> seeds;
-  for (const auto& events : slices) {
-    seeds.push_back(obs::trace_to_jsonl(events));
+  for (const sim::Trace& slice : slices) {
+    seeds.push_back(obs::trace_to_jsonl(slice));
   }
   fuzz("trace JSONL", seeds, 3,
-       exact(obs::read_trace_jsonl, [](const std::vector<obs::TraceEvent>& e) {
-         return obs::trace_to_jsonl(e);
-       }));
+       exact(obs::read_trace_jsonl,
+             [](const sim::Trace& t) { return obs::trace_to_jsonl(t); }));
 }
 
 // ------------------------------------------------------------ span JSONL

@@ -17,6 +17,7 @@
 #include "protocols/crusader/crusader.hpp"
 #include "protocols/ic/interactive_consistency.hpp"
 #include "protocols/lamport/om.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 
 namespace da {
@@ -100,7 +101,7 @@ TEST(MessageCounts, LamportOmMeasuredMatchesAnalytic) {
 TEST(MessageCounts, CrusaderMeasuredMatchesAnalytic) {
   for (const int n : {4, 5, 7}) {
     const std::uint64_t before = sim_messages_sent();
-    sim::SyncRunner runner(
+    sim::RoundEngine runner(
         protocols::crusader::make_crusader_processes(n, 1, 0, Value::of(17)),
         sim::RunOptions{});
     const auto result = runner.run();

@@ -208,23 +208,30 @@ sim::Trace figure2_trace(const faults::figure2::Scenario& scenario) {
   return trace;
 }
 
+sim::Trace trace_of(const std::vector<sim::Message>& messages) {
+  sim::Trace trace;
+  for (const sim::Message& msg : messages) trace.record(msg);
+  return trace;
+}
+
 TEST(TraceExport, EventsAreCanonicalAndRoundTrip) {
   const auto scenario = faults::figure2::scenario_a(4);
   const sim::Trace trace = figure2_trace(scenario);
-  const auto events = trace_events(trace);
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.size(), trace.total_messages());
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    const auto key = [](const TraceEvent& e) {
-      return std::tuple(e.to, e.round, e.from, e.path);
+  const std::vector<sim::Message> canonical = trace.canonical();
+  ASSERT_FALSE(canonical.empty());
+  EXPECT_EQ(canonical.size(), trace.total_messages());
+  for (std::size_t i = 1; i < canonical.size(); ++i) {
+    const auto key = [](const sim::Message& m) {
+      return std::tuple(m.to, m.round, m.from, m.path);
     };
-    EXPECT_LE(key(events[i - 1]), key(events[i]));
+    EXPECT_LE(key(canonical[i - 1]), key(canonical[i]));
   }
 
-  const std::string jsonl = trace_to_jsonl(events);
+  const std::string jsonl = trace_to_jsonl(trace);
   const auto parsed = read_trace_jsonl(jsonl);
   ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
-  EXPECT_EQ(*parsed, events);
+  EXPECT_EQ(parsed->canonical(), canonical);
+  EXPECT_EQ(trace_to_jsonl(*parsed), jsonl);
 }
 
 // The three exports `trace_inspect fig2` writes, pinned by length and
@@ -251,23 +258,16 @@ TEST(TraceExport, IndistinguishableExecutionsExportIdentically) {
   // transcripts — the machine-checkable heart of the Theorem 2 proof.
   const auto sa = faults::figure2::scenario_a(4);
   const auto sb = faults::figure2::scenario_b(4);
-  const auto ea = trace_events(figure2_trace(sa));
-  const auto eb = trace_events(figure2_trace(sb));
+  const sim::Trace ta = figure2_trace(sa);
+  const sim::Trace tb = figure2_trace(sb);
 
-  const auto only_node = [](const std::vector<TraceEvent>& events,
-                            NodeId node) {
-    std::vector<TraceEvent> out;
-    for (const auto& e : events) {
-      if (e.to == node) out.push_back(e);
-    }
-    return out;
-  };
-  EXPECT_EQ(trace_to_jsonl(only_node(ea, sb.pivot_node)),
-            trace_to_jsonl(only_node(eb, sb.pivot_node)));
+  EXPECT_EQ(trace_to_jsonl(trace_of(ta.received(sb.pivot_node))),
+            trace_to_jsonl(trace_of(tb.received(sb.pivot_node))));
 
-  const auto diff = diff_traces(ea, eb);
+  const auto diff = diff_traces(ta, tb);
   bool pivot_seen = false;
   for (const auto& n : diff.nodes) {
+    EXPECT_EQ(n.identical, ta.indistinguishable_for(n.node, tb)) << n.node;
     if (n.node == sb.pivot_node) {
       pivot_seen = true;
       EXPECT_TRUE(n.identical);
@@ -278,55 +278,73 @@ TEST(TraceExport, IndistinguishableExecutionsExportIdentically) {
   EXPECT_FALSE(diff.identical());
 }
 
+TEST(TraceExport, SameSlotDeliveryOrderIsInvisible) {
+  // Two messages in one (to, round, from, path) slot, as a duplicating
+  // network or a fabricating adversary delivers them, recorded in
+  // opposite orders: the node cannot tell the traces apart, and the
+  // transcript, the diff and the export all say so.
+  sim::Message five{.from = 0, .to = 1, .round = 1, .path = {0}};
+  five.value = Value::of(5);
+  sim::Message nine = five;
+  nine.value = Value::of(9);
+  const sim::Trace a = trace_of({five, nine});
+  const sim::Trace b = trace_of({nine, five});
+
+  EXPECT_TRUE(a.indistinguishable_for(1, b));
+  EXPECT_EQ(a.transcript(1), b.transcript(1));
+  EXPECT_TRUE(diff_traces(a, b).identical());
+  EXPECT_EQ(trace_to_jsonl(a), trace_to_jsonl(b));
+
+  // V_d sorts after every ordinary value of its slot.
+  sim::Message vd = five;
+  vd.value = Value::def();
+  EXPECT_EQ(trace_of({vd, nine, five}).received(1),
+            (std::vector<sim::Message>{five, nine, vd}));
+}
+
 TEST(TraceExport, DiffReportsFirstDivergence) {
-  TraceEvent base;
-  base.to = 1;
-  base.from = 0;
-  base.round = 1;
-  base.value_default = false;
-  base.value = 7;
-
-  TraceEvent changed = base;
+  sim::Message base{.from = 0, .to = 1, .round = 1};
+  base.value = Value::of(7);
+  sim::Message changed = base;
   changed.round = 2;
-  changed.value = 8;
+  changed.value = Value::of(8);
+  sim::Message other = changed;
+  other.value = Value::of(9);
 
-  const std::vector<TraceEvent> a{base, changed};
-  std::vector<TraceEvent> b{base, changed};
-  b[1].value = 9;
-
-  const auto diff = diff_traces(a, b);
+  const sim::Trace a = trace_of({base, changed});
+  const auto diff = diff_traces(a, trace_of({base, other}));
   ASSERT_EQ(diff.nodes.size(), 1u);
   EXPECT_FALSE(diff.nodes[0].identical);
   EXPECT_EQ(diff.nodes[0].first_divergence, 1u);
   EXPECT_FALSE(diff.identical());
 
   // One side a strict prefix of the other: divergence at the shared length.
-  const auto prefix_diff = diff_traces(a, {base});
+  const auto prefix_diff = diff_traces(a, trace_of({base}));
   ASSERT_EQ(prefix_diff.nodes.size(), 1u);
   EXPECT_FALSE(prefix_diff.nodes[0].identical);
   EXPECT_EQ(prefix_diff.nodes[0].first_divergence, 1u);
 }
 
+/// The kind and the 1-based line of the first line `read_trace_jsonl`
+/// rejects in `text`.
+std::pair<ParseKind, std::size_t> rejected(const std::string& text) {
+  const auto parsed = read_trace_jsonl(text);
+  EXPECT_FALSE(parsed.has_value()) << text;
+  return parsed ? std::pair(ParseKind::kIo, std::size_t{0})
+                : std::pair(parsed.error().kind, parsed.error().line);
+}
+
+/// `text` with its first `from` replaced by `to`.
+std::string with(std::string text, const std::string& from,
+                 const std::string& to) {
+  return text.replace(text.find(from), from.size(), to);
+}
+
 TEST(TraceExport, ReadRejectsMalformedLinesWithLineNumber) {
-  TraceEvent event;
-  event.to = 1;
-  event.from = 0;
-  event.round = 1;
-  const std::string valid_line = trace_to_jsonl({event});
+  const std::string valid_line =
+      trace_to_jsonl(trace_of({{.from = 0, .to = 1, .round = 1}}));
   ASSERT_TRUE(read_trace_jsonl(valid_line).has_value());
 
-  // The kind and the 1-based line of the first rejected line.
-  const auto rejected = [](const std::string& text) {
-    const auto parsed = read_trace_jsonl(text);
-    EXPECT_FALSE(parsed.has_value()) << text;
-    return parsed ? std::pair(ParseKind::kIo, std::size_t{0})
-                  : std::pair(parsed.error().kind, parsed.error().line);
-  };
-  const auto with = [&valid_line](const std::string& from,
-                                  const std::string& to) {
-    std::string text = valid_line;
-    return text.replace(text.find(from), from.size(), to);
-  };
   EXPECT_EQ(rejected(valid_line + "not json\n"),
             std::pair(ParseKind::kSyntax, std::size_t{2}));
   EXPECT_EQ(read_trace_jsonl(valid_line + "not json\n").error().to_string(),
@@ -339,29 +357,55 @@ TEST(TraceExport, ReadRejectsMalformedLinesWithLineNumber) {
   EXPECT_EQ(rejected(valid_line + " " + valid_line),
             std::pair(ParseKind::kNotCanonical, std::size_t{2}));
   // A field out of its C++ type's range is a typed error, not a wrap.
-  EXPECT_EQ(rejected(valid_line +
-                     with("\"wire_bytes\":0", "\"wire_bytes\":-1")),
+  EXPECT_EQ(rejected(valid_line + with(valid_line, "\"wire_bytes\":14",
+                                       "\"wire_bytes\":-1")),
             std::pair(ParseKind::kBadValue, std::size_t{2}));
-  EXPECT_EQ(rejected(with("\"to\":1", "\"to\":4294967297")),
+  EXPECT_EQ(rejected(with(valid_line, "\"to\":1", "\"to\":4294967297")),
             std::pair(ParseKind::kBadValue, std::size_t{1}));
-  EXPECT_EQ(rejected(with("\"path\":[]", "\"path\":[2147483648]")),
+  EXPECT_EQ(rejected(with(valid_line, "\"path\":[]", "\"path\":[2147483648]")),
             std::pair(ParseKind::kBadValue, std::size_t{1}));
-  EXPECT_EQ(rejected(with("\"value\":null", "\"value\":1.5")),
+  EXPECT_EQ(rejected(with(valid_line, "\"value\":null", "\"value\":1.5")),
             std::pair(ParseKind::kBadValue, std::size_t{1}));
 }
 
+TEST(TraceExport, ReadRefusesRecordsNoWriterProduces) {
+  // Each record decodes field by field, but no message has it: a
+  // wire_bytes other than the message's size, a hop a Path cannot store,
+  // a path longer than Path::kMaxLen. Each is a typed error on its line,
+  // never an accepted trace or a contract abort.
+  const std::string valid_line = trace_to_jsonl(
+      trace_of({{.from = 0, .to = 1, .round = 1, .path = {0}}}));
+  ASSERT_NE(valid_line.find("\"path\":[0],"), std::string::npos);
+  ASSERT_NE(valid_line.find("\"wire_bytes\":15}"), std::string::npos);
+
+  const std::string size_999 =
+      with(valid_line, "\"wire_bytes\":15", "\"wire_bytes\":999");
+  EXPECT_EQ(rejected(valid_line + size_999),
+            std::pair(ParseKind::kInconsistent, std::size_t{2}));
+  EXPECT_EQ(read_trace_jsonl(valid_line + size_999).error().to_string(),
+            "line 2, column 1: inconsistent: wire_bytes is not the "
+            "message's wire size");
+
+  EXPECT_EQ(rejected(valid_line +
+                     with(valid_line, "\"path\":[0]", "\"path\":[200]")),
+            std::pair(ParseKind::kBadValue, std::size_t{2}));
+
+  const std::string thirteen_hops =
+      with(with(valid_line, "\"path\":[0]",
+                "\"path\":[0,1,2,3,4,5,6,7,8,9,10,11,12]"),
+           "\"wire_bytes\":15", "\"wire_bytes\":27");
+  EXPECT_EQ(rejected(valid_line + thirteen_hops),
+            std::pair(ParseKind::kBadValue, std::size_t{2}));
+}
+
 TEST(TraceExport, WireBytesMatchMessageSize) {
-  sim::Message msg;
-  msg.from = 0;
-  msg.to = 1;
-  msg.round = 1;
-  msg.path = {0};
+  sim::Message msg{.from = 0, .to = 1, .round = 1, .path = {0}};
   msg.value = Value::of(7);
-  sim::Trace trace;
-  trace.record(msg);
-  const auto events = trace_events(trace);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].wire_bytes, sim::wire_size_bytes(msg));
+  const auto record = Json::parse(trace_to_jsonl(trace_of({msg})));
+  ASSERT_TRUE(record.has_value());
+  std::size_t wire_bytes = 0;
+  ASSERT_TRUE(int_member(*record, "wire_bytes", wire_bytes));
+  EXPECT_EQ(wire_bytes, sim::wire_size_bytes(msg));
 }
 
 // ------------------------------------------------------- bench schema --

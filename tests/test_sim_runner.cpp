@@ -7,6 +7,7 @@
 #include "faults/adversaries.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
+#include "sim/round_engine.hpp"
 
 namespace da::sim {
 namespace {
@@ -57,8 +58,10 @@ std::vector<std::unique_ptr<Process>> make_pingpong(int n, Value v) {
   return procs;
 }
 
+// The SyncRunner suite: one-shot executions of the deterministic
+// synchronous-round executor, `RoundEngine::run()`.
 TEST(SyncRunner, DeliversAndDecides) {
-  SyncRunner runner(make_pingpong(4, Value::of(9)), RunOptions{});
+  RoundEngine runner(make_pingpong(4, Value::of(9)), RunOptions{});
   const RunResult result = runner.run();
   EXPECT_EQ(result.rounds, 2);
   // 3 broadcasts + 3 echoes.
@@ -74,7 +77,7 @@ TEST(SyncRunner, AdversaryCorruptsFaultySender) {
   options.faulty = {0};
   auto adversary = faults::constant_liar(Value::of(66));
   options.adversary = adversary.get();
-  SyncRunner runner(make_pingpong(3, Value::of(9)), options);
+  RoundEngine runner(make_pingpong(3, Value::of(9)), options);
   const RunResult result = runner.run();
   EXPECT_EQ(result.decisions.at(1), Value::of(66));
   EXPECT_EQ(result.decisions.at(2), Value::of(66));
@@ -85,7 +88,7 @@ TEST(SyncRunner, SilentFaultyNodeMeansNoDelivery) {
   options.faulty = {0};
   auto adversary = faults::silent();
   options.adversary = adversary.get();
-  SyncRunner runner(make_pingpong(3, Value::of(9)), options);
+  RoundEngine runner(make_pingpong(3, Value::of(9)), options);
   const RunResult result = runner.run();
   EXPECT_EQ(result.messages_delivered, 0u);
   EXPECT_EQ(result.decisions.at(1), Value::def());
@@ -109,7 +112,7 @@ TEST(SyncRunner, AdversaryCannotImpersonate) {
   options.trace = nullptr;
   Trace trace;
   options.trace = &trace;
-  SyncRunner runner(make_pingpong(3, Value::of(4)), options);
+  RoundEngine runner(make_pingpong(3, Value::of(4)), options);
   (void)runner.run();
   for (const Message& m : trace.received(1)) {
     EXPECT_EQ(m.from, 0);
@@ -148,7 +151,7 @@ TEST(SyncRunner, FabricationToUnknownNodeIsDroppedAndCounted) {
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t before =
       registry.counter_value("sim.fabrications_dropped");
-  SyncRunner runner(make_pingpong(n, Value::of(9)), options);
+  RoundEngine runner(make_pingpong(n, Value::of(9)), options);
   const RunResult result = runner.run();
   // Honest traffic (3 broadcasts + 3 echoes) is unaffected; the two
   // fabrications (rounds 0 and 1) count as sent but never as delivered,
@@ -166,7 +169,7 @@ TEST(SyncRunner, TraceRecordsDeliveredMessages) {
   Trace trace;
   RunOptions options;
   options.trace = &trace;
-  SyncRunner runner(make_pingpong(4, Value::of(2)), options);
+  RoundEngine runner(make_pingpong(4, Value::of(2)), options);
   const RunResult result = runner.run();
   EXPECT_EQ(trace.total_messages(), result.messages_delivered);
   EXPECT_EQ(trace.received(0).size(), 3u);  // the echoes
@@ -185,8 +188,8 @@ TEST(SyncRunner, MismatchedRoundCountsRejected) {
     Value decide() const override { return Value::def(); }
   };
   procs[2] = std::make_unique<OneRound>();
-  SyncRunner runner(std::move(procs), RunOptions{});
-  EXPECT_THROW((void)runner.run(), std::logic_error);
+  EXPECT_THROW((void)RoundEngine(std::move(procs), RunOptions{}).run(),
+               std::logic_error);
 }
 
 TEST(SyncRunner, FaultyIdMustBeKnown) {
@@ -194,14 +197,14 @@ TEST(SyncRunner, FaultyIdMustBeKnown) {
   options.faulty = {9};
   auto adversary = faults::silent();
   options.adversary = adversary.get();
-  EXPECT_THROW(SyncRunner(make_pingpong(3, Value::of(1)), options),
+  EXPECT_THROW(RoundEngine(make_pingpong(3, Value::of(1)), options),
                std::logic_error);
 }
 
 TEST(SyncRunner, FaultyWithoutAdversaryRejected) {
   RunOptions options;
   options.faulty = {0};
-  EXPECT_THROW(SyncRunner(make_pingpong(3, Value::of(1)), options),
+  EXPECT_THROW(RoundEngine(make_pingpong(3, Value::of(1)), options),
                std::logic_error);
 }
 

@@ -6,6 +6,7 @@
 #include "faults/adversaries.hpp"
 #include "faults/search.hpp"
 #include "protocols/lamport/om.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 
 namespace da::protocols::authenticated {
@@ -18,8 +19,8 @@ sim::RunResult run_sm(int n, int m, NodeId sender, Value v,
   sim::RunOptions options;
   options.faulty = faulty;
   options.adversary = adversary;
-  sim::SyncRunner runner(make_sm_processes(n, m, sender, v, authority),
-                         options);
+  sim::RoundEngine runner(make_sm_processes(n, m, sender, v, authority),
+                          options);
   return runner.run();
 }
 

@@ -16,6 +16,7 @@
 #include "faults/adversaries.hpp"
 #include "faults/search.hpp"
 #include "obs/metrics.hpp"
+#include "sim/round_engine.hpp"
 #include "sim/runner.hpp"
 
 namespace da {
@@ -217,8 +218,8 @@ std::map<std::string, std::uint64_t> minus(
 
 TEST(ThreadedRunner, LongLivedPoolMatchesSimulatorOverManyRuns) {
   // Back-to-back runs on the one process-wide pool, over mixed (n, m) and
-  // adversaries: each must decide and count exactly what SyncRunner does,
-  // and some round must step nodes on two threads at once.
+  // adversaries: each must decide and count exactly what the simulator
+  // does, and some round must step nodes on two threads at once.
   const std::vector<Config> configs = {{.n = 4, .m = 1, .u = 1},
                                        {.n = 5, .m = 1, .u = 2},
                                        {.n = 6, .m = 1, .u = 3},
@@ -247,9 +248,9 @@ TEST(ThreadedRunner, LongLivedPoolMatchesSimulatorOverManyRuns) {
     auto a1 = factory.make(spec);
     const auto sync_before = sim_counters();
     const sim::RunResult sync =
-        sim::SyncRunner(core::make_byz_processes(config, spec.sender,
-                                                 spec.sender_value),
-                        options(a1.get()))
+        sim::RoundEngine(core::make_byz_processes(config, spec.sender,
+                                                  spec.sender_value),
+                         options(a1.get()))
             .run();
     const auto sync_delta = minus(sim_counters(), sync_before);
 
