@@ -115,10 +115,10 @@ void filter_fanout(const Message& msg, const RunOptions& options,
 }
 
 /// The one message-dispatch rule, shared by `RoundEngine` (so also the
-/// threaded runtime) and `event::EventRunner`. Stamps
-/// every message of `from`'s round-`round` outbox with the round, passes
-/// it through `filter_fanout` (with `copies` as its buffer), and hands
-/// each resulting copy to `deliver(receiver_index, copy, holdback)`.
+/// threaded runtime) and `event::EventRunner`. Stamps every message of
+/// `from`'s round-`round` outbox with the round, passes it through
+/// `filter_fanout` (with `copies` as its buffer), and hands each
+/// resulting copy to `deliver(receiver_index, copy, holdback)`.
 /// Honest senders and the normalized `corrupt` can only address
 /// participants, but `fabricate` may aim anywhere: a copy for a node
 /// outside `index` is dropped here and counted once, before any runtime

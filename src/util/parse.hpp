@@ -34,7 +34,7 @@ enum class ParseKind : std::uint8_t {
   kBadParent,      // a span `parent` that is neither "" nor a span id
   kNotCanonical,   // decodes, but is not the writer's bytes or order
   kTruncated,      // the text ends before the format's terminator
-  kInconsistent,   // records that decode but contradict each other
+  kInconsistent,   // decodes, but contradicts itself or another record
   kIo,             // the file could not be read
 };
 

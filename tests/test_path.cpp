@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_set>
@@ -65,6 +66,21 @@ TEST(Path, EqualityAndOrdering) {
   EXPECT_FALSE((Path{1, 2}) == (Path{1, 2, 3}));
   EXPECT_LT((Path{1, 2}), (Path{1, 3}));
   EXPECT_LT((Path{1, 2}), (Path{1, 2, 0}));
+
+  // The same lexicographic order as over the hops widened to NodeId, for
+  // every storable hop: the trace's canonical order depends on it.
+  const std::vector<std::vector<NodeId>> hops{
+      {}, {0}, {-1}, {127}, {-128}, {-128, 0}, {0, -128}, {0, 127},
+      {127, -128}, {5, -1, 127, 63, 0, 2}};
+  for (const auto& x : hops) {
+    for (const auto& y : hops) {
+      Path a;
+      Path b;
+      for (const NodeId hop : x) a.push_back(hop);
+      for (const NodeId hop : y) b.push_back(hop);
+      EXPECT_EQ(a <=> b, x <=> y) << a.to_string() << " " << b.to_string();
+    }
+  }
 }
 
 TEST(Path, HashConsistentWithEquality) {
