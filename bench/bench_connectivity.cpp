@@ -124,7 +124,7 @@ void end_to_end_demo() {
         da::RunExtras extras;
         extras.network = &network;
         const da::DegradableAgreement protocol(config);
-        const da::Outcome outcome =
+        const da::sim::RunResult outcome =
             protocol.run(spec, adversary.get(), extras);
         ok += da::check_conditions(spec, outcome.decisions).satisfied ? 1 : 0;
       }

@@ -28,7 +28,7 @@ namespace {
 using da::faults::figure2::Scenario;
 
 struct Executed {
-  da::Outcome outcome;
+  da::sim::RunResult outcome;
   da::sim::Trace trace;
   da::ConditionReport report;
 };
@@ -63,7 +63,7 @@ void run_at(int n) {
     }
     const auto decision_str = [&e, &s](da::NodeId id) {
       return s.spec.is_faulty(id) ? std::string("(faulty)")
-                                  : e.outcome.decision_of(id).to_string();
+                                  : e.outcome.decisions.at(id).to_string();
     };
     table.row(s.name, faulty, da::to_string(e.report.applied),
               e.report.satisfied ? "yes" : "NO", decision_str(1),

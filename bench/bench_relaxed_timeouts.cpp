@@ -50,7 +50,8 @@ Cell sweep(const da::Config& config, int f, double drop, std::uint64_t seed) {
         da::faults::equivocator(da::Value::of(23), da::Value::of(9));
     da::RunExtras extras;
     extras.network = &network;
-    const da::Outcome outcome = protocol.run(spec, adversary.get(), extras);
+    const da::sim::RunResult outcome =
+        protocol.run(spec, adversary.get(), extras);
     const da::ConditionReport report =
         da::check_conditions(spec, outcome.decisions);
     ++cell.runs;

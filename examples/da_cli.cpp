@@ -135,15 +135,15 @@ int main(int argc, char** argv) {
   da::RunExtras extras;
   if (args.trace) extras.trace = &trace;
 
-  const da::Outcome outcome =
+  const da::sim::RunResult result =
       args.threaded
           ? protocol.run_threaded(spec, adversary.get(), extras)
           : protocol.run(spec, adversary.get(), extras);
 
   std::printf("\n%d rounds, %zu messages sent, %zu delivered\n",
-              outcome.rounds, outcome.messages_sent,
-              outcome.messages_delivered);
-  for (const auto& [node, decision] : outcome.decisions) {
+              result.rounds, result.messages_sent,
+              result.messages_delivered);
+  for (const auto& [node, decision] : result.decisions) {
     std::printf("  node %-3d -> %-6s%s\n", node,
                 decision.to_string().c_str(),
                 spec.is_faulty(node)  ? " (faulty)"
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   }
 
   const da::ConditionReport report =
-      da::check_conditions(spec, outcome.decisions);
+      da::check_conditions(spec, result.decisions);
   std::printf("\ncondition %s: %s\n", da::to_string(report.applied),
               report.satisfied ? "SATISFIED" : "VIOLATED");
   if (!report.detail.empty()) std::printf("  %s\n", report.detail.c_str());
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
               report.corollary_m_plus_1 ? "holds" : "fails");
 
   if (args.trace) {
-    for (const auto& [node, decision] : outcome.decisions) {
+    for (const auto& [node, decision] : result.decisions) {
       std::printf("\n--- transcript of node %d ---\n%s", node,
                   trace.transcript(node).c_str());
     }

@@ -1,4 +1,4 @@
-// Quickstart: run one m/u-degradable agreement, inspect the outcome, and
+// Quickstart: run one m/u-degradable agreement, inspect the result, and
 // check it against the paper's conditions D.1-D.4.
 //
 //   $ ./quickstart
@@ -39,10 +39,10 @@ int main() {
 
   // 4. Run BYZ(m,m) — here on the deterministic simulator; use
   //    run_threaded() for one OS thread per node.
-  const da::Outcome outcome = protocol.run(spec, adversary.get());
-  std::printf("\n%d rounds, %zu messages\n", outcome.rounds,
-              outcome.messages_sent);
-  for (const auto& [node, decision] : outcome.decisions) {
+  const da::sim::RunResult result = protocol.run(spec, adversary.get());
+  std::printf("\n%d rounds, %zu messages\n", result.rounds,
+              result.messages_sent);
+  for (const auto& [node, decision] : result.decisions) {
     std::printf("  node %d decided %-4s%s\n", node,
                 decision.to_string().c_str(),
                 spec.is_faulty(node)  ? "  (faulty)"
@@ -52,7 +52,7 @@ int main() {
 
   // 5. Check the paper's conditions.
   const da::ConditionReport report =
-      da::check_conditions(spec, outcome.decisions);
+      da::check_conditions(spec, result.decisions);
   std::printf("\ngoverning condition: %s -> %s\n",
               da::to_string(report.applied),
               report.satisfied ? "satisfied" : "VIOLATED");

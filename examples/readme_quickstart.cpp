@@ -22,10 +22,10 @@ int main() {
 
   auto adversary = da::faults::equivocator(da::Value::of(42),
                                            da::Value::of(13));
-  const da::Outcome outcome =
+  const da::sim::RunResult result =
       protocol.run(spec, adversary.get());  // or run_threaded
   const da::ConditionReport report =
-      da::check_conditions(spec, outcome.decisions);
+      da::check_conditions(spec, result.decisions);
   // report.applied == da::Condition::kD3, report.satisfied == true:
   // every fault-free receiver decided 42 or V_d, >= m+1 nodes agree.
   std::printf("%s -> %s\n", da::to_string(report.applied),

@@ -58,7 +58,7 @@ FrameResult ChannelSystem::run_frame(Value sensor_value,
   }
   std::sort(spec.faulty.begin(), spec.faulty.end());
 
-  Outcome agreement;
+  sim::RunResult agreement;
   if (config_.kind == ChannelSystemConfig::Kind::kDegradable) {
     spec.config = Config{.n = n, .m = config_.m, .u = config_.u};
     const DegradableAgreement protocol(spec.config);
@@ -83,7 +83,7 @@ FrameResult ChannelSystem::run_frame(Value sensor_value,
     if (faulty) {
       output = faulty_output;  // colluding wrong output to the voter
     } else {
-      const Value agreed = agreement.decision_of(node);
+      const Value agreed = agreement.decisions.at(node);
       output = agreed.is_default() ? Value::def() : compute_(agreed);
       fault_free_states.insert(output);
     }

@@ -1,8 +1,11 @@
 #include "core/agreement.hpp"
 
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
+#include "protocols/lamport/om.hpp"
 #include "rt/threaded_runner.hpp"
 #include "sim/round_engine.hpp"
 #include "util/contracts.hpp"
@@ -11,93 +14,78 @@ namespace da {
 
 namespace {
 
-sim::RunOptions to_run_options(const ScenarioSpec& spec,
-                               sim::Adversary* adversary,
-                               const RunExtras& extras) {
+/// The one run body of both facades: options from the spec and `extras`,
+/// the chosen runtime, and the protocol's execution and message counters.
+sim::RunResult execute(std::vector<std::unique_ptr<sim::Process>> procs,
+                       const ScenarioSpec& spec, sim::Adversary* adversary,
+                       const RunExtras& extras, bool threaded,
+                       const obs::Counter& executions,
+                       const obs::Counter& messages) {
+  executions.add();
   sim::RunOptions options;
   options.faulty = spec.faulty;
   options.adversary = adversary;
   options.network = extras.network;
   options.trace = extras.trace;
-  return options;
+  sim::RunResult result =
+      threaded ? rt::ThreadedRunner(std::move(procs), std::move(options)).run()
+               : sim::RoundEngine(std::move(procs), std::move(options)).run();
+  messages.add(result.messages_sent);
+  return result;
 }
 
-Outcome to_outcome(sim::RunResult&& result) {
-  Outcome out;
-  out.decisions = std::move(result.decisions);
-  out.messages_sent = result.messages_sent;
-  out.messages_delivered = result.messages_delivered;
-  out.rounds = result.rounds;
-  return out;
+sim::RunResult run_byz(const Config& config, const ScenarioSpec& spec,
+                       sim::Adversary* adversary, const RunExtras& extras,
+                       bool threaded) {
+  spec.validate();
+  DA_EXPECTS(spec.config.n == config.n && spec.config.m == config.m &&
+             spec.config.u == config.u);
+  static const obs::Counter executions("protocol.byz.executions");
+  static const obs::Counter messages("protocol.byz.messages_sent");
+  return execute(
+      core::make_byz_processes(config, spec.sender, spec.sender_value), spec,
+      adversary, extras, threaded, executions, messages);
 }
 
 }  // namespace
-
-Value Outcome::decision_of(NodeId id) const { return decisions.at(id); }
 
 DegradableAgreement::DegradableAgreement(Config config) : config_(config) {
   DA_EXPECTS(config_.valid());
 }
 
-Outcome DegradableAgreement::run(const ScenarioSpec& spec,
-                                 sim::Adversary* adversary,
-                                 const RunExtras& extras) const {
-  return execute(spec, adversary, extras, /*threaded=*/false);
+sim::RunResult DegradableAgreement::run(const ScenarioSpec& spec,
+                                        sim::Adversary* adversary,
+                                        const RunExtras& extras) const {
+  return run_byz(config_, spec, adversary, extras, /*threaded=*/false);
 }
 
-Outcome DegradableAgreement::run_threaded(const ScenarioSpec& spec,
-                                          sim::Adversary* adversary,
-                                          const RunExtras& extras) const {
-  return execute(spec, adversary, extras, /*threaded=*/true);
-}
-
-Outcome DegradableAgreement::execute(const ScenarioSpec& spec,
-                                     sim::Adversary* adversary,
-                                     const RunExtras& extras,
-                                     bool threaded) const {
-  spec.validate();
-  DA_EXPECTS(spec.config.n == config_.n && spec.config.m == config_.m &&
-             spec.config.u == config_.u);
-  static const obs::Counter executions("protocol.byz.executions");
-  static const obs::Counter messages("protocol.byz.messages_sent");
-  executions.add();
-  auto procs =
-      core::make_byz_processes(config_, spec.sender, spec.sender_value);
-  sim::RunOptions options = to_run_options(spec, adversary, extras);
-  Outcome out = to_outcome(
-      threaded ? rt::ThreadedRunner(std::move(procs), std::move(options)).run()
-               : sim::RoundEngine(std::move(procs), std::move(options)).run());
-  messages.add(out.messages_sent);
-  return out;
+sim::RunResult DegradableAgreement::run_threaded(
+    const ScenarioSpec& spec, sim::Adversary* adversary,
+    const RunExtras& extras) const {
+  return run_byz(config_, spec, adversary, extras, /*threaded=*/true);
 }
 
 ConditionReport DegradableAgreement::run_and_check(
     const ScenarioSpec& spec, sim::Adversary* adversary,
     const RunExtras& extras) const {
-  const Outcome outcome = run(spec, adversary, extras);
-  return check_conditions(spec, outcome.decisions);
+  return check_conditions(spec, run(spec, adversary, extras).decisions);
 }
 
 LamportAgreement::LamportAgreement(int n, int m) : n_(n), m_(m) {
   DA_EXPECTS(n >= 2 && m >= 0);
 }
 
-Outcome LamportAgreement::run(const ScenarioSpec& spec,
-                              sim::Adversary* adversary,
-                              const RunExtras& extras) const {
+sim::RunResult LamportAgreement::run(const ScenarioSpec& spec,
+                                     sim::Adversary* adversary,
+                                     const RunExtras& extras) const {
   spec.validate();
   DA_EXPECTS(spec.config.n == n_);
   static const obs::Counter executions("protocol.om.executions");
   static const obs::Counter messages("protocol.om.messages_sent");
-  executions.add();
-  auto procs = protocols::make_eig_processes(
-      n_, spec.sender, spec.sender_value, m_ + 1,
-      std::make_shared<protocols::MajorityResolver>());
-  sim::RoundEngine engine(std::move(procs),
-                          to_run_options(spec, adversary, extras));
-  Outcome out = to_outcome(engine.run());
-  messages.add(out.messages_sent);
-  return out;
+  return execute(protocols::lamport::make_om_processes(n_, m_, spec.sender,
+                                                       spec.sender_value),
+                 spec, adversary, extras, /*threaded=*/false, executions,
+                 messages);
 }
 
 }  // namespace da

@@ -4,8 +4,6 @@
 #include <span>
 #include <utility>
 
-#include "util/contracts.hpp"
-
 namespace da {
 
 const char* to_string(Condition c) {
@@ -19,21 +17,8 @@ const char* to_string(Condition c) {
   return "?";
 }
 
-namespace {
-
-Value decision_of(const std::map<NodeId, Value>& decisions, NodeId id) {
-  const auto it = decisions.find(id);
-  DA_EXPECTS(it != decisions.end());
-  return it->second;
-}
-
-Value decision_of(const sim::Decisions& decisions, NodeId id) {
-  return decisions.at(id);
-}
-
-template <typename DecisionContainer>
-void check_conditions_impl(const ScenarioSpec& spec,
-                           const DecisionContainer& decisions,
+void check_conditions_into(const ScenarioSpec& spec,
+                           const sim::Decisions& decisions,
                            ConditionReport& report) {
   spec.validate();
   // Reset to a default report, keeping the vectors' and the text's
@@ -71,7 +56,7 @@ void check_conditions_impl(const ScenarioSpec& spec,
   std::size_t class_count = 0;
   for (NodeId r = 0; r < spec.config.n; ++r) {
     if (r == spec.sender || spec.is_faulty(r)) continue;  // fault-free only
-    const Value v = decision_of(decisions, r);
+    const Value v = decisions.at(r);
     std::size_t i = 0;
     while (i < class_count && class_scratch[i].first != v) ++i;
     if (i == class_count) {
@@ -190,25 +175,10 @@ void check_conditions_impl(const ScenarioSpec& spec,
   report.corollary_m_plus_1 = report.largest_agreeing_class >= m + 1;
 }
 
-}  // namespace
-
-void check_conditions_into(const ScenarioSpec& spec,
-                           const sim::Decisions& decisions,
-                           ConditionReport& report) {
-  check_conditions_impl(spec, decisions, report);
-}
-
 ConditionReport check_conditions(const ScenarioSpec& spec,
                                  const sim::Decisions& decisions) {
   ConditionReport report;
   check_conditions_into(spec, decisions, report);
-  return report;
-}
-
-ConditionReport check_conditions(const ScenarioSpec& spec,
-                                 const std::map<NodeId, Value>& decisions) {
-  ConditionReport report;
-  check_conditions_impl(spec, decisions, report);
   return report;
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -44,13 +43,11 @@ struct ConditionReport {
   std::string detail;
 };
 
-/// Checks decisions (one per node; faulty nodes' entries are ignored)
-/// against conditions D.1-D.4 for `spec`. The `sim::Decisions` overloads
-/// are the forms used by the search and service hot loops: once the
-/// thread-local class scratch is warm, the returning form allocates only
-/// the report's own class vectors (one for a satisfied D.1 execution) and
-/// the `detail` text of a violation. The map overload serves callers that
-/// assemble decisions by hand.
+/// Checks decisions (one per node, as a run's `sim::RunResult` carries
+/// them; faulty nodes' entries are ignored) against conditions D.1-D.4
+/// for `spec`. Once the thread-local class scratch is warm, the returning
+/// form allocates only the report's own class vectors (one for a
+/// satisfied D.1 execution) and the `detail` text of a violation.
 [[nodiscard]] ConditionReport check_conditions(const ScenarioSpec& spec,
                                                const sim::Decisions& decisions);
 /// `check_conditions` into `report`, reusing its vectors' capacity: a
@@ -58,7 +55,5 @@ struct ConditionReport {
 void check_conditions_into(const ScenarioSpec& spec,
                            const sim::Decisions& decisions,
                            ConditionReport& report);
-[[nodiscard]] ConditionReport check_conditions(
-    const ScenarioSpec& spec, const std::map<NodeId, Value>& decisions);
 
 }  // namespace da

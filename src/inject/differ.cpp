@@ -155,7 +155,7 @@ std::unique_ptr<sim::Adversary> make_adversary(
   return faults::honest();
 }
 
-std::string decisions_str(const std::map<NodeId, Value>& decisions) {
+std::string decisions_str(const sim::Decisions& decisions) {
   std::string out;
   for (const auto& [node, value] : decisions) {
     if (!out.empty()) out += ",";
@@ -239,7 +239,7 @@ RuntimeObservation observe(const DifferentialCase& c, Runtime rt) {
         (report.satisfied ? "+" : "-");
     if (!obs.verdict.empty()) obs.verdict += "|";
     obs.verdict += verdict;
-    obs.decisions[instance] = result.decisions;
+    obs.decisions.push_back(result.decisions);
     obs.messages_sent += result.messages_sent;
     obs.messages_delivered += result.messages_delivered;
 

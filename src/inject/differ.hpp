@@ -1,12 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "inject/fault_plan.hpp"
+#include "sim/decisions.hpp"
 #include "util/value.hpp"
 
 namespace da::inject {
@@ -58,8 +59,9 @@ struct DifferentialCase {
 /// tests want individually.
 struct RuntimeObservation {
   std::string artifact;
-  /// decisions[instance][node]; single-instance protocols use instance 0.
-  std::map<int, std::map<NodeId, Value>> decisions;
+  /// Each instance's decisions, by instance; single-instance protocols
+  /// have one.
+  std::vector<sim::Decisions> decisions;
   /// Concatenated per-instance D.1-D.4 classification signature, e.g.
   /// "D1+" or "D3+|D4-|..." — the condition that governed, then '+'/'-'
   /// for satisfied/violated.

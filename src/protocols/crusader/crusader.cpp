@@ -21,12 +21,10 @@ std::uint64_t crusader_message_count(int n) {
 bool crusader_agreement_holds(
     Value sender_value, bool sender_faulty,
     const std::vector<NodeId>& fault_free_receivers,
-    const std::map<NodeId, Value>& decisions) {
+    const sim::Decisions& decisions) {
   Value agreed = Value::def();
   for (NodeId r : fault_free_receivers) {
-    const auto it = decisions.find(r);
-    DA_EXPECTS(it != decisions.end());
-    const Value d = it->second;
+    const Value d = decisions.at(r);
     if (d.is_default()) {
       if (!sender_faulty) return false;  // must adopt a correct sender
       continue;

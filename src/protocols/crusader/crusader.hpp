@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "protocols/common/eig_process.hpp"
+#include "sim/decisions.hpp"
 #include "sim/process.hpp"
 #include "util/ids.hpp"
 #include "util/value.hpp"
@@ -40,6 +40,6 @@ make_crusader_processes(int n, int m, NodeId sender, Value value);
 [[nodiscard]] bool crusader_agreement_holds(
     Value sender_value, bool sender_faulty,
     const std::vector<NodeId>& fault_free_receivers,
-    const std::map<NodeId, Value>& decisions);
+    const sim::Decisions& decisions);
 
 }  // namespace da::protocols::crusader

@@ -10,13 +10,43 @@
 
 namespace da::protocols::ic {
 
+namespace {
+
+bool is_faulty(const std::vector<NodeId>& faulty, NodeId id) {
+  return std::binary_search(faulty.begin(), faulty.end(), id);
+}
+
+}  // namespace
+
+IcResult run_per_sender(const std::vector<Value>& inputs,
+                        const std::vector<NodeId>& faulty,
+                        const AdversaryFactory& adversaries,
+                        const InstanceRun& run_instance) {
+  DA_EXPECTS(std::is_sorted(faulty.begin(), faulty.end()));
+  const NodeId n = static_cast<NodeId>(inputs.size());
+  IcResult result;
+  for (NodeId p = 0; p < n; ++p) {
+    result.vectors[p].assign(inputs.size(), Value::def());
+  }
+  for (NodeId sender = 0; sender < n; ++sender) {
+    std::unique_ptr<sim::Adversary> adversary;
+    if (!faulty.empty()) adversary = adversaries(sender);
+    const sim::RunResult run = run_instance(
+        sender, inputs[static_cast<std::size_t>(sender)], adversary.get());
+    result.messages_sent += run.messages_sent;
+    for (const auto& [node, decision] : run.decisions) {
+      result.vectors[node][static_cast<std::size_t>(sender)] = decision;
+    }
+  }
+  return result;
+}
+
 IcResult run_interactive_consistency(int n, int m,
                                      const std::vector<Value>& inputs,
                                      const std::vector<NodeId>& faulty,
                                      const AdversaryFactory& adversaries) {
   DA_EXPECTS(n >= 2 && m >= 0);
   DA_EXPECTS(static_cast<int>(inputs.size()) == n);
-  DA_EXPECTS(std::is_sorted(faulty.begin(), faulty.end()));
 
   static const obs::Counter executions("protocol.ic.executions");
   static const obs::Counter instances("protocol.ic.om_instances");
@@ -24,31 +54,16 @@ IcResult run_interactive_consistency(int n, int m,
   executions.add();
   instances.add(static_cast<std::uint64_t>(n));
 
-  IcResult result;
-  for (NodeId p = 0; p < n; ++p) {
-    result.vectors[p].assign(static_cast<std::size_t>(n), Value::def());
-  }
-
-  // One OM(m) instance per sender; fault-free nodes fill in one coordinate
-  // of their vector per instance.
-  for (NodeId sender = 0; sender < n; ++sender) {
-    sim::RunOptions options;
-    options.faulty = faulty;
-    std::unique_ptr<sim::Adversary> adversary;
-    if (!faulty.empty()) {
-      adversary = adversaries(sender);
-      options.adversary = adversary.get();
-    }
-    sim::RoundEngine runner(
-        lamport::make_om_processes(n, m, sender,
-                                   inputs[static_cast<std::size_t>(sender)]),
-        options);
-    sim::RunResult run = runner.run();
-    result.messages_sent += run.messages_sent;
-    for (const auto& [node, decision] : run.decisions) {
-      result.vectors[node][static_cast<std::size_t>(sender)] = decision;
-    }
-  }
+  IcResult result = run_per_sender(
+      inputs, faulty, adversaries,
+      [&](NodeId sender, Value input, sim::Adversary* adversary) {
+        sim::RunOptions options;
+        options.faulty = faulty;
+        options.adversary = adversary;
+        return sim::RoundEngine(
+                   lamport::make_om_processes(n, m, sender, input), options)
+            .run();
+      });
   messages.add(result.messages_sent);
   return result;
 }
@@ -58,24 +73,29 @@ std::uint64_t ic_message_count(int n, int m) {
   return static_cast<std::uint64_t>(n) * lamport::om_message_count(n, m);
 }
 
-bool interactive_consistency_holds(const IcResult& result,
-                                   const std::vector<Value>& inputs,
-                                   const std::vector<NodeId>& faulty) {
-  const auto is_faulty = [&faulty](NodeId id) {
-    return std::binary_search(faulty.begin(), faulty.end(), id);
-  };
-
+bool fault_free_vectors_identical(const IcResult& result,
+                                  const std::vector<NodeId>& faulty) {
   const std::vector<Value>* reference = nullptr;
   for (const auto& [node, vec] : result.vectors) {
-    if (is_faulty(node)) continue;
+    if (is_faulty(faulty, node)) continue;
     if (reference == nullptr) {
       reference = &vec;
     } else if (vec != *reference) {
-      return false;  // IC1: identical vectors
+      return false;
     }
-    // IC2: fault-free coordinates are those nodes' true inputs.
+  }
+  return true;
+}
+
+bool interactive_consistency_holds(const IcResult& result,
+                                   const std::vector<Value>& inputs,
+                                   const std::vector<NodeId>& faulty) {
+  if (!fault_free_vectors_identical(result, faulty)) return false;
+  // IC2: fault-free coordinates are those nodes' true inputs.
+  for (const auto& [node, vec] : result.vectors) {
+    if (is_faulty(faulty, node)) continue;
     for (std::size_t q = 0; q < vec.size(); ++q) {
-      if (!is_faulty(static_cast<NodeId>(q)) && vec[q] != inputs[q]) {
+      if (!is_faulty(faulty, static_cast<NodeId>(q)) && vec[q] != inputs[q]) {
         return false;
       }
     }
@@ -85,15 +105,13 @@ bool interactive_consistency_holds(const IcResult& result,
 
 int largest_identical_vector_group(const IcResult& result,
                                    const std::vector<NodeId>& faulty, int n) {
-  const auto is_faulty = [&faulty](NodeId id) {
-    return std::binary_search(faulty.begin(), faulty.end(), id);
-  };
   int best = 0;
   for (NodeId p = 0; p < n; ++p) {
-    if (is_faulty(p)) continue;
+    if (is_faulty(faulty, p)) continue;
     int count = 0;
     for (NodeId q = 0; q < n; ++q) {
-      if (!is_faulty(q) && result.vectors.at(q) == result.vectors.at(p)) {
+      if (!is_faulty(faulty, q) &&
+          result.vectors.at(q) == result.vectors.at(p)) {
         ++count;
       }
     }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/adversary.hpp"
+#include "sim/runner.hpp"
 #include "util/ids.hpp"
 #include "util/value.hpp"
 
@@ -24,6 +25,22 @@ struct IcResult {
   std::size_t messages_sent = 0;
 };
 
+/// Runs the agreement instance in which `sender` distributes `input`,
+/// its faulty nodes driven by `adversary` (null when there are none).
+using InstanceRun = std::function<sim::RunResult(
+    NodeId sender, Value input, sim::Adversary* adversary)>;
+
+/// The per-sender loop of every interactive-consistency form: one
+/// agreement instance per sender, in sender order, each with its own
+/// adversary from `adversaries` (called only when `faulty` is
+/// non-empty). Instance s fills coordinate s of every node's vector.
+/// `run_interactive_consistency` passes OM(m) as `run_instance`, and
+/// degradable IC (core/degradable_ic.hpp) passes BYZ(m,m).
+[[nodiscard]] IcResult run_per_sender(const std::vector<Value>& inputs,
+                                      const std::vector<NodeId>& faulty,
+                                      const AdversaryFactory& adversaries,
+                                      const InstanceRun& run_instance);
+
 /// Pease-Shostak-Lamport interactive consistency (the paper's reference
 /// [9]): every node distributes its private value with OM(m); fault-free
 /// nodes end with a vector of all N values. Used for the Bhandari
@@ -37,8 +54,12 @@ struct IcResult {
 /// parallel OM(m) instances, n * om_message_count(n, m).
 [[nodiscard]] std::uint64_t ic_message_count(int n, int m);
 
-/// IC validity: all fault-free nodes computed identical vectors, and the
-/// entry for every fault-free node equals that node's input.
+/// IC1: every fault-free node computed the same vector.
+[[nodiscard]] bool fault_free_vectors_identical(
+    const IcResult& result, const std::vector<NodeId>& faulty);
+
+/// IC validity: IC1 (`fault_free_vectors_identical`), and the entry for
+/// every fault-free node equals that node's input (IC2).
 [[nodiscard]] bool interactive_consistency_holds(
     const IcResult& result, const std::vector<Value>& inputs,
     const std::vector<NodeId>& faulty);

@@ -23,18 +23,13 @@ std::uint64_t om_message_count(int n, int m) {
 }
 
 bool byzantine_agreement_holds(
-    NodeId sender, Value sender_value, bool sender_faulty,
+    Value sender_value, bool sender_faulty,
     const std::vector<NodeId>& fault_free_receivers,
-    const std::map<NodeId, Value>& decisions) {
-  (void)sender;
+    const sim::Decisions& decisions) {
   if (fault_free_receivers.empty()) return true;
-  const auto first = decisions.find(fault_free_receivers.front());
-  DA_EXPECTS(first != decisions.end());
-  const Value agreed = first->second;
+  const Value agreed = decisions.at(fault_free_receivers.front());
   for (NodeId r : fault_free_receivers) {
-    const auto it = decisions.find(r);
-    DA_EXPECTS(it != decisions.end());
-    if (it->second != agreed) return false;
+    if (decisions.at(r) != agreed) return false;
   }
   return sender_faulty || agreed == sender_value;
 }

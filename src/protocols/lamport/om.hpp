@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "protocols/common/eig_process.hpp"
+#include "sim/decisions.hpp"
 #include "sim/process.hpp"
 #include "util/ids.hpp"
 #include "util/value.hpp"
@@ -31,8 +31,8 @@ namespace da::protocols::lamport {
 /// true iff all fault-free receivers decided one identical value, which is
 /// the sender's value whenever the sender is fault-free.
 [[nodiscard]] bool byzantine_agreement_holds(
-    NodeId sender, Value sender_value, bool sender_faulty,
+    Value sender_value, bool sender_faulty,
     const std::vector<NodeId>& fault_free_receivers,
-    const std::map<NodeId, Value>& decisions);
+    const sim::Decisions& decisions);
 
 }  // namespace da::protocols::lamport

@@ -23,6 +23,17 @@ std::optional<AdmissionClass> parse_admission_class(std::string_view name) {
   return std::nullopt;
 }
 
+QueuedJob AdmissionQueue::Fifo::pop_front() {
+  const QueuedJob job = jobs[head++];
+  if (head == jobs.size()) {
+    clear();
+  } else if (2 * head > jobs.size()) {
+    jobs.erase(jobs.begin(), jobs.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return job;
+}
+
 void AdmissionQueue::clear() {
   for (auto& q : by_class_) q.clear();
   size_ = 0;
@@ -38,7 +49,7 @@ bool AdmissionQueue::blocks(AdmissionClass cls) const {
 }
 
 void AdmissionQueue::push(AdmissionClass cls, const QueuedJob& job) {
-  by_class_[static_cast<std::size_t>(index_of(cls))].push_back(job);
+  by_class_[static_cast<std::size_t>(index_of(cls))].jobs.push_back(job);
   ++size_;
   if (job.deadline_at != kNoDeadline) ++with_deadline_;
   queued_width_ += job.width;
@@ -56,10 +67,10 @@ void AdmissionQueue::pop_front() {
   DA_EXPECTS(size_ > 0);
   for (auto& q : by_class_) {
     if (q.empty()) continue;
-    if (q.front().deadline_at != kNoDeadline) --with_deadline_;
-    queued_width_ -= q.front().width;
-    q.pop_front();
+    const QueuedJob job = q.pop_front();
     --size_;
+    if (job.deadline_at != kNoDeadline) --with_deadline_;
+    queued_width_ -= job.width;
     return;
   }
 }
@@ -69,8 +80,7 @@ QueuedJob AdmissionQueue::pop_shed_victim() {
   for (int c = kAdmissionClassCount - 1; c >= 0; --c) {
     auto& q = by_class_[static_cast<std::size_t>(c)];
     if (q.empty()) continue;
-    const QueuedJob victim = q.front();
-    q.pop_front();
+    const QueuedJob victim = q.pop_front();
     --size_;
     if (victim.deadline_at != kNoDeadline) --with_deadline_;
     queued_width_ -= victim.width;

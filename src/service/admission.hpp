@@ -2,10 +2,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 namespace da::service {
 
@@ -56,8 +56,8 @@ struct QueuedJob {
 
 /// The service's wait queue: one FIFO per class, totally ordered by
 /// (class, arrival order). All mutation happens on the event-loop
-/// thread; the structure never allocates in steady state beyond the
-/// deques' own block reuse.
+/// thread. Popping, shedding, expiring and `clear` keep every class's
+/// storage, so a warm queue allocates nothing.
 class AdmissionQueue {
  public:
   void clear();
@@ -96,11 +96,11 @@ class AdmissionQueue {
   void expire(double now, Fn&& fn) {
     if (with_deadline_ == 0) return;
     for (int c = 0; c < kAdmissionClassCount; ++c) {
-      auto& q = by_class_[static_cast<std::size_t>(c)];
-      for (std::size_t i = 0; i < q.size();) {
-        if (q[i].deadline_at < now) {
-          const QueuedJob victim = q[i];
-          q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
+      Fifo& q = by_class_[static_cast<std::size_t>(c)];
+      for (std::size_t i = q.head; i < q.jobs.size();) {
+        if (q.jobs[i].deadline_at < now) {
+          const QueuedJob victim = q.jobs[i];
+          q.jobs.erase(q.jobs.begin() + static_cast<std::ptrdiff_t>(i));
           --size_;
           --with_deadline_;
           queued_width_ -= victim.width;
@@ -113,7 +113,24 @@ class AdmissionQueue {
   }
 
  private:
-  std::array<std::deque<QueuedJob>, kAdmissionClassCount> by_class_{};
+  /// One class's FIFO: a vector read from `head`, so popping keeps the
+  /// storage. Compacted once the head passes half the size, so a queue
+  /// that never drains stays bounded.
+  struct Fifo {
+    std::vector<QueuedJob> jobs;
+    std::size_t head = 0;
+
+    [[nodiscard]] bool empty() const { return head == jobs.size(); }
+    [[nodiscard]] std::size_t size() const { return jobs.size() - head; }
+    [[nodiscard]] const QueuedJob& front() const { return jobs[head]; }
+    void clear() {
+      jobs.clear();  // keeps capacity
+      head = 0;
+    }
+    QueuedJob pop_front();
+  };
+
+  std::array<Fifo, kAdmissionClassCount> by_class_{};
   std::size_t size_ = 0;
   std::size_t with_deadline_ = 0;
   int queued_width_ = 0;

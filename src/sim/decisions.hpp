@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -14,13 +13,13 @@ namespace da::sim {
 
 /// One decision per node, stored as a flat vector sorted by NodeId.
 ///
-/// This is the per-execution result payload of the runners, allocated once
-/// per protocol execution in the exhaustive-search hot loops — a sorted
-/// vector instead of a node-keyed `std::map` keeps that allocation to one
-/// contiguous block and makes lookups a branch-predictable binary search.
-/// The map-facing surface (`at`, `find`, `operator[]`, iteration over
-/// `std::pair<NodeId, Value>`, conversion to `std::map`) is kept so the
-/// checker/table call sites read exactly as before.
+/// The one decision container: every runtime's `RunResult` carries one,
+/// and every checker (D.1-D.4, OM, crusader, degradable IC) and the
+/// differential harness read it as is. A sorted vector keeps the
+/// per-execution allocation to one contiguous block, reused across
+/// forks, and makes lookups a branch-predictable binary search. It reads
+/// like a node-keyed map (`at`, `find`, `operator[]`, iteration over
+/// `std::pair<NodeId, Value>` in NodeId order) but converts to none.
 class Decisions {
  public:
   using value_type = std::pair<NodeId, Value>;
@@ -57,24 +56,6 @@ class Decisions {
   [[nodiscard]] const_iterator end() const { return entries_.end(); }
 
   friend bool operator==(const Decisions&, const Decisions&) = default;
-
-  friend bool operator==(const Decisions& a,
-                         const std::map<NodeId, Value>& b) {
-    if (a.size() != b.size()) return false;
-    auto it = b.begin();
-    for (const auto& [node, value] : a.entries_) {
-      if (node != it->first || value != it->second) return false;
-      ++it;
-    }
-    return true;
-  }
-
-  /// Compatibility accessor for map-based call sites (crusader/OM checkers,
-  /// differential artifacts). Implicit so existing code compiles unchanged;
-  /// costs one allocation per node — keep it off the search hot paths.
-  operator std::map<NodeId, Value>() const {  // NOLINT(google-explicit-*)
-    return {entries_.begin(), entries_.end()};
-  }
 
  private:
   [[nodiscard]] std::vector<value_type>::iterator lower_bound(NodeId id) {

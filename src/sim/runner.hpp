@@ -27,7 +27,10 @@ struct RunOptions {
   Trace* trace = nullptr;
 };
 
-/// Outcome of one protocol execution.
+/// The one record of one protocol execution, from the runtime to the
+/// verdict: every runtime fills it, the `da::DegradableAgreement` and
+/// `da::LamportAgreement` facades return it, and the checkers read its
+/// decisions as they are.
 struct RunResult {
   /// Every node's decision (including the sender's, which for fault-free
   /// senders is its own value by construction of the protocols). A flat

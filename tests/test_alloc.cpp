@@ -2,9 +2,10 @@
 // warm: one service instance's round cycle on the checkpoint/fork engine
 // (restore, then dispatch_pending / process_round to the end, then
 // finish_into), on reliable links and under fault injection, the
-// checker's `sim::Decisions` overloads, the engine's config predicate,
-// which refuses an over-budget instance without building anything, and
-// span recording in warm service runs, which keep their span logs.
+// checker's `sim::Decisions` forms, the service's admission queue, the
+// engine's config predicate, which refuses an over-budget instance
+// without building anything, and span recording in warm service runs,
+// which keep their span logs.
 //
 // This file replaces the global `operator new` with one that counts the
 // calls made on the calling thread while a `Counting` guard is alive, so
@@ -30,6 +31,7 @@
 #include "inject/injection_network.hpp"
 #include "protocols/common/eig_layout.hpp"
 #include "protocols/lamport/om.hpp"
+#include "service/admission.hpp"
 #include "service/frontend.hpp"
 #include "service/service.hpp"
 #include "sim/round_engine.hpp"
@@ -232,6 +234,45 @@ TEST(Alloc, WarmSatisfiedCheckIntoAllocatesNothing) {
   EXPECT_TRUE(report.satisfied);
   EXPECT_EQ(report.value_class.size(), 5u);
   EXPECT_TRUE(report.violators.empty());
+}
+
+constexpr std::uint64_t kStandingJobs = 8;
+
+/// One cycle of admission-queue churn: 96 arrivals across the classes
+/// behind a standing backlog, a deadline sweep, then paired head
+/// admissions and shed victims back down to the backlog, so the FIFOs
+/// grow, drain past their halves and compact without ever emptying.
+void admission_cycle(service::AdmissionQueue& queue) {
+  using service::AdmissionClass;
+  for (std::uint64_t job = 0; job < 96; ++job) {
+    service::QueuedJob queued;
+    queued.job = job;
+    if (job % 4 == 0) queued.deadline_at = static_cast<double>(job);
+    queue.push(static_cast<AdmissionClass>(job % 3), queued);
+  }
+  queue.expire(48.0, [](AdmissionClass, const service::QueuedJob&) {});
+  while (queue.size() > kStandingJobs) {
+    queue.pop_front();
+    (void)queue.pop_shed_victim();
+  }
+}
+
+TEST(Alloc, WarmAdmissionQueueAllocatesNothing) {
+  service::AdmissionQueue queue;
+  for (std::uint64_t job = 0; job < kStandingJobs; ++job) {
+    service::QueuedJob standing;
+    standing.job = 1000 + job;
+    queue.push(service::AdmissionClass::kNormal, standing);
+  }
+  admission_cycle(queue);
+  std::uint64_t news = 0;
+  {
+    const Counting counting;
+    for (int i = 0; i < kCountedCycles; ++i) admission_cycle(queue);
+    news = counting.news();
+  }
+  EXPECT_EQ(news, 0u);
+  EXPECT_EQ(queue.size(), kStandingJobs);
 }
 
 // `engine_runnable` over every (n, m) the command lines accept (n <= 64,

@@ -30,7 +30,7 @@ TEST(ByzMessageCount, ClosedFormMatchesSimulator) {
     const Config config{.n = n, .m = m, .u = m};
     const DegradableAgreement protocol(config);
     const auto spec = spec_for(config, 0, Value::of(5), {});
-    const Outcome outcome = protocol.run(spec, nullptr);
+    const sim::RunResult outcome = protocol.run(spec, nullptr);
     EXPECT_EQ(outcome.messages_sent, core::byz_message_count(n, m))
         << "n=" << n << " m=" << m;
   }
@@ -39,10 +39,10 @@ TEST(ByzMessageCount, ClosedFormMatchesSimulator) {
 TEST(ByzBasic, NoFaultsEveryoneDecidesSenderValue) {
   const Config config{.n = 7, .m = 1, .u = 4};
   const DegradableAgreement protocol(config);
-  const Outcome outcome =
+  const sim::RunResult outcome =
       protocol.run(spec_for(config, 0, Value::of(42), {}), nullptr);
   for (NodeId i = 0; i < 7; ++i) {
-    EXPECT_EQ(outcome.decision_of(i), Value::of(42));
+    EXPECT_EQ(outcome.decisions.at(i), Value::of(42));
   }
 }
 
@@ -103,7 +103,7 @@ TEST(ByzBasic, MEqualsUIsLamportAgreement) {
     EXPECT_TRUE(report.satisfied) << report.detail;
 
     auto adversary2 = faults::equivocator(Value::of(3), Value::of(8));
-    const Outcome om_out = om.run(spec, adversary2.get());
+    const sim::RunResult om_out = om.run(spec, adversary2.get());
     const ConditionReport om_report = check_conditions(spec, om_out.decisions);
     EXPECT_TRUE(om_report.satisfied) << om_report.detail;
   }
@@ -168,9 +168,9 @@ TEST(ByzBasic, MZeroFaultySenderSatisfiesD4) {
 TEST(ByzBasic, DecisionsIncludeSender) {
   const Config config{.n = 5, .m = 1, .u = 2};
   const DegradableAgreement protocol(config);
-  const Outcome outcome =
+  const sim::RunResult outcome =
       protocol.run(spec_for(config, 2, Value::of(3), {}), nullptr);
-  EXPECT_EQ(outcome.decision_of(2), Value::of(3));
+  EXPECT_EQ(outcome.decisions.at(2), Value::of(3));
 }
 
 TEST(ByzBasic, ConfigMismatchRejected) {

@@ -110,7 +110,7 @@ TEST(ByzPropertyExtra, FaultyNodesBeyondUBreakNothingStructurally) {
   spec.sender_value = Value::of(5);
   spec.faulty = {1, 2, 3};
   auto adversary = faults::random_noise(5, 0, 9, 0.5);
-  const Outcome outcome = protocol.run(spec, adversary.get());
+  const sim::RunResult outcome = protocol.run(spec, adversary.get());
   EXPECT_EQ(outcome.decisions.size(), 5u);
   const ConditionReport report = check_conditions(spec, outcome.decisions);
   EXPECT_EQ(report.applied, Condition::kNone);
@@ -126,8 +126,8 @@ TEST(ByzPropertyExtra, DeterministicAcrossRuns) {
   spec.faulty = {0, 5};
   auto a1 = faults::random_noise(99, 0, 50, 0.2);
   auto a2 = faults::random_noise(99, 0, 50, 0.2);
-  const Outcome o1 = protocol.run(spec, a1.get());
-  const Outcome o2 = protocol.run(spec, a2.get());
+  const sim::RunResult o1 = protocol.run(spec, a1.get());
+  const sim::RunResult o2 = protocol.run(spec, a2.get());
   EXPECT_EQ(o1.decisions, o2.decisions);
   EXPECT_EQ(o1.messages_delivered, o2.messages_delivered);
 }
@@ -144,9 +144,9 @@ TEST(ByzPropertyExtra, OmissionsOnlyEverProduceDefaultOrTruth) {
     spec.sender_value = Value::of(31);
     for (int i = 0; i < f; ++i) spec.faulty.push_back(i + 1);
     auto adversary = faults::silent();
-    const Outcome outcome = protocol.run(spec, adversary.get());
+    const sim::RunResult outcome = protocol.run(spec, adversary.get());
     for (NodeId r : spec.fault_free_receivers()) {
-      const Value d = outcome.decision_of(r);
+      const Value d = outcome.decisions.at(r);
       EXPECT_TRUE(d == spec.sender_value || d.is_default())
           << "f=" << f << " node " << r << " got " << d.to_string();
     }

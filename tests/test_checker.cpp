@@ -13,8 +13,8 @@ ScenarioSpec base_spec() {
   return spec;
 }
 
-std::map<NodeId, Value> decisions(std::initializer_list<Value> values) {
-  std::map<NodeId, Value> out;
+sim::Decisions decisions(std::initializer_list<Value> values) {
+  sim::Decisions out;
   NodeId id = 0;
   for (const Value& v : values) out[id++] = v;
   return out;
@@ -170,7 +170,8 @@ TEST(Checker, DefaultSenderValueRejected) {
 
 TEST(Checker, MissingDecisionRejected) {
   auto spec = base_spec();
-  std::map<NodeId, Value> partial{{1, Value::of(10)}};
+  sim::Decisions partial;
+  partial[1] = Value::of(10);
   EXPECT_THROW((void)check_conditions(spec, partial), std::logic_error);
 }
 

@@ -7,6 +7,8 @@
 // are also checked against a naive reference executor
 // (tests/reference_executor.hpp) that shares none of it.
 
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "core/agreement.hpp"
@@ -49,10 +51,10 @@ TEST_P(CrossRuntime, AllThreeRuntimesAgree) {
       const auto& factory = family[k];
 
       auto a1 = factory.make(spec);
-      const Outcome sim_out = protocol.run(spec, a1.get());
+      const sim::RunResult sim_out = protocol.run(spec, a1.get());
 
       auto a2 = factory.make(spec);
-      const Outcome thr_out = protocol.run_threaded(spec, a2.get());
+      const sim::RunResult thr_out = protocol.run_threaded(spec, a2.get());
 
       auto a3 = factory.make(spec);
       sim::RunOptions options;
@@ -126,9 +128,9 @@ TEST(CrossRuntimeExtra, FabricatingAdversaryStaysDeterministic) {
   spec.faulty = {2};
 
   Duplicator a1;
-  const Outcome sim_out = protocol.run(spec, &a1);
+  const sim::RunResult sim_out = protocol.run(spec, &a1);
   Duplicator a2;
-  const Outcome thr_out = protocol.run_threaded(spec, &a2);
+  const sim::RunResult thr_out = protocol.run_threaded(spec, &a2);
   EXPECT_EQ(sim_out.decisions, thr_out.decisions);
 
   // And the injected garbage must not break the degraded conditions.
@@ -246,7 +248,9 @@ TEST(CrossRuntimeReference, EngineRuntimesMatchNaiveExecutor) {
                     ? rt::ThreadedRunner(processes(), std::move(options)).run()
                     : sim::RoundEngine(processes(), std::move(options)).run();
             const std::string runtime = threaded ? "threaded " : "sim ";
-            EXPECT_EQ(got.decisions, want.decisions) << runtime << what;
+            const std::map<NodeId, Value> got_decisions(
+                got.decisions.begin(), got.decisions.end());
+            EXPECT_EQ(got_decisions, want.decisions) << runtime << what;
             EXPECT_EQ(got.messages_sent, want.messages_sent)
                 << runtime << what;
             EXPECT_EQ(got.messages_delivered, want.messages_delivered)

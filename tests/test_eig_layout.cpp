@@ -222,7 +222,7 @@ bool verdict_case(std::uint64_t seed, std::uint64_t ordinal,
   std::vector<NodeId> all(static_cast<std::size_t>(config.n));
   std::iota(all.begin(), all.end(), 0);
 
-  std::map<NodeId, Value> ref_decisions = result.decisions;
+  sim::Decisions ref_decisions = result.decisions;
   for (NodeId node : spec.fault_free_receivers()) {
     RefEigTree ref(node, spec.sender, all, depth);
     std::vector<std::vector<sim::Message>> by_round(

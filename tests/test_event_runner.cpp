@@ -38,7 +38,7 @@ TEST(EventRunner, PerfectClocksMatchSyncRunner) {
   const DegradableAgreement protocol(config);
 
   auto a1 = faults::equivocator(Value::of(42), Value::of(9));
-  const Outcome sync_out = protocol.run(spec, a1.get());
+  const sim::RunResult sync_out = protocol.run(spec, a1.get());
 
   auto a2 = faults::equivocator(Value::of(42), Value::of(9));
   const EventRunResult event_out = run_byz_event(

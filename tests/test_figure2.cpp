@@ -8,7 +8,7 @@ namespace da::faults::figure2 {
 namespace {
 
 struct RunWithTrace {
-  Outcome outcome;
+  sim::RunResult outcome;
   sim::Trace trace;
   ConditionReport report;
 };
@@ -36,8 +36,8 @@ TEST(Figure2, ScenarioA_D1ForcesBeta) {
   const auto r = run(scenario_a(4));
   EXPECT_EQ(r.report.applied, Condition::kD1);
   EXPECT_TRUE(r.report.satisfied) << r.report.detail;
-  EXPECT_EQ(r.outcome.decision_of(2), kBeta);
-  EXPECT_EQ(r.outcome.decision_of(3), kBeta);
+  EXPECT_EQ(r.outcome.decisions.at(2), kBeta);
+  EXPECT_EQ(r.outcome.decisions.at(3), kBeta);
 }
 
 TEST(Figure2, ScenarioB_D2StillHolds) {
@@ -53,7 +53,7 @@ TEST(Figure2, ScenarioC_ViolatesD3) {
   const auto r = run(scenario_c(4));
   EXPECT_EQ(r.report.applied, Condition::kD3);
   EXPECT_FALSE(r.report.satisfied);
-  EXPECT_EQ(r.outcome.decision_of(1), kBeta);  // neither alpha nor V_d
+  EXPECT_EQ(r.outcome.decisions.at(1), kBeta);  // neither alpha nor V_d
 }
 
 TEST(Figure2, NodeBCannotDistinguishAandB) {
@@ -62,14 +62,14 @@ TEST(Figure2, NodeBCannotDistinguishAandB) {
   const auto ra = run(scenario_a(4));
   const auto rb = run(scenario_b(4));
   EXPECT_TRUE(ra.trace.indistinguishable_for(2, rb.trace));
-  EXPECT_EQ(ra.outcome.decision_of(2), rb.outcome.decision_of(2));
+  EXPECT_EQ(ra.outcome.decisions.at(2), rb.outcome.decisions.at(2));
 }
 
 TEST(Figure2, NodeACannotDistinguishBandC) {
   const auto rb = run(scenario_b(4));
   const auto rc = run(scenario_c(4));
   EXPECT_TRUE(rb.trace.indistinguishable_for(1, rc.trace));
-  EXPECT_EQ(rb.outcome.decision_of(1), rc.outcome.decision_of(1));
+  EXPECT_EQ(rb.outcome.decisions.at(1), rc.outcome.decisions.at(1));
 }
 
 TEST(Figure2, DistinguishableForOtherNodes) {

@@ -17,6 +17,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -498,11 +499,9 @@ TEST(Decisions, FlatVectorKeepsMapSurface) {
   for (const auto& [node, value] : decisions) order.push_back(node);
   EXPECT_EQ(order, (std::vector<NodeId>{1, 2, 3}));
 
-  // Compatibility with map-based call sites.
-  const std::map<NodeId, Value> as_map = decisions;
-  EXPECT_EQ(as_map.size(), 3u);
-  EXPECT_TRUE(decisions == as_map);
-  EXPECT_EQ(as_map.at(3), Value::of(30));
+  // The one decision container: it converts to no map.
+  static_assert(
+      !std::is_convertible_v<sim::Decisions, std::map<NodeId, Value>>);
 }
 
 }  // namespace

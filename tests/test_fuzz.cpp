@@ -187,10 +187,10 @@ bool runtimes_case(std::uint64_t seed, std::uint64_t ordinal,
   const DegradableAgreement protocol(spec.config);
 
   RandomTableAdversary a1(draw.behaviour_seed, spec.sender_value);
-  const Outcome sim_out = protocol.run(spec, &a1);
+  const sim::RunResult sim_out = protocol.run(spec, &a1);
 
   RandomTableAdversary a2(draw.behaviour_seed, spec.sender_value);
-  const Outcome thr_out = protocol.run_threaded(spec, &a2);
+  const sim::RunResult thr_out = protocol.run_threaded(spec, &a2);
   if (sim_out.decisions != thr_out.decisions) {
     *failure = "threaded mismatch: " + spec.to_string();
     return true;
@@ -293,13 +293,13 @@ TEST(Fuzz, GarbageStormsAreHarmless) {
     spec.faulty = {2, 5};
 
     GarbageStorm storm(seed);
-    const Outcome stormy = protocol.run(spec, &storm);
+    const sim::RunResult stormy = protocol.run(spec, &storm);
 
     // The storm adversary relays honestly, so the run must be identical
     // to a fault-free one: every garbage message was rejected.
     ScenarioSpec clean = spec;
     clean.faulty.clear();
-    const Outcome quiet = protocol.run(clean, nullptr);
+    const sim::RunResult quiet = protocol.run(clean, nullptr);
     EXPECT_EQ(stormy.decisions, quiet.decisions) << "seed " << seed;
   }
 }

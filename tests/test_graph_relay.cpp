@@ -37,7 +37,7 @@ ConditionReport run_over(const graph::Graph& g, const Config& config,
   GraphRelayNetwork network(g, config.m, config.u, faulty, kForge);
   RunExtras extras;
   extras.network = &network;
-  const Outcome outcome = protocol.run(spec, adversary, extras);
+  const sim::RunResult outcome = protocol.run(spec, adversary, extras);
   return check_conditions(spec, outcome.decisions);
 }
 
@@ -122,14 +122,14 @@ TEST(GraphRelay, CompleteGraphIsIdenticalToPlainRun) {
   spec.faulty = {0, 4};
 
   auto a1 = faults::equivocator(Value::of(5), Value::of(6));
-  const Outcome plain = protocol.run(spec, a1.get());
+  const sim::RunResult plain = protocol.run(spec, a1.get());
 
   GraphRelayNetwork network(graph::complete(7), config.m, config.u,
                             spec.faulty, kForge);
   auto a2 = faults::equivocator(Value::of(5), Value::of(6));
   RunExtras extras;
   extras.network = &network;
-  const Outcome relayed = protocol.run(spec, a2.get(), extras);
+  const sim::RunResult relayed = protocol.run(spec, a2.get(), extras);
   EXPECT_EQ(plain.decisions, relayed.decisions);
 }
 

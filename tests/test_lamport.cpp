@@ -10,7 +10,7 @@
 namespace da {
 namespace {
 
-Outcome run_om(int n, int m, NodeId sender, Value v,
+sim::RunResult run_om(int n, int m, NodeId sender, Value v,
                std::vector<NodeId> faulty, sim::Adversary* adversary) {
   const LamportAgreement protocol(n, m);
   ScenarioSpec spec;
@@ -22,8 +22,10 @@ Outcome run_om(int n, int m, NodeId sender, Value v,
 }
 
 TEST(Lamport, OmZeroBroadcast) {
-  const Outcome outcome = run_om(4, 0, 0, Value::of(5), {}, nullptr);
-  for (NodeId i = 0; i < 4; ++i) EXPECT_EQ(outcome.decision_of(i), Value::of(5));
+  const sim::RunResult outcome = run_om(4, 0, 0, Value::of(5), {}, nullptr);
+  for (NodeId i = 0; i < 4; ++i) {
+    EXPECT_EQ(outcome.decisions.at(i), Value::of(5));
+  }
 }
 
 TEST(Lamport, RoundsAndMessages) {
@@ -37,14 +39,14 @@ TEST(Lamport, ToleratesOneFaultWithFourNodes) {
   for (const bool sender_faulty : {false, true}) {
     auto adversary = faults::equivocator(Value::of(1), Value::of(2));
     const std::vector<NodeId> faulty{sender_faulty ? 0 : 2};
-    const Outcome outcome =
+    const sim::RunResult outcome =
         run_om(4, 1, 0, Value::of(7), faulty, adversary.get());
     std::vector<NodeId> fault_free;
     for (NodeId i = 1; i < 4; ++i) {
       if (i != faulty[0]) fault_free.push_back(i);
     }
     EXPECT_TRUE(protocols::lamport::byzantine_agreement_holds(
-        0, Value::of(7), sender_faulty, fault_free, outcome.decisions));
+        Value::of(7), sender_faulty, fault_free, outcome.decisions));
   }
 }
 
@@ -62,11 +64,11 @@ TEST(Lamport, ExhaustiveAgreementAtClassicalBound) {
         spec.sender_value = Value::of(9);
         spec.faulty = faulty;
         auto adversary = factory.make(spec);
-        const Outcome outcome = run_om(n, m, 0, Value::of(9), faulty,
+        const sim::RunResult outcome = run_om(n, m, 0, Value::of(9), faulty,
                                        adversary.get());
         const bool sender_faulty = spec.sender_faulty();
         if (!protocols::lamport::byzantine_agreement_holds(
-                0, Value::of(9), sender_faulty, spec.fault_free_receivers(),
+                Value::of(9), sender_faulty, spec.fault_free_receivers(),
                 outcome.decisions)) {
           all_ok = false;
         }
@@ -80,11 +82,11 @@ TEST(Lamport, BreaksBeyondClassicalBound) {
   // n=4, m=1 but f=2: OM makes no promise and a split liar indeed breaks
   // agreement — the contrast motivating degradable agreement (Section 3).
   auto adversary = faults::constant_liar(Value::of(50));
-  const Outcome outcome =
+  const sim::RunResult outcome =
       run_om(4, 1, 0, Value::of(7), {2, 3}, adversary.get());
   // The lone fault-free receiver 1: majority of {7, 50, 50} = 50: a wrong,
   // non-default value — an unsafe output.
-  EXPECT_EQ(outcome.decision_of(1), Value::of(50));
+  EXPECT_EQ(outcome.decisions.at(1), Value::of(50));
 }
 
 TEST(Lamport, ThreeNodesOneTraitorImpossible) {
@@ -99,10 +101,10 @@ TEST(Lamport, ThreeNodesOneTraitorImpossible) {
       spec.sender_value = Value::of(9);
       spec.faulty = faulty;
       auto adversary = factory.make(spec);
-      const Outcome outcome =
+      const sim::RunResult outcome =
           run_om(3, 1, 0, Value::of(9), faulty, adversary.get());
       if (!protocols::lamport::byzantine_agreement_holds(
-              0, Value::of(9), spec.sender_faulty(),
+              Value::of(9), spec.sender_faulty(),
               spec.fault_free_receivers(), outcome.decisions)) {
         broken = true;
       }
@@ -118,8 +120,8 @@ TEST(Lamport, AgreesWithByzWhenNoFaults) {
   spec.config = config;
   spec.sender = 2;
   spec.sender_value = Value::of(12);
-  const Outcome byz_out = byz.run(spec, nullptr);
-  const Outcome om_out = run_om(6, 1, 2, Value::of(12), {}, nullptr);
+  const sim::RunResult byz_out = byz.run(spec, nullptr);
+  const sim::RunResult om_out = run_om(6, 1, 2, Value::of(12), {}, nullptr);
   EXPECT_EQ(byz_out.decisions, om_out.decisions);
 }
 

@@ -27,7 +27,7 @@ TEST(RelaxedTimeouts, ExactModeUnaffectedWhenFWithinM) {
   auto adversary = faults::constant_liar(Value::of(5));
   RunExtras extras;
   extras.network = &network;
-  const Outcome outcome = protocol.run(spec, adversary.get(), extras);
+  const sim::RunResult outcome = protocol.run(spec, adversary.get(), extras);
   const ConditionReport report = check_conditions(spec, outcome.decisions);
   EXPECT_EQ(report.applied, Condition::kD1);
   EXPECT_TRUE(report.satisfied) << report.detail;
@@ -59,7 +59,8 @@ TEST_P(RelaxedTimeoutSweep, DegradedConditionsSurviveFalseTimeouts) {
       auto adversary = faults::equivocator(Value::of(23), Value::of(9));
       RunExtras extras;
       extras.network = &network;
-      const Outcome outcome = protocol.run(spec, adversary.get(), extras);
+      const sim::RunResult outcome =
+          protocol.run(spec, adversary.get(), extras);
       const ConditionReport report = check_conditions(spec, outcome.decisions);
       EXPECT_EQ(report.applied,
                 sender_faulty ? Condition::kD4 : Condition::kD3);
@@ -95,9 +96,9 @@ TEST(RelaxedTimeouts, HeavyDropsPushTowardDefaultNotWrong) {
   auto adversary = faults::constant_liar(Value::of(9));
   RunExtras extras;
   extras.network = &network;
-  const Outcome outcome = protocol.run(spec, adversary.get(), extras);
+  const sim::RunResult outcome = protocol.run(spec, adversary.get(), extras);
   for (NodeId r : spec.fault_free_receivers()) {
-    const Value d = outcome.decision_of(r);
+    const Value d = outcome.decisions.at(r);
     EXPECT_TRUE(d == spec.sender_value || d.is_default())
         << "node " << r << " decided " << d.to_string();
   }
@@ -122,8 +123,8 @@ TEST(RelaxedTimeouts, ThreadedRuntimeSeesIdenticalDrops) {
     auto a2 = faults::equivocator(Value::of(3), Value::of(4));
     RunExtras e1{.network = &n1};
     RunExtras e2{.network = &n2};
-    const Outcome sim_out = protocol.run(spec, a1.get(), e1);
-    const Outcome thr_out = protocol.run_threaded(spec, a2.get(), e2);
+    const sim::RunResult sim_out = protocol.run(spec, a1.get(), e1);
+    const sim::RunResult thr_out = protocol.run_threaded(spec, a2.get(), e2);
     EXPECT_EQ(sim_out.decisions, thr_out.decisions) << "seed " << seed;
   }
 }

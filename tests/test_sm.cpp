@@ -130,7 +130,7 @@ TEST(Sm, ExhaustiveAgreementSweep) {
         spec.sender_value = Value::of(3);
         spec.faulty = faulty;
         EXPECT_TRUE(lamport::byzantine_agreement_holds(
-            0, Value::of(3), spec.sender_faulty(),
+            Value::of(3), spec.sender_faulty(),
             spec.fault_free_receivers(), result.decisions))
             << "n=" << n << " m=" << m << " " << spec.to_string();
       }

@@ -29,8 +29,8 @@ TEST(ThreadedRunner, MatchesSimulatorWithoutFaults) {
   spec.config = config;
   spec.sender = 0;
   spec.sender_value = Value::of(33);
-  const Outcome sim_out = protocol.run(spec, nullptr);
-  const Outcome thr_out = protocol.run_threaded(spec, nullptr);
+  const sim::RunResult sim_out = protocol.run(spec, nullptr);
+  const sim::RunResult thr_out = protocol.run_threaded(spec, nullptr);
   EXPECT_EQ(sim_out.decisions, thr_out.decisions);
   EXPECT_EQ(sim_out.messages_sent, thr_out.messages_sent);
   EXPECT_EQ(sim_out.messages_delivered, thr_out.messages_delivered);
@@ -48,8 +48,8 @@ TEST(ThreadedRunner, MatchesSimulatorUnderAdversaries) {
     spec.faulty = {0, 3, 5};
     auto a1 = factory.make(spec);
     auto a2 = factory.make(spec);
-    const Outcome sim_out = protocol.run(spec, a1.get());
-    const Outcome thr_out = protocol.run_threaded(spec, a2.get());
+    const sim::RunResult sim_out = protocol.run(spec, a1.get());
+    const sim::RunResult thr_out = protocol.run_threaded(spec, a2.get());
     EXPECT_EQ(sim_out.decisions, thr_out.decisions) << factory.name;
   }
 }
@@ -64,7 +64,7 @@ TEST(ThreadedRunner, ManyNodes) {
   spec.sender_value = Value::of(3);
   spec.faulty = {5, 6, 7};
   auto adversary = faults::random_noise(5, 0, 9, 0.2);
-  const Outcome outcome = protocol.run_threaded(spec, adversary.get());
+  const sim::RunResult outcome = protocol.run_threaded(spec, adversary.get());
   EXPECT_EQ(outcome.decisions.size(), 24u);
   const ConditionReport report = check_conditions(spec, outcome.decisions);
   EXPECT_TRUE(report.satisfied) << report.detail;
@@ -78,10 +78,11 @@ TEST(ThreadedRunner, RepeatedRunsAreDeterministic) {
   spec.sender = 2;
   spec.sender_value = Value::of(5);
   spec.faulty = {0, 1, 4};
-  std::map<NodeId, Value> first;
+  sim::Decisions first;
   for (int run = 0; run < 3; ++run) {
     auto adversary = faults::random_noise(9, 0, 20, 0.3);
-    const Outcome outcome = protocol.run_threaded(spec, adversary.get());
+    const sim::RunResult outcome =
+        protocol.run_threaded(spec, adversary.get());
     if (run == 0) {
       first = outcome.decisions;
     } else {

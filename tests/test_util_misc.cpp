@@ -31,10 +31,10 @@ TEST(Contracts, EnsuresThrows) {
 }
 
 TEST(OutcomeTest, DecisionOfMissingNodeThrows) {
-  Outcome outcome;
-  outcome.decisions[1] = Value::of(3);
-  EXPECT_EQ(outcome.decision_of(1), Value::of(3));
-  EXPECT_THROW((void)outcome.decision_of(2), std::logic_error);
+  sim::RunResult result;
+  result.decisions[1] = Value::of(3);
+  EXPECT_EQ(result.decisions.at(1), Value::of(3));
+  EXPECT_THROW((void)result.decisions.at(2), std::logic_error);
 }
 
 TEST(DegradableAgreementFacade, RoundsMatchDepth) {
@@ -67,6 +67,12 @@ struct CommandLine {
 };
 
 TEST(ArgReader, FormsKindsBoundariesAndRefusals) {
+  // The refusals below are death tests. An earlier test in this process
+  // may have started the threaded runtime's pool thread, and a child
+  // forked beside a live thread can hang on a lock that thread held, so
+  // each death test re-executes the binary instead of forking it as is.
+  // (`GTEST_FLAG_SET` needs gtest 1.12.)
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   int jobs = 1;
   std::uint8_t small = 0;
   double rate = 1.0;

@@ -80,15 +80,28 @@ refused --value "abc 1e3 '' 12abc -9223372036854775804 9223372036854775807" \
   "$DA_CLI" --value @
 refused --faulty "abc 1e3 99999999999 -1 99 1,1 2,x , 1,,2" \
   "$DA_CLI" --faulty @
-# Every flag in range, but the instance's EIG arenas are past the
-# engine's slot budget: refused, naming the budget, before any output.
-for nm in 23:11 30:9; do
-  run_one budget "" "$DA_CLI" --n "${nm%:*}" --m "${nm#*:}" --u "${nm#*:}"
-  if [ -s "$TMP/out" ]; then
-    echo "FAIL (output before the refusal): $DA_CLI --n ${nm%:*}"
-    failures=$((failures + 1))
-  fi
-done
+# Every flag in range, but the engine cannot run the instance: refused,
+# naming the limit, before any output. NAME N:M... runs `--n N --m M
+# --u M` for each pair.
+refused_config() {
+  name=$1
+  shift
+  for nm in "$@"; do
+    run_one "$name" "" "$DA_CLI" --n "${nm%:*}" --m "${nm#*:}" --u "${nm#*:}"
+    if [ -s "$TMP/out" ]; then
+      echo "FAIL (output before the refusal): $DA_CLI --n ${nm%:*}" \
+        "--m ${nm#*:}"
+      failures=$((failures + 1))
+    fi
+  done
+}
+# Arenas past the slot budget. For each m in 4..11, the smallest n >= 2m+1
+# (the engine's quorum floor) with Config::engine_slots() >
+# kEngineSlotBudget; m = 2 and 3 stay within the budget up to n = 64.
+refused_config budget 30:4 19:5 14:6 15:7 17:8 19:9 21:10 23:11 30:9
+# For m in 7..11 the smallest over-budget n lies below that floor, which
+# refuses it first.
+refused_config 2m+1 12:7 11:8 11:9 11:10 12:11
 
 # service_demo.
 for flag in --rate --period --deadline --sample-every; do
