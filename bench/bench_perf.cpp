@@ -576,31 +576,29 @@ da::service::FrontendConfig span_stream_config() {
   return config;
 }
 
-// Span export: `spans_to_jsonl` over the span stream above. range(0)=0
-// exports the run's canonical vector (one O(n) order check, then the
-// writer); range(0)=1 exports it reversed, so the export merges into
-// canonical order first.
+// Span export: `spans_to_jsonl` of the span stream above, the run's
+// canonical set, each line written straight from its record. A set is
+// canonical by construction, so no input needs merging first; the
+// argument 0 only keeps the row's name.
 void BM_SpansToJsonl(benchmark::State& state) {
-  std::vector<da::obs::Span> spans =
+  const da::obs::SpanSet spans =
       da::service::run_frontend(span_stream_config()).spans;
-  if (state.range(0) != 0) std::reverse(spans.begin(), spans.end());
   std::size_t bytes = 0;
   for (auto _ : state) {
     const std::string out = da::obs::spans_to_jsonl(spans);
     bytes = out.size();
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetLabel(state.range(0) != 0 ? "reversed" : "canonical");
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes));
   state.counters["spans"] = static_cast<double>(spans.size());
 }
-BENCHMARK(BM_SpansToJsonl)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SpansToJsonl)->Arg(0)->Unit(benchmark::kMillisecond);
 
-// The run's span merge: `merge_canonical` of the span stream above, split
+// The run's span merge: `SpanSet::merge` of the span stream above, split
 // back into its four shards' span logs, each in end-time order — the
-// order a shard records its spans in — into one canonical vector, with
-// the key scratch kept across iterations as the service keeps it.
+// order a shard records its spans in — into one canonical set, with the
+// key scratch kept across iterations as the service keeps it.
 void BM_SpanMerge(benchmark::State& state) {
   const da::service::FrontendResult result =
       da::service::run_frontend(span_stream_config());
@@ -615,19 +613,13 @@ void BM_SpanMerge(benchmark::State& state) {
   for (std::size_t s = 0; s < shards.size(); ++s) {
     std::stable_sort(shards[s].begin(), shards[s].end(),
                      [](const auto& a, const auto& b) { return a.t1 < b.t1; });
-    for (const da::obs::Span& span : shards[s]) {
-      logs[s].add(span.ref(), span.t0, span.t1);
-      for (const auto& [key, value] : span.tags) {
-        logs[s].tag(*da::obs::SpanTagKey::find(key), value);
-      }
-    }
+    for (const da::obs::Span& span : shards[s]) logs[s].add(span);
     runs.push_back(&logs[s]);
   }
   std::vector<da::obs::SpanKey> keys;
   for (auto _ : state) {
-    const std::vector<da::obs::Span> merged =
-        da::obs::merge_canonical(runs, keys);
-    benchmark::DoNotOptimize(merged.data());
+    const da::obs::SpanSet merged = da::obs::SpanSet::merge(runs, keys);
+    benchmark::DoNotOptimize(&merged);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(result.spans.size()));
@@ -737,8 +729,13 @@ void register_sweep_benchmarks(int jobs) {
                                                BM_ServiceThroughput);
   auto* frontend = benchmark::RegisterBenchmark("BM_FrontendThroughput",
                                                 BM_FrontendThroughput);
+  // They run on the pool: the wall clock and the process's CPU time, not
+  // the main thread's.
   for (auto* bench : {behaviour, family, service, frontend}) {
-    bench->Unit(benchmark::kMillisecond)->Arg(1);
+    bench->Unit(benchmark::kMillisecond)
+        ->UseRealTime()
+        ->MeasureProcessCPUTime()
+        ->Arg(1);
     if (jobs > 1) bench->Arg(jobs);
   }
 }
@@ -765,13 +762,13 @@ int verify_analytic_counts() {
     const da::DegradableAgreement protocol(config);
     const auto spec = make_spec(config, 0);  // fault-free: no omissions
     const std::uint64_t before = registry.counter_value("sim.messages_sent");
-    const auto outcome = protocol.run(spec, nullptr);
+    const auto result = protocol.run(spec, nullptr);
     const std::uint64_t delta =
         registry.counter_value("sim.messages_sent") - before;
     const std::uint64_t analytic =
         da::core::byz_message_count(n, m);
     check("BYZ", n, m, delta, analytic);
-    check("BYZ(outcome)", n, m, outcome.messages_sent, analytic);
+    check("BYZ(RunResult)", n, m, result.messages_sent, analytic);
   }
 
   for (const int n : {4, 7}) {

@@ -65,13 +65,13 @@ std::vector<Span> load_spans(const char* path) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  auto spans = da::obs::read_spans_jsonl(buf.str());
+  const auto spans = da::obs::read_spans_jsonl(buf.str());
   if (!spans.has_value()) {
     std::fprintf(stderr, "span_inspect: %s: %s\n", path,
                  spans.error().to_string().c_str());
     std::exit(1);
   }
-  return std::move(*spans);
+  return {spans->begin(), spans->end()};
 }
 
 std::int64_t tag_of(const Span& span, const char* key, std::int64_t fallback) {
@@ -325,10 +325,10 @@ int run_check(const std::vector<Span>& spans) {
   }
   constexpr double kEps = 1e-9;
   for (const Span& s : spans) {
-    if (s.parent.empty()) continue;
-    const auto it = by_id.find(identity_key(s.parent));
+    if (s.parent().empty()) continue;
+    const auto it = by_id.find(identity_key(s.parent()));
     if (it == by_id.end()) {
-      fail("unresolvable parent " + s.parent.id() + " of " + s.id());
+      fail("unresolvable parent " + s.parent().id() + " of " + s.id());
       continue;
     }
     const Span& p = *it->second;
@@ -341,7 +341,7 @@ int run_check(const std::vector<Span>& spans) {
     std::printf("check: OK (%zu spans, %zu roots)\n", spans.size(),
                 static_cast<std::size_t>(std::count_if(
                     spans.begin(), spans.end(),
-                    [](const Span& s) { return s.parent.empty(); })));
+                    [](const Span& s) { return s.parent().empty(); })));
     return 0;
   }
   std::fprintf(stderr, "check: %d error(s)\n", errors);

@@ -25,41 +25,12 @@ constexpr SpanTagKey kRule0 = "rule0";
 static_assert(kSpanTagKeys[kRule0.index() + SpanTags::kCapacity - 1] ==
               "rule7");
 
-constexpr auto kNoRank = static_cast<std::uint8_t>(SpanKind::kNone);
-
-/// A name's slot in kRankBySlot, from its first and third letters: every
-/// vocabulary name has three, and no two share a slot.
-constexpr std::size_t name_slot(std::string_view name) {
-  return (static_cast<std::size_t>(static_cast<unsigned char>(name[0])) * 4 +
-          static_cast<unsigned char>(name[2])) &
-         31;
-}
-
-constexpr std::array<std::uint8_t, 32> kRankBySlot = [] {
-  std::array<std::uint8_t, 32> table{};
-  table.fill(kNoRank);
-  for (std::size_t i = 0; i < kSpanNames.size(); ++i) {
-    // A throw is ill-formed in a constant expression: a clash fails the
-    // build.
-    if (table[name_slot(kSpanNames[i])] != kNoRank) throw "slot clash";
-    table[name_slot(kSpanNames[i])] = static_cast<std::uint8_t>(i);
-  }
-  return table;
-}();
-
-/// Lifecycle rank: the index in kSpanNames (names outside it sort last),
-/// in one table lookup and one comparison.
-int name_rank(std::string_view name) {
-  if (name.size() < 3) return kNoRank;
-  const std::uint8_t rank = kRankBySlot[name_slot(name)];
-  return rank != kNoRank && kSpanNames[rank] == name ? rank : kNoRank;
-}
-
-/// The kind spelled `text`, or nullopt for a name outside the vocabulary.
+/// The kind spelled `text` (its index in kSpanNames, its lifecycle
+/// rank), or nullopt for a name outside the vocabulary.
 std::optional<SpanKind> span_kind(std::string_view text) {
-  const int rank = name_rank(text);
-  if (rank == static_cast<int>(SpanKind::kNone)) return std::nullopt;
-  return static_cast<SpanKind>(rank);
+  const auto* it = std::find(kSpanNames.begin(), kSpanNames.end(), text);
+  if (it == kSpanNames.end()) return std::nullopt;
+  return static_cast<SpanKind>(it - kSpanNames.begin());
 }
 
 /// A double's bits mapped so that unsigned order is IEEE total order:
@@ -70,52 +41,32 @@ std::uint64_t ordered(double d) {
   return (u >> 63) != 0 ? ~u : u | (std::uint64_t{1} << 63);
 }
 
-/// Canonical order, head part: (t0, job, sub, lifecycle rank, round),
-/// compared field by field so the name is ranked only on a tie.
-std::strong_ordering compare_head(const Span& a, const Span& b) {
-  if (const auto c = ordered(a.t0) <=> ordered(b.t0); c != 0) return c;
-  if (const auto c = std::tie(a.job, a.sub) <=> std::tie(b.job, b.sub);
-      c != 0) {
-    return c;
-  }
-  return std::tuple(name_rank(a.name), a.round) <=>
-         std::tuple(name_rank(b.name), b.round);
-}
+using Record = SpanRecords::Record;
 
-SpanTags sorted_copy(SpanTags tags) {
-  tags.sort();
-  return tags;
-}
-
-/// The rest of a span, so that the order is total: only spans with equal
-/// identities and start times (duplicate ids) ever get this far. Tags
-/// compare sorted, so the order does not depend on the order they were
-/// added in.
-std::strong_ordering compare_tail(const Span& a, const Span& b) {
-  const auto tail = [](const Span& s) {
-    return std::tuple(s.name, ordered(s.t1), s.parent.kind, s.parent.job,
-                      s.parent.sub, s.parent.round);
+/// Canonical order on records, field by field: (t0, job, sub, lifecycle
+/// rank, round), then t1 and the sorted tags, so that the order is total.
+/// A record's parent is implied by its kind, job and sub, so it orders
+/// nothing the head does not.
+bool before(const SpanRecords& a, std::size_t i, const SpanRecords& b,
+            std::size_t j) {
+  const auto fields = [](const Record& r) {
+    return std::tuple(ordered(r.t0), r.job, r.sub, r.kind, r.round,
+                      ordered(r.t1));
   };
-  if (const auto c = tail(a) <=> tail(b); c != 0) return c;
-  return sorted_copy(a.tags) <=> sorted_copy(b.tags);
+  if (const auto c = fields(a.records[i]) <=> fields(b.records[j]); c != 0) {
+    return c < 0;
+  }
+  const auto sorted_tags = [](const SpanRecords& set, std::size_t k) {
+    SpanTags tags = set.span(k).tags;
+    tags.sort();
+    return tags;
+  };
+  return sorted_tags(a, i) < sorted_tags(b, j);
 }
 
-bool before(const Span& a, const Span& b) {
-  if (const auto c = compare_head(a, b); c != 0) return c < 0;
-  return compare_tail(a, b) < 0;
-}
-
-/// True when `spans` is already in canonical export order with every
-/// span's tags sorted — one O(n) pass.
-bool is_canonical(const std::vector<Span>& spans) {
-  return std::all_of(spans.begin(), spans.end(),
-                     [](const Span& s) { return s.tags.sorted(); }) &&
-         std::is_sorted(spans.begin(), spans.end(), before);
-}
-
-/// The head's identity (job, sub, lifecycle rank, round) packed into 64
-/// bits in compare order, so that packs compare as `compare_head` does
-/// after t0. A field in [-1, 2^bits - 4] packs to value + 2; one outside
+/// A record's identity (job, sub, lifecycle rank, round) packed into 64
+/// bits in compare order, so that packs compare as `before` does after
+/// t0. A field in [-1, 2^bits - 4] packs to value + 2; one outside
 /// packs to an end code (0 or 2^bits - 1) and ends the pack, the later
 /// fields left 0. So the pack never inverts the order: it can only tie
 /// two different heads, and a tie falls back to the full compare. Every
@@ -137,32 +88,38 @@ std::uint64_t packed_identity(std::int64_t job, int sub, int rank,
   return pack;
 }
 
-SpanKey key_of(double t0, std::int64_t job, int sub, int rank, int round,
-               std::size_t run, std::size_t index) {
-  DA_EXPECTS(index <= std::numeric_limits<std::uint32_t>::max());
-  return {ordered(t0), packed_identity(job, sub, rank, round),
-          static_cast<std::uint32_t>(run), static_cast<std::uint32_t>(index)};
-}
-
-/// The one sort behind every merge: sorts `keys` by their two integers,
-/// comparing the spans they name (`span_at(key)`) only where both tie,
-/// then builds each span once, tags sorted, in that order.
-template <typename SpanAt>
-std::vector<Span> merge_keys(std::vector<SpanKey>& keys,
-                             const SpanAt& span_at) {
-  std::sort(keys.begin(), keys.end(),
-            [&span_at](const SpanKey& a, const SpanKey& b) {
-              if (a.t0 != b.t0) return a.t0 < b.t0;
-              if (a.identity != b.identity) return a.identity < b.identity;
-              return before(span_at(a), span_at(b));
-            });
-  std::vector<Span> merged;
-  merged.reserve(keys.size());
-  for (const SpanKey& key : keys) {
-    merged.push_back(span_at(key));
-    merged.back().tags.sort();
+/// Sorts `keys` by (t0, identity), stably: a least-significant-digit
+/// radix sort over the 16 key bytes, through a second buffer in the back
+/// half of the vector, skipping each byte every key shares (a run's
+/// identities use few bits). A shard's log is far from sorted (a
+/// front-end shard's records ascend in t0 for 2.2 at a time), so there
+/// are no sorted runs to merge; these passes beat `std::sort` on the
+/// merge's rung (`BM_SpanMerge`).
+void sort_keys(std::vector<SpanKey>& keys) {
+  const std::size_t n = keys.size();
+  if (n < 2) return;
+  constexpr int kBytes = 16;
+  const auto byte = [](const SpanKey& k, int d) {
+    const std::uint64_t word = d < 8 ? k.identity : k.t0;
+    return static_cast<std::size_t>((word >> (8 * (d % 8))) & 0xff);
+  };
+  std::array<std::array<std::uint32_t, 256>, kBytes> counts{};
+  for (const SpanKey& k : keys) {
+    for (int d = 0; d < kBytes; ++d) ++counts[d][byte(k, d)];
   }
-  return merged;
+  keys.resize(2 * n);
+  SpanKey* from = keys.data();
+  SpanKey* to = keys.data() + n;
+  for (int d = 0; d < kBytes; ++d) {
+    std::array<std::uint32_t, 256>& count = counts[d];
+    if (count[byte(from[0], d)] == n) continue;
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : count) offset += std::exchange(c, offset);
+    for (std::size_t i = 0; i < n; ++i) to[count[byte(from[i], d)]++] = from[i];
+    std::swap(from, to);
+  }
+  if (from != keys.data()) std::copy(from, from + n, keys.data());
+  keys.resize(n);
 }
 
 // ---------------------------------------------------------- rendering --
@@ -242,50 +199,37 @@ class RenderedDoubles {
 };
 
 /// One export line: the compact JSON of the record {id, name, job, sub,
-/// round, t0, t1, parent, tags}. Vocabulary names need no escaping, so
-/// none is done.
-char* put_span_line(char* p, const Span& s, RenderedDoubles& doubles) {
-  const SpanRef self = s.ref();
-  DA_EXPECTS(!self.empty());  // the name is in kSpanNames
+/// round, t0, t1, parent, tags}, read from `set`'s record `i`. Vocabulary
+/// names need no escaping, so none is done.
+char* put_span_line(char* p, const SpanRecords& set, std::size_t i,
+                    RenderedDoubles& doubles) {
+  const Record& rec = set.records[i];
+  const SpanRef self{rec.kind, rec.job, rec.sub, rec.round};
   p = put(p, "{\"id\":\"");
   p = put_id(p, self);
   p = put(p, "\",\"name\":\"");
   p = put(p, self.name());
   p = put(p, "\",\"job\":");
-  p = put_int(p, s.job);
+  p = put_int(p, rec.job);
   p = put(p, ",\"sub\":");
-  p = put_int(p, s.sub);
+  p = put_int(p, rec.sub);
   p = put(p, ",\"round\":");
-  p = put_int(p, s.round);
+  p = put_int(p, rec.round);
   p = put(p, ",\"t0\":");
-  p = doubles.put_double(p, s.t0);
+  p = doubles.put_double(p, rec.t0);
   p = put(p, ",\"t1\":");
-  p = doubles.put_double(p, s.t1);
+  p = doubles.put_double(p, rec.t1);
   p = put(p, ",\"parent\":\"");
-  p = put_id(p, s.parent);
+  p = put_id(p, self.parent());
   p = put(p, "\",\"tags\":{");
-  for (std::size_t i = 0; i < s.tags.size(); ++i) {
-    if (i != 0) *p++ = ',';
+  for (std::size_t t = rec.first_tag; t < rec.first_tag + rec.tags; ++t) {
+    if (t != rec.first_tag) *p++ = ',';
     *p++ = '"';
-    p = put(p, s.tags[i].first);
+    p = put(p, kSpanTagKeys[set.tag_keys[t]]);
     p = put(p, "\":");
-    p = put_int(p, s.tags[i].second);
+    p = put_int(p, set.tag_values[t]);
   }
   return put(p, "}}\n");
-}
-
-/// Appends the lines of `spans` to `out` in their current order.
-void write_lines(std::string& out, std::span<const Span> spans) {
-  std::size_t used = out.size();
-  // Lines average ~160 bytes; the first sizing covers nearly every export.
-  out.resize(used + spans.size() * 176 + kMaxLine);
-  RenderedDoubles doubles;
-  for (const Span& s : spans) {
-    if (out.size() - used < kMaxLine) out.resize(2 * out.size());
-    used = static_cast<std::size_t>(
-        put_span_line(out.data() + used, s, doubles) - out.data());
-  }
-  out.resize(used);
 }
 
 }  // namespace
@@ -314,26 +258,20 @@ std::string SpanRef::id() const {
   return {buf, put_id(buf, *this)};
 }
 
-std::optional<SpanRef> SpanRef::parse(std::string_view id) {
-  std::size_t end = std::min(id.find_first_of(":.#"), id.size());
-  const std::optional<SpanKind> kind = span_kind(id.substr(0, end));
-  if (!kind) return std::nullopt;
-  SpanRef ref;
-  ref.kind = *kind;
-  // Decode the optional :job, .sub and #round parts, then accept only an
-  // id that renders back to itself (no sign, no leading zero, no junk).
-  const auto part = [&](char mark, auto& out) {
-    if (end == id.size() || id[end] != mark) return;
-    const std::size_t next =
-        std::min(id.find_first_of(":.#", end + 1), id.size());
-    (void)parse_number(id.substr(end + 1, next - end - 1), out);
-    end = next;
-  };
-  part(':', ref.job);
-  part('.', ref.sub);
-  part('#', ref.round);
-  if (ref.id() != id) return std::nullopt;
-  return ref;
+SpanRef SpanRef::parent() const {
+  switch (kind) {
+    case SpanKind::kQueue:
+    case SpanKind::kInst:
+    case SpanKind::kDecide:
+      return {SpanKind::kJob, job};
+    case SpanKind::kRound:
+    case SpanKind::kRecycle:
+      return {SpanKind::kInst, job, sub};
+    case SpanKind::kJob:
+    case SpanKind::kNone:
+      break;
+  }
+  return {};
 }
 
 SpanTags::SpanTags(std::initializer_list<value_type> tags) {
@@ -367,13 +305,6 @@ void SpanTags::sort() {
   }
 }
 
-bool SpanTags::sorted() const {
-  for (std::size_t i = 1; i < size_; ++i) {
-    if (item(i - 1) > item(i)) return false;
-  }
-  return true;
-}
-
 bool operator==(const SpanTags& a, const SpanTags& b) {
   return (a <=> b) == 0;
 }
@@ -385,18 +316,8 @@ std::strong_ordering operator<=>(const SpanTags& a, const SpanTags& b) {
   return a.size_ <=> b.size_;
 }
 
-void SpanLog::refuse(const char* condition) {
-  detail::contract_failure("precondition", condition, __FILE__, __LINE__);
-}
-
-void SpanLog::clear() {
-  records_.clear();
-  tag_values_.clear();
-  tag_keys_.clear();
-}
-
-Span SpanLog::span(std::size_t i) const {
-  const Record& rec = records_[i];
+Span SpanRecords::span(std::size_t i) const {
+  const Record& rec = records[i];
   Span s;
   s.name = kSpanNames[static_cast<std::size_t>(rec.kind)];
   s.job = rec.job;
@@ -404,45 +325,51 @@ Span SpanLog::span(std::size_t i) const {
   s.round = rec.round;
   s.t0 = rec.t0;
   s.t1 = rec.t1;
-  // The service's tree: queue, inst and decide hang off their job; round
-  // and recycle off their instance.
-  switch (rec.kind) {
-    case SpanKind::kQueue:
-    case SpanKind::kInst:
-    case SpanKind::kDecide:
-      s.parent = {SpanKind::kJob, rec.job};
-      break;
-    case SpanKind::kRound:
-    case SpanKind::kRecycle:
-      s.parent = {SpanKind::kInst, rec.job, rec.sub};
-      break;
-    case SpanKind::kJob:
-    case SpanKind::kNone:
-      break;
-  }
-  // A whole array's worth where the pool has it: fixed-size copies are
-  // a few moves, where copies sized to the span are calls. Entries past
-  // `size_` are never read.
-  if (rec.first_tag + SpanTags::kCapacity <= tag_keys_.size()) {
-    std::memcpy(s.tags.keys_.data(), tag_keys_.data() + rec.first_tag,
-                sizeof s.tags.keys_);
-    std::memcpy(s.tags.values_.data(), tag_values_.data() + rec.first_tag,
-                sizeof s.tags.values_);
-  } else {
-    for (std::size_t t = 0; t < rec.tags; ++t) {
-      s.tags.keys_[t] = tag_keys_[rec.first_tag + t];
-      s.tags.values_[t] = tag_values_[rec.first_tag + t];
-    }
+  for (std::size_t t = 0; t < rec.tags; ++t) {
+    s.tags.keys_[t] = tag_keys[rec.first_tag + t];
+    s.tags.values_[t] = tag_values[rec.first_tag + t];
   }
   s.tags.size_ = rec.tags;
   return s;
 }
 
-std::vector<Span> SpanLog::spans() const {
-  std::vector<Span> out;
-  out.reserve(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) out.push_back(span(i));
-  return out;
+void SpanRecords::append_sorted(const SpanRecords& from, std::size_t i) {
+  Record rec = from.records[i];
+  const std::size_t first = tag_keys.size();
+  for (std::size_t t = rec.first_tag; t < rec.first_tag + rec.tags; ++t) {
+    // Insertion sort on (key index, value) as the tags arrive: a span
+    // holds at most kCapacity of them, usually nearly in order.
+    const std::pair item(from.tag_keys[t], from.tag_values[t]);
+    tag_keys.push_back(item.first);
+    tag_values.push_back(item.second);
+    std::size_t j = tag_keys.size() - 1;
+    for (; j > first && std::pair(tag_keys[j - 1], tag_values[j - 1]) > item;
+         --j) {
+      tag_keys[j] = tag_keys[j - 1];
+      tag_values[j] = tag_values[j - 1];
+    }
+    tag_keys[j] = item.first;
+    tag_values[j] = item.second;
+  }
+  rec.first_tag = static_cast<std::uint32_t>(first);
+  records.push_back(rec);
+}
+
+void SpanLog::refuse(const char* condition) {
+  detail::contract_failure("precondition", condition, __FILE__, __LINE__);
+}
+
+void SpanLog::add(const Span& span) {
+  add(span.ref(), span.t0, span.t1);
+  for (const auto& [key, value] : span.tags) {
+    tag(SpanTagKey::find(key).value(), value);
+  }
+}
+
+void SpanLog::clear() {
+  log_.records.clear();
+  log_.tag_values.clear();
+  log_.tag_keys.clear();
 }
 
 SpanRef Span::ref() const {
@@ -479,10 +406,8 @@ Parsed<Span> Span::from_json(const Json& j) {
   }
   const std::string* parent = string("parent");
   if (parent == nullptr) return bad;
-  if (!parent->empty()) {
-    const std::optional<SpanRef> ref = SpanRef::parse(*parent);
-    if (!ref) return fail(ParseKind::kBadParent, "parent is not a span id");
-    s.parent = *ref;
+  if (*parent != s.parent().id()) {
+    return fail(ParseKind::kBadParent, "parent is not the span's tree parent");
   }
   const Json* tags = j.find("tags");
   if (tags == nullptr || !tags->is_object()) return bad;
@@ -506,74 +431,91 @@ Parsed<Span> Span::from_json(const Json& j) {
   return s;
 }
 
-std::vector<Span> merge_canonical(std::span<const std::span<const Span>> runs) {
-  std::size_t total = 0;
-  for (const std::span<const Span> run : runs) total += run.size();
-  std::vector<SpanKey> keys;
-  keys.reserve(total);
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    for (std::size_t i = 0; i < runs[r].size(); ++i) {
-      const Span& s = runs[r][i];
-      keys.push_back(
-          key_of(s.t0, s.job, s.sub, name_rank(s.name), s.round, r, i));
-    }
-  }
-  return merge_keys(keys, [runs](const SpanKey& key) -> const Span& {
-    return runs[key.run][key.index];
-  });
-}
-
-std::vector<Span> merge_canonical(std::span<const SpanLog* const> logs,
-                                  std::vector<SpanKey>& keys) {
+SpanSet SpanSet::merge(std::span<const SpanLog* const> logs,
+                       std::vector<SpanKey>& keys) {
   keys.clear();
+  std::size_t tags = 0;
   for (std::size_t r = 0; r < logs.size(); ++r) {
-    const std::vector<SpanLog::Record>& records = logs[r]->records_;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const SpanLog::Record& rec = records[i];
-      keys.push_back(key_of(rec.t0, rec.job, rec.sub,
-                            static_cast<int>(rec.kind), rec.round, r, i));
+    const SpanRecords& log = logs[r]->log_;
+    DA_EXPECTS(log.records.size() <= std::numeric_limits<std::uint32_t>::max());
+    for (std::size_t i = 0; i < log.records.size(); ++i) {
+      const Record& rec = log.records[i];
+      keys.push_back({ordered(rec.t0),
+                      packed_identity(rec.job, rec.sub,
+                                      static_cast<int>(rec.kind), rec.round),
+                      static_cast<std::uint32_t>(r),
+                      static_cast<std::uint32_t>(i)});
     }
+    tags += log.tag_keys.size();
   }
-  return merge_keys(keys, [logs](const SpanKey& key) {
-    return logs[key.run]->span(key.index);
-  });
+  // The sort counts keys, and a set's record addresses its tags, with 32
+  // bits.
+  DA_EXPECTS(keys.size() <= std::numeric_limits<std::uint32_t>::max() &&
+             tags <= SpanLog::kMaxTags);
+  sort_keys(keys);
+  // Keys tie only on duplicate identities or fields outside the packed
+  // range: order each tied stretch field by field.
+  const auto packed = [](const SpanKey& k) {
+    return std::pair(k.t0, k.identity);
+  };
+  for (auto first = keys.begin(); first != keys.end();) {
+    const auto last = std::find_if(first + 1, keys.end(), [&](const SpanKey& k) {
+      return packed(k) != packed(*first);
+    });
+    if (last - first > 1) {
+      std::sort(first, last, [logs](const SpanKey& a, const SpanKey& b) {
+        return before(logs[a.run]->log_, a.index, logs[b.run]->log_, b.index);
+      });
+    }
+    first = last;
+  }
+  SpanSet set;
+  set.set_.records.reserve(keys.size());
+  set.set_.tag_keys.reserve(tags);
+  set.set_.tag_values.reserve(tags);
+  for (const SpanKey& key : keys) {
+    set.set_.append_sorted(logs[key.run]->log_, key.index);
+  }
+  return set;
 }
 
-void canonicalize(std::vector<Span>& spans) {
-  const std::span<const Span> run(spans);
-  spans = merge_canonical({&run, 1});
-}
-
-std::string spans_to_jsonl(const std::vector<Span>& spans) {
+std::string spans_to_jsonl(const SpanSet& spans) {
+  const SpanRecords& set = spans.set_;
   std::string out;
-  if (is_canonical(spans)) {
-    write_lines(out, spans);
-  } else {
-    const std::span<const Span> run(spans);
-    write_lines(out, merge_canonical({&run, 1}));
+  // Lines average ~160 bytes; the first sizing covers nearly every export.
+  out.resize(set.records.size() * 176 + kMaxLine);
+  std::size_t used = 0;
+  RenderedDoubles doubles;
+  for (std::size_t i = 0; i < set.records.size(); ++i) {
+    if (out.size() - used < kMaxLine) out.resize(2 * out.size());
+    used = static_cast<std::size_t>(
+        put_span_line(out.data() + used, set, i, doubles) - out.data());
   }
+  out.resize(used);
   return out;
 }
 
-Parsed<std::vector<Span>> read_spans_jsonl(std::string_view text) {
-  std::vector<Span> spans;
+Parsed<SpanSet> read_spans_jsonl(std::string_view text) {
+  SpanLog log;
   TextCursor in(text);
   while (in.next_line()) {
     Parsed<Json> j = Json::parse(in.line());
     if (!j) return in.on_line(j.error());
     Parsed<Span> s = Span::from_json(*j);
     if (!s) return in.on_line(s.error());
-    spans.push_back(*s);
+    log.add(*s);
   }
-  // Re-exporting sorts spans and tags, so this one comparison also
-  // rejects a file out of canonical order.
+  // The set sorts spans and tags, so this one comparison of its export
+  // also rejects a file out of canonical order.
+  const SpanLog* const logs[] = {&log};
+  std::vector<SpanKey> keys;
+  SpanSet spans = SpanSet::merge(logs, keys);
   const std::string canonical = spans_to_jsonl(spans);
   if (canonical != text) return not_canonical(text, canonical);
   return spans;
 }
 
-bool write_spans_jsonl(const std::vector<Span>& spans,
-                       const std::string& file_path) {
+bool write_spans_jsonl(const SpanSet& spans, const std::string& file_path) {
   std::ofstream out(file_path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
   out << spans_to_jsonl(spans);

@@ -31,12 +31,18 @@ namespace da::obs {
 ///   │  └─ recycle <id>/<sub>       slot returned to the pool
 ///   └─ decide <id>                 the job's decision instant
 ///
-/// A span is plain data: its name is a `string_view` into static storage
-/// (the fixed vocabulary below), its parent is a stored identity, and its
-/// tags live in an inline array keyed by a static key table. The service
-/// records into a `SpanLog` of compact records instead, which it keeps
-/// across runs; a run builds each `Span` once, in canonical order, when
-/// it merges its shards' logs. Ids and JSON are rendered only at export.
+/// One record type carries a span from recording to export:
+///
+///   SpanLog (per shard, emission order) --merge_canonical--> SpanSet
+///   (per run, canonical order) --spans_to_jsonl--> JSONL
+///
+/// A record is compact (kind byte, identity, window; tags in a shared
+/// pool) and its parent is implied by its kind, per the tree above. The
+/// service keeps its log across runs; a run gathers its shards' records
+/// into one canonical set, and the export writes each line straight from
+/// a record. A `Span` is the plain-data view of one record, built on
+/// demand when a set is iterated. Ids and JSON are rendered only at
+/// export.
 
 /// The span vocabulary in lifecycle order: spans sharing a start instant
 /// sort parents before the children they caused.
@@ -112,20 +118,49 @@ struct SpanRef {
   /// empty.
   [[nodiscard]] std::string id() const;
 
-  /// Parses a rendered id over the span vocabulary. Only the canonical
-  /// spelling (no sign, no leading zeros) is accepted, so
-  /// `parse(id)->id() == id` whenever parsing succeeds.
-  [[nodiscard]] static std::optional<SpanRef> parse(std::string_view id);
+  /// The parent in the service's tree, implied by the kind: queue, inst
+  /// and decide hang off `job:<job>`, round and recycle off
+  /// `inst:<job>.<sub>`; a job span (or an empty ref) is a root.
+  [[nodiscard]] SpanRef parent() const;
 
   friend bool operator==(const SpanRef&, const SpanRef&) = default;
 };
 
+/// An input iterator that yields `(*container)[i]` by value: SpanTags and
+/// SpanSet build their elements as they are read.
+template <typename Container, typename Value>
+class IndexIterator {
+ public:
+  using iterator_category = std::input_iterator_tag;
+  using value_type = Value;
+  using difference_type = std::ptrdiff_t;
+  using reference = Value;
+  using pointer = void;
+
+  IndexIterator() = default;
+  IndexIterator(const Container* container, std::size_t i)
+      : container_(container), i_(i) {}
+  Value operator*() const { return (*container_)[i_]; }
+  IndexIterator& operator++() {
+    ++i_;
+    return *this;
+  }
+  IndexIterator operator++(int) {
+    IndexIterator before = *this;
+    ++i_;
+    return before;
+  }
+  friend bool operator==(const IndexIterator&,
+                         const IndexIterator&) = default;
+
+ private:
+  const Container* container_ = nullptr;
+  std::size_t i_ = 0;
+};
+
 /// Up to `kCapacity` (key, int64) tags inline. A key is stored as its
 /// index in kSpanTagKeys and read back as a view of that static table, so
-/// a span holds no strings and copying one copies no heap memory. One
-/// byte per key keeps a Span at 152 bytes (280 with a `string_view` per
-/// key). A run builds its Spans once, from its shards' compact logs, so a
-/// front-end run's ~12k spans exist as Spans only in its result.
+/// a span holds no strings and copying one copies no heap memory.
 class SpanTags {
  public:
   using value_type = std::pair<std::string_view, std::int64_t>;
@@ -136,33 +171,7 @@ class SpanTags {
   static constexpr std::size_t kCapacity = 8;
 
   /// Yields (key, value) pairs by value.
-  class const_iterator {
-   public:
-    using iterator_category = std::input_iterator_tag;
-    using value_type = SpanTags::value_type;
-    using difference_type = std::ptrdiff_t;
-    using reference = value_type;
-    using pointer = void;
-
-    const_iterator() = default;
-    const_iterator(const SpanTags* tags, std::size_t i) : tags_(tags), i_(i) {}
-    value_type operator*() const { return (*tags_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator before = *this;
-      ++i_;
-      return before;
-    }
-    friend bool operator==(const const_iterator&,
-                           const const_iterator&) = default;
-
-   private:
-    const SpanTags* tags_ = nullptr;
-    std::size_t i_ = 0;
-  };
+  using const_iterator = IndexIterator<SpanTags, value_type>;
 
   SpanTags() = default;
   /// Every key must be in kSpanTagKeys (a contract failure otherwise).
@@ -189,7 +198,6 @@ class SpanTags {
 
   /// Sorts the tags by key (then value).
   void sort();
-  [[nodiscard]] bool sorted() const;
 
   friend bool operator==(const SpanTags& a, const SpanTags& b);
   /// Lexicographic over (key, value) pairs.
@@ -197,7 +205,7 @@ class SpanTags {
                                           const SpanTags& b);
 
  private:
-  friend class SpanLog;  // builds a span's tags from its pool
+  friend struct SpanRecords;  // moves tags between Spans and the pool
 
   [[noreturn]] static void overflow();
   [[nodiscard]] std::pair<std::uint8_t, std::int64_t> item(
@@ -217,11 +225,12 @@ struct Span {
   int round = -1;         // round index; -1 when n/a
   double t0 = 0.0;        // virtual time
   double t1 = 0.0;
-  SpanRef parent;         // identity of the parent span; empty = root
-  SpanTags tags;          // sorted by key once canonical
+  SpanTags tags;          // sorted by key in a SpanSet
 
   /// This span's identity (kind kNone if `name` is not in the vocabulary).
   [[nodiscard]] SpanRef ref() const;
+  /// Its parent in the service's tree (`SpanRef::parent`); empty = root.
+  [[nodiscard]] SpanRef parent() const { return ref().parent(); }
 
   /// Deterministic span id derived from identity, never from a counter:
   /// name[:job][.sub][#round].
@@ -230,7 +239,8 @@ struct Span {
   /// Decodes one span record (names and keys resolved to the static
   /// vocabulary). The error has no position; its kind is kBadValue (a
   /// field missing, mistyped or out of range), kUnknownName,
-  /// kTooManyTags, kUnknownTagKey, kIdMismatch or kBadParent.
+  /// kTooManyTags, kUnknownTagKey, kIdMismatch or kBadParent (the parent
+  /// is not the span's tree parent).
   [[nodiscard]] static Parsed<Span> from_json(const Json& j);
 
   friend bool operator==(const Span&, const Span&) = default;
@@ -238,7 +248,7 @@ struct Span {
 
 /// A span's place in canonical order as a merge sorts it: the ordered
 /// bits of t0, then job, sub, lifecycle rank and round packed into 64
-/// bits, then which run and which of its spans it is. A recorder that
+/// bits, then which log and which of its records it is. A recorder that
 /// merges every run keeps a vector of these, so the merge reuses it.
 struct SpanKey {
   std::uint64_t t0 = 0;
@@ -247,51 +257,13 @@ struct SpanKey {
   std::uint32_t index = 0;
 };
 
-/// The spans of the service's tree (the diagram above) as compact
-/// records, for a recorder that keeps its log across runs: `clear` keeps
-/// the capacity, so a warm run records without allocating. A record holds
-/// the kind as a byte, the identity and the window (40 bytes); its parent
-/// is implied by its kind (queue, inst and decide under `job:<job>`;
-/// round and recycle under `inst:<job>.<sub>`), and its tags sit in one
-/// pool at 9 bytes each. A front-end stream's spans average under 64
-/// bytes here, against a Span's 152.
-class SpanLog {
- public:
-  /// Appends a span with no tags yet; `self` must not be empty.
-  void add(const SpanRef& self, double t0, double t1) {
-    if (self.empty() || tag_keys_.size() >= kMaxTags) {
-      refuse("a span log records a named span and has room for its tags");
-    }
-    records_.push_back({t0, t1, self.job, self.sub, self.round,
-                        static_cast<std::uint32_t>(tag_keys_.size()),
-                        self.kind, 0});
-  }
-  /// Tags the span added last. A full span is a contract failure, as in
-  /// `SpanTags::add`.
-  void tag(SpanTagKey key, std::int64_t value) {
-    if (records_.empty() || records_.back().tags == SpanTags::kCapacity) {
-      refuse("a span log tags a span with room for the tag");
-    }
-    ++records_.back().tags;
-    tag_keys_.push_back(key.index());
-    tag_values_.push_back(value);
-  }
-
-  void clear();
-  /// Span `i` built in full, its tags in the order they were added.
-  [[nodiscard]] Span span(std::size_t i) const;
-  /// Every span built in full, in the order they were added.
-  [[nodiscard]] std::vector<Span> spans() const;
-
- private:
-  friend std::vector<Span> merge_canonical(
-      std::span<const SpanLog* const> logs, std::vector<SpanKey>& keys);
-
-  /// A record addresses its tags with 32 bits.
-  static constexpr std::size_t kMaxTags = std::uint32_t{0xffffffff};
-
-  [[noreturn]] static void refuse(const char* condition);
-
+/// Spans as compact records: what a SpanLog appends to in emission order
+/// and a SpanSet holds in canonical order. A record holds the kind as a
+/// byte, the identity and the window (40 bytes); its parent is implied by
+/// its kind (`SpanRef::parent`), and its tags sit in one pool at 9 bytes
+/// each. A front-end stream's spans average under 64 bytes here, against
+/// a Span's 128.
+struct SpanRecords {
   struct Record {
     double t0;
     double t1;
@@ -303,43 +275,103 @@ class SpanLog {
     std::uint8_t tags;  // how many
   };
 
-  std::vector<Record> records_;
-  std::vector<std::int64_t> tag_values_;
-  std::vector<std::uint8_t> tag_keys_;  // indices into kSpanTagKeys
+  std::vector<Record> records;
+  std::vector<std::int64_t> tag_values;
+  std::vector<std::uint8_t> tag_keys;  // indices into kSpanTagKeys
+
+  /// Record `i` built as a Span, its tags in pool order.
+  [[nodiscard]] Span span(std::size_t i) const;
+  /// Appends a copy of `from`'s record `i`, its tags sorted.
+  void append_sorted(const SpanRecords& from, std::size_t i);
 };
 
-/// Sorts spans into canonical export order — (t0, job, sub, lifecycle
-/// rank, round), then the remaining fields — and each span's tags by key.
-/// Two span sets with equal contents canonicalize to identical sequences
-/// regardless of emission order.
-void canonicalize(std::vector<Span>& spans);
+/// A shard's spans as it records them, in emission order, kept across
+/// runs: `clear` keeps the capacity, so a warm run records without
+/// allocating.
+class SpanLog {
+ public:
+  /// Appends a span with no tags yet; `self` must not be empty.
+  void add(const SpanRef& self, double t0, double t1) {
+    if (self.empty() || log_.tag_keys.size() >= kMaxTags) {
+      refuse("a span log records a named span and has room for its tags");
+    }
+    log_.records.push_back({t0, t1, self.job, self.sub, self.round,
+                            static_cast<std::uint32_t>(log_.tag_keys.size()),
+                            self.kind, 0});
+  }
+  /// Tags the span added last. A full span is a contract failure, as in
+  /// `SpanTags::add`.
+  void tag(SpanTagKey key, std::int64_t value) {
+    if (log_.records.empty() ||
+        log_.records.back().tags == SpanTags::kCapacity) {
+      refuse("a span log tags a span with room for the tag");
+    }
+    ++log_.records.back().tags;
+    log_.tag_keys.push_back(key.index());
+    log_.tag_values.push_back(value);
+  }
+  /// Appends `span` (its name must be in the vocabulary) and its tags, in
+  /// their order.
+  void add(const Span& span);
 
-/// `canonicalize` of the concatenation of `runs` (one per shard, each in
-/// any order), with each span copied once: the spans are ordered by
-/// packed integer keys, and only spans whose keys tie are compared field
-/// by field.
-[[nodiscard]] std::vector<Span> merge_canonical(
-    std::span<const std::span<const Span>> runs);
+  void clear();
+  [[nodiscard]] std::size_t size() const { return log_.records.size(); }
 
-/// The same merge over span logs (one per shard): each Span is built
-/// once, in canonical order, tags sorted. `keys` is scratch, cleared
-/// first and left holding the sorted keys.
-[[nodiscard]] std::vector<Span> merge_canonical(
-    std::span<const SpanLog* const> logs, std::vector<SpanKey>& keys);
+ private:
+  friend class SpanSet;
 
-/// Canonical JSONL: one compact JSON object per line, canonical order,
-/// whatever the order of `spans`. Canonical input is written directly,
-/// without a copy or a sort.
-[[nodiscard]] std::string spans_to_jsonl(const std::vector<Span>& spans);
+  /// A record addresses its tags with 32 bits.
+  static constexpr std::size_t kMaxTags = std::uint32_t{0xffffffff};
+
+  [[noreturn]] static void refuse(const char* condition);
+
+  SpanRecords log_;
+};
+
+/// A run's spans in canonical order — (t0, job, sub, lifecycle rank,
+/// round), then t1 and the tags — each span's tags sorted by key: its
+/// shards' log records gathered by `merge`, with their tag pool. Only the
+/// merge makes one, so a set is canonical by construction: two sets of
+/// equal spans are equal record for record, whatever order they were
+/// logged in, and `spans_to_jsonl` writes a set as it stands. Iteration
+/// yields each record as a `Span`, built on demand.
+class SpanSet {
+ public:
+  /// Yields Spans by value.
+  using const_iterator = IndexIterator<SpanSet, Span>;
+
+  /// The records of `logs` (one per shard) in canonical order, each
+  /// copied once. The records are ordered by packed integer keys, and
+  /// only records whose keys tie are compared field by field. `keys` is
+  /// scratch, cleared first and left holding the sorted keys.
+  [[nodiscard]] static SpanSet merge(std::span<const SpanLog* const> logs,
+                                     std::vector<SpanKey>& keys);
+
+  [[nodiscard]] std::size_t size() const { return set_.records.size(); }
+  [[nodiscard]] bool empty() const { return set_.records.empty(); }
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, size()}; }
+  /// Span `i` in canonical order, built from its record.
+  [[nodiscard]] Span operator[](std::size_t i) const { return set_.span(i); }
+
+  void swap(SpanSet& other) noexcept { std::swap(set_, other.set_); }
+
+ private:
+  friend std::string spans_to_jsonl(const SpanSet& spans);
+
+  SpanRecords set_;
+};
+
+/// Canonical JSONL: one compact JSON object per line, in the set's
+/// (canonical) order, each written straight from its record.
+[[nodiscard]] std::string spans_to_jsonl(const SpanSet& spans);
 
 /// Parses a JSONL span export, accepting exactly what `spans_to_jsonl`
 /// writes (each line the canonical rendering of its span, in canonical
 /// order, newline-terminated); the error names the first offending line.
-[[nodiscard]] Parsed<std::vector<Span>> read_spans_jsonl(
-    std::string_view text);
+[[nodiscard]] Parsed<SpanSet> read_spans_jsonl(std::string_view text);
 
 /// Writes the JSONL export to `file_path`. Returns false on I/O failure.
-bool write_spans_jsonl(const std::vector<Span>& spans,
-                       const std::string& file_path);
+bool write_spans_jsonl(const SpanSet& spans, const std::string& file_path);
 
 }  // namespace da::obs

@@ -780,7 +780,10 @@ void AgreementService::step(double now) {
 
 ServiceResult AgreementService::end_run(double makespan) {
   ServiceResult result = fold_run(makespan);
-  result.spans = spans_.spans();
+  if (config_.record_spans) {
+    const obs::SpanLog* const log = &spans_;
+    result.spans = obs::SpanSet::merge({&log, 1}, span_keys_);
+  }
   return result;
 }
 
@@ -922,8 +925,8 @@ ServiceResult run(std::span<AgreementService* const> shards,
   if (config.sample_every > 0.0) samples.push_back(sample(now));
 
   // Fold the shards back into one stream: the shards' span logs merge
-  // into canonical order, each Span built once; shard 0's result is the
-  // base and the rest append to it (exact sketch merges, records
+  // into one canonical set, each record copied once; shard 0's result is
+  // the base and the rest append to it (exact sketch merges, records
   // re-sorted by global id).
   std::vector<ServiceResult> parts;
   parts.reserve(shards.size());
@@ -937,7 +940,7 @@ ServiceResult run(std::span<AgreementService* const> shards,
     std::vector<const obs::SpanLog*> logs;
     logs.reserve(shards.size());
     for (const AgreementService* shard : shards) logs.push_back(&shard->spans_);
-    result.spans = obs::merge_canonical(logs, shards.front()->span_keys_);
+    result.spans = obs::SpanSet::merge(logs, shards.front()->span_keys_);
   }
   result.records.reserve(records);
   for (std::size_t s = 1; s < parts.size(); ++s) {

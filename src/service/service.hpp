@@ -241,11 +241,10 @@ struct ServiceResult {
   int peak_active = 0;
   /// Tick-grid instants driven (each may tick several shards).
   std::uint64_t ticks = 0;
-  /// Causal spans (when `record_spans`); empty otherwise. `run()` builds
-  /// them once, in canonical order, from its shards' span logs; `end_run`
-  /// builds its shard's in emission order (`spans_to_jsonl` exports
-  /// canonically either way).
-  std::vector<obs::Span> spans;
+  /// Causal spans (when `record_spans`); empty otherwise. `run()` gathers
+  /// its shards' span logs into one canonical set, and `end_run` gathers
+  /// its shard's the same way, so both come in the one canonical order.
+  obs::SpanSet spans;
   /// Periodic time series (when `sample_every > 0`).
   std::vector<ServiceSample> samples;
   /// Streaming sketches over completed jobs — decision latency and queue
@@ -386,9 +385,9 @@ class AgreementService {
   // state, `offer_job` performs full arrival semantics (deadline sweep,
   // class-aware admit-or-queue, overload shedding), `step` is one
   // batched round tick plus deadline sweep plus queue drain on the
-  // calling thread, and `end_run` folds the aggregates (building the
-  // spans from the span log, in emission order). All four must be called
-  // from one thread (the caller's event loop).
+  // calling thread, and `end_run` folds the aggregates (gathering the
+  // span log into a canonical set, as `run()` does). All four must be
+  // called from one thread (the caller's event loop).
 
   /// `expected` pre-sizes the record store (0 is fine; at most
   /// `ServiceConfig::kMaxOffered`).
@@ -497,8 +496,8 @@ class AgreementService {
   /// This run's spans. Cleared by begin_run and never moved out, so its
   /// capacity carries over and a warm run records without allocating.
   obs::SpanLog spans_;
-  /// The merge's key scratch, used when this service is a run's first
-  /// shard; kept for the same reason.
+  /// The merge's key scratch, used by `end_run` and when this service is
+  /// a run's first shard; kept for the same reason.
   std::vector<obs::SpanKey> span_keys_;
   obs::QuantileSketch latency_sketch_;
   obs::QuantileSketch queue_sketch_;

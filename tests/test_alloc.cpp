@@ -402,15 +402,16 @@ WarmRuns warm_runs(Service& service) {
 
 /// A recorded run and a quiet run of one stream do the same work, so
 /// their allocations differ only by what recording costs. Warm, that is
-/// the result's span vector and the run's list of shard logs, on runs 2
-/// and 3 alike, whatever the number of spans. (A run's own count drifts
-/// while a long-lived service still meets new work: queue blocks, slots
-/// injected for the first time, inboxes that grow.) A recorder that
-/// reserved or grew its log afresh each run would allocate more, and
-/// more again as the spans double.
+/// the result's span set — its records, tag values and tag keys, each
+/// sized once — and the run's list of shard logs, on runs 2 and 3 alike,
+/// whatever the number of spans. (A run's own count drifts while a
+/// long-lived service still meets new work: queue blocks, slots injected
+/// for the first time, inboxes that grow.) A recorder that reserved or
+/// grew its log afresh each run, or a set that grew its storage record
+/// by record, would allocate more, and more again as the spans double.
 template <typename Service, typename MakeConfig>
 void expect_warm_span_runs_allocate_alike(const MakeConfig& make) {
-  constexpr std::uint64_t kSpanVectors = 2;
+  constexpr std::uint64_t kSpanVectors = 4;
   std::size_t spans = 0;
   for (const std::uint64_t jobs : {750u, 1500u}) {
     Service recording(make(jobs, true));

@@ -219,10 +219,10 @@ TEST(InputFuzz, TraceJsonl) {
 // ------------------------------------------------------------ span JSONL
 
 TEST(InputFuzz, SpanJsonl) {
-  // A hand-built service span tree (job, queue, inst, round, with
-  // parents, a negative tag and a multi-digit sub) and the first lines of
-  // a fault-injected service run's export.
-  std::vector<obs::Span> tree;
+  // A hand-built service span tree (job, queue, inst, round, a negative
+  // tag and a multi-digit sub) and the first lines of a fault-injected
+  // service run's export.
+  obs::SpanLog tree;
   for (std::int64_t j = 0; j < 2; ++j) {
     const auto t = static_cast<double>(j);
     obs::Span job;
@@ -234,7 +234,6 @@ TEST(InputFuzz, SpanJsonl) {
     obs::Span queue = job;
     queue.name = "queue";
     queue.t1 = t + 0.5;
-    queue.parent = {obs::SpanKind::kJob, j};
     queue.tags = {};
     obs::Span inst = queue;
     inst.name = "inst";
@@ -242,18 +241,17 @@ TEST(InputFuzz, SpanJsonl) {
     inst.t0 = t + 0.5;
     inst.t1 = t + 2.5;
     inst.tags = {{"rounds", 2}, {"width", 4}};
-    tree.push_back(job);
-    tree.push_back(queue);
-    tree.push_back(inst);
+    tree.add(job);
+    tree.add(queue);
+    tree.add(inst);
     for (int r = 0; r < 2; ++r) {
       obs::Span round = inst;
       round.name = "round";
       round.round = r;
       round.t0 = t + 0.5 + r;
       round.t1 = round.t0 + 1.0;
-      round.parent = {obs::SpanKind::kInst, j, 10};
       round.tags = {};
-      tree.push_back(round);
+      tree.add(round);
     }
   }
   service::ServiceConfig config;
@@ -266,12 +264,20 @@ TEST(InputFuzz, SpanJsonl) {
       *inject::FaultPlan::parse("seed 9\ndrop from=2 to=1 round=1\n");
   config.inject_every = 2;
   const service::ServiceResult result = service::run_service(config);
-  std::vector<std::string> seeds = {obs::spans_to_jsonl(tree)};
-  for (std::size_t at = 0; at + 12 <= result.spans.size() && at < 48;
-       at += 12) {
-    seeds.push_back(obs::spans_to_jsonl(
-        {result.spans.begin() + static_cast<std::ptrdiff_t>(at),
-         result.spans.begin() + static_cast<std::ptrdiff_t>(at + 12)}));
+  const obs::SpanLog* const logs[] = {&tree};
+  std::vector<obs::SpanKey> keys;
+  std::vector<std::string> seeds = {
+      obs::spans_to_jsonl(obs::SpanSet::merge(logs, keys))};
+  // Slices of 12 consecutive lines of the run's export: each is a
+  // canonical export too.
+  const std::string run = obs::spans_to_jsonl(result.spans);
+  std::vector<std::size_t> starts;  // each line's offset, then the end
+  for (std::size_t at = 0; at < run.size(); at = run.find('\n', at) + 1) {
+    starts.push_back(at);
+  }
+  starts.push_back(run.size());
+  for (std::size_t at = 0; at + 12 < starts.size() && at < 48; at += 12) {
+    seeds.push_back(run.substr(starts[at], starts[at + 12] - starts[at]));
   }
   fuzz("span JSONL", seeds, 4,
        exact(obs::read_spans_jsonl, obs::spans_to_jsonl));

@@ -158,9 +158,18 @@ TEST(Span, IdDerivesFromIdentity) {
   EXPECT_EQ(queue.id(), "queue:7");
 }
 
+/// `spans` as a set: one log, merged into canonical order.
+obs::SpanSet set_of(const std::vector<Span>& spans) {
+  obs::SpanLog log;
+  for (const Span& s : spans) log.add(s);
+  const obs::SpanLog* const logs[] = {&log};
+  std::vector<obs::SpanKey> keys;
+  return obs::SpanSet::merge(logs, keys);
+}
+
 /// The JSON record of `s`'s export line.
 obs::Json span_record(const Span& s) {
-  std::string line = obs::spans_to_jsonl({s});
+  std::string line = obs::spans_to_jsonl(set_of({s}));
   line.pop_back();  // '\n'
   return *obs::Json::parse(line);
 }
@@ -172,12 +181,11 @@ TEST(Span, JsonRoundTrip) {
   s.sub = 1;
   s.t0 = 1.5;
   s.t1 = 3.25;
-  s.parent = {obs::SpanKind::kJob, 4};
   s.tags = {{"inj_dropped", 1}, {"rounds", 2}};
   const auto back = Span::from_json(span_record(s));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, s);
-  EXPECT_EQ(back->parent.id(), "job:4");
+  EXPECT_EQ(back->parent().id(), "job:4");
 }
 
 TEST(Span, FromJsonRejectsForgedId) {
@@ -207,7 +215,8 @@ TEST(Span, CanonicalizeIsEmissionOrderIndependent) {
   }
   std::vector<Span> shuffled = spans;
   std::reverse(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(obs::spans_to_jsonl(spans), obs::spans_to_jsonl(shuffled));
+  EXPECT_EQ(obs::spans_to_jsonl(set_of(spans)),
+            obs::spans_to_jsonl(set_of(shuffled)));
 }
 
 /// `value` as the export must write it: `%.17g`, non-finite as null.
@@ -259,7 +268,7 @@ TEST(SpanExport, DoublesRenderAsToCharsGeneral17) {
     s.t1 = values[i % values.size()];
     spans.push_back(s);
   }
-  const std::string jsonl = obs::spans_to_jsonl(spans);
+  const std::string jsonl = obs::spans_to_jsonl(set_of(spans));
   std::size_t lines = 0;
   for (std::size_t begin = 0; begin < jsonl.size(); ++lines) {
     const std::size_t end = jsonl.find('\n', begin);
@@ -289,73 +298,111 @@ bool reference_before(const Span& a, const Span& b) {
     return out;
   };
   const auto key = [&](const Span& s) {
+    const obs::SpanRef parent = s.parent();
     return std::tuple(s.t0, s.job, s.sub, rank(s), s.round, s.name, s.t1,
-                      s.parent.kind, s.parent.job, s.parent.sub,
-                      s.parent.round, tags(s));
+                      parent.kind, parent.job, parent.sub, parent.round,
+                      tags(s));
   };
   return key(a) < key(b);
 }
 
-// Per-shard runs, each shuffled, merge to exactly the canonical order of
-// their concatenation. The fields are drawn from small sets so heads tie
-// often, duplicate identities differ only in their tails (t1, parent,
-// tag order), and some fields lie outside the packed key's range (job
-// 2^33, sub 5000, round 70000, job -7), where keys tie and the field
-// compare decides.
-TEST(SpanMerge, ShuffledShardRunsMergeToCanonicalOrder) {
-  const double times[] = {0.0, 0.5, 1.0, 1.5, 2.25};
-  const std::int64_t jobs[] = {-7, -1, 0, 1, 2, std::int64_t{1} << 33,
-                               (std::int64_t{1} << 33) + 1};
-  const int subs[] = {-1, 0, 1, 5000};
-  const int rounds[] = {-1, 0, 3, 70000};
+/// `spans` as the export must write them, rendered independently of the
+/// library: the record {id, name, job, sub, round, t0, t1, parent, tags}
+/// as compact JSON, one line each, doubles as `%.17g`, in the given
+/// order.
+std::string reference_jsonl(const std::vector<Span>& spans) {
+  const auto number = [](double value) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value,
+                                          std::chars_format::general, 17)
+                                .ptr);
+  };
+  std::string out;
+  for (const Span& s : spans) {
+    out += "{\"id\":\"" + s.id() + "\",\"name\":\"" + std::string(s.name) +
+           "\",\"job\":" + std::to_string(s.job) +
+           ",\"sub\":" + std::to_string(s.sub) +
+           ",\"round\":" + std::to_string(s.round) + ",\"t0\":" + number(s.t0) +
+           ",\"t1\":" + number(s.t1) + ",\"parent\":\"" + s.parent().id() +
+           "\",\"tags\":{";
+    std::vector<std::pair<std::string_view, std::int64_t>> tags(
+        s.tags.begin(), s.tags.end());
+    std::sort(tags.begin(), tags.end());
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+      out += (i == 0 ? "\"" : ",\"") + std::string(tags[i].first) +
+             "\":" + std::to_string(tags[i].second);
+    }
+    out += "}}\n";
+  }
+  return out;
+}
+
+/// Four shard logs of 500 spans each, drawn so heads tie often, duplicate
+/// identities differ only in their tails (t1, tag order), and some fields
+/// lie outside the packed key's range (job 2^33, sub 5000, round 70000,
+/// job -7), where keys tie and the field compare decides; each log in a
+/// shuffled order. Returns the same spans as plain Spans, log by log.
+std::vector<Span> draw_shard_logs(Rng& rng, std::vector<obs::SpanLog>& logs) {
+  const double times[] = {0.0, 0.5, 1.0, 2.25};
+  const std::int64_t jobs[] = {-7, 0, 1, std::int64_t{1} << 33};
+  const int subs[] = {-1, 0, 5000};
+  const int rounds[] = {-1, 0, 70000};
   const obs::SpanTagKey keys[] = {"adv", "class", "rounds", "tmpl"};
-  Rng rng(99);
   const auto pick = [&rng](const auto& options) {
     return options[rng.below(std::size(options))];
   };
-  std::vector<std::vector<Span>> shards(5);  // shard 4 stays empty
-  for (int i = 0; i < 3000; ++i) {
-    Span s;
-    s.name = obs::kSpanNames[rng.below(obs::kSpanNames.size())];
-    s.job = pick(jobs);
-    s.sub = pick(subs);
-    s.round = pick(rounds);
-    s.t0 = pick(times);
-    s.t1 = s.t0 + pick(times);
-    if (rng.chance(0.5)) {
-      const auto kind =
-          static_cast<obs::SpanKind>(rng.below(obs::kSpanNames.size()));
-      s.parent = {kind, pick(jobs), pick(subs), pick(rounds)};
-    }
-    for (std::uint64_t k = rng.below(4); k > 0; --k) {
-      s.tags.add(pick(keys), static_cast<std::int64_t>(rng.below(3)));
-    }
-    shards[rng.below(4)].push_back(s);
-  }
   std::vector<Span> concat;
-  std::vector<std::span<const Span>> runs;
-  for (std::vector<Span>& shard : shards) {
+  for (obs::SpanLog& log : logs) {
+    std::vector<Span> shard;
+    for (int i = 0; i < 500; ++i) {
+      Span s;
+      s.name = obs::kSpanNames[rng.below(obs::kSpanNames.size())];
+      s.job = pick(jobs);
+      s.sub = pick(subs);
+      s.round = pick(rounds);
+      s.t0 = pick(times);
+      s.t1 = s.t0 + pick(times);
+      for (std::uint64_t k = rng.below(4); k > 0; --k) {
+        s.tags.add(pick(keys), static_cast<std::int64_t>(rng.below(3)));
+      }
+      shard.push_back(s);
+    }
     rng.shuffle(shard);
+    log.clear();
+    for (const Span& s : shard) log.add(s);
     concat.insert(concat.end(), shard.begin(), shard.end());
-    runs.emplace_back(shard);
   }
-  const std::vector<Span> merged = obs::merge_canonical(runs);
-  std::vector<Span> canonical = concat;
-  obs::canonicalize(canonical);
-  EXPECT_EQ(merged, canonical);
-
-  std::vector<Span> reference = concat;
-  for (Span& s : reference) s.tags.sort();
-  std::sort(reference.begin(), reference.end(), reference_before);
-  EXPECT_EQ(merged, reference);
-  EXPECT_EQ(obs::spans_to_jsonl(concat), obs::spans_to_jsonl(merged));
+  return concat;
 }
 
-// Span logs hold the service's tree: each record's parent is implied by
-// its kind, `spans()` keeps emission order and tag order, and the logs'
-// merge equals `canonicalize` of their spans, on draws where heads tie
-// often and some fields lie outside the packed key's range. The merge's
-// key vector is reused, as the service reuses it across runs.
+/// `spans` sorted by the reference order, each span's tags sorted.
+std::vector<Span> reference_canonical(std::vector<Span> spans) {
+  for (Span& s : spans) s.tags.sort();
+  std::stable_sort(spans.begin(), spans.end(), reference_before);
+  return spans;
+}
+
+// Per-shard runs, each shuffled, merge to exactly the canonical order of
+// their concatenation, and to the set one log of all of them makes.
+TEST(SpanMerge, ShuffledShardRunsMergeToCanonicalOrder) {
+  Rng rng(99);
+  std::vector<obs::SpanLog> logs(4);
+  const std::vector<Span> concat = draw_shard_logs(rng, logs);
+  const obs::SpanLog empty;
+  const std::vector<const obs::SpanLog*> runs = {&logs[0], &logs[1], &logs[2],
+                                                 &logs[3], &empty};
+  std::vector<obs::SpanKey> keys;
+  const obs::SpanSet merged = obs::SpanSet::merge(runs, keys);
+  EXPECT_EQ(merged.size(), concat.size());
+  EXPECT_EQ(std::vector<Span>(merged.begin(), merged.end()),
+            reference_canonical(concat));
+  EXPECT_EQ(obs::spans_to_jsonl(set_of(concat)), obs::spans_to_jsonl(merged));
+}
+
+// A set yields its spans with the parents their kinds imply and their
+// tags sorted, and merging shard logs gives exactly the reference order,
+// pass after pass with the key vector reused, as the service reuses it
+// across runs.
 TEST(SpanMerge, ShardLogsMergeToCanonicalOrder) {
   obs::SpanLog first;
   first.add({obs::SpanKind::kRound, 4, 1, 2}, 1.0, 2.0);
@@ -363,48 +410,48 @@ TEST(SpanMerge, ShardLogsMergeToCanonicalOrder) {
   first.tag("adv", 1);
   first.add({obs::SpanKind::kDecide, 4}, 2.0, 2.0);
   first.add({obs::SpanKind::kJob, 4}, 0.0, 2.0);
-  const std::vector<Span> emitted = first.spans();
-  ASSERT_EQ(emitted.size(), 3u);
-  EXPECT_EQ(emitted[0].id(), "round:4.1#2");
-  EXPECT_EQ(emitted[0].parent.id(), "inst:4.1");
-  EXPECT_EQ(emitted[0].tags, (obs::SpanTags{{"inj_delayed", 3}, {"adv", 1}}));
-  EXPECT_EQ(emitted[1].parent.id(), "job:4");
-  EXPECT_TRUE(emitted[2].parent.empty());
-  EXPECT_EQ(emitted[2], first.span(2));
-
-  const double times[] = {0.0, 0.5, 1.0, 2.25};
-  const std::int64_t jobs[] = {-7, 0, 1, std::int64_t{1} << 33};
-  const int subs[] = {-1, 0, 5000};
-  const int rounds[] = {-1, 0, 70000};
-  const obs::SpanTagKey keys[] = {"adv", "class", "rounds", "tmpl"};
-  Rng rng(7);
-  const auto pick = [&rng](const auto& options) {
-    return options[rng.below(std::size(options))];
-  };
-  std::vector<obs::SpanLog> logs(4);
+  EXPECT_EQ(first.size(), 3u);
+  const obs::SpanLog* const one[] = {&first};
   std::vector<obs::SpanKey> scratch;
+  const obs::SpanSet small = obs::SpanSet::merge(one, scratch);
+  const std::vector<Span> spans(small.begin(), small.end());
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].id(), "job:4");
+  EXPECT_TRUE(spans[0].parent().empty());
+  EXPECT_EQ(spans[1].id(), "round:4.1#2");
+  EXPECT_EQ(spans[1].parent().id(), "inst:4.1");
+  EXPECT_EQ(spans[1].tags, (obs::SpanTags{{"adv", 1}, {"inj_delayed", 3}}));
+  EXPECT_EQ(spans[2].parent().id(), "job:4");
+
+  Rng rng(7);
+  std::vector<obs::SpanLog> logs(4);
   for (int pass = 0; pass < 2; ++pass) {
-    std::vector<Span> concat;
-    for (obs::SpanLog& log : logs) {
-      log.clear();
-      for (int i = 0; i < 500; ++i) {
-        const auto kind =
-            static_cast<obs::SpanKind>(rng.below(obs::kSpanNames.size()));
-        const double t0 = pick(times);
-        log.add({kind, pick(jobs), pick(subs), pick(rounds)}, t0,
-                t0 + pick(times));
-        for (std::uint64_t k = rng.below(4); k > 0; --k) {
-          log.tag(pick(keys), static_cast<std::int64_t>(rng.below(3)));
-        }
-      }
-      const std::vector<Span> spans = log.spans();
-      concat.insert(concat.end(), spans.begin(), spans.end());
-    }
+    const std::vector<Span> concat = draw_shard_logs(rng, logs);
     const std::vector<const obs::SpanLog*> runs = {&logs[0], &logs[1],
                                                    &logs[2], &logs[3]};
-    const std::vector<Span> merged = obs::merge_canonical(runs, scratch);
-    obs::canonicalize(concat);
-    EXPECT_EQ(merged, concat) << pass;
+    const obs::SpanSet merged = obs::SpanSet::merge(runs, scratch);
+    EXPECT_EQ(std::vector<Span>(merged.begin(), merged.end()),
+              reference_canonical(concat))
+        << pass;
+  }
+}
+
+// The differential pin of the export: on the same tie-heavy shard logs,
+// the set's JSONL equals, byte for byte, the reference rendering of the
+// same spans put in the reference order, and iterating the set yields
+// exactly those spans in that order.
+TEST(SpanSet, ExportEqualsReferenceRenderingOfCanonicalSpans) {
+  Rng rng(31);
+  std::vector<obs::SpanLog> logs(4);
+  std::vector<obs::SpanKey> keys;
+  for (int pass = 0; pass < 3; ++pass) {
+    const std::vector<Span> canonical =
+        reference_canonical(draw_shard_logs(rng, logs));
+    const std::vector<const obs::SpanLog*> runs = {&logs[0], &logs[1],
+                                                   &logs[2], &logs[3]};
+    const obs::SpanSet set = obs::SpanSet::merge(runs, keys);
+    EXPECT_EQ(obs::spans_to_jsonl(set), reference_jsonl(canonical)) << pass;
+    EXPECT_EQ(std::vector<Span>(set.begin(), set.end()), canonical) << pass;
   }
 }
 
@@ -413,11 +460,11 @@ TEST(Span, JsonlRoundTripAndBadLineRejected) {
   s.name = "queue";
   s.job = 1;
   s.t1 = 0.5;
-  const std::string jsonl = obs::spans_to_jsonl({s});
+  const std::string jsonl = obs::spans_to_jsonl(set_of({s}));
   const auto parsed = obs::read_spans_jsonl(jsonl);
   ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
   ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ(parsed->front(), s);
+  EXPECT_EQ(*parsed->begin(), s);
   EXPECT_FALSE(obs::read_spans_jsonl("{not json\n").has_value());
 }
 
@@ -468,6 +515,11 @@ TEST(SpanReader, RejectsEachMalformationWithATypedError) {
   EXPECT_EQ(read_error(with(R"("parent":"job:4")", R"("parent":"job:04")")),
             E::kBadParent);
   EXPECT_EQ(read_error(with(R"("parent":"job:4")", R"("parent":"task:4")")),
+            E::kBadParent);
+  // A span id, but not the tree parent its kind implies.
+  EXPECT_EQ(read_error(with(R"("parent":"job:4")", R"("parent":"job:5")")),
+            E::kBadParent);
+  EXPECT_EQ(read_error(with(R"("parent":"job:4")", R"("parent":"")")),
             E::kBadParent);
   // Mistyped or out-of-range fields.
   EXPECT_EQ(read_error(with(R"("sub":1)", R"("sub":4294967297)")),
@@ -576,17 +628,18 @@ TEST(ServiceObs, SpanTreeIsWellFormed) {
   const service::ServiceResult result =
       service::run_service(obs_service_config(1));
   ASSERT_FALSE(result.spans.empty());
+  const std::vector<Span> spans(result.spans.begin(), result.spans.end());
   // Unique ids, resolvable parents, child windows inside parents.
   std::map<std::string, const Span*> by_id;
-  for (const Span& s : result.spans) {
+  for (const Span& s : spans) {
     EXPECT_TRUE(by_id.emplace(s.id(), &s).second) << s.id();
     EXPECT_LE(s.t0, s.t1) << s.id();
   }
   bool saw_rule_tag = false;
-  for (const Span& s : result.spans) {
-    if (!s.parent.empty()) {
-      const auto it = by_id.find(s.parent.id());
-      ASSERT_NE(it, by_id.end()) << s.parent.id();
+  for (const Span& s : spans) {
+    if (!s.parent().empty()) {
+      const auto it = by_id.find(s.parent().id());
+      ASSERT_NE(it, by_id.end()) << s.parent().id();
       EXPECT_GE(s.t0, it->second->t0 - 1e-9) << s.id();
       EXPECT_LE(s.t1, it->second->t1 + 1e-9) << s.id();
     }
@@ -596,10 +649,8 @@ TEST(ServiceObs, SpanTreeIsWellFormed) {
   }
   // The fault plan left its fingerprints on at least one round span.
   EXPECT_TRUE(saw_rule_tag);
-  // Canonical order: re-canonicalizing is a no-op.
-  std::vector<Span> sorted = result.spans;
-  obs::canonicalize(sorted);
-  EXPECT_EQ(sorted, result.spans);
+  // Canonical order: sorting by the reference order is a no-op.
+  EXPECT_EQ(reference_canonical(spans), spans);
 }
 
 // ------------------------------------------------------- export pin --
