@@ -88,38 +88,97 @@ std::uint64_t packed_identity(std::int64_t job, int sub, int rank,
   return pack;
 }
 
-/// Sorts `keys` by (t0, identity), stably: a least-significant-digit
-/// radix sort over the 16 key bytes, through a second buffer in the back
-/// half of the vector, skipping each byte every key shares (a run's
-/// identities use few bits). A shard's log is far from sorted (a
+/// The double whose `ordered` bits are `u`.
+double unordered(std::uint64_t u) {
+  return std::bit_cast<double>((u >> 63) != 0 ? u & ~(std::uint64_t{1} << 63)
+                                              : ~u);
+}
+
+bool key_less(const SpanKey& a, const SpanKey& b) {
+  return std::pair(a.t0, a.identity) < std::pair(b.t0, b.identity);
+}
+
+/// Sorts `keys` by (t0, identity). A shard's log is far from sorted (a
 /// front-end shard's records ascend in t0 for 2.2 at a time), so there
-/// are no sorted runs to merge; these passes beat `std::sort` on the
-/// merge's rung (`BM_SpanMerge`).
+/// are no sorted runs to merge; three linear steps do it instead:
+///  1. a stable radix sort by identity, one pass per byte that the keys
+///     do not all share (a run's identities use few bits);
+///  2. a stable scatter by t0 into up to 4096 buckets of equal width, so
+///     that a bucket holds few distinct instants and the keys of one
+///     instant stay in identity order;
+///  3. an insertion sort by the whole key, which has little left to move.
+///     Past a budget of moves (instants crowded into a few buckets, or a
+///     t0 span that is not finite) a `std::sort` finishes instead.
 void sort_keys(std::vector<SpanKey>& keys) {
   const std::size_t n = keys.size();
   if (n < 2) return;
-  constexpr int kBytes = 16;
-  const auto byte = [](const SpanKey& k, int d) {
-    const std::uint64_t word = d < 8 ? k.identity : k.t0;
-    return static_cast<std::size_t>((word >> (8 * (d % 8))) & 0xff);
-  };
-  std::array<std::array<std::uint32_t, 256>, kBytes> counts{};
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  std::uint64_t lo = ~std::uint64_t{0};
+  std::uint64_t hi = 0;
   for (const SpanKey& k : keys) {
-    for (int d = 0; d < kBytes; ++d) ++counts[d][byte(k, d)];
+    any |= k.identity;
+    all &= k.identity;
+    lo = std::min(lo, k.t0);
+    hi = std::max(hi, k.t0);
+  }
+  std::array<int, 8> shifts{};
+  std::size_t passes = 0;
+  for (int shift = 0; shift < 64; shift += 8) {
+    if ((((any ^ all) >> shift) & 0xff) != 0) shifts[passes++] = shift;
+  }
+  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  for (const SpanKey& k : keys) {
+    for (std::size_t p = 0; p < passes; ++p) {
+      ++counts[p][(k.identity >> shifts[p]) & 0xff];
+    }
   }
   keys.resize(2 * n);
   SpanKey* from = keys.data();
   SpanKey* to = keys.data() + n;
-  for (int d = 0; d < kBytes; ++d) {
-    std::array<std::uint32_t, 256>& count = counts[d];
-    if (count[byte(from[0], d)] == n) continue;
+  // Moves `from` to `to`, stably, by bucket; `count` holds each bucket's
+  // size and is left spent.
+  const auto scatter = [&](std::span<std::uint32_t> count, auto bucket) {
     std::uint32_t offset = 0;
     for (std::uint32_t& c : count) offset += std::exchange(c, offset);
-    for (std::size_t i = 0; i < n; ++i) to[count[byte(from[i], d)]++] = from[i];
+    for (std::size_t i = 0; i < n; ++i) to[count[bucket(from[i])]++] = from[i];
     std::swap(from, to);
+  };
+  for (std::size_t p = 0; p < passes; ++p) {
+    scatter(counts[p], [shift = shifts[p]](const SpanKey& k) {
+      return static_cast<std::size_t>((k.identity >> shift) & 0xff);
+    });
+  }
+  constexpr std::size_t kBuckets = 4096;
+  const double first = unordered(lo);
+  const double width = unordered(hi) - first;
+  const std::size_t buckets = std::min(n, kBuckets);
+  const double scale =
+      width > 0 ? static_cast<double>(buckets - 1) / width : 0.0;
+  if (scale > 0 && std::isfinite(scale)) {
+    // Rounding is monotone, so the buckets keep t0 order, and the last
+    // bucket is buckets - 1 (scale rounds the span to at most that).
+    const auto bucket = [first, scale](const SpanKey& k) {
+      return static_cast<std::size_t>((unordered(k.t0) - first) * scale);
+    };
+    std::array<std::uint32_t, kBuckets> count{};
+    for (std::size_t i = 0; i < n; ++i) ++count[bucket(from[i])];
+    scatter({count.data(), buckets}, bucket);
   }
   if (from != keys.data()) std::copy(from, from + n, keys.data());
   keys.resize(n);
+  std::size_t budget = 8 * n;
+  for (std::size_t i = 1; i < n; ++i) {
+    const SpanKey k = keys[i];
+    std::size_t j = i;
+    for (; j > 0 && key_less(k, keys[j - 1]); --j) keys[j] = keys[j - 1];
+    keys[j] = k;
+    budget -= std::min(budget, i - j);
+    if (budget == 0) {
+      std::sort(keys.begin(), keys.end(), key_less);
+      return;
+    }
+  }
 }
 
 // ---------------------------------------------------------- rendering --

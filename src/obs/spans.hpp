@@ -33,7 +33,7 @@ namespace da::obs {
 ///
 /// One record type carries a span from recording to export:
 ///
-///   SpanLog (per shard, emission order) --merge_canonical--> SpanSet
+///   SpanLog (per shard, emission order) --SpanSet::merge--> SpanSet
 ///   (per run, canonical order) --spans_to_jsonl--> JSONL
 ///
 /// A record is compact (kind byte, identity, window; tags in a shared
@@ -205,7 +205,7 @@ class SpanTags {
                                           const SpanTags& b);
 
  private:
-  friend struct SpanRecords;  // moves tags between Spans and the pool
+  friend struct SpanRecords;  // builds a span's tags from the pool
 
   [[noreturn]] static void overflow();
   [[nodiscard]] std::pair<std::uint8_t, std::int64_t> item(

@@ -22,6 +22,7 @@
 #include "obs/exposition.hpp"
 #include "obs/quantiles.hpp"
 #include "obs/spans.hpp"
+#include "service/arrivals.hpp"
 #include "service/frontend.hpp"
 #include "service/service.hpp"
 #include "sha256.hpp"
@@ -436,6 +437,41 @@ TEST(SpanMerge, ShardLogsMergeToCanonicalOrder) {
   }
 }
 
+// The key sort's three regimes, each against the reference order: many
+// distinct instants spread evenly (few per t0 bucket), instants crowded
+// into one bucket by an outlier (past the insertion budget, a full sort
+// finishes), and an unbounded span of instants (infinities: no buckets).
+TEST(SpanMerge, SpreadCrowdedAndUnboundedInstantsMergeToCanonicalOrder) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double outliers[][2] = {{0.0, 0.0}, {0.0, 1e300}, {-kInf, kInf}};
+  Rng rng(5);
+  std::vector<obs::SpanKey> keys;
+  for (const auto& outlier : outliers) {
+    std::vector<obs::SpanLog> logs(4);
+    std::vector<Span> concat;
+    for (std::size_t shard = 0; shard < logs.size(); ++shard) {
+      for (int i = 0; i < 1000; ++i) {
+        Span s;
+        s.name = obs::kSpanNames[rng.below(obs::kSpanNames.size())];
+        s.job = static_cast<std::int64_t>(rng.below(300));
+        s.sub = static_cast<int>(rng.below(3)) - 1;
+        s.round = static_cast<int>(rng.below(4)) - 1;
+        s.t0 = i == 0 && shard < 2 ? outlier[shard]
+                                   : static_cast<double>(rng.below(1 << 16)) / 64;
+        s.t1 = s.t0 + 1.0;
+        logs[shard].add(s);
+        concat.push_back(s);
+      }
+    }
+    const std::vector<const obs::SpanLog*> runs = {&logs[0], &logs[1],
+                                                   &logs[2], &logs[3]};
+    const obs::SpanSet merged = obs::SpanSet::merge(runs, keys);
+    EXPECT_EQ(std::vector<Span>(merged.begin(), merged.end()),
+              reference_canonical(concat))
+        << outlier[1];
+  }
+}
+
 // The differential pin of the export: on the same tie-heavy shard logs,
 // the set's JSONL equals, byte for byte, the reference rendering of the
 // same spans put in the reference order, and iterating the set yields
@@ -595,6 +631,45 @@ TEST(ServiceObs, WarmRerunExportsIdenticalSpans) {
   EXPECT_EQ(cold.digest(), warm.digest());
   EXPECT_EQ(obs::spans_to_jsonl(cold.spans), obs::spans_to_jsonl(warm.spans));
   EXPECT_EQ(cold.latency_sketch.serialize(), warm.latency_sketch.serialize());
+}
+
+// The driven mode's `end_run` gathers its log into the same canonical
+// set that `run()` returns: one order everywhere.
+TEST(ServiceObs, DrivenEndRunGivesTheRunsSpanSet) {
+  const service::ServiceConfig config = obs_service_config(1);
+  const service::ServiceResult ran = service::run_service(config);
+  service::AgreementService svc(config);
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  service::ArrivalGenerator gen(config.arrivals, config.seed);
+  svc.begin_run(config.offered);
+  std::uint64_t arrived = 0;
+  double next_arrival = gen.next();
+  double next_tick = kNever;
+  double now = 0.0;
+  while (svc.finished() < config.offered) {
+    if (arrived < config.offered && next_arrival <= next_tick) {
+      now = next_arrival;
+      service::JobOffer offer;
+      offer.id = arrived++;
+      offer.template_index =
+          service::draw_template_index(config.seed, offer.id, svc.mix().size());
+      offer.adversary_index = service::draw_adversary_index(
+          config.seed, offer.id, svc.adversary_count());
+      next_arrival = arrived < config.offered ? gen.next() : kNever;
+      svc.offer_job(offer, now);
+      if (!svc.idle() && next_tick == kNever) {
+        next_tick = now + config.round_period;
+      }
+    } else {
+      now = next_tick;
+      svc.step(now);
+      next_tick = svc.idle() ? kNever : now + config.round_period;
+    }
+  }
+  const service::ServiceResult driven = svc.end_run(now);
+  ASSERT_FALSE(driven.spans.empty());
+  EXPECT_EQ(std::vector<Span>(driven.spans.begin(), driven.spans.end()),
+            std::vector<Span>(ran.spans.begin(), ran.spans.end()));
 }
 
 TEST(ServiceObs, RecordingSpansDoesNotPerturbTheRun) {
