@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <tuple>
 
@@ -56,12 +57,7 @@ bool before(const SpanRecords& a, std::size_t i, const SpanRecords& b,
   if (const auto c = fields(a.records[i]) <=> fields(b.records[j]); c != 0) {
     return c < 0;
   }
-  const auto sorted_tags = [](const SpanRecords& set, std::size_t k) {
-    SpanTags tags = set.span(k).tags;
-    tags.sort();
-    return tags;
-  };
-  return sorted_tags(a, i) < sorted_tags(b, j);
+  return a.span(i).tags < b.span(j).tags;
 }
 
 /// A record's identity (job, sub, lifecycle rank, round) packed into 64
@@ -94,11 +90,8 @@ double unordered(std::uint64_t u) {
                                               : ~u);
 }
 
-bool key_less(const SpanKey& a, const SpanKey& b) {
-  return std::pair(a.t0, a.identity) < std::pair(b.t0, b.identity);
-}
-
-/// Sorts `keys` by (t0, identity). A shard's log is far from sorted (a
+/// Sorts `keys` by `less`, which orders by (t0, identity) first. A
+/// shard's log is far from sorted (a
 /// front-end shard's records ascend in t0 for 2.2 at a time), so there
 /// are no sorted runs to merge; three linear steps do it instead:
 ///  1. a stable radix sort by identity, one pass per byte that the keys
@@ -106,64 +99,46 @@ bool key_less(const SpanKey& a, const SpanKey& b) {
 ///  2. a stable scatter by t0 into up to 4096 buckets of equal width, so
 ///     that a bucket holds few distinct instants and the keys of one
 ///     instant stay in identity order;
-///  3. an insertion sort by the whole key, which has little left to move.
-///     Past a budget of moves (instants crowded into a few buckets, or a
-///     t0 span that is not finite) a `std::sort` finishes instead.
-void sort_keys(std::vector<SpanKey>& keys) {
+///  3. an insertion sort by `less`, which has little left to move. Past a
+///     budget of moves (instants crowded into a few buckets, or a t0 span
+///     that is not finite) a `std::sort` finishes instead.
+template <typename Less>
+void sort_keys(std::vector<SpanKey>& keys, const Less& less) {
   const std::size_t n = keys.size();
   if (n < 2) return;
-  std::uint64_t any = 0;
-  std::uint64_t all = ~std::uint64_t{0};
-  std::uint64_t lo = ~std::uint64_t{0};
-  std::uint64_t hi = 0;
-  for (const SpanKey& k : keys) {
-    any |= k.identity;
-    all &= k.identity;
-    lo = std::min(lo, k.t0);
-    hi = std::max(hi, k.t0);
-  }
-  std::array<int, 8> shifts{};
-  std::size_t passes = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    if ((((any ^ all) >> shift) & 0xff) != 0) shifts[passes++] = shift;
-  }
-  std::array<std::array<std::uint32_t, 256>, 8> counts{};
-  for (const SpanKey& k : keys) {
-    for (std::size_t p = 0; p < passes; ++p) {
-      ++counts[p][(k.identity >> shifts[p]) & 0xff];
-    }
-  }
+  std::uint64_t varying = 0;
+  for (const SpanKey& k : keys) varying |= k.identity ^ keys[0].identity;
+  const auto [lo, hi] = std::ranges::minmax(keys, {}, &SpanKey::t0);
+  constexpr std::size_t kBuckets = 4096;
+  std::array<std::uint32_t, kBuckets> count;
   keys.resize(2 * n);
   SpanKey* from = keys.data();
   SpanKey* to = keys.data() + n;
-  // Moves `from` to `to`, stably, by bucket; `count` holds each bucket's
-  // size and is left spent.
-  const auto scatter = [&](std::span<std::uint32_t> count, auto bucket) {
-    std::uint32_t offset = 0;
-    for (std::uint32_t& c : count) offset += std::exchange(c, offset);
+  // Moves the keys to `to`, stably, in order of `bucket` (< buckets).
+  const auto scatter = [&](std::size_t buckets, auto bucket) {
+    std::fill_n(count.begin(), buckets, 0);
+    for (std::size_t i = 0; i < n; ++i) ++count[bucket(from[i])];
+    std::exclusive_scan(count.begin(), count.begin() + buckets, count.begin(),
+                        std::uint32_t{0});
     for (std::size_t i = 0; i < n; ++i) to[count[bucket(from[i])]++] = from[i];
     std::swap(from, to);
   };
-  for (std::size_t p = 0; p < passes; ++p) {
-    scatter(counts[p], [shift = shifts[p]](const SpanKey& k) {
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    scatter(256, [shift](const SpanKey& k) {
       return static_cast<std::size_t>((k.identity >> shift) & 0xff);
     });
   }
-  constexpr std::size_t kBuckets = 4096;
-  const double first = unordered(lo);
-  const double width = unordered(hi) - first;
+  // Rounding is monotone, so buckets keep t0 order; the span scales to at
+  // most buckets - 1.
+  const double first = unordered(lo.t0);
+  const double width = unordered(hi.t0) - first;
   const std::size_t buckets = std::min(n, kBuckets);
-  const double scale =
-      width > 0 ? static_cast<double>(buckets - 1) / width : 0.0;
+  const double scale = width > 0 ? static_cast<double>(buckets - 1) / width : 0;
   if (scale > 0 && std::isfinite(scale)) {
-    // Rounding is monotone, so the buckets keep t0 order, and the last
-    // bucket is buckets - 1 (scale rounds the span to at most that).
-    const auto bucket = [first, scale](const SpanKey& k) {
+    scatter(buckets, [first, scale](const SpanKey& k) {
       return static_cast<std::size_t>((unordered(k.t0) - first) * scale);
-    };
-    std::array<std::uint32_t, kBuckets> count{};
-    for (std::size_t i = 0; i < n; ++i) ++count[bucket(from[i])];
-    scatter({count.data(), buckets}, bucket);
+    });
   }
   if (from != keys.data()) std::copy(from, from + n, keys.data());
   keys.resize(n);
@@ -171,11 +146,11 @@ void sort_keys(std::vector<SpanKey>& keys) {
   for (std::size_t i = 1; i < n; ++i) {
     const SpanKey k = keys[i];
     std::size_t j = i;
-    for (; j > 0 && key_less(k, keys[j - 1]); --j) keys[j] = keys[j - 1];
+    for (; j > 0 && less(k, keys[j - 1]); --j) keys[j] = keys[j - 1];
     keys[j] = k;
     budget -= std::min(budget, i - j);
     if (budget == 0) {
-      std::sort(keys.begin(), keys.end(), key_less);
+      std::sort(keys.begin(), keys.end(), less);
       return;
     }
   }
@@ -197,25 +172,54 @@ char* put(char* p, std::string_view text) {
   return p + text.size();
 }
 
-template <typename Int>
-char* put_int(char* p, Int value) {
-  return std::to_chars(p, p + 24, value).ptr;
+/// A number's rendering. `put` copies a fixed 24 bytes, a few moves where
+/// a copy sized to the rendering is a call; the export keeps kMaxLine
+/// bytes of room ahead, and a line's budget counts 24 bytes per number.
+struct Rendered {
+  char text[24]{};        // the longest %.17g or int64 rendering
+  std::uint8_t size = 0;  // 0: none yet (a rendering is never empty)
+};
+
+char* put(char* p, const Rendered& number) {
+  std::memcpy(p, number.text, sizeof number.text);
+  return p + number.size;
 }
 
-/// name[:job][.sub][#round], unquoted.
-char* put_id(char* p, const SpanRef& ref) {
+/// `value` through `std::to_chars(..., format...)`.
+template <typename Number, typename... Format>
+Rendered rendered(Number value, Format... format) {
+  Rendered r;
+  const char* end =
+      std::to_chars(r.text, r.text + sizeof r.text, value, format...).ptr;
+  r.size = static_cast<std::uint8_t>(end - r.text);
+  return r;
+}
+
+/// A span's job, sub and round, rendered once: a line writes the job up
+/// to three times.
+struct IdDigits {
+  explicit IdDigits(const SpanRef& ref)
+      : job(rendered(ref.job)), sub(rendered(ref.sub)),
+        round(rendered(ref.round)) {}
+  Rendered job, sub, round;
+};
+
+/// name[:job][.sub][#round], unquoted, its integers from `digits`: those
+/// of `ref`, or of the span whose parent `ref` is (a parent keeps its
+/// child's job and sub).
+char* put_id(char* p, const SpanRef& ref, const IdDigits& digits) {
   p = put(p, ref.name());
   if (ref.job >= 0) {
     *p++ = ':';
-    p = put_int(p, ref.job);
+    p = put(p, digits.job);
   }
   if (ref.sub >= 0) {
     *p++ = '.';
-    p = put_int(p, ref.sub);
+    p = put(p, digits.sub);
   }
   if (ref.round >= 0) {
     *p++ = '#';
-    p = put_int(p, ref.round);
+    p = put(p, digits.round);
   }
   return p;
 }
@@ -233,26 +237,17 @@ class RenderedDoubles {
     if (!std::isfinite(value)) return put(p, "null");
     const auto bits = std::bit_cast<std::uint64_t>(value);
     Entry& e = entries_[(bits * 0x9e3779b97f4a7c15) >> 58];
-    if (e.size == 0 || e.bits != bits) {
+    if (e.number.size == 0 || e.bits != bits) {
       e.bits = bits;
-      e.size = static_cast<std::uint8_t>(
-          std::to_chars(e.text, e.text + sizeof e.text, value,
-                        std::chars_format::general, 17)
-              .ptr -
-          e.text);
+      e.number = rendered(value, std::chars_format::general, 17);
     }
-    // A fixed-size copy is a few moves, where one sized to the rendering
-    // is a call; the export keeps kMaxLine bytes of room ahead, and a
-    // line's budget counts 24 bytes per double.
-    std::memcpy(p, e.text, sizeof e.text);
-    return p + e.size;
+    return put(p, e.number);
   }
 
  private:
   struct Entry {
     std::uint64_t bits = 0;
-    std::uint8_t size = 0;  // 0: empty (a rendering is never empty)
-    char text[24];          // the longest %.17g rendering
+    Rendered number;
   };
   std::array<Entry, 64> entries_{};
 };
@@ -265,28 +260,29 @@ char* put_span_line(char* p, const SpanRecords& set, std::size_t i,
   const Record& rec = set.records[i];
   const SpanRef self{rec.kind, rec.job, rec.sub, rec.round};
   p = put(p, "{\"id\":\"");
-  p = put_id(p, self);
+  const IdDigits digits(self);
+  p = put_id(p, self, digits);
   p = put(p, "\",\"name\":\"");
   p = put(p, self.name());
   p = put(p, "\",\"job\":");
-  p = put_int(p, rec.job);
+  p = put(p, digits.job);
   p = put(p, ",\"sub\":");
-  p = put_int(p, rec.sub);
+  p = put(p, digits.sub);
   p = put(p, ",\"round\":");
-  p = put_int(p, rec.round);
+  p = put(p, digits.round);
   p = put(p, ",\"t0\":");
   p = doubles.put_double(p, rec.t0);
   p = put(p, ",\"t1\":");
   p = doubles.put_double(p, rec.t1);
   p = put(p, ",\"parent\":\"");
-  p = put_id(p, self.parent());
+  p = put_id(p, self.parent(), digits);
   p = put(p, "\",\"tags\":{");
   for (std::size_t t = rec.first_tag; t < rec.first_tag + rec.tags; ++t) {
     if (t != rec.first_tag) *p++ = ',';
     *p++ = '"';
     p = put(p, kSpanTagKeys[set.tag_keys[t]]);
     p = put(p, "\":");
-    p = put_int(p, set.tag_values[t]);
+    p = put(p, rendered(set.tag_values[t]));
   }
   return put(p, "}}\n");
 }
@@ -313,8 +309,8 @@ std::string_view SpanRef::name() const {
 }
 
 std::string SpanRef::id() const {
-  char buf[64];  // a vocabulary name and three integers
-  return {buf, put_id(buf, *this)};
+  char buf[96];  // a vocabulary name and three 25-byte integer copies
+  return {buf, put_id(buf, *this, IdDigits(*this))};
 }
 
 SpanRef SpanRef::parent() const {
@@ -341,9 +337,8 @@ SpanTags::SpanTags(std::initializer_list<value_type> tags) {
   }
 }
 
-void SpanTags::overflow() {
-  detail::contract_failure("precondition", "a span tag array has room",
-                           __FILE__, __LINE__);
+void SpanTags::refuse(const char* condition) {
+  detail::contract_failure("precondition", condition, __FILE__, __LINE__);
 }
 
 std::optional<std::int64_t> SpanTags::find(std::string_view key) const {
@@ -351,17 +346,6 @@ std::optional<std::int64_t> SpanTags::find(std::string_view key) const {
     if (kSpanTagKeys[keys_[i]] == key) return values_[i];
   }
   return std::nullopt;
-}
-
-void SpanTags::sort() {
-  // Insertion sort on (key index, value) — index order is key order; a
-  // span holds at most kCapacity tags, usually already in order.
-  for (std::size_t i = 1; i < size_; ++i) {
-    for (std::size_t j = i; j > 0 && item(j - 1) > item(j); --j) {
-      std::swap(keys_[j - 1], keys_[j]);
-      std::swap(values_[j - 1], values_[j]);
-    }
-  }
 }
 
 bool operator==(const SpanTags& a, const SpanTags& b) {
@@ -377,13 +361,8 @@ std::strong_ordering operator<=>(const SpanTags& a, const SpanTags& b) {
 
 Span SpanRecords::span(std::size_t i) const {
   const Record& rec = records[i];
-  Span s;
-  s.name = kSpanNames[static_cast<std::size_t>(rec.kind)];
-  s.job = rec.job;
-  s.sub = rec.sub;
-  s.round = rec.round;
-  s.t0 = rec.t0;
-  s.t1 = rec.t1;
+  Span s{kSpanNames[static_cast<std::size_t>(rec.kind)],
+         rec.job, rec.sub, rec.round, rec.t0, rec.t1, {}};
   for (std::size_t t = 0; t < rec.tags; ++t) {
     s.tags.keys_[t] = tag_keys[rec.first_tag + t];
     s.tags.values_[t] = tag_values[rec.first_tag + t];
@@ -392,30 +371,15 @@ Span SpanRecords::span(std::size_t i) const {
   return s;
 }
 
-void SpanRecords::append_sorted(const SpanRecords& from, std::size_t i) {
+void SpanRecords::append(const SpanRecords& from, std::size_t i) {
   Record rec = from.records[i];
-  const std::size_t first = tag_keys.size();
-  for (std::size_t t = rec.first_tag; t < rec.first_tag + rec.tags; ++t) {
-    // Insertion sort on (key index, value) as the tags arrive: a span
-    // holds at most kCapacity of them, usually nearly in order.
-    const std::pair item(from.tag_keys[t], from.tag_values[t]);
-    tag_keys.push_back(item.first);
-    tag_values.push_back(item.second);
-    std::size_t j = tag_keys.size() - 1;
-    for (; j > first && std::pair(tag_keys[j - 1], tag_values[j - 1]) > item;
-         --j) {
-      tag_keys[j] = tag_keys[j - 1];
-      tag_values[j] = tag_values[j - 1];
-    }
-    tag_keys[j] = item.first;
-    tag_values[j] = item.second;
-  }
-  rec.first_tag = static_cast<std::uint32_t>(first);
+  const auto tags = static_cast<std::ptrdiff_t>(rec.first_tag);
+  rec.first_tag = static_cast<std::uint32_t>(tag_keys.size());
+  tag_keys.insert(tag_keys.end(), from.tag_keys.begin() + tags,
+                  from.tag_keys.begin() + tags + rec.tags);
+  tag_values.insert(tag_values.end(), from.tag_values.begin() + tags,
+                    from.tag_values.begin() + tags + rec.tags);
   records.push_back(rec);
-}
-
-void SpanLog::refuse(const char* condition) {
-  detail::contract_failure("precondition", condition, __FILE__, __LINE__);
 }
 
 void SpanLog::add(const Span& span) {
@@ -496,7 +460,6 @@ SpanSet SpanSet::merge(std::span<const SpanLog* const> logs,
   std::size_t tags = 0;
   for (std::size_t r = 0; r < logs.size(); ++r) {
     const SpanRecords& log = logs[r]->log_;
-    DA_EXPECTS(log.records.size() <= std::numeric_limits<std::uint32_t>::max());
     for (std::size_t i = 0; i < log.records.size(); ++i) {
       const Record& rec = log.records[i];
       keys.push_back({ordered(rec.t0),
@@ -511,29 +474,20 @@ SpanSet SpanSet::merge(std::span<const SpanLog* const> logs,
   // bits.
   DA_EXPECTS(keys.size() <= std::numeric_limits<std::uint32_t>::max() &&
              tags <= SpanLog::kMaxTags);
-  sort_keys(keys);
   // Keys tie only on duplicate identities or fields outside the packed
-  // range: order each tied stretch field by field.
-  const auto packed = [](const SpanKey& k) {
-    return std::pair(k.t0, k.identity);
-  };
-  for (auto first = keys.begin(); first != keys.end();) {
-    const auto last = std::find_if(first + 1, keys.end(), [&](const SpanKey& k) {
-      return packed(k) != packed(*first);
-    });
-    if (last - first > 1) {
-      std::sort(first, last, [logs](const SpanKey& a, const SpanKey& b) {
-        return before(logs[a.run]->log_, a.index, logs[b.run]->log_, b.index);
-      });
+  // range: those are ordered field by field.
+  sort_keys(keys, [logs](const SpanKey& a, const SpanKey& b) {
+    if (a.t0 != b.t0 || a.identity != b.identity) {
+      return std::pair(a.t0, a.identity) < std::pair(b.t0, b.identity);
     }
-    first = last;
-  }
+    return before(logs[a.run]->log_, a.index, logs[b.run]->log_, b.index);
+  });
   SpanSet set;
   set.set_.records.reserve(keys.size());
   set.set_.tag_keys.reserve(tags);
   set.set_.tag_values.reserve(tags);
   for (const SpanKey& key : keys) {
-    set.set_.append_sorted(logs[key.run]->log_, key.index);
+    set.set_.append(logs[key.run]->log_, key.index);
   }
   return set;
 }

@@ -180,7 +180,7 @@ class SpanTags {
   /// Appends a tag. A full array is a contract failure: the recorder
   /// bounds its widest span up front, the reader checks before adding.
   void add(SpanTagKey key, std::int64_t value) {
-    if (size_ == kCapacity) overflow();
+    if (size_ == kCapacity) refuse("a span tag array has room");
     keys_[size_] = key.index();
     values_[size_] = value;
     ++size_;
@@ -196,9 +196,6 @@ class SpanTags {
   /// The value tagged `key`, or nullopt.
   [[nodiscard]] std::optional<std::int64_t> find(std::string_view key) const;
 
-  /// Sorts the tags by key (then value).
-  void sort();
-
   friend bool operator==(const SpanTags& a, const SpanTags& b);
   /// Lexicographic over (key, value) pairs.
   friend std::strong_ordering operator<=>(const SpanTags& a,
@@ -206,8 +203,10 @@ class SpanTags {
 
  private:
   friend struct SpanRecords;  // builds a span's tags from the pool
+  friend class SpanLog;       // refuses as a tag array does
 
-  [[noreturn]] static void overflow();
+  /// A broken precondition of span recording (a contract failure).
+  [[noreturn]] static void refuse(const char* condition);
   [[nodiscard]] std::pair<std::uint8_t, std::int64_t> item(
       std::size_t i) const {
     return {keys_[i], values_[i]};
@@ -279,10 +278,10 @@ struct SpanRecords {
   std::vector<std::int64_t> tag_values;
   std::vector<std::uint8_t> tag_keys;  // indices into kSpanTagKeys
 
-  /// Record `i` built as a Span, its tags in pool order.
+  /// Record `i` built as a Span.
   [[nodiscard]] Span span(std::size_t i) const;
-  /// Appends a copy of `from`'s record `i`, its tags sorted.
-  void append_sorted(const SpanRecords& from, std::size_t i);
+  /// Appends a copy of `from`'s record `i` and its tags.
+  void append(const SpanRecords& from, std::size_t i);
 };
 
 /// A shard's spans as it records them, in emission order, kept across
@@ -293,22 +292,34 @@ class SpanLog {
   /// Appends a span with no tags yet; `self` must not be empty.
   void add(const SpanRef& self, double t0, double t1) {
     if (self.empty() || log_.tag_keys.size() >= kMaxTags) {
-      refuse("a span log records a named span and has room for its tags");
+      SpanTags::refuse(
+          "a span log records a named span and has room for its tags");
     }
     log_.records.push_back({t0, t1, self.job, self.sub, self.round,
                             static_cast<std::uint32_t>(log_.tag_keys.size()),
                             self.kind, 0});
   }
-  /// Tags the span added last. A full span is a contract failure, as in
+  /// Tags the span added last, keeping its tags sorted by (key, value)
+  /// as a set holds them. A full span is a contract failure, as in
   /// `SpanTags::add`.
   void tag(SpanTagKey key, std::int64_t value) {
     if (log_.records.empty() ||
         log_.records.back().tags == SpanTags::kCapacity) {
-      refuse("a span log tags a span with room for the tag");
+      SpanTags::refuse("a span log tags a span with room for the tag");
     }
+    const std::size_t first = log_.records.back().first_tag;
     ++log_.records.back().tags;
-    log_.tag_keys.push_back(key.index());
-    log_.tag_values.push_back(value);
+    std::vector<std::uint8_t>& keys = log_.tag_keys;
+    std::vector<std::int64_t>& values = log_.tag_values;
+    keys.push_back(key.index());
+    values.push_back(value);
+    for (std::size_t j = keys.size() - 1;
+         j > first && std::pair(keys[j - 1], values[j - 1]) >
+                          std::pair(keys[j], values[j]);
+         --j) {
+      std::swap(keys[j - 1], keys[j]);
+      std::swap(values[j - 1], values[j]);
+    }
   }
   /// Appends `span` (its name must be in the vocabulary) and its tags, in
   /// their order.
@@ -322,8 +333,6 @@ class SpanLog {
 
   /// A record addresses its tags with 32 bits.
   static constexpr std::size_t kMaxTags = std::uint32_t{0xffffffff};
-
-  [[noreturn]] static void refuse(const char* condition);
 
   SpanRecords log_;
 };

@@ -378,7 +378,15 @@ std::vector<Span> draw_shard_logs(Rng& rng, std::vector<obs::SpanLog>& logs) {
 
 /// `spans` sorted by the reference order, each span's tags sorted.
 std::vector<Span> reference_canonical(std::vector<Span> spans) {
-  for (Span& s : spans) s.tags.sort();
+  for (Span& s : spans) {
+    std::vector<std::pair<std::string_view, std::int64_t>> tags(
+        s.tags.begin(), s.tags.end());
+    std::sort(tags.begin(), tags.end());
+    s.tags = {};
+    for (const auto& [key, value] : tags) {
+      s.tags.add(*obs::SpanTagKey::find(key), value);
+    }
+  }
   std::stable_sort(spans.begin(), spans.end(), reference_before);
   return spans;
 }
