@@ -110,7 +110,7 @@ void sort_keys(std::vector<SpanKey>& keys, const Less& less) {
   for (const SpanKey& k : keys) varying |= k.identity ^ keys[0].identity;
   const auto [lo, hi] = std::ranges::minmax(keys, {}, &SpanKey::t0);
   constexpr std::size_t kBuckets = 4096;
-  std::array<std::uint32_t, kBuckets> count;
+  std::array<std::uint32_t, kBuckets> count{};
   keys.resize(2 * n);
   SpanKey* from = keys.data();
   SpanKey* to = keys.data() + n;
@@ -174,7 +174,7 @@ char* put(char* p, std::string_view text) {
 
 /// A number's rendering. `put` copies a fixed 24 bytes, a few moves where
 /// a copy sized to the rendering is a call; the export keeps kMaxLine
-/// bytes of room ahead, and a line's budget counts 24 bytes per number.
+/// bytes of room ahead, a line at its longest plus one copy's overrun.
 struct Rendered {
   char text[24]{};        // the longest %.17g or int64 rendering
   std::uint8_t size = 0;  // 0: none yet (a rendering is never empty)
