@@ -321,8 +321,7 @@ class SpanLog {
       std::swap(values[j - 1], values[j]);
     }
   }
-  /// Appends `span` (its name must be in the vocabulary) and its tags, in
-  /// their order.
+  /// Appends `span` (its name must be in the vocabulary) and its tags.
   void add(const Span& span);
 
   void clear();
