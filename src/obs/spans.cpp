@@ -91,9 +91,9 @@ double unordered(std::uint64_t u) {
 }
 
 /// Sorts `keys` by `less`, which orders by (t0, identity) first. A
-/// shard's log is far from sorted (a
-/// front-end shard's records ascend in t0 for 2.2 at a time), so there
-/// are no sorted runs to merge; three linear steps do it instead:
+/// shard's log is far from sorted (a front-end shard's records ascend in
+/// t0 for 2.2 at a time), so there are no sorted runs to merge; three
+/// linear steps do it instead:
 ///  1. a stable radix sort by identity, one pass per byte that the keys
 ///     do not all share (a run's identities use few bits);
 ///  2. a stable scatter by t0 into up to 4096 buckets of equal width, so
