@@ -8,7 +8,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <tuple>
 
@@ -84,78 +83,6 @@ std::uint64_t packed_identity(std::int64_t job, int sub, int rank,
   return pack;
 }
 
-/// The double whose `ordered` bits are `u`.
-double unordered(std::uint64_t u) {
-  return std::bit_cast<double>((u >> 63) != 0 ? u & ~(std::uint64_t{1} << 63)
-                                              : ~u);
-}
-
-/// Sorts `keys` by `less`, which orders by (t0, identity) first. A
-/// shard's log is far from sorted (a front-end shard's records ascend in
-/// t0 for 2.2 at a time), so there are no sorted runs to merge; three
-/// linear steps do it instead:
-///  1. a stable radix sort by identity, one pass per byte that the keys
-///     do not all share (a run's identities use few bits);
-///  2. a stable scatter by t0 into up to 4096 buckets of equal width, so
-///     that a bucket holds few distinct instants and the keys of one
-///     instant stay in identity order;
-///  3. an insertion sort by `less`, which has little left to move. Past a
-///     budget of moves (instants crowded into a few buckets, or a t0 span
-///     that is not finite) a `std::sort` finishes instead.
-template <typename Less>
-void sort_keys(std::vector<SpanKey>& keys, const Less& less) {
-  const std::size_t n = keys.size();
-  if (n < 2) return;
-  std::uint64_t varying = 0;
-  for (const SpanKey& k : keys) varying |= k.identity ^ keys[0].identity;
-  const auto [lo, hi] = std::ranges::minmax(keys, {}, &SpanKey::t0);
-  constexpr std::size_t kBuckets = 4096;
-  std::array<std::uint32_t, kBuckets> count{};
-  keys.resize(2 * n);
-  SpanKey* from = keys.data();
-  SpanKey* to = keys.data() + n;
-  // Moves the keys to `to`, stably, in order of `bucket` (< buckets).
-  const auto scatter = [&](std::size_t buckets, auto bucket) {
-    std::fill_n(count.begin(), buckets, 0);
-    for (std::size_t i = 0; i < n; ++i) ++count[bucket(from[i])];
-    std::exclusive_scan(count.begin(), count.begin() + buckets, count.begin(),
-                        std::uint32_t{0});
-    for (std::size_t i = 0; i < n; ++i) to[count[bucket(from[i])]++] = from[i];
-    std::swap(from, to);
-  };
-  for (int shift = 0; shift < 64; shift += 8) {
-    if (((varying >> shift) & 0xff) == 0) continue;
-    scatter(256, [shift](const SpanKey& k) {
-      return static_cast<std::size_t>((k.identity >> shift) & 0xff);
-    });
-  }
-  // Rounding is monotone, so buckets keep t0 order; the span scales to at
-  // most buckets - 1.
-  const double first = unordered(lo.t0);
-  const double width = unordered(hi.t0) - first;
-  const std::size_t buckets = std::min(n, kBuckets);
-  const double scale = width > 0 ? static_cast<double>(buckets - 1) / width : 0;
-  if (scale > 0 && std::isfinite(scale)) {
-    scatter(buckets, [first, scale](const SpanKey& k) {
-      return static_cast<std::size_t>((unordered(k.t0) - first) * scale);
-    });
-  }
-  if (from != keys.data()) std::copy(from, from + n, keys.data());
-  keys.resize(n);
-  std::size_t budget = 8 * n;
-  for (std::size_t i = 1; i < n; ++i) {
-    const SpanKey k = keys[i];
-    std::size_t j = i;
-    for (; j > 0 && less(k, keys[j - 1]); --j) keys[j] = keys[j - 1];
-    keys[j] = k;
-    budget -= std::min(budget, i - j);
-    if (budget == 0) {
-      std::sort(keys.begin(), keys.end(), less);
-      return;
-    }
-  }
-}
-
 // ---------------------------------------------------------- rendering --
 
 // The export writes each line through a raw pointer into a buffer kept
@@ -172,54 +99,25 @@ char* put(char* p, std::string_view text) {
   return p + text.size();
 }
 
-/// A number's rendering. `put` copies a fixed 24 bytes, a few moves where
-/// a copy sized to the rendering is a call; the export keeps kMaxLine
-/// bytes of room ahead, a line at its longest plus one copy's overrun.
-struct Rendered {
-  char text[24]{};        // the longest %.17g or int64 rendering
-  std::uint8_t size = 0;  // 0: none yet (a rendering is never empty)
-};
-
-char* put(char* p, const Rendered& number) {
-  std::memcpy(p, number.text, sizeof number.text);
-  return p + number.size;
+template <typename Int>
+char* put_int(char* p, Int value) {
+  return std::to_chars(p, p + 24, value).ptr;
 }
 
-/// `value` through `std::to_chars(..., format...)`.
-template <typename Number, typename... Format>
-Rendered rendered(Number value, Format... format) {
-  Rendered r;
-  const char* end =
-      std::to_chars(r.text, r.text + sizeof r.text, value, format...).ptr;
-  r.size = static_cast<std::uint8_t>(end - r.text);
-  return r;
-}
-
-/// A span's job, sub and round, rendered once: a line writes the job up
-/// to three times.
-struct IdDigits {
-  explicit IdDigits(const SpanRef& ref)
-      : job(rendered(ref.job)), sub(rendered(ref.sub)),
-        round(rendered(ref.round)) {}
-  Rendered job, sub, round;
-};
-
-/// name[:job][.sub][#round], unquoted, its integers from `digits`: those
-/// of `ref`, or of the span whose parent `ref` is (a parent keeps its
-/// child's job and sub).
-char* put_id(char* p, const SpanRef& ref, const IdDigits& digits) {
+/// name[:job][.sub][#round], unquoted.
+char* put_id(char* p, const SpanRef& ref) {
   p = put(p, ref.name());
   if (ref.job >= 0) {
     *p++ = ':';
-    p = put(p, digits.job);
+    p = put_int(p, ref.job);
   }
   if (ref.sub >= 0) {
     *p++ = '.';
-    p = put(p, digits.sub);
+    p = put_int(p, ref.sub);
   }
   if (ref.round >= 0) {
     *p++ = '#';
-    p = put(p, digits.round);
+    p = put_int(p, ref.round);
   }
   return p;
 }
@@ -237,17 +135,26 @@ class RenderedDoubles {
     if (!std::isfinite(value)) return put(p, "null");
     const auto bits = std::bit_cast<std::uint64_t>(value);
     Entry& e = entries_[(bits * 0x9e3779b97f4a7c15) >> 58];
-    if (e.number.size == 0 || e.bits != bits) {
+    if (e.size == 0 || e.bits != bits) {
       e.bits = bits;
-      e.number = rendered(value, std::chars_format::general, 17);
+      e.size = static_cast<std::uint8_t>(
+          std::to_chars(e.text, e.text + sizeof e.text, value,
+                        std::chars_format::general, 17)
+              .ptr -
+          e.text);
     }
-    return put(p, e.number);
+    // A fixed-size copy is a few moves, where one sized to the rendering
+    // is a call; the export keeps kMaxLine bytes of room ahead, and a
+    // line's budget counts 24 bytes per double.
+    std::memcpy(p, e.text, sizeof e.text);
+    return p + e.size;
   }
 
  private:
   struct Entry {
     std::uint64_t bits = 0;
-    Rendered number;
+    std::uint8_t size = 0;  // 0: empty (a rendering is never empty)
+    char text[24];          // the longest %.17g rendering
   };
   std::array<Entry, 64> entries_{};
 };
@@ -260,29 +167,28 @@ char* put_span_line(char* p, const SpanRecords& set, std::size_t i,
   const Record& rec = set.records[i];
   const SpanRef self{rec.kind, rec.job, rec.sub, rec.round};
   p = put(p, "{\"id\":\"");
-  const IdDigits digits(self);
-  p = put_id(p, self, digits);
+  p = put_id(p, self);
   p = put(p, "\",\"name\":\"");
   p = put(p, self.name());
   p = put(p, "\",\"job\":");
-  p = put(p, digits.job);
+  p = put_int(p, rec.job);
   p = put(p, ",\"sub\":");
-  p = put(p, digits.sub);
+  p = put_int(p, rec.sub);
   p = put(p, ",\"round\":");
-  p = put(p, digits.round);
+  p = put_int(p, rec.round);
   p = put(p, ",\"t0\":");
   p = doubles.put_double(p, rec.t0);
   p = put(p, ",\"t1\":");
   p = doubles.put_double(p, rec.t1);
   p = put(p, ",\"parent\":\"");
-  p = put_id(p, self.parent(), digits);
+  p = put_id(p, self.parent());
   p = put(p, "\",\"tags\":{");
   for (std::size_t t = rec.first_tag; t < rec.first_tag + rec.tags; ++t) {
     if (t != rec.first_tag) *p++ = ',';
     *p++ = '"';
     p = put(p, kSpanTagKeys[set.tag_keys[t]]);
     p = put(p, "\":");
-    p = put(p, rendered(set.tag_values[t]));
+    p = put_int(p, set.tag_values[t]);
   }
   return put(p, "}}\n");
 }
@@ -309,8 +215,8 @@ std::string_view SpanRef::name() const {
 }
 
 std::string SpanRef::id() const {
-  char buf[96];  // a vocabulary name and three 25-byte integer copies
-  return {buf, put_id(buf, *this, IdDigits(*this))};
+  char buf[64];  // a vocabulary name and three integers
+  return {buf, put_id(buf, *this)};
 }
 
 SpanRef SpanRef::parent() const {
@@ -476,12 +382,13 @@ SpanSet SpanSet::merge(std::span<const SpanLog* const> logs,
              tags <= SpanLog::kMaxTags);
   // Keys tie only on duplicate identities or fields outside the packed
   // range: those are ordered field by field.
-  sort_keys(keys, [logs](const SpanKey& a, const SpanKey& b) {
-    if (a.t0 != b.t0 || a.identity != b.identity) {
-      return std::pair(a.t0, a.identity) < std::pair(b.t0, b.identity);
-    }
-    return before(logs[a.run]->log_, a.index, logs[b.run]->log_, b.index);
-  });
+  std::sort(keys.begin(), keys.end(),
+            [logs](const SpanKey& a, const SpanKey& b) {
+              if (a.t0 != b.t0) return a.t0 < b.t0;
+              if (a.identity != b.identity) return a.identity < b.identity;
+              return before(logs[a.run]->log_, a.index, logs[b.run]->log_,
+                            b.index);
+            });
   SpanSet set;
   set.set_.records.reserve(keys.size());
   set.set_.tag_keys.reserve(tags);

@@ -338,16 +338,39 @@ std::string reference_jsonl(const std::vector<Span>& spans) {
   return out;
 }
 
-/// Four shard logs of 500 spans each, drawn so heads tie often, duplicate
-/// identities differ only in their tails (t1, tag order), and some fields
+/// The values a drawn span's fields take, and how many spans to draw.
+struct SpanDraw {
+  std::vector<double> times;
+  std::vector<std::int64_t> jobs;
+  std::vector<int> subs;
+  std::vector<int> rounds;
+  std::size_t spans;  // split evenly over the logs
+};
+
+/// Few values per field, so that heads tie often and duplicate
+/// identities differ only in their tails (t1, tag order); some fields
 /// lie outside the packed key's range (job 2^33, sub 5000, round 70000,
-/// job -7), where keys tie and the field compare decides; each log in a
-/// shuffled order. Returns the same spans as plain Spans, log by log.
-std::vector<Span> draw_shard_logs(Rng& rng, std::vector<obs::SpanLog>& logs) {
-  const double times[] = {0.0, 0.5, 1.0, 2.25};
-  const std::int64_t jobs[] = {-7, 0, 1, std::int64_t{1} << 33};
-  const int subs[] = {-1, 0, 5000};
-  const int rounds[] = {-1, 0, 70000};
+/// job -7), where keys tie and the field compare decides.
+const SpanDraw kTieHeavy{{0.0, 0.5, 1.0, 2.25},
+                         {-7, 0, 1, std::int64_t{1} << 33},
+                         {-1, 0, 5000},
+                         {-1, 0, 70000},
+                         2000};
+
+/// More values per field: the packed range's lower end (job -1), and two
+/// different jobs past its upper end (2^33, 2^33 + 1), which pack alike,
+/// so only the field compare of the job tells them apart.
+const SpanDraw kWide{{0.0, 0.5, 1.0, 1.5, 2.25},
+                     {-7, -1, 0, 1, 2, std::int64_t{1} << 33,
+                      (std::int64_t{1} << 33) + 1},
+                     {-1, 0, 1, 5000},
+                     {-1, 0, 3, 70000},
+                     3000};
+
+/// Fills `logs` with spans drawn from `draw`, each log in a shuffled
+/// order. Returns the same spans as plain Spans, log by log.
+std::vector<Span> draw_shard_logs(Rng& rng, std::vector<obs::SpanLog>& logs,
+                                  const SpanDraw& draw = kTieHeavy) {
   const obs::SpanTagKey keys[] = {"adv", "class", "rounds", "tmpl"};
   const auto pick = [&rng](const auto& options) {
     return options[rng.below(std::size(options))];
@@ -355,14 +378,14 @@ std::vector<Span> draw_shard_logs(Rng& rng, std::vector<obs::SpanLog>& logs) {
   std::vector<Span> concat;
   for (obs::SpanLog& log : logs) {
     std::vector<Span> shard;
-    for (int i = 0; i < 500; ++i) {
+    for (std::size_t i = 0; i < draw.spans / logs.size(); ++i) {
       Span s;
       s.name = obs::kSpanNames[rng.below(obs::kSpanNames.size())];
-      s.job = pick(jobs);
-      s.sub = pick(subs);
-      s.round = pick(rounds);
-      s.t0 = pick(times);
-      s.t1 = s.t0 + pick(times);
+      s.job = pick(draw.jobs);
+      s.sub = pick(draw.subs);
+      s.round = pick(draw.rounds);
+      s.t0 = pick(draw.times);
+      s.t1 = s.t0 + pick(draw.times);
       for (std::uint64_t k = rng.below(4); k > 0; --k) {
         s.tags.add(pick(keys), static_cast<std::int64_t>(rng.below(3)));
       }
@@ -396,7 +419,8 @@ std::vector<Span> reference_canonical(std::vector<Span> spans) {
 TEST(SpanMerge, ShuffledShardRunsMergeToCanonicalOrder) {
   Rng rng(99);
   std::vector<obs::SpanLog> logs(4);
-  const std::vector<Span> concat = draw_shard_logs(rng, logs);
+  const std::vector<Span> concat = draw_shard_logs(rng, logs, kWide);
+  ASSERT_EQ(concat.size(), 3000u);
   const obs::SpanLog empty;
   const std::vector<const obs::SpanLog*> runs = {&logs[0], &logs[1], &logs[2],
                                                  &logs[3], &empty};
@@ -445,10 +469,8 @@ TEST(SpanMerge, ShardLogsMergeToCanonicalOrder) {
   }
 }
 
-// The key sort's three regimes, each against the reference order: many
-// distinct instants spread evenly (few per t0 bucket), instants crowded
-// into one bucket by an outlier (past the insertion budget, a full sort
-// finishes), and an unbounded span of instants (infinities: no buckets).
+// Many distinct instants merge to the reference order, whether they are
+// spread evenly, joined by an outlier (1e300) or bounded by infinities.
 TEST(SpanMerge, SpreadCrowdedAndUnboundedInstantsMergeToCanonicalOrder) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double outliers[][2] = {{0.0, 0.0}, {0.0, 1e300}, {-kInf, kInf}};
