@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <tuple>
 
@@ -81,6 +82,78 @@ std::uint64_t packed_identity(std::int64_t job, int sub, int rank,
     if (code == 0 || code == top) break;
   }
   return pack;
+}
+
+/// The double whose `ordered` bits are `u`.
+double unordered(std::uint64_t u) {
+  return std::bit_cast<double>((u >> 63) != 0 ? u & ~(std::uint64_t{1} << 63)
+                                              : ~u);
+}
+
+/// Sorts `keys` by `less`, which orders by (t0, identity) first. A
+/// shard's log is far from sorted (a front-end shard's records ascend in
+/// t0 for 2.2 at a time), so there are no sorted runs to merge; three
+/// linear steps do it instead:
+///  1. a stable radix sort by identity, one pass per byte that the keys
+///     do not all share (a run's identities use few bits);
+///  2. a stable scatter by t0 into up to 4096 buckets of equal width, so
+///     that a bucket holds few distinct instants and the keys of one
+///     instant stay in identity order;
+///  3. an insertion sort by `less`, which has little left to move. Past a
+///     budget of moves (instants crowded into a few buckets, or a t0 span
+///     that is not finite) a `std::sort` finishes instead.
+template <typename Less>
+void sort_keys(std::vector<SpanKey>& keys, const Less& less) {
+  const std::size_t n = keys.size();
+  if (n < 2) return;
+  std::uint64_t varying = 0;
+  for (const SpanKey& k : keys) varying |= k.identity ^ keys[0].identity;
+  const auto [lo, hi] = std::ranges::minmax(keys, {}, &SpanKey::t0);
+  constexpr std::size_t kBuckets = 4096;
+  std::array<std::uint32_t, kBuckets> count{};
+  keys.resize(2 * n);
+  SpanKey* from = keys.data();
+  SpanKey* to = keys.data() + n;
+  // Moves the keys to `to`, stably, in order of `bucket` (< buckets).
+  const auto scatter = [&](std::size_t buckets, auto bucket) {
+    std::fill_n(count.begin(), buckets, 0);
+    for (std::size_t i = 0; i < n; ++i) ++count[bucket(from[i])];
+    std::exclusive_scan(count.begin(), count.begin() + buckets, count.begin(),
+                        std::uint32_t{0});
+    for (std::size_t i = 0; i < n; ++i) to[count[bucket(from[i])]++] = from[i];
+    std::swap(from, to);
+  };
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    scatter(256, [shift](const SpanKey& k) {
+      return static_cast<std::size_t>((k.identity >> shift) & 0xff);
+    });
+  }
+  // Rounding is monotone, so buckets keep t0 order; the span scales to at
+  // most buckets - 1.
+  const double first = unordered(lo.t0);
+  const double width = unordered(hi.t0) - first;
+  const std::size_t buckets = std::min(n, kBuckets);
+  const double scale = width > 0 ? static_cast<double>(buckets - 1) / width : 0;
+  if (scale > 0 && std::isfinite(scale)) {
+    scatter(buckets, [first, scale](const SpanKey& k) {
+      return static_cast<std::size_t>((unordered(k.t0) - first) * scale);
+    });
+  }
+  if (from != keys.data()) std::copy(from, from + n, keys.data());
+  keys.resize(n);
+  std::size_t budget = 8 * n;
+  for (std::size_t i = 1; i < n; ++i) {
+    const SpanKey k = keys[i];
+    std::size_t j = i;
+    for (; j > 0 && less(k, keys[j - 1]); --j) keys[j] = keys[j - 1];
+    keys[j] = k;
+    budget -= std::min(budget, i - j);
+    if (budget == 0) {
+      std::sort(keys.begin(), keys.end(), less);
+      return;
+    }
+  }
 }
 
 // ---------------------------------------------------------- rendering --
@@ -382,13 +455,12 @@ SpanSet SpanSet::merge(std::span<const SpanLog* const> logs,
              tags <= SpanLog::kMaxTags);
   // Keys tie only on duplicate identities or fields outside the packed
   // range: those are ordered field by field.
-  std::sort(keys.begin(), keys.end(),
-            [logs](const SpanKey& a, const SpanKey& b) {
-              if (a.t0 != b.t0) return a.t0 < b.t0;
-              if (a.identity != b.identity) return a.identity < b.identity;
-              return before(logs[a.run]->log_, a.index, logs[b.run]->log_,
-                            b.index);
-            });
+  sort_keys(keys, [logs](const SpanKey& a, const SpanKey& b) {
+    if (a.t0 != b.t0 || a.identity != b.identity) {
+      return std::pair(a.t0, a.identity) < std::pair(b.t0, b.identity);
+    }
+    return before(logs[a.run]->log_, a.index, logs[b.run]->log_, b.index);
+  });
   SpanSet set;
   set.set_.records.reserve(keys.size());
   set.set_.tag_keys.reserve(tags);

@@ -469,8 +469,10 @@ TEST(SpanMerge, ShardLogsMergeToCanonicalOrder) {
   }
 }
 
-// Many distinct instants merge to the reference order, whether they are
-// spread evenly, joined by an outlier (1e300) or bounded by infinities.
+// The key sort's three regimes, each against the reference order: many
+// distinct instants spread evenly (few per t0 bucket), instants crowded
+// into one bucket by an outlier (past the insertion budget, a full sort
+// finishes), and an unbounded span of instants (infinities: no buckets).
 TEST(SpanMerge, SpreadCrowdedAndUnboundedInstantsMergeToCanonicalOrder) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double outliers[][2] = {{0.0, 0.0}, {0.0, 1e300}, {-kInf, kInf}};
